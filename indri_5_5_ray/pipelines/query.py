@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from functools import lru_cache
 from pathlib import Path
 
@@ -126,9 +127,10 @@ class IndexReader:
         # listing, footers) are paid once per reader, not per point lookup
         self._dsets: dict[str, pads.Dataset] = {}
         self._frag_bounds: dict[str, list] = {}
+        self._rg_idx: dict[str, tuple] = {}
         self._pqfiles: dict[str, pq.ParquetFile] = {}
         self._pcat: list | None = None
-        self._dcat: list | None = None
+        self._dcat: dict[int, tuple] | None = None
 
     def _dset(self, sub: str) -> pads.Dataset:
         ds = self._dsets.get(sub)
@@ -139,14 +141,13 @@ class IndexReader:
 
     def _doc_bounds(self, sub: str) -> list:
         """Per-fragment (min, max, frag, row-group bounds) doc_id footer
-        stats of a doc-range-sharded dataset dir, cached per reader."""
+        stats of a doc-range-sharded dataset dir, cached per reader; a
+        group without stats gets (-1, huge) bounds, so it is always read."""
         bounds = self._frag_bounds.get(sub)
         if bounds is None:
-            import pyarrow.parquet as _pq
-
             bounds = []
             for frag in self._dset(sub).get_fragments():
-                md = _pq.read_metadata(frag.path)
+                md = pq.read_metadata(frag.path)
                 try:
                     ci = md.schema.to_arrow_schema().names.index("doc_id")
                     rgs = []
@@ -156,69 +157,64 @@ class IndexReader:
                     mn = min(r[0] for r in rgs)
                     mx = max(r[1] for r in rgs)
                 except (ValueError, AttributeError, TypeError):
-                    # no stats: always read the whole fragment
                     mn, mx = -1, 1 << 62
-                    rgs = None
+                    rgs = [(mn, mx, i) for i in range(md.num_row_groups)]
                 bounds.append((mn, mx, frag, rgs))
             self._frag_bounds[sub] = bounds
         return bounds
 
+    def _rg_index(self, sub: str) -> tuple:
+        """``(mins, reach, maxs, paths, groups)`` of every row group of
+        ``sub`` sorted by doc_id min; ``reach`` is the running max of
+        ``maxs``, so each group before ``searchsorted(reach, x)`` ends
+        below doc x."""
+        idx = self._rg_idx.get(sub)
+        if idx is None:
+            rows = sorted((mn, mx, frag.path, g)
+                          for _mn, _mx, frag, rgs in self._doc_bounds(sub)
+                          for mn, mx, g in rgs)
+            mins, maxs, paths, groups = zip(*rows) if rows else ((),) * 4
+            maxs = np.asarray(maxs, np.int64)
+            idx = (np.asarray(mins, np.int64), np.maximum.accumulate(maxs),
+                   maxs, paths, groups)
+            self._rg_idx[sub] = idx
+        return idx
+
     def _point_read(self, sub: str, doc_ids: list[int],
                     columns: list[str]) -> pa.Table:
-        """doc_id point read over a doc-range-sharded dataset dir.
-
-        pyarrow's ``isin`` filter does NOT prune row groups from
-        statistics (measured: 0.6 s for 10 ids over a 120-fragment
-        docstore, flat with the id count), so this keeps a per-reader
-        cache of each fragment's per-ROW-GROUP [min, max] doc_id footer
-        stats and decompresses ONLY row groups containing a requested id
-        (content docstores are written with 256-row groups —
-        stages/ingest.py — so a k=10 snippet page touches ~10×256 rows,
-        not 10 whole chunks' content columns)."""
-        dset = self._dset(sub)
-        bounds = self._doc_bounds(sub)
-        ids = sorted(set(int(d) for d in doc_ids))
-        arr = np.asarray(ids, dtype=np.int64)
-        flt = pads.field("doc_id").isin(ids)
-
-        def _overlaps(mn: int, mx: int) -> bool:
-            i = int(np.searchsorted(arr, mn))
-            return i < len(arr) and int(arr[i]) <= mx
-
-        hits = [(frag, rgs) for mn, mx, frag, rgs in bounds
-                if _overlaps(mn, mx)]
-        if not hits:
-            empty = {c: pa.array([], dset.schema.field(c).type)
-                     for c in columns}
-            return pa.table(empty)
-        # a wide result page touches most fragments; one dataset-level
-        # scan then beats per-fragment call overhead (measured: tied at
-        # 100 hit fragments, 10× faster at 10)
-        if len(hits) > 32:
-            return dset.to_table(columns=columns, filter=flt)
+        """doc_id point read over a doc-range-sharded dataset dir: decodes
+        only the row groups whose doc_id footer [min, max] holds a requested
+        id (``searchsorted`` on ``_rg_index``), one cached-handle read per
+        file, rows masked by the sorted ids; content docstores use 256-row
+        groups, so a k=10 snippet page decodes ~10×256 rows."""
+        ids = np.unique(np.asarray(doc_ids, np.int64))
+        mins, reach, maxs, paths, groups = self._rg_index(sub)
+        # per id: groups [lo, hi) start at or before it, not all end below it
+        lo = np.searchsorted(reach, ids, "left")
+        n = np.maximum(np.searchsorted(mins, ids, "right") - lo, 0)
+        cand = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
+        by_file: dict[str, list[int]] = {}
+        for j in np.unique(cand[maxs[cand] >= np.repeat(ids, n)]).tolist():
+            by_file.setdefault(paths[j], []).append(groups[j])
+        if not by_file:
+            return self._dset(sub).schema.empty_table().select(columns)
         need = columns if "doc_id" in columns else ["doc_id", *columns]
-        parts: list[pa.Table] = []
-        for frag, rgs in hits:
-            if rgs is None or len(rgs) == 1:
-                parts.append(frag.to_table(columns=columns, filter=flt))
-                continue
-            rg_hits = [i for mn, mx, i in rgs if _overlaps(mn, mx)]
-            pf = self._pqfile(frag.path)
-            t = pf.read_row_groups(rg_hits, columns=need)
-            t = t.filter(pc.is_in(t.column("doc_id"),
-                                  value_set=pa.array(ids, pa.int64())))
-            parts.append(t.select(columns))
-        return pa.concat_tables(parts)
+        t = pa.concat_tables([
+            self._pqfile(p).read_row_groups(g, columns=need, use_threads=False)
+            for p, g in by_file.items()])
+        d = t.column("doc_id").to_numpy()
+        hit = ids[np.minimum(np.searchsorted(ids, d), len(ids) - 1)] == d
+        return t.filter(hit).select(columns)
 
     def _pqfile(self, path: str):
-        """Bounded cache of open ParquetFile handles for row-group point
-        reads (footer parse is paid once per fragment, not per query)."""
-        pf = self._pqfiles.get(path)
+        """LRU cache of at most 128 open ParquetFile handles for row-group
+        point reads (footer parse is paid once per file, not per query)."""
+        pf = self._pqfiles.pop(path, None)
         if pf is None:
             if len(self._pqfiles) >= 128:
                 self._pqfiles.pop(next(iter(self._pqfiles)))
             pf = pq.ParquetFile(path)
-            self._pqfiles[path] = pf
+        self._pqfiles[path] = pf
         return pf
 
     def keep_mask(self, doc_ids: np.ndarray) -> np.ndarray:
@@ -271,9 +267,9 @@ class IndexReader:
     def docnos(self, doc_ids: list[int]) -> list[str]:
         """docID → docno forward lookup (ref:src/LocalQueryServer.cpp:167-206).
 
-        Answered by a doc_id-filtered parquet read (docs files are doc-range
-        partitioned, so row-group stats prune) — no corpus-sized resident
-        dict in query actors."""
+        Answered by ``_point_read``, which decompresses only the docs row
+        groups holding the ids — no corpus-sized resident dict in query
+        actors."""
         if not doc_ids:
             return []
         t = self._point_read("docs", doc_ids, ["doc_id", "docno"])
@@ -290,30 +286,21 @@ class IndexReader:
         if not doc_ids:
             return {}
         t = self._point_read("direct", doc_ids, ["doc_id", "terms", "tfs"])
-        out: dict[int, dict[str, int]] = {}
-        for did, terms, tfs in zip(
-            t.column("doc_id").to_pylist(),
-            t.column("terms").to_pylist(),
-            t.column("tfs").to_pylist(),
-        ):
-            out[did] = dict(zip(terms, tfs))
-        return out
+        return {r["doc_id"]: dict(zip(r["terms"], r["tfs"]))
+                for r in t.to_pylist()}
 
     def doc_vector_positional(self, doc_id: int) -> list[str | None]:
         """Positional term vector of one doc (dumpindex documentvector):
         index i → term at position i, None for stopped/termID-0 slots."""
-        dset = self._dset("direct")
-        t = dset.to_table(filter=pads.field("doc_id") == doc_id)
+        t = self._point_read("direct", [doc_id], ["terms", "tfs", "positions"])
         if t.num_rows == 0:
             return []
         dl = int(self.doc_lens_range(doc_id, doc_id + 1)[0])
         vec: list[str | None] = [None] * dl
-        terms = t.column("terms")[0].as_py()
-        tfs = t.column("tfs")[0].as_py()
-        pos = t.column("positions")[0].as_py()
+        row = t.to_pylist()[0]
         cur = 0
-        for term, tf in zip(terms, tfs):
-            for p in pos[cur : cur + tf]:
+        for term, tf in zip(row["terms"], row["tfs"]):
+            for p in row["positions"][cur : cur + tf]:
                 vec[p] = term
             cur += tf
         return vec
@@ -388,8 +375,8 @@ class IndexReader:
         return h % self.cfg.n_buckets
 
     @staticmethod
-    def _term_footer_catalog(dir_path: Path, extra_cols: tuple = ()) -> list:
-        """Per-file row-group TERM bounds of a term-sorted shard dir, built
+    def _term_footer_catalog(files: list[Path], extra_cols: tuple = ()) -> list:
+        """Per-file row-group TERM bounds of term-sorted shard files, built
         once from footers.  Entries: ``(ParquetFile, tmins, tmaxs,
         monotone, always, extras)`` — ``always`` holds row groups lacking
         term statistics (never pruned, so stats truncation/omission can't
@@ -400,7 +387,7 @@ class IndexReader:
         requested numeric column (missing stats widen to (-1, huge),
         i.e. never prune)."""
         cat = []
-        for fp in sorted(dir_path.glob("*.parquet")):
+        for fp in files:
             pf = pq.ParquetFile(str(fp))
             md = pf.metadata
             idx = {md.schema.column(i).path: i
@@ -472,7 +459,7 @@ class IndexReader:
         fragments (pyarrow does not prune row groups for isin)."""
         if self._pcat is None:
             self._pcat = self._term_footer_catalog(
-                Path(self.index_dir) / "postings",
+                sorted((Path(self.index_dir) / "postings").glob("*.parquet")),
                 ("bucket", "first_doc", "last_doc"))
         return self._pcat
 
@@ -513,22 +500,35 @@ class IndexReader:
         return fetched.filter(pc.is_in(fetched.column("term"),
                                        value_set=pa.array(terms)))
 
-    def _dict_catalog(self) -> list:
-        """Dictionary-dir term catalog (no extras): shards are term-sorted
+    def _dict_catalog(self) -> dict[int, tuple]:
+        """Dictionary term catalog keyed by bucket: MergeWorker writes one
+        term-sorted ``dictionary-{bucket:05d}.parquet`` per term-hash bucket
         with 4096-row groups, so a cold (cf, df) lookup decompresses ~one
-        group, not the vocabulary shard."""
+        group of the term's own bucket file.  A file name that carries no
+        bucket raises ValueError."""
         if self._dcat is None:
-            self._dcat = self._term_footer_catalog(
-                Path(self.index_dir) / "dictionary")
+            files = sorted((Path(self.index_dir) / "dictionary").glob("*.parquet"))
+            names = [re.fullmatch(r"dictionary-(\d+)\.parquet", f.name)
+                     for f in files]
+            if None in names:
+                raise ValueError("dictionary file name carries no bucket: "
+                                 f"{files[names.index(None)]}")
+            self._dcat = {int(m.group(1)): entry for m, entry
+                          in zip(names, self._term_footer_catalog(files))}
         return self._dcat
 
     def _read_dict_rows(self, terms: list[str]) -> pa.Table:
+        """Dictionary rows of ``terms``, each looked up in its own bucket's
+        file only (``_bucket_of``, the hash the merge buckets by)."""
+        cat = self._dict_catalog()
+        by_bucket: dict[int, list[str]] = {}
+        for t in terms:
+            by_bucket.setdefault(self._bucket_of(t), []).append(t)
         parts = []
-        for entry in self._dict_catalog():
-            want = self._term_row_groups(entry, terms)
-            if want:
-                parts.append(entry[0].read_row_groups(sorted(want),
-                                                      use_threads=False))
+        for b, b_terms in sorted(by_bucket.items()):
+            if b in cat and (want := self._term_row_groups(cat[b], b_terms)):
+                parts.append(cat[b][0].read_row_groups(sorted(want),
+                                                       use_threads=False))
         if not parts:
             return pa.table({"term": pa.array([], pa.string()),
                              "cf": pa.array([], pa.int64()),

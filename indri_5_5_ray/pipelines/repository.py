@@ -76,7 +76,7 @@ class MultiIndexReader:
 
     def _point_read(self, sub: str, doc_ids: list[int], columns: list[str]):
         """doc_id point read across segments (disjoint ranges: each
-        segment's fragment-pruned read returns only its own hits)."""
+        segment's row-group-pruned read returns only its own hits)."""
         parts = [r._point_read(sub, doc_ids, columns) for r in self.readers]
         hit = [p for p in parts if p.num_rows]
         return pa.concat_tables(hit) if hit else parts[0]

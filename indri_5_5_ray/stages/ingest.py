@@ -667,9 +667,10 @@ class IngestWorker:
         partials_path = f"{self.out_dir}/partials/partials-{cid}.parquet"
         os.makedirs(f"{self.out_dir}/docs", exist_ok=True)
         os.makedirs(f"{self.out_dir}/partials", exist_ok=True)
-        # content docstores get SMALL row groups so snippet/doctext point
-        # reads (IndexReader._point_read) decompress ~256 rows per hit
-        # doc instead of a whole chunk's content column; metadata-only
+        # content docstores get SMALL row groups: snippet/doctext point
+        # reads (IndexReader._point_read) decompress only the row groups
+        # whose doc_id range holds a requested doc, ~256 rows per hit doc
+        # instead of a whole chunk's content column; metadata-only
         # docstores stay single-group (doc_lens reads them in full anyway)
         if self.cfg.store_content:
             pq.write_table(docs_tbl, docs_path, row_group_size=256)

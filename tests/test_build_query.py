@@ -351,3 +351,103 @@ def test_catalog_fetch_equals_bruteforce_property(tmp_path_factory, data):
             if row["term"] in want_terms
             and row["last_doc"] >= lo and row["first_doc"] < hi}
     assert must <= rkeys <= set(brute)
+
+
+# -- property: bucket-routed dictionary lookup == brute-force read ----------
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_routed_term_stats_equals_bruteforce_property(tmp_path_factory, data):
+    """term_stats reads each term from its own bucket's dictionary file only;
+    for random dictionaries (random row-group cuts, one bucket written as an
+    empty file) and random term sets — present terms, absent terms, several
+    terms of one bucket — it equals a brute-force read of the whole
+    dictionary/ dir."""
+    import hashlib
+    from types import SimpleNamespace
+
+    import pyarrow as pa
+
+    from indri_5_5_ray.stages.postings import DICTIONARY_SCHEMA
+
+    n_buckets = 4
+
+    def bucket_of(t):
+        return int.from_bytes(hashlib.md5(t.encode()).digest()[:4],
+                              "little") % n_buckets
+
+    drawn = data.draw(st.lists(
+        st.text(alphabet="abcdefg", min_size=1, max_size=6),
+        max_size=30, unique=True))
+    empty_bucket = data.draw(st.integers(0, n_buckets - 1))
+    words = sorted(w for w in drawn if bucket_of(w) != empty_bucket)
+
+    d = tmp_path_factory.mktemp("dict")
+    (d / "dictionary").mkdir()
+    for b in range(n_buckets):
+        rows = [{"term": w, "cf": data.draw(st.integers(1, 99)),
+                 "df": data.draw(st.integers(1, 9)), "max_dl": 1, "min_dl": 1}
+                for w in words if bucket_of(w) == b]
+        pq.write_table(pa.Table.from_pylist(rows, schema=DICTIONARY_SCHEMA),
+                       str(d / "dictionary" / f"dictionary-{b:05d}.parquet"),
+                       row_group_size=data.draw(st.integers(1, 4)))
+    brute_t = pq.read_table(str(d / "dictionary"))
+    brute = {t: (cf, df) for t, cf, df in zip(
+        brute_t.column("term").to_pylist(), brute_t.column("cf").to_pylist(),
+        brute_t.column("df").to_pylist())}
+
+    def fresh_reader():
+        r = IndexReader.__new__(IndexReader)
+        r.index_dir = str(d)
+        r._dcat = None
+        r._stats_cache = {}
+        r.cfg = SimpleNamespace(n_buckets=n_buckets)
+        return r
+
+    absent = data.draw(st.lists(
+        st.text(alphabet="abcdefgh", min_size=1, max_size=7), max_size=4))
+    present = (data.draw(st.lists(st.sampled_from(words), max_size=6,
+                                  unique=True)) if words else [])
+    same_bucket = [w for w in words if bucket_of(w) == bucket_of(words[0])
+                   ] if words else []
+    into_empty = [w for w in drawn if bucket_of(w) == empty_bucket]
+    for terms in (present + absent, same_bucket, into_empty):
+        assert fresh_reader().term_stats(terms) == {
+            t: brute[t] for t in terms if t in brute}
+
+
+def test_cold_term_stats_reads_one_dictionary_file(built_index):
+    """A cold one-term lookup decompresses row groups of exactly one
+    dictionary file: the term's bucket."""
+    out, _ = built_index
+    r = IndexReader(out)
+    cat = r._dict_catalog()
+    assert sorted(cat) == list(range(r.cfg.n_buckets))
+    reads = []
+    for b, entry in cat.items():
+        def counted(*a, _b=b, _read=entry[0].read_row_groups, **kw):
+            reads.append(_b)
+            return _read(*a, **kw)
+        entry[0].read_row_groups = counted
+    terms = pq.read_table(f"{out}/dictionary", columns=["term"]).column(
+        "term").to_pylist()
+    for term in (terms[0], terms[-1]):
+        reads.clear()
+        assert term in r.term_stats([term])
+        assert reads == [r._bucket_of(term)]
+    reads.clear()
+    r.term_stats([terms[0]])  # cached: no read at all
+    assert reads == []
+
+
+def test_dictionary_file_without_bucket_raises(built_index, tmp_path):
+    import shutil
+
+    out, _ = built_index
+    shutil.copytree(f"{out}/dictionary", tmp_path / "dictionary")
+    shutil.copy(f"{out}/manifest.json", tmp_path / "manifest.json")
+    first = sorted((tmp_path / "dictionary").glob("*.parquet"))[0]
+    first.rename(first.with_name("part-0.parquet"))
+    with pytest.raises(ValueError, match="no bucket"):
+        IndexReader(str(tmp_path)).term_stats(["merge"])

@@ -92,3 +92,27 @@ def test_direct_missing_raises(built_index):
     out, _ = built_index  # built without store_direct
     with pytest.raises(FileNotFoundError):
         IndexReader(out).doc_vectors([0])
+
+
+def test_documentvector_positional_equals_bruteforce(direct_index):
+    """doc_vector_positional (a one-id point read of direct/) equals the
+    vector rebuilt from a full read of direct/, for every doc id and for
+    ids past the end."""
+    import pyarrow.parquet as pq
+
+    from indri_5_5_ray.pipelines.query import IndexReader
+
+    _corpus, out = direct_index
+    reader = IndexReader(out)
+    dl = reader.doc_lens()
+    want = {}
+    for row in pq.read_table(f"{out}/direct").to_pylist():
+        vec = [None] * int(dl[row["doc_id"]])
+        cur = 0
+        for term, tf in zip(row["terms"], row["tfs"]):
+            for p in row["positions"][cur : cur + tf]:
+                vec[p] = term
+            cur += tf
+        want[row["doc_id"]] = vec
+    for did in range(reader.manifest["max_doc_id"] + 3):
+        assert reader.doc_vector_positional(did) == want.get(did, [])
