@@ -968,11 +968,11 @@ def _index_doc_lens(sf_dir: str):
 
 
 def entry() -> Any:
-    """Flagship: full index build (kstem) + block-max BM25 over sf0.001."""
+    """Flagship: full index build (kstem) + BM25 top-k over sf0.001."""
     from indri_5_5_ray.pipelines.run import run_queries
 
     index_dir = _ensure_index("/root/testdata/sf0.001", stem=True)
-    res = run_queries(index_dir, BM25_QUERIES, k=20, method="blockmax")
+    res = run_queries(index_dir, BM25_QUERIES, k=20)
     return res.to_pandas().drop(columns=["latency_ms"])
 
 

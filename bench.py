@@ -141,7 +141,7 @@ def run_bench() -> dict:
 
     queries = bench_queries_set(index_dir)
     t0 = time.perf_counter()
-    res = run_queries(index_dir, queries, k=100, method="blockmax",
+    res = run_queries(index_dir, queries, k=100,
                       concurrency=(2, max(2, NUM_CPUS // 2)))
     results["bm25_100q"] = round(time.perf_counter() - t0, 3)
     lat = res.group_by("qid").aggregate([("latency_ms", "max")])
@@ -184,7 +184,7 @@ def run_bench() -> dict:
         sc = BM25Scorer(snip_reader)
         n = 0
         for _, t in queries[:20]:
-            ids, _s = sc.score_blockmax(process_query(t, snip_reader.cfg), k=10)
+            ids, _s = sc.score_exhaustive(process_query(t, snip_reader.cfg), k=10)
             n += sum(len(s)
                      for s in build_snippets(snip_reader, t,
                                              ids.tolist()).values())

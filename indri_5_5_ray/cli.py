@@ -314,7 +314,7 @@ def cmd_validate(reader: IndexReader, *_args) -> None:
 def cmd_query(reader: IndexReader, text: str, k: str = "10") -> None:
     scorer = BM25Scorer(reader)
     terms = process_query(text, reader.cfg)
-    ids, scores = scorer.score_blockmax(terms, k=int(k))
+    ids, scores = scorer.score_exhaustive(terms, k=int(k))
     for line in format_trec("Q", ids, scores, reader.docnos(ids.tolist())):
         print(line)
 
@@ -372,7 +372,7 @@ def cmd_runquery(reader: IndexReader, queries_path: str, k: str = "10",
             reader, variant="okapi" if baseline == "bm25" else "tfidf")
 
         def score(text):
-            return scorer.score_blockmax(process_query(text, reader.cfg), k=kk)
+            return scorer.score_exhaustive(process_query(text, reader.cfg), k=kk)
     elif baseline in ("dirichlet", "jm", "two"):
         from .pipelines.feedback import process_query_lm
         from .pipelines.lm import LMScorer

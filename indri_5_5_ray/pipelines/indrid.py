@@ -45,16 +45,15 @@ class _QueryDaemon:
     def run_query(self, text: str, k: int = 10, kind: str = "bm25",
                   method: str | None = None) -> list[dict]:
         """Top-k as [{doc_id, docno, score, rank}] — kind selects the
-        engine: bm25 (method blockmax|exhaustive), lm (dirichlet|jm|two),
+        engine: bm25 (no method), lm (method dirichlet|jm|two),
         structured (full IndriQL)."""
         if kind == "bm25":
+            if method is not None:
+                raise ValueError(f"bm25 takes no method, got {method!r}")
             if self._bm25 is None:
                 self._bm25 = BM25Scorer(self.r)
             terms = process_query(text, self.r.cfg)
-            if (method or "blockmax") == "blockmax":
-                ids, scores = self._bm25.score_blockmax(terms, k=k)
-            else:
-                ids, scores = self._bm25.score_exhaustive(terms, k=k)
+            ids, scores = self._bm25.score_exhaustive(terms, k=k)
         elif kind == "lm":
             from .lm import LMScorer, process_query_lm
 

@@ -95,7 +95,7 @@ class LMScorer:
         """Dense doc-length array only while it is small (or already
         resident); past the gate the pruned path fetches per-cell slices —
         a query actor then holds O(processed cells), never O(max_doc_id)
-        (4 GB × actors at 10⁹ docs).  Same gate as BM25's block-max."""
+        (4 GB × actors at 10⁹ docs)."""
         import os
 
         gate = int(os.environ.get("INDRI55_DENSE_DL_DOCS", str(4 << 20)))

@@ -54,49 +54,42 @@ class QueryWorker:
     """Actor-pool batch retrieval with docno lookup + per-query latency.
 
     ``kind`` selects the engine like :class:`ShardedQueryWorker`:
-    "bm25" (method = blockmax | exhaustive), "lm" (#combine language
-    model; method = dirichlet | jm | two), or "structured" (full
-    indriql)."""
+    "bm25" (okapi), "lm" (#combine language model), or "structured"
+    (full indriql); ``method`` is the LM smoothing of the last two
+    (dirichlet | jm | two) and must name one for every kind."""
 
-    def __init__(self, index_dir: str, k: int = 1000, method: str = "blockmax",
+    def __init__(self, index_dir: str, k: int = 1000, method: str = "dirichlet",
                  registry_snapshot: dict | None = None, kind: str = "bm25",
                  mu: float = 2500.0, lam: float = 0.4):
         if registry_snapshot:
             from .. import registry as _registry
 
             _registry.restore(registry_snapshot)
+        from .lm import LMScorer
+
+        if method not in LMScorer._METHODS:
+            raise ValueError(f"unknown smoothing method {method!r} "
+                             f"(one of {LMScorer._METHODS})")
         self.reader = IndexReader(index_dir)
         self.kind = kind
-        # ``method`` is overloaded: the BM25 accumulation strategy
-        # (blockmax | exhaustive) OR the LM smoothing — don't let the
-        # bm25 default leak into a smoothing selector
-        smoothing = (method if method not in ("blockmax", "exhaustive")
-                     else "dirichlet")
         if kind == "bm25":
             self.scorer = BM25Scorer(self.reader)
         elif kind == "lm":
-            from .lm import LMScorer
-
-            self.scorer = LMScorer(self.reader, method=smoothing, mu=mu,
-                                   lam=lam)
+            self.scorer = LMScorer(self.reader, method=method, mu=mu, lam=lam)
         elif kind == "structured":
             from .indriql import StructuredQueryEngine
 
-            self.scorer = StructuredQueryEngine(self.reader,
-                                                method=smoothing,
+            self.scorer = StructuredQueryEngine(self.reader, method=method,
                                                 mu=mu, lam=lam)
         else:
             raise ValueError(f"unknown query kind {kind!r}")
         self.k = k
-        self.method = method
         self.reader.doc_lens()  # warm once per actor
 
     def _score(self, text: str):
         if self.kind == "bm25":
             terms = process_query(text, self.reader.cfg)
-            score = (self.scorer.score_blockmax if self.method == "blockmax"
-                     else self.scorer.score_exhaustive)
-            return score(terms, k=self.k)
+            return self.scorer.score_exhaustive(terms, k=self.k)
         if self.kind == "lm":
             from .feedback import process_query_lm
 
@@ -565,7 +558,7 @@ def run_queries(
     index_dir: str,
     queries: list[tuple[str, str]],
     k: int = 1000,
-    method: str = "blockmax",
+    method: str = "dirichlet",
     concurrency: tuple[int, int] = (1, 8),
     kind: str = "bm25",
 ) -> pa.Table:

@@ -153,25 +153,65 @@ def test_rank_identity(built_index, oracle_model, query):
     assert ids.tolist() == [d for d, _ in expected]
     np.testing.assert_allclose(scores, [s for _, s in expected], rtol=1e-12, atol=1e-12)
 
-    ids2, scores2 = scorer.score_blockmax(terms, k=k)
-    assert ids2.tolist() == ids.tolist()
-    np.testing.assert_array_equal(scores, scores2)  # bit-identical paths
 
-    # cell-local doc-length path (the >gate shape query actors use at
-    # 10⁹-doc scale): a FRESH reader with the dense gate forced to 0 must
-    # fetch per-cell dl slices and still be bit-identical
-    import os as _os
+STOP = ("the", "a", "of", "and", "if", "for", "return", "int")
+ABSENT = ("zzqx_absent", "qqnotaterm")
 
-    _os.environ["INDRI55_DENSE_DL_DOCS"] = "0"
-    try:
-        fresh = IndexReader(out)
-        ids3, scores3 = BM25Scorer(fresh).score_blockmax(terms, k=k)
-        assert fresh._doc_lens is None  # never loaded the dense array
-        assert fresh._range_lens_bytes > 0  # used ranged slices
-        assert ids3.tolist() == ids.tolist()
-        np.testing.assert_array_equal(scores, scores3)
-    finally:
-        del _os.environ["INDRI55_DENSE_DL_DOCS"]
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_score_exhaustive_equals_bruteforce_property(built_index, oracle_model,
+                                                     data):
+    """For random 1-4-term queries (oracle vocabulary, absent terms,
+    repeated terms, stopword-only text under a stopping query config),
+    k in {1, 10, 1000} and a random deleted-doc set, score_exhaustive
+    ranks exactly like the brute-force oracle; and for random doc_range
+    shards the merged per-shard top-k equals the unsharded top-k,
+    bit for bit."""
+    import dataclasses
+
+    out, _ = built_index
+    reader = IndexReader(out)
+    vocab = sorted({t for _dn, _dl, tfm in oracle_model.values() for t in tfm})
+    stopped = data.draw(st.booleans())
+    qcfg = (dataclasses.replace(reader.cfg, stopwords=STOP) if stopped
+            else reader.cfg)
+    if stopped and data.draw(st.booleans()):
+        words = data.draw(st.lists(st.sampled_from(STOP), min_size=1,
+                                   max_size=4))
+    else:
+        pool = st.sampled_from(vocab) | st.sampled_from(ABSENT + STOP)
+        words = data.draw(st.lists(pool, min_size=1, max_size=4))
+        if data.draw(st.booleans()):
+            words.append(data.draw(st.sampled_from(words)))  # repeated term
+    text = " ".join(words)
+    k = data.draw(st.sampled_from([1, 10, 1000]))
+    ids_all = sorted(oracle_model)
+    deleted = sorted(data.draw(st.sets(st.sampled_from(ids_all), max_size=40)))
+    reader.deleted = np.asarray(deleted, np.int64) if deleted else None
+
+    terms = process_query(text, qcfg)
+    ids, scores = BM25Scorer(reader).score_exhaustive(terms, k=k)
+    gone = set(deleted)
+    expected = [(d, s) for d, s in brute_force_topk(
+        oracle_model, text, qcfg, len(oracle_model)) if d not in gone][:k]
+    assert ids.tolist() == [d for d, _ in expected]
+    np.testing.assert_allclose(scores, [s for _, s in expected],
+                               rtol=1e-12, atol=1e-12)
+
+    # doc_range shards over [0, max_doc_id]: merged top-k == unsharded
+    top = reader.manifest["max_doc_id"] + 1
+    cuts = sorted(set(data.draw(st.lists(st.integers(1, top - 1),
+                                         max_size=5))))
+    bounds = [0, *cuts, top]
+    parts = [BM25Scorer(reader).score_exhaustive(terms, k=k,
+                                                 doc_range=(lo, hi))
+             for lo, hi in zip(bounds[:-1], bounds[1:])]
+    m_ids = np.concatenate([p[0] for p in parts])
+    m_scores = np.concatenate([p[1] for p in parts])
+    order = np.lexsort((-m_ids, -m_scores))[:k]
+    assert np.array_equal(m_ids[order], ids)
+    assert np.array_equal(m_scores[order], scores)
 
 
 def test_positions_roundtrip_against_oracle(built_index, small_corpus_dir):

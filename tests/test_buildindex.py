@@ -38,7 +38,7 @@ def test_build_from_parquet_and_query(small_corpus_dir, tmp_path):
 
     r = IndexReader(f"{tmp_path}/idx")
     terms = process_query("merge buffer", r.cfg)
-    ids, scores = BM25Scorer(r).score_blockmax(terms, k=5)
+    ids, scores = BM25Scorer(r).score_exhaustive(terms, k=5)
     assert len(ids) > 0
     # a second run with the same -index resumes to the identical manifest
     m2 = run(parse_args([f"-index={tmp_path}/idx",

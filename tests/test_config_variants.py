@@ -49,17 +49,6 @@ def test_salted_build_splits_hot_terms_and_ranks_identically(small_corpus_dir, t
         assert ids_a.tolist() == ids_b.tolist()
         np.testing.assert_array_equal(s_a, s_b)
 
-    # block-max path also works across salted rows
-    from indri_5_5_ray.pipelines.query import BM25Scorer, IndexReader, process_query
-
-    r = IndexReader(b)
-    sc = BM25Scorer(r)
-    terms = process_query("merge token buffer", r.cfg)
-    ids_bm, s_bm = sc.score_blockmax(terms, k=30)
-    ids_ex, s_ex = sc.score_exhaustive(terms, k=30)
-    assert ids_bm.tolist() == ids_ex.tolist()
-    np.testing.assert_array_equal(s_bm, s_ex)
-
 
 def test_tf_only_index(small_corpus_dir, tmp_path):
     """store_positions=False: smaller index, same rankings; window ops fail

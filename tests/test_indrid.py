@@ -28,7 +28,7 @@ def test_named_actor_discovery_and_identity(daemon, built_index):
     rows = ray.get(h2.run_query.remote("merge buffer token", k=5))
     # identical to a local engine run (same index, same scorer)
     r = IndexReader(index_dir)
-    ids, scores = BM25Scorer(r).score_blockmax(
+    ids, scores = BM25Scorer(r).score_exhaustive(
         process_query("merge buffer token", r.cfg), k=5)
     assert [x["doc_id"] for x in rows] == ids.tolist()
     np.testing.assert_array_equal([x["score"] for x in rows], scores)

@@ -86,8 +86,9 @@ def test_delete_and_compact(corpora, tmp_path):
     # statistics keep deleted docs until compaction (reference semantics)
     assert r.doc_count == 200
 
-    pre_blockmax, _ = BM25Scorer(r).score_blockmax(q, k=10)
-    assert np.array_equal(pre_blockmax, ids1)  # deletion stays rank-safe
+    # a fresh reader loads the same deleted list and ranks the same
+    fresh, _ = BM25Scorer(repo.reader()).score_exhaustive(q, k=10)
+    assert np.array_equal(fresh, ids1)
 
     repo.compact()
     r2 = repo.reader()

@@ -119,26 +119,40 @@ def test_topk_prune_matches_full_sort_with_ties():
         assert np.array_equal(got_s, scores[order])
 
 
-def test_blockmax_sparse_docid_space(small_corpus_dir, tmp_path):
-    """A segment built at a huge doc_id base (sparse doc-id space) must
-    score identically to exhaustive — the capped cell width keeps the dense
-    accumulator cell-sized, never corpus-span-sized."""
+def test_sparse_docid_base_scores_equal_and_accumulator_bounded(
+        small_corpus_dir, tmp_path):
+    """The same corpus built at doc_id base 0 and at base 50M scores
+    identically, ids shifted by exactly 50M, and the scorer's own peak
+    allocation stays window-sized: the dense accumulator spans the decoded
+    doc ids, never [0, max_doc_id]."""
+    import tracemalloc
+
     from indri_5_5_ray.config import IndexConfig
     from indri_5_5_ray.pipelines.build import build_index
     from indri_5_5_ray.pipelines.query import (BM25Scorer, IndexReader,
                                                process_query)
 
-    out = str(tmp_path / "sparse_idx")
+    base = 50_000_000
     cfg = IndexConfig(max_chunk_docs=64, n_buckets=4, dedup_key=None)
-    build_index(small_corpus_dir, out, cfg, resume=False,
-                doc_id_base=50_000_000)
-    r = IndexReader(out)
-    sc = BM25Scorer(r)
-    terms = process_query("merge buffer token", r.cfg)
-    ids_b, s_b = sc.score_blockmax(terms, k=10)
-    ids_e, s_e = sc.score_exhaustive(terms, k=10)
-    assert len(ids_b) and (ids_b >= 50_000_000).all()
-    assert np.array_equal(ids_b, ids_e) and np.array_equal(s_b, s_e)
+    out0, out1 = str(tmp_path / "base0"), str(tmp_path / "sparse")
+    build_index(small_corpus_dir, out0, cfg, resume=False)
+    build_index(small_corpus_dir, out1, cfg, resume=False, doc_id_base=base)
+    r0, r1 = IndexReader(out0), IndexReader(out1)
+    terms = process_query("merge buffer token", r0.cfg)
+    ids0, s0 = BM25Scorer(r0).score_exhaustive(terms, k=10)
+    r1.doc_lens()  # warmed once per worker, as QueryWorker does
+    sc = BM25Scorer(r1)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        ids1, s1 = sc.score_exhaustive(terms, k=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ids0) == 10
+    assert np.array_equal(ids1, ids0 + base)
+    assert np.array_equal(s1, s0)
+    assert peak < 16 << 20, f"scorer peak {peak / 2**20:.1f} MB"
 
 
 def test_term_payloads_row_aligned(built_index):
@@ -170,3 +184,29 @@ def test_point_read_multi_index_reader(built_index):
     t2 = multi._point_read("docs", [0, 5, 17], ["doc_id", "dl"])
     assert t1.sort_by("doc_id").equals(t2.sort_by("doc_id"))
     assert len(ids) == 3
+
+
+@pytest.mark.parametrize("method", ["blockmax", "exhaustive"])
+def test_bm25_has_no_scorer_method(built_index, method):
+    """BM25 has one scorer: the old scorer names are refused as a
+    ``method`` (which names only an LM smoothing), and the default
+    QueryWorker ranks like score_exhaustive."""
+    import pyarrow as pa
+
+    from indri_5_5_ray.pipelines.indrid import _QueryDaemon
+    from indri_5_5_ray.pipelines.query import (BM25Scorer, IndexReader,
+                                               process_query)
+    from indri_5_5_ray.pipelines.run import QueryWorker
+
+    out, _ = built_index
+    with pytest.raises(ValueError, match="smoothing"):
+        QueryWorker(out, k=5, method=method)
+    with pytest.raises(ValueError, match="no method"):
+        _QueryDaemon(out).run_query("merge buffer", k=5, method=method)
+    got = QueryWorker(out, k=5)(pa.table({"qid": ["q"],
+                                          "text": ["merge buffer"]}))
+    r = IndexReader(out)
+    ids, scores = BM25Scorer(r).score_exhaustive(
+        process_query("merge buffer", r.cfg), k=5)
+    assert got.column("doc_id").to_pylist() == ids.tolist()
+    assert got.column("score").to_pylist() == scores.tolist()
