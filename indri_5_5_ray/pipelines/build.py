@@ -8,9 +8,8 @@ Phases (SURVEY.md §7.2):
 1. optional exact-dedup scan — (doc_id, key) pairs → groupby(key) → losers
    written doc_id-sorted for range-pruned lookup in ingest (the reference's
    ingest-time docno dedup, ref:src/IndexEnvironment.cpp:388-404);
-2. ingest — one Ray task per work item with process-global worker state
-   (stemmer dictionary + caches persist via Ray worker reuse; an actor-pool
-   map_batches mode is kept behind INDRI55_INGEST_MODE=actors), side
+2. ingest — one plain Ray task per work item with process-global worker
+   state (stemmer dictionary + caches persist via Ray worker reuse), side
    outputs docs/ + partials/ parquet per chunk + lineage records;
 3. postings merge — map-only reducers over term-hash buckets (the shuffle is
    done by the filesystem: ingest wrote bucket-sorted partials, each reducer
@@ -36,29 +35,10 @@ from pathlib import Path
 
 import pyarrow as pa
 import ray
-import ray.data
 
 from ..config import IndexConfig
 from ..sources.corpus import Chunk, plan_chunks, read_chunk
-from ..stages.ingest import IngestWorker
 from ..stages.postings import MergeWorker
-
-def _ingest_concurrency() -> int:
-    """Fixed actor-pool size (one CPU per actor), default = cluster CPUs,
-    overridable via INDRI55_INGEST_CONCURRENCY.  A fixed pool spawns all
-    actors up front; the autoscaling (min,max) pool ramps up too slowly for
-    a build whose tasks are all ready at start."""
-    import os
-
-    override = os.environ.get("INDRI55_INGEST_CONCURRENCY")
-    if override:
-        return max(2, int(override))
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    return max(2, cpus)
-
 
 _DEDUP_BUCKETS = 32
 
@@ -379,56 +359,22 @@ def build_index(
 
     # -- phase 2: ingest (tokenize/stem/partial postings) -------------------
     t0 = time.perf_counter()
-    ingest_mode = os.environ.get("INDRI55_INGEST_MODE", "tasks")
     out_str_i = str(out)
     cfg_dict_i = cfg.to_dict()
     from .. import registry as _registry
 
     reg_snap = _registry.snapshot()  # ship driver-side registrations
-    if ingest_mode == "actors":
-        # Ray Data actor-pool path (kept for reference/testing): identical
-        # results; measurably slower phase utilization than warm-task reuse
-        items = ray.data.from_items(chunk_dicts)
-        ingest_ds = items.map_batches(
-            IngestWorker,
-            batch_size=1,
-            batch_format="pyarrow",
-            concurrency=_ingest_concurrency(),
-            num_cpus=1,
-            fn_constructor_kwargs={
-                "out_dir": out_str_i,
-                "cfg_dict": cfg_dict_i,
-                "losers_path": losers_path,
-                "registry_snapshot": reg_snap,
-            },
-        )
-        records = ingest_ds.take_all()
-        # release the actor pool: the executor (and its actors) lives until
-        # the dataset object is garbage-collected — without this the dying
-        # actors hold whole CPUs and starve the merge tasks
-        import gc
+    # plain Ray tasks; per-worker state (stemmer dict + memo caches) lives
+    # in a process-global via get_process_worker — the same state model as
+    # an actor, minus pool spawn/dispatch overhead
+    from ..stages.ingest import get_process_worker
 
-        del ingest_ds, items
-        gc.collect()
-        t_b = time.perf_counter()
-        want = 0.75 * _ingest_concurrency()
-        while time.perf_counter() - t_b < 2.0:
-            if ray.available_resources().get("CPU", 0) >= want:
-                break
-            time.sleep(0.05)
-    else:
-        # default: plain Ray tasks; per-worker state (stemmer dict + memo
-        # caches) lives in a process-global via get_process_worker — the
-        # same state model as an actor, minus pool spawn/dispatch overhead
-        from ..stages.ingest import get_process_worker
+    @ray.remote(num_cpus=1)
+    def _ingest_task(chunk_dict: dict) -> dict:
+        w = get_process_worker(out_str_i, cfg_dict_i, losers_path, reg_snap)
+        return w._process_chunk(Chunk(**chunk_dict))
 
-        @ray.remote(num_cpus=1)
-        def _ingest_task(chunk_dict: dict) -> dict:
-            w = get_process_worker(out_str_i, cfg_dict_i, losers_path,
-                                   reg_snap)
-            return w._process_chunk(Chunk(**chunk_dict))
-
-        records = ray.get([_ingest_task.remote(c) for c in chunk_dicts])
+    records = ray.get([_ingest_task.remote(c) for c in chunk_dicts])
     timings["ingest_s"] = time.perf_counter() - t0
 
     # -- phase 3: postings merge (filesystem-shuffled, map-only) ------------
@@ -461,8 +407,6 @@ def build_index(
     merge_mem = int(min(max(12 * est_bucket + (256 << 20), 512 << 20),
                         48 << 30, mcap if mcap else 48 << 30))
 
-    # num_cpus=0.9: lets merge tasks schedule even while the last dying
-    # ingest actors still hold whole CPUs (teardown is async)
     @ray.remote(num_cpus=0.9, **_mem_opts(merge_mem if mcap else 0))
     def _merge_task(buckets: list[int]) -> list[dict]:
         # plain task: the work list is fixed and all IO goes through the

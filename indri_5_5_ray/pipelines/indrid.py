@@ -25,7 +25,8 @@ import numpy as np
 import pyarrow.dataset as pads
 import ray
 
-from .query import BM25Scorer, IndexReader, format_trec, process_query
+from .query import IndexReader, format_trec, process_query
+from .run import engine_topk, make_engine
 
 DEFAULT_NAME = "indrid"
 
@@ -36,40 +37,29 @@ class _QueryDaemon:
 
     def __init__(self, index_dir: str):
         self.r = IndexReader(index_dir)
-        self._bm25: BM25Scorer | None = None
-        self._lm: dict[str, object] = {}
-        self._structured = None
+        self._engines: dict[tuple[str, str], object] = {}
+
+    def _engine(self, kind: str, method: str = "dirichlet"):
+        """The resident engine of (kind, method): built on first use, so
+        its caches persist across requests."""
+        eng = self._engines.get((kind, method))
+        if eng is None:
+            eng = self._engines[(kind, method)] = make_engine(self.r, kind,
+                                                              method)
+        return eng
 
     # -- retrieval (runQuery, ref:src/NetworkServerProxy.cpp:400-419) ------
 
     def run_query(self, text: str, k: int = 10, kind: str = "bm25",
                   method: str | None = None) -> list[dict]:
         """Top-k as [{doc_id, docno, score, rank}] — kind selects the
-        engine: bm25 (no method), lm (method dirichlet|jm|two),
-        structured (full IndriQL)."""
-        if kind == "bm25":
-            if method is not None:
-                raise ValueError(f"bm25 takes no method, got {method!r}")
-            if self._bm25 is None:
-                self._bm25 = BM25Scorer(self.r)
-            terms = process_query(text, self.r.cfg)
-            ids, scores = self._bm25.score_exhaustive(terms, k=k)
-        elif kind == "lm":
-            from .lm import LMScorer, process_query_lm
-
-            m = method or "dirichlet"
-            sc = self._lm.get(m)
-            if sc is None:
-                sc = self._lm[m] = LMScorer(self.r, method=m)
-            ids, scores = sc.score(process_query_lm(text, self.r.cfg), k=k)
-        elif kind == "structured":
-            from .indriql import StructuredQueryEngine
-
-            if self._structured is None:
-                self._structured = StructuredQueryEngine(self.r)
-            ids, scores = self._structured.run(text, k=k)
-        else:
-            raise ValueError(f"unknown engine kind {kind!r}")
+        engine: bm25 (no method), lm or structured (full IndriQL), both
+        with an LM smoothing method (dirichlet|jm|two, default
+        dirichlet)."""
+        if kind == "bm25" and method is not None:
+            raise ValueError(f"bm25 takes no method, got {method!r}")
+        ids, scores = engine_topk(self._engine(kind, method or "dirichlet"),
+                                  kind, text, k)
         docnos = self.r.docnos([int(d) for d in ids])
         return [
             {"doc_id": int(d), "docno": dn, "score": float(s), "rank": i + 1}
@@ -138,11 +128,9 @@ class _QueryDaemon:
         """Occurrences of term inside field extents (termFieldCount) —
         served by the RESIDENT structured engine so its postings memo
         persists across requests like every other daemon cache."""
-        from .indriql import StructuredQueryEngine, parse_query
+        from .indriql import parse_query
 
-        if self._structured is None:
-            self._structured = StructuredQueryEngine(self.r)
-        eng = self._structured
+        eng = self._engine("structured")
         root = parse_query(f"{term}.({field})")
         leaf: set[str] = set()
         eng._leaf_terms(root, leaf)

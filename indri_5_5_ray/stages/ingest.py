@@ -3,10 +3,10 @@
 This is the Ray analogue of the reference's single-threaded chain
 ``tokenize → parse → transforms → MemoryIndex::addDocument``
 (ref:src/IndexEnvironment.cpp:356-421, ref:src/MemoryIndex.cpp:538-651) run
-as an actor-pool ``map_batches`` over a dataset of resumable work items
-(one item = one row-group-aligned chunk of one corpus file).
+as one plain Ray task per resumable work item (one item = one
+row-group-aligned chunk of one corpus file).
 
-Each actor holds the per-worker state the reference keeps per process —
+Each worker process holds the state the reference keeps per process —
 the Krovetz dictionary + cache and a term-processing memo — and for each
 chunk writes two deterministic side outputs before committing a lineage
 record:
@@ -342,7 +342,7 @@ _PROCESS_WORKERS: dict[tuple, "IngestWorker"] = {}
 def get_process_worker(out_dir: str, cfg_dict: dict,
                        losers_path: str | None,
                        registry_snapshot: dict | None = None) -> "IngestWorker":
-    """Process-global IngestWorker for the plain-task ingest mode: Ray
+    """Process-global IngestWorker for the plain ingest tasks: Ray
     reuses warm worker processes across tasks, so the per-worker state
     (stemmer dictionary + caches) persists exactly as it would in an actor —
     without actor-pool spawn/dispatch overhead."""
@@ -358,9 +358,9 @@ def get_process_worker(out_dir: str, cfg_dict: dict,
 
 
 class IngestWorker:
-    """Stateful ingest worker: used as a Ray Data actor-pool UDF
-    (``ingest_mode='actors'``) or via ``get_process_worker`` from plain Ray
-    tasks (default mode)."""
+    """Stateful ingest worker: plain Ray tasks reach it through
+    ``get_process_worker``, which keeps one per worker process; calling it
+    on a table of chunk rows processes each chunk in turn."""
 
     def __init__(self, out_dir: str, cfg_dict: dict,
                  losers_path: str | None = None,
@@ -747,31 +747,3 @@ class IngestWorker:
             },
         )
         return rec
-
-
-class ShaDedupScanner:
-    """Phase-0 scanner for content-sha dedup: emits (doc_id, key) per row.
-
-    The reference dedups at ingest by docno backward lookup
-    (ref:src/IndexEnvironment.cpp:388-404); keying by sha256(content) is the
-    exact-dedup generalization (SURVEY.md §2.8)."""
-
-    def __init__(self, key: str):
-        self.key = key  # "sha256" | "docno"
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if self.key == "sha256":
-            keys = [
-                hashlib.sha256(c.encode("utf-8")).hexdigest()
-                for c in batch.column("content").to_pylist()
-            ]
-        else:
-            keys = [
-                f"{r}/{p}@{c}"
-                for r, p, c in zip(
-                    batch.column("repo").to_pylist(),
-                    batch.column("path").to_pylist(),
-                    batch.column("commit").to_pylist(),
-                )
-            ]
-        return pa.table({"doc_id": batch.column("doc_id"), "key": pa.array(keys)})

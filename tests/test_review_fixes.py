@@ -189,18 +189,22 @@ def test_point_read_multi_index_reader(built_index):
 @pytest.mark.parametrize("method", ["blockmax", "exhaustive"])
 def test_bm25_has_no_scorer_method(built_index, method):
     """BM25 has one scorer: the old scorer names are refused as a
-    ``method`` (which names only an LM smoothing), and the default
-    QueryWorker ranks like score_exhaustive."""
+    ``method`` (which names only an LM smoothing) by the worker, the
+    sharded runner and the daemon, and the default QueryWorker ranks like
+    score_exhaustive."""
     import pyarrow as pa
 
     from indri_5_5_ray.pipelines.indrid import _QueryDaemon
     from indri_5_5_ray.pipelines.query import (BM25Scorer, IndexReader,
                                                process_query)
-    from indri_5_5_ray.pipelines.run import QueryWorker
+    from indri_5_5_ray.pipelines.run import QueryWorker, run_queries_sharded
 
     out, _ = built_index
     with pytest.raises(ValueError, match="smoothing"):
         QueryWorker(out, k=5, method=method)
+    with pytest.raises(ValueError, match="smoothing"):
+        run_queries_sharded(out, [("q", "merge buffer")], k=5, n_shards=2,
+                            concurrency=2, method=method)
     with pytest.raises(ValueError, match="no method"):
         _QueryDaemon(out).run_query("merge buffer", k=5, method=method)
     got = QueryWorker(out, k=5)(pa.table({"qid": ["q"],

@@ -3,25 +3,36 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 
-def test_sharded_equals_unsharded(built_index):
+@pytest.mark.parametrize("n_shards", [1, 3])
+def test_sharded_equals_unsharded(built_index, n_shards):
+    """BM25 through the sharded runner and through run_queries ranks and
+    scores exactly like score_exhaustive."""
     from indri_5_5_ray.pipelines.query import BM25Scorer, IndexReader, process_query
-    from indri_5_5_ray.pipelines.run import run_queries_sharded
+    from indri_5_5_ray.pipelines.run import run_queries, run_queries_sharded
 
     out, _ = built_index
     reader = IndexReader(out)
     scorer = BM25Scorer(reader)
     queries = [("1", "merge token buffer"), ("2", "int return"), ("3", "copyright license")]
-    sharded = run_queries_sharded(out, queries, k=25, n_shards=3, concurrency=2)
+    sharded = run_queries_sharded(out, queries, k=25, n_shards=n_shards,
+                                  concurrency=2)
+    batch = run_queries(out, queries, k=25, concurrency=2)
     for qid, text in queries:
         terms = process_query(text, reader.cfg)
         ids, scores = scorer.score_exhaustive(terms, k=25)
-        m = np.array(sharded.column("qid").to_pylist()) == qid
-        got_ids = sharded.column("doc_id").to_numpy()[m]
-        got_scores = sharded.column("score").to_numpy()[m]
-        assert got_ids.tolist() == ids.tolist(), qid
-        np.testing.assert_array_equal(got_scores, scores)  # bit-identical
+        assert len(ids)
+        for t in (sharded, batch):
+            m = np.array(t.column("qid").to_pylist()) == qid
+            assert t.column("doc_id").to_numpy()[m].tolist() == ids.tolist(), qid
+            np.testing.assert_array_equal(t.column("score").to_numpy()[m],
+                                          scores)  # bit-identical
+            assert t.column("rank").to_numpy()[m].tolist() == list(
+                range(1, len(ids) + 1))
+        m = np.array(batch.column("qid").to_pylist()) == qid
+        assert all(np.array(batch.column("docno").to_pylist())[m])
 
 
 def test_doc_range_restriction(built_index):
@@ -203,11 +214,11 @@ def test_pruned_field_query_sharded(built_index, tmp_path):
 
 
 def test_run_queries_kinds(built_index):
-    """The actor-pool batch path (docnos + latency) serves LM and
+    """The warm-task batch path (docnos + latency) serves BM25, LM and
     structured queries identically to the single-process engines."""
     from indri_5_5_ray.pipelines.indriql import StructuredQueryEngine
     from indri_5_5_ray.pipelines.lm import LMScorer, process_query_lm
-    from indri_5_5_ray.pipelines.query import IndexReader
+    from indri_5_5_ray.pipelines.query import BM25Scorer, IndexReader, process_query
     from indri_5_5_ray.pipelines.run import run_queries
 
     out, _ = built_index
@@ -225,6 +236,38 @@ def test_run_queries_kinds(built_index):
     ids2, sc2 = StructuredQueryEngine(reader).run(q, k=10)
     assert t2.column("doc_id").to_pylist() == ids2.tolist()
     np.testing.assert_array_equal(t2.column("score").to_numpy(), sc2)
+
+    t3 = run_queries(out, [("1", "merge buffer token")], k=10, kind="bm25",
+                     concurrency=2)
+    ids3, sc3 = BM25Scorer(reader).score_exhaustive(
+        process_query("merge buffer token", reader.cfg), k=10)
+    assert t3.column("doc_id").to_pylist() == ids3.tolist()
+    np.testing.assert_array_equal(t3.column("score").to_numpy(), sc3)
+    assert all(t3.column("docno").to_pylist())
+
+
+def test_run_queries_empty_result_opens_no_index_on_driver(built_index,
+                                                           monkeypatch):
+    """An empty query list and an all-OOV query give 0 rows of the full
+    result schema without the driver reading the index's doc lengths."""
+    import pyarrow as pa
+
+    from indri_5_5_ray.pipelines import query as query_mod
+    from indri_5_5_ray.pipelines.run import run_queries
+
+    out, _ = built_index
+
+    def _no_driver_reads(self, *a, **kw):
+        raise AssertionError("driver-side doc_lens read for an empty result")
+
+    monkeypatch.setattr(query_mod.IndexReader, "doc_lens", _no_driver_reads)
+    want = pa.schema([("qid", pa.string()), ("rank", pa.int64()),
+                      ("doc_id", pa.int64()), ("docno", pa.string()),
+                      ("score", pa.float64()), ("latency_ms", pa.float64())])
+    for queries in ([], [("1", "zzqqxxv")]):
+        t = run_queries(out, queries, k=10, concurrency=2)
+        assert t.num_rows == 0
+        assert t.schema == want
 
 
 def test_partial_stats_sum_equals_warm_stats(built_index):
