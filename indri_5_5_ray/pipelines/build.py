@@ -20,6 +20,9 @@ Phases (SURVEY.md §7.2):
    marker; stats are GLOBAL as required for rank-identity,
    ref:src/QueryEnvironment.cpp:957-970).
 
+Phase 3 (``merge_partials``) and ``write_manifest`` also serve
+``merge_indexes`` and ``Repository.trim``/``compact``.
+
 Reruns skip ingest chunks whose lineage records match (kill-and-resume safe);
 the merge restarts from persisted partials.
 """
@@ -38,7 +41,7 @@ import ray
 
 from ..config import IndexConfig
 from ..sources.corpus import Chunk, plan_chunks, read_chunk
-from ..stages.postings import MergeWorker
+from ..stages.postings import MergeWorker, write_partials
 
 _DEDUP_BUCKETS = 32
 
@@ -279,9 +282,7 @@ def _consolidate_partials(out_dir: str, cfg: IndexConfig) -> str:
 
         t0 = _time.perf_counter()
         t = pa.concat_tables([_pq.read_table(f) for f in group])
-        t = t.sort_by([("bucket", "ascending")])
-        _pq.write_table(t, dest,
-                        row_group_size=max(256, t.num_rows // max(1, n_buckets)))
+        write_partials(t, dest, n_buckets)
         _lineage.write_record(
             out_dir, "consolidate", pid, fp, rows=t.num_rows,
             bytes_written=int(t.nbytes),
@@ -290,6 +291,110 @@ def _consolidate_partials(out_dir: str, cfg: IndexConfig) -> str:
     ray.get([_consolidate.remote(g, grp, fp)
              for g, (grp, fp) in enumerate(zip(groups, group_fps))])
     return out_str
+
+
+def merge_partials(out_dir: str, cfg: IndexConfig, plan_fp: str,
+                   timings: dict[str, float]) -> int:
+    """The merge phase of every index writer (build, merge, trim, compact):
+    bound the reducers' fan-in (_consolidate_partials), then one MergeWorker
+    task per bucket over ``out_dir``'s partials → postings/ + dictionary/.
+    Adds ``consolidate_s`` and ``merge_s`` to ``timings``; returns the
+    unique-term count of the per-bucket merge records."""
+    t0 = time.perf_counter()
+    partials_src = _consolidate_partials(out_dir, cfg)
+    timings["consolidate_s"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    cfg_dict = cfg.to_dict()
+
+    # per-task memory request: a reducer materializes one bucket's partials
+    # (parquet → arrow lists → numpy runs → encoded payloads), ~12× the
+    # bucket's compressed bytes at peak.  Declaring it lets Ray THROTTLE
+    # merge concurrency when buckets are large (small-cluster safety: a
+    # 10M-doc build with n_buckets sized for a smaller corpus OOM-killed
+    # 30+ concurrent reducers; with the request Ray runs what fits).
+    # n_buckets stays the real scale knob — size it so a bucket fits a
+    # worker's heap — this is the backstop, not the plan.
+    partials_bytes = sum(
+        f.stat().st_size for f in Path(partials_src).glob("*.parquet"))
+    est_bucket = partials_bytes / max(1, cfg.n_buckets)
+    mcap = _mem_resource_cap()
+    merge_mem = int(min(max(12 * est_bucket + (256 << 20), 512 << 20),
+                        48 << 30, mcap if mcap else 48 << 30))
+
+    @ray.remote(num_cpus=0.9, **_mem_opts(merge_mem if mcap else 0))
+    def _merge_task(bucket: int) -> dict:
+        # plain task: the work list is fixed and all IO goes through the
+        # filesystem (bucket-pruned parquet reads), so raw tasks avoid the
+        # Dataset executor's per-phase overhead.  ONE bucket per task:
+        # bucket sizes are skewed (hot-term buckets run ~2× the median), so
+        # static bucket groups quantize the phase to the worst group — with
+        # single-bucket tasks Ray packs them dynamically and the makespan
+        # tracks sum/P + one bucket.  Worker-process spawn and parquet
+        # footer reads are amortized by warm workers + cached_dataset.
+        t = MergeWorker(out_dir, cfg_dict, plan_fp, partials_dir=partials_src)(
+            pa.table({"bucket": pa.array([bucket], pa.int32())})
+        )
+        return t.to_pylist()[0]
+
+    records = ray.get([_merge_task.remote(b) for b in range(cfg.n_buckets)])
+    timings["merge_s"] = time.perf_counter() - t0
+    return sum(r.get("n_terms", 0) for r in records)
+
+
+_FIELD_STAT_KEYS = ("total_len", "extent_count", "doc_count")
+
+
+def sum_field_stats(parts) -> dict[str, dict[str, int]]:
+    """Sum per-field statistics — the fieldStatistics gather
+    (ref:src/MemoryIndex.cpp:605-612, write ref:src/IndexWriter.cpp:503-505).
+    Each part (None skips) maps field → (total_len, extent_count,
+    doc_count) as a sequence (ingest/modify records) or a manifest dict."""
+    out: dict[str, dict[str, int]] = {}
+    for part in parts:
+        for fname, st in (part or {}).items():
+            if isinstance(st, dict):
+                st = [st[k] for k in _FIELD_STAT_KEYS]
+            agg = out.setdefault(fname, dict.fromkeys(_FIELD_STAT_KEYS, 0))
+            for k, v in zip(_FIELD_STAT_KEYS, st):
+                agg[k] += int(v)
+    return out
+
+
+def write_manifest(out_dir: str | Path, cfg: IndexConfig, *, doc_count: int,
+                   total_terms: int, min_doc_id: int, max_doc_id: int,
+                   unique_terms: int, field_stats: dict,
+                   timings: dict[str, float], **extra) -> dict:
+    """Atomically write (tmp file, then rename) and return ``manifest.json``,
+    the completion marker of every index writer; ``extra`` carries the
+    writer's own keys (``n_chunks``, ``merged_from``, ``compacted``, ...)."""
+    manifest = {
+        "format_version": 1,
+        "config": cfg.to_dict(),
+        "doc_count": int(doc_count),
+        "total_terms": int(total_terms),
+        "max_doc_id": int(max_doc_id),
+        "min_doc_id": int(min_doc_id),
+        "unique_terms": int(unique_terms),
+        **extra,
+        "field_stats": field_stats,
+        "timings": {k: round(v, 3) for k, v in timings.items()},
+    }
+    path = Path(out_dir) / "manifest.json"
+    tmp = path.with_suffix(".tmp")
+    tmp.write_text(json.dumps(manifest, indent=2))
+    tmp.replace(path)
+    return manifest
+
+
+def check_disjoint(sources: list[str], out_dir: str, who: str) -> None:
+    """Refuse an ``out_dir`` equal to, inside, or containing a source
+    index: writing it would destroy the source before it is read."""
+    out = Path(out_dir).resolve()
+    for s in sources:
+        src = Path(s).resolve()
+        if src == out or src in out.parents or out in src.parents:
+            raise ValueError(f"{who}: out_dir {out} must be disjoint from "
+                             f"the source index {src}")
 
 
 # Everything build_index writes under out_dir (plus manifest.json).  Wipes
@@ -378,55 +483,9 @@ def build_index(
     timings["ingest_s"] = time.perf_counter() - t0
 
     # -- phase 3: postings merge (filesystem-shuffled, map-only) ------------
-    # ingest wrote bucket-sorted partials; each merge task reads exactly its
-    # bucket (predicate pushdown) and writes postings + dictionary slices —
-    # no object-store shuffle, independently resumable per bucket
-    t0 = time.perf_counter()
-    out_str = str(out)
-    cfg_dict = cfg.to_dict()
     plan_fp = (f"{len(chunks)}:{chunks[-1].doc_id_base if chunks else 0}"
                f":{corpus_sig}")
-    # bound each reducer's fan-in before the merge (no-op below the
-    # file-count threshold; see _consolidate_partials)
-    partials_src = _consolidate_partials(out_str, cfg)
-    timings["consolidate_s"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-
-    # per-task memory request: a reducer materializes one bucket's partials
-    # (parquet → arrow lists → numpy runs → encoded payloads), ~12× the
-    # bucket's compressed bytes at peak.  Declaring it lets Ray THROTTLE
-    # merge concurrency when buckets are large (small-cluster safety: a
-    # 10M-doc build with n_buckets sized for a smaller corpus OOM-killed
-    # 30+ concurrent reducers; with the request Ray runs what fits).
-    # n_buckets stays the real scale knob — size it so a bucket fits a
-    # worker's heap — this is the backstop, not the plan.
-    partials_bytes = sum(
-        f.stat().st_size for f in Path(partials_src).glob("*.parquet"))
-    est_bucket = partials_bytes / max(1, cfg.n_buckets)
-    mcap = _mem_resource_cap()
-    merge_mem = int(min(max(12 * est_bucket + (256 << 20), 512 << 20),
-                        48 << 30, mcap if mcap else 48 << 30))
-
-    @ray.remote(num_cpus=0.9, **_mem_opts(merge_mem if mcap else 0))
-    def _merge_task(buckets: list[int]) -> list[dict]:
-        # plain task: the work list is fixed and all IO goes through the
-        # filesystem (bucket-pruned parquet reads), so raw tasks avoid the
-        # Dataset executor's per-phase overhead.  ONE bucket per task:
-        # bucket sizes are skewed (hot-term buckets run ~2× the median), so
-        # static bucket groups quantize the phase to the worst group — with
-        # single-bucket tasks Ray packs them dynamically and the makespan
-        # tracks sum/P + one bucket.  Worker-process spawn and parquet
-        # footer reads are amortized by warm workers + cached_dataset.
-        t = MergeWorker(out_str, cfg_dict, plan_fp, partials_dir=partials_src)(
-            pa.table({"bucket": pa.array(buckets, pa.int32())})
-        )
-        return t.to_pylist()
-
-    merge_records = [
-        r for rs in ray.get([_merge_task.remote([b]) for b in range(cfg.n_buckets)])
-        for r in rs
-    ]
-    timings["merge_s"] = time.perf_counter() - t0
+    unique_terms = merge_partials(str(out), cfg, plan_fp, timings)
 
     # -- phase 4: global stats → manifest -----------------------------------
     # corpus statistics come straight from the committed lineage records and
@@ -436,36 +495,12 @@ def build_index(
     total_terms = sum(r.get("total_term_slots", 0) for r in records)
     max_doc_id = max(c.doc_id_base + (c.row_end - c.row_start) for c in chunks) - 1
     min_doc_id = min(c.doc_id_base for c in chunks) if chunks else doc_id_base
-    unique_terms = sum(r.get("n_terms", 0) for r in merge_records)
-    # global per-field statistics (total extent length, extent count, docs
-    # with the field) — the fieldStatistics gather
-    # (ref:src/MemoryIndex.cpp:605-612, write ref:src/IndexWriter.cpp:503-505)
-    field_stats: dict[str, dict[str, int]] = {}
-    for r in records:
-        for fname, (tl, ec, dc) in (r.get("field_stats") or {}).items():
-            st = field_stats.setdefault(
-                fname, {"total_len": 0, "extent_count": 0, "doc_count": 0}
-            )
-            st["total_len"] += tl
-            st["extent_count"] += ec
-            st["doc_count"] += dc
+    field_stats = sum_field_stats(r.get("field_stats") for r in records)
     timings["stats_s"] = time.perf_counter() - t0
     timings["total_s"] = time.perf_counter() - t_start
-
-    manifest = {
-        "format_version": 1,
-        "config": cfg.to_dict(),
-        "doc_count": int(doc_count),
-        "total_terms": int(total_terms),
-        "max_doc_id": int(max_doc_id),
-        "min_doc_id": int(min_doc_id),
-        "unique_terms": int(unique_terms),
-        "n_chunks": len(chunks),
-        "n_ingested": sum(1 for r in records if r.get("status") == "ok"),
-        "field_stats": field_stats,
-        "timings": {k: round(v, 3) for k, v in timings.items()},
-    }
-    tmp = manifest_path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(manifest, indent=2))
-    tmp.replace(manifest_path)
-    return manifest
+    return write_manifest(
+        out, cfg, doc_count=doc_count, total_terms=total_terms,
+        min_doc_id=min_doc_id, max_doc_id=max_doc_id,
+        unique_terms=unique_terms, field_stats=field_stats, timings=timings,
+        n_chunks=len(chunks),
+        n_ingested=sum(1 for r in records if r.get("status") == "ok"))

@@ -49,6 +49,7 @@ import ray
 
 from ..config import IndexConfig
 from ..stages.ingest import fields_rows_to_table
+from .build import check_disjoint, sum_field_stats, write_manifest
 
 # per-worker memoized offset-annotation tables (paths key -> docno ->
 # rows), module-level so every task in a worker shares one copy
@@ -208,12 +209,9 @@ def modify_fields(index_dir: str, out_dir: str,
     ``numeric_fields``/``date_fields`` extend the respective typed sets
     for ADDED fields (a removed field leaves them automatically).
     Returns the new manifest."""
+    check_disjoint([index_dir], out_dir, "modify_fields")
     src = Path(index_dir).resolve()
     out = Path(out_dir).resolve()
-    if src == out or src in out.parents or out in src.parents:
-        raise ValueError(
-            f"modify_fields: out_dir {out} must be disjoint from the "
-            f"source index {src}")
     manifest = json.loads((src / "manifest.json").read_text())
     cfg = IndexConfig.from_dict(manifest["config"])
     rm = set(remove_fields)
@@ -249,7 +247,7 @@ def modify_fields(index_dir: str, out_dir: str,
             except OSError:
                 shutil.copy2(sp, out / sub)
 
-    field_stats: dict[str, dict[str, int]] = {}
+    stats_parts = []
     if new_spec:
         (out / "fields").mkdir()
         if added:
@@ -268,14 +266,7 @@ def modify_fields(index_dir: str, out_dir: str,
                                     kept)
                 for p in srcs
             ]
-        for st in ray.get(refs):
-            for fname, (tl, ec, dc) in st.items():
-                agg = field_stats.setdefault(
-                    fname, {"total_len": 0, "extent_count": 0,
-                            "doc_count": 0})
-                agg["total_len"] += tl
-                agg["extent_count"] += ec
-                agg["doc_count"] += dc
+        stats_parts = ray.get(refs)
 
     new_cfg = IndexConfig.from_dict({
         **cfg.to_dict(),
@@ -285,9 +276,9 @@ def modify_fields(index_dir: str, out_dir: str,
         "offset_annotations": (annotations or cfg.offset_annotations)
         if new_spec else None,
     })
-    manifest = dict(manifest)
-    manifest["config"] = new_cfg.to_dict()
-    manifest["field_stats"] = field_stats
-    manifest["modified_from"] = str(src)
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
-    return manifest
+    counts = {k: v for k, v in manifest.items()
+              if k not in ("format_version", "config")}
+    counts.setdefault("min_doc_id", 0)
+    counts.update(field_stats=sum_field_stats(stats_parts),
+                  modified_from=str(src))
+    return write_manifest(out, new_cfg, **counts)

@@ -11,29 +11,29 @@ Ray analogue: every ``add()`` is a normal (parallel, resumable) segment
 build with a disjoint docID range (``build_index(doc_id_base=…)``); queries
 run over all segments through ``MultiIndexReader`` (global statistics are
 the segment sums, so scores are identical to a single merged index);
-``trim()`` folds all segments into one with the existing offline merge
-machinery; ``delete()`` appends to the repository's deleted list, which
+``trim()`` folds the newest segments into one through the offline merge's
+copy step (``merge.write_merged``) and the build's own merge phase, so
+trim and compaction bound reducer fan-in and declare merge memory exactly
+like a build; ``delete()`` appends to the repository's deleted list, which
 every scorer masks rank-safely; ``compact()`` = trim + physically dropping
-deleted docs from the partials before the re-merge (statistics recomputed,
-like the reference's compacted repository).
+deleted docs in that copy step (statistics recomputed, like the
+reference's compacted repository).
 """
 
 from __future__ import annotations
 
 import json
 import shutil
-import time
 from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
-import ray
 
 from ..config import IndexConfig
-from ..stages.postings import MergeWorker
-from .build import build_index
+from .build import build_index, sum_field_stats, write_manifest
+from .merge import write_merged
 from .query import IndexReader, deleted_keep_mask, load_deleted
 
 
@@ -149,17 +149,8 @@ class MultiIndexReader:
         return out
 
     def field_stats(self, field: str) -> dict | None:
-        agg: dict[str, int] | None = None
-        for r in self.readers:
-            st = r.field_stats(field)
-            if st is None:
-                continue
-            if agg is None:
-                agg = dict(st)
-            else:
-                for k, v in st.items():
-                    agg[k] += v
-        return agg
+        return sum_field_stats(
+            r.manifest.get("field_stats") for r in self.readers).get(field)
 
     def dictionary_prefix(self, prefix: str, cap: int) -> list[str]:
         terms: set[str] = set()
@@ -361,165 +352,34 @@ def compact_index(index_dir: str, out_dir: str) -> dict:
 
 def _build_merged(seg_dirs: list[str], out_tmp: Path, cfg: IndexConfig,
                   deleted: np.ndarray, plan_fp: str) -> dict:
-    """Filter-copy docs/partials/direct/fields of every segment into
-    ``out_tmp`` (dropping ``deleted`` docs), run the bucketed merge, and
-    write a manifest with statistics recomputed from the kept docs."""
-    deleted = np.sort(np.asarray(deleted, dtype=np.int64))
+    """Copy the segments into ``out_tmp`` without the ``deleted`` docs (no
+    rebase: segment docIDs are already disjoint), run the build's merge
+    phase, and write a manifest with statistics recomputed from the kept
+    docs."""
     shutil.rmtree(out_tmp, ignore_errors=True)
-    (out_tmp / "partials").mkdir(parents=True)
-    (out_tmp / "docs").mkdir()
-    cfg_dict = cfg.to_dict()
-    del_ref = ray.put(deleted)
-
-    @ray.remote(num_cpus=1)
-    def filter_copy(kind: str, src: str, dst: str) -> int:
-        dele = ray.get(del_ref)
-        t = pq.read_table(src)
-        if kind == "partials":
-            if len(dele):
-                t = _filter_partials(t, dele)
-            pq.write_table(t, dst, row_group_size=max(256, t.num_rows // 32))
-            return t.num_rows
-        if len(dele) and "doc_id" in t.column_names:
-            ids = t.column("doc_id").to_numpy()
-            keep = ~np.isin(ids, dele)
-            t = t.filter(pa.array(keep))
-        if kind == "docs" and "content" in t.column_names:
-            # keep the content docstore's point-read layout (256-row
-            # groups, stages/ingest.py) through trim/compact rewrites
-            pq.write_table(t, dst, row_group_size=256)
-        else:
-            pq.write_table(t, dst)
-        return t.num_rows
-
-    tasks = []
-    for i, seg in enumerate(seg_dirs):
-        for sub in ("docs", "partials", "direct", "fields"):
-            src_dir = Path(seg) / sub
-            if not src_dir.exists():
-                continue
-            (out_tmp / sub).mkdir(exist_ok=True)
-            for f in sorted(src_dir.glob("*.parquet")):
-                kind = "partials" if sub == "partials" else "docs"
-                tasks.append(filter_copy.remote(
-                    kind, str(f), str(out_tmp / sub / f"s{i}-{f.name}")))
-    ray.get(tasks)
-
-    @ray.remote(num_cpus=1)
-    def merge_task(bucket: int) -> dict:
-        t = MergeWorker(str(out_tmp), cfg_dict, plan_fp)(
-            pa.table({"bucket": pa.array([bucket], pa.int32())})
-        )
-        return t.to_pylist()[0] if t.num_rows else {}
-
-    merge_records = ray.get([merge_task.remote(b) for b in range(cfg.n_buckets)])
+    unique_terms, timings = write_merged(
+        seg_dirs, out_tmp, cfg, [0] * len(seg_dirs), deleted, plan_fp)
 
     # statistics recomputed from the kept docs (post-compaction the
     # collection statistics exclude deleted docs, like the reference)
-    doc_count = 0
-    total_terms = 0
-    max_doc_id = 0
-    min_doc_id = None
+    doc_count = total_terms = 0
+    lo, hi = [], []
     for f in sorted((out_tmp / "docs").glob("*.parquet")):
         t = pq.read_table(f, columns=["doc_id", "dl"])
-        doc_count += t.num_rows
         if t.num_rows:
+            doc_count += t.num_rows
             total_terms += int(pa.compute.sum(t.column("dl")).as_py())
             ids = t.column("doc_id").to_numpy()
-            max_doc_id = max(max_doc_id, int(ids.max()))
-            min_doc_id = int(ids.min()) if min_doc_id is None else min(min_doc_id, int(ids.min()))
-    field_stats: dict[str, dict[str, int]] = {}
-    for seg in seg_dirs:  # summed as-built (field totals are refreshed by a
-        # full rebuild; pre-rebuild they keep deleted docs' extents, the same
-        # freshness contract the reference gives un-compacted statistics)
-        m = json.loads((Path(seg) / "manifest.json").read_text())
-        for fname, st in (m.get("field_stats") or {}).items():
-            agg = field_stats.setdefault(
-                fname, {"total_len": 0, "extent_count": 0, "doc_count": 0})
-            for k, v in st.items():
-                agg[k] += v
-    manifest = {
-        "format_version": 1,
-        "config": cfg_dict,
-        "doc_count": doc_count,
-        "total_terms": total_terms,
-        "max_doc_id": max_doc_id,
-        "min_doc_id": min_doc_id or 0,
-        "unique_terms": sum(r.get("n_terms", 0) for r in merge_records),
-        "field_stats": field_stats,
-        "compacted": bool(len(deleted)),
-        "n_chunks": 0,
-        "n_ingested": 0,
-        "timings": {},
-    }
-    (out_tmp / "manifest.json").write_text(json.dumps(manifest, indent=2))
-    return manifest
-
-
-def _filter_partials(t: pa.Table, deleted: np.ndarray) -> pa.Table:
-    """Drop deleted docs from a partials table, vectorized.
-
-    Detection is ONE flattened isin over every row's doc_ids; rows losing
-    no docs pass through as a filter (the merge reducer re-sorts its
-    bucket, so row order is free, ref:stages/postings.py merge_bucket);
-    only rows that actually lose docs are rebuilt (list slices + pos_bytes
-    byte-range slices via pos_byte_lens)."""
-    if t.num_rows == 0:
-        return t
-    from ..stages.postings import _flatten_list_column
-
-    flat, lengths = _flatten_list_column(t, "doc_ids")
-    keep_flat = ~np.isin(flat, deleted)
-    if keep_flat.all():
-        return t
-    offs = np.concatenate(([0], np.cumsum(lengths)))
-    cum = np.concatenate(([0], np.cumsum(keep_flat)))
-    kept_counts = cum[offs[1:]] - cum[offs[:-1]]
-    full = kept_counts == lengths
-    affected = (~full) & (kept_counts > 0)
-    untouched = t.filter(pa.array(full))
-    rows = np.flatnonzero(affected)
-    if not len(rows):
-        return untouched
-    tf_flat = _flatten_list_column(t, "tfs")[0]
-    dl_flat = _flatten_list_column(t, "dls")[0]
-    blens_flat, blens_lengths = _flatten_list_column(t, "pos_byte_lens")
-    boffs = np.concatenate(([0], np.cumsum(blens_lengths)))
-    sub = t.take(pa.array(rows, pa.int64()))
-    new_ids, new_tfs, new_dls = [], [], []
-    new_first, new_last = [], []
-    new_payloads, new_blens = [], []
-    for ri, i in enumerate(rows.tolist()):
-        a, b = offs[i], offs[i + 1]
-        keep = keep_flat[a:b]
-        kept_ids = flat[a:b][keep]
-        new_ids.append(kept_ids.tolist())
-        new_tfs.append(tf_flat[a:b][keep].tolist())
-        new_dls.append(dl_flat[a:b][keep].tolist())
-        new_first.append(int(kept_ids[0]))
-        new_last.append(int(kept_ids[-1]))
-        blens = blens_flat[boffs[i]:boffs[i + 1]]
-        if len(blens):
-            payload = sub.column("pos_bytes")[ri].as_py()
-            starts = np.concatenate(([0], np.cumsum(blens)))
-            new_payloads.append(b"".join(
-                payload[starts[j]:starts[j + 1]] for j in np.nonzero(keep)[0]))
-            new_blens.append(blens[keep].tolist())
-        else:
-            new_payloads.append(sub.column("pos_bytes")[ri].as_py())
-            new_blens.append([])
-    from ..stages.postings import PARTIALS_SCHEMA
-
-    def _set(tbl: pa.Table, name: str, arr: pa.Array) -> pa.Table:
-        return tbl.set_column(tbl.column_names.index(name), name, arr)
-
-    sub = _set(sub, "doc_ids", pa.array(new_ids, pa.list_(pa.int64())))
-    sub = _set(sub, "tfs", pa.array(new_tfs, PARTIALS_SCHEMA.field("tfs").type))
-    sub = _set(sub, "dls", pa.array(new_dls, PARTIALS_SCHEMA.field("dls").type))
-    sub = _set(sub, "first_doc", pa.array(new_first, pa.int64()))
-    sub = _set(sub, "last_doc", pa.array(new_last, pa.int64()))
-    sub = _set(sub, "pos_bytes", pa.array(new_payloads,
-                                          PARTIALS_SCHEMA.field("pos_bytes").type))
-    sub = _set(sub, "pos_byte_lens",
-               pa.array(new_blens, PARTIALS_SCHEMA.field("pos_byte_lens").type))
-    return pa.concat_tables([untouched, sub.cast(PARTIALS_SCHEMA)])
+            lo.append(int(ids.min()))
+            hi.append(int(ids.max()))
+    # field totals are summed as-built (refreshed by a full rebuild;
+    # pre-rebuild they keep deleted docs' extents, the same freshness
+    # contract the reference gives un-compacted statistics)
+    field_stats = sum_field_stats(
+        json.loads((Path(seg) / "manifest.json").read_text()).get("field_stats")
+        for seg in seg_dirs)
+    return write_manifest(
+        out_tmp, cfg, doc_count=doc_count, total_terms=total_terms,
+        min_doc_id=min(lo, default=0), max_doc_id=max(hi, default=0),
+        unique_terms=unique_terms, field_stats=field_stats, timings=timings,
+        compacted=bool(len(deleted)), n_chunks=0, n_ingested=0)

@@ -38,7 +38,7 @@ from ..kstem import KrovetzStemmer
 from ..sources.corpus import Chunk, read_chunk
 from ..state import lineage
 from ..tokenizer import expand_raw, normalize_token, scan_raw, tokenize_bytes
-from .postings import PARTIALS_SCHEMA
+from .postings import PARTIALS_SCHEMA, write_docs, write_partials
 
 DOCS_SCHEMA = pa.schema(
     [
@@ -656,27 +656,13 @@ class IngestWorker:
             },
             schema=PARTIALS_SCHEMA,
         )
-        # sort by bucket (stable → stays term-sorted within bucket) and size
-        # row groups ≈ one bucket each, so the merge worker's per-bucket read
-        # prunes row groups instead of shuffling through the object store
-        partials_tbl = partials_tbl.sort_by([("bucket", "ascending")])
-        rg_size = max(256, partials_tbl.num_rows // max(1, n_buckets))
 
         t_write0 = time.perf_counter()
-        docs_path = f"{self.out_dir}/docs/docs-{cid}.parquet"
-        partials_path = f"{self.out_dir}/partials/partials-{cid}.parquet"
         os.makedirs(f"{self.out_dir}/docs", exist_ok=True)
         os.makedirs(f"{self.out_dir}/partials", exist_ok=True)
-        # content docstores get SMALL row groups: snippet/doctext point
-        # reads (IndexReader._point_read) decompress only the row groups
-        # whose doc_id range holds a requested doc, ~256 rows per hit doc
-        # instead of a whole chunk's content column; metadata-only
-        # docstores stay single-group (doc_lens reads them in full anyway)
-        if self.cfg.store_content:
-            pq.write_table(docs_tbl, docs_path, row_group_size=256)
-        else:
-            pq.write_table(docs_tbl, docs_path)
-        pq.write_table(partials_tbl, partials_path, row_group_size=rg_size)
+        write_docs(docs_tbl, f"{self.out_dir}/docs/docs-{cid}.parquet")
+        write_partials(partials_tbl,
+                       f"{self.out_dir}/partials/partials-{cid}.parquet", n_buckets)
         nbytes = docs_tbl.nbytes + partials_tbl.nbytes
         if store_direct:
             # per doc, terms in FIRST-OCCURRENCE order (the TermList invariant,

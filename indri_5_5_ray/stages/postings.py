@@ -125,9 +125,9 @@ class MergeWorker:
         self.cfg = IndexConfig.from_dict(cfg_dict)
         self.plan_fingerprint = plan_fingerprint
         # reducers read from the (possibly consolidated) partials source —
-        # build_index bounds the file count per reducer (see
-        # pipelines.build._consolidate_partials) so dataset discovery +
-        # footer reads stay O(bounded), not O(chunks)
+        # every index writer bounds the file count per reducer (see
+        # pipelines.build.merge_partials) so dataset discovery + footer
+        # reads stay O(bounded), not O(chunks)
         self.partials_dir = partials_dir or f"{out_dir}/partials"
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -197,6 +197,32 @@ class MergeWorker:
             )
             out_rows.append(rec)
         return pa.Table.from_pylist(out_rows)
+
+
+def write_partials(tbl: pa.Table, path: str, n_buckets: int) -> None:
+    """The one partials layout: sorted by bucket (stable, so rows stay
+    term-sorted within a bucket) with row groups of about one bucket, so
+    each MergeWorker's bucket read prunes row groups instead of shuffling
+    through the object store."""
+    import pyarrow.parquet as pq
+
+    tbl = tbl.sort_by([("bucket", "ascending")])
+    pq.write_table(tbl, path,
+                   row_group_size=max(256, tbl.num_rows // max(1, n_buckets)))
+
+
+def write_docs(tbl: pa.Table, path: str) -> None:
+    """The one doc_id-keyed table layout (docs, direct, fields).  Content
+    docstores get 256-row groups: snippet/doctext point reads
+    (IndexReader._point_read) decompress only the groups whose doc_id range
+    holds a requested doc; tables without content stay one group (doc_lens
+    reads them in full anyway)."""
+    import pyarrow.parquet as pq
+
+    if "content" in tbl.column_names:
+        pq.write_table(tbl, path, row_group_size=256)
+    else:
+        pq.write_table(tbl, path)
 
 
 def write_postings_file(merged: pa.Table, path: str,

@@ -3,9 +3,20 @@ concatenated corpus (the Repository::merge contract)."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+
+
+def assert_partials_bucket_sorted(index_dir: str) -> None:
+    files = sorted(Path(index_dir, "partials").glob("*.parquet"))
+    assert files
+    for f in files:
+        b = pq.read_table(f, columns=["bucket"]).column("bucket").to_numpy()
+        assert (np.diff(b) >= 0).all(), f"{f.name} is not bucket-sorted"
 
 
 def test_merge_two_indexes_equals_single_build(tmp_path):
@@ -30,6 +41,7 @@ def test_merge_two_indexes_equals_single_build(tmp_path):
     merged = str(tmp_path / "merged")
     m = merge_indexes([ia, ib], merged)
     assert m["doc_count"] == 220
+    assert_partials_bucket_sorted(merged)
 
     # reference: single build over the union (a/ sorts before b/)
     ref = str(tmp_path / "ref")
@@ -119,3 +131,69 @@ def test_merge_carries_direct_and_deletions(tmp_path):
     ids, _ = BM25Scorer(r).score_exhaustive(q, k=110)
     assert 7 not in ids.tolist()
     assert (base_b + 3) not in ids.tolist()
+
+
+def _write_titled_corpus(d: Path, n: int, tag: str) -> None:
+    d.mkdir(parents=True)
+    pq.write_table(pa.table({
+        "repo": ["r"] * n,
+        "path": [f"{tag}{i}.txt" for i in range(n)],
+        "commit": [f"c{tag}{i}" for i in range(n)],
+        "lang": ["txt"] * n,
+        "content": [f"<title>alpha {tag}{i} beta</title> gamma {tag} delta {i}"
+                    for i in range(n)],
+    }), d / "corpus.parquet")
+
+
+def test_merge_keeps_field_stats_and_min_doc_id(tmp_path):
+    """A merged index's manifest carries the same field statistics, counts
+    and min_doc_id as a single build over the same docs — regression: the
+    merged manifest dropped field_stats and min_doc_id, so field-scoped
+    beliefs on a merged index scored with a zero field total."""
+    from indri_5_5_ray.config import IndexConfig
+    from indri_5_5_ray.pipelines.build import build_index
+    from indri_5_5_ray.pipelines.merge import merge_indexes
+    from indri_5_5_ray.pipelines.query import IndexReader
+
+    _write_titled_corpus(tmp_path / "corpus" / "a", 12, "a")
+    _write_titled_corpus(tmp_path / "corpus" / "b", 8, "b")
+    cfg = IndexConfig(stemmer=None, dedup_key=None, n_buckets=4,
+                      max_chunk_docs=5, fields=("title",))
+    ia, ib = str(tmp_path / "ia"), str(tmp_path / "ib")
+    build_index(str(tmp_path / "corpus" / "a"), ia, cfg, resume=False)
+    build_index(str(tmp_path / "corpus" / "b"), ib, cfg, resume=False)
+    merged = str(tmp_path / "merged")
+    merge_indexes([ia, ib], merged)
+    ref = str(tmp_path / "ref")
+    build_index(str(tmp_path / "corpus"), ref, cfg, resume=False)
+
+    rm, rr = IndexReader(merged), IndexReader(ref)
+    assert rr.field_stats("title") == {
+        "total_len": 60, "extent_count": 20, "doc_count": 20}
+    assert rm.field_stats("title") == rr.field_stats("title")
+    for key in ("doc_count", "total_terms", "min_doc_id"):
+        assert rm.manifest[key] == rr.manifest[key], key
+
+
+@pytest.mark.parametrize("resume", [False, True])
+def test_merge_into_source_refused(tmp_path, resume):
+    """Merging into (or into a directory inside, or around) a source index
+    raises before touching it — regression: merge_indexes([a, b], a) wiped
+    a before copying it, and with resume=True returned a's own manifest."""
+    from indri_5_5_ray.config import IndexConfig
+    from indri_5_5_ray.pipelines.build import build_index
+    from indri_5_5_ray.pipelines.merge import merge_indexes
+    from indri_5_5_ray.pipelines.query import IndexReader
+    from indri_5_5_ray.sources.corpus import write_synthetic_corpus
+
+    write_synthetic_corpus(str(tmp_path / "ca"), 60, seed=3, rows_per_file=60)
+    write_synthetic_corpus(str(tmp_path / "cb"), 40, seed=4, rows_per_file=40)
+    cfg = IndexConfig(max_chunk_docs=32, n_buckets=2, dedup_key=None)
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    build_index(str(tmp_path / "ca"), a, cfg, resume=False)
+    build_index(str(tmp_path / "cb"), b, cfg, resume=False)
+    for out in (a, str(Path(a) / "nested"), str(tmp_path)):
+        with pytest.raises(ValueError, match="disjoint"):
+            merge_indexes([a, b], out, resume=resume)
+    assert IndexReader(a).doc_count == 60
+    assert IndexReader(b).doc_count == 40

@@ -4,6 +4,8 @@ deletion masking, trim and compact."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,13 @@ def test_delete_and_compact(corpora, tmp_path):
     r2 = repo.reader()
     assert r2.deleted is None or len(r2.deleted) == 0
     assert r2.doc_count == 200 - len(victims)
+    # compaction rewrites partials in the build's bucket-sorted layout
+    import pyarrow.parquet as pq
+
+    for seg in repo.segment_dirs():
+        for f in sorted(Path(seg, "partials").glob("*.parquet")):
+            bk = pq.read_table(f, columns=["bucket"]).column("bucket").to_numpy()
+            assert (np.diff(bk) >= 0).all(), f"{f.name} is not bucket-sorted"
     # deleted docs are physically gone from the postings
     ids2, _ = BM25Scorer(r2).score_exhaustive(q, k=10)
     assert not set(victims) & set(ids2.tolist())
@@ -332,7 +341,7 @@ def test_filter_partials_vectorized():
 
     import pyarrow as pa
 
-    from indri_5_5_ray.pipelines.repository import _filter_partials
+    from indri_5_5_ray.pipelines.merge import _filter_partials
     from indri_5_5_ray.stages.postings import PARTIALS_SCHEMA
 
     rng = random.Random(3)
@@ -393,40 +402,51 @@ def test_filter_partials_vectorized():
         assert key(got) == key(want), f"mismatch for deleted={deleted[:5]}..."
 
 
-def test_compact_and_merge_keep_docstore_row_groups(corpora, tmp_path):
+def test_compact_and_merge_keep_docstore_row_groups(tmp_path):
     """Compaction and index merge preserve the content docstore's 256-row
-    point-read layout (stages/ingest.py writes it; repository.filter_copy
-    and merge._rebase_docs_file must not silently revert it)."""
+    point-read layout (stages.postings.write_docs writes it for ingest and
+    for the merge/compaction copy step)."""
     import pyarrow.parquet as pq
 
     from indri_5_5_ray.config import IndexConfig
     from indri_5_5_ray.pipelines.merge import merge_indexes
     from indri_5_5_ray.pipelines.build import build_index
     from indri_5_5_ray.pipelines.repository import Repository
+    from indri_5_5_ray.sources.corpus import write_synthetic_corpus
     from pathlib import Path
 
-    a, b, _ = corpora
-    cfg = IndexConfig(store_content=True, **CFG_KW)
+    # one chunk per corpus file, each well over one 256-row group
+    a, b = str(tmp_path / "ca"), str(tmp_path / "cb")
+    write_synthetic_corpus(a, 600, seed=23, rows_per_file=600)
+    write_synthetic_corpus(b, 400, seed=24, rows_per_file=400)
+    cfg = IndexConfig(store_content=True,
+                      **{**CFG_KW, "max_chunk_docs": 1024})
 
-    def max_rows_per_group(index_dir: str) -> int:
-        worst = 0
+    def max_rows_per_group(index_dir: str) -> tuple[int, int]:
+        worst, checked = 0, 0
         for f in sorted(Path(index_dir).glob("docs/*.parquet")):
             md = pq.ParquetFile(str(f)).metadata
             if md.num_rows > 256:  # tiny fragments may be one group
+                checked += 1
                 worst = max(worst, max(
                     md.row_group(i).num_rows
                     for i in range(md.num_row_groups)))
-        return worst
+        return worst, checked
 
     repo = Repository.create(str(tmp_path / "repo_rg"), cfg)
     repo.add(a)
     repo.add(b)
     repo.delete(list(range(3)))
     repo.compact()
-    segs = sorted(str(p) for p in Path(tmp_path / "repo_rg").glob("seg*"))
+    segs = sorted(str(p) for p in
+                  Path(tmp_path / "repo_rg").glob("segments/seg-*"))
     assert segs, "no compacted segment found"
+    n_checked = 0
     for s in segs:
-        assert max_rows_per_group(s) <= 256
+        worst, checked = max_rows_per_group(s)
+        assert worst <= 256
+        n_checked += checked
+    assert n_checked, "no compacted docs file spans more than one group"
 
     # merge two standalone store_content indexes
     ia = str(tmp_path / "ia"); ib = str(tmp_path / "ib")
@@ -434,14 +454,16 @@ def test_compact_and_merge_keep_docstore_row_groups(corpora, tmp_path):
     build_index(b, ib, cfg, resume=False)
     out = str(tmp_path / "merged_rg")
     merge_indexes([ia, ib], out, resume=False)
-    assert max_rows_per_group(out) <= 256
+    worst, checked = max_rows_per_group(out)
+    assert worst <= 256
+    assert checked, "no merged docs file spans more than one group"
 
     # and point reads still return the right text
     from indri_5_5_ray.pipelines.query import IndexReader
 
     r = IndexReader(out)
-    t = r._point_read("docs", [5, 150], ["doc_id", "content"])
+    t = r._point_read("docs", [5, 650], ["doc_id", "content"])
     vals = dict(zip(t.column("doc_id").to_pylist(),
                     t.column("content").to_pylist()))
-    assert set(vals) == {5, 150}
+    assert set(vals) == {5, 650}
     assert all(isinstance(x, str) and x for x in vals.values())
