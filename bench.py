@@ -252,7 +252,7 @@ def run_bench() -> dict:
     def _unigram_fresh() -> int:
         import shutil as _sh
 
-        _sh.rmtree("/tmp/indri55_uniglm", ignore_errors=True)
+        _sh.rmtree("/tmp/indri55_unigcg", ignore_errors=True)
         return textstats.unigram_logprob(SF_DIR).count()
 
     def _dup_spans_fresh() -> int:
@@ -273,8 +273,7 @@ def run_bench() -> dict:
 
         from indri_5_5_ray.functions import classifier
 
-        _sh.rmtree("/tmp/indri55_nbcls", ignore_errors=True)
-        _sh.rmtree("/tmp/indri55_nbcg", ignore_errors=True)  # cogroup mode
+        _sh.rmtree("/tmp/indri55_nbcg", ignore_errors=True)
         return classifier.nb_classifier_scores(SF_DIR).count()
 
     def _warc_parse() -> int:

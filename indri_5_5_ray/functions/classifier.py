@@ -4,86 +4,84 @@ classifier on a curated seed, score the whole crawl" curation step
 with WebText as the positive class; CCNet ships the same shape with
 fastText).  Here the model is multinomial Naive Bayes with add-one
 smoothing over the engine's standard token stream, which keeps training
-a pure counting problem (one term_stats-shaped exchange) and the DuckDB
-oracle EXACT — no SGD order-dependence, no model file.
+a pure counting problem and the DuckDB oracle EXACT — no SGD
+order-dependence, no model file.
 
 Seed labels come from a column equality on the documents table
 (``pos_col == pos_val``; default ``lang == 'en'``) so the label is
 SQL-derivable and deterministic.  A real deployment points the positive
 class at a curated corpus (the reference-quality side) instead.
 
-Shuffle plan (the :func:`..functions.textstats.unigram_logprob`
-broadcast shape):
-
-* ONE vocab-sized exchange: per-batch PARTIAL per-class counts
-  (map-side combine — a batch's repeated tokens cost one row), then a
-  small ``groupby(term)`` finalize;
-* the per-term log-likelihood-ratio table is spilled once to a
-  content-keyed parquet dir (cached across runs) and memoized per
-  worker as a polars frame;
-* scoring is then a MAP-ONLY corpus pass: explode, join, per-doc sum.
-
-Per-worker memory is O(vocab).  When the vocab outgrows a worker
-(web-scale corpora), ``mode="cogroup"`` — chosen automatically past
-``INDRI55_NB_COGROUP_BYTES`` input bytes — switches to
-:func:`_nb_cogroup`: no vocab table is ever built, spilled per worker,
-or broadcast.  The decomposition: per-doc bucket partials
+Shuffle plan (the :func:`..functions.textstats.unigram_logprob` shape):
+no vocab table is ever built, broadcast or held by a worker.  Scoring
+is ONE term-hash-bucketed FILESYSTEM exchange
+(:func:`..exchange.bucket_exchange`) plus a map-only finalize.  The
+decomposition: per-doc bucket partials
 ``s_p = Σ tf·(ln(cf_pos+1) − ln(cf_neg+1))`` need NO global constants
 (a term's two class counts are complete inside its hash bucket), and
 the constant term ``n·(ln(total_neg+V) − ln(total_pos+V))`` plus the
-class prior attach at finalize; the three globals ride back as the
-exchange's tuple metric.  The two modes agree to ~1e-12 relative
-(float summation order: per-token vs per-term), pinned by pytest; the
-driver's exact SQL oracle runs against the broadcast mode.
+class prior attach at finalize; the three globals (total_pos,
+total_neg, V) ride back as the exchange's tuple metric.  Per-doc sums
+run per term where the SQL oracle sums per token, so the two agree to
+~1e-12 relative, not bit-exactly.
 """
 
 from __future__ import annotations
 
-import os
+import json
 
 import numpy as np
 import polars as pl
 import pyarrow as pa
 import ray.data
-from ray.data.aggregate import Sum
 
-from ..cachedir import ensure_cached_dir, source_key
-from .textstats import read_spread, tokens_expr
+from .exchange import bucket_exchange
+from .textstats import (_DOC_PARTIAL_SCHEMA, _doc_sums, _term_buckets,
+                        read_spread, tokens_expr)
 
 _NB_VERSION = "v1"
 
-# worker-side memo of the spilled llr table (same module-level pattern —
-# and rationale — as textstats._load_vocab: cloudpickle gives nested
-# closures a private globals copy, so the memo must live on an
-# importable function to be shared per worker process)
-_NB_MEMO: dict[str, pl.DataFrame] = {}
+
+def _labeled_terms(df: pl.DataFrame, keys: list[str], pos_col: str,
+                   pos_val: str, n_tb: int) -> pl.DataFrame:
+    """Per-batch (*keys, term, tf_pos, tf_neg, tb) class counts — NULL
+    labels count as NEGATIVE — keyed by the term-hash bucket ``tb``."""
+    ex = (df.with_columns(tokens_expr().alias("term"),
+                          (pl.col(pos_col) == pos_val).fill_null(False)
+                          .alias("pos"))
+          .select(*keys, "pos", "term").explode("term").drop_nulls("term"))
+    return (ex.group_by(*keys, "term")
+            .agg(pl.col("pos").cast(pl.Int64).sum().alias("tf_pos"),
+                 (~pl.col("pos")).cast(pl.Int64).sum().alias("tf_neg"))
+            .with_columns((pl.col("term").hash(seed=0) % n_tb)
+                          .cast(pl.Int32).alias("tb")))
 
 
-def _docs_labeled(sf_dir: str, pos_col: str) -> ray.data.Dataset:
-    return read_spread(f"{sf_dir}/documents.parquet",
-                       ["doc_id", "text", pos_col])
+def _term_class_counts(df: pl.DataFrame) -> tuple[pl.DataFrame, tuple]:
+    """One bucket's (term, cf_pos, cf_neg) totals — exact, since every
+    occurrence of a term lands in its term's bucket — and the bucket's
+    (Σ cf_pos, Σ cf_neg, #terms) share of the three globals."""
+    cls = (df.group_by("term")
+           .agg(pl.col("tf_pos").sum().alias("cf_pos"),
+                pl.col("tf_neg").sum().alias("cf_neg")))
+    return cls, (int(cls["cf_pos"].sum()), int(cls["cf_neg"].sum()),
+                 cls.height)
 
 
-def _class_counts(sf_dir: str, pos_col: str, pos_val: str) -> ray.data.Dataset:
-    """(term, cf_pos, cf_neg) global per-class token counts — partial per
-    batch, then a small groupby finalize (term_stats shape)."""
+def _nb_meta(total: int | tuple) -> dict:
+    """meta.json of an NB exchange: the (total_pos, total_neg, V) metric
+    (an int 0 when the corpus has no tokens)."""
+    return dict(zip(("total_pos", "total_neg", "vsize"),
+                    total if isinstance(total, tuple) else (0, 0, 0)))
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
-        ex = (df.with_columns(tokens_expr().alias("term"),
-                              (pl.col(pos_col) == pos_val).fill_null(False)
-                              .alias("pos"))
-              .select("term", "pos").explode("term").drop_nulls("term"))
-        return (ex.group_by("term")
-                .agg(pl.col("pos").cast(pl.Int64).sum().alias("cf_pos"),
-                     (~pl.col("pos")).cast(pl.Int64).sum().alias("cf_neg"))
-                .to_arrow())
 
-    partials = _docs_labeled(sf_dir, pos_col).map_batches(
-        partial, batch_format="pyarrow")
-    return partials.groupby("term").aggregate(
-        Sum("cf_pos", alias_name="cf_pos"),
-        Sum("cf_neg", alias_name="cf_neg"))
+def _ln_denominators(spill: str) -> tuple[float, float]:
+    """(ln(total_pos+V), ln(total_neg+V)) from an NB exchange's meta."""
+    with open(f"{spill}/meta.json") as f:
+        meta = json.load(f)
+    v = meta["vsize"]
+    return tuple(float(np.log(meta[k] + v)) if meta[k] + v else 0.0
+                 for k in ("total_pos", "total_neg"))
 
 
 def _doc_priors(sf_dir: str, pos_col: str, pos_val: str) -> tuple[int, int]:
@@ -100,95 +98,33 @@ def _doc_priors(sf_dir: str, pos_col: str, pos_val: str) -> tuple[int, int]:
     return n_pos, len(lab) - n_pos
 
 
-def _nb_spill(sf_dir: str, pos_col: str, pos_val: str) -> str:
-    """Build (once, content-keyed) the llr vocab spill + meta constants."""
-    import json
-
-    path = f"{sf_dir}/documents.parquet"
-
-    def build(tmp: str) -> None:
-        import pyarrow.parquet as pq
-
-        vocab_dir = f"{tmp}/vocab"
-        os.makedirs(vocab_dir)
-        _done = pa.table({"rows": pa.array([], pa.int64())})
-
-        def shard(batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0:
-                return _done
-            import hashlib
-
-            tag = hashlib.md5(batch.column("term")[0].as_py().encode()
-                              ).hexdigest()[:12]
-            pq.write_table(batch, f"{vocab_dir}/nb-{tag}.parquet")
-            return pa.table({"rows": pa.array([batch.num_rows], pa.int64())})
-
-        (_class_counts(sf_dir, pos_col, pos_val)
-         .map_batches(shard, batch_format="pyarrow")
-         .materialize())
-        if not os.listdir(vocab_dir):  # all-empty corpus stays readable
-            pq.write_table(
-                pa.table({"term": pa.array([], pa.string()),
-                          "cf_pos": pa.array([], pa.int64()),
-                          "cf_neg": pa.array([], pa.int64())}),
-                f"{vocab_dir}/nb-empty.parquet")
-        import pyarrow.dataset as pads
-
-        t = pads.dataset(vocab_dir, format="parquet").to_table(
-            columns=["cf_pos", "cf_neg"])
-        tp = pl.from_arrow(t)
-        total_pos = int(tp["cf_pos"].sum() or 0)
-        total_neg = int(tp["cf_neg"].sum() or 0)
-        vsize = t.num_rows
-        # doc priors from one pruned column read (tiny vs the token pass)
-        n_pos, n_neg = _doc_priors(sf_dir, pos_col, pos_val)
-        with open(f"{tmp}/meta.json", "w") as f:
-            json.dump({"total_pos": total_pos, "total_neg": total_neg,
-                       "vsize": vsize, "n_pos": n_pos,
-                       "n_neg": n_neg}, f)
-
-    return ensure_cached_dir(
-        "/tmp/indri55_nbcls",
-        source_key(path, f"{_NB_VERSION}-{pos_col}-{pos_val}"),
-        build, marker="meta.json")
-
-
-def _load_llr(vocab_dir: str, ln_dp: float, ln_dn: float) -> pl.DataFrame:
-    """Worker-side memoized (term, llr) frame;
-    llr(t) = ln(cf_pos+1) − ln(total_pos+V) − ln(cf_neg+1) + ln(total_neg+V)
-    with the two denominator constants passed in as ln_dp/ln_dn."""
-    key = f"{vocab_dir}|{ln_dp}|{ln_dn}"
-    llr = _NB_MEMO.get(key)
-    if llr is not None:
-        return llr
-    import pyarrow.dataset as pads
-
-    while len(_NB_MEMO) >= 2:
-        _NB_MEMO.pop(next(iter(_NB_MEMO)))
-    t = pads.dataset(vocab_dir, format="parquet").to_table()
-    llr = (pl.from_arrow(t)
-           .with_columns(
-               ((pl.col("cf_pos") + 1).cast(pl.Float64).log() - ln_dp
-                - (pl.col("cf_neg") + 1).cast(pl.Float64).log() + ln_dn)
-               .alias("llr"))
-           .select("term", "llr"))
-    _NB_MEMO[key] = llr
-    return llr
-
-
 def nb_token_llr(sf_dir: str, pos_col: str = "lang",
                  pos_val: str = "en") -> ray.data.Dataset:
     """(term, cf_pos, cf_neg, llr) — the trained model table itself
-    (useful to inspect the most class-discriminative tokens)."""
-    import json
+    (useful to inspect the most class-discriminative tokens), with
+    ``llr(t) = ln(cf_pos+1) − ln(total_pos+V) − ln(cf_neg+1)
+    + ln(total_neg+V)``.
 
-    spill = _nb_spill(sf_dir, pos_col, pos_val)
-    with open(f"{spill}/meta.json") as f:
-        meta = json.load(f)
-    ln_dp = float(np.log(meta["total_pos"] + meta["vsize"])) \
-        if meta["total_pos"] + meta["vsize"] else 0.0
-    ln_dn = float(np.log(meta["total_neg"] + meta["vsize"])) \
-        if meta["total_neg"] + meta["vsize"] else 0.0
+    One term-hash-bucketed exchange: per-batch per-term class-count
+    partials, each bucket's reduce sums them per term, and the three
+    globals ride back as the tuple metric."""
+    path = f"{sf_dir}/documents.parquet"
+    n_tb = _term_buckets(path)
+    spill = bucket_exchange(
+        read_spread(path, ["text", pos_col]),
+        cache_root="/tmp/indri55_nbllr",
+        source_path=path, version=f"{_NB_VERSION}-{pos_col}-{pos_val}",
+        n_buckets=n_tb, bucket_col="tb",
+        map_kernel=lambda df: _labeled_terms(df, [], pos_col, pos_val, n_tb),
+        map_columns=("text", pos_col),
+        reduce_columns=["term", "tf_pos", "tf_neg"],
+        reduce_kernel=_term_class_counts,
+        out_schema=pa.schema([("term", pa.string()),
+                              ("cf_pos", pa.int64()),
+                              ("cf_neg", pa.int64())]),
+        out_dirname="vocab", out_prefix="nb-tb", empty_name="nb-",
+        meta_payload=_nb_meta)
+    ln_dp, ln_dn = _ln_denominators(spill)
 
     def add_llr(batch: pa.Table) -> pa.Table:
         return (pl.from_arrow(batch)
@@ -202,55 +138,32 @@ def nb_token_llr(sf_dir: str, pos_col: str = "lang",
         add_llr, batch_format="pyarrow")
 
 
-# auto mode switches nb_classifier_scores to the cogroup path above this
-# many input bytes (same rationale and default as the unigram LM gate)
-_NB_COGROUP_BYTES = int(os.environ.get(
-    "INDRI55_NB_COGROUP_BYTES", str(4 << 30)))
+def nb_classifier_scores(sf_dir: str, pos_col: str = "lang",
+                         pos_val: str = "en") -> ray.data.Dataset:
+    """(doc_id, n_tokens, nb_llr, predicted) — every document scored by
+    the seed-trained Naive-Bayes model:
 
-_NB_CG_VERSION = "v1"
+    ``nb_llr = ln((n_pos+1)/(n_neg+1)) + Σ_tokens llr(t)`` and
+    ``predicted = nb_llr > 0`` (the classifier's positive/"keep" call —
+    GPT-3 then Pareto-samples on the score; that policy is
+    :func:`.sampling.sample_hash`-shaped and composes downstream).
 
+    Zero-token docs carry the prior alone.  Every token appears in the
+    vocab by construction (trained on the same corpus), so the scoring
+    has no OOV arm; add-one smoothing still matters because a token can
+    be absent from ONE class.
 
-def _nb_cogroup(sf_dir: str, pos_col: str, pos_val: str) -> ray.data.Dataset:
-    """Vocab-scale path for :func:`nb_classifier_scores` (see the module
-    docstring) — the :func:`..functions.textstats._unigram_cogroup` shape:
-    term-hash-bucketed (doc_id, term, tf_pos, tf_neg) part files, one
-    reduce task per bucket computing in-bucket-exact class counts and
-    per-doc partials (Σ tf, Σ tf·(ln(cf_pos+1) − ln(cf_neg+1))),
-    doc-sorted shards, then a map-only range-pruned finalize that attaches
-    the constant term and the prior.  The three global constants
-    (total_pos, total_neg, vocab size) ride back as the exchange's
-    elementwise-summed tuple metric."""
-    import json
-
-    from .exchange import bucket_exchange
-
+    The exchange (see the module docstring): term-hash-bucketed
+    (doc_id, term, tf_pos, tf_neg) part files, one reduce task per
+    bucket computing in-bucket-exact class counts and per-doc partials
+    (Σ tf, Σ tf·(ln(cf_pos+1) − ln(cf_neg+1))) into doc-sorted shards,
+    then a map-only range-pruned finalize (:func:`.textstats._doc_sums`)
+    that attaches the constant term and the prior."""
     path = f"{sf_dir}/documents.parquet"
-    try:
-        size = os.path.getsize(path)
-    except OSError:
-        size = 0
-    n_tb = max(64, int(size // (32 << 20)))
-
-    _part_schema = pa.schema([("doc_id", pa.int64()),
-                              ("n_p", pa.int64()),
-                              ("s_p", pa.float64())])
-
-    def doc_term_tf(df: pl.DataFrame) -> pl.DataFrame:
-        ex = (df.with_columns(tokens_expr().alias("term"),
-                              (pl.col(pos_col) == pos_val).fill_null(False)
-                              .alias("pos"))
-              .select("doc_id", "pos", "term")
-              .explode("term").drop_nulls("term"))
-        return (ex.group_by("doc_id", "term")
-                .agg(pl.col("pos").cast(pl.Int64).sum().alias("tf_pos"),
-                     (~pl.col("pos")).cast(pl.Int64).sum().alias("tf_neg"))
-                .with_columns((pl.col("term").hash(seed=0) % n_tb)
-                              .cast(pl.Int32).alias("tb")))
+    n_tb = _term_buckets(path)
 
     def doc_partials(df: pl.DataFrame):
-        cls = (df.group_by("term")
-               .agg(pl.col("tf_pos").sum().alias("cf_pos"),
-                    pl.col("tf_neg").sum().alias("cf_neg")))
+        cls, totals = _term_class_counts(df)
         out = (df.join(cls, on="term")
                .with_columns(
                    ((pl.col("tf_pos") + pl.col("tf_neg")).cast(pl.Float64)
@@ -262,56 +175,28 @@ def _nb_cogroup(sf_dir: str, pos_col: str, pos_val: str) -> ray.data.Dataset:
                     .alias("n_p"),
                     pl.col("s").sum().alias("s_p"))
                .sort("doc_id"))
-        return out, (int(cls["cf_pos"].sum() or 0),
-                     int(cls["cf_neg"].sum() or 0), cls.height)
+        return out, totals
 
     spill = bucket_exchange(
-        _docs_labeled(sf_dir, pos_col),
+        read_spread(path, ["doc_id", "text", pos_col]),
         cache_root="/tmp/indri55_nbcg",
-        source_path=path,
-        version=f"{_NB_CG_VERSION}-{pos_col}-{pos_val}",
+        source_path=path, version=f"{_NB_VERSION}-{pos_col}-{pos_val}",
         n_buckets=n_tb, bucket_col="tb",
-        map_kernel=doc_term_tf, map_columns=("doc_id", "text", pos_col),
+        map_kernel=lambda df: _labeled_terms(df, ["doc_id"], pos_col,
+                                             pos_val, n_tb),
+        map_columns=("doc_id", "text", pos_col),
         reduce_columns=["doc_id", "term", "tf_pos", "tf_neg"],
         reduce_kernel=doc_partials,
-        out_schema=_part_schema, out_dirname="parts",
-        out_prefix="nb-tb", empty_name="nb-",
-        meta_payload=lambda tot: dict(zip(
-            ("total_pos", "total_neg", "vsize"),
-            tot if isinstance(tot, tuple) else (0, 0, 0))))
-    with open(f"{spill}/meta.json") as f:
-        meta = json.load(f)
-    tp, tn, v = meta["total_pos"], meta["total_neg"], meta["vsize"]
-    const = ((float(np.log(tn + v)) if tn + v else 0.0)
-             - (float(np.log(tp + v)) if tp + v else 0.0))
+        out_schema=_DOC_PARTIAL_SCHEMA, out_dirname="parts",
+        out_prefix="nb-tb", empty_name="nb-", meta_payload=_nb_meta)
+    ln_dp, ln_dn = _ln_denominators(spill)
+    const = ln_dn - ln_dp
     n_pos, n_neg = _doc_priors(sf_dir, pos_col, pos_val)
     prior = float(np.log((n_pos + 1) / (n_neg + 1)))
     parts_dir = f"{spill}/parts"
 
-    _out_empty = pa.table({"doc_id": pa.array([], pa.int64()),
-                           "n_tokens": pa.array([], pa.int64()),
-                           "nb_llr": pa.array([], pa.float64()),
-                           "predicted": pa.array([], pa.bool_())})
-
     def finalize(batch: pa.Table) -> pa.Table:
-        import pyarrow.dataset as pads
-
-        from ..stages.postings import cached_dataset
-
-        if batch.num_rows == 0:
-            return _out_empty
-        ids = batch.column("doc_id").to_numpy()
-        part = pl.from_arrow(
-            cached_dataset(parts_dir, salt=parts_dir).to_table(
-                filter=(pads.field("doc_id") >= int(ids.min()))
-                & (pads.field("doc_id") <= int(ids.max()))))
-        per = (part.group_by("doc_id")
-               .agg(pl.col("n_p").sum().alias("n_tokens"),
-                    pl.col("s_p").sum().alias("s")))
-        return (pl.from_arrow(batch.select(["doc_id"]))
-                .join(per, on="doc_id", how="left")
-                .with_columns(pl.col("n_tokens").fill_null(0),
-                              pl.col("s").fill_null(0.0))
+        return (_doc_sums(batch, parts_dir)
                 .with_columns(
                     (prior + pl.col("s")
                      + pl.col("n_tokens").cast(pl.Float64) * const)
@@ -324,74 +209,9 @@ def _nb_cogroup(sf_dir: str, pos_col: str, pos_val: str) -> ray.data.Dataset:
         finalize, batch_format="pyarrow")
 
 
-def nb_classifier_scores(sf_dir: str, pos_col: str = "lang",
-                         pos_val: str = "en",
-                         mode: str = "auto") -> ray.data.Dataset:
-    """(doc_id, n_tokens, nb_llr, predicted) — every document scored by
-    the seed-trained Naive-Bayes model:
-
-    ``nb_llr = ln((n_pos+1)/(n_neg+1)) + Σ_tokens llr(t)`` and
-    ``predicted = nb_llr > 0`` (the classifier's positive/"keep" call —
-    GPT-3 then Pareto-samples on the score; that policy is
-    :func:`.sampling.sample_hash`-shaped and composes downstream).
-
-    Zero-token docs carry the prior alone.  Every token appears in the
-    vocab by construction (trained on the same corpus), so the scoring
-    join has no OOV arm; add-one smoothing still matters because a token
-    can be absent from ONE class.
-
-    ``mode``: ``"broadcast"`` (vocab spill + map-only join) /
-    ``"cogroup"`` (vocab never materialized — see :func:`_nb_cogroup`) /
-    ``"auto"`` (cogroup past ``INDRI55_NB_COGROUP_BYTES`` input bytes)."""
-    import json
-
-    if mode not in ("auto", "broadcast", "cogroup"):
-        raise ValueError(f"nb_classifier_scores mode {mode!r}")
-    if mode == "auto":
-        try:
-            size = os.path.getsize(f"{sf_dir}/documents.parquet")
-        except OSError:
-            size = 0
-        mode = "cogroup" if size >= _NB_COGROUP_BYTES else "broadcast"
-    if mode == "cogroup":
-        return _nb_cogroup(sf_dir, pos_col, pos_val)
-
-    spill = _nb_spill(sf_dir, pos_col, pos_val)
-    with open(f"{spill}/meta.json") as f:
-        meta = json.load(f)
-    ln_dp = float(np.log(meta["total_pos"] + meta["vsize"])) \
-        if meta["total_pos"] + meta["vsize"] else 0.0
-    ln_dn = float(np.log(meta["total_neg"] + meta["vsize"])) \
-        if meta["total_neg"] + meta["vsize"] else 0.0
-    prior = float(np.log((meta["n_pos"] + 1) / (meta["n_neg"] + 1)))
-    vocab_dir = f"{spill}/vocab"
-
-    def score(batch: pa.Table) -> pa.Table:
-        llr = _load_llr(vocab_dir, ln_dp, ln_dn)
-        df = pl.from_arrow(batch)
-        per = (df.select("doc_id", tokens_expr().alias("term"))
-               .explode("term").drop_nulls("term")
-               .join(llr, on="term", how="left")
-               .group_by("doc_id")
-               .agg(pl.len().cast(pl.Int64).alias("n_tokens"),
-                    pl.col("llr").sum().alias("s")))
-        return (df.select("doc_id")
-                .join(per, on="doc_id", how="left")
-                .with_columns(pl.col("n_tokens").fill_null(0),
-                              pl.col("s").fill_null(0.0))
-                .with_columns((prior + pl.col("s")).alias("nb_llr"))
-                .with_columns((pl.col("nb_llr") > 0).alias("predicted"))
-                .select("doc_id", "n_tokens", "nb_llr", "predicted")
-                .to_arrow())
-
-    return read_spread(f"{sf_dir}/documents.parquet",
-                       ["doc_id", "text"]).map_batches(
-        score, batch_format="pyarrow")
-
-
 def nb_pareto_sample(sf_dir: str, pos_col: str = "lang",
-                     pos_val: str = "en", alpha: float = 9.0,
-                     mode: str = "auto") -> ray.data.Dataset:
+                     pos_val: str = "en",
+                     alpha: float = 9.0) -> ray.data.Dataset:
     """(doc_id, n_tokens, nb_llr, margin) — the GPT-3 classifier-filtered
     sampling rule (Brown et al. 2020 §A: keep a document iff
     ``np.random.pareto(alpha) > 1 - document_score``, alpha = 9) made
@@ -401,8 +221,9 @@ def nb_pareto_sample(sf_dir: str, pos_col: str = "lang",
     trick — reruns, resumes and cluster sizes keep the same documents),
     and the document score is the NB posterior ``sigmoid(nb_llr)``.
     ``margin = x - (1 - score) > 0`` is the keep rule; kept rows only.
-    Composes the classifier stages: train (one exchange) → score
-    (map-only) → sample (map-only) — nothing shuffles after training."""
+    Composes the classifier stages: train + score (one exchange) →
+    finalize (map-only) → sample (map-only) — nothing shuffles after
+    the exchange."""
     import hashlib
 
     inv = -1.0 / alpha
@@ -423,6 +244,5 @@ def nb_pareto_sample(sf_dir: str, pos_col: str = "lang",
                 .select("doc_id", "n_tokens", "nb_llr", "margin")
                 .to_arrow())
 
-    return nb_classifier_scores(sf_dir, pos_col, pos_val,
-                                mode=mode).map_batches(
+    return nb_classifier_scores(sf_dir, pos_col, pos_val).map_batches(
         sample, batch_format="pyarrow")

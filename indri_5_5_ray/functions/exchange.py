@@ -9,8 +9,10 @@ per group.  Here the exchange is durable files:
 
 * map (one task per corpus batch): the caller's kernel emits key rows with
   an int32 bucket column (key-hash % n_buckets); the wrapper sorts by
-  bucket and writes ONE part file per batch with bucket-aligned row groups,
-  so a reducer's predicate-pushdown read prunes to its slice;
+  bucket and writes ONE uniquely named part file per batch with
+  bucket-aligned row groups, so a reducer's predicate-pushdown read
+  prunes to its slice (the input needs no id column and its batches may
+  share any values);
 * reduce (one Ray task per bucket, ``num_cpus=0.9``): read the bucket's
   slice (every occurrence of a key lands in one bucket, so in-bucket
   aggregation is globally exact), run the caller's kernel, write the
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import uuid
 from typing import Callable
 
 import pyarrow as pa
@@ -86,8 +89,7 @@ def bucket_exchange(
                 return pa.table({"rows": pa.array([], pa.int64())})
             out = map_kernel(pl.from_arrow(batch.select(map_columns)))
             t = out.sort(bucket_col).to_arrow()
-            lo = int(batch.column("doc_id")[0].as_py())
-            pq.write_table(t, f"{keys_dir}/part-{lo:012d}.parquet",
+            pq.write_table(t, f"{keys_dir}/part-{uuid.uuid4().hex}.parquet",
                            row_group_size=max(256,
                                               t.num_rows // n_buckets))
             return pa.table({"rows": pa.array([t.num_rows], pa.int64())})

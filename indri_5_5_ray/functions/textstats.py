@@ -13,7 +13,6 @@ exercised by the index pipelines (see pipelines/build.py).
 
 from __future__ import annotations
 
-import hashlib
 import os
 
 import numpy as np
@@ -527,88 +526,95 @@ def doc_fingerprints(sf_dir: str) -> ray.data.Dataset:
 # CCNet-style unigram LM scoring
 # ---------------------------------------------------------------------------
 
-_UNIGRAM_VERSION = "v1"
-_UNIGRAM_MEMO: dict[str, pl.DataFrame] = {}
+_UNIGRAM_LM_VERSION = "v2"
+
+# per-doc partials of a term-bucketed exchange: Σ tf and Σ tf·weight(term)
+_DOC_PARTIAL_SCHEMA = pa.schema([("doc_id", pa.int64()),
+                                 ("n_p", pa.int64()),
+                                 ("s_p", pa.float64())])
 
 
-def _load_vocab(vocab_dir: str) -> pl.DataFrame:
-    """Worker-side memoized load of the unigram vocab spill as a
-    (term, lncf) frame.  MODULE-LEVEL on purpose: cloudpickle serializes
-    nested closures with a PRIVATE copy of their globals, so a memo dict
-    touched only from inside ``score`` would be per-closure, not
-    per-worker; referencing this importable function makes every task in
-    a worker process share one memo through the imported module (the
-    same pattern as dedup._load_dup_spill).  Bounded to 2 entries across
-    interleaved sf dirs."""
-    vocab = _UNIGRAM_MEMO.get(vocab_dir)
-    if vocab is not None:
-        return vocab
+def _term_buckets(path: str) -> int:
+    """Term-hash bucket count for a vocab-scale exchange over ``path``:
+    ~32 MB of compressed corpus per bucket, at least two per cluster CPU
+    (a small corpus pays no more reduce tasks than two waves)."""
+    cpus = (int(ray.cluster_resources().get("CPU", 32))
+            if ray.is_initialized() else 32)
+    try:
+        size = os.path.getsize(path)
+    except OSError:
+        size = 0
+    return max(2 * cpus, int(size // (32 << 20)))
+
+
+def _doc_sums(batch: pa.Table, parts_dir: str) -> pl.DataFrame:
+    """(doc_id, n_tokens, s) for every doc of ``batch``: the doc-sorted
+    partial shards range-pruned to the batch's [min, max] doc ids and
+    summed per doc; a doc with no partial rows (zero tokens) gets (0, 0.0).
+    A doc's partial rows (≤ one per bucket) all land in the one batch
+    holding the doc, so no cross-batch merge exists."""
     import pyarrow.dataset as pads
 
-    while len(_UNIGRAM_MEMO) >= 2:
-        _UNIGRAM_MEMO.pop(next(iter(_UNIGRAM_MEMO)))
-    t = pads.dataset(vocab_dir, format="parquet").to_table()
-    vocab = (pl.from_arrow(t)
-             .with_columns(pl.col("cf").cast(pl.Float64).log()
-                           .alias("lncf"))
-             .select("term", "lncf"))
-    _UNIGRAM_MEMO[vocab_dir] = vocab
-    return vocab
+    from ..stages.postings import cached_dataset
 
-# auto mode switches unigram_logprob to the co-group path above this many
-# input bytes: past it the vocab is assumed too large to broadcast-join
-# per worker (CCNet-scale web corpora reach 10⁸+ terms)
-_UNIGRAM_COGROUP_BYTES = int(os.environ.get(
-    "INDRI55_UNIGRAM_COGROUP_BYTES", str(4 << 30)))
+    if batch.num_rows == 0:
+        return pl.DataFrame(schema={"doc_id": pl.Int64, "n_tokens": pl.Int64,
+                                    "s": pl.Float64})
+    ids = batch.column("doc_id").to_numpy()
+    part = pl.from_arrow(
+        cached_dataset(parts_dir, salt=parts_dir).to_table(
+            filter=(pads.field("doc_id") >= int(ids.min()))
+            & (pads.field("doc_id") <= int(ids.max()))))
+    per = (part.group_by("doc_id")
+           .agg(pl.col("n_p").sum().alias("n_tokens"),
+                pl.col("s_p").sum().alias("s")))
+    return (pl.from_arrow(batch.select(["doc_id"]))
+            .join(per, on="doc_id", how="left")
+            .with_columns(pl.col("n_tokens").fill_null(0),
+                          pl.col("s").fill_null(0.0)))
 
-_UNIGRAM_CG_VERSION = "v2"
 
+def unigram_logprob(sf_dir: str) -> ray.data.Dataset:
+    """(doc_id, n_tokens, cross_entropy) — per-document cross-entropy in
+    nats under the corpus' OWN maximum-likelihood unigram LM: the quality
+    signal behind CCNet's LM-score-and-bucket filtering (Wenzek et al.
+    2020, "CCNet: Extracting High Quality Monolingual Datasets from Web
+    Crawl Data"; there the LM is external — using the corpus MLE keeps
+    the DuckDB oracle exact and needs no model file).
 
-def _unigram_cogroup(sf_dir: str) -> ray.data.Dataset:
-    """Vocab-scale path for :func:`unigram_logprob` — NO vocab table is
-    ever built, spilled per worker, or broadcast, and no ``Dataset.groupby``
-    sort-shuffle either: the exchange is the shared FILESYSTEM bucket
-    exchange (:func:`..exchange.bucket_exchange`).
+    ``cross_entropy = ln(total) - (Σ_t ln cf(t)) / n`` over the doc's
+    ``n`` tokens; every token's cf ≥ 1 by construction (its own
+    occurrence), so no OOV smoothing arises.  Zero-token docs score 0.0.
+    Low values = repetitive / high-frequency text, high values = rare-
+    token soup; CCNet buckets docs by this into head/middle/tail.
+
+    Shuffle plan — no vocab table is ever built, broadcast or held by a
+    worker (CCNet-scale web corpora reach 10⁸+ terms), and no
+    ``Dataset.groupby`` sort-shuffle either: the exchange is the shared
+    FILESYSTEM bucket exchange (:func:`..exchange.bucket_exchange`).
 
     * map (one task per corpus batch): per-batch-combined (doc_id, term,
-      tf) rows sorted by the term-hash bucket ``tb`` → one part file with
-      tb-aligned row groups;
-    * reduce (one Ray task per tb bucket): predicate-pushdown read of the
-      bucket slice; since every occurrence of a term lands in its term's
-      bucket, cf(term) is the in-bucket sum of tf, so one vectorized
-      kernel computes per-doc partials (Σ tf, Σ tf·ln cf), doc-sorted →
-      one partial shard; the bucket's Σ tf rides back as the task's int
-      return, so ln(total) needs no extra corpus pass;
-    * finalize (map-only corpus pass): each batch range-prunes the
-      doc-sorted partial shards to its own [min, max] doc ids and sums
-      partials per doc — a doc's partial rows (≤ one per bucket) all
-      land in the one batch holding the doc, so no cross-batch merge
-      exists.
+      tf) rows keyed by the term-hash bucket ``tb``;
+    * reduce (one Ray task per tb bucket): every occurrence of a term
+      lands in its term's bucket, so cf(term) is the in-bucket sum of tf
+      and one vectorized kernel computes per-doc partials (Σ tf,
+      Σ tf·ln cf), doc-sorted → one partial shard; the bucket's Σ tf
+      rides back as the task's metric, so ln(total) needs no extra
+      corpus pass;
+    * finalize (map-only corpus pass): :func:`_doc_sums` per batch.
 
     Driver state is per-task counts plus a content-keyed spill path
-    (cached: a rerun with unchanged inputs is free); a ``Dataset.groupby``
-    over the same O(doc-term pairs) rows costs the driver
-    O(mappers × reducers) shuffle-lineage metadata instead (BASELINE
-    §1g).  Per-task memory is one bucket (bytes-scaled bucket count),
-    never the vocab.
-
-    Float caveat: per-doc sums accumulate in a different order than the
-    broadcast path (per-term tf·ln cf vs per-token ln cf), so results
-    agree to ~1e-12 relative, not bit-exactly."""
+    (``/tmp/indri55_unigcg``; a rerun with unchanged inputs is free).
+    Per-task memory is one bucket (bytes-scaled bucket count), never the
+    vocab.  Per-doc sums run per term (tf·ln cf) where the SQL oracle
+    sums per token, so the two agree to ~1e-12 relative, not
+    bit-exactly."""
     import json
 
     from .exchange import bucket_exchange
 
     path = f"{sf_dir}/documents.parquet"
-    try:
-        size = os.path.getsize(path)
-    except OSError:
-        size = 0
-    n_tb = max(64, int(size // (32 << 20)))
-
-    _part_schema = pa.schema([("doc_id", pa.int64()),
-                              ("n_p", pa.int64()),
-                              ("s_p", pa.float64())])
+    n_tb = _term_buckets(path)
 
     def doc_term_tf(df: pl.DataFrame) -> pl.DataFrame:
         ex = (df.with_columns(tokens_expr().alias("toks"))
@@ -634,11 +640,11 @@ def _unigram_cogroup(sf_dir: str) -> ray.data.Dataset:
     spill = bucket_exchange(
         _docs(sf_dir),
         cache_root="/tmp/indri55_unigcg",
-        source_path=path, version=_UNIGRAM_CG_VERSION,
+        source_path=path, version=_UNIGRAM_LM_VERSION,
         n_buckets=n_tb, bucket_col="tb",
         map_kernel=doc_term_tf, map_columns=("doc_id", "text"),
         reduce_columns=["doc_id", "term", "tf"], reduce_kernel=doc_partials,
-        out_schema=_part_schema, out_dirname="parts",
+        out_schema=_DOC_PARTIAL_SCHEMA, out_dirname="parts",
         out_prefix="lm-tb", empty_name="lm-",
         meta_payload=lambda total: {"total": total})
     with open(f"{spill}/meta.json") as f:
@@ -646,142 +652,19 @@ def _unigram_cogroup(sf_dir: str) -> ray.data.Dataset:
     parts_dir = f"{spill}/parts"
     ln_total = float(np.log(total)) if total else 0.0
 
-    _out_empty = pa.table({"doc_id": pa.array([], pa.int64()),
-                           "n_tokens": pa.array([], pa.int64()),
-                           "cross_entropy": pa.array([], pa.float64())})
-
     def finalize(batch: pa.Table) -> pa.Table:
-        import pyarrow.dataset as pads
-
-        from ..stages.postings import cached_dataset
-
-        if batch.num_rows == 0:
-            return _out_empty
-        ids = batch.column("doc_id").to_numpy()
-        part = pl.from_arrow(
-            cached_dataset(parts_dir, salt=parts_dir).to_table(
-                filter=(pads.field("doc_id") >= int(ids.min()))
-                & (pads.field("doc_id") <= int(ids.max()))))
-        per = (part.group_by("doc_id")
-               .agg(pl.col("n_p").sum().alias("n_tokens"),
-                    pl.col("s_p").sum().alias("s")))
-        out = (pl.from_arrow(batch).select("doc_id")
-               .join(per, on="doc_id", how="left")
-               .with_columns(pl.col("n_tokens").fill_null(0))
-               .with_columns(
-                   pl.when(pl.col("n_tokens") > 0)
-                   .then(ln_total - pl.col("s") / pl.col("n_tokens"))
-                   .otherwise(0.0).alias("cross_entropy")))
-        return out.select("doc_id", "n_tokens", "cross_entropy").to_arrow()
+        return (_doc_sums(batch, parts_dir)
+                .with_columns(
+                    pl.when(pl.col("n_tokens") > 0)
+                    .then(ln_total - pl.col("s") / pl.col("n_tokens"))
+                    .otherwise(0.0).alias("cross_entropy"))
+                .select("doc_id", "n_tokens", "cross_entropy")
+                .to_arrow())
 
     return _docs(sf_dir).map_batches(finalize, batch_format="pyarrow")
 
 
-def unigram_logprob(sf_dir: str, mode: str = "auto") -> ray.data.Dataset:
-    """(doc_id, n_tokens, cross_entropy) — per-document cross-entropy in
-    nats under the corpus' OWN maximum-likelihood unigram LM: the quality
-    signal behind CCNet's LM-score-and-bucket filtering (Wenzek et al.
-    2020, "CCNet: Extracting High Quality Monolingual Datasets from Web
-    Crawl Data"; there the LM is external — using the corpus MLE keeps
-    the DuckDB oracle exact and needs no model file).
-
-    ``cross_entropy = ln(total) - (Σ_t ln cf(t)) / n`` over the doc's
-    ``n`` tokens; every token's cf ≥ 1 by construction (its own
-    occurrence), so no OOV smoothing arises.  Zero-token docs score 0.0.
-    Low values = repetitive / high-frequency text, high values = rare-
-    token soup; CCNet buckets docs by this into head/middle/tail.
-
-    Shuffle plan (``mode="broadcast"``, the default below the auto gate):
-    ONE vocab-sized exchange (the ``term_stats`` map-side-partial +
-    groupby finalize), spilled once to a content-keyed parquet dir and
-    memoized per worker as a polars frame (the same filesystem-broadcast
-    pattern as the dedup group spill) — the corpus pass is then map-only:
-    explode, join, per-doc sum.  Per-worker memory is O(vocab); when the
-    vocab outgrows a worker (CCNet-scale web corpora), ``mode="cogroup"``
-    — chosen automatically past ``INDRI55_UNIGRAM_COGROUP_BYTES`` input
-    bytes — switches to :func:`_unigram_cogroup`, which never
-    materializes the vocab anywhere (see its docstring).  The two modes
-    agree to ~1e-12 relative (float summation order), pinned by pytest;
-    the driver's exact SQL oracle runs against the broadcast mode."""
-    import json
-
-    from ..cachedir import ensure_cached_dir, source_key
-
-    if mode not in ("auto", "broadcast", "cogroup"):
-        raise ValueError(f"unigram_logprob mode {mode!r}")
-    if mode == "auto":
-        try:
-            size = os.path.getsize(f"{sf_dir}/documents.parquet")
-        except OSError:
-            size = 0
-        mode = "cogroup" if size >= _UNIGRAM_COGROUP_BYTES else "broadcast"
-    if mode == "cogroup":
-        return _unigram_cogroup(sf_dir)
-
-    def build(tmp: str) -> None:
-        import pyarrow.parquet as pq
-
-        vocab_dir = f"{tmp}/vocab"
-        os.makedirs(vocab_dir)
-        _done = pa.table({"rows": pa.array([], pa.int64())})
-
-        def shard(batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0:
-                return _done
-            tag = hashlib.md5(batch.column("term")[0].as_py().encode()
-                              ).hexdigest()[:12]
-            pq.write_table(batch.select(["term", "cf"]),
-                           f"{vocab_dir}/vocab-{tag}.parquet")
-            return pa.table({"rows": pa.array([batch.num_rows], pa.int64())})
-
-        (term_stats(sf_dir)
-         .map_batches(shard, batch_format="pyarrow")
-         .materialize())
-        if not os.listdir(vocab_dir):  # all-empty corpus stays readable
-            pq.write_table(pa.table({"term": pa.array([], pa.string()),
-                                     "cf": pa.array([], pa.int64())}),
-                           f"{vocab_dir}/vocab-empty.parquet")
-        import pyarrow.dataset as pads
-
-        cf = pads.dataset(vocab_dir, format="parquet").to_table(
-            columns=["cf"])
-        total = int(pl.from_arrow(cf)["cf"].sum() or 0)
-        with open(f"{tmp}/meta.json", "w") as f:
-            json.dump({"total": total}, f)
-
-    spill = ensure_cached_dir(
-        "/tmp/indri55_uniglm",
-        source_key(f"{sf_dir}/documents.parquet", _UNIGRAM_VERSION),
-        build, marker="meta.json")
-    with open(f"{spill}/meta.json") as f:
-        total = json.load(f)["total"]
-    vocab_dir = f"{spill}/vocab"
-    ln_total = float(np.log(total)) if total else 0.0
-
-    def score(batch: pa.Table) -> pa.Table:
-        vocab = _load_vocab(vocab_dir)
-        df = pl.from_arrow(batch)
-        per = (df.select("doc_id", tokens_expr().alias("term"))
-               .explode("term").drop_nulls("term")
-               .join(vocab, on="term", how="left")
-               .group_by("doc_id")
-               .agg(pl.len().cast(pl.Int64).alias("n_tokens"),
-                    pl.col("lncf").sum().alias("s")))
-        out = (df.select("doc_id")
-               .join(per, on="doc_id", how="left")
-               .with_columns(pl.col("n_tokens").fill_null(0))
-               .with_columns(
-                   pl.when(pl.col("n_tokens") > 0)
-                   .then(ln_total - pl.col("s") / pl.col("n_tokens"))
-                   .otherwise(0.0).alias("cross_entropy"))
-               .select("doc_id", "n_tokens", "cross_entropy"))
-        return out.to_arrow()
-
-    return _docs(sf_dir).map_batches(score, batch_format="pyarrow")
-
-
-def ccnet_buckets(sf_dir: str, k: int = 3,
-                  mode: str = "auto") -> ray.data.Dataset:
+def ccnet_buckets(sf_dir: str, k: int = 3) -> ray.data.Dataset:
     """(doc_id, n_tokens, cross_entropy, bucket) — CCNet's head/middle/tail
     split (Wenzek et al. 2020 §4.4): documents ranked by LM cross-entropy
     (ascending — fluent text first) and cut into ``k`` equal-rank buckets,
@@ -793,20 +676,20 @@ def ccnet_buckets(sf_dir: str, k: int = 3,
     ``ntile``); rounding both sides to 9 decimals makes the order (and so
     the integer bucket column) deterministic across engines.
 
-    Shape: :func:`unigram_logprob` (one vocab exchange + map-only scoring)
-    → ONE sort of the per-doc stats table (4 narrow columns, O(#docs) —
-    tiny next to the corpus) → the ``pack_shards`` prefix-sum: per-block
-    (key range, count) triples to the driver, blocks ordered by their
-    disjoint (cross_entropy, doc_id) ranges, an exclusive scan gives each
-    block's global start rank, and buckets are assigned per block from
-    rank arithmetic.  No driver-resident rows, no second shuffle."""
+    Shape: :func:`unigram_logprob` (one term-bucket exchange + map-only
+    finalize) → ONE sort of the per-doc stats table (4 narrow columns,
+    O(#docs) — tiny next to the corpus) → the ``pack_shards`` prefix-sum:
+    per-block (key range, count) triples to the driver, blocks ordered by
+    their disjoint (cross_entropy, doc_id) ranges, an exclusive scan gives
+    each block's global start rank, and buckets are assigned per block
+    from rank arithmetic.  No driver-resident rows, no second shuffle."""
     def rank_key(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
             return batch.append_column("ce_r", pa.array([], pa.float64()))
         ce_r = np.round(batch.column("cross_entropy").to_numpy(), 9)
         return batch.append_column("ce_r", pa.array(ce_r, pa.float64()))
 
-    per = (unigram_logprob(sf_dir, mode=mode)
+    per = (unigram_logprob(sf_dir)
            .map_batches(rank_key, batch_format="pyarrow")
            .sort(["ce_r", "doc_id"])
            .materialize())

@@ -54,7 +54,7 @@ from .build import check_disjoint, sum_field_stats, write_manifest
 # per-worker memoized offset-annotation tables (paths key -> docno ->
 # rows), module-level so every task in a worker shares one copy
 # (cloudpickle gives nested closures private globals — see
-# textstats._load_vocab)
+# dedup._load_dup_spill)
 _ANN_MEMO: dict[tuple[str, ...], dict[str, list[tuple[str, int, int]]]] = {}
 
 

@@ -330,6 +330,44 @@ def test_ngram_counts_empty_corpus_and_cache(mini_sf, tmp_path):
         == sorted(map(tuple, b.values.tolist()))
 
 
+def test_bucket_exchange_blocks_sharing_first_id(tmp_path):
+    """Two input blocks that start with the same id each keep their own
+    map part file: the reduce total counts the rows of both blocks."""
+    import json
+
+    import polars as pl
+    import ray.data
+
+    from indri_5_5_ray.functions.exchange import bucket_exchange
+
+    src = tmp_path / "src.parquet"
+    pq.write_table(pa.table({"x": [0]}), src)
+    blk = pa.table({"doc_id": pa.array([5, 6, 7], pa.int64()),
+                    "term": pa.array(["a", "b", "a"])})
+    docs = ray.data.from_arrow([blk, blk])
+
+    def per_term(df):
+        return (df.group_by("term").agg(pl.len().cast(pl.Int64).alias("n"))
+                .with_columns((pl.col("term").hash(seed=0) % 4)
+                              .cast(pl.Int32).alias("b")))
+
+    def total(df):
+        out = df.group_by("term").agg(pl.col("n").sum())
+        return out, int(out["n"].sum())
+
+    spill = bucket_exchange(
+        docs, cache_root=str(tmp_path / "cache"), source_path=str(src),
+        version="t", n_buckets=4, bucket_col="b", map_kernel=per_term,
+        map_columns=("term",), reduce_columns=["term", "n"],
+        reduce_kernel=total,
+        out_schema=pa.schema([("term", pa.string()), ("n", pa.int64())]),
+        out_dirname="out", out_prefix="t-")
+    with open(f"{spill}/meta.json") as f:
+        assert json.load(f) == {"rows": 6}
+    got = pq.read_table(f"{spill}/out").to_pydict()
+    assert dict(zip(got["term"], got["n"])) == {"a": 4, "b": 2}
+
+
 def test_embedding_lsh_pairs_exactness_twin_and_recall(mini_sf):
     """n_tables=1, planes=0 → one bucket → exactly cosine_pairs; banded
     defaults emit only TRUE pairs (precision 1.0) with nonzero recall."""
@@ -715,32 +753,37 @@ def test_unigram_logprob(mini_sf, ray_entry_mod):
     assert np.allclose(got.cross_entropy, want_df.cross_entropy, atol=1e-9)
 
 
-def test_unigram_cogroup_parity(mini_sf, tmp_path):
-    """The vocab-scale cogroup path matches broadcast on the mini corpus
-    and on sf0.001 (n_tokens exact, entropy to float-sum tolerance);
-    zero-token docs score 0.0; bad mode raises."""
+def test_unigram_logprob_oracle_and_zero_token(mini_sf, tmp_path,
+                                               ray_entry_mod):
+    """The term-bucket exchange matches the DuckDB oracle on the mini
+    corpus and on sf0.001 (n_tokens exact, entropy to float-sum
+    tolerance); zero-token docs score 0.0."""
+    import duckdb
+
     from indri_5_5_ray.functions.textstats import unigram_logprob
 
     for sf in (mini_sf, "/root/testdata/sf0.001"):
-        a = unigram_logprob(sf, mode="broadcast").sort("doc_id").to_pandas()
-        b = unigram_logprob(sf, mode="cogroup").sort("doc_id").to_pandas()
-        assert (a.doc_id.values == b.doc_id.values).all()
-        assert (a.n_tokens.values == b.n_tokens.values).all()
-        assert np.allclose(a.cross_entropy, b.cross_entropy, rtol=1e-9)
+        got = unigram_logprob(sf).sort("doc_id").to_pandas()
+        con = duckdb.connect()
+        con.execute("CREATE VIEW documents AS SELECT * FROM "
+                    f"read_parquet('{sf}/documents.parquet')")
+        want = con.execute(
+            ray_entry_mod.oracle_sql()["unigram_logprob"]).fetch_df()
+        assert (got.doc_id.values == want.doc_id.values).all()
+        assert (got.n_tokens.values == want.n_tokens.values).all()
+        assert np.allclose(got.cross_entropy, want.cross_entropy,
+                           rtol=1e-9, atol=1e-9)
 
     d = tmp_path / "zt"
     d.mkdir()
     pq.write_table(pa.table({"doc_id": pa.array([0, 1], pa.int64()),
                              "text": pa.array(["", "alpha beta alpha"])}),
                    d / "documents.parquet")
-    z = unigram_logprob(str(d), mode="cogroup").sort("doc_id").to_pandas()
+    z = unigram_logprob(str(d)).sort("doc_id").to_pandas()
     assert z.n_tokens.tolist() == [0, 3]
     assert z.cross_entropy[0] == 0.0
     want1 = np.log(3) - (2 * np.log(2) + np.log(1)) / 3
     assert abs(z.cross_entropy[1] - want1) < 1e-12
-
-    with pytest.raises(ValueError):
-        unigram_logprob(str(d), mode="bogus")
 
 
 def test_ccnet_buckets(mini_sf, ray_entry_mod):
@@ -918,11 +961,12 @@ def test_nb_classifier_single_class_degenerate(mini_sf):
     assert (got.predicted.values == (got.nb_llr.values > 0)).all()
 
 
-def test_nb_cogroup_parity(tmp_path):
-    """The vocab-scale NB cogroup path matches broadcast on a two-language
+def test_nb_classifier_oracle_sparse_ids(tmp_path, ray_entry_mod):
+    """NB scores match the DuckDB oracle on a sparse-id two-language
     corpus and on sf0.001 (n_tokens exact, llr to float-sum tolerance,
-    predicted identical); zero-token docs carry the prior alone; bad mode
-    raises."""
+    predicted identical); zero-token docs carry the prior alone."""
+    import duckdb
+
     from indri_5_5_ray.functions.classifier import nb_classifier_scores
 
     d = tmp_path / "two"
@@ -936,22 +980,20 @@ def test_nb_cogroup_parity(tmp_path):
     }), d / "documents.parquet")
 
     for sf in (str(d), "/root/testdata/sf0.001"):
-        a = nb_classifier_scores(sf, mode="broadcast").sort(
-            "doc_id").to_pandas()
-        b = nb_classifier_scores(sf, mode="cogroup").sort(
-            "doc_id").to_pandas()
-        assert (a.doc_id.values == b.doc_id.values).all()
-        assert (a.n_tokens.values == b.n_tokens.values).all()
-        assert np.allclose(a.nb_llr, b.nb_llr, rtol=1e-9, atol=1e-12)
-        assert (a.predicted.values == b.predicted.values).all()
+        got = nb_classifier_scores(sf).sort("doc_id").to_pandas()
+        con = duckdb.connect()
+        con.execute("CREATE VIEW documents AS SELECT * FROM "
+                    f"read_parquet('{sf}/documents.parquet')")
+        want = con.execute(
+            ray_entry_mod.oracle_sql()["nb_classifier_scores"]).fetch_df()
+        assert (got.doc_id.values == want.doc_id.values).all()
+        assert (got.n_tokens.values == want.n_tokens.values).all()
+        assert np.allclose(got.nb_llr, want.nb_llr, atol=1e-9)
+        assert (got.predicted.values == want.predicted.values).all()
 
-    z = nb_classifier_scores(str(d), mode="cogroup").sort(
-        "doc_id").to_pandas()
+    z = nb_classifier_scores(str(d)).sort("doc_id").to_pandas()
     assert z.n_tokens.tolist()[-1] == 0
     assert abs(z.nb_llr.values[-1] - np.log(4 / 3)) < 1e-12  # prior only
-
-    with pytest.raises(ValueError):
-        nb_classifier_scores(str(d), mode="bogus")
 
 
 def test_nb_pareto_sample_oracle(ray_entry_mod):
@@ -982,9 +1024,9 @@ def test_nb_pareto_sample_oracle(ray_entry_mod):
     assert (again.doc_id.values == got.doc_id.values).all()
 
 
-def test_nb_classifier_null_labels_mode_parity(tmp_path, ray_entry_mod):
-    """NULL seed labels count as NEGATIVE in broadcast, cogroup AND the
-    SQL oracle (review finding: the three previously disagreed)."""
+def test_nb_classifier_null_labels(tmp_path, ray_entry_mod):
+    """NULL seed labels count as NEGATIVE in the classifier AND the SQL
+    oracle (the two once disagreed)."""
     import duckdb
 
     from indri_5_5_ray.functions.classifier import nb_classifier_scores
@@ -998,10 +1040,7 @@ def test_nb_classifier_null_labels_mode_parity(tmp_path, ray_entry_mod):
         "lang": pa.array(["en", "de", None, "en"]),
     }), d / "documents.parquet")
     sf = str(d)
-    a = nb_classifier_scores(sf, mode="broadcast").sort("doc_id").to_pandas()
-    b = nb_classifier_scores(sf, mode="cogroup").sort("doc_id").to_pandas()
-    assert (a.n_tokens.values == b.n_tokens.values).all()
-    assert np.allclose(a.nb_llr, b.nb_llr, rtol=1e-9, atol=1e-12)
+    a = nb_classifier_scores(sf).sort("doc_id").to_pandas()
     con = duckdb.connect()
     con.execute("CREATE VIEW documents AS SELECT * FROM "
                 f"read_parquet('{sf}/documents.parquet')")
@@ -1014,7 +1053,7 @@ def test_nb_classifier_null_labels_mode_parity(tmp_path, ray_entry_mod):
 @settings(max_examples=10, deadline=None)
 @given(st.data())
 def test_nb_classifier_property(tmp_path_factory, data):
-    """Broadcast-mode NB scores == a Counter-based pure-Python reference
+    """NB scores == a Counter-based pure-Python reference
     on random corpora (random vocab, labels incl. all-one-class, empty
     docs); texts are space-joined [a-z]+ tokens so split() matches the
     engine's tokenizer exactly."""
@@ -1038,8 +1077,7 @@ def test_nb_classifier_property(tmp_path_factory, data):
         "text": pa.array(texts),
         "lang": pa.array(langs),
     }), d / "documents.parquet")
-    got = nb_classifier_scores(str(d), mode="broadcast").sort(
-        "doc_id").to_pandas()
+    got = nb_classifier_scores(str(d)).sort("doc_id").to_pandas()
 
     cf_pos = Counter(t for s, l in zip(texts, langs) if l == "en"
                      for t in s.split())

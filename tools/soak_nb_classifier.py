@@ -1,11 +1,11 @@
-"""Scale soak of the seed-trained NB quality classifier's cogroup path.
+"""Scale soak of the seed-trained NB quality classifier.
 
 Synthesizes the woven O(corpus)-vocab documents table (the
 soak_spans_lm.py trick: 3 doc-unique tokens per doc keep the vocab at
-3×docs — exactly the bound the cogroup mode exists to avoid) with a
+3×docs — a vocab no worker should have to hold) with a
 deterministic language label (``de`` every 4th doc, else ``en``) and the
 shared 19-token boilerplate on every 3rd doc, then runs
-``nb_classifier_scores(mode="cogroup")`` over it, RSS-sampled.
+``nb_classifier_scores`` over it, RSS-sampled.
 
 Verification is EXACT and engine-independent: with periodic labels and
 periodic boilerplate every class count is a closed form (floor
@@ -134,11 +134,10 @@ def main() -> None:
 
     t0 = time.perf_counter()
     with RssSampler() as s:
-        scored = nb_classifier_scores(f"{wd}/sf",
-                                      mode="cogroup").materialize()
+        scored = nb_classifier_scores(f"{wd}/sf").materialize()
         agg = scored.aggregate(Sum("n_tokens", alias_name="nt"))
         n = scored.count()
-    res["nb_cogroup_s"] = round(time.perf_counter() - t0, 1)
+    res["nb_s"] = round(time.perf_counter() - t0, 1)
     res["rss_mb"] = {"start": round(s.samples[0], 1),
                      "peak": round(max(s.samples), 1),
                      "end": round(s.samples[-1], 1)}

@@ -14,7 +14,7 @@ workload Lee et al. 2021 span removal targets), then:
    BOTH equal the generator's closed-form expectation — the two
    operators take independent kernels after the shared exchange, and the
    closed form is independent of the engine entirely;
-4. ``unigram_logprob`` + ``ccnet_buckets`` — vocab spill + broadcast-join
+4. ``unigram_logprob`` + ``ccnet_buckets`` — the term-bucket exchange
    scoring + the distributed-ntile bucket assignment (bucket sizes must
    differ by ≤ 1).
 
@@ -106,7 +106,6 @@ def main() -> None:
     wd = args.workdir
     shutil.rmtree(wd, ignore_errors=True)
     shutil.rmtree("/tmp/indri55_dupocc", ignore_errors=True)
-    shutil.rmtree("/tmp/indri55_uniglm", ignore_errors=True)
     shutil.rmtree("/tmp/indri55_unigcg", ignore_errors=True)
     res: dict = {"docs": args.docs, "dup_frac": args.dup, "cpus": args.cpus}
 
@@ -156,31 +155,18 @@ def main() -> None:
     assert res["n_removed"] == res["covered_tokens"], (
         res["n_removed"], res["covered_tokens"])
 
-    if args.docs <= 4_000_000:
-        t0 = time.perf_counter()
-        with RssSampler() as s3:
-            lp = unigram_logprob(f"{wd}/sf", mode="broadcast")
-            n_lp = lp.count()
-        res["unigram_broadcast_s"] = round(time.perf_counter() - t0, 1)
-        res["rss_unigram_mb"] = {"start": round(s3.samples[0], 1),
-                                 "peak": round(max(s3.samples), 1),
-                                 "end": round(s3.samples[-1], 1)}
-        assert n_lp == args.docs
-    else:
-        # the fixture's vocab is O(corpus) BY DESIGN; past ~4M docs the
-        # broadcast mode's per-worker vocab frame is exactly the bound
-        # the cogroup mode exists to avoid — skip it, run cogroup only
-        res["unigram_broadcast_s"] = None
-
     t0 = time.perf_counter()
-    n_cg = unigram_logprob(f"{wd}/sf", mode="cogroup").count()
-    res["unigram_cogroup_s"] = round(time.perf_counter() - t0, 1)
-    assert n_cg == args.docs
+    with RssSampler() as s3:
+        n_lp = unigram_logprob(f"{wd}/sf").count()
+    res["unigram_s"] = round(time.perf_counter() - t0, 1)
+    res["rss_unigram_mb"] = {"start": round(s3.samples[0], 1),
+                             "peak": round(max(s3.samples), 1),
+                             "end": round(s3.samples[-1], 1)}
+    assert n_lp == args.docs
 
-    lm_mode = "broadcast" if args.docs <= 4_000_000 else "cogroup"
     t0 = time.perf_counter()
     with RssSampler() as s4:
-        buckets = ccnet_buckets(f"{wd}/sf", mode=lm_mode)
+        buckets = ccnet_buckets(f"{wd}/sf")
         sizes = {r["bucket"]: r["count()"] for r in
                  buckets.groupby("bucket").count().take_all()}
     res["ccnet_buckets_s"] = round(time.perf_counter() - t0, 1)
