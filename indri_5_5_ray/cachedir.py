@@ -1,8 +1,9 @@
 """Content-keyed build-once cache directories.
 
-One definition of the ritual that four derived-table builders share
-(synthetic media table, synthetic WARC archives, dup-group spill,
-PageRank scores): build into a FRESH tmp dir, write a completion marker
+One definition of the ritual that the derived-table builders share
+(synthetic media table, synthetic WARC archives, PageRank scores, and
+every ``functions.exchange.bucket_exchange`` spill — dup groups, n-gram
+and LM stats, near-dup pairs): build into a FRESH tmp dir, write a completion marker
 last, atomically rename into the content-keyed final name, and discard
 the tmp copy when a concurrent builder won the rename race (the winner's
 dir is complete by construction, so the loser simply reuses it).

@@ -9,7 +9,8 @@ never be driver-resident.  This module is the scale path: a label-
 propagation components algorithm from the hash-to-min family (Kiveris
 et al., "Connected Components in MapReduce and Beyond", SoCC'14) run as
 bucketed FILESYSTEM exchanges — the same idiom as the index build's
-dedup phase and ``dedup._dup_groups``: map tasks write bucket-
+dedup phase and ``exchange.bucket_exchange`` (which every dedup
+operator runs on): map tasks write bucket-
 partitioned parquet, one reduce task per bucket reads its slice, the
 driver holds only per-task COUNTS.  A ``Dataset.sort``/``groupby`` loop
 here would cost the driver O(mappers × reducers × rounds) shuffle-

@@ -2,18 +2,23 @@
 
 The reference only has exact ingest-time dedup
 (ref:src/IndexEnvironment.cpp:388-404, SURVEY.md §2.8); near-dup operators
-are the training-data-pipeline extension, built Ray-Data-first:
+are the training-data-pipeline extension, built Ray-Data-first.
 
-* exact      — hash-partition on content hash, keep-first (groupby shuffle);
-* n-gram Jaccard — exact-dup pre-collapse → shingle explode over group
-  representatives → groupby(shingle) pair generation → groupby(pair) count →
-  member expansion (broadcast of the dup-bounded group table).  Exact; the
-  pre-collapse is what
-  keeps a mass-duplicated boilerplate group (n identical docs → one rep)
-  from exploding the per-shingle pair reducer quadratically;
-* MinHash+LSH — md5-based minhash signatures (deterministic & SQL-
-  reproducible), banded into buckets, candidate pairs from bucket groupby —
-  also over exact-dup representatives, expanded after;
+Shuffle plan: every all-to-all step here is the FILESYSTEM bucket
+exchange (:mod:`.exchange`) — hash-partitioned part files and one reduce
+task per bucket, never a ``Dataset.groupby`` sort-shuffle, whose driver
+lineage grows with the corpus (BASELINE §1g):
+
+* exact      — one exchange keyed by content hash, keep-first;
+* exact-dup pre-collapse (:func:`_dup_groups`) — one exchange keyed by
+  md5, spilling the multi-member groups; the pair operators run over the
+  group representatives and expand back to members map-side, so n
+  identical docs cost one key row, not O(n²) pairs;
+* n-gram Jaccard, MinHash+LSH, winnowing fingerprints — one
+  :func:`.exchange.pair_exchange` each: key rows (shingle / band bucket /
+  fingerprint) → capped pairs per key bucket (:func:`_self_join_pairs`)
+  → one combined row per pair per pair-hash bucket (count / unique);
+* duplicated-span statistics — one exchange keyed by gram hash;
 * SimHash    — 60-bit fingerprints from md5 token hashes (60 bits so the
   value stays SQL-reproducible via DuckDB's 15-hex-digit BIGINT cast).
 
@@ -25,8 +30,10 @@ Jaccard union term needs no driver-side size dict and no broadcast.
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import os
+from typing import NamedTuple
 
 import numpy as np
 import polars as pl
@@ -34,7 +41,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from .textstats import read_spread, token_count_expr, tokens_expr
+from .exchange import bucket_exchange, pair_exchange, read_exchange
+from .textstats import _term_buckets, read_spread, token_count_expr, tokens_expr
 
 logger = logging.getLogger(__name__)
 
@@ -43,19 +51,57 @@ NUM_PERMS = 16
 LSH_BANDS = 4  # 4 bands × 4 rows
 
 # Pathological-skew guard for pair generation (AFTER exact-dup collapse a
-# group this large means n distinct docs sharing one shingle/bucket — e.g.
+# key this hot means n distinct docs sharing one shingle/bucket — e.g.
 # templated boilerplate).  Pairs beyond the cap are dropped WITH A LOG LINE:
 # silent truncation would read as full coverage.  The default is high enough
-# that the SQL-oracle-checked test scales never hit it.
+# that the SQL-oracle-checked test scales never hit it.  Operators read it on
+# the driver at call time, pass it into their kernels and key their cache
+# dir on it.
 MAX_PAIR_GROUP = int(os.environ.get("INDRI55_MAX_PAIR_GROUP", "8192"))
 
-_EMPTY_PAIRS = pa.table(
-    {"doc_a": pa.array([], pa.int64()), "doc_b": pa.array([], pa.int64())}
-)
+# layout version of every pair-exchange spill under /tmp/indri55_pairs
+_PAIRS_VERSION = "v1"
+
+
+def _i64(*names: str) -> pa.Schema:
+    return pa.schema([(n, pa.int64()) for n in names])
+
+
+_PAIR_SCHEMA = _i64("doc_a", "doc_b")
 
 
 def _docs(sf_dir: str) -> ray.data.Dataset:
     return read_spread(f"{sf_dir}/documents.parquet", ["doc_id", "text"])
+
+
+def _self_join_pairs(df: pl.DataFrame, key: str, cap: int,
+                     payload: tuple[str, ...] = ()) -> pl.DataFrame:
+    """(doc_a < doc_b, payload_a..., payload_b...) for every pair of docs
+    sharing a ``key`` value — one vectorized self-join over a key bucket,
+    no per-key Python.  A key held by more than ``cap`` docs keeps its
+    ``cap`` LOWEST doc_ids (row order is a scheduling artifact, so a
+    positional prefix would vary run to run), with a logged warning: pairs
+    through the dropped docs are lost, and counts through that key
+    undercount."""
+    # join on a dense int key id: the pair rows never carry the key itself
+    df = (df.sort(key, "doc_id")
+          .with_columns(pl.col(key).rle_id().alias("kid"))
+          .with_columns(pl.int_range(pl.len()).over("kid").alias("rk")))
+    if df.height and int(df["rk"].max()) >= cap:
+        worst = (df.group_by("kid").agg(pl.len().alias("n"))
+                 .filter(pl.col("n") > cap))
+        logger.warning(
+            "pair cap: %d %s values exceed %d docs (largest %d); kept the "
+            "lowest doc_ids, pairs truncated",
+            worst.height, key, cap, int(worst["n"].max()))
+        df = df.filter(pl.col("rk") < cap)
+
+    def side(s: str) -> pl.DataFrame:
+        return df.select("kid", pl.col("doc_id").alias(f"doc_{s}"),
+                         *[pl.col(c).alias(f"{c}_{s}") for c in payload])
+
+    return (side("a").join(side("b"), on="kid")
+            .filter(pl.col("doc_a") < pl.col("doc_b")).drop("kid"))
 
 
 # ---------------------------------------------------------------------------
@@ -63,27 +109,43 @@ def _docs(sf_dir: str) -> ray.data.Dataset:
 # ---------------------------------------------------------------------------
 
 
-def _add_hash(batch: pa.Table) -> pa.Table:
-    df = pl.from_arrow(batch)
-    out = df.select(
-        pl.col("doc_id"),
-        pl.col("text").map_elements(
-            lambda s: hashlib.md5(s.encode()).hexdigest(), return_dtype=pl.String
-        ).alias("content_hash"),
-    )
-    return out.to_arrow()
+_EXACT_SCHEMA = pa.schema([("content_hash", pa.string()),
+                           ("rep_doc_id", pa.int64()),
+                           ("n_copies", pa.int64())])
 
 
 def exact_dup_groups(sf_dir: str) -> ray.data.Dataset:
-    """(content_hash, rep_doc_id, n_copies) — keep-first exact dedup."""
-    from ray.data.aggregate import Count, Min
+    """(content_hash, rep_doc_id, n_copies) — keep-first exact dedup.
 
-    return (
-        _docs(sf_dir)
-        .map_batches(_add_hash, batch_format="pyarrow")
-        .groupby("content_hash")
-        .aggregate(Min("doc_id", alias_name="rep_doc_id"), Count(alias_name="n_copies"))
-    )
+    Shuffle plan: one bucket exchange keyed by the md5 hex digest; every
+    copy of a content lands in one bucket, so each reduce task's
+    group-by (min doc_id, count) is exact.  Cached under
+    ``/tmp/indri55_exactdup`` per corpus identity."""
+    path = f"{sf_dir}/documents.parquet"
+    n_kb = _term_buckets(path)
+
+    def hashed(df: pl.DataFrame) -> pl.DataFrame:
+        return df.select(
+            pl.Series("content_hash", [hashlib.md5(s.encode()).hexdigest()
+                                       for s in df["text"].to_list()]),
+            "doc_id",
+        ).with_columns((pl.col("content_hash").hash(seed=0) % n_kb)
+                       .cast(pl.Int32).alias("kb"))
+
+    def groups(df: pl.DataFrame):
+        out = df.group_by("content_hash").agg(
+            pl.col("doc_id").min().alias("rep_doc_id"),
+            pl.len().alias("n_copies"))
+        return out, out.height
+
+    spill = bucket_exchange(
+        _docs(sf_dir), cache_root="/tmp/indri55_exactdup", source_path=path,
+        version="v1", n_buckets=n_kb, bucket_col="kb", map_kernel=hashed,
+        map_columns=("doc_id", "text"),
+        reduce_columns=["content_hash", "doc_id"], reduce_kernel=groups,
+        out_schema=_EXACT_SCHEMA, out_dirname="groups",
+        out_prefix="groups-kb", empty_name="groups-")
+    return read_exchange(spill, "groups", _EXACT_SCHEMA)
 
 
 def dedup_keep_first(sf_dir: str) -> ray.data.Dataset:
@@ -103,16 +165,12 @@ def dedup_keep_first(sf_dir: str) -> ray.data.Dataset:
 
 # The exact-dup pre-collapse is shared by every pair-generating operator
 # (jaccard pairs → lsh pairs → clusters → keep-first chains each need it),
-# so one full-corpus pass is SPILLED per corpus: the groups live in a
-# content-keyed parquet directory under /tmp (same key discipline as
-# cached_dataset / ensure_media_table: realpath + st_mtime_ns + size) and
-# the driver holds only a DupGroups handle — path plus two counts — so
-# driver memory stays FLAT regardless of duplication rate (a 100 TB web
-# corpus routinely duplicates 30-50% of its docs; the old driver-resident
-# dict was the engine's one remaining O(#dup docs) driver hot spot).
-_DUP_GROUPS_CACHE: dict[tuple[str, int, int], "DupGroups"] = {}
-
-_DUP_SPILL_VERSION = "v1"
+# so one full-corpus pass is SPILLED per corpus into a content-keyed
+# directory (realpath + st_mtime_ns + size), which is also the cache; the
+# driver holds only a DupGroups handle — path plus two counts — so driver
+# memory stays FLAT regardless of duplication rate (a 100 TB web corpus
+# routinely duplicates 30-50% of its docs).
+_DUP_SPILL_VERSION = "v2"
 
 # per-WORKER memo of loaded spill shards, keyed by spill dir (paths are
 # content-keyed → immutable, so no invalidation is needed):
@@ -120,22 +178,17 @@ _DUP_SPILL_VERSION = "v1"
 _DUP_SPILL_MEMO: dict[str, tuple[pl.DataFrame, np.ndarray]] = {}
 
 
-class DupGroups:
+class DupGroups(NamedTuple):
     """Handle to the exact-dup group spill.  ``path`` is a directory
     (``groups/*.parquet`` shards: rep int64, members list<int64> sorted,
     n_tokens int64 = rep token count; ``meta.json``: counts).  Workers
     memo-load it (:func:`_load_dup_spill`) — the filesystem is the
     broadcast medium, exactly like the build's filesystem-shuffled merge."""
 
-    __slots__ = ("path", "n_groups", "n_losers")
+    path: str
+    n_groups: int
+    n_losers: int
 
-    def __init__(self, path: str, n_groups: int, n_losers: int):
-        self.path = path
-        self.n_groups = n_groups
-        self.n_losers = n_losers
-
-
-_DUP_BUCKETS = 32
 
 _GROUPS_SCHEMA = pa.schema([("rep", pa.int64()),
                             ("members", pa.list_(pa.int64())),
@@ -166,127 +219,57 @@ def _load_dup_spill(path: str) -> tuple[pl.DataFrame, np.ndarray]:
     return (mdf, losers)
 
 
-def _reduce_dup_bucket(keys_dir: str, bucket: int, groups_dir: str
-                       ) -> tuple[int, int]:
-    """One key-hash bucket → its multi-member groups written directly as a
-    spill shard (rep-sorted); returns (n_groups, n_losers) counts only."""
-    import pyarrow.dataset as pads
-    import pyarrow.parquet as pq
-
-    t = pads.dataset(keys_dir, format="parquet").to_table(
-        filter=pads.field("kbucket") == bucket,
-        columns=["h_hi", "h_lo", "doc_id", "n_tokens"], use_threads=False)
-    if t.num_rows == 0:
-        return 0, 0
-    g = (
-        pl.from_arrow(t)
-        .group_by("h_hi", "h_lo")
-        .agg(
-            pl.col("doc_id").sort().alias("members"),
-            # identical content → identical count; keep the rep's for form
-            pl.col("n_tokens").sort_by("doc_id").first().alias("n_tokens"),
-            pl.len().alias("cnt"),
-        )
-        .filter(pl.col("cnt") >= 2)
-    )
-    if g.height == 0:
-        return 0, 0
-    n_losers = int((g["cnt"] - 1).sum())
-    out = (g.with_columns(pl.col("members").list.first().alias("rep"))
-           .sort("rep").select("rep", "members", "n_tokens"))
-    pq.write_table(out.to_arrow().cast(_GROUPS_SCHEMA),
-                   f"{groups_dir}/groups-b{bucket:02d}.parquet",
-                   row_group_size=16384)
-    return g.height, n_losers
-
-
 def _dup_groups(sf_dir: str) -> DupGroups:
     """Content-identical groups with ≥2 members, as a :class:`DupGroups`
     spill handle.
 
-    Shuffle plan: the same FILESYSTEM bucket exchange as the index build's
-    dedup phase (pipelines/build.py:_dedup_losers) — map tasks write
-    (kbucket-sorted) key rows, one reduce task per bucket reads its bucket
-    by predicate pushdown, groups EXACTLY (no boundary fragments: a hash's
-    rows are always in one bucket) and writes its spill shard directly.
-    No Ray all-to-all: a ``Dataset.sort`` here costs the driver
-    O(mappers × reducers) shuffle-lineage metadata (measured ~110 MB at
-    2M rows), while this plan's driver state is per-task COUNTS.  Token
-    counts ride the key rows, so eligibility needs no second corpus read.
-    Cached per (corpus path, mtime); the spill dir is content-keyed, so
-    concurrent drivers share it."""
-    import json
+    Shuffle plan: one bucket exchange (:func:`.exchange.bucket_exchange`,
+    the shape of the index build's dedup phase) — map tasks key each doc
+    by its md5 as TWO int64 lanes (exact 128-bit equality, no string
+    column on disk) with its token count riding along, so eligibility
+    needs no second corpus read; one reduce task per bucket groups
+    EXACTLY (a hash's rows always share a bucket), writes its rep-sorted
+    spill shard and returns the (n_groups, n_losers) tuple metric that
+    ``meta.json`` sums.  The content-keyed cache dir is the cache:
+    concurrent drivers share it, and a rerun reads one ``meta.json``."""
+    path = f"{sf_dir}/documents.parquet"
+    n_kb = _term_buckets(path)
 
-    from ..cachedir import ensure_cached_dir, source_key
+    def keyed(df: pl.DataFrame) -> pl.DataFrame:
+        dig = b"".join(hashlib.md5(s.encode()).digest()
+                       for s in df["text"].to_list())
+        u = np.frombuffer(dig, dtype=">u8").reshape(-1, 2)
+        return df.select(
+            pl.Series("kb", (u[:, 0] % n_kb).astype(np.int32)),
+            pl.Series("h_hi", u[:, 0].astype(np.int64)),
+            pl.Series("h_lo", u[:, 1].astype(np.int64)),
+            "doc_id",
+            token_count_expr().cast(pl.Int64).alias("n_tokens"))
 
-    st = os.stat(f"{sf_dir}/documents.parquet")
-    cache_key = (os.path.realpath(sf_dir), st.st_mtime_ns, st.st_size)
-    hit = _DUP_GROUPS_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
+    def groups(df: pl.DataFrame):
+        g = (df.group_by("h_hi", "h_lo")
+             .agg(pl.col("doc_id").sort().alias("members"),
+                  # identical content → identical count; keep the rep's
+                  pl.col("n_tokens").sort_by("doc_id").first(),
+                  pl.len().alias("cnt"))
+             .filter(pl.col("cnt") >= 2))
+        out = (g.with_columns(pl.col("members").list.first().alias("rep"))
+               .sort("rep").select("rep", "members", "n_tokens"))
+        return out, (g.height, int((g["cnt"] - 1).sum()))
 
-    def build(tmp: str) -> None:
-        keys_dir = f"{tmp}/keys"
-        groups_dir = f"{tmp}/groups"
-        os.makedirs(keys_dir)
-        os.makedirs(groups_dir)
-
-        def keyed(batch: pa.Table) -> pa.Table:
-            # md5 as TWO int64 lanes (exact 128-bit equality, no string
-            # column on disk); texts hashed straight from the arrow buffer;
-            # token counts computed here while the text is in hand
-            import pyarrow.parquet as pq
-
-            if batch.num_rows == 0:
-                return pa.table({"rows": pa.array([], pa.int64())})
-            texts = batch.column("text").cast(pa.large_binary()).to_pylist()
-            dig = b"".join(hashlib.md5(t).digest() for t in texts)
-            u = np.frombuffer(dig, dtype=">u8").reshape(-1, 2)
-            ntok = (pl.from_arrow(batch)
-                    .select(token_count_expr().cast(pl.Int64).alias("n"))["n"]
-                    .to_numpy())
-            ids = batch.column("doc_id").to_numpy()
-            t = pa.table({
-                "kbucket": pa.array((u[:, 0] % _DUP_BUCKETS).astype(np.int32),
-                                    pa.int32()),
-                "h_hi": pa.array(u[:, 0].astype(np.int64), pa.int64()),
-                "h_lo": pa.array(u[:, 1].astype(np.int64), pa.int64()),
-                "doc_id": batch.column("doc_id"),
-                "n_tokens": pa.array(ntok, pa.int64()),
-            }).sort_by([("kbucket", "ascending")])
-            pq.write_table(t, f"{keys_dir}/keys-{int(ids.min()):012d}.parquet",
-                           row_group_size=max(256, t.num_rows // _DUP_BUCKETS))
-            return pa.table({"rows": pa.array([t.num_rows], pa.int64())})
-
-        _docs(sf_dir).map_batches(keyed, batch_format="pyarrow").materialize()
-        reduce_t = ray.remote(num_cpus=0.9)(_reduce_dup_bucket)
-        counts = ray.get([reduce_t.remote(keys_dir, b, groups_dir)
-                          for b in range(_DUP_BUCKETS)])
-        n_groups = sum(c[0] for c in counts)
-        n_losers = sum(c[1] for c in counts)
-        if n_groups == 0:
-            # consumers guard on the counts, but keep the dataset readable
-            import pyarrow.parquet as pq
-
-            pq.write_table(_GROUPS_SCHEMA.empty_table(),
-                           f"{groups_dir}/groups-empty.parquet")
-        import shutil
-
-        shutil.rmtree(keys_dir, ignore_errors=True)  # intermediate exchange
-        with open(f"{tmp}/meta.json", "w") as f:
-            json.dump({"n_groups": n_groups, "n_losers": n_losers}, f)
-
-    final = ensure_cached_dir(
-        "/tmp/indri55_dupgroups",
-        source_key(f"{sf_dir}/documents.parquet", _DUP_SPILL_VERSION),
-        build, marker="meta.json")
-    with open(f"{final}/meta.json") as f:
+    spill = bucket_exchange(
+        _docs(sf_dir), cache_root="/tmp/indri55_dupgroups", source_path=path,
+        version=_DUP_SPILL_VERSION, n_buckets=n_kb, bucket_col="kb",
+        map_kernel=keyed, map_columns=("doc_id", "text"),
+        reduce_columns=["h_hi", "h_lo", "doc_id", "n_tokens"],
+        reduce_kernel=groups, out_schema=_GROUPS_SCHEMA,
+        out_dirname="groups", out_prefix="groups-kb", empty_name="groups-",
+        # a zero-doc corpus writes no parts: its total is the int 0
+        meta_payload=lambda m: dict(zip(("n_groups", "n_losers"),
+                                        m or (0, 0))))
+    with open(f"{spill}/meta.json") as f:
         meta = json.load(f)
-    dg = DupGroups(final, meta["n_groups"], meta["n_losers"])
-    if len(_DUP_GROUPS_CACHE) > 8:
-        _DUP_GROUPS_CACHE.clear()
-    _DUP_GROUPS_CACHE[cache_key] = dg
-    return dg
+    return DupGroups(spill, meta["n_groups"], meta["n_losers"])
 
 
 def _rep_docs(sf_dir: str, dg: DupGroups) -> ray.data.Dataset:
@@ -321,10 +304,8 @@ def _expand_rep_pairs(
     spill = dg.path
 
     def expand(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "doc_a" not in batch.column_names:
-            return pa.table({"doc_a": pa.array([], pa.int64()),
-                             "doc_b": pa.array([], pa.int64()),
-                             **{c: pa.array([], pa.float64()) for c in extra_cols}})
+        if batch.num_rows == 0:
+            return batch
         m = _load_dup_spill(spill)[0].select(
             "rep", pl.col("members").alias("mem"))
         df = pl.from_arrow(batch)
@@ -357,13 +338,14 @@ def _expand_rep_pairs(
 def _intra_group_pairs(
     dg: DupGroups,
     extra: dict[str, float],
+    cap: int,
     min_tokens: int = NGRAM_N,
 ) -> ray.data.Dataset:
     """All within-group pairs for multi-member groups whose rep has at
     least ``min_tokens`` tokens (shingle-less docs never pair in the
     all-pairs oracle), tagged with constant ``extra`` columns (e.g.
     jaccard=1.0).  Streams the group SPILL as a Dataset — group rows never
-    pass through the driver; capped at MAX_PAIR_GROUP per group."""
+    pass through the driver; capped at ``cap`` members per group."""
     empty = pa.table({"doc_a": pa.array([], pa.int64()),
                       "doc_b": pa.array([], pa.int64()),
                       **{c: pa.array([], pa.float64()) for c in extra}})
@@ -372,17 +354,15 @@ def _intra_group_pairs(
 
     def pairs(batch: pa.Table) -> pa.Table:
         out = [empty]
-        df = pl.from_arrow(batch)
-        if "n_tokens" in df.columns:
-            df = df.filter(pl.col("n_tokens") >= min_tokens)
-        for members in (df["members"].to_list() if df.height else []):
+        df = pl.from_arrow(batch).filter(pl.col("n_tokens") >= min_tokens)
+        for members in df["members"].to_list():
             ids = np.asarray(members, dtype=np.int64)
             n = len(ids)
-            if n > MAX_PAIR_GROUP:
+            if n > cap:
                 logger.warning(
                     "intra-group pair cap: content group of %d docs truncated to %d",
-                    n, MAX_PAIR_GROUP)
-                ids, n = ids[:MAX_PAIR_GROUP], MAX_PAIR_GROUP
+                    n, cap)
+                ids, n = ids[:cap], cap
             ia, ib = np.triu_indices(n, k=1)
             out.append(pa.table({
                 "doc_a": pa.array(ids[ia], pa.int64()),
@@ -454,9 +434,8 @@ def _span_gram_buckets(sf_dir: str) -> int:
     """Gram-hash bucket count for the span exchange, sized by input bytes
     (~32 MB of compressed corpus per bucket, floor 256): one reduce GROUP
     is one bucket, so bucket count — not gram count — bounds both the
-    per-group materialization and the per-group Python dispatch cost (the
-    same coarse-group trick as the LSH bprefix).  ``INDRI55_SPAN_GRAM_
-    BUCKETS`` overrides the derived count (raise it when boilerplate
+    per-group materialization and the per-group Python dispatch cost.
+    ``INDRI55_SPAN_GRAM_BUCKETS`` overrides the derived count (raise it when boilerplate
     grams make a hot bucket OOM)."""
     env = os.environ.get("INDRI55_SPAN_GRAM_BUCKETS")
     if env:
@@ -506,8 +485,6 @@ def _dup_occ_spill(sf_dir: str, n: int) -> str:
     ``ngram_jaccard_pairs``, remains the route for adversarial skew at
     the cost of re-expanding stats to group members — plain occurrences
     keep the SQL oracle exact."""
-    from .exchange import bucket_exchange
-
     n_gb = _span_gram_buckets(sf_dir)
 
     _occ_schema = pa.schema([("doc_id", pa.int64()), ("pos", pa.int64())])
@@ -545,7 +522,7 @@ def _dup_occ_spill(sf_dir: str, n: int) -> str:
         _docs(sf_dir),
         cache_root="/tmp/indri55_dupocc",
         source_path=f"{sf_dir}/documents.parquet",
-        version=f"{_OCC_SPILL_VERSION}-n{n}-gb{n_gb}",
+        version=f"{_OCC_SPILL_VERSION}-n{n}",
         n_buckets=n_gb, bucket_col="gb",
         map_kernel=gram_occurrences, map_columns=("doc_id", "text"),
         reduce_columns=["doc_id", "pos", "gram"], reduce_kernel=dup_filter,
@@ -624,6 +601,21 @@ def dup_span_stats(sf_dir: str, n: int = NGRAM_N) -> ray.data.Dataset:
     return _docs(sf_dir).map_batches(stats, batch_format="pyarrow")
 
 
+_SLOT_BITS = 40  # token-slot lane of a packed (local doc index, slot) key
+
+
+def _pack_doc_slots(local_idx: np.ndarray, pos: np.ndarray,
+                    n_docs: int) -> np.ndarray:
+    """``local_idx << 40 | pos`` as int64: the doc lane has 23 bits, so a
+    batch of ≥ 2^23 unique doc ids would wrap it — raise instead of
+    silently merging two docs' slots."""
+    if n_docs >= 1 << (63 - _SLOT_BITS):
+        raise ValueError(
+            f"remove_dup_spans: {n_docs} unique doc ids in one batch; the "
+            f"packed slot key holds < 2^{63 - _SLOT_BITS}")
+    return (local_idx.astype(np.int64) << _SLOT_BITS) + pos
+
+
 def remove_dup_spans(sf_dir: str, n: int = NGRAM_N) -> ray.data.Dataset:
     """(doc_id, clean_text, n_removed) — the span-removal transform of
     Lee et al. 2021 at word-``n``-gram granularity: every token covered by
@@ -663,13 +655,11 @@ def remove_dup_spans(sf_dir: str, n: int = NGRAM_N) -> ray.data.Dataset:
             pos = occ["pos"].to_numpy().astype(np.int64)
             # keep only this batch's docs (the [lo, hi] range prune can
             # overshoot on sparse doc ids) and pack by the doc's LOCAL
-            # index — ≤ batch rows, so the 23-bit doc lane always fits no
-            # matter how sparse the global id space is
+            # index, so the sparsity of the global id space never matters
             li = np.searchsorted(ids_u, dids)
             li[li == len(ids_u)] = 0
             keep = ids_u[li] == dids
-            li, pos = li[keep], pos[keep]
-            base = (li << 40) + pos
+            base = _pack_doc_slots(li[keep], pos[keep], len(ids_u))
         if len(base):
             chunk = _SPAN_EXPAND_CHUNK
             parts = [
@@ -679,8 +669,8 @@ def remove_dup_spans(sf_dir: str, n: int = NGRAM_N) -> ray.data.Dataset:
             uk = parts[0] if len(parts) == 1 else np.unique(
                 np.concatenate(parts))
             cov = pl.DataFrame({
-                "doc_id": ids_u[uk >> 40],
-                "slot": uk & ((1 << 40) - 1),
+                "doc_id": ids_u[uk >> _SLOT_BITS],
+                "slot": uk & ((1 << _SLOT_BITS) - 1),
             })
         else:
             cov = pl.DataFrame({"doc_id": np.array([], np.int64),
@@ -714,109 +704,50 @@ def remove_dup_spans(sf_dir: str, n: int = NGRAM_N) -> ray.data.Dataset:
 def ngram_jaccard_pairs(sf_dir: str, tau: float = 0.2) -> ray.data.Dataset:
     """(doc_a, doc_b, jaccard) for pairs with 3-gram Jaccard ≥ tau.  Exact.
 
-    Shuffle plan: exact-dup pre-collapse → shingles over representatives →
-    groupby(SHINGLE-HASH BUCKET) emits co-occurrence pairs via one
-    vectorized per-bucket self-join (per-doc shingle counts carried on the
-    rows, so the union term needs no size lookup; grouping by the raw
-    shingle costs one Python dispatch per distinct shingle — measured
-    15 s at 100k mostly-unique docs) → groupby(PAIR-HASH BUCKET) counts
-    intersections with one polars group_by per bucket (Ray's generic
-    aggregate dispatches per pair) → member expansion (broadcast lookup
-    of the dup-bounded group table) + within-group pairs at jaccard 1.0.
-    The collapse bounds the per-shingle fan-out: a group of n identical
-    docs costs one row, not O(n²) pairs; remaining super-frequent
-    shingles (templated boilerplate across distinct docs) are capped at
-    MAX_PAIR_GROUP docs with a logged warning."""
+    Shuffle plan: exact-dup pre-collapse → one
+    :func:`.exchange.pair_exchange` over the representatives' shingle
+    rows (per-doc shingle counts ride along, so the union term needs no
+    size lookup): stage 1 emits co-occurrence pairs with one capped
+    self-join per shingle-hash bucket, stage 2 counts each pair's shared
+    shingles per pair-hash bucket and keeps Jaccard ≥ tau → member
+    expansion (map-side join against the dup-group spill) + within-group
+    pairs at jaccard 1.0.  The collapse bounds the per-shingle fan-out: a
+    group of n identical docs costs one row, not O(n²) pairs; a shingle
+    still shared by more than MAX_PAIR_GROUP docs (templated boilerplate
+    across distinct docs) keeps its lowest doc_ids, with a logged
+    warning."""
     dg = _dup_groups(sf_dir)
-    reps = _rep_docs(sf_dir, dg)
-    n_sb = _span_gram_buckets(sf_dir)
+    path = f"{sf_dir}/documents.parquet"
+    cap = MAX_PAIR_GROUP
 
-    def shingle_rows(b: pa.Table) -> pa.Table:
-        return (_doc_shingles(b)
-                .with_columns((pl.col("shingle").hash(seed=0) % n_sb)
-                              .cast(pl.Int32).alias("sb"))
-                .to_arrow())
-
-    sh = reps.map_batches(shingle_rows, batch_format="pyarrow")
-
-    _pairs_empty = pa.table({"doc_a": pa.array([], pa.int64()),
-                             "doc_b": pa.array([], pa.int64()),
-                             "n_a": pa.array([], pa.int64()),
-                             "n_b": pa.array([], pa.int64()),
-                             "pb": pa.array([], pa.int32())})
-
-    def pairs_of_bucket(group: pa.Table) -> pa.Table:
-        # one shingle-hash bucket: cap, then one self-join for all pairs
-        if "doc_id" not in group.column_names or group.num_rows < 2:
-            return _pairs_empty
-        df = (pl.from_arrow(group).sort(["shingle", "doc_id"])
-              .with_columns(pl.int_range(pl.len()).over("shingle")
-                            .alias("rk")))
-        if int(df["rk"].max()) >= MAX_PAIR_GROUP:
-            worst = (df.group_by("shingle").agg(pl.len().alias("n"))
-                     .filter(pl.col("n") > MAX_PAIR_GROUP))
-            logger.warning(
-                "per-shingle pair cap: %d shingles exceed %d docs "
-                "(largest %d); pairs truncated",
-                worst.height, MAX_PAIR_GROUP, int(worst["n"].max()))
-            df = df.filter(pl.col("rk") < MAX_PAIR_GROUP)
-        a = df.select("shingle", pl.col("doc_id").alias("doc_a"),
-                      pl.col("n_shingles").alias("n_a"))
-        b = df.select("shingle", pl.col("doc_id").alias("doc_b"),
-                      pl.col("n_shingles").alias("n_b"))
-        out = (a.join(b, on="shingle")
-               .filter(pl.col("doc_a") < pl.col("doc_b"))
-               .with_columns(((pl.col("doc_a") * 1000003 + pl.col("doc_b"))
-                              % n_sb).cast(pl.Int32).alias("pb"))
-               .select("doc_a", "doc_b", "n_a", "n_b", "pb"))
-        return out.to_arrow().cast(_pairs_empty.schema)
-
-    _counts_empty = pa.table({"doc_a": pa.array([], pa.int64()),
-                              "doc_b": pa.array([], pa.int64()),
-                              "inter": pa.array([], pa.int64()),
-                              "n_a": pa.array([], pa.int64()),
-                              "n_b": pa.array([], pa.int64())})
-
-    def count_bucket(group: pa.Table) -> pa.Table:
-        # one pair-hash bucket: intersection counts, vectorized
-        if "doc_a" not in group.column_names or group.num_rows == 0:
-            return _counts_empty
-        out = (pl.from_arrow(group)
-               .group_by("doc_a", "doc_b")
-               .agg(pl.len().cast(pl.Int64).alias("inter"),
-                    pl.col("n_a").max(),  # constant per doc_a
-                    pl.col("n_b").max()))
-        return (out.select("doc_a", "doc_b", "inter", "n_a", "n_b")
-                .to_arrow().cast(_counts_empty.schema))
-
-    pair_counts = (
-        sh.groupby("sb")
-        .map_groups(pairs_of_bucket, batch_format="pyarrow")
-        .groupby("pb")
-        .map_groups(count_bucket, batch_format="pyarrow")
-    )
-
-    def jaccard(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
-        if df.height == 0 or "doc_a" not in df.columns:
-            return pa.table({"doc_a": pa.array([], pa.int64()),
-                             "doc_b": pa.array([], pa.int64()),
-                             "jaccard": pa.array([], pa.float64())})
-        na = df["n_a"].to_numpy().astype(np.float64)
-        nb = df["n_b"].to_numpy().astype(np.float64)
-        inter = df["inter"].to_numpy().astype(np.float64)
+    def jaccard(df: pl.DataFrame) -> pl.DataFrame:
+        na, nb, inter = (df[c].to_numpy().astype(np.float64)
+                         for c in ("n_a", "n_b", "inter"))
         j = np.round(inter / (na + nb - inter), 6)
-        out = df.with_columns(pl.Series("jaccard", j)).drop("inter", "n_a", "n_b")
-        return out.filter(pl.col("jaccard") >= tau).to_arrow()
+        return (df.with_columns(pl.Series("jaccard", j))
+                .filter(pl.col("jaccard") >= tau))
 
-    rep_pairs = pair_counts.map_batches(jaccard, batch_format="pyarrow")
+    rep_pairs = pair_exchange(
+        _rep_docs(sf_dir, dg), cache_root="/tmp/indri55_pairs",
+        source_path=path,
+        version=f"jaccard-{_PAIRS_VERSION}-n{NGRAM_N}-tau{tau}-cap{cap}",
+        n_buckets=_term_buckets(path), key_col="shingle",
+        map_kernel=lambda df: _doc_shingles(df.to_arrow()).rename(
+            {"n_shingles": "n"}),
+        map_columns=("doc_id", "text"),
+        pair_kernel=lambda df: _self_join_pairs(df, "shingle", cap, ("n",)),
+        pair_schema=_i64("doc_a", "doc_b", "n_a", "n_b"),
+        aggs=[pl.len().alias("inter"), pl.col("n_a").max(),
+              pl.col("n_b").max()],
+        finish=jaccard,
+        out_schema=_PAIR_SCHEMA.append(pa.field("jaccard", pa.float64())))
     if dg.n_groups == 0:  # no exact dups: reps == docs, nothing to expand
         return rep_pairs
     expanded = _expand_rep_pairs(rep_pairs, dg, ["jaccard"])
     # within-group pairs: identical docs share every shingle → jaccard 1.0,
     # but only for docs that HAVE shingles (≥ NGRAM_N tokens), matching the
     # all-pairs oracle which never sees shingle-less docs
-    intra = _intra_group_pairs(dg, {"jaccard": 1.0})
+    intra = _intra_group_pairs(dg, {"jaccard": 1.0}, cap)
     return expanded.union(intra) if 1.0 >= tau else expanded
 
 
@@ -875,96 +806,64 @@ def minhash_signatures(sf_dir: str) -> ray.data.Dataset:
 
 
 def _band_buckets(wide: pl.DataFrame) -> pl.DataFrame:
-    """Wide signatures → (doc_id, bucket, bprefix) band-bucket rows.
+    """Wide signatures → (doc_id, bucket) band-bucket rows.
 
     A bucket is the band index + the band's minhash run joined with '|' —
-    grouping is by EXACT signature equality, so no hash is needed (the SQL
-    oracle joins on the identical string).  ``bprefix`` is the coarse
-    co-location key: the band's first minhash mod 256 (uniform — minhashes
-    are uniform) — every member of a bucket shares it, so one reducer sees
-    the whole bucket, computed numerically instead of a per-row md5."""
+    grouping is by EXACT signature equality (the SQL oracle joins on the
+    identical string); the pair exchange hashes it only to pick a key
+    bucket, and every member of a band bucket lands in the same one."""
     if wide.height == 0:
         return pl.DataFrame({"doc_id": pl.Series([], dtype=pl.Int64),
-                             "bucket": pl.Series([], dtype=pl.String),
-                             "bprefix": pl.Series([], dtype=pl.Int32)})
+                             "bucket": pl.Series([], dtype=pl.String)})
     rows_per_band = NUM_PERMS // LSH_BANDS
     parts = []
     for band in range(LSH_BANDS):
         chunk = [f"h{p}" for p in range(band * rows_per_band, (band + 1) * rows_per_band)]
-        sig = wide.select(
+        parts.append(wide.select(
             "doc_id",
             pl.concat_str([pl.lit(str(band))]
                           + [pl.col(c).cast(pl.String) for c in chunk],
                           separator="|").alias("bucket"),
-            (pl.col(chunk[0]) % 256).cast(pl.Int32).alias("bprefix"),
-        )
-        parts.append(sig)
+        ))
     return pl.concat(parts)
 
 
 def lsh_candidate_pairs(sf_dir: str) -> ray.data.Dataset:
     """(doc_a, doc_b) candidate near-dup pairs from banded MinHash buckets.
 
-    Band key = md5(band || concatenated minhashes of the band's rows);
-    pairs sharing any bucket, deduplicated.  Runs over exact-dup
-    representatives (identical content → identical signature → the group
-    would otherwise put all n copies in one bucket and cost O(n²) in a
-    single reducer), then expands back to members — identical docs are
-    trivially candidates of each other and of everything their rep pairs
-    with, so the result equals the all-docs oracle."""
+    Band key = the band index and its minhashes; pairs sharing any
+    bucket, deduplicated.  Runs over exact-dup representatives (identical
+    content → identical signature → the group would otherwise put all n
+    copies in one bucket and cost O(n²) in a single reducer), then
+    expands back to members — identical docs are trivially candidates of
+    each other and of everything their rep pairs with, so the result
+    equals the all-docs oracle.
+
+    Shuffle plan: one :func:`.exchange.pair_exchange` — stage 1 emits
+    each band bucket's pairs with one capped self-join per bucket-hash
+    bucket (a band bucket of more than MAX_PAIR_GROUP distinct docs keeps
+    its lowest doc_ids, with a logged warning), stage 2 dedups pairs that
+    shared several buckets per pair-hash bucket."""
     dg = _dup_groups(sf_dir)
-    reps = _rep_docs(sf_dir, dg)
-
-    def bucketize(batch: pa.Table) -> pa.Table:
-        # bprefix rides along from _band_buckets: 256 coarse groups put
-        # every member of a bucket in the same reducer with NO boundary
-        # cases, while per-group Python dispatch cost stays one call per
-        # prefix (not per mostly-singleton bucket)
-        return _band_buckets(_minhash_wide(_doc_shingles(batch))).to_arrow()
-
-    buckets = reps.map_batches(bucketize, batch_format="pyarrow")
-
-    def pairs_of_prefix(group: pa.Table) -> pa.Table:
-        if "doc_id" not in group.column_names or group.num_rows == 0:
-            return _EMPTY_PAIRS
-        g = (pl.from_arrow(group)
-             .group_by("bucket")
-             .agg(pl.col("doc_id").unique().sort().alias("ids"))
-             .filter(pl.col("ids").list.len() >= 2))
-        out_a: list[np.ndarray] = []
-        out_b: list[np.ndarray] = []
-        for ids in g["ids"].to_list():
-            n = len(ids)
-            if n > MAX_PAIR_GROUP:
-                logger.warning(
-                    "LSH bucket cap: %d distinct docs in one bucket; "
-                    "truncated to %d", n, MAX_PAIR_GROUP)
-                ids, n = ids[:MAX_PAIR_GROUP], MAX_PAIR_GROUP
-            arr = np.asarray(ids, dtype=np.int64)
-            ia, ib = np.triu_indices(n, k=1)
-            out_a.append(arr[ia])
-            out_b.append(arr[ib])
-        a = np.concatenate(out_a) if out_a else np.empty(0, np.int64)
-        b = np.concatenate(out_b) if out_b else np.empty(0, np.int64)
-        return pa.table({"doc_a": pa.array(a, pa.int64()),
-                         "doc_b": pa.array(b, pa.int64())})
-
-    pairs = buckets.groupby("bprefix").map_groups(
-        pairs_of_prefix, batch_format="pyarrow")
-    # dedup pairs that shared several buckets
-    from ray.data.aggregate import Count
-
-    rep_pairs = (
-        pairs.groupby(["doc_a", "doc_b"])
-        .aggregate(Count(alias_name="n_buckets"))
-        .drop_columns(["n_buckets"])
-    )
+    path = f"{sf_dir}/documents.parquet"
+    cap = MAX_PAIR_GROUP
+    rep_pairs = pair_exchange(
+        _rep_docs(sf_dir, dg), cache_root="/tmp/indri55_pairs",
+        source_path=path,
+        version=(f"lsh-{_PAIRS_VERSION}-n{NGRAM_N}-p{NUM_PERMS}"
+                 f"-b{LSH_BANDS}-cap{cap}"),
+        n_buckets=_term_buckets(path), key_col="bucket",
+        map_kernel=lambda df: _band_buckets(
+            _minhash_wide(_doc_shingles(df.to_arrow()))),
+        map_columns=("doc_id", "text"),
+        pair_kernel=lambda df: _self_join_pairs(df, "bucket", cap),
+        pair_schema=_PAIR_SCHEMA, aggs=[], out_schema=_PAIR_SCHEMA)
     if dg.n_groups == 0:  # no exact dups: candidate set is final and unique
         return rep_pairs
     expanded = _expand_rep_pairs(rep_pairs, dg, [])
     # within-group candidates: any group with ≥2 members whose rep produces
     # band buckets (i.e. has ≥1 shingle → ≥ NGRAM_N tokens)
-    intra = _intra_group_pairs(dg, {})
+    intra = _intra_group_pairs(dg, {}, cap)
     # no final dedup shuffle needed: rep pairs were already unique, the
     # member expansion maps them injectively, and intra pairs (same content
     # group) are disjoint from expanded pairs (different content groups)
@@ -1193,86 +1092,27 @@ def fingerprint_dup_pairs(sf_dir: str, min_shared: int = 2) -> ray.data.Dataset:
     Jaccard misses and exact dedup never sees.
 
     Shuffle plan: the per-batch winnowing pass (:func:`~indri_5_5_ray.
-    functions.textstats.doc_fingerprints`, no shuffle) → groupby(FP-HASH
-    BUCKET) emits co-occurrence pairs via one vectorized per-bucket
-    self-join (grouping by the raw fp costs one Python dispatch per
-    distinct fingerprint; a hot boilerplate fingerprint group is capped
-    at MAX_PAIR_GROUP docs with a logged warning, the same bound as the
-    shingle pair generator — past the cap, pairs are DROPPED and surviving
-    pairs' n_shared undercounts fps routed through truncated groups, so a
-    corpus that trips the warning diverges from the exact SQL oracle;
-    raise INDRI55_MAX_PAIR_GROUP for exactness there) → groupby(PAIR-HASH
-    BUCKET) counts shared fingerprints with one polars group_by per
-    bucket — both exchanges move pair rows, never documents."""
+    functions.textstats.doc_fingerprints`, no shuffle) → one
+    :func:`.exchange.pair_exchange`: stage 1 emits co-occurrence pairs
+    with one capped self-join per fp-hash bucket, stage 2 counts shared
+    fingerprints per pair-hash bucket and keeps ≥ ``min_shared`` — both
+    stages move key and pair rows, never documents.  A hot boilerplate
+    fingerprint keeps its MAX_PAIR_GROUP lowest doc_ids with a logged
+    warning; past the cap, pairs are DROPPED and surviving pairs'
+    n_shared undercounts fps routed through truncated keys, so a corpus
+    that trips the warning diverges from the exact SQL oracle (raise
+    INDRI55_MAX_PAIR_GROUP for exactness there)."""
     from .textstats import doc_fingerprints
 
-    n_fb = _span_gram_buckets(sf_dir)
-
-    def fp_rows(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.append_column("fb", pa.array([], pa.int32()))
-        return (pl.from_arrow(batch)
-                .with_columns((pl.col("fp").hash(seed=0) % n_fb)
-                              .cast(pl.Int32).alias("fb"))
-                .to_arrow())
-
-    _fp_pairs_empty = pa.table({"doc_a": pa.array([], pa.int64()),
-                                "doc_b": pa.array([], pa.int64()),
-                                "pb": pa.array([], pa.int32())})
-
-    def pairs_of_bucket(group: pa.Table) -> pa.Table:
-        # one fp-hash bucket: cap, then one self-join for all pairs
-        if "doc_id" not in group.column_names or group.num_rows < 2:
-            return _fp_pairs_empty
-        df = (pl.from_arrow(group).sort(["fp", "doc_id"])
-              .with_columns(pl.int_range(pl.len()).over("fp").alias("rk")))
-        if int(df["rk"].max()) >= MAX_PAIR_GROUP:
-            worst = (df.group_by("fp").agg(pl.len().alias("n"))
-                     .filter(pl.col("n") > MAX_PAIR_GROUP))
-            logger.warning(
-                "per-fingerprint pair cap: %d fps exceed %d docs "
-                "(largest %d); pairs truncated",
-                worst.height, MAX_PAIR_GROUP, int(worst["n"].max()))
-            df = df.filter(pl.col("rk") < MAX_PAIR_GROUP)
-        a = df.select("fp", pl.col("doc_id").alias("doc_a"))
-        b = df.select("fp", pl.col("doc_id").alias("doc_b"))
-        out = (a.join(b, on="fp")
-               .filter(pl.col("doc_a") < pl.col("doc_b"))
-               .with_columns(((pl.col("doc_a") * 1000003 + pl.col("doc_b"))
-                              % n_fb).cast(pl.Int32).alias("pb"))
-               .select("doc_a", "doc_b", "pb"))
-        return out.to_arrow().cast(_fp_pairs_empty.schema)
-
-    _fp_counts_empty = pa.table({"doc_a": pa.array([], pa.int64()),
-                                 "doc_b": pa.array([], pa.int64()),
-                                 "n_shared": pa.array([], pa.int64())})
-
-    def count_bucket(group: pa.Table) -> pa.Table:
-        if "doc_a" not in group.column_names or group.num_rows == 0:
-            return _fp_counts_empty
-        out = (pl.from_arrow(group)
-               .group_by("doc_a", "doc_b")
-               .agg(pl.len().cast(pl.Int64).alias("n_shared")))
-        return (out.select("doc_a", "doc_b", "n_shared")
-                .to_arrow().cast(_fp_counts_empty.schema))
-
-    pairs = (
-        doc_fingerprints(sf_dir)
-        .map_batches(fp_rows, batch_format="pyarrow")
-        .groupby("fb")
-        .map_groups(pairs_of_bucket, batch_format="pyarrow")
-        .groupby("pb")
-        .map_groups(count_bucket, batch_format="pyarrow")
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        empty = pa.table({"doc_a": pa.array([], pa.int64()),
-                          "doc_b": pa.array([], pa.int64()),
-                          "n_shared": pa.array([], pa.int64())})
-        if batch.num_rows == 0 or "doc_a" not in batch.column_names:
-            return empty
-        df = pl.from_arrow(batch).filter(pl.col("n_shared") >= min_shared)
-        return df.select("doc_a", "doc_b", "n_shared").to_arrow().cast(
-            empty.schema)
-
-    return pairs.map_batches(finish, batch_format="pyarrow")
+    path = f"{sf_dir}/documents.parquet"
+    cap = MAX_PAIR_GROUP
+    return pair_exchange(
+        doc_fingerprints(sf_dir), cache_root="/tmp/indri55_pairs",
+        source_path=path,
+        version=f"fp-{_PAIRS_VERSION}-min{min_shared}-cap{cap}",
+        n_buckets=_term_buckets(path), key_col="fp",
+        map_kernel=lambda df: df, map_columns=("doc_id", "fp"),
+        pair_kernel=lambda df: _self_join_pairs(df, "fp", cap),
+        pair_schema=_PAIR_SCHEMA, aggs=[pl.len().alias("n_shared")],
+        finish=lambda df: df.filter(pl.col("n_shared") >= min_shared),
+        out_schema=_i64("doc_a", "doc_b", "n_shared"))

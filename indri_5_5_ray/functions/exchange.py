@@ -9,10 +9,11 @@ per group.  Here the exchange is durable files:
 
 * map (one task per corpus batch): the caller's kernel emits key rows with
   an int32 bucket column (key-hash % n_buckets); the wrapper sorts by
-  bucket and writes ONE uniquely named part file per batch with
-  bucket-aligned row groups, so a reducer's predicate-pushdown read
-  prunes to its slice (the input needs no id column and its batches may
-  share any values);
+  bucket and writes ONE part file per batch with bucket-aligned row
+  groups, so a reducer's predicate-pushdown read prunes to its slice (the
+  input needs no id column and its batches may share any values).  Parts
+  are named by (map task id, batch ordinal): a retried map task
+  overwrites its first attempt's parts instead of adding to them;
 * reduce (one Ray task per bucket, ``num_cpus=0.9``): read the bucket's
   slice (every occurrence of a key lands in one bucket, so in-bucket
   aggregation is globally exact), run the caller's kernel, write the
@@ -26,23 +27,46 @@ Multi-node note: part/output files go through the cache root — on a real
 cluster that root must be shared storage (object store/NFS), exactly like
 the build's partials.  Per-task memory is one bucket; size ``n_buckets``
 by input bytes (the callers use ~32 MB of compressed corpus per bucket).
+
+:func:`pair_exchange` chains two exchanges for the near-dup pair
+operators: key rows → capped pairs per key bucket → one combined row per
+pair, per pair-hash bucket.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
-import uuid
 from typing import Callable
 
 import pyarrow as pa
 import ray
+import ray.data
 
 from ..cachedir import ensure_cached_dir, source_key
 
 
+# [(task id, attempt), batches written] of the map task running in this worker
+_PART_SEQ: list = [None, 0]
+
+
+def _part_name() -> str:
+    """``part-{task id}-{ordinal}``.  A retried map task re-runs its
+    batches in the same order under the same task id, so it rewrites the
+    same names; a random name would leave the first attempt's parts
+    behind and the reduce would count them twice."""
+    from ray._private.worker import global_worker
+
+    tid = ray.get_runtime_context().get_task_id()
+    attempt = (tid, global_worker.core_worker.get_current_task_attempt_number())
+    if _PART_SEQ[0] != attempt:  # new task, or an in-process retry
+        _PART_SEQ[:] = [attempt, 0]
+    _PART_SEQ[1] += 1
+    return f"part-{tid}-{_PART_SEQ[1]:06d}"
+
+
 def bucket_exchange(
-    docs: "ray.data.Dataset",
+    docs: "ray.data.Dataset | Callable[[str], ray.data.Dataset]",
     *,
     cache_root: str,
     source_path: str,
@@ -51,7 +75,7 @@ def bucket_exchange(
     bucket_col: str,
     map_kernel: Callable,          # pl.DataFrame(batch cols) -> pl.DataFrame
     map_columns: tuple[str, ...],  # batch columns handed to map_kernel
-    reduce_columns: list[str],     # pushdown-read columns for reduce_kernel
+    reduce_columns: list[str] | None,  # columns reduce_kernel reads (None: all)
     reduce_kernel: Callable,       # pl.DataFrame -> (pl.DataFrame|None, int)
     out_schema: pa.Schema,
     out_dirname: str,
@@ -72,7 +96,16 @@ def bucket_exchange(
     only when non-empty.  ``metric`` is an int or a tuple of ints — tuples
     are summed elementwise across buckets (for callers whose finalize
     needs several global constants, e.g. per-class token totals), and
-    every bucket must return the same arity."""
+    every bucket must return the same arity.
+
+    ``docs`` may be a callable ``scratch_dir -> Dataset``: it runs only on
+    a cache miss, and ``scratch_dir`` (inside this exchange's tmp dir) is
+    deleted once the map phase is done — :func:`pair_exchange` builds its
+    first exchange there.
+
+    ``version`` carries every parameter the output depends on (n-gram
+    size, thresholds applied in a reduce, pair cap, LSH seeds/tables/
+    planes) and never ``n_buckets``: outputs are bucket-count invariant."""
     import json
 
     def build(tmp: str) -> None:
@@ -89,12 +122,14 @@ def bucket_exchange(
                 return pa.table({"rows": pa.array([], pa.int64())})
             out = map_kernel(pl.from_arrow(batch.select(map_columns)))
             t = out.sort(bucket_col).to_arrow()
-            pq.write_table(t, f"{keys_dir}/part-{uuid.uuid4().hex}.parquet",
+            pq.write_table(t, f"{keys_dir}/{_part_name()}.parquet",
                            row_group_size=max(256,
                                               t.num_rows // n_buckets))
             return pa.table({"rows": pa.array([t.num_rows], pa.int64())})
 
-        docs.map_batches(part, batch_format="pyarrow").materialize()
+        src = docs(f"{tmp}/in") if callable(docs) else docs
+        src.map_batches(part, batch_format="pyarrow").materialize()
+        shutil.rmtree(f"{tmp}/in", ignore_errors=True)
         # zero-doc corpus: no part file was written, so the exchange
         # dataset has no schema — skip the reduce entirely
         have_parts = any(f.endswith(".parquet") for f in os.listdir(keys_dir))
@@ -144,3 +179,90 @@ def bucket_exchange(
 
     return ensure_cached_dir(cache_root, source_key(source_path, version),
                              build, marker="meta.json")
+
+
+def read_exchange(spill: str, dirname: str,
+                  schema: pa.Schema) -> "ray.data.Dataset":
+    """An exchange's output shards as a Dataset.  A zero-row output is one
+    explicit empty block: ``read_parquet`` over only-empty files keeps the
+    schema, but ``to_pandas`` drops the columns."""
+    import json
+
+    with open(f"{spill}/meta.json") as f:
+        if json.load(f)["rows"] == 0:
+            return ray.data.from_arrow(schema.empty_table())
+    return ray.data.read_parquet(f"{spill}/{dirname}")
+
+
+def pair_exchange(
+    keys: "ray.data.Dataset",
+    *,
+    cache_root: str,
+    source_path: str,
+    version: str,
+    n_buckets: int,
+    key_col: str,
+    map_kernel: Callable,          # pl.DataFrame(batch cols) -> key rows
+    map_columns: tuple[str, ...],
+    pair_kernel: Callable,         # one key bucket -> pair rows
+    pair_schema: pa.Schema,        # pair rows; the first two fields are the pair
+    aggs: list,                    # polars aggregations per pair ([] = unique)
+    out_schema: pa.Schema,
+    finish: Callable | None = None,  # combined rows of one pair bucket -> kept
+) -> "ray.data.Dataset":
+    """The near-dup pair operators' shuffle: two chained exchanges, read
+    back as a Dataset over the combined pair shards.
+
+    * stage 1 buckets ``map_kernel``'s key rows by the hash of
+      ``key_col``; every row of a key lands in one bucket, so
+      ``pair_kernel`` (which may cap a hot key) sees the whole key;
+    * stage 2 re-buckets those pairs by pair hash and runs
+      ``group_by(pair).agg(aggs)`` then ``finish`` per bucket, so a pair
+      emitted from several keys is combined exactly once (count, unique
+      or max).
+
+    Stage 1 is built inside stage 2's tmp dir and deleted before stage
+    2's cache dir is renamed into place; a stage-2 cache hit runs
+    neither.  Both stages use ``n_buckets`` (outputs do not depend on
+    it)."""
+    import polars as pl
+
+    a, b = pair_schema.names[:2]
+
+    def keyed(df: "pl.DataFrame") -> "pl.DataFrame":
+        return map_kernel(df).with_columns(
+            (pl.col(key_col).hash(seed=0) % n_buckets).cast(pl.Int32)
+            .alias("kb"))
+
+    def pairs(df: "pl.DataFrame"):
+        out = pair_kernel(df).select(pair_schema.names)
+        return out, out.height
+
+    def stage1(scratch: str) -> "ray.data.Dataset":
+        spill = bucket_exchange(
+            keys, cache_root=scratch, source_path=source_path,
+            version=version, n_buckets=n_buckets, bucket_col="kb",
+            map_kernel=keyed, map_columns=map_columns,
+            reduce_columns=None, reduce_kernel=pairs,
+            out_schema=pair_schema, out_dirname="pairs",
+            out_prefix="pairs-kb", empty_name="pairs-")
+        return ray.data.read_parquet(f"{spill}/pairs")
+
+    def pair_hashed(df: "pl.DataFrame") -> "pl.DataFrame":
+        return df.with_columns(
+            (pl.struct(a, b).hash(seed=0) % n_buckets).cast(pl.Int32)
+            .alias("pb"))
+
+    def combine(df: "pl.DataFrame"):
+        out = df.group_by(a, b).agg(aggs)
+        out = (finish(out) if finish else out).select(out_schema.names)
+        return out, out.height
+
+    spill = bucket_exchange(
+        stage1, cache_root=cache_root, source_path=source_path,
+        version=version, n_buckets=n_buckets, bucket_col="pb",
+        map_kernel=pair_hashed, map_columns=tuple(pair_schema.names),
+        reduce_columns=pair_schema.names, reduce_kernel=combine,
+        out_schema=out_schema, out_dirname="pairs", out_prefix="pairs-pb",
+        empty_name="pairs-")
+    return read_exchange(spill, "pairs", out_schema)

@@ -12,7 +12,7 @@ re-expression:
   anchor-text field source);
 * :func:`pagerank` — damped power iteration over an edge table using the
   engine's FILESYSTEM bucket exchange (the `_dedup_losers` /
-  `_dup_groups` shape): per iteration, one task per SRC bucket joins its
+  `exchange.bucket_exchange` shape): per iteration, one task per SRC bucket joins its
   score shard with its edge shard and writes dst-bucketed partial
   contributions; one task per DST bucket sums them and writes the next
   score shard.  Driver state is file paths and counts — never the score

@@ -218,7 +218,7 @@ def embedding_lsh_pairs(sf_dir: str, tau: float = 0.4, n_tables: int = 8,
     cosine ≥ tau, so every output pair is true — the approximation is
     RECALL only (pairs whose vectors collide in no table are missed;
     measured against :func:`cosine_pairs` in tests/bench).  Pairs found
-    by several tables are deduplicated by a pair-key groupby.
+    by several tables are deduplicated in the pair-hash stage.
 
     ``planes`` MUST grow with the corpus or the route degenerates to
     quadratic (expected bucket size is N/2^planes; in-bucket work is its
@@ -237,147 +237,98 @@ def embedding_lsh_pairs(sf_dir: str, tau: float = 0.4, n_tables: int = 8,
     configuration, quadratic by construction, for verification only on
     inputs of ≤ MAX_PAIR_GROUP vectors.
 
-    Shuffle plan: one map pass emits (table, code) keyed rows per vector —
+    Shuffle plan: one :func:`.exchange.pair_exchange`.  Its map pass
+    emits one (vec_id, embedding, tcode) row per vector per table —
     the exchange replicates each embedding ``n_tables`` times by
     construction (banding needs the vector co-located in EVERY table's
     bucket to verify cosines in-bucket; that factor is the price of
     precision 1.0 and bounds total shuffled bytes at n_tables × corpus).
-    ``groupby(mixed (table, code) hash)`` runs one kernel per group —
-    the splitmix mix spreads DIFFERENT tables' buckets across groups, so
-    a group holds ~(distinct codes / groups) buckets, not one aligned
-    bucket from every table.  Pair dedup (a pair found by several tables)
-    is a groupby(PAIR-HASH BUCKET) with one polars group_by per bucket —
-    pair rows only; Ray's generic per-pair aggregate dispatches once per
-    pair (the measured bottleneck ``ngram_jaccard_pairs`` moved off).
-    Edges feed ``_components_assign`` / ``connected_components_dist``
-    unchanged."""
+    Stage 1 verifies cosines per (table, code) bucket within each
+    tcode-hash bucket; stage 2 keeps one row per pair (the max of its
+    identical rounded cosines) per pair-hash bucket.  Edges feed
+    ``_components_assign`` / ``connected_components_dist`` unchanged."""
     import logging
 
     import polars as pl
 
     from .dedup import MAX_PAIR_GROUP
+    from .exchange import pair_exchange
+    from .textstats import _term_buckets
 
     logger = logging.getLogger(__name__)
+    path = f"{sf_dir}/embeddings.parquet"
+    cap = MAX_PAIR_GROUP
     rng = np.random.default_rng(LSH_SEED)
     if planes is None:
         import pyarrow.parquet as _pq
 
-        n_rows = _pq.read_metadata(f"{sf_dir}/embeddings.parquet").num_rows
+        n_rows = _pq.read_metadata(path).num_rows
         planes = int(min(24, max(
             4, np.ceil(np.log2(max(1, n_rows / LSH_TARGET_BUCKET))))))
     planes = max(0, planes)
 
     # per-table plane matrices, derived from one stream; dim from the schema
-    first = _first_n_by_vec_id(f"{sf_dir}/embeddings.parquet", 1)
+    first = _first_n_by_vec_id(path, 1)
     _, m0 = _batch_matrix(first)
     dim = m0.shape[1] if m0.size else 0
     H = [rng.standard_normal((planes, dim)) for _ in range(n_tables)]
     h_ref = ray.put(H)
 
-    def bucketize(batch: pa.Table) -> pa.Table:
-        H_ = ray.get(h_ref)
-        ids, M = _batch_matrix(batch)
-        if not len(ids):
-            return pa.table({"vec_id": pa.array([], pa.int64()),
-                             "embedding": batch.column("embedding"),
-                             "tcode": pa.array([], pa.int64()),
-                             "cprefix": pa.array([], pa.int32())})
+    def bucketize(df: pl.DataFrame) -> pl.DataFrame:
+        ids, M = _batch_matrix(df.to_arrow())
         Mn = M / np.linalg.norm(M, axis=1, keepdims=True)
         out = []
-        for t, Ht in enumerate(H_):
+        for t, Ht in enumerate(ray.get(h_ref)):
             if planes:
                 sig = (Mn @ Ht.T > 0).astype(np.int64)
                 code = (sig << np.arange(planes, dtype=np.int64)).sum(axis=1)
             else:
                 code = np.zeros(len(ids), np.int64)
             # table id in the high bits → (table, code) is one int key
-            out.append(pa.table({
-                "vec_id": pa.array(ids, pa.int64()),
-                "embedding": batch.column("embedding"),
-                "tcode": pa.array((np.int64(t) << 32) | code, pa.int64()),
-            }))
-        t_all = pa.concat_tables(out)
-        # coarse group code: splitmix64-mix the full (table, code) key
-        # before the modulus — the raw low bits are the CODE bits, which
-        # would collapse every table's equal-code bucket into one group
-        # (per-task memory n_tables × the per-bucket bound)
-        n_groups = np.uint64(max(1, min(4096, n_tables * (1 << planes))))
-        x = t_all.column("tcode").to_numpy().astype(np.uint64)
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        x ^= x >> np.uint64(31)
-        return t_all.append_column("cprefix", pa.array(
-            (x % n_groups).astype(np.int32), pa.int32()))
+            out.append(df.with_columns(
+                pl.Series("tcode", (np.int64(t) << 32) | code)))
+        return pl.concat(out)
 
-    _pairs_empty = pa.table({"vec_id_a": pa.array([], pa.int64()),
-                             "vec_id_b": pa.array([], pa.int64()),
-                             "cosine": pa.array([], pa.float64())})
-    _pairs_pb_empty = _pairs_empty.append_column(
-        "pb", pa.array([], pa.int32()))
-    # pair-hash bucket count, scaled by the embeddings table's bytes
-    import os as _os
-
-    n_pb = int(max(16, min(2048,
-                           _os.stat(f"{sf_dir}/embeddings.parquet").st_size
-                           // (4 << 20) + 16)))
-
-    def pairs_of_group(group: pa.Table) -> pa.Table:
-        if "vec_id" not in group.column_names or group.num_rows < 2:
-            return _pairs_pb_empty
-        ids, M = _batch_matrix(group)
+    def verified_pairs(df: pl.DataFrame) -> pl.DataFrame:
+        ids, M = _batch_matrix(df.to_arrow())
         Mn = M / np.linalg.norm(M, axis=1, keepdims=True)
-        codes = group.column("tcode").to_numpy()
-        o_a, o_b, o_c = [], [], []
+        codes = df["tcode"].to_numpy()
+        o_a, o_b, o_c = ([np.empty(0, np.int64)], [np.empty(0, np.int64)],
+                         [np.empty(0)])
         for c in np.unique(codes):
             idx = np.nonzero(codes == c)[0]
             if len(idx) < 2:
                 continue
-            if len(idx) > MAX_PAIR_GROUP:
+            if len(idx) > cap:
                 logger.warning(
                     "embedding LSH bucket cap: %d vectors in one bucket; "
-                    "truncated to the %d lowest vec_ids", len(idx),
-                    MAX_PAIR_GROUP)
-                # keep the LOWEST vec_ids: group row order is a Ray
-                # scheduling artifact, so a positional prefix would make
-                # the emitted edges vary run to run
-                idx = idx[np.argsort(ids[idx])[:MAX_PAIR_GROUP]]
+                    "truncated to the %d lowest vec_ids", len(idx), cap)
+                # keep the LOWEST vec_ids: row order is a scheduling
+                # artifact, so a positional prefix would vary run to run
+                idx = idx[np.argsort(ids[idx])[:cap]]
             A = Mn[idx]
             S = np.round(A @ A.T, 6)  # same rounding rule as cosine_pairs
             I, J = np.nonzero(S >= tau)
             keep = ids[idx[I]] < ids[idx[J]]
             I, J = I[keep], J[keep]
-            if len(I):
-                o_a.append(ids[idx[I]])
-                o_b.append(ids[idx[J]])
-                o_c.append(S[I, J])
-        if not o_a:
-            return _pairs_pb_empty
-        aa = np.concatenate(o_a)
-        bb = np.concatenate(o_b)
-        return pa.table({
-            "vec_id_a": pa.array(aa, pa.int64()),
-            "vec_id_b": pa.array(bb, pa.int64()),
-            "cosine": pa.array(np.concatenate(o_c), pa.float64()),
-            "pb": pa.array(((aa * 1000003 + bb) % n_pb).astype(np.int32),
-                           pa.int32()),
-        })
+            o_a.append(ids[idx[I]])
+            o_b.append(ids[idx[J]])
+            o_c.append(S[I, J])
+        return pl.DataFrame({"vec_id_a": np.concatenate(o_a),
+                             "vec_id_b": np.concatenate(o_b),
+                             "cosine": np.concatenate(o_c)})
 
-    def dedup_bucket(group: pa.Table) -> pa.Table:
-        # one pair-hash bucket: a pair found by several tables carries the
-        # same rounded cosine; one vectorized group_by per bucket dedups
-        if "vec_id_a" not in group.column_names or group.num_rows == 0:
-            return _pairs_empty
-        out = (pl.from_arrow(group)
-               .group_by("vec_id_a", "vec_id_b")
-               .agg(pl.col("cosine").max()))
-        return (out.select("vec_id_a", "vec_id_b", "cosine")
-                .to_arrow().cast(_pairs_empty.schema))
-
-    return (_emb(sf_dir).map_batches(bucketize, batch_format="pyarrow")
-            .groupby("cprefix").map_groups(pairs_of_group,
-                                           batch_format="pyarrow")
-            .groupby("pb").map_groups(dedup_bucket,
-                                      batch_format="pyarrow"))
+    pair_schema = pa.schema([("vec_id_a", pa.int64()),
+                             ("vec_id_b", pa.int64()),
+                             ("cosine", pa.float64())])
+    return pair_exchange(
+        _emb(sf_dir), cache_root="/tmp/indri55_pairs", source_path=path,
+        version=(f"emb-v1-tau{tau}-t{n_tables}-p{planes}-seed{LSH_SEED}"
+                 f"-cap{cap}"),
+        n_buckets=_term_buckets(path), key_col="tcode",
+        map_kernel=bucketize, map_columns=("vec_id", "embedding"),
+        pair_kernel=verified_pairs, pair_schema=pair_schema,
+        aggs=[pl.col("cosine").max()], out_schema=pair_schema)
 
 
 # ---------------------------------------------------------------------------

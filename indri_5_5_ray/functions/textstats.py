@@ -181,10 +181,8 @@ def ngram_counts(sf_dir: str, n: int = 2,
     survivors are on disk, and a rerun with unchanged inputs is free."""
     if n < 2:
         raise ValueError("use term_stats for unigrams")
-    import json as _json
-
     from .dedup import _span_gram_buckets
-    from .exchange import bucket_exchange
+    from .exchange import bucket_exchange, read_exchange
 
     n_gb = _span_gram_buckets(sf_dir)
 
@@ -223,12 +221,7 @@ def ngram_counts(sf_dir: str, n: int = 2,
         reduce_columns=["gram", "cf", "df"], reduce_kernel=sum_prune,
         out_schema=_NGRAM_SCHEMA, out_dirname="grams",
         out_prefix="grams-b", out_row_group=65536, empty_name="grams-")
-    with open(f"{final}/meta.json") as f:
-        if _json.load(f)["rows"] == 0:
-            # read_parquet over only-empty files keeps the schema but
-            # to_pandas drops the columns; hand back one explicit block
-            return ray.data.from_arrow(_NGRAM_SCHEMA.empty_table())
-    return ray.data.read_parquet(f"{final}/grams")
+    return read_exchange(final, "grams", _NGRAM_SCHEMA)
 
 
 def top_terms(sf_dir: str, n: int = 20) -> ray.data.Dataset:

@@ -196,6 +196,9 @@ def _dedup_losers(chunk_dicts: list[dict], cfg: IndexConfig, out_dir: str,
     # each task WRITES its doc_id-sorted loser shard — ingest's range-pruned
     # lookup reads the directory, and the driver only sums counts
     n = sum(ray.get([reduce_t.remote([b]) for b in range(_DEDUP_BUCKETS)]))
+    # the key parts are intermediate (nothing reads them once the loser
+    # shards exist) — drop them before the record marks the phase done
+    shutil.rmtree(f"{out_dir}/dedup_keys", ignore_errors=True)
     _lineage.write_record(
         out_dir, "dedup", "all", fingerprint, rows=n, bytes_written=0,
         wall_ms=(time.perf_counter() - t0) * 1000,

@@ -267,9 +267,12 @@ def test_resume_skips_completed_chunks(small_corpus_dir, tmp_path):
     cfg = IndexConfig(max_chunk_docs=64, n_buckets=4, dedup_key="sha256")
     a = str(tmp_path / "a")
     m1 = build_index(small_corpus_dir, a, cfg, resume=False)
+    # the dedup phase's key parts are intermediate: none left in the index
+    assert not (Path(a) / "dedup_keys").exists()
     # finished build: resume returns the same manifest without rebuilding
     m2 = build_index(small_corpus_dir, a, cfg, resume=True)
     assert m1 == m2
+    assert not (Path(a) / "dedup_keys").exists()
 
     # simulate a crash after ingest: delete the manifest + merged outputs
     b_dir = Path(a)

@@ -11,7 +11,11 @@ copies of earlier docs (web-crawl-like duplication), then:
 2. runs ``_dup_groups`` over an equally duplicated documents table — the
    group spill is written task-side, so the driver again only holds a
    path + two counts;
-3. cross-checks the loser count against the construction (exact expected
+3. runs ``lsh_candidate_pairs`` over that table (dup-group spill warm,
+   pair-exchange spills cleared first): both pair stages are bucket
+   exchanges, so driver RSS stays flat while the expanded candidate set
+   grows quadratically in the group sizes;
+4. cross-checks the loser count against the construction (exact expected
    value) and re-runs a killed-chunk resume-style second build call to
    confirm the lineage skip still returns the same manifest.
 
@@ -146,7 +150,7 @@ def main() -> None:
 
     ray.init(address="local", num_cpus=args.cpus, include_dashboard=False)
     from indri_5_5_ray.config import IndexConfig
-    from indri_5_5_ray.functions.dedup import _dup_groups
+    from indri_5_5_ray.functions.dedup import _dup_groups, lsh_candidate_pairs
     from indri_5_5_ray.pipelines.build import build_index
 
     wd = args.workdir
@@ -204,6 +208,19 @@ def main() -> None:
     spill_mb = sum(os.path.getsize(f"{gdir}/{f}")
                    for f in os.listdir(gdir)) / 1e6
     res["group_spill_mb"] = round(spill_mb, 1)
+
+    # phase 3: MinHash-LSH candidate pairs over the same table
+    shutil.rmtree("/tmp/indri55_pairs", ignore_errors=True)
+    t0 = time.perf_counter()
+    with RssSampler() as samp3:
+        n_pairs = lsh_candidate_pairs(f"{wd}/docs_tbl").count()
+    res["lsh_pairs_s"] = round(time.perf_counter() - t0, 1)
+    res["lsh_pairs"] = n_pairs
+    res["driver_rss_mb_lsh"] = {
+        "start": round(samp3.samples[0], 1),
+        "peak": round(max(samp3.samples), 1),
+        "end": round(samp3.samples[-1], 1),
+    }
 
     print(json.dumps(res))
     ray.shutdown()
