@@ -348,15 +348,26 @@ def run_bench() -> dict:
     def _events_5ops() -> int:
         # the whole event-operator family over the events table: tumbling +
         # hopping windows, sessionization, as-of join, per-user rollup
+        # (exchange spills cleared first so the row times the pipeline)
+        import shutil as _sh
+
         from indri_5_5_ray.functions import events
+        _sh.rmtree("/tmp/indri55_events", ignore_errors=True)
         return sum(
             fn(SF_DIR).count()
             for fn in (events.tumbling_counts, events.hopping_counts,
                        events.sessionize, events.asof_join_events,
                        events.user_activity))
 
+    def _term_stats_fresh() -> int:
+        import shutil as _sh
+
+        _sh.rmtree("/tmp/indri55_ngrams", ignore_errors=True)
+        return textstats.term_stats(SF_DIR).count()
+
     for name, fn in [
-        ("term_stats", lambda: textstats.term_stats(SF_DIR).count()),
+        # gram-exchange spill cleared first (shared with ngram_counts)
+        ("term_stats", _term_stats_fresh),
         # pair-exchange spills cleared first (the dup-group spill stays)
         ("minhash_lsh", _minhash_lsh_fresh),
         # NEW r5: substring-level dedup measure — filesystem gram-bucket

@@ -35,9 +35,8 @@ import polars as pl
 import pyarrow as pa
 import ray.data
 
-from .exchange import bucket_exchange
-from .textstats import (_DOC_PARTIAL_SCHEMA, _doc_sums, _term_buckets,
-                        read_spread, tokens_expr)
+from .exchange import bucket_count, bucket_exchange
+from .textstats import _DOC_PARTIAL_SCHEMA, _doc_sums, read_spread, tokens_expr
 
 _NB_VERSION = "v1"
 
@@ -109,7 +108,7 @@ def nb_token_llr(sf_dir: str, pos_col: str = "lang",
     partials, each bucket's reduce sums them per term, and the three
     globals ride back as the tuple metric."""
     path = f"{sf_dir}/documents.parquet"
-    n_tb = _term_buckets(path)
+    n_tb = bucket_count(path)
     spill = bucket_exchange(
         read_spread(path, ["text", pos_col]),
         cache_root="/tmp/indri55_nbllr",
@@ -160,7 +159,7 @@ def nb_classifier_scores(sf_dir: str, pos_col: str = "lang",
     then a map-only range-pruned finalize (:func:`.textstats._doc_sums`)
     that attaches the constant term and the prior."""
     path = f"{sf_dir}/documents.parquet"
-    n_tb = _term_buckets(path)
+    n_tb = bucket_count(path)
 
     def doc_partials(df: pl.DataFrame):
         cls, totals = _term_class_counts(df)

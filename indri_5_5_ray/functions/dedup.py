@@ -41,8 +41,9 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from .exchange import bucket_exchange, pair_exchange, read_exchange
-from .textstats import _term_buckets, read_spread, token_count_expr, tokens_expr
+from .exchange import (bucket_count, bucket_exchange, pair_exchange,
+                       read_exchange)
+from .textstats import read_spread, token_count_expr, tokens_expr
 
 logger = logging.getLogger(__name__)
 
@@ -122,7 +123,7 @@ def exact_dup_groups(sf_dir: str) -> ray.data.Dataset:
     group-by (min doc_id, count) is exact.  Cached under
     ``/tmp/indri55_exactdup`` per corpus identity."""
     path = f"{sf_dir}/documents.parquet"
-    n_kb = _term_buckets(path)
+    n_kb = bucket_count(path)
 
     def hashed(df: pl.DataFrame) -> pl.DataFrame:
         return df.select(
@@ -233,7 +234,7 @@ def _dup_groups(sf_dir: str) -> DupGroups:
     ``meta.json`` sums.  The content-keyed cache dir is the cache:
     concurrent drivers share it, and a rerun reads one ``meta.json``."""
     path = f"{sf_dir}/documents.parquet"
-    n_kb = _term_buckets(path)
+    n_kb = bucket_count(path)
 
     def keyed(df: pl.DataFrame) -> pl.DataFrame:
         dig = b"".join(hashlib.md5(s.encode()).digest()
@@ -430,23 +431,6 @@ _SPAN_EXPAND_CHUNK = int(os.environ.get(
     "INDRI55_SPAN_EXPAND_CHUNK", str(8 << 20)))
 
 
-def _span_gram_buckets(sf_dir: str) -> int:
-    """Gram-hash bucket count for the span exchange, sized by input bytes
-    (~32 MB of compressed corpus per bucket, floor 256): one reduce GROUP
-    is one bucket, so bucket count — not gram count — bounds both the
-    per-group materialization and the per-group Python dispatch cost.
-    ``INDRI55_SPAN_GRAM_BUCKETS`` overrides the derived count (raise it when boilerplate
-    grams make a hot bucket OOM)."""
-    env = os.environ.get("INDRI55_SPAN_GRAM_BUCKETS")
-    if env:
-        return max(1, int(env))
-    try:
-        size = os.path.getsize(f"{sf_dir}/documents.parquet")
-    except OSError:
-        return 256
-    return max(256, int(size // (32 << 20)))
-
-
 _OCC_SPILL_VERSION = "v2"
 
 
@@ -470,7 +454,7 @@ def _dup_occ_spill(sf_dir: str, n: int) -> str:
       the bucket slice, vectorized ≥2-distinct-docs semi-join, sort by
       (doc_id, pos), write ``occ/occ-gbXXXX.parquet``.  Per-task memory
       is one bucket (bytes-scaled bucket count via
-      :func:`_span_gram_buckets`), never the corpus.
+      :func:`.exchange.bucket_count`), never the corpus.
 
     Ray's sort-based ``groupby`` over the same ~O(total tokens) rows
     costs the driver O(mappers × reducers) shuffle-lineage metadata —
@@ -479,13 +463,14 @@ def _dup_occ_spill(sf_dir: str, n: int) -> str:
     spill path; the grouping itself also runs as ONE vectorized kernel
     per bucket instead of Ray's per-group dispatch.  A boilerplate gram
     present in most of a 100 TB corpus still concentrates its rows in
-    one bucket — the scale knob is ``INDRI55_SPAN_GRAM_BUCKETS`` via
-    corpus bytes (32 MB/bucket); splitting such grams with the
+    one bucket — the bucket count scales only with corpus bytes
+    (32 MB/bucket); splitting such grams with the
     exact-dup pre-collapse (``_rep_docs``) first, like
     ``ngram_jaccard_pairs``, remains the route for adversarial skew at
     the cost of re-expanding stats to group members — plain occurrences
     keep the SQL oracle exact."""
-    n_gb = _span_gram_buckets(sf_dir)
+    path = f"{sf_dir}/documents.parquet"
+    n_gb = bucket_count(path)
 
     _occ_schema = pa.schema([("doc_id", pa.int64()), ("pos", pa.int64())])
 
@@ -521,7 +506,7 @@ def _dup_occ_spill(sf_dir: str, n: int) -> str:
     spill = bucket_exchange(
         _docs(sf_dir),
         cache_root="/tmp/indri55_dupocc",
-        source_path=f"{sf_dir}/documents.parquet",
+        source_path=path,
         version=f"{_OCC_SPILL_VERSION}-n{n}",
         n_buckets=n_gb, bucket_col="gb",
         map_kernel=gram_occurrences, map_columns=("doc_id", "text"),
@@ -731,7 +716,7 @@ def ngram_jaccard_pairs(sf_dir: str, tau: float = 0.2) -> ray.data.Dataset:
         _rep_docs(sf_dir, dg), cache_root="/tmp/indri55_pairs",
         source_path=path,
         version=f"jaccard-{_PAIRS_VERSION}-n{NGRAM_N}-tau{tau}-cap{cap}",
-        n_buckets=_term_buckets(path), key_col="shingle",
+        n_buckets=bucket_count(path), key_col="shingle",
         map_kernel=lambda df: _doc_shingles(df.to_arrow()).rename(
             {"n_shingles": "n"}),
         map_columns=("doc_id", "text"),
@@ -852,7 +837,7 @@ def lsh_candidate_pairs(sf_dir: str) -> ray.data.Dataset:
         source_path=path,
         version=(f"lsh-{_PAIRS_VERSION}-n{NGRAM_N}-p{NUM_PERMS}"
                  f"-b{LSH_BANDS}-cap{cap}"),
-        n_buckets=_term_buckets(path), key_col="bucket",
+        n_buckets=bucket_count(path), key_col="bucket",
         map_kernel=lambda df: _band_buckets(
             _minhash_wide(_doc_shingles(df.to_arrow()))),
         map_columns=("doc_id", "text"),
@@ -1110,7 +1095,7 @@ def fingerprint_dup_pairs(sf_dir: str, min_shared: int = 2) -> ray.data.Dataset:
         doc_fingerprints(sf_dir), cache_root="/tmp/indri55_pairs",
         source_path=path,
         version=f"fp-{_PAIRS_VERSION}-min{min_shared}-cap{cap}",
-        n_buckets=_term_buckets(path), key_col="fp",
+        n_buckets=bucket_count(path), key_col="fp",
         map_kernel=lambda df: df, map_columns=("doc_id", "fp"),
         pair_kernel=lambda df: _self_join_pairs(df, "fp", cap),
         pair_schema=_PAIR_SCHEMA, aggs=[pl.len().alias("n_shared")],

@@ -1,6 +1,7 @@
 """The FILESYSTEM bucket exchange — the repo's shared map/reduce idiom for
 key-grouped aggregation whose key cardinality scales with the corpus
-(n-grams, span occurrences, the term vocabulary).
+(n-grams, span occurrences, the term vocabulary, event users and windows,
+link targets).
 
 Why not ``Dataset.groupby``: a sort-based shuffle over O(total tokens) rows
 costs the driver O(mappers × reducers) shuffle-lineage metadata — measured
@@ -25,8 +26,9 @@ per group.  Here the exchange is durable files:
 
 Multi-node note: part/output files go through the cache root — on a real
 cluster that root must be shared storage (object store/NFS), exactly like
-the build's partials.  Per-task memory is one bucket; size ``n_buckets``
-by input bytes (the callers use ~32 MB of compressed corpus per bucket).
+the build's partials.  Per-task memory is one bucket; every caller sizes
+``n_buckets`` with :func:`bucket_count` — ~32 MB of compressed input per
+bucket, at least two per cluster CPU.
 
 :func:`pair_exchange` chains two exchanges for the near-dup pair
 operators: key rows → capped pairs per key bucket → one combined row per
@@ -44,6 +46,19 @@ import ray
 import ray.data
 
 from ..cachedir import ensure_cached_dir, source_key
+
+
+def bucket_count(path: str) -> int:
+    """Bucket count for an exchange over ``path``: ~32 MB of compressed
+    input per bucket, at least two per cluster CPU (a small input pays no
+    more reduce tasks than two waves)."""
+    cpus = (int(ray.cluster_resources().get("CPU", 32))
+            if ray.is_initialized() else 32)
+    try:
+        size = os.path.getsize(path)
+    except OSError:
+        size = 0
+    return max(2 * cpus, int(size // (32 << 20)))
 
 
 # [(task id, attempt), batches written] of the map task running in this worker

@@ -8,8 +8,8 @@ re-expression:
 * :func:`harvest_links` — anchor/href extraction as a vectorized
   ``map_batches`` stage (regex compiled once per worker), emitting
   (src, dst, anchor) rows from HTML-ish content;
-* :func:`anchor_counts` — groupby(dst) inlink/anchor aggregation (the
-  anchor-text field source);
+* :func:`anchor_counts` — inlink/anchor aggregation per dst over one
+  filesystem bucket exchange (the anchor-text field source);
 * :func:`pagerank` — damped power iteration over an edge table using the
   engine's FILESYSTEM bucket exchange (the `_dedup_losers` /
   `exchange.bucket_exchange` shape): per iteration, one task per SRC bucket joins its
@@ -85,7 +85,7 @@ def harvest_links(docs: ray.data.Dataset, url_col: str = "url",
                   content_col: str = "content") -> ray.data.Dataset:
     """(src, dst, anchor) rows from an HTML document dataset (e.g.
     :func:`~indri_5_5_ray.sources.webarchive.read_warc` output) — a
-    map-only stage; the groupby(dst) aggregation happens downstream."""
+    map-only stage; the per-dst aggregation happens downstream."""
 
     def f(batch: pa.Table) -> pa.Table:
         srcs, dsts, anchors = [], [], []
@@ -102,32 +102,48 @@ def harvest_links(docs: ray.data.Dataset, url_col: str = "url",
     return docs.map_batches(f, batch_format="pyarrow")
 
 
-def anchor_counts(links: ray.data.Dataset) -> ray.data.Dataset:
-    """(dst, n_inlinks, n_distinct_src) per link target — the groupby(dst)
-    exchange that feeds anchor-text fields and inlink priors.
+_ANCHOR_SCHEMA = pa.schema([("dst", pa.string()),
+                            ("n_inlinks", pa.int64()),
+                            ("n_distinct_src", pa.int64())])
 
-    Two pair-row exchanges: the per-batch (dst, src) collapse is only a
-    COMBINER (a pair straddling a batch cut yields two partial rows), so a
-    global groupby(dst, src) sums the partials first, and the final
-    groupby(dst) then counts one row per truly distinct source — a
-    per-batch count would double-count recrawled/batch-split pairs."""
-    from ray.data.aggregate import Count, Sum
 
-    def dedup_src(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch)
-        if df.height == 0 or "dst" not in df.columns:
-            return pa.table({"dst": pa.array([], pa.string()),
-                             "src": pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64())})
-        g = df.group_by("dst", "src").agg(pl.len().alias("n"))
-        return g.to_arrow()
+def anchor_counts(links: ray.data.Dataset, *, source_path: str,
+                  version: str) -> ray.data.Dataset:
+    """(dst, n_inlinks, n_distinct_src) per link target — the inlink
+    aggregation that feeds anchor-text fields and inlink priors.
 
-    partial = links.map_batches(dedup_src, batch_format="pyarrow")
-    pairs = (partial.groupby(["dst", "src"])
-             .aggregate(Sum("n", alias_name="n")))
-    return (pairs.groupby("dst")
-            .aggregate(Sum("n", alias_name="n_inlinks"),
-                       Count(alias_name="n_distinct_src")))
+    One filesystem :func:`.exchange.bucket_exchange` keyed by the hash of
+    ``dst``: each batch collapses its links to (dst, src, n) rows, and
+    each bucket's reduce sums them per (dst, src) before counting per
+    dst.  A pair split across batches arrives as several partial rows,
+    but every row of a dst lands in one bucket, so it still counts as one
+    distinct source.  The spill is cached under ``/tmp/indri55_anchors``,
+    keyed by ``source_path`` (the corpus the links were harvested from)
+    and ``version`` (everything else the links depend on)."""
+    from .exchange import bucket_count, bucket_exchange, read_exchange
+
+    n_b = bucket_count(source_path)
+
+    def pairs(df: pl.DataFrame) -> pl.DataFrame:
+        return (df.group_by("dst", "src").agg(pl.len().alias("n"))
+                .with_columns((pl.col("dst").hash(seed=0) % n_b)
+                              .cast(pl.Int32).alias("db")))
+
+    def counts(df: pl.DataFrame):
+        out = (df.group_by("dst", "src").agg(pl.col("n").sum())
+               .group_by("dst")
+               .agg(pl.col("n").sum().alias("n_inlinks"),
+                    pl.len().alias("n_distinct_src")))
+        return out, out.height
+
+    spill = bucket_exchange(
+        links, cache_root="/tmp/indri55_anchors", source_path=source_path,
+        version=version, n_buckets=n_b, bucket_col="db",
+        map_kernel=pairs, map_columns=("src", "dst"),
+        reduce_columns=["dst", "src", "n"], reduce_kernel=counts,
+        out_schema=_ANCHOR_SCHEMA, out_dirname="counts",
+        out_prefix="anchors-b", empty_name="anchors-")
+    return read_exchange(spill, "counts", _ANCHOR_SCHEMA)
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +402,11 @@ def anchor_stats(sf_dir: str) -> ray.data.Dataset:
         return pa.table({"url": pa.array(urls, pa.string()),
                          "content": pa.array(pages, pa.string())})
 
-    docs = read_spread(f"{sf_dir}/documents.parquet",
-                       columns=["doc_id", "text"]).map_batches(
+    path = f"{sf_dir}/documents.parquet"
+    docs = read_spread(path, columns=["doc_id", "text"]).map_batches(
         to_html, batch_format="pyarrow")
-    return anchor_counts(harvest_links(docs))
+    return anchor_counts(harvest_links(docs), source_path=path,
+                         version="stats-v1")
 
 
 def build_pagerank_prior(sf_dir: str, index_dir: str,

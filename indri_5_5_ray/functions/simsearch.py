@@ -252,8 +252,7 @@ def embedding_lsh_pairs(sf_dir: str, tau: float = 0.4, n_tables: int = 8,
     import polars as pl
 
     from .dedup import MAX_PAIR_GROUP
-    from .exchange import pair_exchange
-    from .textstats import _term_buckets
+    from .exchange import bucket_count, pair_exchange
 
     logger = logging.getLogger(__name__)
     path = f"{sf_dir}/embeddings.parquet"
@@ -325,7 +324,7 @@ def embedding_lsh_pairs(sf_dir: str, tau: float = 0.4, n_tables: int = 8,
         _emb(sf_dir), cache_root="/tmp/indri55_pairs", source_path=path,
         version=(f"emb-v1-tau{tau}-t{n_tables}-p{planes}-seed{LSH_SEED}"
                  f"-cap{cap}"),
-        n_buckets=_term_buckets(path), key_col="tcode",
+        n_buckets=bucket_count(path), key_col="tcode",
         map_kernel=bucketize, map_columns=("vec_id", "embedding"),
         pair_kernel=verified_pairs, pair_schema=pair_schema,
         aggs=[pl.col("cosine").max()], out_schema=pair_schema)

@@ -2,7 +2,8 @@
 
 Every operator is a Ray Data pipeline shaped for scale: tokenization and
 per-batch partial aggregation inside ``map_batches`` (vectorized via polars),
-then a small ``groupby`` finalize — the classic partial+final pattern the
+then, for corpus-keyed statistics, a reduce over the filesystem
+:func:`.exchange.bucket_exchange` — the classic partial+final pattern the
 reference uses for term statistics (``termdata_merge``,
 ref:include/indri/TermData.hpp:126-140).
 
@@ -12,8 +13,6 @@ exercised by the index pipelines (see pipelines/build.py).
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import polars as pl
@@ -124,32 +123,12 @@ def token_counts(sf_dir: str) -> ray.data.Dataset:
 
 
 def term_stats(sf_dir: str) -> ray.data.Dataset:
-    """(term, cf, df) global term statistics — partial per batch, then a
-    small groupby finalize (map-side combine keeps the shuffle tiny)."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch).with_columns(
-            tokens_expr().alias("toks")
-        )
-        ex = (
-            df.select("doc_id", "toks").explode("toks").drop_nulls()
-            .rename({"toks": "term"})  # zero-token docs explode to a null row
-        )
-        cf = ex.group_by("term").agg(pl.len().alias("cf"))
-        dfc = ex.unique(["doc_id", "term"]).group_by("term").agg(pl.len().alias("df"))
-        return cf.join(dfc, on="term").to_arrow()
-
-    partials = _docs(sf_dir).map_batches(partial, batch_format="pyarrow")
-    agg = partials.groupby("term").aggregate(
-        Sum("cf", alias_name="cf"), Sum("df", alias_name="df")
-    )
-    return agg
+    """(term, cf, df) global term statistics — :func:`ngram_counts`'
+    exchange at n = 1 with no pruning."""
+    return _gram_stats(sf_dir, 1, 1, "term")
 
 
 _NGRAM_VERSION = "v2"
-
-_NGRAM_SCHEMA = pa.schema([("gram", pa.string()), ("cf", pa.int64()),
-                           ("df", pa.int64())])
 
 
 def ngram_counts(sf_dir: str, n: int = 2,
@@ -163,13 +142,13 @@ def ngram_counts(sf_dir: str, n: int = 2,
     FILESYSTEM bucket exchange (:func:`..exchange.bucket_exchange`):
     one reduce task per gram-hash bucket sums and applies the min-count
     prune INSIDE the reduce (strictly after that gram's global sum — a
-    gram's rows always land in one bucket — so results stay exact).  A ``Dataset.groupby`` here costs the driver
-    O(mappers × reducers) shuffle-lineage metadata — measured 4.7 GB
-    driver RSS at a 10M-doc / ~70M-distinct-gram soak vs FLAT with the
-    exchange (BASELINE r5) — while the exchange's driver state is
-    per-task counts plus a spill path.  The gram construction is one
-    vectorized shift-over-doc per extra gram position, never a Python
-    loop over tokens.
+    gram's rows always land in one bucket — so results stay exact).  A
+    ``Dataset.groupby`` here costs the driver O(mappers × reducers)
+    shuffle-lineage metadata — measured 4.7 GB driver RSS at a 10M-doc /
+    ~70M-distinct-gram soak vs FLAT with the exchange (BASELINE r5) —
+    while the exchange's driver state is per-task counts plus a spill
+    path.  The gram construction is one vectorized shift-over-doc per
+    extra gram position, never a Python loop over tokens.
 
     The pruned survivors are WRITTEN by the reducers into a content-keyed
     cached directory (``/tmp/indri55_ngrams``, keyed by corpus identity +
@@ -181,10 +160,20 @@ def ngram_counts(sf_dir: str, n: int = 2,
     survivors are on disk, and a rerun with unchanged inputs is free."""
     if n < 2:
         raise ValueError("use term_stats for unigrams")
-    from .dedup import _span_gram_buckets
-    from .exchange import bucket_exchange, read_exchange
+    return _gram_stats(sf_dir, n, min_count, "gram")
 
-    n_gb = _span_gram_buckets(sf_dir)
+
+def _gram_stats(sf_dir: str, n: int, min_count: int,
+                col: str) -> ray.data.Dataset:
+    """The (``col``, cf, df) exchange behind :func:`ngram_counts` and
+    :func:`term_stats` (n = 1, where a gram is a term).  The exchange
+    names the gram column itself, so an empty result keeps it."""
+    from .exchange import bucket_count, bucket_exchange, read_exchange
+
+    path = f"{sf_dir}/documents.parquet"
+    n_gb = bucket_count(path)
+    schema = pa.schema([(col, pa.string()), ("cf", pa.int64()),
+                        ("df", pa.int64())])
 
     def grams_of(df: pl.DataFrame) -> pl.DataFrame:
         ex = (df.with_columns(tokens_expr().alias("toks"))
@@ -196,16 +185,16 @@ def ngram_counts(sf_dir: str, n: int = 2,
         ]).drop_nulls()  # trailing positions with no full gram
         ex = ex.with_columns(
             pl.concat_str([pl.col(f"t{i}") for i in range(n)],
-                          separator=" ").alias("gram"))
-        cf = ex.group_by("gram").agg(pl.len().alias("cf"))
-        dfc = (ex.unique(["doc_id", "gram"])
-               .group_by("gram").agg(pl.len().alias("df")))
-        return (cf.join(dfc, on="gram")
-                .with_columns((pl.col("gram").hash(seed=0) % n_gb)
+                          separator=" ").alias(col))
+        cf = ex.group_by(col).agg(pl.len().alias("cf"))
+        dfc = (ex.unique(["doc_id", col])
+               .group_by(col).agg(pl.len().alias("df")))
+        return (cf.join(dfc, on=col)
+                .with_columns((pl.col(col).hash(seed=0) % n_gb)
                               .cast(pl.Int32).alias("gb")))
 
     def sum_prune(df: pl.DataFrame):
-        out = (df.group_by("gram")
+        out = (df.group_by(col)
                .agg(pl.col("cf").sum(), pl.col("df").sum())
                .filter(pl.col("cf") >= min_count)
                .cast({"cf": pl.Int64, "df": pl.Int64}))
@@ -214,28 +203,28 @@ def ngram_counts(sf_dir: str, n: int = 2,
     final = bucket_exchange(
         _docs(sf_dir),
         cache_root="/tmp/indri55_ngrams",
-        source_path=f"{sf_dir}/documents.parquet",
+        source_path=path,
         version=f"{_NGRAM_VERSION}-n{n}-mc{min_count}",
         n_buckets=n_gb, bucket_col="gb",
         map_kernel=grams_of, map_columns=("doc_id", "text"),
-        reduce_columns=["gram", "cf", "df"], reduce_kernel=sum_prune,
-        out_schema=_NGRAM_SCHEMA, out_dirname="grams",
+        reduce_columns=schema.names, reduce_kernel=sum_prune,
+        out_schema=schema, out_dirname="grams",
         out_prefix="grams-b", out_row_group=65536, empty_name="grams-")
-    return read_exchange(final, "grams", _NGRAM_SCHEMA)
+    return read_exchange(final, "grams", schema)
 
 
 def top_terms(sf_dir: str, n: int = 20) -> ray.data.Dataset:
-    """Top-n terms by cf (tie → term ascending) — global sort + limit."""
-    stats = term_stats(sf_dir)
+    """Top-n terms by cf (tie → term ascending): each block of
+    :func:`term_stats` keeps its own top n, and the driver merges the
+    survivors (at most blocks × n rows) — no global sort."""
 
-    def negate(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch).with_columns((-pl.col("cf")).alias("neg_cf"))
-        return df.to_arrow()
+    def top(df: pl.DataFrame) -> pl.DataFrame:
+        return df.sort(["cf", "term"], descending=[True, False]).head(n)
 
-    ranked = stats.map_batches(negate, batch_format="pyarrow").sort(
-        ["neg_cf", "term"]
-    ).limit(n)
-    return ranked.drop_columns(["neg_cf"])
+    block_top = ray.remote(lambda t: top(pl.from_arrow(t)))
+    merged = pl.concat(ray.get([block_top.remote(t) for t in
+                                term_stats(sf_dir).to_arrow_refs()]))
+    return ray.data.from_arrow(top(merged).to_arrow())
 
 
 def quality_scores(sf_dir: str) -> ray.data.Dataset:
@@ -527,19 +516,6 @@ _DOC_PARTIAL_SCHEMA = pa.schema([("doc_id", pa.int64()),
                                  ("s_p", pa.float64())])
 
 
-def _term_buckets(path: str) -> int:
-    """Term-hash bucket count for a vocab-scale exchange over ``path``:
-    ~32 MB of compressed corpus per bucket, at least two per cluster CPU
-    (a small corpus pays no more reduce tasks than two waves)."""
-    cpus = (int(ray.cluster_resources().get("CPU", 32))
-            if ray.is_initialized() else 32)
-    try:
-        size = os.path.getsize(path)
-    except OSError:
-        size = 0
-    return max(2 * cpus, int(size // (32 << 20)))
-
-
 def _doc_sums(batch: pa.Table, parts_dir: str) -> pl.DataFrame:
     """(doc_id, n_tokens, s) for every doc of ``batch``: the doc-sorted
     partial shards range-pruned to the batch's [min, max] doc ids and
@@ -604,10 +580,10 @@ def unigram_logprob(sf_dir: str) -> ray.data.Dataset:
     bit-exactly."""
     import json
 
-    from .exchange import bucket_exchange
+    from .exchange import bucket_count, bucket_exchange
 
     path = f"{sf_dir}/documents.parquet"
-    n_tb = _term_buckets(path)
+    n_tb = bucket_count(path)
 
     def doc_term_tf(df: pl.DataFrame) -> pl.DataFrame:
         ex = (df.with_columns(tokens_expr().alias("toks"))

@@ -227,7 +227,7 @@ def test_media_real_decode_roundtrip():
     assert g[2] > 0 and g[4] <= g[5]
 
 
-def test_textstats_term_stats(mini_sf):
+def test_textstats_term_stats(mini_sf, tmp_path):
     from indri_5_5_ray.functions.textstats import term_stats, token_counts
 
     stats = term_stats(mini_sf).to_pandas().set_index("term")
@@ -236,6 +236,36 @@ def test_textstats_term_stats(mini_sf):
     assert stats.loc["databases", "df"] == 1
     counts = token_counts(mini_sf).to_pandas().set_index("doc_id")
     assert counts.loc[0, "n_tokens"] == 9
+
+    import re
+    from collections import Counter
+
+    from indri_5_5_ray.functions.textstats import top_terms
+
+    cf: Counter = Counter()
+    df: Counter = Counter()
+    for x in pq.read_table(f"{mini_sf}/documents.parquet").column(
+            "text").to_pylist():
+        toks = re.findall(r"[a-z0-9]+", x.lower())
+        cf.update(toks)
+        df.update(set(toks))
+    assert {t: (r.cf, r.df) for t, r in stats.iterrows()} == {
+        t: (cf[t], df[t]) for t in cf}
+    # six terms tie at cf 3 behind "the": the cut at n=4 keeps the three
+    # alphabetically first
+    want = sorted(cf, key=lambda t: (-cf[t], t))[:4]
+    assert want == ["the", "brown", "fox", "jumps"]
+    top = top_terms(mini_sf, n=4).to_pandas()
+    assert top.term.tolist() == want
+    assert top.cf.tolist() == [cf[t] for t in want]
+
+    # a corpus with no tokens: zero rows, same columns
+    pq.write_table(pa.table({"doc_id": pa.array([0, 1], pa.int64()),
+                             "text": ["", "!!! ..."]}),
+                   tmp_path / "documents.parquet")
+    for fn in (term_stats, top_terms):
+        ds = fn(str(tmp_path))
+        assert ds.count() == 0 and ds.schema().names == ["term", "cf", "df"]
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -619,6 +649,148 @@ def test_hopping_counts_non_divisible(tmp_path):
     assert tiny.n_events.sum() <= 6
 
 
+# per-user gaps (s) between consecutive events: exactly gap_s and gap_s + 1
+# for both gaps tested below (1800 and 600), a same-second pair, and an
+# hour-plus jump across windows
+_EVENT_GAPS = [1800, 1801, 600, 601, 0, 7200, 5, 1800, 601]
+_EVENT_TYPES = ["view", "click", "purchase"]
+
+
+def _interleaved_events(tmp_path, n_users=4):
+    """Several users' events sorted by time (users interleave), written
+    as 4-row row groups: one user's events reach several map batches."""
+    rows = []
+    for u in range(1, n_users + 1):
+        ts = 13 * u
+        for i, gap in enumerate([0] + _EVENT_GAPS):
+            ts += gap
+            rows.append((ts, u, _EVENT_TYPES[(i + u) % 3],
+                         round(0.25 * i + 1.5 * u, 2)))
+    rows.sort()
+    t = pa.table({
+        "event_id": pa.array(range(1, len(rows) + 1), pa.int64()),
+        "ts": pa.array([r[0] * 1_000_000 for r in rows], pa.timestamp("us")),
+        "user_id": pa.array([r[1] for r in rows], pa.int64()),
+        "event_type": pa.array([r[2] for r in rows]),
+        "value": pa.array([r[3] for r in rows], pa.float64()),
+        "props": pa.array(["{}"] * len(rows)),
+    })
+    d = tmp_path / "ev_inter"
+    d.mkdir()
+    pq.write_table(t, d / "events.parquet", row_group_size=4)
+    return str(d), [(e, r[0], r[1], r[2], r[3])
+                    for e, r in zip(range(1, len(rows) + 1), rows)]
+
+
+def _by_user(events):
+    out: dict = {}
+    for e in sorted(events, key=lambda e: (e[2], e[1], e[0])):
+        out.setdefault(e[2], []).append(e)
+    return out
+
+
+def _brute_sessions(events, gap_s):
+    want = set()
+    for u, evs in _by_user(events).items():
+        start = prev = evs[0][1]
+        n = 0
+        for _, ts, *_ in evs:
+            if ts - prev > gap_s:
+                want.add((u, start, n, prev - start))
+                start, n = ts, 0
+            prev, n = ts, n + 1
+        want.add((u, start, n, prev - start))
+    return want
+
+
+def _brute_windows(events, window_s, hop_s):
+    want: dict = {}
+    for _, ts, _, et, v in events:
+        for j in range(-(-window_s // hop_s)):
+            start = ts // hop_s * hop_s - j * hop_s
+            if start <= ts < start + window_s:
+                n, s = want.get((start, et), (0, 0.0))
+                want[(start, et)] = (n + 1, s + v)
+    return {(k[0], k[1], n, round(s, 6)) for k, (n, s) in want.items()}
+
+
+def _brute_asof(events, left, right):
+    want = set()
+    for u, evs in _by_user(events).items():
+        last = None
+        for e, ts, _, et, v in evs:
+            if et == left and last is not None:
+                want.add((e, u, ts, last))
+            if et == right:
+                last = v
+    return want
+
+
+def _rows(ds, cols):
+    df = ds.to_pandas()
+    return {tuple(r) for r in df[cols].itertuples(index=False)}
+
+
+def test_event_ops_brute_force(tmp_path):
+    """Every event operator equals a Python reference on events spread
+    over several map batches; two parameter values per operator on ONE
+    file each match (the spill cache keys on every parameter)."""
+    from indri_5_5_ray.functions import events as ev
+
+    sf, events = _interleaved_events(tmp_path)
+    for gap_s in (1800, 600):
+        assert _rows(ev.sessionize(sf, gap_s=gap_s),
+                     ["user_id", "session_start", "n_events", "duration_s"]
+                     ) == _brute_sessions(events, gap_s)
+    win = ["window_start", "event_type", "n_events", "sum_value"]
+    for window_s, hop_s in ((3600, 900), (3600, 1000)):
+        assert _rows(ev.hopping_counts(sf, window_s, hop_s), win) == \
+            _brute_windows(events, window_s, hop_s)
+    assert _rows(ev.tumbling_counts(sf),
+                 ["hour_start", "event_type", "n_events", "sum_value"]) == \
+        _brute_windows(events, 3600, 3600)
+    assert _rows(ev.user_activity(sf),
+                 ["user_id", "n_events", "n_types", "first_ts", "last_ts"]
+                 ) == {(u, len(e), len({x[3] for x in e}), e[0][1], e[-1][1])
+                       for u, e in _by_user(events).items()}
+    asof = ["event_id", "user_id", "ts_s", "prev_view_value"]
+    for left, right in (("click", "view"), ("view", "purchase")):
+        assert _rows(ev.asof_join_events(sf, left, right), asof) == \
+            _brute_asof(events, left, right)
+
+
+def test_event_ops_zero_rows(tmp_path):
+    """A zero-row events table gives zero rows with the operator's
+    columns from every event operator."""
+    from indri_5_5_ray.functions import events as ev
+
+    d = tmp_path / "ev_empty"
+    d.mkdir()
+    pq.write_table(pa.table({
+        "event_id": pa.array([], pa.int64()),
+        "ts": pa.array([], pa.timestamp("us")),
+        "user_id": pa.array([], pa.int64()),
+        "event_type": pa.array([], pa.string()),
+        "value": pa.array([], pa.float64()),
+        "props": pa.array([], pa.string()),
+    }), d / "events.parquet")
+    sf = str(d)
+    for fn, cols in [
+        (ev.tumbling_counts,
+         ["hour_start", "event_type", "n_events", "sum_value"]),
+        (ev.hopping_counts,
+         ["window_start", "event_type", "n_events", "sum_value"]),
+        (ev.sessionize,
+         ["user_id", "session_start", "n_events", "duration_s"]),
+        (ev.user_activity,
+         ["user_id", "n_events", "n_types", "first_ts", "last_ts"]),
+        (ev.asof_join_events,
+         ["event_id", "user_id", "ts_s", "prev_view_value"]),
+    ]:
+        ds = fn(sf)
+        assert ds.count() == 0 and ds.schema().names == cols, fn.__name__
+
+
 def test_first_n_by_vec_id_stat_pruned(tmp_path):
     """Exact first-n-by-vec_id regardless of row layout: ids shuffled across
     row groups, stat-pruned read == full-read sort+slice."""
@@ -839,7 +1011,7 @@ def test_remove_dup_spans_chunked_and_small_buckets(mini_sf, monkeypatch):
 
     shutil.rmtree("/tmp/indri55_dupocc", ignore_errors=True)
     monkeypatch.setattr(dedup, "_SPAN_EXPAND_CHUNK", 4)
-    monkeypatch.setattr(dedup, "_span_gram_buckets", lambda sf_dir: 3)
+    monkeypatch.setattr(dedup, "bucket_count", lambda path: 3)
     got = dedup.remove_dup_spans(mini_sf).sort("doc_id").to_pandas()
     gots = dedup.dup_span_stats(mini_sf).sort("doc_id").to_pandas()
     shutil.rmtree("/tmp/indri55_dupocc", ignore_errors=True)

@@ -42,22 +42,48 @@ def test_extract_links_anchors_and_hrefs():
     assert all(s == "http://src.example/" for s, _, _ in out)
 
 
-def test_harvest_and_anchor_counts(ray_session):
+def _pages(tmp_path, pages, n_blocks):
+    """Write (url, content) pages to a parquet file and read them back as
+    ``n_blocks`` blocks; returns (path, dataset)."""
     import ray.data
 
-    docs = ray.data.from_items([
-        {"url": "http://s1/", "content": HTML},
-        {"url": "http://s2/",
-         "content": '<a href="http://a.example/x">again</a>'
-                    '<a href="http://a.example/x">twice same pair</a>'},
-    ])
+    path = str(tmp_path / "pages.parquet")
+    pq.write_table(pa.table({"url": [u for u, _ in pages],
+                             "content": [c for _, c in pages]}), path)
+    docs = ray.data.read_parquet(path).repartition(n_blocks).materialize()
+    assert docs.num_blocks() == n_blocks
+    return path, docs
+
+
+def test_harvest_and_anchor_counts(tmp_path):
+    path, docs = _pages(tmp_path, [
+        ("http://s1/", HTML),
+        ("http://s2/", '<a href="http://a.example/x">again</a>'
+                       '<a href="http://a.example/x">twice same pair</a>'),
+    ], 1)
     links = harvest_links(docs).to_pandas()
     assert len(links) == 5
-    counts = anchor_counts(harvest_links(docs)).to_pandas().set_index("dst")
+    counts = anchor_counts(harvest_links(docs), source_path=path,
+                           version="test").to_pandas().set_index("dst")
     # a.example/x: 1 link from s1 + 2 from s2 = 3 inlinks, 2 distinct srcs
     assert counts.loc["http://a.example/x", "n_inlinks"] == 3
     assert counts.loc["http://a.example/x", "n_distinct_src"] == 2
     assert counts.loc["rel/path.html", "n_inlinks"] == 1
+
+
+def test_anchor_counts_pair_split_across_batches(tmp_path):
+    """One (dst, src) pair harvested in two map batches (a recrawled page)
+    reaches the reduce as two partial rows; it is still one distinct
+    source."""
+    path, docs = _pages(tmp_path, [
+        ("http://s3/", '<a href="http://z/">first crawl</a>'),
+        ("http://s3/", '<a href="http://z/">recrawl</a>'),
+        ("http://s4/", '<a href="http://z/">other</a>'),
+    ], 3)
+    counts = anchor_counts(harvest_links(docs), source_path=path,
+                           version="test").to_pandas().set_index("dst")
+    assert counts.loc["http://z/", "n_inlinks"] == 3
+    assert counts.loc["http://z/", "n_distinct_src"] == 2
 
 
 def _run_pagerank_on_edges(tmp_path, edges, n_docs, iters=20):
