@@ -31,7 +31,14 @@ import numpy as np
 import pyarrow.parquet as pq
 
 from .codec import decode_block
-from .pipelines.query import BM25Scorer, IndexReader, format_trec, process_query
+from .pipelines.query import (
+    BM25Scorer,
+    IndexReader,
+    format_trec,
+    posting_blocks,
+    process_query,
+    read_postings,
+)
 from .stages.ingest import TermProcessor
 
 
@@ -55,26 +62,17 @@ def cmd_term(reader: IndexReader, raw: str) -> None:
         return
     cf, df = stats
     rows = reader.term_rows([term])
-    n_blocks = sum(len(x) for x in rows.column("block_offset").to_pylist())
+    n_blocks = len(posting_blocks(rows).row)
     print(f"{raw} -> {term}: cf={cf} df={df} rows={rows.num_rows} blocks={n_blocks}")
 
 
 def cmd_termpositions(reader: IndexReader, raw: str) -> None:
     term = _term_of(reader, raw)
-    rows = reader.term_rows([term])
-    has_pos = reader.cfg.store_positions
-    for ri in range(rows.num_rows):
-        payload = rows.column("postings")[ri].as_py()
-        for off, ln in zip(
-            rows.column("block_offset")[ri].as_py(),
-            rows.column("block_length")[ri].as_py(),
-        ):
-            d, tf, pos = decode_block(payload[off : off + ln], has_pos)
-            cursor = 0
-            for did, n in zip(d.tolist(), tf.tolist()):
-                ps = pos[cursor : cursor + n].tolist() if pos is not None else []
-                cursor += n
-                print(f"{term} doc={did} tf={n} positions={ps}")
+    for d, tf, pos, starts in read_postings(reader, [term],
+                                            positions=True).values():
+        for i, (did, n) in enumerate(zip(d.tolist(), tf.tolist())):
+            ps = pos[starts[i]:starts[i + 1]].tolist() if pos is not None else []
+            print(f"{term} doc={did} tf={n} positions={ps}")
 
 
 def cmd_vocabulary(reader: IndexReader, limit: str = "50") -> None:
@@ -135,20 +133,19 @@ def cmd_invlist(reader: IndexReader, raw: str) -> None:
     metadata and decoded (doc, tf) pairs."""
     term = _term_of(reader, raw)
     rows = reader.term_rows([term])
+    pb = posting_blocks(rows)
     for ri in range(rows.num_rows):
-        payload = rows.column("postings")[ri].as_py()
         print(f"row salt={rows.column('salt')[ri].as_py()} "
               f"cf={rows.column('cf')[ri].as_py()} df={rows.column('df')[ri].as_py()} "
               f"docs=[{rows.column('first_doc')[ri].as_py()},"
               f"{rows.column('last_doc')[ri].as_py()}]")
-        for off, ln, blast in zip(
-            rows.column("block_offset")[ri].as_py(),
-            rows.column("block_length")[ri].as_py(),
-            rows.column("block_last_doc")[ri].as_py(),
-        ):
-            d, tf, _ = decode_block(payload[off : off + ln], False)
-            pairs = " ".join(f"{a}:{b}" for a, b in zip(d.tolist(), tf.tolist()))
-            print(f"  block last={blast} {pairs}")
+        blocks = np.flatnonzero(pb.row == ri)
+        d, tf, _ = pb.decode(blocks)
+        cuts = np.cumsum(pb.n_docs[blocks])[:-1]
+        for last, bd, btf in zip(pb.last[blocks].tolist(), np.split(d, cuts),
+                                 np.split(tf, cuts)):
+            pairs = " ".join(f"{a}:{b}" for a, b in zip(bd.tolist(), btf.tolist()))
+            print(f"  block last={last} {pairs}")
 
 
 def cmd_xcount(reader: IndexReader, expr: str) -> None:

@@ -79,23 +79,13 @@ def _as_engine(reader_or_engine, method: str, mu: float, lam: float
 
 
 def _ensure_full_postings(eng: StructuredQueryEngine, *nodes: Node) -> None:
-    """Fetch (or reuse the engine memo for) the FULL positional postings of
-    every leaf term under ``nodes`` and install them as ``eng._postings``
-    — the shared prelude of every element-retrieval entry point (same memo
-    key convention as ``StructuredQueryEngine.run``)."""
+    """Install the FULL positional postings of every leaf term under
+    ``nodes`` as ``eng._postings`` (through the engine memo) — the shared
+    prelude of every element-retrieval entry point."""
     leafs: set[str] = set()
     for node in nodes:
         eng._leaf_terms(node, leafs)
-    terms_key = tuple(sorted(leafs))
-    cached = eng._postings_memo.get((terms_key,) + (True,))
-    if cached is None:
-        if len(eng._postings_memo) > 8:
-            eng._postings_memo.clear()
-        cached = eng._fetch_postings(list(terms_key), None,
-                                     need_positions=True)
-        eng._postings_memo[(terms_key,) + (True,)] = cached
-    eng._postings = cached
-
+    eng._memo_postings(leafs)
 
 
 def _csr_gather(csr, cand: np.ndarray):

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lm import LMScorer, process_query_lm
-from .query import IndexReader
+from .query import IndexReader, posting_blocks
 
 
 def _feedback_doc_vectors(reader: IndexReader, doc_ids: list[int]) -> dict[int, dict[str, int]]:
@@ -46,36 +46,20 @@ def _feedback_doc_vectors(reader: IndexReader, doc_ids: list[int]) -> dict[int, 
         pass
     import pyarrow.dataset as pads
 
-    from ..codec import decode_block
-
-    want = set(doc_ids)
-    lo, hi = min(want), max(want)
+    want = np.unique(np.asarray(doc_ids, np.int64))
+    lo, hi = int(want[0]), int(want[-1])
     dset = pads.dataset(f"{reader.index_dir}/postings", format="parquet")
-    # prune rows whose doc range cannot intersect the feedback set
-    t = dset.to_table(
-        filter=(pads.field("first_doc") <= hi) & (pads.field("last_doc") >= lo),
-        columns=["term", "postings", "block_offset", "block_length",
-                 "block_last_doc", "first_doc"],
-    )
-    vecs: dict[int, dict[str, int]] = {d: {} for d in want}
-    for ri in range(t.num_rows):
-        term = t.column("term")[ri].as_py()
-        payload = t.column("postings")[ri].as_py()
-        prev_last = t.column("first_doc")[ri].as_py() - 1
-        for off, ln, last in zip(
-            t.column("block_offset")[ri].as_py(),
-            t.column("block_length")[ri].as_py(),
-            t.column("block_last_doc")[ri].as_py(),
-        ):
-            first = prev_last + 1
-            prev_last = last
-            if last < lo or first > hi:
-                continue  # block-level skip
-            # positions are not needed for term vectors — skip stream B
-            d, tf, _ = decode_block(payload[off : off + ln], False)
-            for did, f in zip(d.tolist(), tf.tolist()):
-                if did in want:
-                    vecs[did][term] = f
+    # prune rows, then blocks, whose doc range cannot intersect the
+    # feedback set; positions are not needed for term vectors
+    pb = posting_blocks(dset.to_table(
+        filter=(pads.field("first_doc") <= hi) & (pads.field("last_doc") >= lo)))
+    sel = np.flatnonzero((pb.last >= lo) & (pb.first <= hi))
+    d, tf, _ = pb.decode(sel)
+    terms = np.repeat(pb.term[sel], pb.n_docs[sel])
+    hit = np.isin(d, want)
+    vecs: dict[int, dict[str, int]] = {did: {} for did in want.tolist()}
+    for did, ti, f in zip(d[hit].tolist(), terms[hit].tolist(), tf[hit].tolist()):
+        vecs[did][pb.terms[ti]] = f
     return vecs
 
 
@@ -215,10 +199,10 @@ def rm3_search(
 ) -> tuple[np.ndarray, np.ndarray]:
     """RM3: expand, then score the #weight-style normalized weighted sum of
     per-term log-beliefs through :meth:`LMScorer.score_weighted` (same
-    smoothing method, deletion mask, and postings decode as the first-pass
-    run — no duplicated scoring path).  Expanded terms are already index
-    terms, so they bypass query-side re-processing (stemming a stem is not
-    guaranteed to be a no-op)."""
+    smoothing method, deletion mask, and ``query.read_postings`` decode as
+    the first-pass run — no duplicated scoring path).  Expanded terms are
+    already index terms, so they bypass query-side re-processing (stemming
+    a stem is not guaranteed to be a no-op)."""
     expanded = rm_expand(reader, query, fb_docs, fb_terms, orig_weight,
                          method, mu, lam)
     if not expanded:

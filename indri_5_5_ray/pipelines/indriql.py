@@ -80,12 +80,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import pyarrow as pa
 
 from ..config import IndexConfig
 from ..stages.ingest import TermProcessor
 from ..tokenizer import tokenize
-from .query import IndexReader, _topk
+from .query import IndexReader, _topk, read_postings
 
 MAX_WILDCARD_TERMS = 100  # ref:src/LocalQueryServer.cpp:139
 
@@ -626,82 +625,33 @@ class StructuredQueryEngine:
                         doc_set: list[int] | None = None
                         ) -> dict[str, tuple]:
         """term → (doc_ids, tfs, flat positions | None, per-doc position
-        start offsets | None).  Positions stay FLAT (block order = doc
-        order) — no per-doc Python splitting; doc i's run is
-        ``flat[starts[i]:starts[i+1]]``.
+        start offsets | None) — ``query.read_postings``.  Positions stay
+        FLAT (block order = doc order); ``need_positions=False`` (the query
+        has no positional node) skips the positions stream, most of a common
+        term's payload.  ``doc_set`` (e.g. the result page the snippet
+        builder re-scores) decodes only blocks holding a wanted id, so the
+        postings then suit per-doc extent lookups, NOT collection
+        statistics."""
+        return read_postings(self.r, terms, doc_range=doc_range,
+                             doc_set=doc_set, positions=need_positions)
 
-        ``need_positions=False`` (the query has no positional node) skips
-        the positions stream entirely via the vectorized batch decoder —
-        for common terms the positions are most of the payload and most of
-        the decode time.
-
-        ``doc_set`` (a small explicit doc-id list, e.g. a result page the
-        snippet builder re-scores) drops every BLOCK whose doc range
-        contains none of the ids BEFORE decoding — first whole rows, then
-        blocks within surviving rows via ``block_last_doc`` (a common
-        term's single row holds hundreds of blocks; a range filter alone
-        keeps nearly all of them when the ids are scattered, and
-        positions decode is the dominant cost; blocks decode
-        independently — each starts at an absolute doc id).  The
-        returned postings then cover ONLY those docs' blocks (fine for
-        per-doc extent lookups, WRONG for collection statistics)."""
-        rows = self.r.term_rows(terms, doc_range)
-        ds_sorted = None
-        if doc_set is not None and rows.num_rows:
-            ds_sorted = np.unique(np.asarray(list(doc_set), dtype=np.int64))
-            if not len(ds_sorted):
-                rows = rows.slice(0, 0)  # no result docs → no blocks
-            else:
-                fd = rows.column("first_doc").to_numpy()
-                ld = rows.column("last_doc").to_numpy()
-                lo_i = np.searchsorted(ds_sorted, fd, side="left")
-                keep = (lo_i < len(ds_sorted)) & (
-                    ds_sorted[np.minimum(lo_i, len(ds_sorted) - 1)] <= ld)
-                rows = rows.filter(pa.array(keep))
-        has_pos = self.r.cfg.store_positions and need_positions
-        out: dict[str, list] = {}
-        row_terms = rows.column("term").to_pylist() if rows.num_rows else []
-        payloads = rows.column("postings").to_pylist() if rows.num_rows else []
-        offs = rows.column("block_offset").to_pylist() if rows.num_rows else []
-        lens = rows.column("block_length").to_pylist() if rows.num_rows else []
-        ndocs = rows.column("block_n_docs").to_pylist() if rows.num_rows else []
-        blasts = (rows.column("block_last_doc").to_pylist()
-                  if (ds_sorted is not None and rows.num_rows) else None)
-        from ..codec import decode_doc_tf_batch, decode_full_batch
-
-        for ri, rt in enumerate(row_terms):
-            ent = out.setdefault(rt, [[], [], []])
-            o, ln, nd = offs[ri], lens[ri], ndocs[ri]
-            if blasts is not None and len(ds_sorted):
-                # block j holds docs in (block_last_doc[j-1],
-                # block_last_doc[j]] — searchsorted(left) of each wanted
-                # id gives its candidate block; decode only those
-                bl = np.asarray(blasts[ri], dtype=np.int64)
-                hit = np.unique(np.searchsorted(bl, ds_sorted, side="left"))
-                hit = hit[hit < len(bl)]
-                if len(hit) < len(bl):
-                    o = [o[k] for k in hit]
-                    ln = [ln[k] for k in hit]
-                    nd = [nd[k] for k in hit]
-            if has_pos:
-                d, tf, pos = decode_full_batch(payloads[ri], o, ln, nd)
-                ent[2].append(pos)
-            else:
-                d, tf = decode_doc_tf_batch(payloads[ri], o, ln, nd)
-            ent[0].append(d)
-            ent[1].append(tf)
-        result = {}
-        for term, (ds, tfs, poss) in out.items():
-            d = np.concatenate(ds)
-            t = np.concatenate(tfs)
-            if poss:
-                flat = np.concatenate(poss)
-                starts = np.zeros(len(d) + 1, dtype=np.int64)
-                np.cumsum(t, out=starts[1:])
-            else:
-                flat, starts = None, None
-            result[term] = (d, t, flat, starts)
-        return result
+    def _memo_postings(self, terms, doc_range: tuple[int, int] | None = None,
+                       need_positions: bool = True) -> None:
+        """Install the postings of ``terms`` (only ``doc_range``'s docs when
+        given) as ``self._postings``, reusing the engine's cross-run memo:
+        a sharded worker scores the same query once per shard, and a
+        memoized positional fetch also serves a non-positional one."""
+        key = (tuple(sorted(terms)), doc_range)
+        cached = self._postings_memo.get(key + (need_positions,))
+        if cached is None and not need_positions:
+            cached = self._postings_memo.get(key + (True,))
+        if cached is None:
+            if len(self._postings_memo) > 8:
+                self._postings_memo.clear()
+            cached = self._fetch_postings(list(key[0]), doc_range,
+                                          need_positions=need_positions)
+            self._postings_memo[key + (need_positions,)] = cached
+        self._postings = cached
 
     def _presence(self, tp, cand: np.ndarray) -> np.ndarray:
         """Boolean: cand docs present in a term's posting doc list."""
@@ -1774,21 +1724,8 @@ class StructuredQueryEngine:
             return self._blockmax_term_root(root, k)
         leaf_terms: set[str] = set()
         self._leaf_terms(root, leaf_terms)
-        terms_key = tuple(sorted(leaf_terms))
-        need_pos = _needs_positions(root)
-        base_key = (terms_key, doc_range) if pruned else (terms_key,)
-        cached = self._postings_memo.get(base_key + (need_pos,))
-        if cached is None and not need_pos:
-            # a cached POSITIONAL fetch is a strict superset — reuse it
-            cached = self._postings_memo.get(base_key + (True,))
-        if cached is None:
-            if len(self._postings_memo) > 8:
-                self._postings_memo.clear()
-            cached = self._fetch_postings(
-                list(terms_key), doc_range if pruned else None,
-                need_positions=need_pos)
-            self._postings_memo[base_key + (need_pos,)] = cached
-        self._postings = cached
+        self._memo_postings(leaf_terms, doc_range if pruned else None,
+                            need_positions=_needs_positions(root))
         cand_parts: list[np.ndarray] = []
         self._cand_docs(root, cand_parts)
         cand_parts = [p for p in cand_parts if len(p)]

@@ -28,7 +28,7 @@ import numpy as np
 from ..config import IndexConfig
 from ..stages.ingest import TermProcessor
 from ..tokenizer import tokenize
-from .query import IndexReader, _topk
+from .query import IndexReader, _topk, posting_blocks, read_postings
 
 
 def process_query_lm(text: str, cfg: IndexConfig,
@@ -164,7 +164,8 @@ class LMScorer:
         ``doc_range=(lo, hi)`` scores only that docID slice — the
         doc-partitioned scatter: statistics stay COLLECTION-global (so
         shard scores are identical to a global run), but postings reads
-        are range-pruned and doc lengths load only the shard's slice.
+        (``query.read_postings``) are range-pruned and doc lengths load
+        only the shard's slice.
 
         ``prune`` (default: auto) switches on rank-safe block-max cell
         skipping; it requires strictly positive weights (an upper bound
@@ -186,13 +187,11 @@ class LMScorer:
             t: (stats[t][0] / total if t in stats and stats[t][0] > 0 else 1.0 / (2.0 * total))
             for t in uniq_terms
         }
-        rows = r.term_rows([t for t in uniq_terms if t in stats], doc_range)
-        term_postings = decode_term_postings(rows)
+        term_postings = read_postings(
+            r, [t for t in uniq_terms if t in stats], doc_range=doc_range)
         if not term_postings:
             return np.empty(0, np.int64), np.empty(0, np.float64)
-        cand = np.unique(np.concatenate([d for d, _ in term_postings.values()]))
-        if doc_range is not None:
-            cand = cand[(cand >= doc_range[0]) & (cand < doc_range[1])]
+        cand = np.unique(np.concatenate([tp[0] for tp in term_postings.values()]))
         cand = cand[r.keep_mask(cand)]
         if not len(cand):
             return np.empty(0, np.int64), np.empty(0, np.float64)
@@ -206,7 +205,7 @@ class LMScorer:
             tf = np.zeros(len(cand), dtype=np.float64)
             tp = term_postings.get(term)
             if tp is not None:
-                d, t = tp
+                d, t = tp[:2]
                 # deleted docs were filtered out of cand but not out of the
                 # postings — only assign where the posting doc survives
                 pos = np.searchsorted(cand, d)
@@ -244,9 +243,6 @@ class LMScorer:
         bit-for-bit.  The weights in ``term_weights`` (and ``mean_of``)
         must then describe the same positive combination so the cell
         bounds stay valid; ``mean_of`` scales only the bounds."""
-        from ..codec import decode_doc_tf_batch
-        from ..stages.postings import _flatten_list_column
-
         r = self.r
         uniq_terms = list(dict.fromkeys(t for t, _ in term_weights))
         stats = r.term_stats(uniq_terms)
@@ -259,34 +255,14 @@ class LMScorer:
         terms_with_rows = [t for t in uniq_terms if t in stats]
         if not terms_with_rows:
             return np.empty(0, np.int64), np.empty(0, np.float64)
-        rows = r.term_rows(terms_with_rows)
-        if rows.num_rows == 0:
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        payloads = r.term_payloads(terms_with_rows, rows)
-        doc_lens = r.doc_lens() if self._use_dense_dl() else None
-
-        # flatten per-row block metadata (one C pass per column)
-        row_terms = rows.column("term").to_pylist()
-        row_first = rows.column("first_doc").to_numpy()
-        nrows = rows.num_rows
-        off_f, row_nb = _flatten_list_column(rows, "block_offset")
-        ln_f, _ = _flatten_list_column(rows, "block_length")
-        mtf_f, _ = _flatten_list_column(rows, "block_max_tf", np.float64)
-        mdl_f, _ = _flatten_list_column(rows, "block_min_dl", np.float64)
-        last_f, _ = _flatten_list_column(rows, "block_last_doc")
-        nd_f, _ = _flatten_list_column(rows, "block_n_docs")
-        nb = len(off_f)
+        pb = posting_blocks(r.term_rows(terms_with_rows))
+        nb = len(pb.row)
         if nb == 0:
             return np.empty(0, np.int64), np.empty(0, np.float64)
+        doc_lens = r.doc_lens() if self._use_dense_dl() else None
         tindex = {t: i for i, t in enumerate(uniq_terms)}
-        ri_f = np.repeat(np.arange(nrows, dtype=np.int64), row_nb)
-        ti_f = np.array([tindex[t] for t in row_terms], np.int64)[ri_f]
-        first_f = np.empty(nb, np.int64)
-        first_f[1:] = last_f[:-1] + 1
-        head = np.concatenate(([0], np.cumsum(row_nb)))[:-1]
-        nz = row_nb > 0
-        first_f[head[nz]] = row_first[nz]
-        max_doc = int(last_f.max())
+        ti_f = np.array([tindex[t] for t in pb.terms], np.int64)[pb.term]
+        max_doc = int(pb.last.max())
 
         n_uniq = len(uniq_terms)
         n_cells = max(16, min(256, nb // max(1, 4 * n_uniq)))
@@ -295,8 +271,8 @@ class LMScorer:
         n_cells_real = max_doc // cell_span + 1
 
         # (cell, block) entries — a block can straddle cells
-        c0 = first_f // cell_span
-        spans = last_f // cell_span - c0 + 1
+        c0 = pb.first // cell_span
+        spans = pb.last // cell_span - c0 + 1
         tot = int(spans.sum())
         seg = np.concatenate(([0], np.cumsum(spans)[:-1]))
         entry_cell = (np.repeat(c0, spans)
@@ -314,7 +290,7 @@ class LMScorer:
             if not sel.any():
                 continue
             bi = entry_bi[sel]
-            e_ub = self._child_scores(mtf_f[bi], mdl_f[bi], p_c[term])
+            e_ub = self._child_scores(pb.max_tf[bi], pb.min_dl[bi], p_c[term])
             np.maximum.at(M_ub, (entry_cell[sel], np.full(len(bi), ti)), e_ub)
         # cell bound: children in any order (bounds need no float identity);
         # docs NOT in any of the term's blocks have tf = 0 and dl ≥ the
@@ -346,7 +322,7 @@ class LMScorer:
         group_of_cell = np.full(n_cells_real, -1, np.int64)
         group_of_cell[cell_of_group] = np.arange(len(cell_of_group))
 
-        decoded: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        decoded: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         final_ids: list[np.ndarray] = []
         final_scores: list[np.ndarray] = []
         n_final = 0
@@ -361,30 +337,22 @@ class LMScorer:
             gi = group_of_cell[cell]
             lo, hi = int(cell) * cell_span, (int(cell) + 1) * cell_span
             bis = entry_bi[cstarts[gi]:cends[gi]]
-            # batch-decode this cell's missing blocks, one pass per row
-            by_row: dict[int, list[int]] = {}
-            for bi in bis:
-                ri0, off0 = int(ri_f[bi]), int(off_f[bi])
-                if (ri0, off0) not in decoded:
-                    by_row.setdefault(ri0, []).append(int(bi))
-            for ri0, row_bis in by_row.items():
-                offs = [int(off_f[bi]) for bi in row_bis]
-                lns = [int(ln_f[bi]) for bi in row_bis]
-                nds = [int(nd_f[bi]) for bi in row_bis]
-                d_all, tf_all = decode_doc_tf_batch(payloads[ri0], offs, lns, nds)
-                cuts = np.concatenate(([0], np.cumsum(nds)))
-                for j, bi in enumerate(row_bis):
-                    decoded[(ri0, offs[j])] = (
-                        d_all[cuts[j]:cuts[j + 1]],
-                        tf_all[cuts[j]:cuts[j + 1]])
+            # batch-decode this cell's blocks not decoded for an earlier cell
+            missing = np.array([bi for bi in bis.tolist() if bi not in decoded],
+                               np.int64)
+            d_all, tf_all, _ = pb.decode(missing)
+            cuts = np.concatenate(([0], np.cumsum(pb.n_docs[missing])))
+            for j, bi in enumerate(missing.tolist()):
+                decoded[bi] = (d_all[cuts[j]:cuts[j + 1]],
+                               tf_all[cuts[j]:cuts[j + 1]])
             # per-uniq-term cell slices (doc-ascending: blocks are)
             bis_ti = ti_f[bis]
             cell_posts: dict[str, tuple[np.ndarray, np.ndarray]] = {}
             for term in terms_with_rows:
                 ti = tindex[term]
                 t_ids, t_tfs = [], []
-                for bi in bis[bis_ti == ti]:
-                    d, tf = decoded[(int(ri_f[bi]), int(off_f[bi]))]
+                for bi in bis[bis_ti == ti].tolist():
+                    d, tf = decoded[bi]
                     m = (d >= lo) & (d < hi)
                     if m.any():
                         t_ids.append(d[m])
@@ -437,24 +405,3 @@ class LMScorer:
             return np.empty(0, np.int64), np.empty(0, np.float64)
         return _topk(np.concatenate(final_ids), np.concatenate(final_scores), k)
 
-
-def decode_term_postings(rows) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """term_rows table → {term: (doc_ids, tfs)} — one decode pass in row
-    order (shared by the LM scorers and RM3)."""
-    from ..codec import decode_doc_tf_batch
-
-    if not rows.num_rows:
-        return {}
-    row_terms = rows.column("term").to_pylist()
-    payloads = rows.column("postings").to_pylist()
-    offs = rows.column("block_offset").to_pylist()
-    lens = rows.column("block_length").to_pylist()
-    ndocs = rows.column("block_n_docs").to_pylist()
-    parts: dict[str, tuple[list, list]] = {}
-    for ri, rt in enumerate(row_terms):
-        d, tf = decode_doc_tf_batch(payloads[ri], offs[ri], lens[ri], ndocs[ri])
-        e = parts.setdefault(rt, ([], []))
-        e[0].append(d)
-        e[1].append(tf)
-    return {t: (np.concatenate(a), np.concatenate(b))
-            for t, (a, b) in parts.items()}

@@ -25,12 +25,23 @@ vectorized pass per posting row and accumulates per-doc sums in a dense
 array over the decoded doc-id window.  This is the reference's own
 algorithm — its ``PlusNode`` is not SkippingCapable
 (ref:src/PlusNode.cpp:36-42), so the okapi baseline never prunes.
+
+One posting reader.  The posting-row layout — ``first_doc`` plus the
+per-block offset/length/n_docs/last_doc lists, where a block's first doc
+is the previous block's last + 1 — is known here only:
+``posting_blocks`` turns any ``term_rows`` table into flat per-block
+arrays over zero-copy views of the payload buffers, and ``read_postings``
+is the one block walk (select, decode, exact range mask, group by term)
+every scorer, the structured engine, RM feedback and dumpindex read
+postings through (the single ``DiskDocListIterator`` of the reference,
+ref:src/DiskDocListIterator.cpp:21-56).
 """
 
 from __future__ import annotations
 
 import json
 import re
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +51,10 @@ import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 # decode_block is not called here; it stays importable from this module
-# because the traced benchmark (perfbench/run.py) wraps it by name
-from ..codec import decode_block, decode_doc_tf_batch  # noqa: F401
+# because the traced benchmark (perfbench/run.py) wraps it by name, as it
+# wraps decode_doc_tf_batch — PostingBlocks.decode calls both batch
+# decoders through this module's globals so the wrap sees every decode
+from ..codec import decode_block, decode_doc_tf_batch, decode_full_batch  # noqa: F401
 from ..config import IndexConfig
 from ..stages.ingest import TermProcessor
 from ..tokenizer import tokenize
@@ -78,6 +91,12 @@ def load_deleted(path: Path | str) -> np.ndarray | None:
     return arr if len(arr) else None
 
 
+def _overlaps(rows: pa.Table, doc_range: tuple[int, int]) -> pa.ChunkedArray:
+    """Mask of posting rows whose [first_doc, last_doc] meets [lo, hi)."""
+    return pc.and_(pc.greater_equal(rows.column("last_doc"), doc_range[0]),
+                   pc.less(rows.column("first_doc"), doc_range[1]))
+
+
 def deleted_keep_mask(deleted: np.ndarray | None,
                       doc_ids: np.ndarray) -> np.ndarray:
     """True where doc survives (DeletedDocumentList analogue,
@@ -108,15 +127,11 @@ class IndexReader:
         self._range_lens: dict[tuple[int, int], np.ndarray] = {}
         self._range_lens_bytes = 0
         self._docnos: dict[int, str] | None = None
+        # per-term posting rows (the ListCache analogue); eviction is bound
+        # by term count AND by the cached tables' Arrow buffer bytes, so a
+        # long-lived actor's cache stays under a fixed memory ceiling
         self._row_cache: dict[str, pa.Table] = {}
-        # per-term postings payload bytes, aligned with _row_cache row order:
-        # large_binary -> Python bytes is a full copy, so it is paid once at
-        # cache insert, not per query (see term_payloads).  The copy doubles
-        # a cached term's payload footprint, so eviction is ALSO byte-bound
-        # (not just term-count-bound) to keep long-lived actors at the same
-        # memory ceiling as before the payload cache existed
-        self._payload_cache: dict[str, list[bytes]] = {}
-        self._cache_payload_bytes = 0
+        self._row_cache_bytes = 0
         self._stats_cache: dict[str, tuple[int, int] | None] = {}
         # per-subdir dataset handles: discovery + fragment metadata (file
         # listing, footers) are paid once per reader, not per point lookup
@@ -463,10 +478,10 @@ class IndexReader:
                         ) -> pa.Table:
         """Row-group-pruned read of the posting rows for ``terms``.
         ``doc_range`` additionally drops row groups whose
-        [min first_doc, max last_doc] statistics miss [lo, hi) — the
-        sharded-scatter path, where a shard worker must not decode other
-        shards' salt-row groups of a hot term; callers still apply the
-        exact per-row mask in memory."""
+        [min first_doc, max last_doc] statistics miss [lo, hi), then rows
+        whose [first_doc, last_doc] misses it — the sharded-scatter path,
+        where a shard worker must not decode other shards' salt rows of a
+        hot term."""
         from ..stages.postings import POSTINGS_SCHEMA
 
         t_buckets = {t: self._bucket_of(t) for t in terms}
@@ -492,8 +507,10 @@ class IndexReader:
         if not parts:
             return POSTINGS_SCHEMA.empty_table()
         fetched = pa.concat_tables(parts)
-        return fetched.filter(pc.is_in(fetched.column("term"),
-                                       value_set=pa.array(terms)))
+        mask = pc.is_in(fetched.column("term"), value_set=pa.array(terms))
+        if doc_range is not None:
+            mask = pc.and_(mask, _overlaps(fetched, doc_range))
+        return fetched.filter(mask)
 
     def _dict_catalog(self) -> dict[int, tuple]:
         """Dictionary term catalog keyed by bucket: MergeWorker writes one
@@ -560,33 +577,25 @@ class IndexReader:
         if not terms:
             return POSTINGS_SCHEMA.empty_table()
         if doc_range is not None:
-            lo, hi = doc_range
             if all(t in self._row_cache for t in terms):
                 tables = [self._row_cache[t] for t in sorted(terms)
                           if self._row_cache[t].num_rows]
                 if not tables:
                     return POSTINGS_SCHEMA.empty_table()
                 t = pa.concat_tables(tables)  # term-major, first_doc asc
-                mask = pc.and_(
-                    pc.greater_equal(t.column("last_doc"), lo),
-                    pc.less(t.column("first_doc"), hi))
-                return t.filter(mask)
-            t = self._read_term_rows(terms, doc_range)
-            mask = pc.and_(pc.greater_equal(t.column("last_doc"), lo),
-                           pc.less(t.column("first_doc"), hi))
-            return t.filter(mask).sort_by(
+                return t.filter(_overlaps(t, doc_range))
+            return self._read_term_rows(terms, doc_range).sort_by(
                 [("term", "ascending"), ("first_doc", "ascending")])
         missing = [t for t in terms if t not in self._row_cache]
         if missing:
             fetched = self._read_term_rows(missing)
             if (len(self._row_cache) > 8192
-                    or self._cache_payload_bytes > (256 << 20)):
+                    or self._row_cache_bytes > (256 << 20)):
                 keep = set(terms)  # bound long-lived actor memory
                 for k in [k for k in self._row_cache if k not in keep]:
                     del self._row_cache[k]
-                    self._payload_cache.pop(k, None)
-                self._cache_payload_bytes = sum(
-                    len(b) for pl_ in self._payload_cache.values() for b in pl_)
+                self._row_cache_bytes = sum(
+                    t.get_total_buffer_size() for t in self._row_cache.values())
             for term in missing:
                 mask = pc.equal(fetched.column("term"), term)
                 # sorted ONCE at insert: per-query assembly below is then a
@@ -596,42 +605,13 @@ class IndexReader:
                 t_rows = fetched.filter(mask).sort_by(
                     [("first_doc", "ascending")])
                 self._row_cache[term] = t_rows
-                pl_ = t_rows.column("postings").to_pylist()
-                self._payload_cache[term] = pl_
-                self._cache_payload_bytes += sum(len(b) for b in pl_)
+                # the sort's take gave the table buffers of its own
+                self._row_cache_bytes += t_rows.get_total_buffer_size()
         tables = [self._row_cache[t] for t in sorted(terms)
                   if self._row_cache[t].num_rows]
         if not tables:
             return POSTINGS_SCHEMA.empty_table()
         return pa.concat_tables(tables)
-
-    def term_payloads(self, terms: list[str],
-                      rows: pa.Table | None = None) -> list[bytes]:
-        """Cached postings payload bytes for ``terms``, row-aligned with
-        :meth:`term_rows`'s result for the same terms (same sorted-term,
-        first_doc-ascending order).  Call AFTER term_rows so the cache is
-        populated — a cache miss raises (silent misalignment would decode
-        the wrong term's bytes); avoids re-copying every payload byte out of
-        arrow per query.  ``rows`` is accepted for reader-interface parity
-        (MultiIndexReader extracts from it); here it is used only to ASSERT
-        alignment — rows from a ``doc_range`` fetch (which bypasses the
-        cache) would silently pair the wrong payloads otherwise."""
-        out: list[bytes] = []
-        for t in sorted(terms):
-            cached = self._payload_cache.get(t)
-            if cached is None:
-                raise ValueError(
-                    f"term_payloads: no cached payloads for {t!r} — run a "
-                    "cache-backed term_rows (no doc_range) for the same term "
-                    "list first; doc_range fetches bypass the cache, and an "
-                    "interleaved query may have evicted the entry")
-            out.extend(cached)
-        if rows is not None and len(out) != rows.num_rows:
-            raise ValueError(
-                f"term_payloads misaligned with rows ({len(out)} payloads vs "
-                f"{rows.num_rows} rows) — rows must come from a cache-backed "
-                "term_rows call (no doc_range) for the same term list")
-        return out
 
     def term_stats(self, terms: list[str]) -> dict[str, tuple[int, int]]:
         """Global (cf, df) per term from the dictionary (first query pass —
@@ -652,6 +632,152 @@ class IndexReader:
             for term in missing:
                 self._stats_cache[term] = found.get(term)
         return {t: s for t in terms if (s := self._stats_cache.get(t)) is not None}
+
+
+# -- the one posting reader -------------------------------------------------
+
+
+def _cat(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+@dataclass(frozen=True)
+class PostingBlocks:
+    """Flat per-block view of a ``term_rows`` table: block ``i`` belongs
+    to table row ``row[i]`` and term ``terms[term[i]]``, holds ``n_docs[i]``
+    docs in ``[first[i], last[i]]`` and is encoded at ``offset[i]`` (length
+    ``length[i]``) inside that row's payload.  Payloads stay in Arrow: one
+    zero-copy ``uint8`` view per ``postings`` chunk, and a row's payload
+    starts at ``row_base[r]`` in view ``views[row_chunk[r]]``."""
+
+    terms: list[str]
+    row: np.ndarray
+    term: np.ndarray
+    offset: np.ndarray
+    length: np.ndarray
+    n_docs: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    max_tf: np.ndarray
+    min_dl: np.ndarray
+    views: list[np.ndarray]
+    row_chunk: np.ndarray
+    row_base: np.ndarray
+
+    def decode(self, sel, positions: bool = False
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """``(doc_ids, tfs, flat positions | None)`` of blocks ``sel`` (block
+        indices), in ``sel`` order: one batch-decoder call per run of
+        same-row blocks."""
+        sel = np.asarray(sel, np.int64)
+        if not len(sel):
+            e = np.empty(0, np.int64)
+            return e, e, (e if positions else None)
+        rows = self.row[sel]
+        cuts = (np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist()
+        ds, tfs, poss = [], [], []
+        for a, b in zip([0, *cuts], [*cuts, len(sel)]):
+            g = sel[a:b]
+            r = rows[a]
+            args = (self.views[self.row_chunk[r]],
+                    (self.row_base[r] + self.offset[g]).tolist(),
+                    self.length[g].tolist(), self.n_docs[g])
+            if positions:
+                d, tf, pos = decode_full_batch(*args)
+                poss.append(pos)
+            else:
+                d, tf = decode_doc_tf_batch(*args)
+            ds.append(d)
+            tfs.append(tf)
+        return _cat(ds), _cat(tfs), (_cat(poss) if positions else None)
+
+
+def posting_blocks(rows: pa.Table) -> PostingBlocks:
+    """The posting-row layout, read in one place: flatten a ``term_rows``
+    table's block lists into per-block arrays (a row's head block starts at
+    the row's ``first_doc``, every later block at the previous block's
+    last + 1) and map each row to its payload bytes without copying them."""
+
+    def flat(name: str) -> np.ndarray:
+        return pc.list_flatten(rows.column(name)).to_numpy()
+
+    row_nb = pc.list_value_length(rows.column("block_offset")).to_numpy()
+    last = flat("block_last_doc").astype(np.int64, copy=False)
+    first = np.empty(len(last), np.int64)
+    first[1:] = last[:-1] + 1
+    nz = row_nb > 0
+    first[(np.cumsum(row_nb) - row_nb)[nz]] = \
+        rows.column("first_doc").to_numpy()[nz]
+    index: dict[str, int] = {}
+    row_term = [index.setdefault(t, len(index))
+                for t in rows.column("term").to_pylist()]
+    views, row_base, chunk_rows = [], [], []
+    for chunk in rows.column("postings").chunks:
+        _valid, offs, data = chunk.buffers()
+        otype = np.int64 if pa.types.is_large_binary(chunk.type) else np.int32
+        row_base.append(np.frombuffer(offs, otype)[
+            chunk.offset:chunk.offset + len(chunk)].astype(np.int64))
+        views.append(np.frombuffer(data, np.uint8) if data is not None
+                     else np.empty(0, np.uint8))
+        chunk_rows.append(len(chunk))
+    return PostingBlocks(
+        terms=list(index),
+        row=np.repeat(np.arange(rows.num_rows, dtype=np.int64), row_nb),
+        term=np.repeat(np.asarray(row_term, np.int64), row_nb),
+        offset=flat("block_offset"), length=flat("block_length"),
+        n_docs=flat("block_n_docs"), first=first, last=last,
+        max_tf=flat("block_max_tf"), min_dl=flat("block_min_dl"),
+        views=views,
+        row_chunk=np.repeat(np.arange(len(views)), chunk_rows),
+        row_base=_cat(row_base) if row_base else np.empty(0, np.int64))
+
+
+def read_postings(reader, terms: list[str], *,
+                  doc_range: tuple[int, int] | None = None,
+                  doc_set: np.ndarray | list[int] | None = None,
+                  positions: bool = False) -> dict[str, tuple]:
+    """``{term: (doc_ids, tfs, flat positions | None, per-doc position
+    starts | None)}`` for every term with a posting in scope — the one block
+    walk behind every posting consumer.
+
+    ``reader.term_rows(terms, doc_range)`` gives the rows; only blocks that
+    overlap ``doc_range`` and, with ``doc_set``, hold a wanted id (blocks
+    decode independently — each starts at an absolute doc id) are decoded;
+    decoded docs are then masked to exactly ``[lo, hi)`` and grouped by term
+    in row order (doc-ascending).  ``doc_set`` prunes at block granularity
+    only: the result holds whole blocks, so it suits per-doc lookups, not
+    collection statistics.  Positions are decoded only when asked for and
+    stored; doc i's run is ``flat[starts[i]:starts[i + 1]]``."""
+    pb = posting_blocks(reader.term_rows(terms, doc_range))
+    keep = np.ones(len(pb.row), bool)
+    if doc_range is not None:
+        lo, hi = doc_range
+        keep &= (pb.last >= lo) & (pb.first < hi)
+    if doc_set is not None:
+        ws = np.unique(np.asarray(doc_set, np.int64))
+        # the first wanted id at or after each block's first doc (a
+        # sentinel past every doc id when there is none)
+        keep &= np.append(ws, 1 << 62)[np.searchsorted(ws, pb.first)] <= pb.last
+    positions = positions and reader.cfg.store_positions
+    sel = np.flatnonzero(keep)
+    sel_term = pb.term[sel]
+    out: dict[str, tuple] = {}
+    for ti, term in enumerate(pb.terms):
+        d, tf, pos = pb.decode(sel[sel_term == ti], positions)
+        if doc_range is not None:
+            m = (d >= lo) & (d < hi)
+            if not m.all():
+                if pos is not None:
+                    pos = pos[np.repeat(m, tf)]
+                d, tf = d[m], tf[m]
+        if not len(d):
+            continue
+        starts = None
+        if pos is not None:
+            starts = np.zeros(len(d) + 1, np.int64)
+            np.cumsum(tf, out=starts[1:])
+        out[term] = (d, tf, pos, starts)
+    return out
 
 
 def _topk(doc_ids: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -741,73 +867,32 @@ class BM25Scorer:
         ``doc_range=(lo, hi)`` restricts to a doc-id shard — the
         doc-partitioned scatter of the reference
         (ref:src/QueryEnvironment.cpp:111-122) with range shards instead of
-        ``docID % serverCount``: block metadata lets each shard decode only
-        its slice of every posting list, and global statistics keep shard
-        scores identical to the unsharded ones.  ``doc_set`` intersects the
+        ``docID % serverCount``: a shard fetches and decodes only its slice
+        of every posting list, and global statistics keep shard scores
+        identical to the unsharded ones.  ``doc_set`` intersects the
         result with a working set (documentSet overload,
         ref:src/QueryEnvironment.cpp:679-707)."""
-        from ..stages.postings import _flatten_list_column
-
         empty = np.empty(0, np.int64), np.empty(0, np.float64)
         consts, k1_1mb, k1b_avg = self._term_constants(terms_qtf)
         if not consts:
             return empty
-        terms = [t for t, _ in consts]
-        rows = self.r.term_rows(terms)
-        # cached payload bytes, row-aligned with ``rows`` (no per-query copy)
-        payloads = self.r.term_payloads(terms, rows)
+        postings = read_postings(self.r, [t for t, _ in consts],
+                                 doc_range=doc_range, doc_set=doc_set)
         if doc_range is None:
-            lo, hi = 0, 1 << 62
             doc_lens, base = self.r.doc_lens(), 0
         else:
             # shard-sized dl slice, not the whole index's dense array
-            lo, hi = doc_range
-            doc_lens, base = self.r.doc_lens_range(lo, hi), lo
-
-        # per-block metadata flattened out of arrow in one pass per column;
-        # a block's first doc is the previous block's last + 1, and a row's
-        # head block starts at the row's first_doc
-        off_f, row_nb = _flatten_list_column(rows, "block_offset")
-        ln_f, _ = _flatten_list_column(rows, "block_length")
-        nd_f, _ = _flatten_list_column(rows, "block_n_docs")
-        last_f, _ = _flatten_list_column(rows, "block_last_doc")
-        row_end = np.cumsum(row_nb)
-        row_head = row_end - row_nb
-        first_f = np.empty(len(last_f), np.int64)
-        first_f[1:] = last_f[:-1] + 1
-        nz = row_nb > 0
-        first_f[row_head[nz]] = rows.column("first_doc").to_numpy()[nz]
-        in_range = (last_f >= lo) & (first_f < hi)
-        row_terms = rows.column("term").to_pylist()
-
+            doc_lens, base = self.r.doc_lens_range(*doc_range), doc_range[0]
         term_doc_arrays: list[np.ndarray] = []
         term_score_arrays: list[np.ndarray] = []
         for term, numer_const in consts:  # fixed query order = fixed float order
-            t_ids, t_tfs = [], []
-            for ri, rt in enumerate(row_terms):
-                if rt != term:
-                    continue
-                blocks = slice(row_head[ri], row_end[ri])
-                m = in_range[blocks]
-                if not m.any():
-                    continue
-                d, tf = decode_doc_tf_batch(payloads[ri], off_f[blocks][m],
-                                            ln_f[blocks][m], nd_f[blocks][m])
-                if doc_range is not None:
-                    keep = (d >= lo) & (d < hi)
-                    d, tf = d[keep], tf[keep]
-                t_ids.append(d)
-                t_tfs.append(tf)
-            if not t_ids:
+            if term not in postings:
                 continue
-            d = np.concatenate(t_ids)
-            if not len(d):
-                continue
-            tf = np.concatenate(t_tfs).astype(np.float64)
+            d, tf = postings[term][:2]
             dl = doc_lens[d - base].astype(np.float64)
             term_doc_arrays.append(d)
-            term_score_arrays.append(
-                self._score_arrays(tf, dl, numer_const, k1_1mb, k1b_avg))
+            term_score_arrays.append(self._score_arrays(
+                tf.astype(np.float64), dl, numer_const, k1_1mb, k1b_avg))
         if not term_doc_arrays:
             return empty
         # dense accumulation over the decoded doc-id window [amin, amax]: one

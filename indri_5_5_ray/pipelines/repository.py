@@ -124,16 +124,6 @@ class MultiIndexReader:
             [("term", "ascending"), ("first_doc", "ascending")]
         )
 
-    def term_payloads(self, terms: list[str],
-                      rows: pa.Table | None = None) -> list[bytes]:
-        """Payload bytes row-aligned with :meth:`term_rows`.  Extracted from
-        the caller's already-fetched ``rows`` table when given (the scorer
-        always passes it), so the multi-segment view never re-runs the
-        per-segment fetch + global sort just to read the payload column."""
-        if rows is None:
-            rows = self.term_rows(terms)
-        return rows.column("postings").to_pylist()
-
     def term_stats(self, terms: list[str]) -> dict[str, tuple[int, int]]:
         out: dict[str, tuple[int, int]] = {}
         for r in self.readers:

@@ -214,9 +214,12 @@ def test_score_exhaustive_equals_bruteforce_property(built_index, oracle_model,
     assert np.array_equal(m_scores[order], scores)
 
 
-def test_positions_roundtrip_against_oracle(built_index, small_corpus_dir):
+def test_positions_roundtrip_against_oracle(built_index, small_corpus_dir,
+                                           capsys):
     """Decode a few terms' positions from the index and check them against
-    direct tokenization (the dumpindex `termpositions` analogue)."""
+    direct tokenization, block by block and through dumpindex
+    `termpositions`."""
+    from indri_5_5_ray import cli
     from indri_5_5_ray.codec import decode_block
 
     out, _ = built_index
@@ -253,6 +256,16 @@ def test_positions_roundtrip_against_oracle(built_index, small_corpus_dir):
                     want = [i for i, t in enumerate(docs[did]) if t == probe]
                     assert pos[cursor : cursor + n].tolist() == want
                     cursor += n
+
+    capsys.readouterr()
+    cli.main([out, "termpositions", "merge"])
+    lines = capsys.readouterr().out.splitlines()
+    want = []
+    for did in sorted(docs):
+        ps = [i for i, t in enumerate(docs[did]) if t == "merge"]
+        if ps:
+            want.append(f"merge doc={did} tf={len(ps)} positions={ps}")
+    assert want and lines == want
 
 
 def test_resume_skips_completed_chunks(small_corpus_dir, tmp_path):

@@ -155,19 +155,92 @@ def test_sparse_docid_base_scores_equal_and_accumulator_bounded(
     assert peak < 16 << 20, f"scorer peak {peak / 2**20:.1f} MB"
 
 
-def test_term_payloads_row_aligned(built_index):
-    """term_payloads must align row-for-row with term_rows for the same
-    term list (single reader: cached; multi reader: re-extracted)."""
-    from indri_5_5_ray.pipelines.query import IndexReader
-    from indri_5_5_ray.pipelines.repository import MultiIndexReader
+@pytest.fixture(scope="module")
+def two_segment_repo(tmp_path_factory):
+    """A two-segment repository (disjoint docID ranges) with tiny posting
+    blocks, so hot terms span many blocks in each segment."""
+    from indri_5_5_ray.config import IndexConfig
+    from indri_5_5_ray.pipelines.repository import Repository
+    from indri_5_5_ray.sources.corpus import write_synthetic_corpus
+
+    d = tmp_path_factory.mktemp("two_seg")
+    write_synthetic_corpus(str(d / "a"), 80, seed=31, rows_per_file=40)
+    write_synthetic_corpus(str(d / "b"), 60, seed=32, rows_per_file=30)
+    repo = Repository.create(str(d / "repo"), IndexConfig(
+        dedup_key=None, n_buckets=4, max_chunk_docs=32, target_block_bytes=64))
+    repo.add(str(d / "a"))
+    repo.add(str(d / "b"))
+    return repo
+
+
+def _block_walk(index_dirs, terms, doc_range=None, doc_set=None,
+                positions=False):
+    """Reference for read_postings: every block of every posting file,
+    decoded one at a time with decode_block, kept when it overlaps
+    ``doc_range`` / holds a ``doc_set`` id, docs masked to ``doc_range``."""
+    import pyarrow.parquet as pq
+
+    from indri_5_5_ray.codec import decode_block
+
+    lo, hi = doc_range or (0, 1 << 62)
+    want = None if doc_set is None else set(doc_set)
+    out: dict[str, list] = {}
+    for index_dir in index_dirs:
+        rows = pq.read_table(f"{index_dir}/postings").sort_by(
+            [("term", "ascending"), ("first_doc", "ascending")]).to_pylist()
+        for row in rows:
+            if row["term"] not in terms:
+                continue
+            first = row["first_doc"]
+            for off, ln, last in zip(row["block_offset"], row["block_length"],
+                                     row["block_last_doc"]):
+                b_first, first = first, last + 1
+                if last < lo or b_first >= hi:
+                    continue
+                if want is not None and not any(b_first <= x <= last
+                                                for x in want):
+                    continue
+                d, tf, pos = decode_block(row["postings"][off:off + ln],
+                                          positions)
+                cur = 0
+                for did, n in zip(d.tolist(), tf.tolist()):
+                    if lo <= did < hi:
+                        out.setdefault(row["term"], []).append(
+                            (did, n, pos[cur:cur + n].tolist()
+                             if positions else None))
+                    cur += n
+    return out
+
+
+def test_read_postings_matches_block_walk(built_index, two_segment_repo):
+    """read_postings == a per-block decode_block walk over the raw posting
+    files, for one index and a two-segment repository, with no range, a
+    doc_range, a doc_set, and positions on and off: the zero-copy payload
+    views must pair every block with its own row's bytes."""
+    from indri_5_5_ray.pipelines.query import IndexReader, read_postings
 
     out, _ = built_index
-    for reader in (IndexReader(out), MultiIndexReader([out])):
-        terms = ["merge", "token", "buffer"]
-        rows = reader.term_rows(terms)
-        pl = reader.term_payloads(terms)
-        want = rows.column("postings").to_pylist()
-        assert pl == want
+    multi = two_segment_repo.reader()
+    assert len(multi.readers) == 2
+    terms = ["merge", "token", "buffer", "int", "return", "zzzznotaterm"]
+    for reader, dirs in ((IndexReader(out), [out]),
+                         (multi, two_segment_repo.segment_dirs())):
+        hi_doc = reader.manifest["max_doc_id"] + 1
+        for kw in ({}, {"doc_range": (hi_doc // 3, 2 * hi_doc // 3)},
+                   {"doc_set": [1, 7, hi_doc // 2, hi_doc - 1]}):
+            for positions in (False, True):
+                got = read_postings(reader, terms, positions=positions, **kw)
+                want = _block_walk(dirs, terms, positions=positions, **kw)
+                assert sorted(got) == sorted(want), kw
+                for t, (d, tf, pos, starts) in got.items():
+                    ref = want[t]
+                    assert d.tolist() == [x[0] for x in ref], (t, kw)
+                    assert tf.tolist() == [x[1] for x in ref], (t, kw)
+                    if not positions:
+                        assert pos is None and starts is None
+                        continue
+                    assert [pos[starts[i]:starts[i + 1]].tolist()
+                            for i in range(len(d))] == [x[2] for x in ref]
 
 
 def test_point_read_multi_index_reader(built_index):

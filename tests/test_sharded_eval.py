@@ -328,3 +328,55 @@ def test_sharded_structured_driver_reads_no_postings(built_index, monkeypatch):
         assert sharded.column("doc_id").to_numpy()[m].tolist() == ids.tolist()
         np.testing.assert_array_equal(sharded.column("score").to_numpy()[m],
                                       scores)
+
+
+def test_sharded_bm25_reads_only_its_shard(small_corpus_dir, tmp_path,
+                                           monkeypatch):
+    """A doc-range BM25 shard fetches its posting rows range-pruned: on a
+    salted index (several rows per hot term) no row that
+    ``_read_term_rows`` hands a shard lies wholly outside [lo, hi), and
+    the shard's scores equal the unsharded ones for its docs."""
+    from indri_5_5_ray.config import IndexConfig
+    from indri_5_5_ray.pipelines.build import build_index
+    from indri_5_5_ray.pipelines.query import (
+        BM25Scorer,
+        IndexReader,
+        process_query,
+    )
+
+    out = str(tmp_path / "salted")
+    build_index(small_corpus_dir, out,
+                IndexConfig(max_chunk_docs=64, n_buckets=4, dedup_key="sha256",
+                            salt_docs_per_group=64), resume=False)
+    terms = process_query("merge token buffer int return", IndexReader(out).cfg)
+    full_ids, full_scores = BM25Scorer(IndexReader(out)).score_exhaustive(
+        terms, k=10_000)
+    full = dict(zip(full_ids.tolist(), full_scores.tolist()))
+
+    seen = []
+    real = IndexReader._read_term_rows
+
+    def spy(self, t, doc_range=None):
+        rows = real(self, t, doc_range)
+        seen.append((doc_range, rows))
+        return rows
+
+    monkeypatch.setattr(IndexReader, "_read_term_rows", spy)
+    outside = 0
+    for lo, hi in ((0, 64), (64, 192), (192, 300)):
+        seen.clear()
+        ids, scores = BM25Scorer(IndexReader(out)).score_exhaustive(
+            terms, k=10_000, doc_range=(lo, hi))
+        assert seen and all(dr == (lo, hi) for dr, _ in seen)
+        for _, rows in seen:
+            first = rows.column("first_doc").to_numpy()
+            last = rows.column("last_doc").to_numpy()
+            assert ((last >= lo) & (first < hi)).all(), (lo, hi)
+        assert ((ids >= lo) & (ids < hi)).all()
+        assert {d: full[d] for d in ids.tolist()} == dict(
+            zip(ids.tolist(), scores.tolist()))
+        assert sorted(ids.tolist()) == sorted(d for d in full if lo <= d < hi)
+        unranged = real(IndexReader(out), [t for t, _ in terms])
+        outside += int(((unranged.column("last_doc").to_numpy() < lo)
+                        | (unranged.column("first_doc").to_numpy() >= hi)).sum())
+    assert outside, "no salt row lies outside any shard — test is vacuous"
