@@ -48,10 +48,9 @@ def _feedback_doc_vectors(reader: IndexReader, doc_ids: list[int]) -> dict[int, 
 
     want = np.unique(np.asarray(doc_ids, np.int64))
     lo, hi = int(want[0]), int(want[-1])
-    dset = pads.dataset(f"{reader.index_dir}/postings", format="parquet")
     # prune rows, then blocks, whose doc range cannot intersect the
     # feedback set; positions are not needed for term vectors
-    pb = posting_blocks(dset.to_table(
+    pb = posting_blocks(reader._dset("postings").to_table(
         filter=(pads.field("first_doc") <= hi) & (pads.field("last_doc") >= lo)))
     sel = np.flatnonzero((pb.last >= lo) & (pb.first <= hi))
     d, tf, _ = pb.decode(sel)

@@ -97,36 +97,60 @@ def _overlaps(rows: pa.Table, doc_range: tuple[int, int]) -> pa.ChunkedArray:
                    pc.less(rows.column("first_doc"), doc_range[1]))
 
 
-def deleted_keep_mask(deleted: np.ndarray | None,
-                      doc_ids: np.ndarray) -> np.ndarray:
-    """True where doc survives (DeletedDocumentList analogue,
-    ref:src/DeletedDocumentList.cpp)."""
-    if deleted is None or not len(deleted) or not len(doc_ids):
-        return np.ones(len(doc_ids), dtype=bool)
-    pos = np.minimum(np.searchsorted(deleted, doc_ids), len(deleted) - 1)
-    return deleted[pos] != doc_ids
-
-
 class IndexReader:
-    """Read-side handle on one index directory (or one doc-range shard of a
-    sharded deployment; statistics always come from the global manifest)."""
+    """Read-side handle on one index directory, or on N indexes with
+    disjoint docID ranges (the segments of a ``Repository`` — the
+    reference's one inference network over every index of a repository,
+    ref:src/InferenceNetwork.cpp:118-176).
 
-    def __init__(self, index_dir: str):
-        self.index_dir = str(index_dir)
-        self.manifest = json.loads((Path(index_dir) / "manifest.json").read_text())
-        self.cfg = IndexConfig.from_dict(self.manifest["config"])
+    Every read goes through file sets spanning all dirs (``_dset``,
+    ``_files``: the row-group index, the footer catalogs, the docs/fields
+    datasets), so a segment boundary is one more file boundary.
+    Statistics are the sums over the manifests (global, so scores equal a
+    merged single index's), and the deleted set is the union of every
+    dir's ``deleted.parquet`` and ``deleted_path``."""
+
+    def __init__(self, index_dir: str | list[str],
+                 deleted_path: str | None = None):
+        self.index_dirs = ([str(index_dir)] if isinstance(index_dir, (str, Path))
+                           else [str(d) for d in index_dir])
+        if not self.index_dirs:
+            raise ValueError("no index dirs")
+        self.index_dir = self.index_dirs[0]
+        manifests = [json.loads((Path(d) / "manifest.json").read_text())
+                     for d in self.index_dirs]
+        self.cfg = IndexConfig.from_dict(manifests[0]["config"])
+        if any(IndexConfig.from_dict(m["config"]).to_dict() != self.cfg.to_dict()
+               for m in manifests[1:]):
+            raise ValueError("segment configs differ")
+        if len(manifests) == 1:
+            self.manifest = manifests[0]
+        else:
+            from .build import sum_field_stats
+
+            self.manifest = {
+                "max_doc_id": max(m["max_doc_id"] for m in manifests),
+                "config": self.cfg.to_dict(),
+                "doc_count": sum(m["doc_count"] for m in manifests),
+                "total_terms": sum(m["total_terms"] for m in manifests),
+                "field_stats": sum_field_stats(
+                    m.get("field_stats") for m in manifests),
+            }
         self.doc_count = self.manifest["doc_count"]
         self.total_terms = self.manifest["total_terms"]
         self.avgdl = self.total_terms / self.doc_count
         # deleted-document list (DeletedDocumentList analogue,
         # ref:src/DeletedDocumentList.cpp): collection statistics keep the
         # deleted docs until compaction, exactly like the reference
-        self.deleted: np.ndarray | None = load_deleted(
-            Path(index_dir) / "deleted.parquet")
+        paths = [Path(d) / "deleted.parquet" for d in self.index_dirs]
+        if deleted_path:
+            paths.append(deleted_path)
+        lists = [a for p in paths if (a := load_deleted(p)) is not None]
+        self.deleted: np.ndarray | None = (
+            np.unique(np.concatenate(lists)) if lists else None)
         self._doc_lens: np.ndarray | None = None
         self._range_lens: dict[tuple[int, int], np.ndarray] = {}
         self._range_lens_bytes = 0
-        self._docnos: dict[int, str] | None = None
         # per-term posting rows (the ListCache analogue); eviction is bound
         # by term count AND by the cached tables' Arrow buffer bytes, so a
         # long-lived actor's cache stays under a fixed memory ceiling
@@ -140,14 +164,25 @@ class IndexReader:
         self._rg_idx: dict[str, tuple] = {}
         self._pqfiles: dict[str, pq.ParquetFile] = {}
         self._pcat: list | None = None
-        self._dcat: dict[int, tuple] | None = None
+        self._dcat: dict[int, list] | None = None
 
     def _dset(self, sub: str) -> pads.Dataset:
+        """One dataset over ``sub`` of every dir; FileNotFoundError when a
+        dir lacks it."""
         ds = self._dsets.get(sub)
         if ds is None:
-            ds = pads.dataset(f"{self.index_dir}/{sub}", format="parquet")
+            parts = [pads.dataset(f"{d}/{sub}", format="parquet")
+                     for d in self.index_dirs]
+            ds = parts[0] if len(parts) == 1 else pads.dataset(
+                [f for p in parts for f in p.files], schema=parts[0].schema,
+                format="parquet")
             self._dsets[sub] = ds
         return ds
+
+    def _files(self, sub: str) -> list[Path]:
+        """The ``*.parquet`` files of ``sub`` in every dir, dir by dir."""
+        return [f for d in self.index_dirs
+                for f in sorted((Path(d) / sub).glob("*.parquet"))]
 
     def _doc_bounds(self, sub: str) -> list:
         """Per-fragment (min, max, frag, row-group bounds) doc_id footer
@@ -228,15 +263,20 @@ class IndexReader:
         return pf
 
     def keep_mask(self, doc_ids: np.ndarray) -> np.ndarray:
-        """Boolean mask of NOT-deleted docs (True = keep)."""
-        return deleted_keep_mask(self.deleted, doc_ids)
+        """Boolean mask of NOT-deleted docs (True = keep; DeletedDocumentList
+        analogue, ref:src/DeletedDocumentList.cpp)."""
+        deleted = self.deleted
+        if deleted is None or not len(deleted) or not len(doc_ids):
+            return np.ones(len(doc_ids), dtype=bool)
+        pos = np.minimum(np.searchsorted(deleted, doc_ids), len(deleted) - 1)
+        return deleted[pos] != doc_ids
 
     # -- doc metadata -------------------------------------------------------
 
     def doc_lens(self) -> np.ndarray:
         """Dense doc_id → dl array (per-shard at scale; whole index here)."""
         if self._doc_lens is None:
-            t = pq.read_table(f"{self.index_dir}/docs", columns=["doc_id", "dl"])
+            t = self._dset("docs").to_table(columns=["doc_id", "dl"])
             arr = np.zeros(self.manifest["max_doc_id"] + 1, dtype=np.int32)
             arr[t.column("doc_id").to_numpy()] = t.column("dl").to_numpy()
             self._doc_lens = arr
@@ -291,8 +331,7 @@ class IndexReader:
         doc-range-pruned point read (the TermList role,
         ref:include/indri/TermList.hpp:105-131).  Raises FileNotFoundError
         when the index was built without ``store_direct``."""
-        if not (Path(self.index_dir) / "direct").exists():
-            raise FileNotFoundError(f"{self.index_dir}/direct (store_direct off)")
+        self._dset("direct")  # raises when built without store_direct
         if not doc_ids:
             return {}
         t = self._point_read("direct", doc_ids, ["doc_id", "terms", "tfs"])
@@ -323,16 +362,30 @@ class IndexReader:
             filter=(pads.field("term") >= prefix) & (pads.field("term") < prefix + "\uffff"),
             columns=["term"],
         )
-        terms = sorted(x for x in t.column("term").to_pylist() if x.startswith(prefix))
-        return terms[:cap]
+        terms = {x for x in t.column("term").to_pylist() if x.startswith(prefix)}
+        return sorted(terms)[:cap]
 
     def load_prior(self, name: str, lo: int | None = None,
                    hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Sorted (doc_ids, log_priors) of a named prior, optionally bounded
-        to a doc_id range (row-group pruned read)."""
+        to a doc_id range (row-group pruned read): the dirs' tables
+        concatenated; a dir without the prior leaves its docs to the
+        engine's absent-doc default, and FileNotFoundError means no dir
+        has it."""
         from .priors import load_prior
 
-        return load_prior(self.index_dir, name, lo, hi)
+        parts = []
+        for d in self.index_dirs:
+            try:
+                parts.append(load_prior(d, name, lo, hi))
+            except FileNotFoundError:
+                continue
+        if not parts:
+            raise FileNotFoundError(f"no prior named {name!r} in {self.index_dirs}")
+        ids = _cat([i for i, _ in parts])
+        lps = _cat([lp for _, lp in parts])
+        order = np.argsort(ids, kind="stable")
+        return ids[order], lps[order]
 
     # -- field extents -------------------------------------------------------
 
@@ -348,8 +401,6 @@ class IndexReader:
         pruned by field value (row-group stats) and, when given, by doc set
         (doc-range partitioned files).  Raises FileNotFoundError when the
         index was built without field specs."""
-        if not (Path(self.index_dir) / "fields").exists():
-            raise FileNotFoundError(f"{self.index_dir}/fields (no field spec)")
         dset = self._dset("fields")
         expr = pads.field("field") == field
         if doc_ids is not None:
@@ -469,7 +520,7 @@ class IndexReader:
         fragments (pyarrow does not prune row groups for isin)."""
         if self._pcat is None:
             self._pcat = self._term_footer_catalog(
-                sorted((Path(self.index_dir) / "postings").glob("*.parquet")),
+                self._files("postings"),
                 ("bucket", "first_doc", "last_doc"))
         return self._pcat
 
@@ -512,35 +563,38 @@ class IndexReader:
             mask = pc.and_(mask, _overlaps(fetched, doc_range))
         return fetched.filter(mask)
 
-    def _dict_catalog(self) -> dict[int, tuple]:
-        """Dictionary term catalog keyed by bucket: MergeWorker writes one
-        term-sorted ``dictionary-{bucket:05d}.parquet`` per term-hash bucket
-        with 4096-row groups, so a cold (cf, df) lookup decompresses ~one
-        group of the term's own bucket file.  A file name that carries no
-        bucket raises ValueError."""
+    def _dict_catalog(self) -> dict[int, list]:
+        """Dictionary term catalog: bucket → the catalog entries of that
+        bucket's files, one per dir.  MergeWorker writes one term-sorted
+        ``dictionary-{bucket:05d}.parquet`` per term-hash bucket with
+        4096-row groups, so a cold (cf, df) lookup decompresses ~one group
+        of each of the term's own bucket files.  A file name that carries
+        no bucket raises ValueError."""
         if self._dcat is None:
-            files = sorted((Path(self.index_dir) / "dictionary").glob("*.parquet"))
+            files = self._files("dictionary")
             names = [re.fullmatch(r"dictionary-(\d+)\.parquet", f.name)
                      for f in files]
             if None in names:
                 raise ValueError("dictionary file name carries no bucket: "
                                  f"{files[names.index(None)]}")
-            self._dcat = {int(m.group(1)): entry for m, entry
-                          in zip(names, self._term_footer_catalog(files))}
+            self._dcat = {}
+            for m, entry in zip(names, self._term_footer_catalog(files)):
+                self._dcat.setdefault(int(m.group(1)), []).append(entry)
         return self._dcat
 
     def _read_dict_rows(self, terms: list[str]) -> pa.Table:
         """Dictionary rows of ``terms``, each looked up in its own bucket's
-        file only (``_bucket_of``, the hash the merge buckets by)."""
+        files only (``_bucket_of``, the hash the merge buckets by)."""
         cat = self._dict_catalog()
         by_bucket: dict[int, list[str]] = {}
         for t in terms:
             by_bucket.setdefault(self._bucket_of(t), []).append(t)
         parts = []
         for b, b_terms in sorted(by_bucket.items()):
-            if b in cat and (want := self._term_row_groups(cat[b], b_terms)):
-                parts.append(cat[b][0].read_row_groups(sorted(want),
-                                                       use_threads=False))
+            for entry in cat.get(b, ()):
+                if want := self._term_row_groups(entry, b_terms):
+                    parts.append(entry[0].read_row_groups(sorted(want),
+                                                          use_threads=False))
         if not parts:
             return pa.table({"term": pa.array([], pa.string()),
                              "cf": pa.array([], pa.int64()),
@@ -614,21 +668,20 @@ class IndexReader:
         return pa.concat_tables(tables)
 
     def term_stats(self, terms: list[str]) -> dict[str, tuple[int, int]]:
-        """Global (cf, df) per term from the dictionary (first query pass —
-        the statistics gather of ref:src/QueryEnvironment.cpp:957-965)."""
+        """Global (cf, df) per term: the sum over the term's dictionary rows,
+        one per dir holding it (first query pass — the statistics gather of
+        ref:src/QueryEnvironment.cpp:957-965)."""
         if not terms:
             return {}
         missing = [t for t in terms if t not in self._stats_cache]
         if missing:
             t = self._read_dict_rows(missing)
-            found = {
-                term: (int(cf), int(df))
-                for term, cf, df in zip(
-                    t.column("term").to_pylist(),
-                    t.column("cf").to_pylist(),
-                    t.column("df").to_pylist(),
-                )
-            }
+            found: dict[str, tuple[int, int]] = {}
+            for term, cf, df in zip(t.column("term").to_pylist(),
+                                    t.column("cf").to_pylist(),
+                                    t.column("df").to_pylist()):
+                pcf, pdf = found.get(term, (0, 0))
+                found[term] = (pcf + cf, pdf + df)
             for term in missing:
                 self._stats_cache[term] = found.get(term)
         return {t: s for t in terms if (s := self._stats_cache.get(t)) is not None}

@@ -9,8 +9,9 @@ ref:src/DeletedDocumentList.cpp, ref:dumpindex/dumpindex.cpp delete/compact).
 
 Ray analogue: every ``add()`` is a normal (parallel, resumable) segment
 build with a disjoint docID range (``build_index(doc_id_base=…)``); queries
-run over all segments through ``MultiIndexReader`` (global statistics are
-the segment sums, so scores are identical to a single merged index);
+run over all segments through one ``IndexReader`` opened on every segment
+dir (global statistics are the segment sums, so scores are identical to a
+single merged index);
 ``trim()`` folds the newest segments into one through the offline merge's
 copy step (``merge.write_merged``) and the build's own merge phase, so
 trim and compaction bound reducer fan-in and declare merge memory exactly
@@ -34,152 +35,7 @@ import pyarrow.parquet as pq
 from ..config import IndexConfig
 from .build import build_index, sum_field_stats, write_manifest
 from .merge import write_merged
-from .query import IndexReader, deleted_keep_mask, load_deleted
-
-
-class MultiIndexReader:
-    """IndexReader-compatible view over N segment indexes with DISJOINT
-    docID ranges.  Statistics are the segment sums (global, so any scorer
-    produces scores identical to the merged single index); per-term reads
-    concatenate the segments' bucket-pruned reads."""
-
-    def __init__(self, index_dirs: list[str], deleted_path: str | None = None):
-        self.readers = [IndexReader(d) for d in index_dirs]
-        if not self.readers:
-            raise ValueError("no segments")
-        cfg0 = self.readers[0].cfg
-        for r in self.readers[1:]:
-            if r.cfg.to_dict() != cfg0.to_dict():
-                raise ValueError("segment configs differ")
-        self.cfg = cfg0
-        self.doc_count = sum(r.doc_count for r in self.readers)
-        self.total_terms = sum(r.total_terms for r in self.readers)
-        self.avgdl = self.total_terms / self.doc_count
-        self.manifest = {
-            "max_doc_id": max(r.manifest["max_doc_id"] for r in self.readers),
-            "config": cfg0.to_dict(),
-            "doc_count": self.doc_count,
-            "total_terms": self.total_terms,
-        }
-        self.index_dir = index_dirs[0]  # for priors/wildcards of segment 0
-        self.deleted: np.ndarray | None = (
-            load_deleted(deleted_path) if deleted_path else None)
-        self._doc_lens: np.ndarray | None = None
-
-    def keep_mask(self, doc_ids: np.ndarray) -> np.ndarray:
-        return deleted_keep_mask(self.deleted, doc_ids)
-
-    def _dset(self, sub: str):
-        """Schema probe (segment configs are identical, so any segment's
-        dataset schema stands for all)."""
-        return self.readers[0]._dset(sub)
-
-    def _point_read(self, sub: str, doc_ids: list[int], columns: list[str]):
-        """doc_id point read across segments (disjoint ranges: each
-        segment's row-group-pruned read returns only its own hits)."""
-        parts = [r._point_read(sub, doc_ids, columns) for r in self.readers]
-        hit = [p for p in parts if p.num_rows]
-        return pa.concat_tables(hit) if hit else parts[0]
-
-    def doc_lens(self) -> np.ndarray:
-        if self._doc_lens is None:
-            arr = np.zeros(self.manifest["max_doc_id"] + 1, dtype=np.int32)
-            for r in self.readers:
-                t = pq.read_table(f"{r.index_dir}/docs", columns=["doc_id", "dl"])
-                arr[t.column("doc_id").to_numpy()] = t.column("dl").to_numpy()
-            self._doc_lens = arr
-        return self._doc_lens
-
-    def doc_lens_range(self, lo: int, hi: int) -> np.ndarray:
-        hi = min(hi, self.manifest["max_doc_id"] + 1)
-        if hi <= lo:
-            return np.empty(0, np.int32)
-        out = np.zeros(hi - lo, dtype=np.int32)
-        for r in self.readers:
-            r_lo = max(lo, r.manifest.get("min_doc_id", 0))
-            r_hi = min(hi, r.manifest["max_doc_id"] + 1)
-            if r_lo >= r_hi:
-                continue
-            sl = r.doc_lens_range(r_lo, r_hi)
-            out[r_lo - lo : r_hi - lo] = np.maximum(out[r_lo - lo : r_hi - lo], sl)
-        return out
-
-    def docnos(self, doc_ids: list[int]) -> list[str]:
-        lookup: dict[int, str] = {}
-        for r in self.readers:
-            for d, n in zip(doc_ids, r.docnos(doc_ids)):
-                if n:
-                    lookup[d] = n
-        return [lookup.get(d, "") for d in doc_ids]
-
-    def term_rows(self, terms: list[str],
-                  doc_range: tuple[int, int] | None = None) -> pa.Table:
-        tables = [t for t in (r.term_rows(terms, doc_range)
-                              for r in self.readers) if t.num_rows]
-        from ..stages.postings import POSTINGS_SCHEMA
-
-        if not tables:
-            return POSTINGS_SCHEMA.empty_table()
-        return pa.concat_tables(tables).sort_by(
-            [("term", "ascending"), ("first_doc", "ascending")]
-        )
-
-    def term_stats(self, terms: list[str]) -> dict[str, tuple[int, int]]:
-        out: dict[str, tuple[int, int]] = {}
-        for r in self.readers:
-            for t, (cf, df) in r.term_stats(terms).items():
-                prev = out.get(t, (0, 0))
-                out[t] = (prev[0] + cf, prev[1] + df)
-        return out
-
-    def doc_vectors(self, doc_ids: list[int]) -> dict[int, dict[str, int]]:
-        out: dict[int, dict[str, int]] = {}
-        for r in self.readers:
-            out.update(r.doc_vectors(doc_ids))
-        return out
-
-    def field_stats(self, field: str) -> dict | None:
-        return sum_field_stats(
-            r.manifest.get("field_stats") for r in self.readers).get(field)
-
-    def dictionary_prefix(self, prefix: str, cap: int) -> list[str]:
-        terms: set[str] = set()
-        for r in self.readers:
-            terms.update(r.dictionary_prefix(prefix, cap))
-        return sorted(terms)[:cap]
-
-    def load_prior(self, name: str, lo: int | None = None,
-                   hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Concatenated per-segment priors (docID ranges are disjoint, so
-        the concat re-sorts trivially); segments without the prior fall
-        back to the engine's absent-doc default at scoring time."""
-        ids_parts, lp_parts = [], []
-        for r in self.readers:
-            try:
-                i, l = r.load_prior(name, lo, hi)
-            except FileNotFoundError:
-                continue
-            ids_parts.append(i)
-            lp_parts.append(l)
-        if not ids_parts:
-            raise FileNotFoundError(f"no segment has a prior named {name!r}")
-        ids = np.concatenate(ids_parts)
-        lps = np.concatenate(lp_parts)
-        order = np.argsort(ids, kind="stable")
-        return ids[order], lps[order]
-
-    def field_extents(self, field: str, doc_ids: list[int] | None = None,
-                      doc_range: tuple[int, int] | None = None) -> pa.Table:
-        tables = []
-        for r in self.readers:
-            try:
-                tables.append(r.field_extents(field, doc_ids, doc_range))
-            except FileNotFoundError:
-                continue
-        if not tables:
-            raise FileNotFoundError("no segment has a fields file")
-        # permissive: a pre-ordinal segment returns 4 columns, a new one 6
-        return pa.concat_tables(tables, promote_options="permissive")
+from .query import IndexReader
 
 
 class Repository:
@@ -237,21 +93,17 @@ class Repository:
 
     # -- reads ---------------------------------------------------------------
 
-    def reader(self) -> MultiIndexReader | IndexReader:
-        return MultiIndexReader(self.segment_dirs(),
-                                deleted_path=str(self.dir / "deleted.parquet"))
+    def reader(self) -> IndexReader:
+        return IndexReader(self.segment_dirs(),
+                           deleted_path=str(self.dir / "deleted.parquet"))
 
     def build_length_prior(self, name: str = "length") -> None:
         """Build the length prior on every segment, normalized by the
-        COLLECTION total (segment manifests already carry Σdl as
-        total_terms), so multi-segment scoring is identical to a
-        monolithic index's prior."""
+        COLLECTION total (Σdl, the reader's total_terms), so multi-segment
+        scoring is identical to a monolithic index's prior."""
         from .priors import build_length_prior
 
-        total = 0
-        for seg in self.segment_dirs():
-            total += json.loads(
-                (Path(seg) / "manifest.json").read_text())["total_terms"]
+        total = self.reader().total_terms
         for seg in self.segment_dirs():
             build_length_prior(seg, name, total=float(total))
 
@@ -269,14 +121,10 @@ class Repository:
         return len(merged)
 
     def delete_docnos(self, docnos: list[str]) -> int:
-        want = sorted(set(docnos))
-        ids: list[int] = []
-        for seg in self.segment_dirs():
-            dset = pads.dataset(f"{seg}/docs", format="parquet")
-            t = dset.to_table(filter=pads.field("docno").isin(want),
-                              columns=["doc_id"])
-            ids.extend(t.column("doc_id").to_pylist())
-        return self.delete(ids)
+        t = self.reader()._dset("docs").to_table(
+            filter=pads.field("docno").isin(sorted(set(docnos))),
+            columns=["doc_id"])
+        return self.delete(t.column("doc_id").to_pylist())
 
     def deleted(self) -> np.ndarray:
         path = self.dir / "deleted.parquet"

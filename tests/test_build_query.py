@@ -384,7 +384,7 @@ def test_catalog_fetch_equals_bruteforce_property(tmp_path_factory, data):
                             target_bytes=64, max_rows=3)
 
     r = IndexReader.__new__(IndexReader)
-    r.index_dir = str(d)
+    r.index_dirs = [str(d)]
     r._pcat = None
     r._dcat = None
     r.cfg = SimpleNamespace(n_buckets=n_buckets)
@@ -455,7 +455,7 @@ def test_routed_term_stats_equals_bruteforce_property(tmp_path_factory, data):
 
     def fresh_reader():
         r = IndexReader.__new__(IndexReader)
-        r.index_dir = str(d)
+        r.index_dirs = [str(d)]
         r._dcat = None
         r._stats_cache = {}
         r.cfg = SimpleNamespace(n_buckets=n_buckets)
@@ -481,7 +481,8 @@ def test_cold_term_stats_reads_one_dictionary_file(built_index):
     cat = r._dict_catalog()
     assert sorted(cat) == list(range(r.cfg.n_buckets))
     reads = []
-    for b, entry in cat.items():
+    for b, entries in cat.items():
+        [entry] = entries  # one dir: one file per bucket
         def counted(*a, _b=b, _read=entry[0].read_row_groups, **kw):
             reads.append(_b)
             return _read(*a, **kw)

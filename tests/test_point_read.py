@@ -1,5 +1,5 @@
 """doc_id point reads (``IndexReader._point_read`` and everything built on
-it: docnos, doc_vectors, snippets' docstore reads, MultiIndexReader) equal a
+it: docnos, doc_vectors, snippets' docstore reads, repository readers) equal a
 brute-force read of the whole ``docs/`` table — on an index with more than
 32 docs files, on a store_content docstore with 256-row groups, and across
 two repository segments."""
@@ -155,7 +155,7 @@ def test_point_read_overlapping_and_statless_row_groups(tmp_path, names):
                        row_group_size=2, write_statistics=stats)
         brute.update({i: f"d{i}" for i in ids})
     r = IndexReader.__new__(IndexReader)
-    r.index_dir = str(tmp_path)
+    r.index_dirs = [str(tmp_path)]
     r._dsets, r._frag_bounds, r._rg_idx, r._pqfiles = {}, {}, {}, {}
     for ids in ([3], [40], [2, 9, 40], [11, 4, 33, 20], list(range(45)),
                 [100]):

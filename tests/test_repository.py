@@ -256,7 +256,7 @@ def test_trim_keeps_max_segments(corpora, tmp_path):
 
 def test_prior_covers_all_segments(corpora, tmp_path):
     """#prior over a multi-segment repository must read every segment's
-    prior table — regression: MultiIndexReader used segment 0's priors
+    prior table — regression: the repository reader used segment 0's priors
     only, silently defaulting every later segment's docs to log(1/N)."""
     from indri_5_5_ray.config import IndexConfig
     from indri_5_5_ray.pipelines.build import build_index
@@ -331,6 +331,96 @@ def test_delete_docnos_lookup(corpora, tmp_path):
     n = repo.delete_docnos(names + ["no/such@docno"])
     assert n == 2
     assert sorted(repo.deleted().tolist()) == [5, 17]
+
+
+
+def _repo_and_mono(corpora, tmp_path, name, **cfg_kw):
+    """A two-segment repository over corpora a, b and the single-build
+    index over both, with one config."""
+    from indri_5_5_ray.config import IndexConfig
+    from indri_5_5_ray.pipelines.build import build_index
+    from indri_5_5_ray.pipelines.repository import Repository
+
+    a, b, both = corpora
+    cfg = IndexConfig(**{**CFG_KW, **cfg_kw})
+    repo = Repository.create(str(tmp_path / f"repo_{name}"), cfg)
+    repo.add(a)
+    repo.add(b)
+    mono = str(tmp_path / f"mono_{name}")
+    build_index(both, mono, cfg, resume=False)
+    return repo, mono
+
+
+def test_feedback_vectors_cover_all_segments(corpora, tmp_path):
+    """RM feedback over a repository built without a direct index reads
+    every segment's postings — regression: the fallback scanned segment 0
+    only, so feedback docs past it got empty term vectors."""
+    from indri_5_5_ray.pipelines.feedback import (_feedback_doc_vectors,
+                                                  rm1_model)
+    from indri_5_5_ray.pipelines.query import IndexReader
+
+    repo, mono = _repo_and_mono(corpora, tmp_path, "fb")
+    rm, rs = repo.reader(), IndexReader(mono)
+    ids = [3, 64, 119, 120, 130, 199]  # segment 0 holds ids 0-119
+    got = _feedback_doc_vectors(rm, ids)
+    assert got == _feedback_doc_vectors(rs, ids)
+    assert all(got[d] for d in ids)
+    for q in ("merge buffer token", "stream return value"):
+        assert rm1_model(rm, q) == rm1_model(rs, q), q
+
+
+def test_repository_reader_equals_single_build(corpora, tmp_path):
+    """A reader over two segments answers every read like the single-build
+    index: statistics, doc lengths (also across the segment boundary),
+    docnos, direct vectors, dictionary stats and prefixes, and decoded
+    postings; its deleted set is the union of the repository's list and
+    every segment's own."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from indri_5_5_ray.pipelines.query import IndexReader, read_postings
+
+    repo, mono = _repo_and_mono(corpora, tmp_path, "eq", store_direct=True)
+    rm, rs = repo.reader(), IndexReader(mono)
+    assert rm.index_dir == repo.segment_dirs()[0]
+    assert (rm.doc_count, rm.total_terms, rm.avgdl) == \
+        (rs.doc_count, rs.total_terms, rs.avgdl)
+    assert rm.manifest["max_doc_id"] == rs.manifest["max_doc_id"]
+    assert np.array_equal(rm.doc_lens_range(100, 150),
+                          rs.doc_lens_range(100, 150))
+    assert np.array_equal(rm.doc_lens(), rs.doc_lens())
+
+    ids = [0, 7, 119, 120, 121, 160, 199]
+    assert rm.docnos(ids + [500]) == rs.docnos(ids + [500])
+    assert rm.doc_vectors(ids) == rs.doc_vectors(ids)
+    for d in ids + [500]:
+        assert rm.doc_vector_positional(d) == rs.doc_vector_positional(d), d
+
+    vocab = pq.read_table(f"{mono}/dictionary",
+                          columns=["term"]).column("term").to_pylist()
+    assert rm.term_stats(vocab + ["zzznotaterm"]) == rs.term_stats(vocab)
+    for prefix, cap in (("m", 1000), ("t", 5), ("zzz", 10)):
+        assert rm.dictionary_prefix(prefix, cap) == \
+            rs.dictionary_prefix(prefix, cap)
+
+    terms = sorted(vocab)[::7]
+    got = read_postings(rm, terms, positions=True)
+    want = read_postings(rs, terms, positions=True)
+    assert sorted(got) == sorted(want)
+    for t, (d, tf, pos, starts) in want.items():
+        gd, gtf, gpos, gstarts = got[t]
+        assert d.tolist() == gd.tolist(), t
+        assert tf.tolist() == gtf.tolist(), t
+        assert pos.tolist() == gpos.tolist(), t
+        assert starts.tolist() == gstarts.tolist(), t
+
+    all_ids = np.arange(rs.manifest["max_doc_id"] + 1)
+    assert rm.keep_mask(all_ids).all()
+    repo.delete([5, 150])
+    pq.write_table(pa.table({"doc_id": pa.array([160], pa.int64())}),
+                   f"{repo.segment_dirs()[1]}/deleted.parquet")
+    keep = repo.reader().keep_mask(all_ids)
+    assert sorted(all_ids[~keep].tolist()) == [5, 150, 160]
 
 
 def test_filter_partials_vectorized():

@@ -221,7 +221,8 @@ def test_read_postings_matches_block_walk(built_index, two_segment_repo):
 
     out, _ = built_index
     multi = two_segment_repo.reader()
-    assert len(multi.readers) == 2
+    assert multi.index_dirs == two_segment_repo.segment_dirs()
+    assert len(multi.index_dirs) == 2
     terms = ["merge", "token", "buffer", "int", "return", "zzzznotaterm"]
     for reader, dirs in ((IndexReader(out), [out]),
                          (multi, two_segment_repo.segment_dirs())):
@@ -244,14 +245,14 @@ def test_read_postings_matches_block_walk(built_index, two_segment_repo):
 
 
 def test_point_read_multi_index_reader(built_index):
-    """Regression: _doc_texts moved onto reader._point_read, which
-    MultiIndexReader (documented IndexReader-compatible) lacked."""
+    """Regression: _doc_texts moved onto reader._point_read, which the
+    repository reader once lacked; a reader opened on a dir list reads
+    like one opened on the dir."""
     from indri_5_5_ray.pipelines.query import IndexReader
-    from indri_5_5_ray.pipelines.repository import MultiIndexReader
 
     out, _ = built_index
     single = IndexReader(out)
-    multi = MultiIndexReader([out])
+    multi = IndexReader([out])
     ids = single.docnos([0, 5, 17])
     t1 = single._point_read("docs", [0, 5, 17], ["doc_id", "dl"])
     t2 = multi._point_read("docs", [0, 5, 17], ["doc_id", "dl"])
