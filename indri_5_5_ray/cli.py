@@ -183,7 +183,7 @@ def cmd_dxcount(reader: IndexReader, expr: str) -> None:
         print(0)
         return
     arr = np.unique(np.concatenate(parts))
-    counts = eng._node_counts(root, eng._postings, arr)
+    counts = eng._node_counts(root, arr)
     print(int((counts > 0).sum()))
 
 

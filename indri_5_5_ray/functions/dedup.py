@@ -408,17 +408,6 @@ def _doc_shingles(batch: pa.Table) -> pl.DataFrame:
     return uniq.with_columns(pl.len().over("doc_id").alias("n_shingles"))
 
 
-def doc_shingles(sf_dir: str) -> ray.data.Dataset:
-    """(doc_id, shingle, n_shingles) dataset. NOTE: batches must not split
-    documents — read_parquet blocks keep rows contiguous, and the shift
-    window is keyed by doc_id, so document boundaries are safe regardless."""
-
-    def f(batch: pa.Table) -> pa.Table:
-        return _doc_shingles(batch).to_arrow()
-
-    return _docs(sf_dir).map_batches(f, batch_format="pyarrow")
-
-
 # ---------------------------------------------------------------------------
 # duplicated-span statistics (substring-level dedup measure)
 # ---------------------------------------------------------------------------

@@ -10,10 +10,12 @@ InferenceNetworkBuilder.cpp:170), and a plain document query carries
 ``begin = end = 0`` (the two-argument ScoredExtentResult constructor,
 ref:include/indri/ScoredExtentResult.hpp:60-82).
 
-:class:`~.indriql.StructuredQueryEngine` collapses per-extent scores to
-document scores (union of extents / best passage per doc — documented at
-``indriql.py`` module docstring); this module is the per-extent surface
-on the same index data:
+Every surface runs ONE belief recursion, :class:`~.indriql._ExtentEval`,
+over an extent set: :class:`~.indriql.StructuredQueryEngine` passes one
+whole-document extent per candidate (and a document-level passage's
+windows, keeping each doc's best), this module passes a root's field
+extents or passage windows and keeps every extent — the per-extent
+surface on the same index data:
 
 * :func:`run_extents` ranks ``(doc, begin, end)`` triples with the
   reference's exact tie order ``score desc → doc desc → begin desc →
@@ -49,9 +51,10 @@ support-path shape ``#max(#combine[.path](terms))`` (the NEXI
 ``about(.//f, terms)`` clause — each outer extent scores as the best
 anchored path extent, MaxNode semantics) and numeric/date predicates
 (the arithmetic clause — count = satisfying field extents contained in
-the evaluation extent).  Other nested extent restrictions and passages
-inside an element-level root raise ``ValueError`` (the document-level
-engine covers those shapes).
+the evaluation extent).  A passage root also takes the restrictions the
+document path scores (``t.f``, ``t.(f)``, ``#op[f]``, ``#any:f``); other
+nested extent restrictions and passages inside an element-level root
+raise ``ValueError`` (the document-level engine covers those shapes).
 """
 from __future__ import annotations
 
@@ -60,10 +63,9 @@ import numpy as np
 from .indriql import (
     Node,
     StructuredQueryEngine,
-    _NUM_PREDS,
-    ordered_window_extents,
+    _ExtentEval,
+    _gather_candidates,
     parse_query,
-    unordered_window_extents,
 )
 
 __all__ = ["run_extents", "run_extents_wildcard", "run_extents_path",
@@ -76,16 +78,6 @@ def _as_engine(reader_or_engine, method: str, mu: float, lam: float
         return reader_or_engine
     return StructuredQueryEngine(reader_or_engine, method=method, mu=mu,
                                  lam=lam)
-
-
-def _ensure_full_postings(eng: StructuredQueryEngine, *nodes: Node) -> None:
-    """Install the FULL positional postings of every leaf term under
-    ``nodes`` as ``eng._postings`` (through the engine memo) — the shared
-    prelude of every element-retrieval entry point."""
-    leafs: set[str] = set()
-    for node in nodes:
-        eng._leaf_terms(node, leafs)
-    eng._memo_postings(leafs)
 
 
 def _csr_gather(csr, cand: np.ndarray):
@@ -107,27 +99,6 @@ def _csr_gather(csr, cand: np.ndarray):
               - np.repeat(out_starts, lens)
               + np.repeat(fstarts[di], lens))
     return has, lens, gather
-
-
-def _gather_candidates(eng: StructuredQueryEngine, nodes,
-                       doc_range: tuple[int, int] | None = None
-                       ) -> np.ndarray:
-    """Shared candidate prelude of every element-retrieval entry point:
-    fetch full postings, union the nodes' candidate docs, slice to the
-    optional docID range (the doc-partitioned scatter; statistics stay
-    collection-global) and apply the deletion mask.  Empty result = no
-    candidates (callers return their empties tuple)."""
-    _ensure_full_postings(eng, *nodes)
-    parts: list[np.ndarray] = []
-    for n in nodes:
-        eng._cand_docs(n, parts)
-    parts = [p for p in parts if len(p)]
-    if not parts:
-        return np.empty(0, np.int64)
-    cand = np.unique(np.concatenate(parts))
-    if doc_range is not None:
-        cand = cand[(cand >= doc_range[0]) & (cand < doc_range[1])]
-    return cand[eng.r.keep_mask(cand)]
 
 
 def run_extents(reader, query: str, k: int = 1000, method: str = "dirichlet",
@@ -174,31 +145,25 @@ def _run_extent_root(eng: StructuredQueryEngine, field: str | None,
                      node: Node, k: int,
                      doc_range: tuple[int, int] | None = None):
     """Shared field-extent / passage-window evaluation.  ``field=None`` =
-    passage mode (``node`` is the passage node, stats collection-global);
-    else ``node`` is the inner scored tree and stats are field-context."""
-    if field is not None:
-        inner = node
-    else:
-        width, stride = node.n, int(node.weights[0])
-        if width <= 0 or stride <= 0:
-            raise ValueError("passage width/stride must be positive")
-        inner = node.children[0]
-    empties = (np.empty(0, np.int64), np.empty(0, np.int64),
-               np.empty(0, np.int64), np.empty(0, np.float64))
+    passage mode (``node`` is the passage node: its windows over the
+    candidate documents, stats collection-global); else ``node`` is the
+    inner scored tree and stats are field-context."""
+    inner = node.children[0] if field is None else node
     cand = _gather_candidates(eng, (inner,), doc_range)
     if not len(cand):
-        return empties
-    # per-candidate extents → flat (edoc, eb, ee) with per-doc offsets,
-    # gathered vectorized from the field CSR (no per-doc Python)
-    if field is not None:
+        return _empties()
+    if field is None:
+        ev = _ExtentEval.documents(
+            eng, cand, eng._doc_lens(cand, doc_range)).passages(node)
+    else:
+        # per-candidate extents → flat (eb, ee) with per-doc offsets,
+        # gathered vectorized from the field CSR (no per-doc Python)
         csr = eng._field_csr(field)
         g = _csr_gather(csr, cand)
         if g is None:
-            return empties
+            return _empties()
         has, lens, gather = g
         cand = cand[has]
-        if not len(cand):
-            return empties
         eb_all = csr[2][gather]
         ee_all = csr[3][gather]
         # zero-length extents are skipped, never scored ("this field has
@@ -206,514 +171,39 @@ def _run_extent_root(eng: StructuredQueryEngine, field: str | None,
         # src/ExtentEnforcementNode.cpp:61-62)
         nz = ee_all > eb_all
         ecand = np.repeat(np.arange(len(cand), dtype=np.int64), lens)[nz]
-        eb = eb_all[nz]
-        ee = ee_all[nz]
-        n_per = np.bincount(ecand, minlength=len(cand)).astype(np.int64)
         ext_start = np.zeros(len(cand) + 1, dtype=np.int64)
-        np.cumsum(n_per, out=ext_start[1:])
-        edoc = np.repeat(cand, n_per)
-        if not len(eb):
-            return empties
-        ev = _ExtentEval(eng, field, cand, ext_start, eb, ee)
-        beliefs = ev.belief(inner)
-        keep = ev.matches(inner) & (beliefs > -np.inf)
-        edoc, eb, ee, beliefs = (edoc[keep], eb[keep], ee[keep],
-                                 beliefs[keep])
-        order = np.lexsort((-ee, -eb, -edoc, -beliefs))[:k]
-        return edoc[order], eb[order], ee[order], beliefs[order]
-    # passage mode: sliding windows per doc, enumerated vectorized
-    if doc_range is not None:  # shard workers hold O(span) dls only
-        dl = eng.r.doc_lens_range(doc_range[0], doc_range[1])[
-            cand - doc_range[0]].astype(np.int64)
-    else:
-        dl = eng.r.doc_lens()[cand].astype(np.int64)
-    # windows start strictly inside the doc — the document path's
-    # `valid = dl > start` guard (indriql._belief passage branch):
-    # n_windows = ceil(dl / stride)
-    n_per = (dl + stride - 1) // stride
-    if not int(n_per.sum()):
-        return empties
-    ext_start = np.zeros(len(cand) + 1, dtype=np.int64)
-    np.cumsum(n_per, out=ext_start[1:])
-    total = int(n_per.sum())
-    win_idx = (np.arange(total, dtype=np.int64)
-               - np.repeat(ext_start[:-1], n_per))
-    eb = win_idx * stride
-    ee = np.minimum(eb + width, np.repeat(dl, n_per))
-    edoc = np.repeat(cand, n_per)
-    ev = _ExtentEval(eng, field, cand, ext_start, eb, ee)
+        np.cumsum(np.bincount(ecand, minlength=len(cand)),
+                  out=ext_start[1:])
+        ev = _ExtentEval(eng, cand, ext_start, eb_all[nz], ee_all[nz],
+                         field=field)
+    return _score_extents(ev, inner, k)
+
+
+def _empties():
+    return (np.empty(0, np.int64), np.empty(0, np.int64),
+            np.empty(0, np.int64), np.empty(0, np.float64))
+
+
+def _score_extents(ev: _ExtentEval, inner: Node, k: int):
+    """Score every extent of ``ev`` under ``inner`` and rank the top k.
+    Extents where the scored tree has NO match are skipped, not
+    background-scored (ExtentRestrictionNode/FixedPassageNode gate every
+    extent on _child->hasMatch, ref:src/ExtentRestrictionNode.cpp:58-69,
+    ref:src/FixedPassageNode.cpp:52-59)."""
+    if not ev.n_ext:
+        return _empties()
     beliefs = ev.belief(inner)
-    # extents where the scored tree has NO match are skipped, not
-    # background-scored (ExtentRestrictionNode/FixedPassageNode gate every
-    # extent on _child->hasMatch, ref:src/ExtentRestrictionNode.cpp:58-69,
-    # ref:src/FixedPassageNode.cpp:52-59)
     keep = ev.matches(inner) & (beliefs > -np.inf)
-    edoc, eb, ee, beliefs = edoc[keep], eb[keep], ee[keep], beliefs[keep]
-    # ScoredExtentResult::score_greater: score desc, doc desc, begin desc,
-    # end desc (ref:include/indri/ScoredExtentResult.hpp:31-46)
-    order = np.lexsort((-ee, -eb, -edoc, -beliefs))[:k]
-    return edoc[order], eb[order], ee[order], beliefs[order]
+    return _rank_extents(ev.cand[ev.eidx][keep], ev.eb[keep], ev.ee[keep],
+                         beliefs[keep], k)
 
 
-class _ExtentEval:
-    """Belief recursion over a flat extent set.  Combiner arithmetic
-    mirrors ``StructuredQueryEngine._belief`` expression for expression
-    (pinned by the single-extent ≡ document-path identity test); counts
-    and smoothing lengths are per-extent."""
-
-    def __init__(self, eng: StructuredQueryEngine, field: str | None,
-                 cand: np.ndarray, ext_start: np.ndarray,
-                 eb: np.ndarray, ee: np.ndarray,
-                 wild: tuple | None = None):
-        self.eng = eng
-        self.field = field
-        self.cand = cand
-        self.cand_list = cand.tolist()
-        self.ext_start = ext_start
-        self.eb = eb
-        self.ee = ee
-        self.n_ext = len(eb)
-        self.eidx = np.repeat(np.arange(len(cand), dtype=np.int64),
-                              np.diff(ext_start))  # extent → cand index
-        self.dl_ext = (ee - eb).astype(np.float64)
-        self.rfields = (field,) if field is not None else ()
-        # FieldWildcard ctx: (docs, S, enc_ub, enc_ue, total) — encoded
-        # outermost extents of every context field
-        self.wild = wild
-        if wild is not None:
-            self.total = wild[4]  # _belief_from_counts floors total ≤ 0
-        elif field is not None:
-            st = eng.r.field_stats(field)
-            self.total = float(st["total_len"]) if st else 0.0
-        else:
-            self.total = None  # collection-global
-        self._count_memo: dict[int, np.ndarray] = {}
-
-    # -- counts ------------------------------------------------------------
-
-    def counts(self, node: Node) -> np.ndarray:
-        hit = self._count_memo.get(id(node))
-        if hit is None:
-            hit = self._counts_uncached(node)
-            self._count_memo[id(node)] = hit
-        return hit
-
-    def _counts_uncached(self, node: Node) -> np.ndarray:
-        eng = self.eng
-        if node.op == "term":
-            term = eng._node_term(node)
-            tp = eng._postings.get(term) if term else None
-            if tp is None:
-                return np.zeros(self.n_ext, dtype=np.float64)
-            if tp[2] is not None:
-                return self._term_counts_from_postings(tp)
-            return self._position_counts(eng._positions_map(node))
-        if node.op in ("wildcard", "syn"):
-            return self._position_counts(eng._positions_map(node))
-        if node.op == "wsyn":
-            w = np.asarray(node.weights, dtype=np.float64)
-            if w.sum() == 0:
-                raise ValueError("#wsyn weights sum to zero")
-            w = w / w.sum()
-            return np.sum([wi * self.counts(c)
-                           for wi, c in zip(w, node.children)], axis=0)
-        if node.op == "band":
-            present = np.ones(self.n_ext, dtype=bool)
-            for c in node.children:
-                present &= self.counts(c) > 0
-            return present.astype(np.float64)
-        if node.op in ("od", "uw"):
-            return self._window_counts(node)
-        if node.op in _NUM_PREDS:
-            # numeric/date predicate (the NEXI arithmetic clause,
-            # wrapped in #max by the grammar): count = satisfying field
-            # extents CONTAINED in the evaluation extent (the scored
-            # list node's contextual matches,
-            # ref:src/FieldBetweenNode.cpp:53-57 + ListBeliefNode
-            # containment)
-            data = eng._field_data(node.term)
-            counts = np.zeros(self.n_ext, dtype=np.float64)
-            for i, did in enumerate(self.cand_list):
-                ext = data.get(did)
-                if ext is None:
-                    continue
-                mask = eng._pred_mask(node, ext[2])
-                if not mask.any():
-                    continue
-                pb, pe = ext[0][mask], ext[1][mask]
-                for j in range(int(self.ext_start[i]),
-                               int(self.ext_start[i + 1])):
-                    counts[j] = float(np.sum((pb >= self.eb[j])
-                                             & (pe <= self.ee[j])))
-            return counts
-        raise ValueError(
-            f"element-level retrieval does not support #{node.op} as a "
-            f"count node (use the document-level engine)")
-
-    def _term_counts_from_postings(self, tp) -> np.ndarray:
-        """Vectorized per-extent occurrence counts of a plain term straight
-        from its flat positions stream (no per-doc Python): encode
-        positions and extent bounds by candidate index, then two
-        searchsorteds over the whole extent set."""
-        d, _tf, flat, starts = tp
-        cidx = np.searchsorted(self.cand, d)
-        valid = (cidx < len(self.cand)) & (
-            self.cand[np.minimum(cidx, len(self.cand) - 1)] == d)
-        max_pos = int(flat.max()) if len(flat) else 0
-        S = max(int(self.ee.max()) if self.n_ext else 0, max_pos) + 2
-        tfs = np.diff(starts)
-        pos_ok = np.repeat(valid, tfs)
-        encp = np.repeat(cidx, tfs)[pos_ok] * S + flat[pos_ok]
-        lo = np.searchsorted(encp, self.eidx * S + self.eb)
-        hi = np.searchsorted(encp, self.eidx * S + self.ee)
-        return (hi - lo).astype(np.float64)
-
-    def _position_counts(self, pm: dict[int, np.ndarray]) -> np.ndarray:
-        """Occurrences inside each extent: two searchsorteds per candidate
-        doc over its (sorted) position list."""
-        counts = np.zeros(self.n_ext, dtype=np.float64)
-        for i, did in enumerate(self.cand_list):
-            pl = pm.get(did)
-            if pl is None or not len(pl):
-                continue
-            sl = slice(self.ext_start[i], self.ext_start[i + 1])
-            counts[sl] = (np.searchsorted(pl, self.ee[sl])
-                          - np.searchsorted(pl, self.eb[sl]))
-        return counts
-
-    def _window_counts(self, node: Node) -> np.ndarray:
-        """#odN/#uwN occurrences CONTAINED in each extent (window.begin ≥
-        extent.begin and window.end ≤ extent.end — the same
-        ExtentInsideNode containment the document path applies,
-        ref:src/ExtentInsideNode.cpp:54-73)."""
-        pos_maps = [self.eng._positions_map(c) for c in node.children]
-        counts = np.zeros(self.n_ext, dtype=np.float64)
-        for i, did in enumerate(self.cand_list):
-            pls = []
-            ok = True
-            for pm in pos_maps:
-                pl = pm.get(did)
-                if pl is None:
-                    ok = False
-                    break
-                pls.append(pl)
-            if not ok:
-                continue
-            if node.op == "od":
-                begins, ends = ordered_window_extents(pls, node.n)
-            else:
-                begins, ends = unordered_window_extents(pls, node.n)
-            if not len(begins):
-                continue
-            wb = np.asarray(begins, dtype=np.int64)
-            we = np.asarray(ends, dtype=np.int64)
-            for j in range(int(self.ext_start[i]),
-                           int(self.ext_start[i + 1])):
-                counts[j] = float(np.sum((wb >= self.eb[j])
-                                         & (we <= self.ee[j])))
-        return counts
-
-    # -- FieldWildcard-context statistics ----------------------------------
-
-    def _wild_doc_enc(self, did: int):
-        """(i·S base, S, ub, ue) for one doc, or None when it carries no
-        context extents."""
-        docs, S, ub, ue, _total = self.wild
-        i = int(np.searchsorted(docs, did))
-        if i >= len(docs) or int(docs[i]) != did:
-            return None
-        return i * S, S, ub, ue
-
-    def _wild_positions_cf(self, pm: dict[int, np.ndarray],
-                           count: bool = True):
-        """Occurrences of a position map inside the wildcard context
-        (count=True → total float; count=False → set of docs with ≥1)."""
-        tot = 0.0
-        present: set[int] = set()
-        for did, pl in pm.items():
-            enc = self._wild_doc_enc(did)
-            if enc is None:
-                continue
-            base, S, ub, ue = enc
-            encp = base + pl[pl < S]
-            inside = (np.searchsorted(ub, encp, side="right")
-                      - np.searchsorted(ue, encp, side="right")) == 1
-            if count:
-                tot += float(inside.sum())
-            elif inside.any():
-                present.add(did)
-        return tot if count else present
-
-    def _wild_term_cf(self, tp) -> float:
-        """Vectorized term occurrences within the wildcard context (the
-        per-doc pm loop costs O(matching docs) Python at corpus scale)."""
-        d, _tf, flat, starts = tp
-        docs, S, ub, ue, _total = self.wild
-        if flat is None or not len(flat) or not len(docs):
-            return 0.0
-        didx = np.searchsorted(docs, d)
-        has = (didx < len(docs)) & (
-            docs[np.minimum(didx, len(docs) - 1)] == d)
-        tfs = np.diff(starts)
-        pos_ok = np.repeat(has, tfs) & (flat < S)
-        encp = np.repeat(didx, tfs)[pos_ok] * S + flat[pos_ok]
-        inside = (np.searchsorted(ub, encp, side="right")
-                  - np.searchsorted(ue, encp, side="right")) == 1
-        return float(inside.sum())
-
-    def _wild_cf(self, node: Node) -> float:
-        """Collection occurrence count of a node WITHIN the wildcard
-        context — positions (or windows) contained in an outermost field
-        extent, each counted once (ref:src/ContextCountAccumulator.cpp:
-        99-140), summed over every doc the node matches."""
-        eng = self.eng
-        if node.op == "term":
-            term = eng._node_term(node)
-            tp = eng._postings.get(term) if term else None
-            return self._wild_term_cf(tp) if tp is not None else 0.0
-        if node.op in ("syn", "wildcard"):
-            return self._wild_positions_cf(eng._positions_map(node))
-        if node.op == "wsyn":
-            w = np.asarray(node.weights, dtype=np.float64)
-            if w.sum() == 0:
-                raise ValueError("#wsyn weights sum to zero")
-            w = w / w.sum()
-            return float(sum(wi * self._wild_cf(c)
-                             for wi, c in zip(w, node.children)))
-        if node.op in ("od", "uw"):
-            pos_maps = [eng._positions_map(c) for c in node.children]
-            docs_common = set(pos_maps[0])
-            for pm in pos_maps[1:]:
-                docs_common &= set(pm)
-            tot = 0.0
-            for did in docs_common:
-                enc = self._wild_doc_enc(did)
-                if enc is None:
-                    continue
-                base, S, ub, ue = enc
-                pls = [pm[did] for pm in pos_maps]
-                if node.op == "od":
-                    begins, ends = ordered_window_extents(pls, node.n)
-                else:
-                    begins, ends = unordered_window_extents(pls, node.n)
-                for wb, we in zip(begins, ends):
-                    if wb >= S:  # past every extent end: outside, and an
-                        continue  # encode would bleed into the next doc
-                    i = int(np.searchsorted(ub, base + wb,
-                                            side="right")) - 1
-                    if i >= 0 and base + we <= ue[i]:
-                        tot += 1.0
-            return tot
-        if node.op == "band":
-            # 1 per doc where EVERY member occurs within the context
-            doc_sets = [self._wild_positions_cf(eng._positions_map(c),
-                                                count=False)
-                        for c in node.children]
-            return float(len(set.intersection(*doc_sets))) if doc_sets else 0.0
-        raise ValueError(
-            f"FieldWildcard-context statistics for #{node.op} are not "
-            f"supported")
-
-    # -- path-restricted support clauses (#max over [.path]) ---------------
-
-    @staticmethod
-    def _is_max_path(node: Node) -> bool:
-        """``#max(#op[.path](...))`` — the translation of a NEXI support
-        path ``about(.//title, terms)``; every child a path-ctx node."""
-        return (node.op == "max" and bool(node.children)
-                and all(c.op == "ctx" and c.term.startswith(".")
-                        for c in node.children))
-
-    def _max_path_belief(self, node: Node) -> np.ndarray:
-        """Per-OUTER-extent MaxNode over path-restricted inner scores: for
-        each outer extent E, the inner ExtentRestriction scores the
-        subtree at every path-matching extent anchored at E (zero-length
-        and no-match path extents skipped, ref:src/ExtentRestrictionNode.
-        cpp:58-74) and MaxNode keeps the best — extents with NO surviving
-        inner result produce no result at all (-inf here; MaxNode returns
-        an empty list, ref:include/indri/MaxNode.hpp:75-98).  Statistics
-        reuse the document engine's memoized node counts (rfields =
-        (outer field, path)), so values match the doc path exactly."""
-        eng = self.eng
-        if self.field is None:
-            raise ValueError(
-                "path-restricted clauses need a field-restriction root")
-        out = np.full(self.n_ext, -np.inf)
-        fdocs, fstarts, fb, fe, fo, fp = eng._field_csr(self.field)
-        for ctx_node in node.children:
-            spec = ctx_node.term
-            sub = ctx_node.children[0]
-            subs = sub.children if sub.op in ("combine", "weight") \
-                else [sub]
-            if sub.op == "weight" or not all(c.op == "term" for c in subs):
-                raise ValueError(
-                    "element-level path support clauses accept plain "
-                    "#combine term lists only")
-            terms = [eng._node_term(c) for c in subs]
-            rfields = (self.field, spec)
-            from .indriql import _ctx_field_name
-
-            ctx_field = _ctx_field_name(spec)
-            st = eng.r.field_stats(ctx_field)
-            total = float(st["total_len"]) if st else 0.0
-            cfs = [eng._node_global_cf(c, rfields) for c in subs]
-            for i, did in enumerate(self.cand_list):
-                ri = int(np.searchsorted(fdocs, did))
-                if ri >= len(fdocs) or int(fdocs[ri]) != did:
-                    continue
-                fsl = slice(int(fstarts[ri]), int(fstarts[ri + 1]))
-                b_doc, e_doc = fb[fsl], fe[fsl]
-                nz = np.nonzero(e_doc > b_doc)[0]
-                sl0 = int(self.ext_start[i])
-                for jj, src in enumerate(nz.tolist()):
-                    outer = (b_doc[src:src + 1], e_doc[src:src + 1],
-                             None, 0,
-                             fo[fsl][src:src + 1] if fo is not None
-                             else None,
-                             fp[fsl][src:src + 1] if fp is not None
-                             else None)
-                    m = eng._eval_path(did, spec, outer)
-                    if m is None:
-                        continue
-                    pbs, pes = m[0], m[1]
-                    best = -np.inf
-                    for pb, pe in zip(pbs.tolist(), pes.tolist()):
-                        if pe <= pb:
-                            continue
-                        cs = []
-                        for t in terms:
-                            tp = eng._postings.get(t) if t else None
-                            c = 0.0
-                            if tp is not None:
-                                pos_d = np.searchsorted(tp[0], did)
-                                if (pos_d < len(tp[0])
-                                        and tp[0][pos_d] == did
-                                        and tp[2] is not None):
-                                    run = tp[2][tp[3][pos_d]:
-                                                tp[3][pos_d + 1]]
-                                    c = float(np.searchsorted(run, pe)
-                                              - np.searchsorted(run, pb))
-                            cs.append(c)
-                        if not any(c > 0 for c in cs):
-                            continue  # inner hasMatch gate
-                        kids = [eng._belief_from_counts(
-                            np.asarray([c]), np.asarray([float(pe - pb)]),
-                            cf, total)
-                            for c, cf in zip(cs, cfs)]
-                        best = max(best, float(np.mean(kids, axis=0)[0]))
-                    j = sl0 + jj
-                    out[j] = max(out[j], best)
-        return out
-
-    # -- matches -----------------------------------------------------------
-
-    def matches(self, node: Node) -> np.ndarray:
-        """Per-extent hasMatch: OR over the scored tree's count leaves
-        (ref:src/WeightedAndNode.cpp:309-328 belief OR;
-        ref:src/ListBeliefNode.cpp:158-186 leaf containment; priors carry
-        no match list).  Counts are memoized, so the belief pass already
-        paid for them."""
-        if self._is_max_path(node):
-            # the Max yields a result only where some anchored path extent
-            # survived — the belief pass computed exactly that
-            return self.belief(node) > -np.inf
-        if node.op in self._COUNT_OPS or node.op in _NUM_PREDS:
-            return self.counts(node) > 0
-        if node.op == "prior":
-            return np.zeros(self.n_ext, dtype=bool)
-        if node.op in ("filreq", "filrej"):
-            return self.matches(node.children[1])
-        if node.op == "not":
-            return self.matches(node.children[0])
-        kids = [self.matches(c) for c in node.children]
-        if not kids:
-            return np.zeros(self.n_ext, dtype=bool)
-        return np.any(kids, axis=0)
-
-    # -- beliefs -----------------------------------------------------------
-
-    _COUNT_OPS = frozenset({"term", "wildcard", "syn", "wsyn", "band",
-                            "od", "uw"})
-
-    def belief(self, node: Node) -> np.ndarray:
-        eng = self.eng
-        if self._is_max_path(node):
-            hit = self._count_memo.get(("maxpath", id(node)))
-            if hit is None:
-                hit = self._max_path_belief(node)
-                self._count_memo[("maxpath", id(node))] = hit
-            return hit
-        if node.op in self._COUNT_OPS or node.op in _NUM_PREDS:
-            c = self.counts(node)
-            # node statistics mirror the document path (indriql._belief):
-            # a plain unrestricted term reads the dictionary, everything
-            # else (and any field restriction) sweeps its own candidates;
-            # a FieldWildcard context counts within the outermost field
-            # extents (ContextCountAccumulator semantics)
-            if self.wild is not None:
-                cf = self._wild_cf(node)
-            elif node.op == "term" and not self.rfields:
-                cf = eng._term_cf(node)
-            else:
-                cf = eng._node_global_cf(node, self.rfields)
-            return eng._belief_from_counts(c, self.dl_ext, cf, self.total)
-        if node.op == "prior":
-            per_doc = eng._belief(node, self.cand,
-                                  np.zeros(len(self.cand)))
-            return np.repeat(per_doc, np.diff(self.ext_start))
-        if node.op in ("filreq", "filrej"):
-            fcounts = eng._node_counts(node.children[0], eng._postings,
-                                       self.cand, self.rfields)
-            b = self.belief(node.children[1])
-            mask = fcounts > 0 if node.op == "filreq" else fcounts == 0
-            return np.where(np.repeat(mask, np.diff(self.ext_start)),
-                            b, -np.inf)
-        if node.op in ("restrict", "ctx", "passage", "any"):
-            raise ValueError(
-                f"element-level retrieval does not support nested "
-                f"#{node.op} (use the document-level engine)")
-        kids = [self.belief(c) for c in node.children]
-        if node.op in ("combine", "weight") and any(
-                self._is_max_path(c) for c in node.children):
-            # a support-path child yields NO result for extents with no
-            # surviving anchored path — the reference combiner then
-            # normalizes over the children that DID score (sumWeight sums
-            # |w|·childResults.size(), ref:src/WeightedAndNode.cpp:
-            # 248-278); extents where no child scored yield nothing
-            wts = (node.weights if node.op == "weight"
-                   else [1.0] * len(kids))
-            pres = [(k > -np.inf) if self._is_max_path(c)
-                    else np.ones(self.n_ext, dtype=bool)
-                    for k, c in zip(kids, node.children)]
-            num = sum(w * np.where(p, k, 0.0)
-                      for w, k, p in zip(wts, kids, pres))
-            den = sum(abs(w) * p for w, p in zip(wts, pres))
-            safe = den > 0
-            out = np.full(self.n_ext, -np.inf)
-            out[safe] = num[safe] / den[safe]
-            return out
-        if node.op == "combine":
-            return np.mean(kids, axis=0)
-        if node.op == "weight":
-            w = np.asarray(node.weights, dtype=np.float64)
-            w = w / w.sum()
-            return np.tensordot(w, np.stack(kids), axes=1)
-        if node.op == "wsum":
-            w = np.asarray(node.weights, dtype=np.float64)
-            w = w / w.sum()
-            probs = np.stack([np.exp(kk) for kk in kids])
-            return np.log(np.tensordot(w, probs, axes=1))
-        if node.op == "max":
-            return np.max(kids, axis=0)
-        if node.op == "or_":
-            cap = np.nextafter(1.0, 0.0)
-            log1m = np.sum([np.log1p(-np.minimum(np.exp(kk), cap))
-                            for kk in kids], axis=0)
-            return np.log1p(-np.exp(log1m))
-        if node.op == "not":
-            return np.log1p(-np.minimum(np.exp(kids[0]),
-                                        np.nextafter(1.0, 0.0)))
-        raise ValueError(f"unknown op {node.op}")
+def _rank_extents(edoc, eb, ee, scores, k: int):
+    """Top-k extents in ScoredExtentResult::score_greater order: score
+    desc, doc desc, begin desc, end desc
+    (ref:include/indri/ScoredExtentResult.hpp:31-46)."""
+    order = np.lexsort((-ee, -eb, -edoc, -scores))[:k]
+    return edoc[order], eb[order], ee[order], scores[order]
 
 
 def _collapse_outermost(dn: np.ndarray, bn: np.ndarray, en: np.ndarray
@@ -817,11 +307,9 @@ def run_extents_wildcard(reader, query: str, k: int = 1000,
     None = every indexed field (FieldWildcard)."""
     eng = _as_engine(reader, method, mu, lam)
     inner = parse_query(query)
-    empties = (np.empty(0, np.int64), np.empty(0, np.int64),
-               np.empty(0, np.int64), np.empty(0, np.float64))
     cand = _gather_candidates(eng, (inner,), doc_range)
     if not len(cand):
-        return empties
+        return _empties()
     wild = _build_wild_context(eng, fields)
     fields = (fields if fields is not None
               else tuple(eng.r.cfg.fields or ()))
@@ -844,12 +332,12 @@ def run_extents_wildcard(reader, query: str, k: int = 1000,
         b_parts.append(fb[nz])
         e_parts.append(fe[nz])
     if not doc_parts:
-        return empties
+        return _empties()
     all_doc = np.concatenate(doc_parts)
     all_b = np.concatenate(b_parts)
     all_e = np.concatenate(e_parts)
     if not len(all_doc):
-        return empties
+        return _empties()
     order = np.lexsort((-all_e, all_b, all_doc))
     all_doc, all_b, all_e = all_doc[order], all_b[order], all_e[order]
     cand = np.unique(all_doc)
@@ -857,13 +345,8 @@ def run_extents_wildcard(reader, query: str, k: int = 1000,
         - np.searchsorted(all_doc, cand, side="left")
     ext_start = np.zeros(len(cand) + 1, dtype=np.int64)
     np.cumsum(n_per, out=ext_start[1:])
-    eb, ee, edoc = all_b, all_e, all_doc
-    ev = _ExtentEval(eng, None, cand, ext_start, eb, ee, wild=wild)
-    beliefs = ev.belief(inner)
-    keep = ev.matches(inner) & (beliefs > -np.inf)
-    edoc, eb, ee, beliefs = edoc[keep], eb[keep], ee[keep], beliefs[keep]
-    order = np.lexsort((-ee, -eb, -edoc, -beliefs))[:k]
-    return edoc[order], eb[order], ee[order], beliefs[order]
+    return _score_extents(
+        _ExtentEval(eng, cand, ext_start, all_b, all_e, wild=wild), inner, k)
 
 
 # ---------------------------------------------------------------------------
@@ -1023,31 +506,24 @@ def run_extents_path(reader, steps, query: str, k: int = 1000,
     sharded merge is rank-identical to a global run."""
     eng = _as_engine(reader, method, mu, lam)
     inner = parse_query(query)
-    empties = (np.empty(0, np.int64), np.empty(0, np.int64),
-               np.empty(0, np.int64), np.empty(0, np.float64))
     cand = _gather_candidates(eng, (inner,), doc_range)
     if not len(cand):
-        return empties
+        return _empties()
     d, b, e, ctx = _nested_chain_global(eng, tuple(steps))
     nz = e > b
     d, b, e = d[nz], b[nz], e[nz]
     if not len(d):
-        return empties
+        return _empties()
     ext_start, gather = _flat_gather(cand, d)
     lens = np.diff(ext_start)
     cand = cand[lens > 0]
     if not len(cand):
-        return empties
-    eb, ee = b[gather], e[gather]
+        return _empties()
     ext_start = np.zeros(len(cand) + 1, dtype=np.int64)
     np.cumsum(lens[lens > 0], out=ext_start[1:])
-    edoc = np.repeat(cand, lens[lens > 0])
-    ev = _ExtentEval(eng, None, cand, ext_start, eb, ee, wild=ctx)
-    beliefs = ev.belief(inner)
-    keep = ev.matches(inner) & (beliefs > -np.inf)
-    edoc, eb, ee, beliefs = edoc[keep], eb[keep], ee[keep], beliefs[keep]
-    order = np.lexsort((-ee, -eb, -edoc, -beliefs))[:k]
-    return edoc[order], eb[order], ee[order], beliefs[order]
+    return _score_extents(
+        _ExtentEval(eng, cand, ext_start, b[gather], e[gather], wild=ctx),
+        inner, k)
 
 
 def _spec_flat(eng: StructuredQueryEngine, spec) -> tuple:
@@ -1120,11 +596,9 @@ def run_nested_extents(reader, a_spec, c1_query: str, b_spec,
     eng = _as_engine(reader, method, mu, lam)
     c1 = parse_query(c1_query)
     c2 = parse_query(c2_query)
-    empties = (np.empty(0, np.int64), np.empty(0, np.int64),
-               np.empty(0, np.int64), np.empty(0, np.float64))
     cand = _gather_candidates(eng, (c1, c2))
     if not len(cand):
-        return empties
+        return _empties()
     ad, ab_g, ae_g, akw = _spec_flat(eng, a_spec)
     bd, bb_g, be_g, bkw = _spec_flat(eng, b_spec)
     # zero-length a extents are skipped by the enforcement loop; a
@@ -1141,17 +615,15 @@ def run_nested_extents(reader, a_spec, c1_query: str, b_spec,
              > np.searchsorted(bd, cand, side="left"))
     cand = cand[has_a & has_b]
     if not len(cand):
-        return empties
+        return _empties()
     a_start, a_gather = _flat_gather(cand, ad)
     b_start, b_gather = _flat_gather(cand, bd)
     ab, ae = ab_g[a_gather], ae_g[a_gather]
     bb, be = bb_g[b_gather], be_g[b_gather]
     if not len(ab) or not len(bb):
-        return empties
-    s1 = _ExtentEval(eng, akw["field"], cand, a_start, ab, ae,
-                     wild=akw["wild"]).belief(c1)
-    ev_b = _ExtentEval(eng, bkw["field"], cand, b_start, bb, be,
-                       wild=bkw["wild"])
+        return _empties()
+    s1 = _ExtentEval(eng, cand, a_start, ab, ae, **akw).belief(c1)
+    ev_b = _ExtentEval(eng, cand, b_start, bb, be, **bkw)
     s2 = ev_b.belief(c2)
     m2 = ev_b.matches(c2)
     out_d, out_b, out_e, out_s = [], [], [], []
@@ -1167,13 +639,12 @@ def run_nested_extents(reader, a_spec, c1_query: str, b_spec,
                 out_e.append(int(be[bj]))
                 out_s.append(float(s1[ai]) + float(s2[bj]))
     if not out_d:
-        return empties
+        return _empties()
     edoc = np.asarray(out_d, dtype=np.int64)
     eb = np.asarray(out_b, dtype=np.int64)
     ee = np.asarray(out_e, dtype=np.int64)
     sc = np.asarray(out_s, dtype=np.float64)
-    order = np.lexsort((-ee, -eb, -edoc, -sc))[:k]
-    return edoc[order], eb[order], ee[order], sc[order]
+    return _rank_extents(edoc, eb, ee, sc, k)
 
 
 # ---------------------------------------------------------------------------

@@ -65,19 +65,23 @@ occurrence per document containing all members; (b) the reference's count
 accumulator drops OVERLAPPING window match extents (greedy by begin,
 ref:src/ContextCountAccumulator.cpp:85-93) — here every match counts, which
 is what the SQL oracles pin (a divergence only for self-overlapping window
-patterns); (c) #op[f] restriction approximates Indri's per-extent
-evaluation by scoring over the doc's concatenated f extents — exact when a
-doc has one extent of f, the common single-title case; passage retrieval
-#op[passageN:M] scores every sliding window separately and keeps the best
-(max), returning DOCUMENT ranks (the reference additionally reports the
-winning extent).
+patterns); (c) there is ONE belief recursion, :class:`_ExtentEval`, over
+an extent set: a document is one whole-document extent (the reference's
+``begin = end = 0`` result), a document-level #op[passageN:M] scores its
+sliding-window extents through the same evaluator and keeps each doc's
+best matching window (returning DOCUMENT ranks — the reference also
+reports the winning extent), and an element root (``extents.py``) passes
+the field's extents.  Below a document, #op[f] approximates Indri's
+per-extent evaluation by scoring over the doc's concatenated f extents —
+exact when a doc has one extent of f, the common single-title case.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from contextlib import contextmanager
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -162,6 +166,37 @@ def _needs_positions(node: "Node") -> bool:
 
 _NUM_PREDS = {"less": 1, "greater": 1, "equals": 1, "between": 2,
               "datebefore": 1, "dateafter": 1, "dateequals": 1, "datebetween": 2}
+
+# count-bearing nodes: scored with the LM term-score function
+_COUNT_OPS = frozenset({"term", "wildcard", "band", "syn", "wsyn", "od", "uw",
+                        "restrict", "any"} | set(_NUM_PREDS))
+
+
+def combine(op: str, weights, kids: list[np.ndarray]) -> np.ndarray:
+    """Combine child log-beliefs under a belief operator — the one copy of
+    the combiner arithmetic (the recursion, the support-path mean and the
+    LM block-max delegation all call it, so they stay bit-identical)."""
+    if op == "combine":
+        return np.mean(kids, axis=0)
+    if op in ("weight", "wsum"):
+        w = np.asarray(weights, dtype=np.float64)
+        w = w / w.sum()
+        if op == "weight":
+            return np.tensordot(w, np.stack(kids), axes=1)
+        probs = np.stack([np.exp(k) for k in kids])
+        return np.log(np.tensordot(w, probs, axes=1))
+    if op == "max":
+        return np.max(kids, axis=0)
+    # cap p strictly below 1.0 so log1p(-p) stays finite; 1-1e-300 would
+    # round to exactly 1.0 in float64 (dead guard)
+    cap = np.nextafter(1.0, 0.0)
+    if op == "or_":
+        log1m = np.sum([np.log1p(-np.minimum(np.exp(k), cap)) for k in kids],
+                       axis=0)
+        return np.log1p(-np.exp(log1m))
+    if op == "not":
+        return np.log1p(-np.minimum(np.exp(kids[0]), cap))
+    raise ValueError(f"unknown op {op}")
 
 
 _TOKEN_RE = re.compile(r"#\w+|\(|\)|[^\s()]+")
@@ -556,11 +591,6 @@ class StructuredQueryEngine:
         self.mu = mu
         self.lam = lam
         self.proc = TermProcessor(reader.cfg)
-        if not reader.cfg.store_positions:
-            self._positions_ok = False
-        else:
-            self._positions_ok = True
-        self._ctx_stack: list[str] = []          # active #op[f] field contexts
         self._field_cache: dict[str, dict] = {}  # field → per-doc extents
         self._tree_cache: dict[int, dict] = {}   # doc → ordinal→parent map
         # cross-run memos for long-lived engines (sharded workers score the
@@ -577,11 +607,6 @@ class StructuredQueryEngine:
         self._partial_memo: dict[tuple, float] | None = None
         self._partial_const: dict[tuple, float] | None = None
         self._field_range: tuple[int, int] | None = None  # pruned run only
-        self._passage: tuple[int, int] | None = None  # active passage window
-        # count tap: when set, every SCORED count node appends its
-        # per-candidate counts here during _belief (the passage hasMatch
-        # gate reads them — no recounting)
-        self._count_tap: list[np.ndarray] | None = None
         # block-max delegation for plain-term #combine/#weight roots (the
         # WeightedAndNode skip); lazily built LMScorer sharing this reader,
         # disable-able for exhaustive-vs-pruned identity tests
@@ -813,13 +838,16 @@ class StructuredQueryEngine:
         cache[key] = out
         return out
 
-    def _restricted_term_counts(self, tp, fname: str) -> np.ndarray:
-        """Per-posting-doc occurrence counts of one term WITHIN ``fname``'s
-        extent union — the vectorized twin of the per-doc
-        ``_count_positions_in`` loop (bit-identical: same union point
-        set), aligned with ``tp``'s doc array."""
+    @staticmethod
+    def _restricted_term_counts(tp, union_enc) -> np.ndarray:
+        """Per-posting-doc occurrence counts of one term WITHIN a
+        doc-index-encoded extent union ``(docs, S, ub, ue)`` (a field's,
+        :meth:`_field_union_enc`, or a FieldWildcard context's) — the
+        vectorized twin of the per-doc ``_count_positions_in`` loop
+        (bit-identical: same union point set), aligned with ``tp``'s doc
+        array."""
         d, _tf, flat, starts = tp
-        docs, S, ub, ue = self._field_union_enc(fname)
+        docs, S, ub, ue = union_enc[:4]
         counts = np.zeros(len(d), dtype=np.float64)
         if not len(docs) or flat is None or not len(flat):
             return counts
@@ -971,20 +999,15 @@ class StructuredQueryEngine:
 
     def _doc_restriction(self, did: int, rfields: tuple[str, ...]):
         """Union intervals for a doc under a restriction chain (intersection
-        of each field's extent union and the active passage window); None if
-        a restriction field is absent from the doc."""
+        of each field's extent union); None if a restriction field is
+        absent from the doc."""
+        sets = self._resolve_restriction(did, rfields)
+        if sets is None:
+            return None
         cur = None
-        if rfields:
-            sets = self._resolve_restriction(did, rfields)
-            if sets is None:
-                return None
-            for b, e in sets:
-                u = self._union_intervals(b, e)
-                cur = u if cur is None else self._intersect_unions(cur, u)
-        if self._passage is not None:
-            p = (np.asarray([self._passage[0]], dtype=np.int64),
-                 np.asarray([self._passage[1]], dtype=np.int64))
-            cur = p if cur is None else self._intersect_unions(cur, p)
+        for b, e in sets:
+            u = self._union_intervals(b, e)
+            cur = u if cur is None else self._intersect_unions(cur, u)
         return cur
 
     @staticmethod
@@ -1003,33 +1026,18 @@ class StructuredQueryEngine:
         hi = np.searchsorted(positions, ue)
         return np.concatenate([positions[a:b] for a, b in zip(lo, hi)]) if len(lo) else positions[:0]
 
-    def _extents_contained(self, begins, ends, did: int,
-                           rfields: tuple[str, ...]) -> int:
-        """# of match extents contained in an extent of EVERY restriction
-        field (ExtentInsideNode containment: inner.begin ≥ outer.begin and
-        inner.end ≤ outer.end, ref:src/ExtentInsideNode.cpp:54-73)."""
-        if not begins:
-            return 0
-        count = 0
-        fdatas = []
+    def _contained(self, begins: np.ndarray, ends: np.ndarray, did: int,
+                   rfields: tuple[str, ...]) -> np.ndarray:
+        """mask over match extents contained in an extent of EVERY
+        restriction field (ExtentInsideNode containment,
+        ref:src/ExtentInsideNode.cpp:54-73)."""
         sets = self._resolve_restriction(did, rfields)
         if sets is None:
-            return 0
+            return np.zeros(len(begins), dtype=bool)
+        ok = np.ones(len(begins), dtype=bool)
         for fb, fe in sets:
-            # prefix-max of ends over begin-sorted extents: containment test
-            # becomes max(fe[fb <= mb]) >= me
-            order = np.argsort(fb, kind="stable")
-            fdatas.append((fb[order], np.maximum.accumulate(fe[order])))
-        for mb, me in zip(begins, ends):
-            ok = True
-            for fb, fe_max in fdatas:
-                i = int(np.searchsorted(fb, mb, side="right")) - 1
-                if i < 0 or fe_max[i] < me:
-                    ok = False
-                    break
-            if ok:
-                count += 1
-        return count
+            ok &= self._containment_mask(begins, ends, fb, fe)
+        return ok
 
     def _field_len_vec(self, fname: str, cand: np.ndarray) -> np.ndarray:
         data = self._field_data(fname)
@@ -1053,59 +1061,38 @@ class StructuredQueryEngine:
             return np.log((counts + self.mu * p_c) / (dl + self.mu))
         return np.log((1.0 - self.lam) * counts / np.maximum(dl, 1.0) + self.lam * p_c)
 
-    def _node_counts(self, node: Node, postings, cand: np.ndarray,
+    def _node_counts(self, node: Node, cand: np.ndarray,
                      rfields: tuple[str, ...] = ()) -> np.ndarray:
         """Per-candidate occurrence counts for a count-bearing node,
         optionally restricted to the extents of ``rfields``."""
+        postings = self._postings
         if node.op == "restrict":
-            return self._node_counts(node.children[0], postings, cand,
+            return self._node_counts(node.children[0], cand,
                                      rfields + (node.term,))
         if node.op == "term":
             term = self._node_term(node)
             counts = np.zeros(len(cand), dtype=np.float64)
             if not term or term not in postings:
                 return counts
-            if not rfields and self._passage is None:
+            if not rfields:
                 d, tf = postings[term][0], postings[term][1]
                 pos = np.searchsorted(cand, d)
                 valid = (pos < len(cand)) & (cand[np.minimum(pos, len(cand) - 1)] == d)
                 counts[pos[valid]] = tf[valid].astype(np.float64)
                 return counts
-            if (self._passage is None and len(rfields) == 1
-                    and not rfields[0].startswith(".")
+            if (len(rfields) == 1 and not rfields[0].startswith(".")
                     and postings[term][2] is not None):
                 # single plain-field restriction: vectorized union stab
                 # (the per-doc loop below is O(docs) Python — at 10⁵⁺
                 # matching docs it dominated extent-restricted queries)
-                per_doc = self._restricted_term_counts(postings[term],
-                                                       rfields[0])
+                per_doc = self._restricted_term_counts(
+                    postings[term], self._field_union_enc(rfields[0]))
                 d = postings[term][0]
                 pos = np.searchsorted(cand, d)
                 valid = (pos < len(cand)) & (
                     cand[np.minimum(pos, len(cand) - 1)] == d)
                 counts[pos[valid]] = per_doc[valid]
                 return counts
-            if (self._passage is not None and not rfields
-                    and postings[term][2] is not None):
-                # passage window, no field restriction: the window is the
-                # SAME [ps, pe) for every doc — two searchsorteds over the
-                # candidate-encoded position stream replace the per-doc
-                # loop (the passage evaluator calls this once per window)
-                ps, pe = self._passage
-                d, _tf, flat, starts = postings[term]
-                cidx = np.searchsorted(cand, d)
-                valid = (cidx < len(cand)) & (
-                    cand[np.minimum(cidx, len(cand) - 1)] == d)
-                S = (int(flat.max()) if len(flat) else 0) + 2
-                tfs = np.diff(starts)
-                pos_ok = np.repeat(valid, tfs)
-                encp = np.repeat(cidx, tfs)[pos_ok] * S + flat[pos_ok]
-                lo_b = min(int(ps), S - 1)
-                hi_b = min(int(pe), S - 1)
-                idx = np.arange(len(cand), dtype=np.int64) * S
-                per_cand = (np.searchsorted(encp, idx + hi_b)
-                            - np.searchsorted(encp, idx + lo_b))
-                return per_cand.astype(np.float64)
             pm = self._positions_map(node)
             for i, did in enumerate(cand.tolist()):
                 pl = pm.get(did)
@@ -1118,7 +1105,7 @@ class StructuredQueryEngine:
         if node.op == "wildcard":
             syn = Node(op="syn", children=[Node(op="term", term=t, pre=True)
                                            for t in self._expand_wildcard(node.term.lower())])
-            return self._node_counts(syn, postings, cand, rfields)
+            return self._node_counts(syn, cand, rfields)
         if node.op == "any":
             # FieldWildcard/#any:f — count = number of f extents
             # (ref:src/InferenceNetworkBuilder.cpp:938)
@@ -1140,7 +1127,7 @@ class StructuredQueryEngine:
                 counts[i] = float(self._pred_mask(node, ext[2]).sum())
             return counts
         if node.op == "band":
-            member_counts = [self._node_counts(c, postings, cand, rfields)
+            member_counts = [self._node_counts(c, cand, rfields)
                              for c in node.children]
             all_present = np.ones(len(cand), dtype=bool)
             for mc in member_counts:
@@ -1157,7 +1144,7 @@ class StructuredQueryEngine:
                 if w.sum() == 0:
                     raise ValueError("#wsyn weights sum to zero")
                 w = w / w.sum()
-                member_counts = [self._node_counts(c, postings, cand, rfields)
+                member_counts = [self._node_counts(c, cand, rfields)
                                  for c in node.children]
                 return np.sum([wi * mc for wi, mc in zip(w, member_counts)], axis=0)
             # flatten wildcard members into their expansion terms first
@@ -1172,8 +1159,7 @@ class StructuredQueryEngine:
                     kids.append(c)
             node = Node(op="syn", children=kids)
             counts = np.zeros(len(cand), dtype=np.float64)
-            if (not rfields and self._passage is None
-                    and all(c.op == "term" for c in node.children)):
+            if not rfields and all(c.op == "term" for c in node.children):
                 # flat batch kernel: one concat + unique over offset-encoded
                 # positions of every member and candidate doc at once.
                 # Only plain term members — restrict-wrapped members carry
@@ -1208,7 +1194,7 @@ class StructuredQueryEngine:
                     if pl is not None:
                         union = set(pl.tolist()) if union is None else union | set(pl.tolist())
                 if union:
-                    if not rfields and self._passage is None:
+                    if not rfields:
                         # unrestricted (reachable for non-term members, e.g.
                         # restrict-wrapped): count the full union
                         counts[i] = len(union)
@@ -1221,12 +1207,19 @@ class StructuredQueryEngine:
             return counts
         if node.op in ("od", "uw"):
             counts = np.zeros(len(cand), dtype=np.float64)
-            if (node.op == "od" and not rfields and self._passage is None
-                    and all(c.op == "term" for c in node.children)):
-                # fully-flat batch kernel: vectorized ragged gathers + k-1
-                # searchsorted sweeps over ALL eligible docs' anchors at
-                # once — zero per-doc Python in the hot path
-                tps = [self._postings.get(self._node_term(c)) for c in node.children]
+            terms = [self._node_term(c) for c in node.children
+                     if c.op == "term"]
+            if (not rfields and len(terms) == len(node.children)
+                    and (node.op == "od" or len(set(terms)) == len(terms))):
+                # fully-flat batch kernels: vectorized ragged gathers +
+                # one searchsorted sweep per member over ALL eligible docs'
+                # anchors at once — zero per-doc Python in the hot path.
+                # #uwN needs DISTINCT member terms (positions never
+                # collide): the reference's anchor scan (count an anchor
+                # when every member type's FIRST occurrence after it fits
+                # the window, ref:src/UnorderedWindowNode.cpp:68-151) is
+                # then exactly ∀t. p ∈ P_t  or  next_t(p) ≤ p + n - 1
+                tps = [self._postings.get(t) for t in terms]
                 if any(tp is None for tp in tps):
                     return counts
                 if any(tp[2] is None for tp in tps):
@@ -1241,67 +1234,33 @@ class StructuredQueryEngine:
                 max_pos = max((int(f[0].max()) if len(f[0]) else 0) for f in flats)
                 off = max_pos + node.n + 2
                 enc = [f[0] + f[1] * off for f in flats]
-                per_e = ordered_window_counts_flat(
-                    enc, flats[0][1], node.n, len(E))
-                counts[np.searchsorted(cand, E)] = per_e.astype(np.float64)
-                return counts
-            uw_terms = [self._node_term(c) for c in node.children
-                        if c.op == "term"] if node.op == "uw" else []
-            uw_distinct = len(uw_terms) == len(node.children) == len(set(uw_terms))
-            if node.op == "uw" and uw_distinct and not rfields and self._passage is None:
-                # flat #uwN kernel: the reference's anchor scan (count an
-                # anchor when every member type's FIRST occurrence after it
-                # fits the window, ref:src/UnorderedWindowNode.cpp:68-151)
-                # is, for distinct member terms (positions never collide),
-                # exactly: ∀t. p ∈ P_t  or  next_t(p) ≤ p + n - 1 — one
-                # searchsorted per member type over ALL anchors at once
-                tps = [self._postings.get(self._node_term(c)) for c in node.children]
-                if any(tp is None for tp in tps):
-                    return counts
-                if any(tp[2] is None for tp in tps):
-                    raise ValueError("index built without positions; window ops unavailable")
-                elig = np.ones(len(cand), dtype=bool)
-                for tp in tps:
-                    elig &= self._presence(tp, cand)
-                E = cand[elig]
-                if not len(E):
-                    return counts
-                flats = [self._gather_flat(tp, E) for tp in tps]
-                max_pos = max((int(f[0].max()) if len(f[0]) else 0) for f in flats)
-                off = max_pos + node.n + 2
-                enc = [f[0] + f[1] * off for f in flats]
-                per_e = unordered_window_counts_flat(
-                    enc, [f[1] for f in flats], node.n, len(E))
+                if node.op == "od":
+                    per_e = ordered_window_counts_flat(
+                        enc, flats[0][1], node.n, len(E))
+                else:
+                    per_e = unordered_window_counts_flat(
+                        enc, [f[1] for f in flats], node.n, len(E))
                 counts[np.searchsorted(cand, E)] = per_e.astype(np.float64)
                 return counts
             pos_maps = [self._positions_map(c) for c in node.children]
             for i, did in enumerate(cand.tolist()):
-                pls = []
-                ok = True
-                for pm in pos_maps:
-                    pl = pm.get(did)
-                    if pl is None:
-                        ok = False
-                        break
-                    pls.append(pl)
-                if not ok:
+                pls = [pm.get(did) for pm in pos_maps]
+                if any(pl is None for pl in pls):
                     continue
-                if node.op == "od":
-                    begins, ends = ordered_window_extents(pls, node.n)
-                else:
-                    begins, ends = unordered_window_extents(pls, node.n)
-                if self._passage is not None:
-                    ps, pe = self._passage
-                    kept = [(b, e) for b, e in zip(begins, ends)
-                            if b >= ps and e <= pe]
-                    begins = [b for b, _ in kept]
-                    ends = [e for _, e in kept]
-                if rfields:
-                    counts[i] = self._extents_contained(begins, ends, did, rfields)
-                else:
-                    counts[i] = len(begins)
+                wb, we = self._window_extents(node, pls)
+                counts[i] = (self._contained(wb, we, did, rfields).sum()
+                             if rfields else len(wb))
             return counts
         raise ValueError(f"not a count-bearing node: {node.op}")
+
+    @staticmethod
+    def _window_extents(node: Node, pls: list[np.ndarray]):
+        """#odN / #uwN match extents of one doc as int64 arrays."""
+        find = (ordered_window_extents if node.op == "od"
+                else unordered_window_extents)
+        begins, ends = find(pls, node.n)
+        return (np.asarray(begins, dtype=np.int64),
+                np.asarray(ends, dtype=np.int64))
 
     @staticmethod
     def _pred_mask(node: Node, numbers: np.ndarray) -> np.ndarray:
@@ -1355,149 +1314,12 @@ class StructuredQueryEngine:
             pm[did] = flat[starts[i] : starts[i + 1]]
         return pm
 
-    _COUNT_OPS = {"term", "wildcard", "band", "syn", "wsyn", "od", "uw",
-                  "restrict", "any"} | set(_NUM_PREDS)
-
     def _node_ctx_field(self, node: Node) -> str | None:
         """Field-CONTEXT restriction attached to the node itself (the
         ``.(f)`` form; outermost ctx restrict wins)."""
         if node.op == "restrict":
             return node.term if node.n == 1 else self._node_ctx_field(node.children[0])
         return None
-
-    def _belief(self, node: Node, cand: np.ndarray, dl: np.ndarray) -> np.ndarray:
-        if node.op == "prior":
-            # per-doc log-prior lookup (PriorNode,
-            # ref:src/InferenceNetworkBuilder.cpp:788); docs absent from the
-            # prior table get log(1/N)
-            lo = int(cand.min()) if len(cand) else None
-            hi = int(cand.max()) if len(cand) else None
-            ids, lps = self.r.load_prior(node.term, lo, hi)
-            out = np.full(len(cand), -np.log(float(self.r.doc_count)))
-            if len(ids):  # range-pruned load can be empty (partial coverage)
-                pos = np.searchsorted(ids, cand)
-                valid = (pos < len(ids)) & (ids[np.minimum(pos, len(ids) - 1)] == cand)
-                out[valid] = lps[pos[valid]]
-            return out
-        if node.op == "passage":
-            # fixed-passage retrieval #op[passageN:M]: sliding windows of
-            # width N, stride M over each doc; doc belief = best passage
-            # (ref:include/indri/QuerySpec.hpp:2314,
-            # ref:src/InferenceNetworkBuilder.cpp:170 FixedPassageNode) —
-            # counts restrict to the window, the smoothing length is the
-            # clipped passage length, backgrounds stay collection-global
-            width, stride = node.n, int(node.weights[0])
-            if width <= 0 or stride <= 0:
-                raise ValueError("passage width/stride must be positive")
-            best = np.full(len(cand), -np.inf)
-            start = 0
-            max_dl = float(dl.max()) if len(dl) else 0.0
-            while start < max_dl:
-                valid = dl > start
-                self._passage = (start, start + width)
-                tap: list[np.ndarray] = []
-                self._count_tap = tap
-                try:
-                    b = self._belief(node.children[0], cand,
-                                     np.minimum(dl - start, float(width)))
-                finally:
-                    self._count_tap = None
-                    self._passage = None
-                # windows where NO scored leaf matches are SKIPPED, not
-                # background-scored (FixedPassageNode::score gates every
-                # subextent on _child->hasMatch — OR over the scored count
-                # leaves' containment matches, ref:src/FixedPassageNode.cpp
-                # :52-59, ref:src/WeightedAndNode.cpp:309-328) — without the
-                # gate a short clipped no-match window can out-score
-                # matching ones for common terms; docs with no matching
-                # window stay at -inf and drop out entirely.  The mask
-                # reads the counts the belief walk just computed (the tap),
-                # never recounting.
-                m = np.zeros(len(cand), dtype=bool)
-                for c_arr in tap:
-                    m |= c_arr > 0
-                best = np.maximum(best, np.where(valid & m, b, -np.inf))
-                start += stride
-            return best
-        if node.op == "ctx":
-            # scored-node extent restriction #op[f](...): every count leaf
-            # below scores in the field's context
-            # (ref:src/InferenceNetworkBuilder.cpp:152); a [.path] form
-            # needs an enclosing context to anchor the tree walk
-            # (ref:src/indrilang.g:680 SemanticException)
-            if node.term.startswith(".") and not self._ctx_stack:
-                raise ValueError(
-                    "path restriction [.path] requires an enclosing extent "
-                    "restriction as its outer context")
-            self._ctx_stack.append(node.term)
-            try:
-                return self._belief(node.children[0], cand, dl)
-            finally:
-                self._ctx_stack.pop()
-        if node.op in ("filreq", "filrej"):
-            # semi/anti-join filter (FilterRequire/FilterReject,
-            # ref:src/InferenceNetworkBuilder.cpp:526,504): docs failing the
-            # filter are excluded (-inf belief → dropped before top-k)
-            fcounts = self._node_counts(node.children[0], self._postings, cand,
-                                        tuple(self._ctx_stack))
-            belief = self._belief(node.children[1], cand, dl)
-            mask = fcounts > 0 if node.op == "filreq" else fcounts == 0
-            return np.where(mask, belief, -np.inf)
-        if node.op in self._COUNT_OPS:
-            rfields = tuple(self._ctx_stack)
-            counts = self._node_counts(node, self._postings, cand, rfields)
-            if self._count_tap is not None:
-                self._count_tap.append(counts)
-            # global node statistics: a term's cf comes from the dictionary;
-            # a synthetic/restricted node's cf is its total match count across
-            # the collection, computed exactly over the node's own candidate
-            # set (two-pass statistics, ref:src/QueryEnvironment.cpp:957-970)
-            ctx_field = self._node_ctx_field(node) or (
-                self._ctx_stack[-1] if self._ctx_stack else None)
-            if ctx_field is not None:
-                ctx_field = _ctx_field_name(ctx_field)
-            if node.op == "term" and not rfields:
-                cf = self._term_cf(node)
-            elif node.op == "any":
-                st = self.r.field_stats(node.term)
-                cf = float(st["extent_count"]) if st else 0.0
-            else:
-                # node statistics are COLLECTION-global: computed with any
-                # active passage window disabled
-                saved, self._passage = self._passage, None
-                try:
-                    cf = self._node_global_cf(node, rfields)
-                finally:
-                    self._passage = saved
-            if ctx_field is not None:
-                st = self.r.field_stats(ctx_field)
-                total = float(st["total_len"]) if st else 0.0
-                dl_vec = self._field_len_vec(ctx_field, cand)
-                return self._belief_from_counts(counts, dl_vec, cf, total)
-            return self._belief_from_counts(counts, dl, cf)
-        kids = [self._belief(c, cand, dl) for c in node.children]
-        if node.op == "combine":
-            return np.mean(kids, axis=0)
-        if node.op == "weight":
-            w = np.asarray(node.weights, dtype=np.float64)
-            w = w / w.sum()
-            return np.tensordot(w, np.stack(kids), axes=1)
-        if node.op == "wsum":
-            w = np.asarray(node.weights, dtype=np.float64)
-            w = w / w.sum()
-            probs = np.stack([np.exp(k) for k in kids])
-            return np.log(np.tensordot(w, probs, axes=1))
-        if node.op == "max":
-            return np.max(kids, axis=0)
-        if node.op == "or_":
-            # cap p strictly below 1.0 so log1p(-p) stays finite; 1-1e-300
-            # would round to exactly 1.0 in float64 (dead guard)
-            cap = np.nextafter(1.0, 0.0)
-            log1m = np.sum([np.log1p(-np.minimum(np.exp(k), cap)) for k in kids], axis=0)
-            return np.log1p(-np.exp(log1m))
-        if node.op == "not":
-            return np.log1p(-np.minimum(np.exp(kids[0]), np.nextafter(1.0, 0.0)))
-        raise ValueError(f"unknown op {node.op}")
 
     def _term_cf(self, node: Node) -> float:
         term = self._node_term(node)
@@ -1576,7 +1398,7 @@ class StructuredQueryEngine:
                                   & (node_cand < clip[1])]
         if not len(node_cand):
             return 0.0
-        counts = self._node_counts(node, self._postings, node_cand, rfields)
+        counts = self._node_counts(node, node_cand, rfields)
         return float(counts.sum())
 
     def _iter_term_children(self, node: Node):
@@ -1677,10 +1499,9 @@ class StructuredQueryEngine:
         cell skip (the WeightedAndNode quorum skip,
         ref:src/WeightedAndNode.cpp:119-186): postings decode only for cells
         whose upper bound can still reach the top-k.  The combiner callback
-        reproduces THIS engine's combination arithmetic (np.mean /
-        normalized tensordot, the same ops `_belief` runs), and the child
-        formula is the same smoothing expression, so results are identical
-        to the generic evaluation path (asserted in tests)."""
+        is :func:`combine`, and the child formula is the same smoothing
+        expression, so results are identical to the generic evaluation
+        path (asserted in tests)."""
         from .lm import LMScorer
 
         if self._bm_lm is None:
@@ -1691,20 +1512,13 @@ class StructuredQueryEngine:
         if root.op == "combine":
             tw = [(t, 1.0) for t in children]
             mean_of: int | None = len(children)
-
-            def combiner(kids: list[np.ndarray]) -> np.ndarray:
-                return np.mean(kids, axis=0)
         else:  # weight
             w = np.asarray(root.weights, dtype=np.float64)
-            w = w / w.sum()
-            tw = list(zip(children, w.tolist()))
+            tw = list(zip(children, (w / w.sum()).tolist()))
             mean_of = None
-
-            def combiner(kids: list[np.ndarray], _w=w) -> np.ndarray:
-                return np.tensordot(_w, np.stack(kids), axes=1)
-
-        return self._bm_lm._score_weighted_blockmax(tw, k, mean_of,
-                                                    combiner=combiner)
+        return self._bm_lm._score_weighted_blockmax(
+            tw, k, mean_of,
+            combiner=lambda kids: combine(root.op, root.weights, kids))
 
     def _run_inner(self, query, k, doc_set, doc_range, pruned, _warm):
         root = parse_query(query)
@@ -1712,7 +1526,7 @@ class StructuredQueryEngine:
         # no positions, no fields, no node-statistics pass — skip the full
         # postings decode and use the rank-safe block-max scan.  ≤ 8 children
         # keeps np.mean's per-column reduction sequential (pairwise summation
-        # starts above 8 lanes), preserving bit-identity with _belief.
+        # starts above 8 lanes), preserving bit-identity with _ExtentEval.
         if (not _warm and not self._disable_blockmax
                 and doc_set is None and doc_range is None and not pruned
                 and root.op in ("combine", "weight")
@@ -1722,24 +1536,9 @@ class StructuredQueryEngine:
                      or (len(root.weights) == len(root.children)
                          and all(wt > 0 for wt in root.weights)))):
             return self._blockmax_term_root(root, k)
-        leaf_terms: set[str] = set()
-        self._leaf_terms(root, leaf_terms)
-        self._memo_postings(leaf_terms, doc_range if pruned else None,
-                            need_positions=_needs_positions(root))
-        cand_parts: list[np.ndarray] = []
-        self._cand_docs(root, cand_parts)
-        cand_parts = [p for p in cand_parts if len(p)]
-        if not cand_parts:
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        cand = np.unique(np.concatenate(cand_parts))
-        if doc_set is not None:
-            cand = np.intersect1d(cand, np.asarray(sorted(set(int(d) for d in doc_set)),
-                                                   dtype=np.int64))
-        if doc_range is not None:
-            cand = cand[(cand >= doc_range[0]) & (cand < doc_range[1])]
-        if not len(cand):
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        cand = cand[self.r.keep_mask(cand)]
+        cand = _gather_candidates(self, (root,), doc_range, doc_set,
+                                  fetch_range=doc_range if pruned else None,
+                                  positions=_needs_positions(root))
         if not len(cand):
             return np.empty(0, np.int64), np.empty(0, np.float64)
         if _warm:
@@ -1747,15 +1546,598 @@ class StructuredQueryEngine:
             # branch (the belief walk covers the whole tree regardless of
             # candidate values)
             cand = cand[:1]
-        if doc_range is None:
-            dl = self.r.doc_lens()[cand].astype(np.float64)
-        else:
-            dl = self.r.doc_lens_range(doc_range[0], doc_range[1])[
-                cand - doc_range[0]].astype(np.float64)
         self._strict_stats = pruned
         try:
-            beliefs = self._belief(root, cand, dl)
+            beliefs = _ExtentEval.documents(
+                self, cand, self._doc_lens(cand, doc_range)).belief(root)
         finally:
             self._strict_stats = False
         keep = beliefs > -np.inf  # filreq/filrej exclusions
         return _topk(cand[keep], beliefs[keep], k)
+
+    def _doc_lens(self, cand: np.ndarray,
+                  doc_range: tuple[int, int] | None = None) -> np.ndarray:
+        """Doc lengths of the candidates (a ranged run reads only its
+        slice: shard workers hold O(span) lengths)."""
+        if doc_range is None:
+            return self.r.doc_lens()[cand]
+        return self.r.doc_lens_range(doc_range[0], doc_range[1])[
+            cand - doc_range[0]]
+
+
+def _gather_candidates(eng: StructuredQueryEngine, nodes,
+                       doc_range: tuple[int, int] | None = None,
+                       doc_set=None,
+                       fetch_range: tuple[int, int] | None = None,
+                       positions: bool = True) -> np.ndarray:
+    """Shared candidate prelude of every entry point: install the leaf
+    terms' postings (``fetch_range`` = a pruned run's doc range), union
+    the nodes' candidate docs, keep those in ``doc_set`` and in
+    ``doc_range`` (statistics stay collection-global) and apply the
+    deletion mask.  Empty result = no candidates."""
+    leafs: set[str] = set()
+    for node in nodes:
+        eng._leaf_terms(node, leafs)
+    eng._memo_postings(leafs, fetch_range, need_positions=positions)
+    parts: list[np.ndarray] = []
+    for node in nodes:
+        eng._cand_docs(node, parts)
+    parts = [p for p in parts if len(p)]
+    if not parts:
+        return np.empty(0, np.int64)
+    cand = np.unique(np.concatenate(parts))
+    if doc_set is not None:
+        cand = np.intersect1d(cand, np.asarray(
+            [int(d) for d in doc_set], dtype=np.int64))
+    if doc_range is not None:
+        cand = cand[(cand >= doc_range[0]) & (cand < doc_range[1])]
+    return cand[eng.r.keep_mask(cand)]
+
+
+class _ExtentEval:
+    """THE belief recursion: scores a query tree over a flat extent set —
+    candidate ``cand[i]`` owns extents ``[eb, ee)[ext_start[i]:ext_start[i
+    + 1]]`` — with per-extent counts and smoothing lengths, in one
+    statistics context: the collection (documents and passages), an
+    element root's ``field``, or a FieldWildcard / path-chain context
+    (``wild``: encoded outermost extents + context size).
+
+    A document is one extent (:meth:`documents`): its counts come from the
+    engine's doc-level ``_node_counts`` kernels, so no extent arrays are
+    built.  A document-level ``#op[passageN:M]`` scores its window extents
+    (:meth:`passages`) through a child evaluator, gates them on
+    :meth:`matches` and keeps each doc's best window — doc score = best
+    passage by construction.  ``#op[f]`` below a document or passage
+    pushes ``f`` on the restriction stack; element roots reject nested
+    restrictions."""
+
+    def __init__(self, eng: StructuredQueryEngine, cand: np.ndarray,
+                 ext_start: np.ndarray, eb: np.ndarray, ee: np.ndarray,
+                 field: str | None = None, wild: tuple | None = None,
+                 stack: tuple[str, ...] = (), whole: bool = False):
+        self.eng = eng
+        self.cand = cand
+        self.ext_start = ext_start
+        self.eb = eb
+        self.ee = ee
+        self.whole = whole
+        self.n_ext = len(eb)
+        self.dl_ext = (ee if whole else ee - eb).astype(np.float64)
+        self.field = field
+        self.wild = wild
+        self.stack = list(stack)  # active #op[f] restrictions
+        if wild is not None:
+            self.total = wild[4]  # _belief_from_counts floors total ≤ 0
+        elif field is not None:
+            st = eng.r.field_stats(field)
+            self.total = float(st["total_len"]) if st else 0.0
+        else:
+            self.total = None  # collection-global
+        self._memo: dict = {}
+
+    @classmethod
+    def documents(cls, eng: StructuredQueryEngine, cand: np.ndarray,
+                  dl: np.ndarray) -> "_ExtentEval":
+        """One whole-document extent ``[0, dl)`` per candidate."""
+        n = len(cand)
+        return cls(eng, cand, np.arange(n + 1, dtype=np.int64),
+                   np.zeros(n, dtype=np.int64),
+                   np.asarray(dl, dtype=np.int64), whole=True)
+
+    def passages(self, node: Node) -> "_ExtentEval":
+        """The sliding windows of ``#op[passageN:M]`` over these documents:
+        width N, stride M, starting strictly inside the doc
+        (ceil(dl / M) windows, the last clipped to the doc end)."""
+        width, stride = node.n, int(node.weights[0])
+        if width <= 0 or stride <= 0:
+            raise ValueError("passage width/stride must be positive")
+        n_per = (self.ee + stride - 1) // stride
+        ext_start = np.zeros(len(self.cand) + 1, dtype=np.int64)
+        np.cumsum(n_per, out=ext_start[1:])
+        win = (np.arange(int(ext_start[-1]), dtype=np.int64)
+               - np.repeat(ext_start[:-1], n_per))
+        eb = win * stride
+        ee = np.minimum(eb + width, np.repeat(self.ee, n_per))
+        return _ExtentEval(self.eng, self.cand, ext_start, eb, ee,
+                           stack=tuple(self.stack))
+
+    @cached_property
+    def cand_list(self) -> list[int]:
+        return self.cand.tolist()
+
+    @cached_property
+    def n_per(self) -> np.ndarray:
+        """extents per candidate"""
+        return np.diff(self.ext_start)
+
+    @cached_property
+    def eidx(self) -> np.ndarray:
+        """extent → cand index"""
+        return np.repeat(np.arange(len(self.cand), dtype=np.int64),
+                         self.n_per)
+
+    def _per_extent(self, per_doc: np.ndarray) -> np.ndarray:
+        """Spread a per-candidate array over the candidates' extents."""
+        return per_doc if self.whole else np.repeat(per_doc, self.n_per)
+
+    def _rfields(self) -> tuple[str, ...]:
+        """Restriction chain of the node statistics (and filters)."""
+        return ((self.field,) if self.field else ()) + tuple(self.stack)
+
+    @contextmanager
+    def _within(self, entry: str):
+        self.stack.append(entry)
+        try:
+            yield
+        finally:
+            self.stack.pop()
+
+    def _check_nested(self, node: Node) -> None:
+        """Restrictions nest only below documents and passages; a passage
+        only below a document."""
+        if ((self.field is not None or self.wild is not None)
+                or (node.op == "passage" and not self.whole)):
+            raise ValueError(
+                f"element-level retrieval does not support nested "
+                f"#{node.op} (use the document-level engine)")
+
+    # -- counts ------------------------------------------------------------
+
+    def counts(self, node: Node, rf: tuple[str, ...] | None = None
+               ) -> np.ndarray:
+        rf = tuple(self.stack) if rf is None else rf
+        key = (id(node), rf)
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = self._counts_uncached(node, rf)
+        return hit
+
+    def _counts_uncached(self, node: Node, rf: tuple[str, ...]
+                         ) -> np.ndarray:
+        eng = self.eng
+        if self.whole:
+            return eng._node_counts(node, self.cand, rf)
+        if node.op in ("restrict", "any"):
+            self._check_nested(node)
+        if node.op == "restrict":
+            return self.counts(node.children[0], rf + (node.term,))
+        if node.op == "any":  # the doc's extent count, as on documents
+            return self._per_extent(eng._node_counts(node, self.cand))
+        if node.op == "term" and not rf:
+            tp = eng._postings.get(eng._node_term(node))
+            if tp is not None and tp[2] is not None:
+                return self._term_counts_from_postings(tp)
+        if node.op in ("term", "wildcard", "syn"):
+            return self._position_counts(eng._positions_map(node), rf)
+        if node.op == "wsyn":
+            w = np.asarray(node.weights, dtype=np.float64)
+            if w.sum() == 0:
+                raise ValueError("#wsyn weights sum to zero")
+            w = w / w.sum()
+            return np.sum([wi * self.counts(c, rf)
+                           for wi, c in zip(w, node.children)], axis=0)
+        if node.op == "band":
+            present = np.ones(self.n_ext, dtype=bool)
+            for c in node.children:
+                present &= self.counts(c, rf) > 0
+            return present.astype(np.float64)
+        if node.op in ("od", "uw"):
+            return self._window_counts(node, rf)
+        if node.op in _NUM_PREDS:
+            # numeric/date predicate (the NEXI arithmetic clause): count =
+            # satisfying field extents CONTAINED in the evaluation extent
+            # (ref:src/FieldBetweenNode.cpp:53-57 + ListBeliefNode
+            # containment)
+            data = eng._field_data(node.term)
+            counts = np.zeros(self.n_ext, dtype=np.float64)
+            for i, did in enumerate(self.cand_list):
+                ext = data.get(did)
+                if ext is None:
+                    continue
+                mask = eng._pred_mask(node, ext[2])
+                if mask.any():
+                    self._count_contained(counts, i, ext[0][mask],
+                                          ext[1][mask])
+            return counts
+        raise ValueError(
+            f"element-level retrieval does not support #{node.op} as a "
+            f"count node (use the document-level engine)")
+
+    def _term_counts_from_postings(self, tp) -> np.ndarray:
+        """Vectorized per-extent occurrence counts of a plain term straight
+        from its flat positions stream (no per-doc Python): encode
+        positions and extent bounds by candidate index, then two
+        searchsorteds over the whole extent set."""
+        d, _tf, flat, starts = tp
+        cidx = np.searchsorted(self.cand, d)
+        valid = (cidx < len(self.cand)) & (
+            self.cand[np.minimum(cidx, len(self.cand) - 1)] == d)
+        max_pos = int(flat.max()) if len(flat) else 0
+        S = max(int(self.ee.max()) if self.n_ext else 0, max_pos) + 2
+        tfs = np.diff(starts)
+        pos_ok = np.repeat(valid, tfs)
+        encp = np.repeat(cidx, tfs)[pos_ok] * S + flat[pos_ok]
+        lo = np.searchsorted(encp, self.eidx * S + self.eb)
+        hi = np.searchsorted(encp, self.eidx * S + self.ee)
+        return (hi - lo).astype(np.float64)
+
+    def _position_counts(self, pm: dict[int, np.ndarray],
+                         rf: tuple[str, ...] = ()) -> np.ndarray:
+        """Occurrences inside each extent (and inside the restriction
+        chain ``rf``): two searchsorteds per candidate doc over its
+        (sorted) position list."""
+        eng = self.eng
+        counts = np.zeros(self.n_ext, dtype=np.float64)
+        for i, did in enumerate(self.cand_list):
+            pl = pm.get(did)
+            if pl is None or not len(pl):
+                continue
+            if rf:
+                u = eng._doc_restriction(did, rf)
+                if u is None:
+                    continue
+                pl = eng._positions_in(pl, u)
+            sl = slice(self.ext_start[i], self.ext_start[i + 1])
+            counts[sl] = (np.searchsorted(pl, self.ee[sl])
+                          - np.searchsorted(pl, self.eb[sl]))
+        return counts
+
+    def _window_counts(self, node: Node, rf: tuple[str, ...]) -> np.ndarray:
+        """#odN/#uwN occurrences CONTAINED in each extent (window.begin ≥
+        extent.begin and window.end ≤ extent.end) and in the restriction
+        chain ``rf`` — ExtentInsideNode containment,
+        ref:src/ExtentInsideNode.cpp:54-73."""
+        eng = self.eng
+        pos_maps = [eng._positions_map(c) for c in node.children]
+        counts = np.zeros(self.n_ext, dtype=np.float64)
+        for i, did in enumerate(self.cand_list):
+            pls = [pm.get(did) for pm in pos_maps]
+            if any(pl is None for pl in pls):
+                continue
+            wb, we = eng._window_extents(node, pls)
+            if rf and len(wb):
+                keep = eng._contained(wb, we, did, rf)
+                wb, we = wb[keep], we[keep]
+            if len(wb):
+                self._count_contained(counts, i, wb, we)
+        return counts
+
+    def _count_contained(self, counts: np.ndarray, i: int,
+                         b: np.ndarray, e: np.ndarray) -> None:
+        """counts[j] = # of extents [b, e) CONTAINED in extent j of
+        candidate i (begin ≥ extent.begin and end ≤ extent.end)."""
+        for j in range(int(self.ext_start[i]), int(self.ext_start[i + 1])):
+            counts[j] = float(np.sum((b >= self.eb[j]) & (e <= self.ee[j])))
+
+    # -- FieldWildcard-context statistics ----------------------------------
+
+    def _wild_doc_enc(self, did: int):
+        """(i·S base, S, ub, ue) for one doc, or None when it carries no
+        context extents."""
+        docs, S, ub, ue, _total = self.wild
+        i = int(np.searchsorted(docs, did))
+        if i >= len(docs) or int(docs[i]) != did:
+            return None
+        return i * S, S, ub, ue
+
+    def _wild_positions_cf(self, pm: dict[int, np.ndarray],
+                           count: bool = True):
+        """Occurrences of a position map inside the wildcard context
+        (count=True → total float; count=False → set of docs with ≥1)."""
+        tot = 0.0
+        present: set[int] = set()
+        for did, pl in pm.items():
+            enc = self._wild_doc_enc(did)
+            if enc is None:
+                continue
+            base, S, ub, ue = enc
+            encp = base + pl[pl < S]
+            inside = (np.searchsorted(ub, encp, side="right")
+                      - np.searchsorted(ue, encp, side="right")) == 1
+            if count:
+                tot += float(inside.sum())
+            elif inside.any():
+                present.add(did)
+        return tot if count else present
+
+    def _wild_cf(self, node: Node) -> float:
+        """Collection occurrence count of a node WITHIN the wildcard
+        context — positions (or windows) contained in an outermost field
+        extent, each counted once (ref:src/ContextCountAccumulator.cpp:
+        99-140), summed over every doc the node matches."""
+        eng = self.eng
+        if node.op == "term":
+            term = eng._node_term(node)
+            tp = eng._postings.get(term) if term else None
+            return (float(eng._restricted_term_counts(tp, self.wild).sum())
+                    if tp is not None else 0.0)
+        if node.op in ("syn", "wildcard"):
+            return self._wild_positions_cf(eng._positions_map(node))
+        if node.op == "wsyn":
+            w = np.asarray(node.weights, dtype=np.float64)
+            if w.sum() == 0:
+                raise ValueError("#wsyn weights sum to zero")
+            w = w / w.sum()
+            return float(sum(wi * self._wild_cf(c)
+                             for wi, c in zip(w, node.children)))
+        if node.op in ("od", "uw"):
+            pos_maps = [eng._positions_map(c) for c in node.children]
+            docs_common = set(pos_maps[0])
+            for pm in pos_maps[1:]:
+                docs_common &= set(pm)
+            tot = 0.0
+            for did in docs_common:
+                enc = self._wild_doc_enc(did)
+                if enc is None:
+                    continue
+                base, S, ub, ue = enc
+                begins, ends = eng._window_extents(
+                    node, [pm[did] for pm in pos_maps])
+                for wb, we in zip(begins.tolist(), ends.tolist()):
+                    if wb >= S:  # past every extent end: outside, and an
+                        continue  # encode would bleed into the next doc
+                    i = int(np.searchsorted(ub, base + wb,
+                                            side="right")) - 1
+                    if i >= 0 and base + we <= ue[i]:
+                        tot += 1.0
+            return tot
+        if node.op == "band":
+            # 1 per doc where EVERY member occurs within the context
+            doc_sets = [self._wild_positions_cf(eng._positions_map(c),
+                                                count=False)
+                        for c in node.children]
+            return float(len(set.intersection(*doc_sets))) if doc_sets else 0.0
+        raise ValueError(
+            f"FieldWildcard-context statistics for #{node.op} are not "
+            f"supported")
+
+    # -- path-restricted support clauses (#max over [.path]) ---------------
+
+    def _is_max_path(self, node: Node) -> bool:
+        """``#max(#op[.path](...))`` below an element root — the
+        translation of a NEXI support path ``about(.//title, terms)``;
+        every child a path-ctx node (below documents and passages the
+        generic recursion scores it)."""
+        return ((self.field is not None or self.wild is not None)
+                and node.op == "max" and bool(node.children)
+                and all(c.op == "ctx" and c.term.startswith(".")
+                        for c in node.children))
+
+    def _max_path_belief(self, node: Node) -> np.ndarray:
+        """Per-OUTER-extent MaxNode over path-restricted inner scores: for
+        each outer extent E, the inner ExtentRestriction scores the
+        subtree at every path-matching extent anchored at E (zero-length
+        and no-match path extents skipped, ref:src/ExtentRestrictionNode.
+        cpp:58-74) and MaxNode keeps the best — extents with NO surviving
+        inner result produce no result at all (-inf here; MaxNode returns
+        an empty list, ref:include/indri/MaxNode.hpp:75-98).  Statistics
+        reuse the document engine's memoized node counts (rfields =
+        (outer field, path)), so values match the doc path exactly."""
+        eng = self.eng
+        if self.field is None:
+            raise ValueError(
+                "path-restricted clauses need a field-restriction root")
+        out = np.full(self.n_ext, -np.inf)
+        fdocs, fstarts, fb, fe, fo, fp = eng._field_csr(self.field)
+        for ctx_node in node.children:
+            spec = ctx_node.term
+            sub = ctx_node.children[0]
+            subs = sub.children if sub.op in ("combine", "weight") \
+                else [sub]
+            if sub.op == "weight" or not all(c.op == "term" for c in subs):
+                raise ValueError(
+                    "element-level path support clauses accept plain "
+                    "#combine term lists only")
+            terms = [eng._node_term(c) for c in subs]
+            rfields = (self.field, spec)
+            st = eng.r.field_stats(_ctx_field_name(spec))
+            total = float(st["total_len"]) if st else 0.0
+            cfs = [eng._node_global_cf(c, rfields) for c in subs]
+            for i, did in enumerate(self.cand_list):
+                ri = int(np.searchsorted(fdocs, did))
+                if ri >= len(fdocs) or int(fdocs[ri]) != did:
+                    continue
+                fsl = slice(int(fstarts[ri]), int(fstarts[ri + 1]))
+                b_doc, e_doc = fb[fsl], fe[fsl]
+                nz = np.nonzero(e_doc > b_doc)[0]
+                sl0 = int(self.ext_start[i])
+                for jj, src in enumerate(nz.tolist()):
+                    outer = (b_doc[src:src + 1], e_doc[src:src + 1],
+                             None, 0,
+                             fo[fsl][src:src + 1] if fo is not None
+                             else None,
+                             fp[fsl][src:src + 1] if fp is not None
+                             else None)
+                    m = eng._eval_path(did, spec, outer)
+                    if m is None:
+                        continue
+                    pbs, pes = m[0], m[1]
+                    best = -np.inf
+                    for pb, pe in zip(pbs.tolist(), pes.tolist()):
+                        if pe <= pb:
+                            continue
+                        cs = []
+                        for t in terms:
+                            tp = eng._postings.get(t) if t else None
+                            c = 0.0
+                            if tp is not None:
+                                pos_d = np.searchsorted(tp[0], did)
+                                if (pos_d < len(tp[0])
+                                        and tp[0][pos_d] == did
+                                        and tp[2] is not None):
+                                    run = tp[2][tp[3][pos_d]:
+                                                tp[3][pos_d + 1]]
+                                    c = float(np.searchsorted(run, pe)
+                                              - np.searchsorted(run, pb))
+                            cs.append(c)
+                        if not any(c > 0 for c in cs):
+                            continue  # inner hasMatch gate
+                        kids = [eng._belief_from_counts(
+                            np.asarray([c]), np.asarray([float(pe - pb)]),
+                            cf, total)
+                            for c, cf in zip(cs, cfs)]
+                        best = max(best, float(combine("combine", (),
+                                                       kids)[0]))
+                    j = sl0 + jj
+                    out[j] = max(out[j], best)
+        return out
+
+    # -- matches -----------------------------------------------------------
+
+    def matches(self, node: Node) -> np.ndarray:
+        """Per-extent hasMatch: OR over the scored tree's count leaves
+        (ref:src/WeightedAndNode.cpp:309-328 belief OR;
+        ref:src/ListBeliefNode.cpp:158-186 leaf containment; priors carry
+        no match list).  Counts are memoized, so the belief pass already
+        paid for them."""
+        if self._is_max_path(node):
+            # the Max yields a result only where some anchored path extent
+            # survived — the belief pass computed exactly that
+            return self.belief(node) > -np.inf
+        if node.op in _COUNT_OPS:
+            return self.counts(node) > 0
+        if node.op == "prior":
+            return np.zeros(self.n_ext, dtype=bool)
+        if node.op in ("filreq", "filrej"):
+            return self.matches(node.children[1])
+        if node.op == "ctx":
+            with self._within(node.term):
+                return self.matches(node.children[0])
+        kids = [self.matches(c) for c in node.children]
+        if not kids:
+            return np.zeros(self.n_ext, dtype=bool)
+        return np.any(kids, axis=0)
+
+    # -- beliefs -----------------------------------------------------------
+
+    def belief(self, node: Node) -> np.ndarray:
+        eng = self.eng
+        if self._is_max_path(node):
+            hit = self._memo.get(("maxpath", id(node)))
+            if hit is None:
+                hit = self._memo[("maxpath", id(node))] = \
+                    self._max_path_belief(node)
+            return hit
+        if node.op in _COUNT_OPS:
+            return self._leaf_belief(node)
+        if node.op == "prior":
+            # per-doc log-prior lookup (PriorNode,
+            # ref:src/InferenceNetworkBuilder.cpp:788); docs absent from the
+            # prior table get log(1/N)
+            cand = self.cand
+            lo = int(cand.min()) if len(cand) else None
+            hi = int(cand.max()) if len(cand) else None
+            ids, lps = eng.r.load_prior(node.term, lo, hi)
+            out = np.full(len(cand), -np.log(float(eng.r.doc_count)))
+            if len(ids):  # range-pruned load can be empty (partial coverage)
+                pos = np.searchsorted(ids, cand)
+                valid = (pos < len(ids)) & (
+                    ids[np.minimum(pos, len(ids) - 1)] == cand)
+                out[valid] = lps[pos[valid]]
+            return self._per_extent(out)
+        if node.op in ("filreq", "filrej"):
+            # semi/anti-join filter on whole DOCUMENTS (FilterRequire/
+            # FilterReject wrap the scored node,
+            # ref:src/InferenceNetworkBuilder.cpp:526,504): extents of docs
+            # failing the filter are excluded (-inf → dropped)
+            fcounts = eng._node_counts(node.children[0], self.cand,
+                                       self._rfields())
+            mask = fcounts > 0 if node.op == "filreq" else fcounts == 0
+            return np.where(self._per_extent(mask),
+                            self.belief(node.children[1]), -np.inf)
+        if node.op == "ctx":
+            # scored-node extent restriction #op[f](...): every count leaf
+            # below scores in the field's context
+            # (ref:src/InferenceNetworkBuilder.cpp:152); a [.path] form
+            # needs an enclosing context to anchor the tree walk
+            # (ref:src/indrilang.g:680 SemanticException)
+            self._check_nested(node)
+            if node.term.startswith(".") and not self.stack:
+                raise ValueError(
+                    "path restriction [.path] requires an enclosing extent "
+                    "restriction as its outer context")
+            with self._within(node.term):
+                return self.belief(node.children[0])
+        if node.op == "passage":
+            # fixed-passage retrieval (FixedPassageNode,
+            # ref:src/InferenceNetworkBuilder.cpp:170): windows where NO
+            # scored leaf matches are skipped, not background-scored
+            # (ref:src/FixedPassageNode.cpp:52-59); docs with no matching
+            # window stay at -inf and drop out
+            self._check_nested(node)
+            ev = self.passages(node)
+            inner = node.children[0]
+            b = ev.belief(inner)
+            m = ev.matches(inner)
+            best = np.full(len(self.cand), -np.inf)
+            np.maximum.at(best, ev.eidx[m], b[m])
+            return best
+        kids = [self.belief(c) for c in node.children]
+        if node.op in ("combine", "weight") and any(
+                self._is_max_path(c) for c in node.children):
+            # a support-path child yields NO result for extents with no
+            # surviving anchored path — the reference combiner then
+            # normalizes over the children that DID score (sumWeight sums
+            # |w|·childResults.size(), ref:src/WeightedAndNode.cpp:
+            # 248-278); extents where no child scored yield nothing
+            wts = (node.weights if node.op == "weight"
+                   else [1.0] * len(kids))
+            pres = [(k > -np.inf) if self._is_max_path(c)
+                    else np.ones(self.n_ext, dtype=bool)
+                    for k, c in zip(kids, node.children)]
+            num = sum(w * np.where(p, k, 0.0)
+                      for w, k, p in zip(wts, kids, pres))
+            den = sum(abs(w) * p for w, p in zip(wts, pres))
+            safe = den > 0
+            out = np.full(self.n_ext, -np.inf)
+            out[safe] = num[safe] / den[safe]
+            return out
+        return combine(node.op, node.weights, kids)
+
+    def _leaf_belief(self, node: Node) -> np.ndarray:
+        """Smoothed belief of a count node.  Statistics are collection-
+        global (two-pass, ref:src/QueryEnvironment.cpp:957-970): a plain
+        unrestricted term reads the dictionary, anything else goes through
+        the node-statistics memo (#any:f: the field's extent count); a FieldWildcard context counts within the
+        outermost field extents.  A field CONTEXT (``.(f)`` or the
+        innermost #op[f]) scores against the doc's f length and f's total
+        length (ref:src/ContextCountAccumulator.cpp:98-131)."""
+        eng = self.eng
+        counts = self.counts(node)
+        rf = self._rfields()
+        if self.wild is not None:
+            cf = self._wild_cf(node)
+        elif node.op == "term" and not rf:
+            cf = eng._term_cf(node)
+        else:
+            cf = eng._node_global_cf(node, rf)
+        ctx = eng._node_ctx_field(node) or (
+            self.stack[-1] if self.stack else None)
+        if ctx is None:
+            return eng._belief_from_counts(counts, self.dl_ext, cf,
+                                           self.total)
+        ctx = _ctx_field_name(ctx)
+        st = eng.r.field_stats(ctx)
+        dl = self._per_extent(eng._field_len_vec(ctx, self.cand))
+        return eng._belief_from_counts(
+            counts, dl, cf, float(st["total_len"]) if st else 0.0)

@@ -66,10 +66,6 @@ def register_scorer(name: str, factory: Callable) -> None:
     _SCORERS[name] = factory
 
 
-def get_scorer(name: str) -> Callable | None:
-    return _SCORERS.get(name)
-
-
 def register_tokenizer(name: str, fn: Callable[[bytes], list[bytes]]) -> None:
     """Register a tokenizer mode usable as ``IndexConfig(tokenizer=name)``.
 

@@ -137,20 +137,60 @@ def test_passage_extents_match_document_best_passage(ext_index):
 
     r = _reader(ext_index)
     eng = StructuredQueryEngine(r)
-    q = "#combine[passage2:1](alpha beta)"
-    ids, scores = eng.run(q, k=10)
-    doc_best = dict(zip(ids.tolist(), scores.tolist()))
-    rows = _rows(run_extents(r, q, k=1000))
-    got_best: dict[int, float] = {}
-    for d, _b, _e, s in rows:
-        got_best[d] = max(got_best.get(d, -math.inf), s)
-    assert set(got_best) == set(doc_best)
-    for d in doc_best:
-        assert got_best[d] == pytest.approx(doc_best[d], abs=1e-12)
+    for q in ("#combine[passage2:1](alpha beta)",
+              "#combine[passage3:1](#od1(alpha beta) gamma)",
+              "#combine[passage3:1](#syn(alpha gamma) delta)",
+              "#combine[passage2:1](#not(beta) alpha)"):
+        ids, scores = eng.run(q, k=10)
+        doc_best = dict(zip(ids.tolist(), scores.tolist()))
+        rows = _rows(run_extents(r, q, k=1000))
+        got_best: dict[int, float] = {}
+        for d, _b, _e, s in rows:
+            got_best[d] = max(got_best.get(d, -math.inf), s)
+        # doc score = best passage, bit for bit
+        assert got_best == doc_best, q
     # window geometry: doc2 (len 2, width 2 stride 1) slides (0,2) and
     # (1,2); only (0,2) contains a match ('alpha outside' has alpha at 0)
+    rows = _rows(run_extents(r, "#combine[passage2:1](alpha beta)", k=1000))
     d2 = sorted((b, e) for d, b, e, _s in rows if d == 2)
     assert d2 == [(0, 2)]
+
+
+def test_passage_filreq_is_per_document(tmp_path):
+    """#filreq inside a passage filters whole DOCUMENTS (FilterRequireNode
+    wraps the scored node): doc 0's gamma lies outside its best alpha
+    window, yet that window still scores — on the document path exactly
+    as in the per-window results."""
+    from indri_5_5_ray.config import IndexConfig
+    from indri_5_5_ray.pipelines.build import build_index
+    from indri_5_5_ray.pipelines.extents import run_extents
+    from indri_5_5_ray.pipelines.indriql import StructuredQueryEngine
+    from indri_5_5_ray.pipelines.query import IndexReader
+
+    docs = ["alpha alpha x gamma", "alpha gamma y z", "beta beta"]
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    pq.write_table(pa.table({
+        "repo": ["r"] * 3, "path": [f"d{i}.txt" for i in range(3)],
+        "commit": [f"c{i}" for i in range(3)], "lang": ["txt"] * 3,
+        "content": docs}), corpus / "corpus.parquet")
+    out = str(tmp_path / "idx")
+    build_index(str(corpus), out, IndexConfig(
+        stemmer=None, dedup_key=None, n_buckets=4, max_chunk_docs=64),
+        resume=False)
+    r = IndexReader(out)
+    q = "#combine[passage2:1](#filreq(gamma alpha))"
+    ids, scores = StructuredQueryEngine(r).run(q, k=10)
+    doc_best = dict(zip(ids.tolist(), scores.tolist()))
+    got_best: dict[int, float] = {}
+    for d, _b, _e, s in _rows(run_extents(r, q, k=1000)):
+        got_best[d] = max(got_best.get(d, -math.inf), s)
+    assert set(doc_best) == {0, 1}
+    assert doc_best == got_best
+    # doc 0's best window is (0, 2): two alphas, no gamma
+    total = sum(len(d.split()) for d in docs)
+    assert doc_best[0] == pytest.approx(_dir(2, 2, 3.0, total), abs=1e-12)
+    assert doc_best[0] > doc_best[1]
 
 
 def test_doc_level_fallback_zero_extents(ext_index):

@@ -278,6 +278,89 @@ def test_passage_multi_term(field_index):
         assert got[d] == pytest.approx(want[d], rel=0, abs=1e-12)
 
 
+# alpha positions inside each doc's title extent
+ALPHA_IN_TITLE = {0: [0], 1: [], 2: [], 3: [0, 1], 4: []}
+TITLE_LEN = {d: (TITLE[d][1] - TITLE[d][0]) if d in TITLE else 0
+             for d in range(len(DOCS))}
+
+
+def _best_passage(d, width, stride, leaves):
+    """Best window score of doc d: ``leaves`` maps a window (start, dlp)
+    to per-leaf ``(count, belief)`` pairs; no-match windows are skipped
+    and the window score is the mean of the leaf beliefs."""
+    best = None
+    start = 0
+    while start < DL[d]:
+        parts = leaves(start, min(DL[d] - start, width))
+        if any(c > 0 for c, _b in parts):
+            s = sum(b for _c, b in parts) / len(parts)
+            best = s if best is None else max(best, s)
+        start += stride
+    return best
+
+
+def _in_window(positions, start, width):
+    return sum(1 for p in positions if start <= p < start + width)
+
+
+def test_passage_restricted_term(field_index):
+    """alpha.title inside a passage: counts are the title's alpha
+    positions within the window, the background is alpha's cf inside
+    title over the COLLECTION size, the length is the window's."""
+    eng = _engine(field_index)
+    got = _scores(eng, "#combine[passage2:1](alpha.title beta)")
+    posb = {0: [1], 1: [0], 2: [1], 3: [], 4: []}
+    cf_at, cfb = 3.0, 3.0
+    want = {}
+    for d in (0, 1, 2, 3):  # candidates: docs with alpha or beta
+        def leaves(start, dlp, d=d):
+            ca = _in_window(ALPHA_IN_TITLE[d], start, 2)
+            cb = _in_window(posb[d], start, 2)
+            return [(ca, _dir(ca, dlp, cf_at, TOTAL)),
+                    (cb, _dir(cb, dlp, cfb, TOTAL))]
+        want[d] = _best_passage(d, 2, 1, leaves)
+    assert set(got) == set(want)
+    for d in want:
+        assert got[d] == pytest.approx(want[d], rel=0, abs=1e-12)
+
+
+def test_passage_field_context_term(field_index):
+    """alpha.(title) inside a passage scores in title's context: the
+    smoothing length is the doc's title length and the background is
+    alpha's cf inside title over the title total length."""
+    eng = _engine(field_index)
+    got = _scores(eng, "#combine[passage2:1](alpha.(title) beta)")
+    posb = {0: [1], 1: [0], 2: [1], 3: [], 4: []}
+    want = {}
+    for d in (0, 1, 2, 3):
+        def leaves(start, dlp, d=d):
+            ca = _in_window(ALPHA_IN_TITLE[d], start, 2)
+            cb = _in_window(posb[d], start, 2)
+            return [(ca, _dir(ca, TITLE_LEN[d], 3.0, 6.0)),
+                    (cb, _dir(cb, dlp, 3.0, TOTAL))]
+        want[d] = _best_passage(d, 2, 1, leaves)
+    assert set(got) == set(want)
+    for d in want:
+        assert got[d] == pytest.approx(want[d], rel=0, abs=1e-12)
+
+
+def test_passage_over_field_restriction(field_index):
+    """#combine[title](alpha) inside a passage: counts are title ∩
+    window, scored in title's context; doc 2 (no title) never matches
+    and drops out."""
+    eng = _engine(field_index)
+    got = _scores(eng, "#combine[passage3:2](#combine[title](alpha))")
+    want = {}
+    for d in (0, 3):
+        def leaves(start, dlp, d=d):
+            c = _in_window(ALPHA_IN_TITLE[d], start, 3)
+            return [(c, _dir(c, TITLE_LEN[d], 3.0, 6.0))]
+        want[d] = _best_passage(d, 3, 2, leaves)
+    assert set(got) == set(want)
+    for d in want:
+        assert got[d] == pytest.approx(want[d], rel=0, abs=1e-12)
+
+
 def test_window_members_restrict_and_wildcard(field_index):
     """#odN members that are NOT plain terms must not enter the flat batch
     kernel: a restrict-wrapped member uses its field-masked positions, a

@@ -172,7 +172,7 @@ def test_od_window_against_tokenized_corpus(engine, small_corpus_dir, built_inde
     if not eng._postings:
         pytest.skip("terms absent from corpus")
     cand = np.unique(np.concatenate([tp[0] for tp in eng._postings.values()]))
-    counts = eng._node_counts(leaf, eng._postings, cand)
+    counts = eng._node_counts(leaf, cand)
 
     for i, d in enumerate(cand.tolist()):
         toks = seqs[d]
@@ -231,7 +231,7 @@ def test_wsum_band_syn(engine, small_corpus_dir, built_index):
         engine._leaf_terms(root, terms)
         engine._postings = engine._fetch_postings(sorted(terms))
         cand = np.unique(np.concatenate([tp[0] for tp in engine._postings.values()]))
-        counts = engine._node_counts(leaf, engine._postings, cand)
+        counts = engine._node_counts(leaf, cand)
         for i, d in enumerate(cand.tolist()):
             pos_a = {j for j, t in enumerate(seqs[d]) if t == "merge"}
             pos_b = {j for j, t in enumerate(seqs[d]) if t == "token"}

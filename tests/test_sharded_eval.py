@@ -203,7 +203,8 @@ def test_pruned_field_query_sharded(built_index, tmp_path):
 
     eng = StructuredQueryEngine(IndexReader(out))
     queries = [("1", "#combine[title](alpha)"),
-               ("2", "#filreq(#less(size 220) alpha)")]
+               ("2", "#filreq(#less(size 220) alpha)"),
+               ("3", "#combine(#any:title alpha)")]
     sharded = run_queries_sharded(out, queries, k=30, n_shards=3,
                                   concurrency=2, kind="structured")
     for qid, text in queries:

@@ -6,6 +6,9 @@ title = the path, text split into two ``<sec>`` halves at the middle
 whitespace — so every doc carries three extents, then:
 
 * ``run_extents`` latency for a field query and a passage query (warm);
+* document-level ``StructuredQueryEngine.run`` of the passage query
+  (warm) and its identity: every doc's score equals the best of its
+  ``run_extents`` windows, bit for bit;
 * ``run_extents_wildcard`` latency (the INEX CO surface);
 * ``run_extents_sharded`` equality vs the single-process run at n_shards=8.
 
@@ -36,6 +39,7 @@ def main() -> None:
         run_extents,
         run_extents_wildcard,
     )
+    from indri_5_5_ray.pipelines.indriql import StructuredQueryEngine
     from indri_5_5_ray.pipelines.query import IndexReader
     from indri_5_5_ray.pipelines.run import run_extents_sharded
 
@@ -88,6 +92,17 @@ def main() -> None:
         t0 = time.perf_counter()
         ids, bs, es, sc = run_extents(reader, q, k=100)
         out[name] = (round(time.perf_counter() - t0, 3), len(ids))
+    everything = 1 << 62
+    StructuredQueryEngine(reader).run(qs["passage"], k=everything)  # warm
+    t0 = time.perf_counter()
+    ids, sc = StructuredQueryEngine(reader).run(qs["passage"], k=everything)
+    out["passage_doc"] = (round(time.perf_counter() - t0, 3), len(ids))
+    best: dict[int, float] = {}
+    wids, _bs, _es, wsc = run_extents(reader, qs["passage"], k=everything)
+    for d, s in zip(wids.tolist(), wsc.tolist()):
+        best[d] = max(best.get(d, s), s)
+    assert dict(zip(ids.tolist(), sc.tolist())) == best
+    print(f"doc score = best passage window over {len(best)} docs: OK")
     run_extents_wildcard(reader, "#combine(merge buffer)", k=100)
     t0 = time.perf_counter()
     ids, bs, es, sc = run_extents_wildcard(reader, "#combine(merge buffer)",
