@@ -160,6 +160,7 @@ def run_bench() -> dict:
     eng = StructuredQueryEngine(reader)
     reader.doc_lens()
     sq = queries[0][1].split()[:2]
+    sv = queries[1][1].split()[0]
 
     # field-restricted structured queries over the tagged documents corpus
     # (index cached under /tmp by the driver-entry helper)
@@ -384,6 +385,12 @@ def run_bench() -> dict:
                             for _, t in queries[:20]]),
         ("window_5q", lambda: [eng.run(f"#combine(#od2({sq[0]} {sq[1]}) {t.split()[0]})", k=100)
                                for _, t in queries[:5]]),
+        # windows over #syn / repeated members and passages over them
+        ("window_mixed_4q", lambda: [eng.run(q, k=100) for q in (
+            f"#combine(#od1(#syn({sq[0]} {sv}) {sq[1]}))",
+            f"#combine(#uw8({sq[0]} {sq[0]} {sq[1]}))",
+            f"#combine[passage20:10](#od1({sq[0]} {sq[1]}))",
+            f"#combine[passage20:10](#syn({sq[0]} {sv}) {sq[1]})")]),
         ("field_4q", lambda: [field_eng.run(q, k=100) for _, q in FIELD_QUERIES]),
         ("gopher_filter", lambda: textstats.gopher_filter(SF_DIR).count()),
         ("contamination", lambda: _sampling().contamination_screen(SF_DIR).count()),

@@ -169,7 +169,11 @@ def cmd_dxcount(reader: IndexReader, expr: str) -> None:
     ≥1 match."""
     import numpy as np
 
-    from .pipelines.indriql import StructuredQueryEngine, parse_query
+    from .pipelines.indriql import (
+        StructuredQueryEngine,
+        _ExtentEval,
+        parse_query,
+    )
 
     eng = StructuredQueryEngine(reader)
     root = parse_query(expr)
@@ -183,7 +187,7 @@ def cmd_dxcount(reader: IndexReader, expr: str) -> None:
         print(0)
         return
     arr = np.unique(np.concatenate(parts))
-    counts = eng._node_counts(root, arr)
+    counts = _ExtentEval.documents(eng, arr).counts(root)
     print(int((counts > 0).sum()))
 
 

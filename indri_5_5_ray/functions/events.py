@@ -89,7 +89,7 @@ def tumbling_counts(sf_dir: str) -> ray.data.Dataset:
     """(hour_start, event_type, n_events, sum_value) — 1-hour tumbling
     windows; hour_start = epoch seconds, sum_value rounded to 6 decimals.
     :func:`hopping_counts` with the hop equal to the width."""
-    return _window_counts(sf_dir, 3600, 3600, "hour_start")
+    return _event_window_counts(sf_dir, 3600, 3600, "hour_start")
 
 
 def sessionize(sf_dir: str, gap_s: int = SESSION_GAP_S) -> ray.data.Dataset:
@@ -152,10 +152,10 @@ def hopping_counts(sf_dir: str, window_s: int = 3600,
     aggregate, so the window-keyed exchange moves pre-aggregated
     (window, type) rows, multiplied only by the overlap factor; the
     reduce sums them."""
-    return _window_counts(sf_dir, window_s, hop_s, "window_start")
+    return _event_window_counts(sf_dir, window_s, hop_s, "window_start")
 
 
-def _window_counts(sf_dir: str, window_s: int, hop_s: int,
+def _event_window_counts(sf_dir: str, window_s: int, hop_s: int,
                    start: str) -> ray.data.Dataset:
     """:func:`hopping_counts` with its window-start column named
     ``start`` by the exchange itself, so an empty result keeps it."""

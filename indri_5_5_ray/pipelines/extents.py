@@ -15,7 +15,12 @@ over an extent set: :class:`~.indriql.StructuredQueryEngine` passes one
 whole-document extent per candidate (and a document-level passage's
 windows, keeping each doc's best), this module passes a root's field
 extents or passage windows and keeps every extent — the per-extent
-surface on the same index data:
+surface on the same index data.  Counting is the evaluator's one extent-
+set recursion too: an extent's count is the number of a count node's
+extents it contains.  The extent sets here (field CSR gathers, step and
+chain extents, the FieldWildcard context) are flat doc-major arrays
+filtered by the same containment kernel (``indriql._contained``).  The
+surfaces:
 
 * :func:`run_extents` ranks ``(doc, begin, end)`` triples with the
   reference's exact tie order ``score desc → doc desc → begin desc →
@@ -38,11 +43,14 @@ ContextCountAccumulator pair, ref:src/ContextCountAccumulator.cpp:90-131)
 Single-extent documents therefore score bit-identically to the document
 path (asserted in tests/test_extents.py).
 
-Scale: evaluation is per-candidate-document over the DAAT union, the
+Scale: evaluation is vectorized over the DAAT union's candidates, the
 same shape as the document-level engine; at corpus scale it shards by
 doc-range through ``pipelines.run`` exactly like every other query (the
 statistics are collection-global and extent data reads are range-pruned
-by ``IndexReader.field_extents``).
+by ``IndexReader.field_extents``).  Two per-document loops remain: the
+``[.path]`` tag-tree walk (``StructuredQueryEngine._eval_path``, also
+behind the support-path clause) and :func:`run_nested_extents`' pairing
+of ``a`` and ``b`` extents.
 
 Scope: the inner tree may use terms, wildcards, ``#syn``/``#wsyn``,
 ``#band``, ``#odN``/``#N``/``#uwN``, ``#combine``/``#weight``/``#wsum``/
@@ -63,8 +71,10 @@ import numpy as np
 from .indriql import (
     Node,
     StructuredQueryEngine,
+    _contained,
     _ExtentEval,
     _gather_candidates,
+    _take,
     parse_query,
 )
 
@@ -78,27 +88,6 @@ def _as_engine(reader_or_engine, method: str, mu: float, lam: float
         return reader_or_engine
     return StructuredQueryEngine(reader_or_engine, method=method, mu=mu,
                                  lam=lam)
-
-
-def _csr_gather(csr, cand: np.ndarray):
-    """Gather a field CSR's per-doc runs for the (sorted) candidate docs:
-    ``(kept_mask_over_cand, lens, flat_row_index)`` — ``None`` when the
-    field has no extents at all.  One helper so the empty-array guard and
-    the ragged-gather arithmetic exist exactly once."""
-    fdocs, fstarts = csr[0], csr[1]
-    if not len(fdocs):
-        return None
-    didx = np.searchsorted(fdocs, cand)
-    has = (didx < len(fdocs)) & (
-        fdocs[np.minimum(didx, len(fdocs) - 1)] == cand)
-    di = didx[has]
-    lens = fstarts[di + 1] - fstarts[di]
-    total = int(lens.sum())
-    out_starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
-    gather = (np.arange(total, dtype=np.int64)
-              - np.repeat(out_starts, lens)
-              + np.repeat(fstarts[di], lens))
-    return has, lens, gather
 
 
 def run_extents(reader, query: str, k: int = 1000, method: str = "dirichlet",
@@ -156,27 +145,28 @@ def _run_extent_root(eng: StructuredQueryEngine, field: str | None,
         ev = _ExtentEval.documents(
             eng, cand, eng._doc_lens(cand, doc_range)).passages(node)
     else:
-        # per-candidate extents → flat (eb, ee) with per-doc offsets,
-        # gathered vectorized from the field CSR (no per-doc Python)
-        csr = eng._field_csr(field)
-        g = _csr_gather(csr, cand)
-        if g is None:
-            return _empties()
-        has, lens, gather = g
-        cand = cand[has]
-        eb_all = csr[2][gather]
-        ee_all = csr[3][gather]
-        # zero-length extents are skipped, never scored ("this field has
-        # no text in it", ref:src/ExtentRestrictionNode.cpp:73-74 and
-        # src/ExtentEnforcementNode.cpp:61-62)
-        nz = ee_all > eb_all
-        ecand = np.repeat(np.arange(len(cand), dtype=np.int64), lens)[nz]
-        ext_start = np.zeros(len(cand) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ecand, minlength=len(cand)),
-                  out=ext_start[1:])
-        ev = _ExtentEval(eng, cand, ext_start, eb_all[nz], ee_all[nz],
-                         field=field)
+        ev = _element_eval(eng, cand, field)
     return _score_extents(ev, inner, k)
+
+
+def _element_eval(eng: StructuredQueryEngine, cand: np.ndarray, spec
+                  ) -> _ExtentEval:
+    """Evaluator over the NONZERO extents of a :func:`_spec_flat`
+    restriction in the candidate docs, in its statistics context;
+    candidates without such an extent drop out.  Zero-length extents are
+    skipped, never scored ("this field has no text in it",
+    ref:src/ExtentRestrictionNode.cpp:73-74 and
+    src/ExtentEnforcementNode.cpp:61-62)."""
+    d, b, e, kw = _spec_flat(eng, spec)
+    rows, idx = _take(np.searchsorted(d, cand, "left"),
+                      np.searchsorted(d, cand, "right"))
+    nz = e[idx] > b[idx]
+    rows, idx = rows[nz], idx[nz]
+    n_per = np.bincount(rows, minlength=len(cand))
+    has = n_per > 0
+    ext_start = np.zeros(int(has.sum()) + 1, dtype=np.int64)
+    np.cumsum(n_per[has], out=ext_start[1:])
+    return _ExtentEval(eng, cand[has], ext_start, b[idx], e[idx], **kw)
 
 
 def _empties():
@@ -206,78 +196,25 @@ def _rank_extents(edoc, eb, ee, scores, k: int):
     return edoc[order], eb[order], ee[order], scores[order]
 
 
-def _collapse_outermost(dn: np.ndarray, bn: np.ndarray, en: np.ndarray
-                        ) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
-    """Doc-major nonzero extents → doc-index-ENCODED OUTERMOST extents
-    ``(docs, S, enc_ub, enc_ue)``: sort (begin asc, end desc); under the
-    reference's nesting-only invariant an extent is nested iff some
-    earlier extent's end reaches past it — the global cumulative max
-    works because doc ``i``'s encodes are < ``(i+1)·S`` ≤ any encode of
-    doc ``i+1``.  The ContextCountAccumulator occurrence walk counts a
-    position once iff it falls in one of these (ref:src/
-    ContextCountAccumulator.cpp:99-143); shared by the FieldWildcard and
-    path-chain contexts so the collapse invariant exists exactly once."""
-    docs = np.unique(dn)
-    S = int(en.max()) + 2
-    didx = np.searchsorted(docs, dn)
-    enc_b = didx * S + bn
-    enc_e = didx * S + en
-    order = np.lexsort((-enc_e, enc_b))
-    enc_b, enc_e = enc_b[order], enc_e[order]
-    run = np.maximum.accumulate(enc_e)
-    keep = np.ones(len(enc_b), dtype=bool)
-    keep[1:] = enc_e[1:] > run[:-1]
-    return docs, S, enc_b[keep], enc_e[keep]
-
-
 def _build_wild_context(eng: StructuredQueryEngine,
                         fields: tuple[str, ...] | None = None
                         ) -> tuple:
-    """The FieldWildcard context, doc-index-ENCODED and memoized per
-    fields tuple: ``(docs, S, enc_ub, enc_ue, total)`` — the OUTERMOST
-    nonzero extents of every context field per doc (nested extents
-    collapse into their outer per the reference's no-overlap invariant;
-    an occurrence counts ONCE when contained in any context extent,
-    ref:src/ContextCountAccumulator.cpp:99-140) plus the summed context
-    size (every field extent's raw length, nested double-counted — the
-    contextSize accumulation, ref :120-131 = Σ fieldTermCount).  Doc
-    ``docs[i]``'s intervals occupy encoded values in ``[i·S, (i+1)·S)``;
-    built fully vectorized from the field CSRs."""
-    # reader-level memo: the context is immutable per index and readers
-    # outlive per-query engines
-    memo = eng.r.__dict__.setdefault("_wild_ctx_cache", {})
-    key = (fields if fields is not None
-           else tuple(eng.r.cfg.fields or ()))
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
+    """The FieldWildcard context over ``fields`` (None = every indexed
+    field): ``(docs, begins, ends, total)`` — every NONZERO extent of a
+    context field (an occurrence counts ONCE when contained in any
+    context extent, ref:src/ContextCountAccumulator.cpp:99-140) plus the
+    summed context size (every field extent's raw length, nested
+    double-counted — the contextSize accumulation, ref :120-131 = Σ
+    fieldTermCount)."""
+    names = fields if fields is not None else tuple(eng.r.cfg.fields or ())
     total = 0.0
-    doc_parts, b_parts, e_parts = [], [], []
-    for fname in key:
+    for fname in names:
         st = eng.r.field_stats(fname)
         if st:
             total += float(st["total_len"])
-        fdocs, fstarts, fb, fe = eng._field_csr(fname)[:4]
-        if len(fdocs):
-            doc_parts.append(np.repeat(fdocs, np.diff(fstarts)))
-            b_parts.append(fb)
-            e_parts.append(fe)
-    empty = (np.empty(0, np.int64), 1, np.empty(0, np.int64),
-             np.empty(0, np.int64), total)
-    if not doc_parts:
-        memo[key] = empty
-        return empty
-    all_doc = np.concatenate(doc_parts)
-    all_b = np.concatenate(b_parts)
-    all_e = np.concatenate(e_parts)
-    nz = all_e > all_b
-    all_doc, all_b, all_e = all_doc[nz], all_b[nz], all_e[nz]
-    if not len(all_doc):
-        memo[key] = empty
-        return empty
-    out = _collapse_outermost(all_doc, all_b, all_e) + (total,)
-    memo[key] = out
-    return out
+    d, b, e = _step_flat_extents(eng, names)
+    nz = e > b
+    return d[nz], b[nz], e[nz], total
 
 
 def run_extents_wildcard(reader, query: str, k: int = 1000,
@@ -310,43 +247,8 @@ def run_extents_wildcard(reader, query: str, k: int = 1000,
     cand = _gather_candidates(eng, (inner,), doc_range)
     if not len(cand):
         return _empties()
-    wild = _build_wild_context(eng, fields)
-    fields = (fields if fields is not None
-              else tuple(eng.r.cfg.fields or ()))
-    # element enumeration, vectorized: gather every field's nonzero
-    # extents for the candidate docs from the field CSRs, then one
-    # lexsort groups them per doc in (begin asc, end desc) order
-    doc_parts, b_parts, e_parts = [], [], []
-    for fname in fields:
-        csr = eng._field_csr(fname)
-        g = _csr_gather(csr, cand)
-        if g is None:
-            continue
-        has, lens, gather = g
-        if not len(gather):
-            continue
-        fb = csr[2][gather]
-        fe = csr[3][gather]
-        nz = fe > fb  # zero-length skip (ExtentRestrictionNode:73-74)
-        doc_parts.append(np.repeat(cand[has], lens)[nz])
-        b_parts.append(fb[nz])
-        e_parts.append(fe[nz])
-    if not doc_parts:
-        return _empties()
-    all_doc = np.concatenate(doc_parts)
-    all_b = np.concatenate(b_parts)
-    all_e = np.concatenate(e_parts)
-    if not len(all_doc):
-        return _empties()
-    order = np.lexsort((-all_e, all_b, all_doc))
-    all_doc, all_b, all_e = all_doc[order], all_b[order], all_e[order]
-    cand = np.unique(all_doc)
-    n_per = np.searchsorted(all_doc, cand, side="right") \
-        - np.searchsorted(all_doc, cand, side="left")
-    ext_start = np.zeros(len(cand) + 1, dtype=np.int64)
-    np.cumsum(n_per, out=ext_start[1:])
-    return _score_extents(
-        _ExtentEval(eng, cand, ext_start, all_b, all_e, wild=wild), inner, k)
+    return _score_extents(_element_eval(eng, cand, ("ctx", fields)),
+                          inner, k)
 
 
 # ---------------------------------------------------------------------------
@@ -394,29 +296,6 @@ def _step_flat_extents(eng: StructuredQueryEngine,
     return out
 
 
-def _contained_in_step(din: np.ndarray, bi: np.ndarray, ei: np.ndarray,
-                       dout: np.ndarray, bo: np.ndarray, eo: np.ndarray
-                       ) -> np.ndarray:
-    """Vectorized NestedExtentInsideNode sweep (ref:src/
-    NestedExtentInsideNode.cpp:47-103): an inner extent survives iff SOME
-    outer extent of the same doc has ``begin ≤ inner.begin`` and ``end ≥
-    inner.end`` (the node's active-set scan checks the max end among
-    begin-≤ outers).  That max is a cumulative max over the begin-sorted
-    outer list; doc-encoding makes the whole test one searchsorted.  A
-    previous doc's cumulative max is ≤ ``d'·S + (S−2) < d·S`` ≤ any inner
-    encode of doc ``d``, so cross-doc bleed can never satisfy the test."""
-    out = np.zeros(len(din), dtype=bool)
-    if not len(din) or not len(dout):
-        return out
-    S = int(max(ei.max(), eo.max())) + 2
-    enc_ob = dout * S + bo
-    cummax_e = np.maximum.accumulate(dout * S + eo)
-    pos = np.searchsorted(enc_ob, din * S + bi, side="right") - 1
-    ok = pos >= 0
-    out[ok] = cummax_e[pos[ok]] >= (din[ok] * S + ei[ok])
-    return out
-
-
 def _nested_chain_global(eng: StructuredQueryEngine, steps: tuple) -> tuple:
     """INNERMOST extents of a NEXI path chain ``//s1//s2//…//sn`` plus
     their statistics context, memoized on the reader per steps key.
@@ -455,36 +334,12 @@ def _nested_chain_global(eng: StructuredQueryEngine, steps: tuple) -> tuple:
         if not len(d):
             break
         do, bo, eo = _step_flat_extents(eng, step)
-        keep = _contained_in_step(d, b, e, do, bo, eo)
+        keep = _contained(d, b, e, do, bo, eo)
         d, b, e = d[keep], b[keep], e[keep]
-    total = float((e - b).sum())
     nz = e > b
-    dn, bn, en = d[nz], b[nz], e[nz]
-    if not len(dn):
-        ctx = (np.empty(0, np.int64), 1, np.empty(0, np.int64),
-               np.empty(0, np.int64), total)
-    else:
-        ctx = _collapse_outermost(dn, bn, en) + (total,)
-    out = (d, b, e, ctx)
+    out = (d, b, e, (d[nz], b[nz], e[nz], float((e - b).sum())))
     memo[key] = out
     return out
-
-
-def _flat_gather(cand: np.ndarray, d: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Doc-major flat extent docs → per-candidate gather: ``(ext_start
-    aligned to cand, flat_row_index)``; candidates without extents get
-    empty slices.  The flat-array sibling of :func:`_csr_gather`."""
-    lo = np.searchsorted(d, cand, side="left")
-    hi = np.searchsorted(d, cand, side="right")
-    lens = (hi - lo).astype(np.int64)
-    ext_start = np.zeros(len(cand) + 1, dtype=np.int64)
-    np.cumsum(lens, out=ext_start[1:])
-    total = int(ext_start[-1])
-    gather = (np.arange(total, dtype=np.int64)
-              - np.repeat(ext_start[:-1], lens)
-              + np.repeat(lo, lens))
-    return ext_start, gather
 
 
 def run_extents_path(reader, steps, query: str, k: int = 1000,
@@ -509,21 +364,8 @@ def run_extents_path(reader, steps, query: str, k: int = 1000,
     cand = _gather_candidates(eng, (inner,), doc_range)
     if not len(cand):
         return _empties()
-    d, b, e, ctx = _nested_chain_global(eng, tuple(steps))
-    nz = e > b
-    d, b, e = d[nz], b[nz], e[nz]
-    if not len(d):
-        return _empties()
-    ext_start, gather = _flat_gather(cand, d)
-    lens = np.diff(ext_start)
-    cand = cand[lens > 0]
-    if not len(cand):
-        return _empties()
-    ext_start = np.zeros(len(cand) + 1, dtype=np.int64)
-    np.cumsum(lens[lens > 0], out=ext_start[1:])
-    return _score_extents(
-        _ExtentEval(eng, cand, ext_start, b[gather], e[gather], wild=ctx),
-        inner, k)
+    return _score_extents(_element_eval(eng, cand, ("path", steps)),
+                          inner, k)
 
 
 def _spec_flat(eng: StructuredQueryEngine, spec) -> tuple:
@@ -599,31 +441,17 @@ def run_nested_extents(reader, a_spec, c1_query: str, b_spec,
     cand = _gather_candidates(eng, (c1, c2))
     if not len(cand):
         return _empties()
-    ad, ab_g, ae_g, akw = _spec_flat(eng, a_spec)
-    bd, bb_g, be_g, bkw = _spec_flat(eng, b_spec)
-    # zero-length a extents are skipped by the enforcement loop; a
-    # zero-length b extent is skipped by the inner restriction — drop
-    # both up front (neither can produce a result)
-    nza = ae_g > ab_g
-    ad, ab_g, ae_g = ad[nza], ab_g[nza], ae_g[nza]
-    nzb = be_g > bb_g
-    bd, bb_g, be_g = bd[nzb], bb_g[nzb], be_g[nzb]
-    # candidates need ≥1 (nonzero) a extent and ≥1 b extent
-    has_a = (np.searchsorted(ad, cand, side="right")
-             > np.searchsorted(ad, cand, side="left"))
-    has_b = (np.searchsorted(bd, cand, side="right")
-             > np.searchsorted(bd, cand, side="left"))
-    cand = cand[has_a & has_b]
-    if not len(cand):
+    # zero-length a extents are skipped by the enforcement loop and
+    # zero-length b extents by the inner restriction; candidates need ≥1
+    # (nonzero) a extent and ≥1 b extent
+    ev_b = _element_eval(eng, _element_eval(eng, cand, a_spec).cand, b_spec)
+    if not ev_b.n_ext:
         return _empties()
-    a_start, a_gather = _flat_gather(cand, ad)
-    b_start, b_gather = _flat_gather(cand, bd)
-    ab, ae = ab_g[a_gather], ae_g[a_gather]
-    bb, be = bb_g[b_gather], be_g[b_gather]
-    if not len(ab) or not len(bb):
-        return _empties()
-    s1 = _ExtentEval(eng, cand, a_start, ab, ae, **akw).belief(c1)
-    ev_b = _ExtentEval(eng, cand, b_start, bb, be, **bkw)
+    cand = ev_b.cand
+    ev_a = _element_eval(eng, cand, a_spec)
+    a_start, ab, ae = ev_a.ext_start, ev_a.eb, ev_a.ee
+    b_start, bb, be = ev_b.ext_start, ev_b.eb, ev_b.ee
+    s1 = ev_a.belief(c1)
     s2 = ev_b.belief(c2)
     m2 = ev_b.matches(c2)
     out_d, out_b, out_e, out_s = [], [], [], []

@@ -554,7 +554,8 @@ class IndexReader:
                 # (512 KB each) — parallel decompress matters at 10M+ docs
                 # (cold fetch of 3 top-cf terms measured 1.4x slower
                 # single-threaded at the 9.8M A/B)
-                parts.append(entry[0].read_row_groups(sorted(want)))
+                parts.append(entry[0].read_row_groups(
+                    sorted(want), columns=POSTINGS_SCHEMA.names))
         if not parts:
             return POSTINGS_SCHEMA.empty_table()
         fetched = pa.concat_tables(parts)
@@ -593,8 +594,9 @@ class IndexReader:
         for b, b_terms in sorted(by_bucket.items()):
             for entry in cat.get(b, ()):
                 if want := self._term_row_groups(entry, b_terms):
-                    parts.append(entry[0].read_row_groups(sorted(want),
-                                                          use_threads=False))
+                    parts.append(entry[0].read_row_groups(
+                        sorted(want), columns=["term", "cf", "df"],
+                        use_threads=False))
         if not parts:
             return pa.table({"term": pa.array([], pa.string()),
                              "cf": pa.array([], pa.int64()),

@@ -324,7 +324,7 @@ class ShrinkageScorer:
         """(doc_ids, scores) top-k ranked like every other scorer
         (score desc, doc_id desc — the shared ``_topk``).  Candidates =
         union of term postings (``hasMatch``)."""
-        from .indriql import StructuredQueryEngine
+        from .indriql import StructuredQueryEngine, _positions_of
         from .query import _topk
 
         eng = StructuredQueryEngine(self.r)
@@ -349,7 +349,7 @@ class ShrinkageScorer:
             # makes every p_c term log(0)
             p_c = cf / self._total if cf > 0 else 1.0 / (2.0 * self._total)
             if tp is not None:
-                flat, doc_idx = eng._gather_flat(tp, cand)
+                doc_idx, flat = _positions_of(tp, cand)
             else:
                 flat = np.empty(0, np.int64)
                 doc_idx = np.empty(0, np.int64)
@@ -380,7 +380,12 @@ class ShrinkageScorer:
         like :meth:`score` (qtf-weighted mean of per-term scores, log
         applied per queryLevelCombine).  Tie order is
         ScoredExtentResult::score_greater."""
-        from .indriql import StructuredQueryEngine
+        from .indriql import (
+            StructuredQueryEngine,
+            _csr_bounds,
+            _positions_of,
+            _take,
+        )
 
         eng = StructuredQueryEngine(self.r)
         qlc = self.settings.query_level_combine
@@ -394,29 +399,20 @@ class ShrinkageScorer:
             or [np.empty(0, np.int64)]))
         if len(cand):
             cand = cand[self.r.keep_mask(cand)]
-        fdata = eng._field_data(field)
-        cand = np.asarray([d for d in cand.tolist() if d in fdata],
-                          dtype=np.int64)
+        docs, starts, fb, fe, fo = eng._field_csr(field)[:5]
+        cand = cand[np.isin(cand, docs)]
         if not len(cand):
             return empties
-        ext_bs, ext_es, ext_os = [], [], []
-        for d in cand.tolist():
-            fb, fe = fdata[d][0], fdata[d][1]
-            fo = fdata[d][4]
-            if fo is None:
-                raise ValueError("index lacks tag-tree ordinals")
-            nz = fe > fb
-            ext_bs.append(fb[nz])
-            ext_es.append(fe[nz])
-            ext_os.append(fo[nz])
-        n_per = np.asarray([len(b) for b in ext_bs], dtype=np.int64)
+        if fo is None:
+            raise ValueError("index lacks tag-tree ordinals")
+        rows, idx = _take(*_csr_bounds(docs, starts, cand))
+        nz = fe[idx] > fb[idx]
+        n_per = np.bincount(rows[nz], minlength=len(cand))
         if not int(n_per.sum()):
             return empties
         ext_start = np.zeros(len(cand) + 1, dtype=np.int64)
         np.cumsum(n_per, out=ext_start[1:])
-        eb = np.concatenate(ext_bs).astype(np.int64)
-        ee = np.concatenate(ext_es).astype(np.int64)
-        eo = np.concatenate(ext_os).astype(np.int64)
+        eb, ee, eo = fb[idx][nz], fe[idx][nz], fo[idx][nz]
         edoc = np.repeat(cand, n_per)
         structs = self._structures_for(cand)
         lo, hi = int(cand[0]), int(cand[-1]) + 1
@@ -429,7 +425,7 @@ class ShrinkageScorer:
             cf = float(stats[term][0]) if term in stats else 0.0
             p_c = cf / self._total if cf > 0 else 1.0 / (2.0 * self._total)
             if tp is not None:
-                flat, doc_idx = eng._gather_flat(tp, cand)
+                doc_idx, flat = _positions_of(tp, cand)
             else:
                 flat = np.empty(0, np.int64)
                 doc_idx = np.empty(0, np.int64)

@@ -6,8 +6,9 @@ as used by ``IndriRunQuery -printSnippets=true``
 
 1. collect the query's *raw scorer* nodes — the text-matching leaves of the
    parsed query tree (``_getRawNodes``, ref :20-28),
-2. per result document, gather each node's match extents in token-position
-   space and sort them by begin (``_documentMatches``, ref :53-86),
+2. gather each node's match extents in token-position space — the
+   structured engine's extent sets, for all result documents at once —
+   and sort each document's by begin (``_documentMatches``, ref :53-86),
 3. greedily choose up to 50 words of match regions, each round picking the
    window (≤ remaining width) covering the most *unique* query nodes, with
    earlier-in-document regions winning ties (``_bestRegion`` /
@@ -45,11 +46,13 @@ import pyarrow.dataset as pads
 
 from ..tokenizer import tokenize_with_offsets
 from .indriql import (
+    _EMPTY,
     Node,
     StructuredQueryEngine,
-    ordered_window_extents,
+    _ExtentEval,
+    _union,
+    _unit_extents,
     parse_query,
-    unordered_window_extents,
 )
 
 WINDOW_SIZE = 50  # words per snippet (ref :339)
@@ -81,81 +84,17 @@ def collect_raw_scorers(root: Node) -> list[Node]:
     return out
 
 
-def _node_positions(eng: StructuredQueryEngine, node: Node,
-                    did: int) -> np.ndarray | None:
-    """Single-document position list for a term-like node (term / wildcard /
-    syn / wsyn / restrict), pulled from the engine's fetched postings —
-    per-doc on purpose: a whole {doc: positions} map for a common term is
-    O(collection) and snippets only touch the k result docs."""
-    if node.op == "restrict":
-        pl = _node_positions(eng, node.children[0], did)
-        if pl is None:
-            return None
-        u = eng._doc_restriction(did, (node.term,))
-        if u is None:
-            return None
-        kept = eng._positions_in(pl, u)
-        return kept if len(kept) else None
-    if node.op == "wildcard":
-        return _node_positions(
-            eng,
-            Node(op="syn", children=[
-                Node(op="term", term=t, pre=True)
-                for t in eng._expand_wildcard(node.term.lower())]),
-            did)
-    if node.op in ("syn", "wsyn"):
-        parts = [p for c in node.children
-                 if (p := _node_positions(eng, c, did)) is not None]
-        if not parts:
-            return None
-        out = parts[0]
-        for p in parts[1:]:
-            out = np.union1d(out, p)
-        return out
-    if node.op != "term":
-        return None
-    term = eng._node_term(node)
-    tp = eng._postings.get(term)
-    if tp is None:
-        return None
-    d, _tf, flat, starts = tp
-    if flat is None:
-        raise ValueError("index built without positions; snippets need them")
-    i = int(np.searchsorted(d, did))
-    if i >= len(d) or d[i] != did:
-        return None
-    return flat[starts[i]:starts[i + 1]]
-
-
-def node_doc_extents(eng: StructuredQueryEngine, node: Node,
-                     did: int) -> list[tuple[int, int]]:
-    """Match extents of one raw-scorer node in one document."""
-    if node.op in ("term", "wildcard", "syn", "wsyn", "restrict"):
-        pl = _node_positions(eng, node, did)
-        return [] if pl is None else [(int(p), int(p) + 1) for p in pl]
-    if node.op in ("od", "uw"):
-        pls = []
-        for c in node.children:
-            p = _node_positions(eng, c, did)
-            if p is None:
-                return []
-            pls.append(p)
-        fn = ordered_window_extents if node.op == "od" else unordered_window_extents
-        begins, ends = fn(pls, node.n)
-        return list(zip(begins, ends))
-    return []  # band / any: field-extent scorers, no text highlight
-
-
-def document_matches(eng: StructuredQueryEngine, scorers: list[Node],
-                     did: int) -> list[tuple[int, int, int]]:
-    """``_documentMatches`` (ref :53-86): (begin, end, node_index) extents
-    for one document, sorted by begin (``beginsBefore``, Extent.hpp:62-64)."""
-    extents: list[tuple[int, int, int]] = []
-    for ni, nd in enumerate(scorers):
-        for b, e in node_doc_extents(eng, nd, did):
-            extents.append((b, e, ni))
-    extents.sort(key=lambda x: x[0])
-    return extents
+def _scorer_extents(ev: _ExtentEval, node: Node):
+    """Match extents ``(doc index, begins, ends)`` of one raw-scorer node
+    over the result documents: the engine's extent set of a text-matching
+    node (#wsyn highlights the union of its term-like members'); #band /
+    #any:f are field-extent scorers with no text highlight."""
+    if node.op == "wsyn":
+        return _union([ev.extents(c) for c in node.children
+                       if _unit_extents(c)])
+    if node.op in ("band", "any"):
+        return _EMPTY, _EMPTY, _EMPTY
+    return ev.extents(node)
 
 
 # ---------------------------------------------------------------------------
@@ -364,22 +303,6 @@ def _doc_texts(reader, doc_ids: list[int]) -> dict[int, str]:
                     t.column("content").to_pylist()))
 
 
-def _pre_expand_wildcards(eng: StructuredQueryEngine, node: Node) -> Node:
-    """Rewrite wildcard nodes (anywhere in a scorer subtree) to explicit syn
-    nodes ONCE per query — `_node_positions` would otherwise re-run the
-    dictionary prefix scan per result document."""
-    if node.op == "wildcard":
-        return Node(op="syn", children=[
-            Node(op="term", term=t, pre=True)
-            for t in eng._expand_wildcard(node.term.lower())])
-    if node.children:
-        node = Node(op=node.op, term=node.term, n=node.n,
-                    children=[_pre_expand_wildcards(eng, c)
-                              for c in node.children],
-                    weights=node.weights, pre=node.pre)
-    return node
-
-
 def build_snippets(reader, query: str, doc_ids: list[int],
                    html: bool = False,
                    texts: dict[int, str] | None = None) -> dict[int, str]:
@@ -396,8 +319,6 @@ def build_snippets(reader, query: str, doc_ids: list[int],
             f"index positions to bytes; index uses {mode!r}")
     eng = StructuredQueryEngine(reader)
     root = parse_query(query)
-    scorers = [_pre_expand_wildcards(eng, n)
-               for n in collect_raw_scorers(root)]
     leafs: set[str] = set()
     eng._leaf_terms(root, leafs)
     # prune the postings fetch to the result docs' id range: snippets only
@@ -410,6 +331,16 @@ def build_snippets(reader, query: str, doc_ids: list[int],
                                         doc_set=list(doc_ids))
     if texts is None:
         texts = _doc_texts(reader, list(doc_ids))
+    # ``_documentMatches`` for every result doc at once: (begin, end,
+    # node index) extents, sorted by begin per doc (``beginsBefore``,
+    # Extent.hpp:62-64; a stable sort keeps node order on ties)
+    cand = np.unique(np.asarray(doc_ids, dtype=np.int64))
+    ev = _ExtentEval.documents(eng, cand)
+    sets = [_scorer_extents(ev, nd) for nd in collect_raw_scorers(root)]
+    d, b, e = (np.concatenate(col) for col in zip((_EMPTY,) * 3, *sets))
+    node = np.repeat(np.arange(len(sets)), [len(x[0]) for x in sets])
+    o = np.lexsort((b, d))
+    d, b, e, node = d[o], b[o], e[o], node[o]
     builder = SnippetBuilder(html)
     out: dict[int, str] = {}
     for did in doc_ids:
@@ -418,7 +349,11 @@ def build_snippets(reader, query: str, doc_ids: list[int],
             out[did] = ""
             continue
         tb = text.encode("utf-8")
-        positions = [(b, e) for _t, b, e in tokenize_with_offsets(tb, mode)]
-        extents = document_matches(eng, scorers, did)
+        positions = [(pb, pe) for _t, pb, pe in tokenize_with_offsets(tb, mode)]
+        i = int(np.searchsorted(cand, did))
+        sl = slice(int(np.searchsorted(d, i, "left")),
+                   int(np.searchsorted(d, i, "right")))
+        extents = list(zip(b[sl].tolist(), e[sl].tolist(),
+                           node[sl].tolist()))
         out[did] = builder.build(tb, positions, extents)
     return out

@@ -1,15 +1,14 @@
 """Extension registry — the pluggable-surface analogue of the reference's
 factory points (SURVEY.md §2.12).
 
-The reference exposes three documented extension seams: stemmers are chosen
-by name in ``StemmerFactory`` (ref:src/StemmerFactory.cpp:40-80), term score
-functions by a ``method:k1=..,b=..`` spec string in
-``TermScoreFunctionFactory`` (ref:src/TermScoreFunctionFactory.cpp:61-106),
-and transformations are chained by ``Repository::_buildChain``
-(ref:src/Repository.cpp:137-177).  Here the same seams are plain dicts: a
-user registers a callable under a name, and ``IndexConfig.stemmer`` (or the
-scorer ``variant`` / LM ``method``) resolves through the registry before
-falling back to the built-ins.
+The reference chooses stemmers by name in ``StemmerFactory``
+(ref:src/StemmerFactory.cpp:40-80) and chains transformations in
+``Repository::_buildChain`` (ref:src/Repository.cpp:137-177).  Here the
+stemmer and tokenizer seams are plain dicts: a user registers a callable
+under a name, and ``IndexConfig.stemmer`` / ``IndexConfig.tokenizer``
+resolve through the registry before falling back to the built-ins.
+Scorers are not pluggable: ``pipelines.run.make_engine`` maps a query kind
+to a built-in engine.
 
 Registered callables must be importable at the worker (defined in an
 installed module, not a notebook lambda) because Ray ships them by
@@ -29,8 +28,6 @@ from collections.abc import Callable
 
 # name → stem function (term str → stemmed str | None to drop)
 _STEMMERS: dict[str, Callable[[str], str | None]] = {}
-# name → scorer factory (reader, **params → scorer with .score_* methods)
-_SCORERS: dict[str, Callable] = {}
 # name → tokenize function (bytes → list[bytes] raw token slots)
 _TOKENIZERS: dict[str, Callable[[bytes], list[bytes]]] = {}
 
@@ -54,18 +51,6 @@ def get_stemmer(name: str) -> Callable[[str], str | None] | None:
     return _STEMMERS.get(name)
 
 
-def register_scorer(name: str, factory: Callable) -> None:
-    """Register a scorer factory usable as ``make_scorer(reader, name)``.
-
-    The factory receives (reader, **params) and must return an object with
-    the BM25Scorer/LMScorer scoring interface (``score_exhaustive`` or
-    ``score``)."""
-    if name in ("okapi", "bm25", "tfidf", "dirichlet", "d", "dir", "jm",
-                "linear", "two", "twostage", "two-stage"):
-        raise ValueError(f"cannot shadow built-in scorer {name!r}")
-    _SCORERS[name] = factory
-
-
 def register_tokenizer(name: str, fn: Callable[[bytes], list[bytes]]) -> None:
     """Register a tokenizer mode usable as ``IndexConfig(tokenizer=name)``.
 
@@ -87,8 +72,7 @@ def snapshot() -> dict:
     registrations don't exist there; pipelines capture a snapshot in the
     task/actor closure and :func:`restore` it before building stateful
     workers (the callables ride along via cloudpickle)."""
-    return {"stemmers": dict(_STEMMERS), "scorers": dict(_SCORERS),
-            "tokenizers": dict(_TOKENIZERS)}
+    return {"stemmers": dict(_STEMMERS), "tokenizers": dict(_TOKENIZERS)}
 
 
 def restore(snap: dict | None) -> None:
@@ -96,34 +80,4 @@ def restore(snap: dict | None) -> None:
     if not snap:
         return
     _STEMMERS.update(snap.get("stemmers", {}))
-    _SCORERS.update(snap.get("scorers", {}))
     _TOKENIZERS.update(snap.get("tokenizers", {}))
-
-
-def make_scorer(reader, spec: str, **params):
-    """Resolve a scorer by the reference's ``method:param=value,...`` spec
-    (ref:src/TermScoreFunctionFactory.cpp:61-78) across built-ins and the
-    registry."""
-    if ":" in spec:
-        spec, _, tail = spec.partition(":")
-        for kv in tail.split(","):
-            if kv:
-                k, _, v = kv.partition("=")
-                params[k.strip()] = float(v)
-    name = spec.strip().lower()
-    if name in ("okapi", "bm25", "tfidf"):
-        from .pipelines.query import BM25Scorer
-
-        variant = "tfidf" if name == "tfidf" else "okapi"
-        return BM25Scorer(reader, variant=variant, **params)
-    if name in ("dirichlet", "d", "dir", "jm", "linear", "two", "twostage",
-                "two-stage"):
-        from .pipelines.lm import LMScorer
-
-        method = {"d": "dirichlet", "dir": "dirichlet", "linear": "jm",
-                  "twostage": "two", "two-stage": "two"}.get(name, name)
-        return LMScorer(reader, method=method, **params)
-    factory = _SCORERS.get(name)
-    if factory is None:
-        raise ValueError(f"unknown scorer spec {spec!r}")
-    return factory(reader, **params)

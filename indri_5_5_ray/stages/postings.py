@@ -6,7 +6,7 @@ partial posting runs shuffled by (term, salt), concatenated in doc-id order
 (doc ranges of partials are disjoint — docIDs are partition-ranged by
 construction), delta+vbyte encoded into ~4 KB blocks with block-max metadata
 (the generalization of Indri's topdocs lists, ref:src/IndexWriter.cpp:531-607),
-and per-term cf/df/max_dl/min_dl merged exactly like ``termdata_merge``
+and per-term cf/df summed exactly like ``termdata_merge``
 (ref:include/indri/TermData.hpp:126-140).
 
 Skew handling (SURVEY.md §4): hot terms (license boilerplate, language
@@ -48,8 +48,6 @@ POSTINGS_SCHEMA = pa.schema(
         ("salt", pa.int64()),
         ("cf", pa.int64()),
         ("df", pa.int64()),
-        ("max_dl", pa.int32()),
-        ("min_dl", pa.int32()),
         ("first_doc", pa.int64()),
         ("last_doc", pa.int64()),
         ("postings", pa.large_binary()),
@@ -67,8 +65,6 @@ DICTIONARY_SCHEMA = pa.schema(
         ("term", pa.string()),
         ("cf", pa.int64()),
         ("df", pa.int64()),
-        ("max_dl", pa.int32()),
-        ("min_dl", pa.int32()),
     ]
 )
 
@@ -166,19 +162,14 @@ class MergeWorker:
 
             if merged.num_rows:
                 d = (
-                    pl.from_arrow(merged.select(["term", "cf", "df", "max_dl", "min_dl"]))
+                    pl.from_arrow(merged.select(["term", "cf", "df"]))
                     .group_by("term")
-                    .agg(
-                        pl.col("cf").sum(),
-                        pl.col("df").sum(),
-                        pl.col("max_dl").max(),
-                        pl.col("min_dl").min(),
-                    )
+                    .agg(pl.col("cf").sum(), pl.col("df").sum())
                     .sort("term")
                     .to_arrow()
                 )
             else:
-                d = merged.select(["term", "cf", "df", "max_dl", "min_dl"])
+                d = merged.select(["term", "cf", "df"])
             # term-sorted narrow rows: 4096-row groups let the reader's
             # footer-stats catalog (IndexReader.term_stats) fetch a cold
             # term's (cf, df) by decompressing ~one group instead of the
@@ -369,8 +360,6 @@ def merge_bucket(
         cols["salt"].append(int(salts[r0]))
         cols["cf"].append(int(tfs.sum()))
         cols["df"].append(int(len(doc_ids)))
-        cols["max_dl"].append(int(dls.max()))
-        cols["min_dl"].append(int(dls.min()))
         cols["first_doc"].append(int(doc_ids[0]))
         cols["last_doc"].append(int(doc_ids[-1]))
         cols["postings"].append(bytes(payload))

@@ -364,7 +364,7 @@ def test_catalog_fetch_equals_bruteforce_property(tmp_path_factory, data):
             payload = bytes(data.draw(st.integers(1, 120)))
             rows.append({
                 "term": t, "bucket": bucket_of(t), "salt": s,
-                "cf": 1, "df": 1, "max_dl": 1, "min_dl": 1,
+                "cf": 1, "df": 1,
                 "first_doc": lo, "last_doc": lo + span - 1,
                 "postings": payload,
                 "block_last_doc": [lo + span - 1], "block_n_docs": [1],
@@ -443,7 +443,7 @@ def test_routed_term_stats_equals_bruteforce_property(tmp_path_factory, data):
     (d / "dictionary").mkdir()
     for b in range(n_buckets):
         rows = [{"term": w, "cf": data.draw(st.integers(1, 99)),
-                 "df": data.draw(st.integers(1, 9)), "max_dl": 1, "min_dl": 1}
+                 "df": data.draw(st.integers(1, 9))}
                 for w in words if bucket_of(w) == b]
         pq.write_table(pa.Table.from_pylist(rows, schema=DICTIONARY_SCHEMA),
                        str(d / "dictionary" / f"dictionary-{b:05d}.parquet"),

@@ -361,6 +361,27 @@ def test_passage_over_field_restriction(field_index):
         assert got[d] == pytest.approx(want[d], rel=0, abs=1e-12)
 
 
+def test_passage_any_counts_contained_extents(field_index):
+    """#any:f inside a passage counts the f extents CONTAINED in the
+    window (the predicate rule), not the doc's whole extent count: only
+    the window [0, 2) holds a title."""
+    eng = _engine(field_index)
+    got = _scores(eng, "#combine[passage2:1](#any:title gamma)")
+    posg = {0: [3], 1: [1], 3: [], 4: [0]}
+    want = {}
+    for d in (0, 1, 3, 4):  # candidates: docs with a title or gamma
+        def leaves(start, dlp, d=d):
+            ca = int(d in TITLE and start <= TITLE[d][0]
+                     and TITLE[d][1] <= start + dlp)
+            cg = _in_window(posg[d], start, 2)
+            return [(ca, _dir(ca, dlp, 3.0, TOTAL)),
+                    (cg, _dir(cg, dlp, 3.0, TOTAL))]
+        want[d] = _best_passage(d, 2, 1, leaves)
+    assert set(got) == set(want)
+    for d in want:
+        assert got[d] == pytest.approx(want[d], rel=0, abs=1e-12)
+
+
 def test_window_members_restrict_and_wildcard(field_index):
     """#odN members that are NOT plain terms must not enter the flat batch
     kernel: a restrict-wrapped member uses its field-masked positions, a

@@ -6,13 +6,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from indri_5_5_ray.pipelines.indriql import (
     Node,
     StructuredQueryEngine,
-    ordered_window_count,
+    _ExtentEval,
+    _union,
+    ordered_window_extents,
     parse_query,
-    unordered_window_count,
+    unordered_window_extents,
+    window_extents,
 )
+
+
+def unordered_window_count(pos_lists, n: int) -> int:
+    return len(unordered_window_extents(pos_lists, n)[0])
 
 
 # -- parser ------------------------------------------------------------------
@@ -73,7 +83,7 @@ def brute_od(seqs: list[list[int]], n: int) -> int:
 )
 def test_ordered_window_matches_brute(seqs, n):
     pls = [np.array(s) for s in seqs]
-    assert ordered_window_count(pls, n) == brute_od(seqs, n)
+    assert len(ordered_window_extents(pls, n)[0]) == brute_od(seqs, n)
 
 
 def test_unordered_window():
@@ -172,7 +182,7 @@ def test_od_window_against_tokenized_corpus(engine, small_corpus_dir, built_inde
     if not eng._postings:
         pytest.skip("terms absent from corpus")
     cand = np.unique(np.concatenate([tp[0] for tp in eng._postings.values()]))
-    counts = eng._node_counts(leaf, cand)
+    counts = _ExtentEval.documents(eng, cand).counts(leaf)
 
     for i, d in enumerate(cand.tolist()):
         toks = seqs[d]
@@ -231,7 +241,7 @@ def test_wsum_band_syn(engine, small_corpus_dir, built_index):
         engine._leaf_terms(root, terms)
         engine._postings = engine._fetch_postings(sorted(terms))
         cand = np.unique(np.concatenate([tp[0] for tp in engine._postings.values()]))
-        counts = engine._node_counts(leaf, cand)
+        counts = _ExtentEval.documents(engine, cand).counts(leaf)
         for i, d in enumerate(cand.tolist()):
             pos_a = {j for j, t in enumerate(seqs[d]) if t == "merge"}
             pos_b = {j for j, t in enumerate(seqs[d]) if t == "token"}
@@ -242,17 +252,27 @@ def test_wsum_band_syn(engine, small_corpus_dir, built_index):
             assert counts[i] == want, f"{kind} doc {d}"
 
 
+_member_lists = st.lists(
+    st.lists(st.integers(0, 30), max_size=8).map(
+        lambda xs: np.unique(np.asarray(xs, dtype=np.int64))),
+    min_size=1, max_size=4)
+
+
+def _flat_members(docs):
+    """Per-doc member position lists -> one flat unit extent set
+    ``(d, p, p + 1)`` per member, the shape :func:`window_extents` takes."""
+    members = []
+    for t in range(len(docs[0])):
+        dd = np.concatenate([np.full(len(d[t]), i, np.int64)
+                             for i, d in enumerate(docs)])
+        p = np.concatenate([np.asarray(d[t], np.int64) for d in docs])
+        members.append((dd, p, p + 1))
+    return members
+
+
 def test_batch_window_kernels_match_per_doc():
-    """Vectorized #odN / #syn batch kernels are count-identical to the
-    per-doc reference algorithms on random position data."""
-    import numpy as np
-
-    from indri_5_5_ray.pipelines.indriql import (
-        ordered_window_counts_batch,
-        ordered_window_extents,
-        syn_union_counts_batch,
-    )
-
+    """The flat #odN kernel and the #syn union are count-identical, per
+    doc, to the per-doc reference algorithms on random position data."""
     rng = np.random.default_rng(3)
     for _ in range(100):
         k = int(rng.integers(2, 4))
@@ -263,39 +283,56 @@ def test_batch_window_kernels_match_per_doc():
                 np.unique(rng.integers(0, 40, size=int(rng.integers(1, 12))))
                 for _ in range(k)
             ])
-        got = ordered_window_counts_batch(docs, n)
+        members = _flat_members(docs)
+        got = np.bincount(window_extents("od", n, members)[0],
+                          minlength=len(docs))
         want = np.array([len(ordered_window_extents(d, n)[0]) for d in docs])
         assert np.array_equal(got, want)
-        su = syn_union_counts_batch(docs)
-        wu = np.array([len(set().union(*[set(p.tolist()) for p in d])) for d in docs])
+        su = np.bincount(_union(members)[0], minlength=len(docs))
+        wu = np.array([len(set().union(*[set(p.tolist()) for p in d]))
+                       for d in docs])
         assert np.array_equal(su, wu)
 
 
 def test_uw_flat_formula_matches_reference_scan():
-    """The vectorized #uwN formula (∀ member type t: anchor ∈ P_t or
-    next_t(anchor) ≤ anchor + n - 1) equals the reference's per-doc anchor
-    scan whenever member position lists are disjoint (distinct terms — a
-    token position holds one term)."""
-    import numpy as np
-
-    from indri_5_5_ray.pipelines.indriql import unordered_window_count
-
+    """The flat #uwN kernel equals the reference's per-doc anchor scan on
+    disjoint member position lists (distinct terms — a token position
+    holds one term)."""
     rng = np.random.default_rng(17)
     for _ in range(300):
         k = int(rng.integers(2, 5))
         n = int(rng.integers(1, 8))
         # disjoint position lists (sampled without replacement then split)
         pool = rng.choice(60, size=int(rng.integers(k, 25)), replace=False)
-        splits = np.sort(rng.choice(len(pool), size=k - 1, replace=False)) if len(pool) > k else np.arange(1, k)
+        splits = (np.sort(rng.choice(len(pool), size=k - 1, replace=False))
+                  if len(pool) > k else np.arange(1, k))
         lists = [np.sort(x) for x in np.split(np.sort(pool), splits)]
         if any(len(x) == 0 for x in lists):
             continue
         want = unordered_window_count(lists, n)
-        # the PRODUCTION flat kernel (single-doc batch)
-        from indri_5_5_ray.pipelines.indriql import unordered_window_counts_batch
+        got = len(window_extents("uw", n, _flat_members([lists]))[0])
+        assert got == want, (lists, n)
 
-        got = unordered_window_counts_batch([lists], n)
-        assert int(got[0]) == want, (lists, n)
+
+@settings(max_examples=300, deadline=None)
+@given(docs=st.lists(_member_lists, min_size=1, max_size=4),
+       n=st.integers(0, 9), repeat=st.booleans(), op=st.sampled_from(
+           ["od", "uw"]))
+def test_window_kernel_matches_scalar_references(docs, n, repeat, op):
+    """The flat #odN/#uwN kernel gives, per doc and in order, exactly the
+    extents of the per-doc reference sweeps — including repeated members
+    (``#uw8(a a b)``) and members whose positions overlap (``#syn``
+    members sharing positions with another member)."""
+    k = min(len(d) for d in docs)
+    docs = [[d[0]] + d[:k - 1] if repeat else d[:k] for d in docs]
+    members = _flat_members(docs)
+    ref = ordered_window_extents if op == "od" else unordered_window_extents
+    want = []
+    for i, d in enumerate(docs):
+        if all(len(pl) for pl in d):
+            want += [(i, b, e) for b, e in zip(*ref(d, n))]
+    got = window_extents(op, n, members)
+    assert list(zip(*(x.tolist() for x in got))) == want
 
 
 @pytest.fixture(scope="module")
@@ -375,3 +412,147 @@ def test_read_term_rows_doc_range_prune_exact(tinyblock_engine):
                        want.column("salt").to_pylist(),
                        want.column("first_doc").to_pylist()):
         assert (t, s, f) in have
+
+
+# -- count characterization: brute force over a fielded random corpus --------
+
+_VOCAB = ["alpha", "beta", "gamma", "delta"]
+
+
+def _fielded_docs(n_docs: int = 150, seed: int = 5):
+    """Random docs over a 4-word vocabulary with a leading <title> extent
+    and one or two <sec> extents (a sec may enclose the title).  Returns
+    (contents, token lists, {field: per-doc [(begin, end), ...]})."""
+    rng = np.random.default_rng(seed)
+    contents, toks, ext = [], [], {"title": [], "sec": []}
+    for _ in range(n_docs):
+        n = int(rng.integers(4, 24))
+        words = [_VOCAB[i] for i in rng.integers(0, 4, size=n)]
+        title = [(0, int(rng.integers(2, min(n, 5) + 1)))] if rng.random() < 0.7 else []
+        secs = []
+        if rng.random() < 0.8:
+            # a sec encloses the title or starts after it
+            lo = 0 if rng.random() < 0.5 else int(rng.integers(0, n - 1))
+            if title and lo < title[0][1]:
+                lo = 0
+            hi = int(rng.integers(max(lo + 1, title[0][1] if title else 0),
+                                  n + 1))
+            secs.append((lo, hi))
+            if hi < n - 1 and rng.random() < 0.5:
+                secs.append((int(rng.integers(hi, n - 1)), n))
+        opens = {p: [] for p in range(n + 1)}
+        closes = {p: [] for p in range(n + 1)}
+        for name, spans in (("sec", secs), ("title", title)):
+            for b, e in spans:
+                opens[b].append(name)       # sec opens before title
+                closes[e].insert(0, name)   # title closes before sec
+        parts = []
+        for p in range(n + 1):
+            parts += [f"</{f}>" for f in closes[p]]
+            parts += [f"<{f}>" for f in opens[p]]
+            if p < n:
+                parts.append(words[p])
+        contents.append(" ".join(parts))
+        toks.append(words)
+        ext["title"].append(title)
+        ext["sec"].append(secs)
+    return contents, toks, ext
+
+
+@pytest.fixture(scope="module")
+def fielded(tmp_path_factory):
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from indri_5_5_ray.config import IndexConfig
+    from indri_5_5_ray.pipelines.build import build_index
+    from indri_5_5_ray.pipelines.query import IndexReader
+
+    contents, toks, ext = _fielded_docs()
+    d = tmp_path_factory.mktemp("fielded")
+    (d / "corpus").mkdir()
+    pq.write_table(pa.table({
+        "repo": ["r"] * len(contents),
+        "path": [f"d{i}.txt" for i in range(len(contents))],
+        "commit": [f"c{i}" for i in range(len(contents))],
+        "lang": ["txt"] * len(contents),
+        "content": contents,
+    }), d / "corpus" / "corpus.parquet")
+    out = str(d / "idx")
+    build_index(str(d / "corpus"), out,
+                IndexConfig(stemmer=None, dedup_key=None, n_buckets=4,
+                            max_chunk_docs=64, fields=("title", "sec")),
+                resume=False)
+    return StructuredQueryEngine(IndexReader(out)), toks, ext
+
+
+def _inside(spans, b, e) -> bool:
+    return any(fb <= b and e <= fe for fb, fe in spans)
+
+
+def _brute_extents(node, words, ext_d):
+    """Match extents of a count node in one doc, by direct scan."""
+    from indri_5_5_ray.pipelines.indriql import (
+        ordered_window_extents,
+        unordered_window_extents,
+    )
+
+    if node.op == "term":
+        return [(p, p + 1) for p, w in enumerate(words) if w == node.term]
+    if node.op == "syn":
+        return sorted({x for c in node.children
+                       for x in _brute_extents(c, words, ext_d)})
+    if node.op == "restrict":
+        return [(b, e) for b, e in _brute_extents(node.children[0], words,
+                                                  ext_d)
+                if _inside(ext_d[node.term], b, e)]
+    lists = [np.array([b for b, _ in _brute_extents(c, words, ext_d)],
+                      dtype=np.int64) for c in node.children]
+    find = ordered_window_extents if node.op == "od" else \
+        unordered_window_extents
+    if any(not len(pl) for pl in lists):
+        return []
+    return list(zip(*find(lists, node.n)))
+
+
+_SHAPES = [
+    ("#od1(#syn(alpha gamma) beta)", ()),
+    ("#uw8(alpha alpha beta)", ()),
+    ("#uw4(#syn(alpha beta) beta)", ()),
+    ("#syn(alpha.title beta)", ()),
+    ("#od1(alpha beta).sec", ("title",)),  # #combine[title](#od1(a b).sec)
+]
+
+
+@pytest.mark.parametrize("query,rf", _SHAPES)
+@pytest.mark.parametrize("passage", [None, (4, 2)])
+def test_count_shapes_match_brute_force(fielded, query, rf, passage):
+    """Per-document and per-passage counts of the count shapes that mix
+    synonyms, repeated members, restricted members and restriction
+    chains equal a direct scan of the token streams and field extents."""
+    from indri_5_5_ray.pipelines.indriql import _ExtentEval
+
+    eng, toks, ext = fielded
+    node = parse_query(query)
+    terms: set[str] = set()
+    eng._leaf_terms(node, terms)
+    eng._postings = eng._fetch_postings(sorted(terms))
+    cand = np.arange(len(toks), dtype=np.int64)
+    ev = _ExtentEval.documents(eng, cand, eng.r.doc_lens()[cand])
+    if passage is not None:
+        ev = ev.passages(Node(op="passage", n=passage[0],
+                              weights=[float(passage[1])]))
+    got = ev.counts(node, rf)
+    want = []
+    for d, words in enumerate(toks):
+        ext_d = {f: ext[f][d] for f in ext}
+        matches = [(b, e) for b, e in _brute_extents(node, words, ext_d)
+                   if all(_inside(ext_d[f], b, e) for f in rf)]
+        if passage is None:
+            want.append(len(matches))
+            continue
+        width, stride = passage
+        for wb in range(0, len(words), stride):
+            we = min(wb + width, len(words))
+            want.append(sum(wb <= b and e <= we for b, e in matches))
+    assert got.tolist() == [float(x) for x in want]
