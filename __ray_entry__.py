@@ -53,6 +53,15 @@ def _mixture_values() -> str:
 # ---------------------------------------------------------------------------
 
 
+def _cache_root(tag: str) -> Path:
+    """Cache dir of one fixture index, keyed by its tag and the index format
+    version: an index cached by an older layout is rebuilt, not read."""
+    from indri_5_5_ray.stages.postings import INDEX_FORMAT
+
+    key = hashlib.md5(f"{tag}:format{INDEX_FORMAT}".encode()).hexdigest()[:16]
+    return Path(_CACHE) / key
+
+
 def _ensure_index(sf_dir: str, stem: bool) -> str:
     """Build (once) the index over the documents-derived corpus; cached per
     (sf_dir, stemmer) under /tmp."""
@@ -60,8 +69,7 @@ def _ensure_index(sf_dir: str, stem: bool) -> str:
     from indri_5_5_ray.pipelines.build import build_index
     from indri_5_5_ray.sources.corpus import corpus_from_documents
 
-    key = hashlib.md5(f"{sf_dir}:{stem}:v2".encode()).hexdigest()[:16]
-    root = Path(_CACHE) / key
+    root = _cache_root(f"{sf_dir}:{stem}:v2")
     index_dir = root / "index"
     if (index_dir / "manifest.json").exists():
         return str(index_dir)
@@ -352,8 +360,7 @@ def _ensure_multisec_index(sf_dir: str) -> str:
     from indri_5_5_ray.pipelines.build import build_index
     from indri_5_5_ray.sources.corpus import corpus_from_documents_multisec
 
-    key = hashlib.md5(f"{sf_dir}:multisec:v1".encode()).hexdigest()[:16]
-    root = Path(_CACHE) / key
+    root = _cache_root(f"{sf_dir}:multisec:v1")
     index_dir = root / "index"
     if (index_dir / "manifest.json").exists():
         return str(index_dir)
@@ -624,8 +631,7 @@ def _ensure_field_index(sf_dir: str) -> str:
     from indri_5_5_ray.pipelines.build import build_index
     from indri_5_5_ray.sources.corpus import corpus_from_documents_tagged
 
-    key = hashlib.md5(f"{sf_dir}:fields:v1".encode()).hexdigest()[:16]
-    root = Path(_CACHE) / key
+    root = _cache_root(f"{sf_dir}:fields:v1")
     index_dir = root / "index"
     if (index_dir / "manifest.json").exists():
         return str(index_dir)
@@ -653,8 +659,7 @@ def _ensure_annotated_index(sf_dir: str) -> str:
     from indri_5_5_ray.pipelines.build import build_index
     from indri_5_5_ray.sources.corpus import corpus_from_documents_annotated
 
-    key = hashlib.md5(f"{sf_dir}:annotated:v1".encode()).hexdigest()[:16]
-    root = Path(_CACHE) / key
+    root = _cache_root(f"{sf_dir}:annotated:v1")
     index_dir = root / "index"
     if (index_dir / "manifest.json").exists():
         return str(index_dir)
@@ -691,8 +696,7 @@ def _ensure_nested_index(sf_dir: str) -> str:
     from indri_5_5_ray.pipelines.build import build_index
     from indri_5_5_ray.sources.corpus import corpus_from_documents_nested
 
-    key = hashlib.md5(f"{sf_dir}:nested:v1".encode()).hexdigest()[:16]
-    root = Path(_CACHE) / key
+    root = _cache_root(f"{sf_dir}:nested:v1")
     index_dir = root / "index"
     if (index_dir / "manifest.json").exists():
         return str(index_dir)
@@ -719,8 +723,7 @@ def _ensure_dated_index(sf_dir: str) -> str:
     from indri_5_5_ray.pipelines.build import build_index
     from indri_5_5_ray.sources.corpus import corpus_from_documents_dated
 
-    key = hashlib.md5(f"{sf_dir}:dated:v1".encode()).hexdigest()[:16]
-    root = Path(_CACHE) / key
+    root = _cache_root(f"{sf_dir}:dated:v1")
     index_dir = root / "index"
     if (index_dir / "manifest.json").exists():
         return str(index_dir)
@@ -904,8 +907,7 @@ def _ensure_stopped_index(sf_dir: str) -> str:
     from indri_5_5_ray.pipelines.build import build_index
     from indri_5_5_ray.sources.corpus import corpus_from_documents
 
-    key = hashlib.md5(f"{sf_dir}:stopped:v1".encode()).hexdigest()[:16]
-    root = Path(_CACHE) / key
+    root = _cache_root(f"{sf_dir}:stopped:v1")
     index_dir = root / "index"
     if (index_dir / "manifest.json").exists():
         return str(index_dir)

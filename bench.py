@@ -171,7 +171,9 @@ def run_bench() -> dict:
     # snippet generation needs a docstore build (store_content=True); the
     # index is fixture work, cached across bench runs — the timed row is
     # query (k=10) + snippet assembly only
-    snip_dir = f"{BENCH_CACHE}/index-snip-{Path(corpus_dir).name}"
+    from indri_5_5_ray.stages.postings import INDEX_FORMAT
+
+    snip_dir = f"{BENCH_CACHE}/index-snip-{Path(corpus_dir).name}-f{INDEX_FORMAT}"
     if not Path(f"{snip_dir}/manifest.json").exists():
         build_index(corpus_dir, snip_dir,
                     IndexConfig(dedup_key="sha256", n_buckets=8,

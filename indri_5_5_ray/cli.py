@@ -28,6 +28,7 @@ import json
 import sys
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 
 from .codec import decode_block
@@ -75,10 +76,17 @@ def cmd_termpositions(reader: IndexReader, raw: str) -> None:
             print(f"{term} doc={did} tf={n} positions={ps}")
 
 
+def _dictionary(reader: IndexReader) -> pa.Table:
+    """Term-sorted (term, cf, df) of the whole index: each term's
+    dictionary rows summed over the reader's dirs."""
+    t = reader._dset("dictionary").to_table().group_by("term").aggregate(
+        [("cf", "sum"), ("df", "sum")])
+    return pa.table({"term": t["term"], "cf": t["cf_sum"],
+                     "df": t["df_sum"]}).sort_by("term")
+
+
 def cmd_vocabulary(reader: IndexReader, limit: str = "50") -> None:
-    t = pq.read_table(f"{reader.index_dir}/dictionary")
-    t = t.sort_by("term").slice(0, int(limit))
-    for row in t.to_pylist():
+    for row in _dictionary(reader).slice(0, int(limit)).to_pylist():
         print(f"{row['term']}\tcf={row['cf']}\tdf={row['df']}")
 
 
@@ -187,6 +195,7 @@ def cmd_dxcount(reader: IndexReader, expr: str) -> None:
         print(0)
         return
     arr = np.unique(np.concatenate(parts))
+    arr = arr[reader.keep_mask(arr)]
     counts = _ExtentEval.documents(eng, arr).counts(root)
     print(int((counts > 0).sum()))
 
@@ -195,7 +204,6 @@ def cmd_delete(reader: IndexReader, ident: str) -> None:
     """Mark a document deleted by docno or docID (``dumpindex delete``,
     ref:dumpindex/dumpindex.cpp; readers opened afterwards mask it)."""
     import numpy as np
-    import pyarrow as pa
 
     from pathlib import Path
 
@@ -242,9 +250,9 @@ def cmd_validate(reader: IndexReader, *_args) -> None:
     ref:dumpindex/dumpindex.cpp:593-595): decodes every posting block and
     cross-checks against the document table and the dictionary."""
     doc_lens = reader.doc_lens()
-    docs = pq.read_table(f"{reader.index_dir}/docs", columns=["doc_id", "dl"])
-    known = set(docs.column("doc_id").to_pylist())
-    dict_t = pq.read_table(f"{reader.index_dir}/dictionary")
+    known = set(reader._dset("docs").to_table(columns=["doc_id"])
+                .column("doc_id").to_pylist())
+    dict_t = _dictionary(reader)
     dict_stats = {
         t: (cf, df)
         for t, cf, df in zip(
@@ -253,11 +261,10 @@ def cmd_validate(reader: IndexReader, *_args) -> None:
             dict_t.column("df").to_pylist(),
         )
     }
-    post = pq.read_table(f"{reader.index_dir}/postings")
     errors = 0
     seen: dict[str, list[int]] = {}
     has_pos = reader.cfg.store_positions
-    for row in post.to_pylist():
+    for row in (r for t in reader.posting_tables() for r in t.to_pylist()):
         term = row["term"]
         total_cf = 0
         total_df = 0

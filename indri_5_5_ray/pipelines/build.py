@@ -41,7 +41,7 @@ import ray
 
 from ..config import IndexConfig
 from ..sources.corpus import Chunk, plan_chunks, read_chunk
-from ..stages.postings import MergeWorker, write_partials
+from ..stages.postings import INDEX_FORMAT, MergeWorker, write_partials
 
 _DEDUP_BUCKETS = 32
 
@@ -371,7 +371,7 @@ def write_manifest(out_dir: str | Path, cfg: IndexConfig, *, doc_count: int,
     the completion marker of every index writer; ``extra`` carries the
     writer's own keys (``n_chunks``, ``merged_from``, ``compacted``, ...)."""
     manifest = {
-        "format_version": 1,
+        "format_version": INDEX_FORMAT,
         "config": cfg.to_dict(),
         "doc_count": int(doc_count),
         "total_terms": int(total_terms),

@@ -17,7 +17,7 @@ Semantics implemented here:
   query over the LM engine.
 
 Ray shape: the per-doc term vectors for the feedback set are recovered by a
-bucket-pruned scan of the postings shards restricted to the feedback doc
+scan of every mapped postings file restricted to the feedback doc
 range — no direct/forward index is required (a doc-sliced read of the
 inverted file, which block metadata makes cheap).
 """
@@ -25,9 +25,10 @@ inverted file, which block metadata makes cheap).
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 
 from .lm import LMScorer, process_query_lm
-from .query import IndexReader, posting_blocks
+from .query import IndexReader, _overlaps, posting_blocks
 
 
 def _feedback_doc_vectors(reader: IndexReader, doc_ids: list[int]) -> dict[int, dict[str, int]]:
@@ -44,14 +45,12 @@ def _feedback_doc_vectors(reader: IndexReader, doc_ids: list[int]) -> dict[int, 
         return {d: vecs.get(d, {}) for d in doc_ids}
     except FileNotFoundError:
         pass
-    import pyarrow.dataset as pads
-
     want = np.unique(np.asarray(doc_ids, np.int64))
     lo, hi = int(want[0]), int(want[-1])
     # prune rows, then blocks, whose doc range cannot intersect the
     # feedback set; positions are not needed for term vectors
-    pb = posting_blocks(reader._dset("postings").to_table(
-        filter=(pads.field("first_doc") <= hi) & (pads.field("last_doc") >= lo)))
+    pb = posting_blocks(pa.concat_tables(
+        [t.filter(_overlaps(t, (lo, hi + 1))) for t in reader.posting_tables()]))
     sel = np.flatnonzero((pb.last >= lo) & (pb.first <= hi))
     d, tf, _ = pb.decode(sel)
     terms = np.repeat(pb.term[sel], pb.n_docs[sel])

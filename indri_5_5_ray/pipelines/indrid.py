@@ -13,10 +13,12 @@ plain method calls — serialization, routing and backpressure come from
 Ray, not a bespoke protocol.
 
 State model: the actor holds one open :class:`IndexReader` plus lazily
-constructed scorers, so dictionary/doc-length/statistics caches persist
-across requests exactly like the reference's resident ``LocalQueryServer``.
-Every lookup is a PRUNED point read (row-group-filtered parquet), never a
-table scan — the daemon stays O(request), independent of index size.
+constructed scorers, so mapped postings files and doc-length/statistics
+caches persist across requests exactly like the reference's resident
+``LocalQueryServer``.  Every lookup is a point read (a binary-searched
+slice of a mapped postings file, a row-group-filtered parquet read of
+docs), never a table scan — the daemon stays O(request), independent of
+index size.
 """
 
 from __future__ import annotations

@@ -35,12 +35,20 @@ is the one block walk (select, decode, exact range mask, group by term)
 every scorer, the structured engine, RM feedback and dumpindex read
 postings through (the single ``DiskDocListIterator`` of the reference,
 ref:src/DiskDocListIterator.cpp:21-56).
+
+One posting lookup.  Each bucket's rows are one uncompressed Arrow IPC
+file, sorted by term then first_doc and memory-mapped once per reader: a
+term's rows are the contiguous span a binary search on the term column
+finds, sliced without a copy (the ``(startOffset, length)`` read of the
+reference's ``DiskTermData``, ref:include/indri/DiskTermData.hpp:27-38),
+and its (cf, df) is the sum over that span.  The OS page cache holds the
+mapped files, so the reader keeps no per-term cache of its own.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,6 +65,7 @@ import pyarrow.parquet as pq
 from ..codec import decode_block, decode_doc_tf_batch, decode_full_batch  # noqa: F401
 from ..config import IndexConfig
 from ..stages.ingest import TermProcessor
+from ..stages.postings import INDEX_FORMAT, POSTINGS_SCHEMA
 from ..tokenizer import tokenize
 
 
@@ -103,12 +112,14 @@ class IndexReader:
     reference's one inference network over every index of a repository,
     ref:src/InferenceNetwork.cpp:118-176).
 
-    Every read goes through file sets spanning all dirs (``_dset``,
-    ``_files``: the row-group index, the footer catalogs, the docs/fields
-    datasets), so a segment boundary is one more file boundary.
-    Statistics are the sums over the manifests (global, so scores equal a
-    merged single index's), and the deleted set is the union of every
-    dir's ``deleted.parquet`` and ``deleted_path``."""
+    Every read goes through file sets spanning all dirs (``_dset``: the
+    row-group index, the docs/fields datasets; ``_spans``: a term's rows
+    in each dir's mapped bucket file), so a segment boundary is one more
+    file boundary.  Statistics are the sums over the manifests (global, so
+    scores equal a merged single index's), and the deleted set is the
+    union of every dir's ``deleted.parquet`` and ``deleted_path``.  An
+    index whose manifest carries another ``format_version`` than
+    ``INDEX_FORMAT`` is refused: it must be rebuilt."""
 
     def __init__(self, index_dir: str | list[str],
                  deleted_path: str | None = None):
@@ -119,6 +130,11 @@ class IndexReader:
         self.index_dir = self.index_dirs[0]
         manifests = [json.loads((Path(d) / "manifest.json").read_text())
                      for d in self.index_dirs]
+        for d, m in zip(self.index_dirs, manifests):
+            if m.get("format_version") != INDEX_FORMAT:
+                raise ValueError(
+                    f"{d}: index format {m.get('format_version')} is not "
+                    f"{INDEX_FORMAT}; rebuild the index with this version")
         self.cfg = IndexConfig.from_dict(manifests[0]["config"])
         if any(IndexConfig.from_dict(m["config"]).to_dict() != self.cfg.to_dict()
                for m in manifests[1:]):
@@ -151,20 +167,13 @@ class IndexReader:
         self._doc_lens: np.ndarray | None = None
         self._range_lens: dict[tuple[int, int], np.ndarray] = {}
         self._range_lens_bytes = 0
-        # per-term posting rows (the ListCache analogue); eviction is bound
-        # by term count AND by the cached tables' Arrow buffer bytes, so a
-        # long-lived actor's cache stays under a fixed memory ceiling
-        self._row_cache: dict[str, pa.Table] = {}
-        self._row_cache_bytes = 0
-        self._stats_cache: dict[str, tuple[int, int] | None] = {}
+        self._maps: dict[tuple[str, int], _BucketFile] = {}
         # per-subdir dataset handles: discovery + fragment metadata (file
         # listing, footers) are paid once per reader, not per point lookup
         self._dsets: dict[str, pads.Dataset] = {}
         self._frag_bounds: dict[str, list] = {}
         self._rg_idx: dict[str, tuple] = {}
         self._pqfiles: dict[str, pq.ParquetFile] = {}
-        self._pcat: list | None = None
-        self._dcat: dict[int, list] | None = None
 
     def _dset(self, sub: str) -> pads.Dataset:
         """One dataset over ``sub`` of every dir; FileNotFoundError when a
@@ -178,11 +187,6 @@ class IndexReader:
                 format="parquet")
             self._dsets[sub] = ds
         return ds
-
-    def _files(self, sub: str) -> list[Path]:
-        """The ``*.parquet`` files of ``sub`` in every dir, dir by dir."""
-        return [f for d in self.index_dirs
-                for f in sorted((Path(d) / sub).glob("*.parquet"))]
 
     def _doc_bounds(self, sub: str) -> list:
         """Per-fragment (min, max, frag, row-group bounds) doc_id footer
@@ -435,258 +439,110 @@ class IndexReader:
         h = int.from_bytes(hashlib.md5(term.encode()).digest()[:4], "little")
         return h % self.cfg.n_buckets
 
-    @staticmethod
-    def _term_footer_catalog(files: list[Path], extra_cols: tuple = ()) -> list:
-        """Per-file row-group TERM bounds of term-sorted shard files, built
-        once from footers.  Entries: ``(ParquetFile, tmins, tmaxs,
-        monotone, always, extras)`` — ``always`` holds row groups lacking
-        term statistics (never pruned, so stats truncation/omission can't
-        lose rows); ``monotone`` enables the bisect fast path, with a
-        linear per-group range check as the fallback for files whose rows
-        aren't term-sorted (e.g. indexes written by an older layout);
-        ``extras[col] = (mins, maxs)`` carries per-group bounds of each
-        requested numeric column (missing stats widen to (-1, huge),
-        i.e. never prune)."""
-        cat = []
-        for fp in files:
-            pf = pq.ParquetFile(str(fp))
-            md = pf.metadata
-            idx = {md.schema.column(i).path: i
-                   for i in range(len(md.schema))}
-            ti = idx["term"]
-            tmins, tmaxs, always = [], [], []
-            extras = {c: ([], []) for c in extra_cols}
-            for g in range(md.num_row_groups):
-                rg = md.row_group(g)
-                ts = rg.column(ti).statistics
-                if ts is None or not ts.has_min_max:
-                    always.append(g)
-                    tmins.append(None)
-                    tmaxs.append(None)
-                else:
-                    tmins.append(ts.min)
-                    tmaxs.append(ts.max)
-                for c in extra_cols:
-                    ci = idx.get(c)
-                    s = rg.column(ci).statistics if ci is not None else None
-                    ok = s is not None and s.has_min_max
-                    extras[c][0].append(s.min if ok else -1)
-                    extras[c][1].append(s.max if ok else 1 << 62)
-            known = [(mn, mx) for mn, mx in zip(tmins, tmaxs)
-                     if mn is not None]
-            monotone = (not always) and all(
-                known[i][0] <= known[i + 1][0]
-                and known[i][1] <= known[i + 1][1]
-                for i in range(len(known) - 1))
-            cat.append((pf, tmins, tmaxs, monotone, always, extras))
-        return cat
+    def _bucket_file(self, d: str, bucket: int) -> "_BucketFile":
+        """Bucket ``bucket``'s postings file of dir ``d``, mapped once per
+        reader."""
+        bf = self._maps.get((d, bucket))
+        if bf is None:
+            bf = self._maps[(d, bucket)] = _BucketFile(
+                Path(d) / "postings" / f"postings-{bucket:05d}.arrow")
+        return bf
 
-    @staticmethod
-    def _term_row_groups(entry, terms: list[str],
-                         per_group_gate=None) -> set[int]:
-        """Row groups of one catalog entry that can hold any of ``terms``
-        (bisect on monotone files, linear range check otherwise), plus the
-        stats-less ``always`` groups; ``per_group_gate(g, term)`` can veto
-        a candidate (e.g. the postings bucket check)."""
-        import bisect
+    def posting_tables(self) -> list[pa.Table]:
+        """Every bucket's posting rows, dir by dir (the whole-index scans:
+        dumpindex validate and the RM feedback fallback)."""
+        return [self._bucket_file(d, b).rows for d in self.index_dirs
+                for b in range(self.cfg.n_buckets)]
 
-        pf, tmins, tmaxs, monotone, always, _extras = entry
-        want = set(always)
-        if monotone:
-            for t in terms:
-                lo = bisect.bisect_left(tmaxs, t)
-                hi = bisect.bisect_right(tmins, t) - 1
-                for g in range(lo, hi + 1):
-                    if per_group_gate is None or per_group_gate(g, t):
-                        want.add(g)
-        else:
-            for g, (mn, mx) in enumerate(zip(tmins, tmaxs)):
-                if mn is None:
-                    continue
-                for t in terms:
-                    if mn <= t <= mx and (per_group_gate is None
-                                          or per_group_gate(g, t)):
-                        want.add(g)
-                        break
-        return want
-
-    def _postings_catalog(self) -> list:
-        """Postings-dir term catalog (``_term_footer_catalog`` with the
-        bucket and first/last_doc bounds as extras): a term fetch reads
-        only the row groups whose term range can contain it — the files
-        are written term-sorted with byte-bounded row groups by
-        MergeWorker — instead of a ``pads.dataset(...).to_table(filter=)``
-        scan that paid 20-40 ms per cold query at sf0.1 re-evaluating
-        fragments (pyarrow does not prune row groups for isin)."""
-        if self._pcat is None:
-            self._pcat = self._term_footer_catalog(
-                self._files("postings"),
-                ("bucket", "first_doc", "last_doc"))
-        return self._pcat
+    def _spans(self, term: str) -> list[tuple["_BucketFile", int, int]]:
+        """``(file, a, b)``: rows ``[a, b)`` of ``file`` are ``term``'s, one
+        entry per dir holding the term, in first_doc order (the dirs'
+        docID ranges are disjoint)."""
+        b = self._bucket_of(term)
+        out = []
+        for d in self.index_dirs:
+            bf = self._bucket_file(d, b)
+            lo, hi = bf.span(term)
+            if hi > lo:
+                out.append((bf, lo, hi))
+        if len(out) > 1:
+            out.sort(key=lambda s: int(s[0].first_doc[s[1]]))
+        return out
 
     def _read_term_rows(self, terms: list[str],
                         doc_range: tuple[int, int] | None = None
                         ) -> pa.Table:
-        """Row-group-pruned read of the posting rows for ``terms``.
-        ``doc_range`` additionally drops row groups whose
-        [min first_doc, max last_doc] statistics miss [lo, hi), then rows
-        whose [first_doc, last_doc] misses it — the sharded-scatter path,
-        where a shard worker must not decode other shards' salt rows of a
-        hot term."""
-        from ..stages.postings import POSTINGS_SCHEMA
-
-        t_buckets = {t: self._bucket_of(t) for t in terms}
-        parts = []
-        for entry in self._postings_catalog():
-            extras = entry[5]
-            bmins, bmaxs = extras["bucket"]
-            want = self._term_row_groups(
-                entry, terms,
-                lambda g, t: bmins[g] <= t_buckets[t] <= bmaxs[g])
-            if doc_range is not None:
-                fmins, _ = extras["first_doc"]
-                _, lmaxs = extras["last_doc"]
-                want = {g for g in want
-                        if lmaxs[g] >= doc_range[0]
-                        and fmins[g] < doc_range[1]}
-            if want:
-                # threaded: a hot term's payload spans many row groups
-                # (512 KB each) — parallel decompress matters at 10M+ docs
-                # (cold fetch of 3 top-cf terms measured 1.4x slower
-                # single-threaded at the 9.8M A/B)
-                parts.append(entry[0].read_row_groups(
-                    sorted(want), columns=POSTINGS_SCHEMA.names))
+        """The posting rows of ``terms``, term-major with first_doc
+        ascending: zero-copy slices of the mapped bucket files.
+        ``doc_range=(lo, hi)`` keeps only rows whose [first_doc, last_doc]
+        meets [lo, hi) — a shard worker never decodes other shards' salt
+        rows of a hot term."""
+        parts = [bf.rows.slice(lo, hi - lo) for t in sorted(set(terms))
+                 for bf, lo, hi in self._spans(t)]
         if not parts:
             return POSTINGS_SCHEMA.empty_table()
-        fetched = pa.concat_tables(parts)
-        mask = pc.is_in(fetched.column("term"), value_set=pa.array(terms))
-        if doc_range is not None:
-            mask = pc.and_(mask, _overlaps(fetched, doc_range))
-        return fetched.filter(mask)
-
-    def _dict_catalog(self) -> dict[int, list]:
-        """Dictionary term catalog: bucket → the catalog entries of that
-        bucket's files, one per dir.  MergeWorker writes one term-sorted
-        ``dictionary-{bucket:05d}.parquet`` per term-hash bucket with
-        4096-row groups, so a cold (cf, df) lookup decompresses ~one group
-        of each of the term's own bucket files.  A file name that carries
-        no bucket raises ValueError."""
-        if self._dcat is None:
-            files = self._files("dictionary")
-            names = [re.fullmatch(r"dictionary-(\d+)\.parquet", f.name)
-                     for f in files]
-            if None in names:
-                raise ValueError("dictionary file name carries no bucket: "
-                                 f"{files[names.index(None)]}")
-            self._dcat = {}
-            for m, entry in zip(names, self._term_footer_catalog(files)):
-                self._dcat.setdefault(int(m.group(1)), []).append(entry)
-        return self._dcat
-
-    def _read_dict_rows(self, terms: list[str]) -> pa.Table:
-        """Dictionary rows of ``terms``, each looked up in its own bucket's
-        files only (``_bucket_of``, the hash the merge buckets by)."""
-        cat = self._dict_catalog()
-        by_bucket: dict[int, list[str]] = {}
-        for t in terms:
-            by_bucket.setdefault(self._bucket_of(t), []).append(t)
-        parts = []
-        for b, b_terms in sorted(by_bucket.items()):
-            for entry in cat.get(b, ()):
-                if want := self._term_row_groups(entry, b_terms):
-                    parts.append(entry[0].read_row_groups(
-                        sorted(want), columns=["term", "cf", "df"],
-                        use_threads=False))
-        if not parts:
-            return pa.table({"term": pa.array([], pa.string()),
-                             "cf": pa.array([], pa.int64()),
-                             "df": pa.array([], pa.int64())})
-        # cast to one schema: pre-r5-final dictionary shards mix
-        # string/large_string terms (polars salt-merge vs select branch)
-        parts = [p.cast(parts[0].schema) for p in parts]
-        fetched = pa.concat_tables(parts)
-        return fetched.filter(pc.is_in(fetched.column("term"),
-                                       value_set=pa.array(terms)))
+        rows = pa.concat_tables(parts)
+        return rows if doc_range is None else rows.filter(
+            _overlaps(rows, doc_range))
 
     def term_rows(self, terms: list[str],
                   doc_range: tuple[int, int] | None = None) -> pa.Table:
-        """Partition-pruned fetch of all posting rows for ``terms``.
+        """All posting rows of ``terms`` (the ``BulkTree`` lookup of the
+        reference, ref:src/IndexWriter.cpp:885-901): a term's rows are one
+        contiguous span of its bucket's memory-mapped file, found by binary
+        search.  Nothing is cached per term: the OS page cache holds the
+        mapped files (the ListCache analogue, ref:include/indri/ListCache.hpp).
 
-        Pruning: parquet filter on (bucket, term) — bucket is constant per
-        output file (merge reducers are per-bucket) so row-group statistics
-        skip non-matching files wholesale; the term filter prunes row groups
-        within the bucket file (``BulkTree`` lookup analogue,
-        ref:src/IndexWriter.cpp:885-901).  Fetched rows are cached per reader
-        (one reader per scoring actor — the ListCache analogue,
-        ref:include/indri/ListCache.hpp).
-
-        ``doc_range=(lo, hi)`` additionally keeps only rows whose
-        [first_doc, last_doc] intersects [lo, hi) — the doc-partitioned
-        scatter path, where a shard worker must not pay for other shards'
-        blocks.  Range fetches are not INSERTED into the per-term cache
-        (they are shard-local), but when every term is already cached
-        from a full fetch (e.g. the snippet builder re-fetching the terms
-        the scorer just ran) the range filter is applied to the cached
-        rows in memory instead of re-reading parquet."""
-        from ..stages.postings import POSTINGS_SCHEMA
-
-        if not terms:
-            return POSTINGS_SCHEMA.empty_table()
-        if doc_range is not None:
-            if all(t in self._row_cache for t in terms):
-                tables = [self._row_cache[t] for t in sorted(terms)
-                          if self._row_cache[t].num_rows]
-                if not tables:
-                    return POSTINGS_SCHEMA.empty_table()
-                t = pa.concat_tables(tables)  # term-major, first_doc asc
-                return t.filter(_overlaps(t, doc_range))
-            return self._read_term_rows(terms, doc_range).sort_by(
-                [("term", "ascending"), ("first_doc", "ascending")])
-        missing = [t for t in terms if t not in self._row_cache]
-        if missing:
-            fetched = self._read_term_rows(missing)
-            if (len(self._row_cache) > 8192
-                    or self._row_cache_bytes > (256 << 20)):
-                keep = set(terms)  # bound long-lived actor memory
-                for k in [k for k in self._row_cache if k not in keep]:
-                    del self._row_cache[k]
-                self._row_cache_bytes = sum(
-                    t.get_total_buffer_size() for t in self._row_cache.values())
-            for term in missing:
-                mask = pc.equal(fetched.column("term"), term)
-                # sorted ONCE at insert: per-query assembly below is then a
-                # zero-copy concat in term order — re-sorting per query
-                # copied every cached postings payload byte (the dominant
-                # per-query cost for common terms)
-                t_rows = fetched.filter(mask).sort_by(
-                    [("first_doc", "ascending")])
-                self._row_cache[term] = t_rows
-                # the sort's take gave the table buffers of its own
-                self._row_cache_bytes += t_rows.get_total_buffer_size()
-        tables = [self._row_cache[t] for t in sorted(terms)
-                  if self._row_cache[t].num_rows]
-        if not tables:
-            return POSTINGS_SCHEMA.empty_table()
-        return pa.concat_tables(tables)
+        ``doc_range=(lo, hi)`` keeps only rows whose [first_doc, last_doc]
+        intersects [lo, hi) — the doc-partitioned scatter path."""
+        return self._read_term_rows(terms, doc_range)
 
     def term_stats(self, terms: list[str]) -> dict[str, tuple[int, int]]:
-        """Global (cf, df) per term: the sum over the term's dictionary rows,
-        one per dir holding it (first query pass — the statistics gather of
-        ref:src/QueryEnvironment.cpp:957-965)."""
-        if not terms:
-            return {}
-        missing = [t for t in terms if t not in self._stats_cache]
-        if missing:
-            t = self._read_dict_rows(missing)
-            found: dict[str, tuple[int, int]] = {}
-            for term, cf, df in zip(t.column("term").to_pylist(),
-                                    t.column("cf").to_pylist(),
-                                    t.column("df").to_pylist()):
-                pcf, pdf = found.get(term, (0, 0))
-                found[term] = (pcf + cf, pdf + df)
-            for term in missing:
-                self._stats_cache[term] = found.get(term)
-        return {t: s for t in terms if (s := self._stats_cache.get(t)) is not None}
+        """Global (cf, df) per term: the sum over the term's posting rows in
+        every dir (the values its dictionary rows hold; first query pass —
+        the statistics gather of ref:src/QueryEnvironment.cpp:957-965)."""
+        out = {}
+        for t in terms:
+            if spans := self._spans(t):
+                out[t] = (sum(int(bf.cf[lo:hi].sum()) for bf, lo, hi in spans),
+                          sum(int(bf.df[lo:hi].sum()) for bf, lo, hi in spans))
+        return out
+
+
+class _BucketFile:
+    """One bucket's postings file, memory-mapped: the rows (zero-copy — the
+    OS page cache holds them, not the worker heap) plus numpy views of the
+    term column's offsets and UTF-8 bytes, cf, df and first_doc."""
+
+    def __init__(self, path: Path):
+        self.rows = pa.ipc.open_file(pa.memory_map(str(path))).read_all(
+        ).combine_chunks()
+        n = self.rows.num_rows
+        e = np.empty(0, np.int64)
+        if not n:
+            self.offs, self.data = np.zeros(1, np.int32), b""
+            self.cf = self.df = self.first_doc = e
+            return
+        term = self.rows.column("term").chunk(0)
+        _valid, offs, data = term.buffers()
+        self.offs = np.frombuffer(offs, np.int32)[term.offset:term.offset + n + 1]
+        self.data = memoryview(data)
+        self.cf, self.df, self.first_doc = (
+            self.rows.column(c).chunk(0).to_numpy()
+            for c in ("cf", "df", "first_doc"))
+
+    def span(self, term: str) -> tuple[int, int]:
+        """``[a, b)``: the rows of ``term`` (rows are term-sorted; UTF-8
+        byte order is code point order)."""
+        offs, data = self.offs, self.data
+        key = term.encode()
+
+        def at(i: int) -> bytes:
+            return data[offs[i]:offs[i + 1]].tobytes()
+
+        idx = range(len(offs) - 1)
+        a = bisect.bisect_left(idx, key, key=at)
+        return a, bisect.bisect_right(idx, key, lo=a, key=at)
 
 
 # -- the one posting reader -------------------------------------------------

@@ -2,8 +2,8 @@
 
 The Ray analogue of IndriRunQuery's thread-per-query pool
 (ref:runquery/IndriRunQuery.cpp:692-792): round-robin query slices run as
-plain warm Ray tasks whose worker state (open index, dictionary/doc-length
-caches, statistics memos) lives in a process global, so Ray's worker
+plain warm Ray tasks whose worker state (open index, mapped postings
+files, doc-length caches, statistics memos) lives in a process global, so Ray's worker
 reuse keeps it warm without actor-pool spawn/ramp/dispatch overhead (the
 fixed work list makes the Dataset streaming executor pure overhead here;
 same pattern as the ingest tasks).  At multi-node scale the same workers
@@ -43,7 +43,7 @@ def _reg_snapshot() -> dict:
 
 # Process-global worker reuse for the plain-task query scatter: Ray reuses
 # warm worker processes across tasks, so the per-worker state (open index,
-# dictionary/doc-length caches, statistics memos) persists exactly as it
+# mapped postings files, doc-length caches, statistics memos) persists as it
 # would in an actor — without actor-pool spawn/ramp-up/dispatch overhead.
 # Same state model as stages.ingest.get_process_worker; measured 3-7×
 # faster than the autoscaling actor-pool map_batches on 100-query sets.

@@ -11,7 +11,7 @@ the Krovetz dictionary + cache and a term-processing memo — and for each
 chunk writes two deterministic side outputs before committing a lineage
 record:
 
-* ``docs/docs-<range>.parquet``  — (doc_id, docno, sha256, dl, unique_terms)
+* ``docs/docs-<range>.parquet``  — (doc_id, docno, dl, unique_terms)
 * ``partials/partials-<range>.parquet`` — per (term) partial posting run:
   ascending doc_ids, tfs, dls, flattened positions + partial cf/df stats
   (the role of ``MemoryIndex``'s in-memory postings,
@@ -44,7 +44,6 @@ DOCS_SCHEMA = pa.schema(
     [
         ("doc_id", pa.int64()),
         ("docno", pa.string()),
-        ("sha256", pa.string()),
         ("dl", pa.int32()),
         ("unique_terms", pa.int32()),
     ]
@@ -446,7 +445,6 @@ class IngestWorker:
         drop = self._losers_in_range(int(doc_ids[0]), int(doc_ids[-1]) + 1)
         drop_set = set(drop.tolist())
 
-        shas = []
         store_direct = self.cfg.store_direct
         field_spec = self.cfg.fields
         f_rows: list[tuple[int, str, list, list, list]] = []
@@ -470,10 +468,7 @@ class IngestWorker:
             # differentially tested ≡ per-doc scan_raw)
             from ..tokenizer import scan_raw_chunk
 
-            for local_i in range(n):
-                shas.append(hashlib.sha256(contents[local_i]).hexdigest())
-                if int(doc_ids[local_i]) in drop_set:
-                    kept[local_i] = False
+            kept &= ~np.isin(doc_ids, drop)
             scan_inputs = [c if k else b"" for c, k in zip(contents, kept)]
             all_tokens, raw_lens = scan_raw_chunk(scan_inputs)
             t_kern0 = time.perf_counter()
@@ -483,12 +478,11 @@ class IngestWorker:
             t_kern1 = time.perf_counter()
             return self._finish_chunk(
                 chunk, cid, fingerprint, t0, t_read0, t_scan0, t_kern0,
-                t_kern1, contents, docnos, doc_ids, shas, kept, dl_arr,
+                t_kern1, contents, docnos, doc_ids, kept, dl_arr,
                 uniq_arr, terms, lens, doc_flat_local, tf_flat, dl_flat,
                 p_s, post_run_starts, term_of_run, f_rows, f_stats, n)
         for local_i in range(n):
             data = contents[local_i]
-            shas.append(hashlib.sha256(data).hexdigest())
             did = int(doc_ids[local_i])
             if did in drop_set:
                 kept[local_i] = False
@@ -545,13 +539,13 @@ class IngestWorker:
         t_kern1 = time.perf_counter()
         return self._finish_chunk(
             chunk, cid, fingerprint, t0, t_read0, t_scan0, t_kern0, t_kern1,
-            contents, docnos, doc_ids, shas, kept, dl_arr, uniq_arr, terms,
+            contents, docnos, doc_ids, kept, dl_arr, uniq_arr, terms,
             lens, doc_flat_local, tf_flat, dl_flat, p_s, post_run_starts,
             term_of_run, f_rows, f_stats, n)
 
     def _finish_chunk(self, chunk, cid, fingerprint, t0, t_read0, t_scan0,
-                      t_kern0, t_kern1, contents, docnos, doc_ids, shas,
-                      kept, dl_arr, uniq_arr, terms, lens, doc_flat_local,
+                      t_kern0, t_kern1, contents, docnos, doc_ids, kept,
+                      dl_arr, uniq_arr, terms, lens, doc_flat_local,
                       tf_flat, dl_flat, p_s, post_run_starts, term_of_run,
                       f_rows, f_stats, n) -> dict:
         """Encode + write a chunk's outputs (docs/partials/direct/fields)
@@ -564,7 +558,6 @@ class IngestWorker:
         docs_cols = {
             "doc_id": doc_ids[kept],
             "docno": pa.array(np.array(docnos, dtype=object)[kept].tolist(), pa.string()),
-            "sha256": pa.array(np.array(shas, dtype=object)[kept].tolist(), pa.string()),
             "dl": pa.array(dl_arr[kept].astype(np.int32), pa.int32()),
             "unique_terms": pa.array(uniq_arr[kept].astype(np.int32), pa.int32()),
         }

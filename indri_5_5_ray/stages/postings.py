@@ -9,6 +9,13 @@ construction), delta+vbyte encoded into ~4 KB blocks with block-max metadata
 and per-term cf/df summed exactly like ``termdata_merge``
 (ref:include/indri/TermData.hpp:126-140).
 
+Each bucket's rows go to one uncompressed Arrow IPC file,
+``postings/postings-{bucket:05d}.arrow``, sorted by term then first_doc.
+A query memory-maps it and reads a term's rows as one contiguous slice —
+the inverted list at its ``(startOffset, length)`` of the reference's
+``DiskTermData`` (ref:include/indri/DiskTermData.hpp:27-38), with the OS
+page cache in the role of its ``ListCache``.
+
 Skew handling (SURVEY.md §4): hot terms (license boilerplate, language
 keywords) are *salted* by doc-id range — each (term, salt) group is an
 independent merge task and an independent output row, so no single reducer
@@ -20,7 +27,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from ..codec import cut_blocks_pre
 
@@ -59,6 +65,11 @@ POSTINGS_SCHEMA = pa.schema(
         ("block_length", pa.list_(pa.int32())),
     ]
 )
+
+# The on-disk layout version, recorded in every manifest as
+# ``format_version``; IndexReader refuses an index of any other version.
+# 2: one memory-mapped Arrow IPC postings file per bucket.
+INDEX_FORMAT = 2
 
 DICTIONARY_SCHEMA = pa.schema(
     [
@@ -107,10 +118,11 @@ class MergeWorker:
     The shuffle is done by the FILESYSTEM, not the object store: ingest wrote
     partials bucket-sorted with bucket-aligned row groups, so each reducer's
     read is a predicate-pushdown scan of its bucket only.  Each bucket's
-    output is one postings file (term-sorted → row-group pruning for query
-    term lookups) plus its dictionary slice — a term hashes to exactly one
-    bucket, so per-bucket term aggregation is already global.  A lineage
-    record per bucket makes the merge phase independently resumable.
+    output is one Arrow IPC postings file (rows sorted by term, then
+    first_doc — the reader binary-searches a term's rows in the mapped
+    file) plus its dictionary slice — a term hashes to exactly one bucket,
+    so per-bucket term aggregation is already global.  A lineage record
+    per bucket makes the merge phase independently resumable.
     """
 
     def __init__(self, out_dir: str, cfg_dict: dict, plan_fingerprint: str = "",
@@ -141,7 +153,7 @@ class MergeWorker:
             t0 = time.perf_counter()
             pid = f"{bucket:05d}"
             fingerprint = f"bucket:{bucket}:{self.plan_fingerprint}"
-            postings_path = f"{self.out_dir}/postings/postings-{pid}.parquet"
+            postings_path = f"{self.out_dir}/postings/postings-{pid}.arrow"
             dict_path = f"{self.out_dir}/dictionary/dictionary-{pid}.parquet"
             if (
                 lineage.is_done(self.out_dir, "merge", pid, fingerprint)
@@ -156,7 +168,13 @@ class MergeWorker:
             merged = merge_bucket(group, self.cfg.store_positions, self.cfg.target_block_bytes)
             os.makedirs(f"{self.out_dir}/postings", exist_ok=True)
             os.makedirs(f"{self.out_dir}/dictionary", exist_ok=True)
-            write_postings_file(merged, postings_path)
+            # one uncompressed record batch: the reader memory-maps the
+            # file and slices a term's rows out of it without a copy.
+            # Written aside, then renamed: a file a live reader has mapped
+            # is replaced, never truncated under it
+            with pa.ipc.new_file(postings_path + ".tmp", POSTINGS_SCHEMA) as w:
+                w.write_table(merged)
+            os.replace(postings_path + ".tmp", postings_path)
             # per-bucket dictionary: sum stats across a term's salt rows
             import polars as pl
 
@@ -170,16 +188,13 @@ class MergeWorker:
                 )
             else:
                 d = merged.select(["term", "cf", "df"])
-            # term-sorted narrow rows: 4096-row groups let the reader's
-            # footer-stats catalog (IndexReader.term_stats) fetch a cold
-            # term's (cf, df) by decompressing ~one group instead of the
-            # whole vocabulary shard ("first dictionary open" dominated
-            # cold queries at the 10M-doc soak); schema pinned because the
+            # term-sorted (cf, df) rows for the vocabulary readers
+            # (dumpindex, wildcard expansion) — queries take their
+            # statistics from the postings file; schema pinned because the
             # polars salt-merge branch yields large_string terms while the
-            # single-salt branch yields string — per-file pa.concat_tables
-            # in the reader needs them identical
-            pq.write_table(d.cast(DICTIONARY_SCHEMA), dict_path,
-                           row_group_size=4096)
+            # single-salt branch yields string, and a dataset over every
+            # bucket file needs them identical
+            pq.write_table(d.cast(DICTIONARY_SCHEMA), dict_path)
             rec = lineage.write_record(
                 self.out_dir, "merge", pid, fingerprint,
                 rows=merged.num_rows, bytes_written=int(merged.nbytes),
@@ -214,43 +229,6 @@ def write_docs(tbl: pa.Table, path: str) -> None:
         pq.write_table(tbl, path, row_group_size=256)
     else:
         pq.write_table(tbl, path)
-
-
-def write_postings_file(merged: pa.Table, path: str,
-                        target_bytes: int = 512 << 10,
-                        max_rows: int = 128) -> None:
-    """Write a bucket's term-sorted posting rows with BYTE-BOUNDED row
-    groups: IndexReader prunes row groups by (term min/max) statistics,
-    so a term lookup pays for exactly the groups it lands in.  Parquet's
-    default layout (one giant group) decompressed the bucket's whole
-    payload column per cold lookup (~11 MB / 40 ms at sf0.1 — half the
-    warm BM25 p50), and fixed ROW-count groups still co-locate a hot
-    term with its alphabetical neighbors' megabytes.  Cutting by payload
-    bytes gives hot terms (the expensive reads) nearly-private groups
-    while cold terms pack ``max_rows`` per group, keeping footer
-    metadata O(total_bytes / target_bytes + n_terms / max_rows) — at a
-    10⁹-doc bucket that is thousands of groups, not hundreds of
-    thousands."""
-    import numpy as np
-    import pyarrow.parquet as pq
-
-    if merged.num_rows == 0:
-        pq.write_table(merged, path)
-        return
-    sizes = pc.binary_length(
-        combine_column(merged, "postings")).to_numpy(zero_copy_only=False)
-    starts = [0]
-    acc = 0
-    for i, s in enumerate(int(x) for x in sizes):
-        n_in = i - starts[-1]
-        if n_in > 0 and (acc + s > target_bytes or n_in >= max_rows):
-            starts.append(i)
-            acc = 0
-        acc += s
-    with pq.ParquetWriter(path, merged.schema) as w:
-        bounds = starts + [merged.num_rows]
-        for a, b in zip(bounds, bounds[1:]):
-            w.write_table(merged.slice(a, b - a), row_group_size=b - a)
 
 
 def combine_column(tbl: pa.Table, name: str) -> pa.Array:

@@ -326,185 +326,152 @@ def test_cli_runquery(built_index, tmp_path, capsys):
     assert len(lines) == 3 and lines[0].startswith("1 Q0 ")
 
 
-# -- property: byte-bounded layout + footer catalog == brute-force fetch ----
+# -- property: mapped posting lookup == brute-force scan of merge output ----
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.data())
-def test_catalog_fetch_equals_bruteforce_property(tmp_path_factory, data):
-    """write_postings_file + _term_footer_catalog/_read_term_rows round-trip:
-    for random term-sorted posting tables (multi-salt rows, random payload
-    sizes forcing random row-group cuts) the catalog fetch returns EXACTLY
-    the rows of the requested terms, and a doc_range fetch returns a
-    superset of the intersecting rows and a subset of the terms' rows."""
+def _random_two_segment_index(tmp_path_factory, data):
+    """Draw a random two-segment index (MergeWorker-written, disjoint doc
+    ranges, one bucket left empty, a hot term salted into many rows) and a
+    term set: present terms, absent terms, terms of the empty bucket and
+    the hot term.  Returns the segment dirs, the term set, the brute-force
+    scan of merge_bucket's output for those terms, the dictionary's
+    summed statistics, and the hot term's expected row count."""
     import hashlib
-    from types import SimpleNamespace
 
     import pyarrow as pa
+    import pyarrow.compute as pc
 
-    from indri_5_5_ray.pipelines.query import IndexReader
-    from indri_5_5_ray.stages.postings import (POSTINGS_SCHEMA,
-                                               write_postings_file)
+    from indri_5_5_ray.pipelines.build import write_manifest
+    from indri_5_5_ray.stages.postings import (PARTIALS_SCHEMA, MergeWorker,
+                                               merge_bucket, write_partials)
 
     n_buckets = 4
-    words = data.draw(st.lists(
-        st.text(alphabet="abcdefg", min_size=1, max_size=6),
-        min_size=1, max_size=12, unique=True))
+    cfg = IndexConfig(n_buckets=n_buckets, store_positions=False,
+                      salt_docs_per_group=4)
 
     def bucket_of(t):
         return int.from_bytes(hashlib.md5(t.encode()).digest()[:4],
                               "little") % n_buckets
 
-    rows = []
-    for t in sorted(words):
-        n_salt = data.draw(st.integers(1, 3))
-        lo = 0
-        for s in range(n_salt):
-            span = data.draw(st.integers(1, 50))
-            payload = bytes(data.draw(st.integers(1, 120)))
-            rows.append({
-                "term": t, "bucket": bucket_of(t), "salt": s,
-                "cf": 1, "df": 1,
-                "first_doc": lo, "last_doc": lo + span - 1,
-                "postings": payload,
-                "block_last_doc": [lo + span - 1], "block_n_docs": [1],
-                "block_max_tf": [1], "block_min_dl": [1],
-                "block_offset": [0], "block_length": [len(payload)],
-            })
-            lo += span + data.draw(st.integers(0, 5))
-
-    d = tmp_path_factory.mktemp("cat")
-    (d / "postings").mkdir()
-    for b in range(n_buckets):
-        brows = [r for r in rows if r["bucket"] == b]
-        if not brows:
-            continue
-        t = pa.Table.from_pylist(brows, schema=POSTINGS_SCHEMA)
-        write_postings_file(t, str(d / "postings" / f"postings-{b:05d}.parquet"),
-                            target_bytes=64, max_rows=3)
-
-    r = IndexReader.__new__(IndexReader)
-    r.index_dirs = [str(d)]
-    r._pcat = None
-    r._dcat = None
-    r.cfg = SimpleNamespace(n_buckets=n_buckets)
-
-    key = lambda row: (row["term"], row["salt"])
-    want_terms = data.draw(st.lists(st.sampled_from(sorted(words)),
-                                    min_size=1, max_size=4, unique=True))
-    got = r._read_term_rows(want_terms)
-    got_keys = sorted(zip(got.column("term").to_pylist(),
-                          got.column("salt").to_pylist()))
-    brute = sorted(key(row) for row in rows if row["term"] in want_terms)
-    assert got_keys == brute
-
-    lo = data.draw(st.integers(0, 80))
-    hi = lo + data.draw(st.integers(1, 80))
-    ranged = r._read_term_rows(want_terms, (lo, hi))
-    rkeys = set(zip(ranged.column("term").to_pylist(),
-                    ranged.column("salt").to_pylist()))
-    must = {key(row) for row in rows
-            if row["term"] in want_terms
-            and row["last_doc"] >= lo and row["first_doc"] < hi}
-    assert must <= rkeys <= set(brute)
-
-
-# -- property: bucket-routed dictionary lookup == brute-force read ----------
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.data())
-def test_routed_term_stats_equals_bruteforce_property(tmp_path_factory, data):
-    """term_stats reads each term from its own bucket's dictionary file only;
-    for random dictionaries (random row-group cuts, one bucket written as an
-    empty file) and random term sets — present terms, absent terms, several
-    terms of one bucket — it equals a brute-force read of the whole
-    dictionary/ dir."""
-    import hashlib
-    from types import SimpleNamespace
-
-    import pyarrow as pa
-
-    from indri_5_5_ray.stages.postings import DICTIONARY_SCHEMA
-
-    n_buckets = 4
-
-    def bucket_of(t):
-        return int.from_bytes(hashlib.md5(t.encode()).digest()[:4],
-                              "little") % n_buckets
-
-    drawn = data.draw(st.lists(
-        st.text(alphabet="abcdefg", min_size=1, max_size=6),
-        max_size=30, unique=True))
     empty_bucket = data.draw(st.integers(0, n_buckets - 1))
-    words = sorted(w for w in drawn if bucket_of(w) != empty_bucket)
+    drawn = data.draw(st.lists(
+        st.text(alphabet="abcdeé", min_size=1, max_size=5),
+        min_size=1, max_size=12, unique=True))
+    hot = next(w for w in ("hot", "hot1", "hot2", "hot3", "hot4", "hot5")
+               if bucket_of(w) != empty_bucket)
+    words = sorted({w for w in drawn if bucket_of(w) != empty_bucket} | {hot})
+    n_docs = data.draw(st.integers(2, 40))
+    docs_of = {w: (list(range(n_docs)) if w == hot else sorted(data.draw(
+        st.sets(st.integers(0, n_docs - 1), max_size=n_docs))))
+        for w in words}
+    cut = data.draw(st.integers(1, n_docs - 1))
 
-    d = tmp_path_factory.mktemp("dict")
-    (d / "dictionary").mkdir()
-    for b in range(n_buckets):
-        rows = [{"term": w, "cf": data.draw(st.integers(1, 99)),
-                 "df": data.draw(st.integers(1, 9))}
-                for w in words if bucket_of(w) == b]
-        pq.write_table(pa.Table.from_pylist(rows, schema=DICTIONARY_SCHEMA),
-                       str(d / "dictionary" / f"dictionary-{b:05d}.parquet"),
-                       row_group_size=data.draw(st.integers(1, 4)))
-    brute_t = pq.read_table(str(d / "dictionary"))
-    brute = {t: (cf, df) for t, cf, df in zip(
-        brute_t.column("term").to_pylist(), brute_t.column("cf").to_pylist(),
-        brute_t.column("df").to_pylist())}
-
-    def fresh_reader():
-        r = IndexReader.__new__(IndexReader)
-        r.index_dirs = [str(d)]
-        r._dcat = None
-        r._stats_cache = {}
-        r.cfg = SimpleNamespace(n_buckets=n_buckets)
-        return r
+    segs, brute = [], []
+    for lo, hi in ((0, cut), (cut, n_docs)):
+        part = pa.Table.from_pylist([
+            {"term": w, "bucket": bucket_of(w), "salt": d // 4,
+             "first_doc": d, "last_doc": d, "doc_ids": [d],
+             "tfs": [1 + (d + len(w)) % 3], "dls": [10],
+             "pos_bytes": b"", "pos_byte_lens": []}
+            for w in words for d in docs_of[w] if lo <= d < hi],
+            schema=PARTIALS_SCHEMA)
+        d = tmp_path_factory.mktemp("seg")
+        (d / "partials").mkdir()
+        write_partials(part, str(d / "partials" / "partials-0.parquet"),
+                       n_buckets)
+        MergeWorker(str(d), cfg.to_dict())(
+            pa.table({"bucket": pa.array(range(n_buckets), pa.int32())}))
+        write_manifest(d, cfg, doc_count=hi - lo, total_terms=10 * (hi - lo),
+                       min_doc_id=lo, max_doc_id=hi - 1, unique_terms=0,
+                       field_stats={}, timings={})
+        segs.append(str(d))
+        for b in range(n_buckets):
+            brute += merge_bucket(
+                part.filter(pc.equal(part.column("bucket"), b)),
+                False, cfg.target_block_bytes).to_pylist()
+    brute.sort(key=lambda row: (row["term"], row["first_doc"]))
+    dict_t = pa.concat_tables([pq.read_table(f"{d}/dictionary") for d in segs])
 
     absent = data.draw(st.lists(
-        st.text(alphabet="abcdefgh", min_size=1, max_size=7), max_size=4))
-    present = (data.draw(st.lists(st.sampled_from(words), max_size=6,
-                                  unique=True)) if words else [])
-    same_bucket = [w for w in words if bucket_of(w) == bucket_of(words[0])
-                   ] if words else []
+        st.text(alphabet="abcdefgh", min_size=1, max_size=6), max_size=3))
     into_empty = [w for w in drawn if bucket_of(w) == empty_bucket]
-    for terms in (present + absent, same_bucket, into_empty):
-        assert fresh_reader().term_stats(terms) == {
-            t: brute[t] for t in terms if t in brute}
+    terms = data.draw(st.lists(st.sampled_from(words), max_size=5,
+                               unique=True)) + absent + into_empty + [hot]
+    want = [row for row in brute if row["term"] in terms]
+    dict_stats: dict = {}
+    for t, cf, df in zip(*(dict_t.column(c).to_pylist()
+                           for c in ("term", "cf", "df"))):
+        pcf, pdf = dict_stats.get(t, (0, 0))
+        dict_stats[t] = (pcf + cf, pdf + df)
+    hot_rows = len({d // 4 for d in range(cut)}) + len(
+        {d // 4 for d in range(cut, n_docs)})
+    return segs, terms, want, dict_stats, hot, hot_rows, n_docs
 
 
-def test_cold_term_stats_reads_one_dictionary_file(built_index):
-    """A cold one-term lookup decompresses row groups of exactly one
-    dictionary file: the term's bucket."""
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_catalog_fetch_equals_bruteforce_property(tmp_path_factory, data):
+    """term_rows over the memory-mapped bucket files returns EXACTLY the
+    rows of a brute-force scan of merge_bucket's output, for random
+    two-segment indexes opened in both dir orders, and a doc_range fetch
+    returns exactly the intersecting rows."""
+    segs, terms, want, _, hot, hot_rows, n_docs = _random_two_segment_index(
+        tmp_path_factory, data)
+    lo = data.draw(st.integers(0, n_docs))
+    hi = lo + data.draw(st.integers(1, n_docs))
+    for order in (segs, segs[::-1]):
+        r = IndexReader(order)
+        assert r.term_rows(terms).to_pylist() == want
+        assert r.term_rows(terms, (lo, hi)).to_pylist() == [
+            row for row in want if row["last_doc"] >= lo and row["first_doc"] < hi]
+    assert len([row for row in want if row["term"] == hot]) == hot_rows
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_routed_term_stats_equals_bruteforce_property(tmp_path_factory, data):
+    """term_stats sums each term's span of its own bucket's postings file;
+    for random two-segment indexes (one bucket left empty) and random term
+    sets — present terms, absent terms, terms of the empty bucket, a hot
+    salted term — it equals the brute-force sums over merge_bucket's output
+    and the dictionary's statistics, in both dir orders."""
+    segs, terms, want, dict_stats, _, _, _ = _random_two_segment_index(
+        tmp_path_factory, data)
+    stats: dict = {}
+    for row in want:
+        cf, df = stats.get(row["term"], (0, 0))
+        stats[row["term"]] = (cf + row["cf"], df + row["df"])
+    for order in (segs, segs[::-1]):
+        assert IndexReader(order).term_stats(terms) == stats == {
+            t: dict_stats[t] for t in terms if t in dict_stats}
+
+
+def test_cold_lookup_maps_one_bucket_file(built_index):
+    """A cold one-term lookup maps exactly one postings file, the term's
+    bucket, and a repeated lookup maps nothing more."""
     out, _ = built_index
-    r = IndexReader(out)
-    cat = r._dict_catalog()
-    assert sorted(cat) == list(range(r.cfg.n_buckets))
-    reads = []
-    for b, entries in cat.items():
-        [entry] = entries  # one dir: one file per bucket
-        def counted(*a, _b=b, _read=entry[0].read_row_groups, **kw):
-            reads.append(_b)
-            return _read(*a, **kw)
-        entry[0].read_row_groups = counted
     terms = pq.read_table(f"{out}/dictionary", columns=["term"]).column(
         "term").to_pylist()
     for term in (terms[0], terms[-1]):
-        reads.clear()
+        r = IndexReader(out)
         assert term in r.term_stats([term])
-        assert reads == [r._bucket_of(term)]
-    reads.clear()
-    r.term_stats([terms[0]])  # cached: no read at all
-    assert reads == []
+        assert list(r._maps) == [(out, r._bucket_of(term))]
+        assert r.term_rows([term]).num_rows
+        assert list(r._maps) == [(out, r._bucket_of(term))]
 
 
-def test_dictionary_file_without_bucket_raises(built_index, tmp_path):
+def test_other_index_format_asks_for_a_rebuild(built_index, tmp_path):
+    """An index written with another layout (e.g. parquet postings, format
+    1, or no stamp at all) is refused with a rebuild message, not read."""
+    import json
     import shutil
 
     out, _ = built_index
-    shutil.copytree(f"{out}/dictionary", tmp_path / "dictionary")
-    shutil.copy(f"{out}/manifest.json", tmp_path / "manifest.json")
-    first = sorted((tmp_path / "dictionary").glob("*.parquet"))[0]
-    first.rename(first.with_name("part-0.parquet"))
-    with pytest.raises(ValueError, match="no bucket"):
-        IndexReader(str(tmp_path)).term_stats(["merge"])
+    shutil.copytree(out, tmp_path / "idx")
+    path = tmp_path / "idx" / "manifest.json"
+    m = json.loads(path.read_text())
+    for stamp in (1, None):
+        m["format_version"] = stamp
+        path.write_text(json.dumps(m))
+        with pytest.raises(ValueError, match="rebuild"):
+            IndexReader(str(tmp_path / "idx"))

@@ -4,6 +4,8 @@ stopword semantics."""
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
@@ -23,6 +25,7 @@ def test_salted_build_splits_hot_terms_and_ranks_identically(small_corpus_dir, t
     rankings as the unsalted build."""
     from indri_5_5_ray.config import IndexConfig
     from indri_5_5_ray.pipelines.build import build_index
+    from indri_5_5_ray.pipelines.query import IndexReader
 
     base = IndexConfig(max_chunk_docs=64, n_buckets=4, dedup_key="sha256")
     salted = IndexConfig(max_chunk_docs=64, n_buckets=4, dedup_key="sha256",
@@ -32,7 +35,7 @@ def test_salted_build_splits_hot_terms_and_ranks_identically(small_corpus_dir, t
     build_index(small_corpus_dir, b, salted, resume=False)
 
     # hot terms actually split across salt rows
-    t = pq.read_table(f"{b}/postings", columns=["term", "salt"])
+    t = pa.concat_tables(IndexReader(b).posting_tables())
     import collections
 
     rows_per_term = collections.Counter(t.column("term").to_pylist())
@@ -65,23 +68,11 @@ def test_tf_only_index(small_corpus_dir, tmp_path):
     build_index(small_corpus_dir, a, cfg_pos, resume=False)
     build_index(small_corpus_dir, b, cfg_tf, resume=False)
 
-    # positions dominate the PAYLOAD bytes (file sizes also carry
-    # per-row-group footer metadata, which the byte-bounded row-group
-    # layout trades for pruned point reads — compare the postings column
-    # itself, not st_size)
-    import pyarrow.parquet as pq
-
+    # positions dominate the PAYLOAD bytes: compare the postings column
+    # itself, not the files (which also hold the block metadata lists)
     def payload_bytes(d):
-        total = 0
-        for f in __import__("pathlib").Path(d, "postings").glob("*.parquet"):
-            md = pq.read_metadata(f)
-            for g in range(md.num_row_groups):
-                rg = md.row_group(g)
-                for i in range(rg.num_columns):
-                    c = rg.column(i)
-                    if c.path_in_schema == "postings":
-                        total += c.total_compressed_size
-        return total
+        return sum(pc.sum(pc.binary_length(t.column("postings"))).as_py() or 0
+                   for t in IndexReader(d).posting_tables())
 
     assert payload_bytes(b) < payload_bytes(a) * 0.7
 

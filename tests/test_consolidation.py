@@ -50,7 +50,7 @@ def _merge_bucket0(out_dir: str, partials_dir: str | None, tag: str):
     t0 = time.perf_counter()
     w(pa.table({"bucket": pa.array([0, 1], pa.int32())}))
     wall = time.perf_counter() - t0
-    got = pq.read_table(f"{out_dir}/postings/postings-00000.parquet")
+    got = pa.ipc.open_file(f"{out_dir}/postings/postings-00000.arrow").read_all()
     return wall, got.sort_by([("term", "ascending"), ("salt", "ascending")])
 
 

@@ -20,14 +20,20 @@ import pytest
 
 
 def _index_fingerprint(index_dir: str) -> dict[str, str]:
-    """sha256 of every postings/dictionary/docs parquet's *logical content*
-    (decoded rows, not file bytes — parquet metadata embeds timestamps)."""
+    """sha256 of the *logical content* of every postings (Arrow IPC) and
+    dictionary/docs (parquet) file — decoded rows, not file bytes, since
+    parquet metadata embeds timestamps."""
+    import pyarrow as pa
     import pyarrow.parquet as pq
 
     out = {}
-    for sub in ("postings", "dictionary", "docs"):
-        for f in sorted(Path(index_dir, sub).glob("*.parquet")):
-            t = pq.read_table(f)
+    for sub, pattern in (("postings", "*.arrow"), ("dictionary", "*.parquet"),
+                         ("docs", "*.parquet")):
+        files = sorted(Path(index_dir, sub).glob(pattern))
+        assert files, f"no {pattern} files in {sub}/"
+        for f in files:
+            t = (pa.ipc.open_file(f).read_all() if f.suffix == ".arrow"
+                 else pq.read_table(f))
             h = hashlib.sha256()
             for col in sorted(t.column_names):
                 h.update(col.encode())

@@ -21,25 +21,29 @@ def test_empty_and_overlong_terms_get_termid0_semantics():
     assert proc.process_raw(b"'") is None
 
 
-def test_row_cache_eviction_keeps_current_terms(built_index):
+def test_term_rows_are_views_of_the_mapped_file(built_index):
+    """term_rows copies no payload and keeps no per-term state: the rows'
+    payload bytes lie inside the mapped bucket files, a repeated fetch is
+    equal, and a reader holds at most one map per bucket however many
+    terms it looks up."""
+    import pyarrow.parquet as pq
+
     from indri_5_5_ray.pipelines.query import IndexReader
 
     out, _ = built_index
     r = IndexReader(out)
-    t1 = r.term_rows(["merge"])  # populate 'merge'
-    assert t1.num_rows
-    # force the eviction branch with dummy entries
-    import pyarrow as pa
-
-    from indri_5_5_ray.stages.postings import POSTINGS_SCHEMA
-
-    empty = POSTINGS_SCHEMA.empty_table()
-    for i in range(8200):
-        r._row_cache[f"__dummy{i}"] = empty
-    # cached 'merge' + missing 'token': must not KeyError, and must keep both
-    t2 = r.term_rows(["merge", "token"])
-    assert set(t2.column("term").to_pylist()) >= {"merge", "token"}
-    assert "merge" in r._row_cache and "token" in r._row_cache
+    rows = r.term_rows(["merge", "token"])
+    assert set(rows.column("term").to_pylist()) == {"merge", "token"}
+    spans = [(b.address, b.address + b.size) for bf in r._maps.values()
+             for b in [bf.rows.column("postings").chunk(0).buffers()[2]]]
+    for chunk in rows.column("postings").chunks:
+        data = chunk.buffers()[2]
+        assert any(lo <= data.address < hi for lo, hi in spans)
+    assert r.term_rows(["token", "merge"]).equals(rows)
+    vocab = pq.read_table(f"{out}/dictionary", columns=["term"]).column(
+        "term").to_pylist()
+    r.term_stats(vocab)
+    assert len(r._maps) == r.cfg.n_buckets
 
 
 def test_resume_rejects_config_change(small_corpus_dir, tmp_path):
@@ -178,7 +182,9 @@ def _block_walk(index_dirs, terms, doc_range=None, doc_set=None,
     """Reference for read_postings: every block of every posting file,
     decoded one at a time with decode_block, kept when it overlaps
     ``doc_range`` / holds a ``doc_set`` id, docs masked to ``doc_range``."""
-    import pyarrow.parquet as pq
+    from pathlib import Path
+
+    import pyarrow as pa
 
     from indri_5_5_ray.codec import decode_block
 
@@ -186,8 +192,10 @@ def _block_walk(index_dirs, terms, doc_range=None, doc_set=None,
     want = None if doc_set is None else set(doc_set)
     out: dict[str, list] = {}
     for index_dir in index_dirs:
-        rows = pq.read_table(f"{index_dir}/postings").sort_by(
-            [("term", "ascending"), ("first_doc", "ascending")]).to_pylist()
+        rows = pa.concat_tables([
+            pa.ipc.open_file(f).read_all()
+            for f in sorted(Path(index_dir, "postings").glob("*.arrow"))
+        ]).sort_by([("term", "ascending"), ("first_doc", "ascending")]).to_pylist()
         for row in rows:
             if row["term"] not in terms:
                 continue
@@ -288,3 +296,43 @@ def test_bm25_has_no_scorer_method(built_index, method):
         process_query("merge buffer", r.cfg), k=5)
     assert got.column("doc_id").to_pylist() == ids.tolist()
     assert got.column("score").to_pylist() == scores.tolist()
+
+
+def test_dxcount_skips_deleted_docs(built_index, tmp_path, capsys):
+    """dumpindex dxcount counts only live documents: deleting one matching
+    document lowers the count by one."""
+    import shutil
+
+    from indri_5_5_ray import cli
+    from indri_5_5_ray.pipelines.query import IndexReader, read_postings
+
+    out, _ = built_index
+    idx = str(tmp_path / "idx")
+    shutil.copytree(out, idx)
+    cli.main([idx, "dxcount", "merge"])
+    before = int(capsys.readouterr().out.split()[-1])
+    victim = int(read_postings(IndexReader(idx), ["merge"])["merge"][0][0])
+    cli.main([idx, "delete", str(victim)])
+    capsys.readouterr()
+    cli.main([idx, "dxcount", "merge"])
+    assert int(capsys.readouterr().out.split()[-1]) == before - 1 > 0
+
+
+def test_cli_scans_work_on_a_repository(two_segment_repo, capsys):
+    """validate, vocabulary and stats read every segment of a repository
+    reader: validate finds no errors, a term's vocabulary line sums its
+    segments' dictionary rows, and stats reports the summed doc count."""
+    import json
+
+    from indri_5_5_ray import cli
+
+    r = two_segment_repo.reader()
+    cli.cmd_validate(r)
+    assert capsys.readouterr().out.strip().endswith(" 0 errors")
+    cli.cmd_vocabulary(r, "100000")
+    vocab = {ln.split("\t")[0]: ln.split("\t")[1:]
+             for ln in capsys.readouterr().out.splitlines()}
+    cf, df = r.term_stats(["merge"])["merge"]
+    assert vocab["merge"] == [f"cf={cf}", f"df={df}"]
+    cli.cmd_stats(r)
+    assert json.loads(capsys.readouterr().out)["doc_count"] == r.doc_count

@@ -42,6 +42,7 @@ def main() -> None:
     from indri_5_5_ray.pipelines.indriql import StructuredQueryEngine
     from indri_5_5_ray.pipelines.query import IndexReader
     from indri_5_5_ray.pipelines.run import run_extents_sharded
+    from indri_5_5_ray.stages.postings import INDEX_FORMAT
 
     n_docs = int(sys.argv[1]) if len(sys.argv) > 1 else 400_000
     corpus_dir = Path(bench.BENCH_CACHE) / f"corpus-{n_docs}"
@@ -51,7 +52,7 @@ def main() -> None:
         corpus_dir.mkdir(parents=True, exist_ok=True)
         write_synthetic_corpus(str(corpus_dir), n_docs, rows_per_file=5000)
         (corpus_dir / "_COMPLETE").touch()
-    root = Path(bench.BENCH_CACHE) / f"extsoak-{n_docs}"
+    root = Path(bench.BENCH_CACHE) / f"extsoak-{n_docs}-f{INDEX_FORMAT}"
     tagged_dir = root / "corpus"
     index_dir = root / "index"
     if not (index_dir / "manifest.json").exists():
