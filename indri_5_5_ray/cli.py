@@ -19,6 +19,11 @@ Commands:
         # batch TREC run (IndriRunQuery analogue); file = qid<TAB>text or
         # bare text per line; baseline = bm25|tfidf|dirichlet|jm|two|indri
 
+``<index_dir>`` may also be a ``Repository`` dir (one holding
+``repository.json``): the read commands then read all of its segments,
+``delete`` marks docs in the repository's deleted list, and ``compact``,
+``merge`` and ``modifyfields`` refuse it.
+
 Standalone use auto-initialises Ray only if needed (queries don't need it).
 """
 
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
@@ -95,28 +101,22 @@ def cmd_documentname(reader: IndexReader, doc_id: str) -> None:
 
 
 def cmd_documentid(reader: IndexReader, docno: str) -> None:
-    t = pq.read_table(f"{reader.index_dir}/docs", columns=["doc_id", "docno"])
-    for did, dn in zip(t.column("doc_id").to_pylist(), t.column("docno").to_pylist()):
-        if dn == docno:
-            print(did)
-            return
-    print(-1)
+    ids = reader.doc_ids_of([docno])
+    print(int(ids[0]) if len(ids) else -1)
 
 
 def cmd_documenttext(reader: IndexReader, doc_id: str) -> None:
     """Original document text from the docstore (requires a build with
     store_content=True — the CompressedCollection role)."""
-    t = pq.read_table(f"{reader.index_dir}/docs")
-    if "content" not in t.column_names:
+    if "content" not in reader._dset("docs").schema.names:
         print("ERROR: index built without store_content=True")
         raise SystemExit(1)
     did = int(doc_id)
-    for row_id, content in zip(t.column("doc_id").to_pylist(), t.column("content").to_pylist()):
-        if row_id == did:
-            print(content)
-            return
-    print(f"ERROR: doc {did} not found")
-    raise SystemExit(1)
+    t = reader._point_read("docs", [did], ["content"])
+    if not t.num_rows:
+        print(f"ERROR: doc {did} not found")
+        raise SystemExit(1)
+    print(t.column("content")[0].as_py())
 
 
 def cmd_documentvector(reader: IndexReader, doc_id: str) -> None:
@@ -203,23 +203,16 @@ def cmd_dxcount(reader: IndexReader, expr: str) -> None:
 def cmd_delete(reader: IndexReader, ident: str) -> None:
     """Mark a document deleted by docno or docID (``dumpindex delete``,
     ref:dumpindex/dumpindex.cpp; readers opened afterwards mask it)."""
-    import numpy as np
-
-    from pathlib import Path
-
     if ident.isdigit():
         doc_id = int(ident)
     else:
-        t = pq.read_table(f"{reader.index_dir}/docs", columns=["doc_id", "docno"])
-        doc_id = -1
-        for did, dn in zip(t.column("doc_id").to_pylist(), t.column("docno").to_pylist()):
-            if dn == ident:
-                doc_id = did
-                break
-        if doc_id < 0:
+        ids = reader.doc_ids_of([ident])
+        if not len(ids):
             print(f"ERROR: docno {ident} not found")
             raise SystemExit(1)
-    path = Path(reader.index_dir) / "deleted.parquet"
+        doc_id = int(ids[0])
+    # a repository reader's deleted list is the repository's own
+    path = Path(reader.deleted_path or Path(reader.index_dir) / "deleted.parquet")
     prev = (pq.read_table(path).column("doc_id").to_numpy()
             if path.exists() else np.empty(0, np.int64))
     merged = np.unique(np.concatenate([prev, np.array([doc_id], np.int64)]))
@@ -229,11 +222,21 @@ def cmd_delete(reader: IndexReader, ident: str) -> None:
     print(f"deleted doc {doc_id} ({len(merged)} total)")
 
 
+def _single_index(reader: IndexReader, cmd: str) -> str:
+    """The dir of a one-index reader.  A repository's segments are
+    rewritten only through ``Repository.trim``/``compact``, which know
+    its deleted list; these commands would read its first segment only."""
+    if reader.deleted_path is not None or len(reader.index_dirs) > 1:
+        print(f"ERROR: {cmd} takes an index, not a repository")
+        raise SystemExit(1)
+    return reader.index_dir
+
+
 def cmd_compact(reader: IndexReader, out_dir: str) -> None:
     """Rewrite the index without its deleted docs (``dumpindex compact``)."""
     from .pipelines.repository import compact_index
 
-    m = compact_index(reader.index_dir, out_dir)
+    m = compact_index(_single_index(reader, "compact"), out_dir)
     print(f"compacted: {m['doc_count']} docs, {m['unique_terms']} terms -> {out_dir}")
 
 
@@ -241,7 +244,8 @@ def cmd_merge(reader: IndexReader, out_dir: str, *others: str) -> None:
     """Offline N-way merge (``dumpindex merge``): this index + others."""
     from .pipelines.merge import merge_indexes
 
-    m = merge_indexes([reader.index_dir, *others], out_dir, resume=False)
+    m = merge_indexes([_single_index(reader, "merge"), *others], out_dir,
+                      resume=False)
     print(f"merged {1 + len(others)} indexes: {m['doc_count']} docs -> {out_dir}")
 
 
@@ -357,15 +361,13 @@ def cmd_runquery(reader: IndexReader, queries_path: str, k: str = "10",
     reference reads out-of-bounds position memory there — skipping is our
     defined behavior) and combining it with ``output=inex`` is refused to
     keep the XML well-formed (the reference interleaves raw text)."""
-    from pathlib import Path as _Path
-
     if output not in ("trec", "plain", "inex"):
         raise SystemExit(f"unknown output format {output!r}")
     want_passages = print_passages.lower() in ("true", "1", "yes")
     if want_passages and output == "inex":
         raise SystemExit("print_passages interleaves raw text; "
                          "use output=trec or plain")
-    lines = [ln.strip() for ln in _Path(queries_path).read_text().splitlines()
+    lines = [ln.strip() for ln in Path(queries_path).read_text().splitlines()
              if ln.strip()]
     queries = []
     for i, ln in enumerate(lines):
@@ -487,7 +489,7 @@ def cmd_modifyfields(reader: IndexReader, out_dir: str, *opts: str) -> None:
         if k not in names or not v:
             raise SystemExit(f"modifyfields: unknown option {o!r}")
         kw[names[k]] = v if k == "annotations" else tuple(v.split(","))
-    m = modify_fields(reader.index_dir, out_dir, **kw)
+    m = modify_fields(_single_index(reader, "modifyfields"), out_dir, **kw)
     print(json.dumps({"fields": m["config"]["fields"],
                       "field_stats": m["field_stats"]}))
 
@@ -518,7 +520,13 @@ def main(argv: list[str]) -> None:
     if len(argv) < 2 or argv[1] not in COMMANDS:
         print(__doc__)
         raise SystemExit(2)
-    reader = IndexReader(argv[0])
+    from .pipelines.repository import Repository
+
+    # a repository dir is read through all of its segments
+    if Path(argv[0], Repository.META).exists():
+        reader = Repository(argv[0]).reader()
+    else:
+        reader = IndexReader(argv[0])
     COMMANDS[argv[1]](reader, *argv[2:])
 
 

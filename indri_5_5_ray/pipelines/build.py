@@ -403,7 +403,7 @@ def check_disjoint(sources: list[str], out_dir: str, who: str) -> None:
 # Everything build_index writes under out_dir (plus manifest.json).  Wipes
 # target EXACTLY this set so user files co-located in an index dir (raw
 # corpora, converted/ archives, notes) are never collateral damage.
-BUILD_ARTIFACT_DIRS = ("docs", "partials", "partials_c", "postings",
+BUILD_ARTIFACT_DIRS = ("docs", "docnos", "partials", "partials_c", "postings",
                        "dictionary", "priors", "direct", "fields", "lineage",
                        "dedup_losers", "dedup_keys")
 

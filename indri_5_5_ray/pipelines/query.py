@@ -43,6 +43,11 @@ finds, sliced without a copy (the ``(startOffset, length)`` read of the
 reference's ``DiskTermData``, ref:include/indri/DiskTermData.hpp:27-38),
 and its (cf, df) is the sum over that span.  The OS page cache holds the
 mapped files, so the reader keeps no per-term cache of its own.
+
+One docno lookup.  Each docs file has a docno map, ``docnos/<stem>.arrow``
+(one docno column dense over the file's doc_id range), mapped once per
+reader: a docno page is a ``searchsorted`` over the maps' first ids and a
+zero-copy read of each id's slot.
 """
 
 from __future__ import annotations
@@ -114,12 +119,13 @@ class IndexReader:
 
     Every read goes through file sets spanning all dirs (``_dset``: the
     row-group index, the docs/fields datasets; ``_spans``: a term's rows
-    in each dir's mapped bucket file), so a segment boundary is one more
-    file boundary.  Statistics are the sums over the manifests (global, so
-    scores equal a merged single index's), and the deleted set is the
-    union of every dir's ``deleted.parquet`` and ``deleted_path``.  An
-    index whose manifest carries another ``format_version`` than
-    ``INDEX_FORMAT`` is refused: it must be rebuilt."""
+    in each dir's mapped bucket file; ``_docno_maps``: every dir's mapped
+    docno maps), so a segment boundary is one more file boundary.
+    Statistics are the sums over the manifests (global, so scores equal a
+    merged single index's), and the deleted set is the union of every
+    dir's ``deleted.parquet`` and ``deleted_path`` (a repository's own
+    list).  An index whose manifest carries another ``format_version``
+    than ``INDEX_FORMAT`` is refused: it must be rebuilt."""
 
     def __init__(self, index_dir: str | list[str],
                  deleted_path: str | None = None):
@@ -158,6 +164,7 @@ class IndexReader:
         # deleted-document list (DeletedDocumentList analogue,
         # ref:src/DeletedDocumentList.cpp): collection statistics keep the
         # deleted docs until compaction, exactly like the reference
+        self.deleted_path = deleted_path
         paths = [Path(d) / "deleted.parquet" for d in self.index_dirs]
         if deleted_path:
             paths.append(deleted_path)
@@ -168,6 +175,7 @@ class IndexReader:
         self._range_lens: dict[tuple[int, int], np.ndarray] = {}
         self._range_lens_bytes = 0
         self._maps: dict[tuple[str, int], _BucketFile] = {}
+        self._docno_index: tuple[np.ndarray, list[_DocnoMap]] | None = None
         # per-subdir dataset handles: discovery + fragment metadata (file
         # listing, footers) are paid once per reader, not per point lookup
         self._dsets: dict[str, pads.Dataset] = {}
@@ -318,17 +326,40 @@ class IndexReader:
             self._range_lens_bytes += hit.nbytes
         return hit
 
+    def _docno_maps(self) -> tuple[np.ndarray, list["_DocnoMap"]]:
+        """``(firsts, maps)``: every dir's docno maps that hold a row,
+        sorted by their first doc_id; listed once per reader."""
+        if self._docno_index is None:
+            maps = sorted((m for d in self.index_dirs
+                           for f in sorted(Path(d, "docnos").glob("*.arrow"))
+                           if (m := _DocnoMap(f)).has_rows),
+                          key=lambda m: m.first)
+            self._docno_index = (
+                np.array([m.first for m in maps], np.int64), maps)
+        return self._docno_index
+
     def docnos(self, doc_ids: list[int]) -> list[str]:
         """docID → docno forward lookup (ref:src/LocalQueryServer.cpp:167-206).
 
-        Answered by ``_point_read``, which decompresses only the docs row
-        groups holding the ids — no corpus-sized resident dict in query
-        actors."""
-        if not doc_ids:
-            return []
-        t = self._point_read("docs", doc_ids, ["doc_id", "docno"])
-        lookup = dict(zip(t.column("doc_id").to_pylist(), t.column("docno").to_pylist()))
-        return [lookup.get(d, "") for d in doc_ids]
+        One ``searchsorted`` over the docno maps' first ids, then a
+        zero-copy read of each id's slot in its memory-mapped map (the OS
+        page cache holds the docnos, not the worker heap).  An id no map
+        covers, or a deleted/deduplicated slot, gives ``""``."""
+        ids = np.asarray(doc_ids, np.int64).ravel()
+        firsts, maps = self._docno_maps()
+        which = np.searchsorted(firsts, ids, "right") - 1
+        return [maps[j].at(d - maps[j].first) if j >= 0 else ""
+                for j, d in zip(which.tolist(), ids.tolist())]
+
+    def doc_ids_of(self, docnos: list[str]) -> np.ndarray:
+        """Sorted doc_ids whose docno is in ``docnos``: an equality scan
+        over every mapped docno map (the backward lookup,
+        ref:src/Repository.cpp:367-387)."""
+        want = pa.array(sorted(set(docnos)), pa.string())
+        hits = [np.flatnonzero(pc.is_in(m.docno, value_set=want).fill_null(
+                    False).to_numpy(zero_copy_only=False)) + m.first
+                for m in self._docno_maps()[1]]
+        return np.sort(_cat(hits)) if hits else np.empty(0, np.int64)
 
     def doc_vectors(self, doc_ids: list[int]) -> dict[int, dict[str, int]]:
         """doc_id → {term: tf} from the forward ("direct") index — a
@@ -543,6 +574,47 @@ class _BucketFile:
         idx = range(len(offs) - 1)
         a = bisect.bisect_left(idx, key, key=at)
         return a, bisect.bisect_right(idx, key, lo=a, key=at)
+
+
+class _DocnoMap:
+    """One docs file's docno map (``stages.postings.write_docno_map``):
+    its ``first`` doc_id and whether it holds a row are read from the
+    footer; the docno column — and views of its validity bitmap, int32
+    offsets and UTF-8 bytes — are zero-copy views of the memory-mapped
+    file, made the first time a lookup touches it."""
+
+    def __init__(self, path: Path):
+        self._file = pa.ipc.open_file(pa.memory_map(str(path)))
+        self.first = int(self._file.schema.metadata[b"first"])
+        self.has_rows = self._file.num_record_batches > 0
+        self._docno: pa.StringArray | None = None
+
+    @property
+    def docno(self) -> pa.StringArray:
+        if self._docno is None:
+            self._load()
+        return self._docno
+
+    def _load(self) -> None:
+        col = self._docno = self._file.get_batch(0).column(0)
+        valid, offs, data = col.buffers()
+        self._n, self._off = len(col), col.offset
+        self._valid = None if valid is None else memoryview(valid)
+        self._offs = memoryview(offs).cast("i")[
+            col.offset:col.offset + len(col) + 1]
+        self._data = memoryview(data if data is not None else b"")
+
+    def at(self, i: int) -> str:
+        """The docno in slot ``i``; ``""`` past the map's end or at a
+        null slot."""
+        if self._docno is None:
+            self._load()
+        if i >= self._n:
+            return ""
+        b = i + self._off
+        if self._valid is not None and not self._valid[b >> 3] >> (b & 7) & 1:
+            return ""
+        return str(self._data[self._offs[i]:self._offs[i + 1]], "utf-8")
 
 
 # -- the one posting reader -------------------------------------------------

@@ -29,7 +29,6 @@ from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from ..config import IndexConfig
@@ -121,10 +120,7 @@ class Repository:
         return len(merged)
 
     def delete_docnos(self, docnos: list[str]) -> int:
-        t = self.reader()._dset("docs").to_table(
-            filter=pads.field("docno").isin(sorted(set(docnos))),
-            columns=["doc_id"])
-        return self.delete(t.column("doc_id").to_pylist())
+        return self.delete(self.reader().doc_ids_of(docnos).tolist())
 
     def deleted(self) -> np.ndarray:
         path = self.dir / "deleted.parquet"

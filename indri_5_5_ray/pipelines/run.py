@@ -188,8 +188,8 @@ class QueryWorker:
             out["doc_id"].extend(ids.tolist())
             out["score"].extend(scores.tolist())
             out["latency_ms"].extend([ms] * n)
-        # one batched docno lookup for the whole query batch (the lookup is
-        # a doc_id-filtered parquet read, not a resident corpus dict)
+        # one batched docno lookup for the whole query batch (a take from
+        # the memory-mapped docno maps, not a resident corpus dict)
         out["docno"] = self.reader.docnos(out["doc_id"])
         return _table(out)
 

@@ -461,8 +461,9 @@ def test_cold_lookup_maps_one_bucket_file(built_index):
 
 
 def test_other_index_format_asks_for_a_rebuild(built_index, tmp_path):
-    """An index written with another layout (e.g. parquet postings, format
-    1, or no stamp at all) is refused with a rebuild message, not read."""
+    """An index written with another layout (parquet postings, format 1;
+    no docno maps, format 2; or no stamp at all) is refused with a rebuild
+    message, not read."""
     import json
     import shutil
 
@@ -470,7 +471,7 @@ def test_other_index_format_asks_for_a_rebuild(built_index, tmp_path):
     shutil.copytree(out, tmp_path / "idx")
     path = tmp_path / "idx" / "manifest.json"
     m = json.loads(path.read_text())
-    for stamp in (1, None):
+    for stamp in (1, 2, None):
         m["format_version"] = stamp
         path.write_text(json.dumps(m))
         with pytest.raises(ValueError, match="rebuild"):

@@ -282,3 +282,19 @@ def test_remove_keeps_nested_same_field(built):
     out = str(d / "full_minus_date")
     modify_fields(full, out, remove_fields=("date",))
     assert _fields_rows(out) == _fields_rows(fresh)
+
+
+def test_modified_index_keeps_docno_map(built):
+    """The docno maps ride along into a field-modified copy: docno and
+    docID lookups on it match its source."""
+    from indri_5_5_ray.pipelines.modify import modify_fields
+    from indri_5_5_ray.pipelines.query import IndexReader
+
+    d, _corpus, small, _full = built
+    out = str(d / "small_docnos")
+    modify_fields(small, out, add_fields=("sec",))
+    src, mod = IndexReader(small), IndexReader(out)
+    ids = list(range(-1, len(DOCS) + 2))
+    want = [f"r/d{i}.txt@c{i}" if 0 <= i < len(DOCS) else "" for i in ids]
+    assert src.docnos(ids) == mod.docnos(ids) == want
+    assert mod.doc_ids_of(["r/d3.txt@c3"]).tolist() == [3]

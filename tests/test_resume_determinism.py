@@ -20,15 +20,15 @@ import pytest
 
 
 def _index_fingerprint(index_dir: str) -> dict[str, str]:
-    """sha256 of the *logical content* of every postings (Arrow IPC) and
-    dictionary/docs (parquet) file — decoded rows, not file bytes, since
+    """sha256 of the *logical content* of every postings/docnos (Arrow IPC)
+    and dictionary/docs (parquet) file — decoded rows, not file bytes, since
     parquet metadata embeds timestamps."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
     out = {}
     for sub, pattern in (("postings", "*.arrow"), ("dictionary", "*.parquet"),
-                         ("docs", "*.parquet")):
+                         ("docs", "*.parquet"), ("docnos", "*.arrow")):
         files = sorted(Path(index_dir, sub).glob(pattern))
         assert files, f"no {pattern} files in {sub}/"
         for f in files:
