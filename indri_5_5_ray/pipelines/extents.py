@@ -47,10 +47,13 @@ Scale: evaluation is vectorized over the DAAT union's candidates, the
 same shape as the document-level engine; at corpus scale it shards by
 doc-range through ``pipelines.run`` exactly like every other query (the
 statistics are collection-global and extent data reads are range-pruned
-by ``IndexReader.field_extents``).  Two per-document loops remain: the
-``[.path]`` tag-tree walk (``StructuredQueryEngine._eval_path``, also
-behind the support-path clause) and :func:`run_nested_extents`' pairing
-of ``a`` and ``b`` extents.
+by ``IndexReader.field_extents``).  No evaluation step loops over
+documents: a ``[.path]`` restriction walks the tag tree with one flat
+step per path step over all anchor extents at once, keyed by a group id
+(``StructuredQueryEngine._path_extents`` — a candidate doc for a
+restriction, an outer extent for the support-path clause), and
+:func:`run_nested_extents` pairs ``a`` and ``b`` extents with one ragged
+gather and a containment mask.
 
 Scope: the inner tree may use terms, wildcards, ``#syn``/``#wsyn``,
 ``#band``, ``#odN``/``#N``/``#uwN``, ``#combine``/``#weight``/``#wsum``/
@@ -388,14 +391,13 @@ def _spec_flat(eng: StructuredQueryEngine, spec) -> tuple:
             d = (np.repeat(fdocs, np.diff(fstarts)) if len(fdocs)
                  else np.empty(0, np.int64))
             hit = memo[key] = (d, fb, fe)
-        return hit + ({"field": spec[1], "wild": None},)
+        return hit + ({"chain": (spec[1],)},)
     if kind == "ctx":
         d, b, e = _step_flat_extents(eng, spec[1])
-        return d, b, e, {"field": None,
-                         "wild": _build_wild_context(eng, spec[1])}
+        return d, b, e, {"wild": _build_wild_context(eng, spec[1])}
     if kind == "path":
         d, b, e, ctx = _nested_chain_global(eng, tuple(spec[1]))
-        return d, b, e, {"field": None, "wild": ctx}
+        return d, b, e, {"wild": ctx}
     raise ValueError(f"unknown restriction spec {spec!r}")
 
 
@@ -447,32 +449,17 @@ def run_nested_extents(reader, a_spec, c1_query: str, b_spec,
     ev_b = _element_eval(eng, _element_eval(eng, cand, a_spec).cand, b_spec)
     if not ev_b.n_ext:
         return _empties()
-    cand = ev_b.cand
-    ev_a = _element_eval(eng, cand, a_spec)
-    a_start, ab, ae = ev_a.ext_start, ev_a.eb, ev_a.ee
-    b_start, bb, be = ev_b.ext_start, ev_b.eb, ev_b.ee
+    ev_a = _element_eval(eng, ev_b.cand, a_spec)  # the same candidates
     s1 = ev_a.belief(c1)
     s2 = ev_b.belief(c2)
     m2 = ev_b.matches(c2)
-    out_d, out_b, out_e, out_s = [], [], [], []
-    for i, did in enumerate(cand.tolist()):
-        asl = slice(int(a_start[i]), int(a_start[i + 1]))
-        bsl = slice(int(b_start[i]), int(b_start[i + 1]))
-        for ai in range(asl.start, asl.stop):
-            inside = ((bb[bsl] >= ab[ai]) & (be[bsl] <= ae[ai])
-                      & m2[bsl])
-            for bj in np.nonzero(inside)[0] + bsl.start:
-                out_d.append(did)
-                out_b.append(int(bb[bj]))
-                out_e.append(int(be[bj]))
-                out_s.append(float(s1[ai]) + float(s2[bj]))
-    if not out_d:
-        return _empties()
-    edoc = np.asarray(out_d, dtype=np.int64)
-    eb = np.asarray(out_b, dtype=np.int64)
-    ee = np.asarray(out_e, dtype=np.int64)
-    sc = np.asarray(out_s, dtype=np.float64)
-    return _rank_extents(edoc, eb, ee, sc, k)
+    # every (a, b) pair of a doc, a-major: each a extent gathers its doc's
+    # b extents and keeps the matching ones it contains
+    ai, bj = _take(ev_b.ext_start[ev_a.eidx], ev_b.ext_start[ev_a.eidx + 1])
+    keep = (ev_b.eb[bj] >= ev_a.eb[ai]) & (ev_b.ee[bj] <= ev_a.ee[ai]) & m2[bj]
+    ai, bj = ai[keep], bj[keep]
+    return _rank_extents(ev_b.cand[ev_b.eidx[bj]], ev_b.eb[bj], ev_b.ee[bj],
+                         s1[ai] + s2[bj], k)
 
 
 # ---------------------------------------------------------------------------
@@ -547,18 +534,11 @@ def element_paths(reader, doc_ids, begins, ends) -> list[str]:
     structs: dict[int, tuple | None] = {d: None for d in uniq}
     nodes_by_doc: dict[int, dict[int, tuple[str, int, int, int]]] = {
         d: {} for d in uniq}
-    no_tree = False
-    broken: set[int] = set()
     for fname in tuple(eng.r.cfg.fields or ()):
         try:
             t = eng.r.field_extents(fname, doc_ids=uniq)
         except FileNotFoundError:
-            t = None
-        if t is None or not t.num_rows:
             continue
-        if "ordinals" not in t.column_names:
-            no_tree = True
-            break
         for did, bs, es, os_, ps_ in zip(
                 t.column("doc_id").to_pylist(),
                 t.column("begins").to_pylist(),
@@ -568,21 +548,15 @@ def element_paths(reader, doc_ids, begins, ends) -> list[str]:
             nd = nodes_by_doc.get(int(did))
             if nd is None:
                 continue
-            if os_ is None or ps_ is None:
-                # pre-ordinal row (index extended across the ordinal
-                # boundary): this doc has no usable tree → path ""
-                broken.add(int(did))
-                continue
             for b, e, o, p in zip(bs, es, os_, ps_):
                 nd[int(o)] = (fname, int(b), int(e), int(p))
-    if not no_tree:
-        for d, nodes in nodes_by_doc.items():
-            if not nodes or d in broken:
-                continue
-            children: dict[int, list[int]] = {}
-            for o in sorted(nodes):
-                children.setdefault(nodes[o][3], []).append(o)
-            structs[d] = (nodes, children)
+    for d, nodes in nodes_by_doc.items():
+        if not nodes:
+            continue
+        children: dict[int, list[int]] = {}
+        for o in sorted(nodes):
+            children.setdefault(nodes[o][3], []).append(o)
+        structs[d] = (nodes, children)
     out = []
     for did, b, e in zip(
             ids, np.asarray(begins).tolist(), np.asarray(ends).tolist()):

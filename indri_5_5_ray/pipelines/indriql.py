@@ -37,7 +37,8 @@ node semantics ref:src/InferenceNetworkBuilder.cpp):
     #op[.path](...)           tag-TREE restriction inside an enclosing
                               context: path steps /f (child) //f
                               (descendant) \\f (parent) {f (inside) walk
-                              the per-doc field tree stored at ingest
+                              the tag tree stored at ingest, one flat
+                              step over every anchor extent
                               (ref:src/indrilang.g:690-741,
                               ExtentChild/Parent/Descendant nodes)
     #op[passageN:M](...)      fixed-passage retrieval: sliding windows of
@@ -56,8 +57,7 @@ Count-bearing nodes (terms, windows, syn, band) are scored with the LM
 term-score function using GLOBAL node statistics gathered in a first pass,
 exactly like the reference's two-pass statistics protocol
 (ref:src/QueryEnvironment.cpp:957-970).  A count node is an extent set
-over the candidate documents, built from flat arrays (the ``[.path]``
-tag-tree walk is the one per-document loop): a term's positions as
+over the candidate documents, built from flat arrays: a term's positions as
 ``[p, p+1)``, #syn/wildcard the union of the members' sets, #odN/#uwN
 one window kernel, #any:f and predicates the field's (satisfying)
 extents; a restriction keeps the extents contained in an extent of every
@@ -136,7 +136,7 @@ _PATH_RELS = {"//": "desc", "/": "child", "\\": "parent", "{": "inside"}
 @lru_cache(maxsize=1024)
 def _parse_path(spec: str) -> tuple[tuple[str, str], ...]:
     """``.path`` spec → ((relation, field), …) steps.  Cached: the spec is
-    a query constant but gets consulted once per candidate doc."""
+    a query constant but gets consulted once per walk."""
     steps = []
     pos = 1
     while pos < len(spec):
@@ -593,7 +593,6 @@ class StructuredQueryEngine:
         self.mu = mu
         self.lam = lam
         self.proc = TermProcessor(reader.cfg)
-        self._tree_cache: dict[int, dict] = {}   # doc → ordinal→parent map
         # cross-run memos for long-lived engines (sharded workers score the
         # SAME query once per doc-range shard; statistics and decoded
         # postings are collection-global, so recomputing them per shard
@@ -686,8 +685,8 @@ class StructuredQueryEngine:
         range-pruned) collection: ``(docs, starts, fb, fe, fo, fp, fn)``
         with rows sorted by doc_id and extents in stored (begin-asc) order
         — doc ``docs[i]``'s extents are ``fb[starts[i]:starts[i+1]]``;
-        ``fo``/``fp`` are the tag-tree ordinals/parents (None on a
-        pre-ordinal index), ``fn`` the numeric values.  The one copy of a
+        ``fo``/``fp`` are the tag-tree ordinals/parents, ``fn`` the
+        numeric values.  The one copy of a
         field's extents: during a PRUNED run (statistics pre-seeded, see
         :meth:`run`) the read is doc-range-pruned, and global field
         statistics are never recomputed from it (the strict-stats guard
@@ -705,8 +704,7 @@ class StructuredQueryEngine:
         except FileNotFoundError:
             t = None
         if t is None or not t.num_rows:
-            out = (_EMPTY, np.zeros(1, np.int64), _EMPTY, _EMPTY, None, None,
-                   _EMPTY)
+            out = (_EMPTY, np.zeros(1, np.int64)) + (_EMPTY,) * 5
         else:
             import pyarrow.compute as _pc
 
@@ -720,31 +718,15 @@ class StructuredQueryEngine:
                 t.column("ends")).to_numpy().astype(np.int64)
             fn = _pc.list_flatten(
                 t.column("numbers")).to_numpy().astype(np.int64)
-            fo = fp = None
-            if ("ordinals" in t.column_names
-                    and t.column("ordinals").null_count == 0
-                    and t.column("parent_ordinals").null_count == 0):
-                fo = _pc.list_flatten(
-                    t.column("ordinals")).to_numpy().astype(np.int64)
-                fp = _pc.list_flatten(
-                    t.column("parent_ordinals")).to_numpy().astype(np.int64)
+            fo = _pc.list_flatten(
+                t.column("ordinals")).to_numpy().astype(np.int64)
+            fp = _pc.list_flatten(
+                t.column("parent_ordinals")).to_numpy().astype(np.int64)
             starts = np.zeros(len(docs) + 1, dtype=np.int64)
             np.cumsum(lens, out=starts[1:])
             out = (docs, starts, fb, fe, fo, fp, fn)
         cache[key] = out
         return out
-
-    def _field_slice(self, fname: str, did: int):
-        """One doc's extents of a field from :meth:`_field_csr`:
-        ``(begins, ends, ordinals | None, parents | None)``, or None when
-        the doc carries no row of the field."""
-        docs, starts, fb, fe, fo, fp = self._field_csr(fname)[:6]
-        i = int(np.searchsorted(docs, did))
-        if i >= len(docs) or int(docs[i]) != did:
-            return None
-        sl = slice(int(starts[i]), int(starts[i + 1]))
-        return (fb[sl], fe[sl], fo[sl] if fo is not None else None,
-                fp[sl] if fp is not None else None)
 
     def _field_len(self, fname: str, cand: np.ndarray) -> np.ndarray:
         """Per-candidate field length: the sum of the doc's raw extent
@@ -756,69 +738,70 @@ class StructuredQueryEngine:
         csum = np.concatenate(([0], np.cumsum(fe - fb)))
         return (csum[hi] - csum[lo]).astype(np.float64)
 
-    def _doc_tree(self, did: int) -> dict[int, int]:
-        """ordinal → parent_ordinal over every indexed field of one doc
-        (the DocumentStructure tree, ref:src/DocumentStructure.cpp:35-99)."""
-        hit = self._tree_cache.get(did)
-        if hit is not None:
-            return hit
-        tree: dict[int, int] = {}
-        for fname in self.r.cfg.fields:
-            ext = self._field_slice(fname, did)
-            if ext is None or ext[2] is None:
-                continue
-            for o, p in zip(ext[2].tolist(), ext[3].tolist()):
-                tree[int(o)] = int(p)
-        self._tree_cache[did] = tree
-        return tree
+    def _parent_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every doc's tag tree (the DocumentStructure, ref:src/
+        DocumentStructure.cpp:35-99) as one sorted table over all indexed
+        fields: ``(keys, parents)`` with ``keys = doc << 32 | ordinal``.
+        Cached on the reader beside :meth:`_field_csr` (same doc range)."""
+        cache = self.r.__dict__.setdefault("_parent_table_cache", {})
+        hit = cache.get(self._field_range)
+        if hit is None:
+            keys, parents = [_EMPTY], [_EMPTY]
+            for fname in self.r.cfg.fields or ():
+                docs, starts, _b, _e, fo, fp = self._field_csr(fname)[:6]
+                keys.append((np.repeat(docs, np.diff(starts)) << 32) | fo)
+                parents.append(fp)
+            keys, parents = np.concatenate(keys), np.concatenate(parents)
+            o = np.argsort(keys, kind="stable")
+            hit = cache[self._field_range] = (keys[o], parents[o])
+        return hit
 
-    def _eval_path(self, did: int, spec: str, outer):
-        """Evaluate a ``[.path]`` chain for one doc: start from the outer
-        context's extents ``(begins, ends, ordinals, parents)`` and step
-        through child ``/f``, descendant ``//f``, parent ``\\f`` and inside
-        ``{f`` relations over the stored tag tree (ExtentChild/Descendant/
-        Parent match by ordinal, ref:src/ExtentChildNode.cpp:51-69,
-        ref:src/ExtentParentNode.cpp:82,
-        ref:src/ExtentDescendantNode.cpp:80).  Returns the matched extents
-        in the same shape, or None when nothing matches."""
-        if outer is None:
-            return None
-        cur_b, cur_e, cur_o, cur_p = outer
+    def _path_extents(self, spec: str, gdoc: np.ndarray, cur: tuple
+                      ) -> tuple:
+        """Walk a ``[.path]`` chain from anchor extents ``cur = (group,
+        begins, ends, ordinals, parents)``, sorted by (group, begin), where
+        group ``g`` lies in doc ``gdoc[g]`` (``gdoc`` non-decreasing).
+        Each step keeps, per group, the step field's extents of the
+        group's doc that stand in the step's relation to some current
+        extent of the SAME group — child ``/f``: its parent is one
+        (ExtentChild, ref:src/ExtentChildNode.cpp:51-69); parent ``\\f``:
+        it is one's parent (ref:src/ExtentParentNode.cpp:82); descendant
+        ``//f``: one is an ancestor, found by parent-pointer jumps through
+        :meth:`_parent_table`, one vectorized jump per tree level
+        (ref:src/ExtentDescendantNode.cpp:80); inside ``{f``: one
+        contains it (:func:`_contained`).  Ordinal tests are ``isin``
+        over ``group << 32 | ordinal`` keys.  Returns the matched extents
+        in the same shape and order: per group, the last step field's
+        extents in stored (begin-asc) order."""
         for rel, fname in _parse_path(spec):
-            ext = self._field_slice(fname, did)
-            if ext is None:
-                return None
-            fb, fe, ford, fpar = ext
+            g, b, e, o, p = cur
+            docs, starts, fb, fe, fo, fp = self._field_csr(fname)[:6]
+            grp = np.unique(g)
+            rows, idx = _take(*_csr_bounds(docs, starts, gdoc[grp]))
+            sg = grp[rows]
             if rel == "inside":
-                o = np.argsort(cur_b, kind="stable")
-                keep = _contained(np.zeros(len(fb), np.int64), fb, fe,
-                                  np.zeros(len(o), np.int64), cur_b[o],
-                                  cur_e[o])
-            else:
-                if ford is None or cur_o is None:
-                    raise ValueError(
-                        "path restriction needs tag-tree ordinals — rebuild "
-                        "the index (its fields/ predates ordinal support)")
-                if rel == "child":
-                    keep = np.isin(fpar, cur_o)
-                elif rel == "parent":
-                    keep = np.isin(ford, cur_p[cur_p > 0])
-                else:  # desc: an ancestor of the extent is a context extent
-                    tree = self._doc_tree(did)
-                    cur_set = set(cur_o.tolist())
-                    keep = np.zeros(len(ford), dtype=bool)
-                    for i, p in enumerate(fpar.tolist()):
-                        while p > 0:
-                            if p in cur_set:
-                                keep[i] = True
-                                break
-                            p = tree.get(p, 0)
-            if not keep.any():
-                return None
-            cur_b, cur_e = fb[keep], fe[keep]
-            cur_o = ford[keep] if ford is not None else None
-            cur_p = fpar[keep] if fpar is not None else None
-        return cur_b, cur_e, cur_o, cur_p
+                keep = _contained(sg, fb[idx], fe[idx], g, b, e)
+            elif rel == "child":
+                keep = np.isin((sg << 32) | fp[idx], (g << 32) | o)
+            elif rel == "parent":
+                keep = np.isin((sg << 32) | fo[idx], ((g << 32) | p)[p > 0])
+            else:  # desc
+                anchors = (g << 32) | o
+                keys, parents = self._parent_table()
+                keep = np.zeros(len(idx), dtype=bool)
+                up = fp[idx]
+                live = np.flatnonzero(up > 0)
+                while len(live):
+                    hit = np.isin((sg[live] << 32) | up[live], anchors)
+                    keep[live[hit]] = True
+                    live = live[~hit]
+                    key = (gdoc[sg[live]] << 32) | up[live]
+                    j = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+                    up[live] = np.where(keys[j] == key, parents[j], 0)
+                    live = live[up[live] > 0]
+            idx = idx[keep]
+            cur = sg[keep], fb[idx], fe[idx], fo[idx], fp[idx]
+        return cur
 
     # -- belief computation (proper) ----------------------------------------
 
@@ -1130,10 +1113,11 @@ class _ExtentEval:
     """THE belief recursion: scores a query tree over a flat extent set —
     candidate ``cand[i]`` owns extents ``[eb, ee)[ext_start[i]:ext_start[i
     + 1]]`` — with per-extent counts and smoothing lengths, in one
-    statistics context: the collection (documents and passages), an
-    element root's ``field``, or a FieldWildcard / path-chain context
-    (``wild``: the context's nonzero extents ``(docs, begins, ends)`` +
-    context size).
+    statistics context: the collection (documents and passages), the
+    restriction ``chain`` the extents come from (an element root's
+    ``(f,)``, a support clause's ``(f, path)``), or a FieldWildcard /
+    path-chain context (``wild``: the context's nonzero extents ``(docs,
+    begins, ends)`` + context size).
 
     Counting is one recursion too: a count node is an extent set over
     the candidates (:meth:`extents` — a term's positions as ``[p, p+1)``,
@@ -1153,7 +1137,7 @@ class _ExtentEval:
 
     def __init__(self, eng: StructuredQueryEngine, cand: np.ndarray,
                  ext_start: np.ndarray, eb: np.ndarray, ee: np.ndarray,
-                 field: str | None = None, wild: tuple | None = None,
+                 chain: tuple[str, ...] = (), wild: tuple | None = None,
                  stack: tuple[str, ...] = (), whole: bool = False):
         self.eng = eng
         self.cand = cand
@@ -1163,13 +1147,13 @@ class _ExtentEval:
         self.whole = whole
         self.n_ext = len(eb)
         self.dl_ext = (ee if whole else ee - eb).astype(np.float64)
-        self.field = field
+        self.chain = chain
         self.wild = wild
         self.stack = list(stack)  # active #op[f] restrictions
         if wild is not None:
             self.total = wild[3]  # _belief_from_counts floors total ≤ 0
-        elif field is not None:
-            st = eng.r.field_stats(field)
+        elif chain:
+            st = eng.r.field_stats(_ctx_field_name(chain[-1]))
             self.total = float(st["total_len"]) if st else 0.0
         else:
             self.total = None  # collection-global
@@ -1206,10 +1190,6 @@ class _ExtentEval:
                            stack=tuple(self.stack))
 
     @cached_property
-    def cand_list(self) -> list[int]:
-        return self.cand.tolist()
-
-    @cached_property
     def n_per(self) -> np.ndarray:
         """extents per candidate"""
         return np.diff(self.ext_start)
@@ -1233,7 +1213,7 @@ class _ExtentEval:
 
     def _rfields(self) -> tuple[str, ...]:
         """Restriction chain of the node statistics (and filters)."""
-        return ((self.field,) if self.field else ()) + tuple(self.stack)
+        return self.chain + tuple(self.stack)
 
     @contextmanager
     def _within(self, entry: str):
@@ -1246,7 +1226,7 @@ class _ExtentEval:
     def _check_nested(self, node: Node) -> None:
         """Restrictions nest only below documents and passages; a passage
         only below a document."""
-        if ((self.field is not None or self.wild is not None)
+        if (self.chain or self.wild is not None
                 or (node.op == "passage" and not self.whole)):
             raise ValueError(
                 f"element-level retrieval does not support nested "
@@ -1411,13 +1391,11 @@ class _ExtentEval:
 
     def _field(self, fname: str):
         """One field's extents in the candidate docs: ``(cand index,
-        begins, ends, ordinals | None, parents | None, numbers)``."""
+        begins, ends, ordinals, parents, numbers)``."""
         def build():
-            docs, starts, fb, fe, fo, fp, fn = self.eng._field_csr(fname)
+            docs, starts, *cols = self.eng._field_csr(fname)
             d, idx = _take(*_csr_bounds(docs, starts, self.cand))
-            return (d, fb[idx], fe[idx],
-                    fo[idx] if fo is not None else None,
-                    fp[idx] if fp is not None else None, fn[idx])
+            return (d,) + tuple(c[idx] for c in cols)
         return self._memoized(("field", fname), build)
 
     def _restrict(self, ext, rf: tuple[str, ...]):
@@ -1435,52 +1413,30 @@ class _ExtentEval:
     def _restriction(self, rf: tuple[str, ...]) -> list[tuple]:
         """Restriction chain → its extent sets over the candidates.  A
         plain field entry adds its extents; a ``[.path]`` entry REPLACES
-        the accumulated sets with the path's extents, walked per doc from
-        the previous entry's (ExtentRestriction swaps in the path node's
-        extents, ref:src/indrilang.g:680-686); ``*`` is the ``wild``
-        context."""
+        the accumulated sets with the path's extents, walked from the
+        previous field or path entry's extents with each candidate as one
+        group (ExtentRestriction swaps in the path node's extents,
+        ref:src/indrilang.g:680-686); ``*`` is the ``wild`` context."""
         return self._memoized(("rf", rf), lambda: self._restriction_sets(rf))
 
     def _restriction_sets(self, rf: tuple[str, ...]) -> list[tuple]:
         sets: list[tuple] = []
-        prev = None
+        prev = None  # the last field or path entry's extents
         for entry in rf:
             if entry == "*":
                 wd, wb, we = self.wild[:3]
                 d, idx = _take(np.searchsorted(wd, self.cand, "left"),
                                np.searchsorted(wd, self.cand, "right"))
-                prev = (d, wb[idx], we[idx], None, None)
-                sets.append(prev[:3])
+                sets.append((d, wb[idx], we[idx]))
+                prev = None  # the wildcard context carries no tag tree
             elif entry.startswith("."):
-                prev = self._path(entry, prev)
+                prev = (_EMPTY,) * 5 if prev is None else \
+                    self.eng._path_extents(entry, self.cand, prev)
                 sets = [prev[:3]]
             else:
                 prev = self._field(entry)[:5]
                 sets.append(prev[:3])
         return sets
-
-    def _path(self, spec: str, prev):
-        """``[.path]`` extents of every candidate, anchored at the
-        previous entry's extents — the per-doc tag-tree walk."""
-        out = [[] for _ in range(5)]
-        if prev is not None:
-            d, b, e, o, p = prev
-            lo = np.searchsorted(d, np.arange(len(self.cand)), "left")
-            hi = np.searchsorted(d, np.arange(len(self.cand)), "right")
-            for i in np.flatnonzero(hi > lo).tolist():
-                sl = slice(int(lo[i]), int(hi[i]))
-                m = self.eng._eval_path(
-                    self.cand_list[i], spec,
-                    (b[sl], e[sl], o[sl] if o is not None else None,
-                     p[sl] if p is not None else None))
-                if m is not None:
-                    out[0].append(np.full(len(m[0]), i, np.int64))
-                    for k in range(4):
-                        out[k + 1].append(m[k])
-        if not out[0]:
-            return _EMPTY, _EMPTY, _EMPTY, None, None
-        return tuple(None if any(x is None for x in col)
-                     else np.concatenate(col) for col in out)
 
     # -- FieldWildcard-context statistics ----------------------------------
 
@@ -1516,7 +1472,7 @@ class _ExtentEval:
         translation of a NEXI support path ``about(.//title, terms)``;
         every child a path-ctx node (below documents and passages the
         generic recursion scores it)."""
-        return ((self.field is not None or self.wild is not None)
+        return ((bool(self.chain) or self.wild is not None)
                 and node.op == "max" and bool(node.children)
                 and all(c.op == "ctx" and c.term.startswith(".")
                         for c in node.children))
@@ -1528,17 +1484,22 @@ class _ExtentEval:
         and no-match path extents skipped, ref:src/ExtentRestrictionNode.
         cpp:58-74) and MaxNode keeps the best — extents with NO surviving
         inner result produce no result at all (-inf here; MaxNode returns
-        an empty list, ref:include/indri/MaxNode.hpp:75-98).  Statistics
-        reuse the document engine's memoized node counts (rfields =
-        (outer field, path)), so values match the doc path exactly."""
-        eng = self.eng
-        if self.field is None:
+        an empty list, ref:include/indri/MaxNode.hpp:75-98).  The path is
+        walked with every outer extent as its own group, and the path
+        extents score through a child evaluator in the ``(outer field,
+        path)`` statistics context — the doc path's statistics."""
+        if len(self.chain) != 1:
             raise ValueError(
                 "path-restricted clauses need a field-restriction root")
+        # this evaluator's extents are the field's nonzero extents
+        # (_element_eval), in the same order
+        b, e, o, p = self._field(self.chain[0])[1:5]
+        nz = e > b
+        gdoc = self.cand[self.eidx]
+        anchors = (np.arange(self.n_ext, dtype=np.int64), b[nz], e[nz],
+                   o[nz], p[nz])
         out = np.full(self.n_ext, -np.inf)
-        fdocs, fstarts, fb, fe, fo, fp = eng._field_csr(self.field)[:6]
         for ctx_node in node.children:
-            spec = ctx_node.term
             sub = ctx_node.children[0]
             subs = sub.children if sub.op in ("combine", "weight") \
                 else [sub]
@@ -1546,57 +1507,18 @@ class _ExtentEval:
                 raise ValueError(
                     "element-level path support clauses accept plain "
                     "#combine term lists only")
-            terms = [eng._node_term(c) for c in subs]
-            rfields = (self.field, spec)
-            st = eng.r.field_stats(_ctx_field_name(spec))
-            total = float(st["total_len"]) if st else 0.0
-            cfs = [eng._node_global_cf(c, rfields) for c in subs]
-            for i, did in enumerate(self.cand_list):
-                ri = int(np.searchsorted(fdocs, did))
-                if ri >= len(fdocs) or int(fdocs[ri]) != did:
-                    continue
-                fsl = slice(int(fstarts[ri]), int(fstarts[ri + 1]))
-                b_doc, e_doc = fb[fsl], fe[fsl]
-                nz = np.nonzero(e_doc > b_doc)[0]
-                sl0 = int(self.ext_start[i])
-                for jj, src in enumerate(nz.tolist()):
-                    outer = (b_doc[src:src + 1], e_doc[src:src + 1],
-                             fo[fsl][src:src + 1] if fo is not None
-                             else None,
-                             fp[fsl][src:src + 1] if fp is not None
-                             else None)
-                    m = eng._eval_path(did, spec, outer)
-                    if m is None:
-                        continue
-                    pbs, pes = m[0], m[1]
-                    best = -np.inf
-                    for pb, pe in zip(pbs.tolist(), pes.tolist()):
-                        if pe <= pb:
-                            continue
-                        cs = []
-                        for t in terms:
-                            tp = eng._postings.get(t) if t else None
-                            c = 0.0
-                            if tp is not None:
-                                pos_d = np.searchsorted(tp[0], did)
-                                if (pos_d < len(tp[0])
-                                        and tp[0][pos_d] == did
-                                        and tp[2] is not None):
-                                    run = tp[2][tp[3][pos_d]:
-                                                tp[3][pos_d + 1]]
-                                    c = float(np.searchsorted(run, pe)
-                                              - np.searchsorted(run, pb))
-                            cs.append(c)
-                        if not any(c > 0 for c in cs):
-                            continue  # inner hasMatch gate
-                        kids = [eng._belief_from_counts(
-                            np.asarray([c]), np.asarray([float(pe - pb)]),
-                            cf, total)
-                            for c, cf in zip(cs, cfs)]
-                        best = max(best, float(combine("combine", (),
-                                                       kids)[0]))
-                    j = sl0 + jj
-                    out[j] = max(out[j], best)
+            g, pb, pe = self.eng._path_extents(ctx_node.term, gdoc,
+                                               anchors)[:3]
+            keep = pe > pb
+            g, pb, pe = g[keep], pb[keep], pe[keep]
+            cand, n_per = np.unique(gdoc[g], return_counts=True)
+            ext_start = np.zeros(len(cand) + 1, dtype=np.int64)
+            np.cumsum(n_per, out=ext_start[1:])
+            ev = _ExtentEval(self.eng, cand, ext_start, pb, pe,
+                             chain=self.chain + (ctx_node.term,))
+            bel = ev.belief(sub)
+            m = ev.matches(sub)  # the inner hasMatch gate
+            np.maximum.at(out, g[m], bel[m])
         return out
 
     # -- matches -----------------------------------------------------------

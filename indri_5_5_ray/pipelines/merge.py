@@ -32,7 +32,7 @@ from ..config import IndexConfig
 from ..stages.postings import (PARTIALS_SCHEMA, _flatten_list_column,
                                write_docs, write_partials)
 from .build import check_disjoint, merge_partials, sum_field_stats, write_manifest
-from .query import load_deleted
+from .query import load_deleted, read_manifest
 
 
 def _set_column(t: pa.Table, name: str, arr: pa.Array) -> pa.Table:
@@ -101,7 +101,7 @@ def merge_indexes(index_dirs: list[str], out_dir: str,
                   resume: bool = True) -> dict:
     """Merge N compatible indexes into one (docIDs rebased in input order)."""
     check_disjoint(index_dirs, out_dir, "merge_indexes")
-    manifests = [json.loads((Path(d) / "manifest.json").read_text()) for d in index_dirs]
+    manifests = [read_manifest(d) for d in index_dirs]
     cfgs = [m["config"] for m in manifests]
     for c in cfgs[1:]:  # compatibility validation (like the reference's
         # stemmer/field check, ref:src/Repository.cpp:1365-1483) — layout

@@ -39,7 +39,6 @@ module-level memo (filesystem broadcast).
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 from pathlib import Path
@@ -50,6 +49,7 @@ import ray
 from ..config import IndexConfig
 from ..stages.ingest import fields_rows_to_table
 from .build import check_disjoint, sum_field_stats, write_manifest
+from .query import read_manifest
 
 # per-worker memoized offset-annotation tables (paths key -> docno ->
 # rows), module-level so every task in a worker shares one copy
@@ -212,7 +212,7 @@ def modify_fields(index_dir: str, out_dir: str,
     check_disjoint([index_dir], out_dir, "modify_fields")
     src = Path(index_dir).resolve()
     out = Path(out_dir).resolve()
-    manifest = json.loads((src / "manifest.json").read_text())
+    manifest = read_manifest(src)
     cfg = IndexConfig.from_dict(manifest["config"])
     rm = set(remove_fields)
     unknown = rm - set(cfg.fields)

@@ -105,6 +105,19 @@ def load_deleted(path: Path | str) -> np.ndarray | None:
     return arr if len(arr) else None
 
 
+def read_manifest(index_dir: str | Path) -> dict:
+    """An index's manifest.  An index whose manifest carries another
+    ``format_version`` than ``INDEX_FORMAT`` is refused: it must be
+    rebuilt (every reader and writer of an existing index opens it
+    here)."""
+    m = json.loads((Path(index_dir) / "manifest.json").read_text())
+    if m.get("format_version") != INDEX_FORMAT:
+        raise ValueError(
+            f"{index_dir}: index format {m.get('format_version')} is not "
+            f"{INDEX_FORMAT}; rebuild the index with this version")
+    return m
+
+
 def _overlaps(rows: pa.Table, doc_range: tuple[int, int]) -> pa.ChunkedArray:
     """Mask of posting rows whose [first_doc, last_doc] meets [lo, hi)."""
     return pc.and_(pc.greater_equal(rows.column("last_doc"), doc_range[0]),
@@ -134,13 +147,7 @@ class IndexReader:
         if not self.index_dirs:
             raise ValueError("no index dirs")
         self.index_dir = self.index_dirs[0]
-        manifests = [json.loads((Path(d) / "manifest.json").read_text())
-                     for d in self.index_dirs]
-        for d, m in zip(self.index_dirs, manifests):
-            if m.get("format_version") != INDEX_FORMAT:
-                raise ValueError(
-                    f"{d}: index format {m.get('format_version')} is not "
-                    f"{INDEX_FORMAT}; rebuild the index with this version")
+        manifests = [read_manifest(d) for d in self.index_dirs]
         self.cfg = IndexConfig.from_dict(manifests[0]["config"])
         if any(IndexConfig.from_dict(m["config"]).to_dict() != self.cfg.to_dict()
                for m in manifests[1:]):
@@ -432,10 +439,10 @@ class IndexReader:
 
     def field_extents(self, field: str, doc_ids: list[int] | None = None,
                       doc_range: tuple[int, int] | None = None) -> pa.Table:
-        """(doc_id, begins, ends, numbers) extent rows of one field —
-        pruned by field value (row-group stats) and, when given, by doc set
-        (doc-range partitioned files).  Raises FileNotFoundError when the
-        index was built without field specs."""
+        """(doc_id, begins, ends, numbers, ordinals, parent_ordinals)
+        extent rows of one field — pruned by field value (row-group stats)
+        and, when given, by doc set (doc-range partitioned files).  Raises
+        FileNotFoundError when the index was built without field specs."""
         dset = self._dset("fields")
         expr = pads.field("field") == field
         if doc_ids is not None:
@@ -443,10 +450,8 @@ class IndexReader:
         if doc_range is not None:
             expr = expr & (pads.field("doc_id") >= doc_range[0]) \
                         & (pads.field("doc_id") < doc_range[1])
-        cols = ["doc_id", "begins", "ends", "numbers"]
-        # tag-tree columns (indexes built before ordinals existed lack them)
-        names = dset.schema.names
-        cols += [c for c in ("ordinals", "parent_ordinals") if c in names]
+        cols = ["doc_id", "begins", "ends", "numbers", "ordinals",
+                "parent_ordinals"]
         if doc_range is not None and doc_ids is None:
             # sharded-extents scatter: read only the doc-range fragments
             # this shard owns (the fields dir is doc-range sharded; a

@@ -34,7 +34,7 @@ import pyarrow.parquet as pq
 from ..config import IndexConfig
 from .build import build_index, sum_field_stats, write_manifest
 from .merge import write_merged
-from .query import IndexReader
+from .query import IndexReader, read_manifest
 
 
 class Repository:
@@ -190,6 +190,7 @@ def _build_merged(seg_dirs: list[str], out_tmp: Path, cfg: IndexConfig,
     rebase: segment docIDs are already disjoint), run the build's merge
     phase, and write a manifest with statistics recomputed from the kept
     docs."""
+    manifests = [read_manifest(seg) for seg in seg_dirs]
     shutil.rmtree(out_tmp, ignore_errors=True)
     unique_terms, timings = write_merged(
         seg_dirs, out_tmp, cfg, [0] * len(seg_dirs), deleted, plan_fp)
@@ -209,9 +210,7 @@ def _build_merged(seg_dirs: list[str], out_tmp: Path, cfg: IndexConfig,
     # field totals are summed as-built (refreshed by a full rebuild;
     # pre-rebuild they keep deleted docs' extents, the same freshness
     # contract the reference gives un-compacted statistics)
-    field_stats = sum_field_stats(
-        json.loads((Path(seg) / "manifest.json").read_text()).get("field_stats")
-        for seg in seg_dirs)
+    field_stats = sum_field_stats(m.get("field_stats") for m in manifests)
     return write_manifest(
         out_tmp, cfg, doc_count=doc_count, total_terms=total_terms,
         min_doc_id=min(lo, default=0), max_doc_id=max(hi, default=0),

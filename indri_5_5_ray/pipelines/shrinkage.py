@@ -160,8 +160,6 @@ class ShrinkageScorer:
         kw = ({"doc_range": (lo, hi)} if dense else {"doc_ids": missing})
         for fname in fields:
             t = self.r.field_extents(fname, **kw)
-            if "ordinals" not in t.column_names:
-                raise ValueError("index lacks tag-tree ordinals")
             for row in t.to_pylist():
                 d = row["doc_id"]
                 rows = per_doc.setdefault(d, [])
@@ -403,8 +401,6 @@ class ShrinkageScorer:
         cand = cand[np.isin(cand, docs)]
         if not len(cand):
             return empties
-        if fo is None:
-            raise ValueError("index lacks tag-tree ordinals")
         rows, idx = _take(*_csr_bounds(docs, starts, cand))
         nz = fe[idx] > fb[idx]
         n_per = np.bincount(rows[nz], minlength=len(cand))

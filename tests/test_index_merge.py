@@ -197,3 +197,29 @@ def test_merge_into_source_refused(tmp_path, resume):
             merge_indexes([a, b], out, resume=resume)
     assert IndexReader(a).doc_count == 60
     assert IndexReader(b).doc_count == 40
+
+
+def test_merge_refuses_other_index_format(tmp_path):
+    """A source of another index format is refused with the rebuild
+    message, before anything is written: its tables are copied with
+    their columns, so the output would carry the old layout under the
+    current format stamp."""
+    import json
+
+    from indri_5_5_ray.config import IndexConfig
+    from indri_5_5_ray.pipelines.build import build_index
+    from indri_5_5_ray.pipelines.merge import merge_indexes
+    from indri_5_5_ray.sources.corpus import write_synthetic_corpus
+
+    write_synthetic_corpus(str(tmp_path / "ca"), 40, seed=3, rows_per_file=40)
+    write_synthetic_corpus(str(tmp_path / "cb"), 30, seed=4, rows_per_file=30)
+    cfg = IndexConfig(max_chunk_docs=32, n_buckets=2, dedup_key=None)
+    a, b = tmp_path / "a", tmp_path / "b"
+    build_index(str(tmp_path / "ca"), str(a), cfg, resume=False)
+    build_index(str(tmp_path / "cb"), str(b), cfg, resume=False)
+    m = json.loads((b / "manifest.json").read_text())
+    m["format_version"] = 2
+    (b / "manifest.json").write_text(json.dumps(m))
+    with pytest.raises(ValueError, match="rebuild"):
+        merge_indexes([str(a), str(b)], str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()

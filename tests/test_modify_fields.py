@@ -298,3 +298,22 @@ def test_modified_index_keeps_docno_map(built):
     want = [f"r/d{i}.txt@c{i}" if 0 <= i < len(DOCS) else "" for i in ids]
     assert src.docnos(ids) == mod.docnos(ids) == want
     assert mod.doc_ids_of(["r/d3.txt@c3"]).tolist() == [3]
+
+
+def test_modify_refuses_other_index_format(built, tmp_path):
+    """A source of another index format is refused with the rebuild
+    message: its files are hard-linked into the output, which would
+    otherwise be stamped with the current format."""
+    import shutil
+
+    from indri_5_5_ray.pipelines.modify import modify_fields
+
+    _d, _corpus, small, _full = built
+    src = tmp_path / "old"
+    shutil.copytree(small, src)
+    m = json.loads((src / "manifest.json").read_text())
+    m["format_version"] = 2
+    (src / "manifest.json").write_text(json.dumps(m))
+    with pytest.raises(ValueError, match="rebuild"):
+        modify_fields(str(src), str(tmp_path / "out"), remove_fields=("size",))
+    assert not (tmp_path / "out").exists()

@@ -12,6 +12,8 @@ import math
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 MU = 2500.0
 
@@ -177,3 +179,147 @@ def test_path_restriction_sharded(nested_index):
                             concurrency=2, kind="structured")
     assert t.column("doc_id").to_pylist() == ids.tolist()
     np.testing.assert_array_equal(t.column("score").to_numpy(), sc)
+
+
+# ---------------------------------------------------------------------------
+# differential property test: the flat path-step kernel vs a per-document
+# brute-force walker over random nested tag trees
+# ---------------------------------------------------------------------------
+
+TREE_FIELDS = ("sec", "p", "title")
+_REL = {"/": "child", "//": "desc", "\\": "parent", "{": "inside"}
+
+
+
+@st.composite
+def _trees(draw, depth: int = 0):
+    """A tag tree node ``(field, children)`` or a word list; deep trees
+    are likely, so descendant steps jump several levels."""
+    if depth >= 5 or draw(st.integers(0, 3)) == 0:
+        return draw(st.lists(st.sampled_from(["w", "x"]), max_size=2))
+    return (draw(st.sampled_from(TREE_FIELDS)),
+            [draw(_trees(depth + 1)) for _ in range(draw(st.integers(0, 2)))])
+
+
+_paths = st.lists(st.tuples(st.sampled_from(sorted(_REL)),
+                            st.sampled_from(TREE_FIELDS)),
+                  min_size=1, max_size=3)
+
+
+def _render(node) -> str:
+    if isinstance(node, list):
+        return " ".join(node)
+    tag, kids = node
+    return f"<{tag}> " + " ".join(_render(k) for k in kids) + f" </{tag}>"
+
+
+def _doc_extents(docs: list) -> list[dict]:
+    """Per doc: field → [(begin, end, ordinal, parent)] in stored order,
+    through the ingest rule (``extract_extents_tree``)."""
+    from indri_5_5_ray.fields import extract_extents_tree, tokenize_bytes_events
+
+    out = []
+    for doc in docs:
+        toks, events = tokenize_bytes_events(
+            " ".join(_render(n) for n in doc).encode())
+        tree = extract_extents_tree(events, len(toks), TREE_FIELDS)
+        out.append({f: [(b, e, o, p) for b, e, _n, o, p in rows]
+                    for f, rows in tree.items()})
+    return out
+
+
+class _TreeEngine:
+    """The engine's path kernel over in-memory field tables (the
+    ``_field_csr`` layout), no index needed."""
+
+    def __init__(self, exts: list[dict]):
+        import types
+
+        import numpy as np
+
+        from indri_5_5_ray.pipelines.indriql import StructuredQueryEngine
+
+        self.r = types.SimpleNamespace(
+            cfg=types.SimpleNamespace(fields=TREE_FIELDS))
+        self._field_range = None
+        self._csr = {}
+        for f in TREE_FIELDS:
+            docs = [d for d, x in enumerate(exts) if x.get(f)]
+            rows = [r for d in docs for r in exts[d][f]]
+            cols = np.array(rows, np.int64).reshape(-1, 4).T
+            starts = np.cumsum([0] + [len(exts[d][f]) for d in docs])
+            self._csr[f] = (np.array(docs, np.int64), starts, *cols,
+                            np.zeros(len(rows), np.int64))
+        self.path_extents = StructuredQueryEngine._path_extents.__get__(self)
+        self._parent_table = StructuredQueryEngine._parent_table.__get__(self)
+
+    def _field_csr(self, fname):
+        return self._csr[fname]
+
+
+def _walk(doc: dict, anchors: list, steps) -> list:
+    """Brute-force per-document path walk from anchor extents."""
+    parent = {o: p for rows in doc.values() for _b, _e, o, p in rows}
+    cur = anchors
+    for op, fname in steps:
+        rel, keep = _REL[op], []
+        for x in doc.get(fname, []):
+            b, e, o, p = x
+            if rel == "child":
+                ok = any(p == c[2] for c in cur)
+            elif rel == "parent":
+                ok = any(o == c[3] for c in cur)
+            elif rel == "inside":
+                ok = any(c[0] <= b and e <= c[1] for c in cur)
+            else:
+                ups, a = set(), p
+                while a > 0:
+                    ups.add(a)
+                    a = parent[a]
+                ok = any(c[2] in ups for c in cur)
+            if ok:
+                keep.append(x)
+        cur = keep
+    return cur
+
+
+def _flat(groups, gdoc):
+    """``(group, begin, end, ordinal, parent)`` anchor arrays."""
+    import numpy as np
+
+    rows = [(g,) + x for g, xs in enumerate(groups) for x in xs]
+    return tuple(np.array(rows, np.int64).reshape(-1, 5).T)
+
+
+_DEEP = ("sec", [("p", [("sec", [("title", [["w"]])]), ("title", [])])])
+
+
+@settings(max_examples=200, deadline=None)
+@given(docs=st.lists(st.lists(_trees(), min_size=1, max_size=3), min_size=1,
+                     max_size=4),
+       steps=_paths, anchor=st.sampled_from(TREE_FIELDS))
+@example(docs=[[_DEEP, _DEEP]], steps=[("//", "title")], anchor="sec")
+@example(docs=[[_DEEP]], steps=[("\\", "sec"), ("\\", "p")], anchor="title")
+@example(docs=[[_DEEP], [_DEEP]], steps=[("{", "title")], anchor="sec")
+def test_path_kernel_matches_per_doc_walk(docs, steps, anchor):
+    import numpy as np
+
+    exts = _doc_extents(docs)
+    eng = _TreeEngine(exts)
+    spec = "." + "".join(op + f for op, f in steps)
+    # grouping 1: one group per document, anchored at all its extents of
+    # the anchor field (a restriction chain's candidates)
+    gdoc = np.arange(len(exts), dtype=np.int64)
+    groups = [x.get(anchor, []) for x in exts]
+    got = eng.path_extents(spec, gdoc, _flat(groups, gdoc))
+    want = _flat([_walk(x, a, steps) for x, a in zip(exts, groups)], gdoc)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+    # grouping 2: one group per anchor extent — nested anchors overlap
+    # (the support-path clause's outer extents)
+    per = [(d, x) for d, xs in enumerate(groups) for x in xs]
+    gdoc = np.array([d for d, _x in per], np.int64)
+    got = eng.path_extents(spec, gdoc, _flat([[x] for _d, x in per], gdoc))
+    want = _flat([_walk(exts[d], [x], steps) for d, x in per], gdoc)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)

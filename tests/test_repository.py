@@ -557,3 +557,27 @@ def test_compact_and_merge_keep_docstore_row_groups(tmp_path):
                     t.column("content").to_pylist()))
     assert set(vals) == {5, 650}
     assert all(isinstance(x, str) and x for x in vals.values())
+
+
+def test_trim_refuses_other_index_format(corpora, tmp_path):
+    """A segment of another index format is refused with the rebuild
+    message before the trim writes anything; the repository is left as
+    it was."""
+    import json
+
+    from indri_5_5_ray.config import IndexConfig
+    from indri_5_5_ray.pipelines.repository import Repository
+
+    a, b, _both = corpora
+    repo = Repository.create(str(tmp_path / "repo_fmt"), IndexConfig(**CFG_KW))
+    repo.add(a)
+    repo.add(b)
+    segs = list(repo.meta["segments"])
+    path = repo.dir / "segments" / segs[1] / "manifest.json"
+    m = json.loads(path.read_text())
+    m["format_version"] = 2
+    path.write_text(json.dumps(m))
+    with pytest.raises(ValueError, match="rebuild"):
+        repo.trim(max_segments=1)
+    assert repo.meta["segments"] == segs
+    assert sorted(p.name for p in (repo.dir / "segments").iterdir()) == segs
