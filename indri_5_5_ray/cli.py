@@ -37,7 +37,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from .codec import decode_block
+from .codec import block_layout_error, decode_block
 from .pipelines.query import (
     BM25Scorer,
     IndexReader,
@@ -251,7 +251,8 @@ def cmd_merge(reader: IndexReader, out_dir: str, *others: str) -> None:
 
 def cmd_validate(reader: IndexReader, *_args) -> None:
     """Invariant walk (the ``dumpindex validate`` analogue,
-    ref:dumpindex/dumpindex.cpp:593-595): decodes every posting block and
+    ref:dumpindex/dumpindex.cpp:593-595): checks every posting block's
+    width byte and length against the block layout, decodes it and
     cross-checks against the document table and the dictionary."""
     doc_lens = reader.doc_lens()
     known = set(reader._dset("docs").to_table(columns=["doc_id"])
@@ -273,11 +274,19 @@ def cmd_validate(reader: IndexReader, *_args) -> None:
         total_cf = 0
         total_df = 0
         prev_doc = -1
+        first = row["first_doc"]
         for off, ln, last, nd in zip(
             row["block_offset"], row["block_length"],
             row["block_last_doc"], row["block_n_docs"],
         ):
-            d, tf, pos = decode_block(bytes(row["postings"][off : off + ln]), has_pos)
+            buf = row["postings"][off : off + ln]
+            b_first, first = first, last + 1
+            bad = block_layout_error(buf, nd, has_pos)
+            if bad is not None:
+                print(f"ERROR {term}: {bad}")
+                errors += 1
+                continue
+            d, tf, pos = decode_block(buf, b_first, nd, has_pos)
             if len(d) != nd or (len(d) and d[-1] != last):
                 print(f"ERROR {term}: block meta mismatch")
                 errors += 1

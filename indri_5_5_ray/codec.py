@@ -1,4 +1,5 @@
-"""RVL variable-byte codec + delta coding, numpy-vectorized.
+"""RVL variable-byte codec, delta coding and the posting-block layout,
+numpy-vectorized.
 
 Format parity with the reference (ref:contrib/lemur/include/lemur/RVLCompress.hpp):
 
@@ -12,13 +13,18 @@ Format parity with the reference (ref:contrib/lemur/include/lemur/RVLCompress.hp
 Posting-list layout (one term), derived from the in-memory builder
 (ref:src/DocListMemoryBuilder.cpp:181-230) and the disk layout comment
 (ref:src/DiskDocListIterator.cpp:21-56): per document ``(Δ doc_id, tf,
-Δ positions…)`` in RVL vbyte, with the doc-id delta reset at each block
-boundary (the reference resets per 4 KB skip batch, ref:src/IndexWriter.cpp:527)
-so any block decodes standalone — the property that enables doc-range-sliced
-scoring and rank-safe block-max skipping.  One deliberate deviation for
-vectorized decode: within a block, the ``(Δdoc, tf)`` pairs and the position
-deltas are stored as two separate vbyte streams instead of interleaved
-per-document; values, order and compression are otherwise identical.
+Δ positions…)``, cut into blocks at document boundaries (the reference
+cuts per 4 KB skip batch, ref:src/IndexWriter.cpp:527), each decodable
+from its own bytes plus its block metadata — the property that enables
+doc-range-sliced scoring and rank-safe block-max skipping.  Positions are
+RVL vbyte, Δ-coded per document, as in the reference.  Deviation for
+vectorized decode: a block stores its Δdoc gaps and its ``tf - 1`` values
+as two fixed-width little-endian arrays, each sized for the block's
+largest value by one width byte (``cut_blocks_pre``), ahead of the
+positions stream instead of interleaved with it.  A block's first gap is
+taken from the block's first doc id in the metadata, so no payload holds
+an absolute doc id.  Decoded values and their order equal the
+reference's; only the byte layout differs.
 """
 
 from __future__ import annotations
@@ -122,26 +128,19 @@ def unfold_negatives(values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def delta_encode(values: np.ndarray) -> np.ndarray:
-    """Ascending int array → deltas; first value kept absolute."""
-    v = np.asarray(values, dtype=np.int64)
-    out = np.empty_like(v)
-    if len(v):
-        out[0] = v[0]
-        np.subtract(v[1:], v[:-1], out=out[1:])
-    return out
-
-
-def segmented_cumsum(deltas: np.ndarray, seg_lengths: np.ndarray) -> np.ndarray:
-    """Cumulative sum restarting at each segment start (vectorized)."""
-    d = np.asarray(deltas, dtype=np.int64)
+def segmented_cumsum(deltas: np.ndarray, seg_lengths: np.ndarray,
+                     bases: np.ndarray | None = None) -> np.ndarray:
+    """Cumulative sum restarting at each segment start (vectorized); with
+    ``bases``, segment i's sums start from ``bases[i]`` instead of 0."""
     lens = np.asarray(seg_lengths, dtype=np.int64)
-    if len(d) == 0:
-        return d
-    cum = np.cumsum(d)
+    if len(deltas) == 0:
+        return np.asarray(deltas, dtype=np.int64)
+    cum = np.cumsum(deltas, dtype=np.int64)
     starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
     corr = np.zeros(len(lens), dtype=np.int64)
     corr[1:] = cum[starts[1:] - 1]
+    if bases is not None:
+        corr -= np.asarray(bases, dtype=np.int64)
     return cum - np.repeat(corr, lens)
 
 
@@ -163,57 +162,17 @@ def segmented_delta(values: np.ndarray, seg_lengths: np.ndarray) -> np.ndarray:
 # posting-list blocks
 # ---------------------------------------------------------------------------
 
-
-def encode_block(
-    doc_ids: np.ndarray,
-    tfs: np.ndarray,
-    positions: np.ndarray | None,
-) -> bytes:
-    """Encode one block.
-
-    Layout: vbyte stream A = interleaved (Δdoc_id, tf) — Δ base 0 at block
-    start; then, if positions are kept, vbyte stream B = per-doc Δpositions.
-    Stream A's byte length is prefixed (vbyte) so B can be located.
-    """
-    doc_ids = np.asarray(doc_ids, dtype=np.int64)
-    tfs = np.asarray(tfs, dtype=np.int64)
-    n = len(doc_ids)
-    if n == 0:
-        return b""
-    inter = np.empty(2 * n, dtype=np.uint64)
-    inter[0::2] = delta_encode(doc_ids).astype(np.uint64)
-    inter[1::2] = tfs.astype(np.uint64)
-    stream_a = vbyte_encode(inter)
-    if positions is None:
-        return vbyte_encode(np.array([len(stream_a)], dtype=np.uint64)) + stream_a
-    pos_deltas = segmented_delta(np.asarray(positions, dtype=np.int64), tfs)
-    stream_b = vbyte_encode(pos_deltas.astype(np.uint64))
-    return (
-        vbyte_encode(np.array([len(stream_a)], dtype=np.uint64))
-        + stream_a
-        + stream_b
-    )
+GAP_WIDTHS = (1, 2, 4, 8)  # Δdoc gap bytes, by the block's largest gap
+TF_WIDTHS = (0, 1, 2, 4)   # ``tf - 1`` bytes; 0: every tf in the block is 1
+_UINT = {1: np.dtype("u1"), 2: np.dtype("<u2"), 4: np.dtype("<u4"),
+         8: np.dtype("<u8")}
 
 
-def assemble_block(doc_ids: np.ndarray, tfs: np.ndarray,
-                   pos_stream: bytes | None) -> bytes:
-    """Build a block from (doc_ids, tfs) plus an ALREADY-ENCODED position
-    stream (per-doc delta vbyte, reset per doc — the exact stream-B layout).
-    Identical output to ``encode_block``; avoids re-encoding positions in the
-    merge reducer."""
-    doc_ids = np.asarray(doc_ids, dtype=np.int64)
-    tfs = np.asarray(tfs, dtype=np.int64)
-    n = len(doc_ids)
-    if n == 0:
-        return b""
-    inter = np.empty(2 * n, dtype=np.uint64)
-    inter[0::2] = delta_encode(doc_ids).astype(np.uint64)
-    inter[1::2] = tfs.astype(np.uint64)
-    stream_a = vbyte_encode(inter)
-    prefix = vbyte_encode(np.array([len(stream_a)], dtype=np.uint64))
-    if pos_stream is None:
-        return prefix + stream_a
-    return prefix + stream_a + pos_stream
+def _narrowest(maxima: np.ndarray, widths: tuple[int, ...]) -> np.ndarray:
+    """Per value, the narrowest of ``widths`` (ascending, in bytes) that
+    holds it (width 0 holds only 0)."""
+    limits = [1 << (8 * w) for w in widths[:-1]]
+    return np.asarray(widths)[np.searchsorted(limits, maxima, "right")]
 
 
 def cut_blocks_pre(
@@ -223,10 +182,22 @@ def cut_blocks_pre(
     pos_byte_lens: np.ndarray | None,
     target_bytes: int = TARGET_BLOCK_BYTES,
 ) -> list[tuple[int, int, bytes, np.ndarray, np.ndarray]]:
-    """``cut_blocks`` variant taking pre-encoded positions: ``pos_payload``
-    is the concatenation of per-doc delta-vbyte streams and
-    ``pos_byte_lens[i]`` the byte length of doc i's stream.  Blocks slice the
-    payload — no position decode/re-encode."""
+    """Split one posting row's run into encoded blocks of about
+    ``target_bytes`` at document boundaries (ref 4 KB skip interval,
+    ref:src/IndexWriter.cpp:527) → ``(first_doc, last_doc, payload,
+    doc_slice, tf_slice)`` per block.
+
+    Positions come pre-encoded: ``pos_payload`` is the concatenation of
+    per-doc delta-vbyte streams and ``pos_byte_lens[i]`` the byte length of
+    doc i's stream; blocks slice it, never decode or re-encode it.
+
+    A block's payload is one width byte (low nibble: the Δdoc gap width
+    in ``GAP_WIDTHS``; high nibble: the ``tf - 1`` width in
+    ``TF_WIDTHS``), then ``n`` little-endian gaps, then ``n`` values of
+    ``tf - 1`` (none at width 0), then the positions stream.  A block's
+    first gap is taken from its ``first`` in the row metadata — the row's
+    ``first_doc`` for the head block, the previous block's last + 1
+    otherwise — so no payload holds an absolute doc id."""
     doc_ids = np.asarray(doc_ids, dtype=np.int64)
     tfs = np.asarray(tfs, dtype=np.int64)
     n = len(doc_ids)
@@ -239,167 +210,120 @@ def cut_blocks_pre(
     else:
         per_doc = 4.0
     docs_per_block = max(8, int(target_bytes / per_doc))
-    # one vectorized encode for the WHOLE term, then per-block byte slices:
-    # per-block numpy round-trips (delta + 2 vbyte + astype each) dominated
-    # the merge reducer at large term counts
     starts = np.arange(0, n, docs_per_block, dtype=np.int64)
     ends = np.minimum(starts + docs_per_block, n)
-    deltas = np.empty(n, dtype=np.int64)
-    deltas[0] = doc_ids[0]
-    np.subtract(doc_ids[1:], doc_ids[:-1], out=deltas[1:])
-    deltas[starts] = doc_ids[starts]  # per-block delta restart (absolute)
-    inter = np.empty(2 * n, dtype=np.uint64)
-    inter[0::2] = deltas.view(np.uint64)  # deltas > 0: bit-identical view
-    inter[1::2] = tfs.view(np.uint64) if tfs.dtype == np.int64 \
-        else tfs.astype(np.uint64)
-    sizes = vbyte_sizes(inter)
-    big = vbyte_encode(inter)
-    byte_cum = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
-    a_starts = byte_cum[2 * starts]
-    a_ends = byte_cum[2 * (ends - 1) + 2]
-    a_lens = a_ends - a_starts
-    prefixes = vbyte_encode(a_lens.view(np.uint64))
-    p_sizes = vbyte_sizes(a_lens.view(np.uint64))
-    p_cum = np.concatenate(([0], np.cumsum(p_sizes, dtype=np.int64)))
+    gaps = np.empty(n, dtype=np.int64)
+    gaps[0] = 0  # the head block's first is doc_ids[0] itself
+    np.subtract(doc_ids[1:], doc_ids[:-1], out=gaps[1:])
+    gaps[starts[1:]] -= 1  # later blocks start at the previous last + 1
+    tf1 = tfs - 1  # tfs are int32 (PARTIALS_SCHEMA), so 4 bytes hold any
+    gws = _narrowest(np.maximum.reduceat(gaps, starts), GAP_WIDTHS).tolist()
+    tws = _narrowest(np.maximum.reduceat(tf1, starts), TF_WIDTHS).tolist()
     out = []
-    for bi in range(len(starts)):
-        start, end = int(starts[bi]), int(ends[bi])
-        payload = prefixes[p_cum[bi]:p_cum[bi + 1]] + \
-            big[a_starts[bi]:a_ends[bi]]
+    for s, e, gw, tw in zip(starts.tolist(), ends.tolist(), gws, tws):
+        payload = bytes((gw | tw << 4,)) + gaps[s:e].astype(_UINT[gw]).tobytes()
+        if tw:
+            payload += tf1[s:e].astype(_UINT[tw]).tobytes()
         if has_pos:
-            payload += pos_payload[byte_starts[start]:byte_starts[end]]
-        out.append(
-            (int(doc_ids[start]), int(doc_ids[end - 1]), payload,
-             doc_ids[start:end], tfs[start:end])
-        )
+            payload += pos_payload[byte_starts[s]:byte_starts[e]]
+        out.append((int(doc_ids[s]), int(doc_ids[e - 1]), payload,
+                    doc_ids[s:e], tfs[s:e]))
     return out
 
 
-def decode_block(
-    buf: bytes | memoryview, has_positions: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Decode one block → (doc_ids, tfs, positions|None)."""
-    arr = np.frombuffer(buf, dtype=np.uint8)
-    if len(arr) == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64), None
-    # read the stream-A length prefix (single vbyte value)
-    prefix_end = int(np.nonzero(arr & 0x80)[0][0]) + 1
-    a_len = int(vbyte_decode(arr[:prefix_end])[0])
-    stream_a = arr[prefix_end : prefix_end + a_len]
-    flat = vbyte_decode(stream_a)
-    doc_ids = np.cumsum(flat[0::2].astype(np.int64))
-    tfs = flat[1::2].astype(np.int64)
-    if not has_positions:
-        return doc_ids, tfs, None
-    pos_deltas = vbyte_decode(arr[prefix_end + a_len :]).astype(np.int64)
-    positions = segmented_cumsum(pos_deltas, tfs)
-    return doc_ids, tfs, positions
+def _doc_tf(arr: np.ndarray, offsets, n_docs, first):
+    """(doc_ids, tfs, per-block end of the gap/tf arrays) of the blocks at
+    ``offsets`` in ``arr``: one typed view per array, then one segmented
+    cumsum from each block's ``first``."""
+    n = np.asarray(n_docs, dtype=np.int64)
+    gaps, tf1, ends = [], [], []
+    for off, nb, w in zip(offsets, n.tolist(), arr[offsets].tolist()):
+        gw, tw = w & 15, w >> 4
+        a = off + 1 + nb * gw
+        gaps.append(arr[off + 1:a].view(_UINT[gw]))
+        tf1.append(arr[a:a + nb * tw].view(_UINT[tw]) if tw
+                   else np.zeros(nb, np.uint8))
+        ends.append(a + nb * tw)
+    tfs = np.concatenate(tf1).astype(np.int64)
+    tfs += 1
+    return segmented_cumsum(np.concatenate(gaps), n, first), tfs, ends
 
 
 def decode_doc_tf_batch(
-    payload: bytes,
+    payload: bytes | np.ndarray,
     offsets: list[int] | np.ndarray,
-    lengths: list[int] | np.ndarray,
     n_docs: list[int] | np.ndarray,
+    first: list[int] | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Decode the (doc_id, tf) pairs of MANY blocks in one vectorized pass
-    (positions skipped).  ~50× fewer numpy round-trips than per-block
-    ``decode_block`` — the hot path of exhaustive/LM scoring.
-
-    ``n_docs`` per block comes from the stored block metadata."""
-    arr = np.frombuffer(payload, dtype=np.uint8)
+    """Decode the (doc_id, tf) pairs of MANY blocks (positions skipped) —
+    the hot path of exhaustive/LM scoring.  ``n_docs`` and ``first`` per
+    block come from the block metadata."""
     if len(offsets) == 0:
         return np.empty(0, np.int64), np.empty(0, np.int64)
-    a_slices, _ = _block_stream_slices(arr, offsets, lengths)
-    flat = vbyte_decode(np.concatenate(a_slices))
-    doc_deltas = flat[0::2].astype(np.int64)
-    tfs = flat[1::2].astype(np.int64)
-    doc_ids = segmented_cumsum(doc_deltas, np.asarray(n_docs, dtype=np.int64))
-    return doc_ids, tfs
-
-
-def _block_stream_slices(arr: np.ndarray, offsets, lengths):
-    """Per block: parse the stream-A byte-length vbyte prefix and return
-    (stream-A slices, positions-stream slices) — the one copy of the block
-    layout walk shared by both batch decoders."""
-    a_slices = []
-    p_slices = []
-    for off, ln in zip(offsets, lengths):
-        p = off
-        a_len = 0
-        shift = 0
-        while True:
-            byte = int(arr[p])
-            a_len |= (byte & 0x7F) << shift
-            p += 1
-            shift += 7
-            if byte & 0x80:
-                break
-        a_slices.append(arr[p : p + a_len])
-        p_slices.append(arr[p + a_len : off + ln])
-    return a_slices, p_slices
+    d, tf, _ = _doc_tf(np.frombuffer(payload, dtype=np.uint8), offsets,
+                       n_docs, first)
+    return d, tf
 
 
 def decode_full_batch(
-    payload: bytes,
+    payload: bytes | np.ndarray,
     offsets: list[int] | np.ndarray,
     lengths: list[int] | np.ndarray,
     n_docs: list[int] | np.ndarray,
+    first: list[int] | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decode (doc_id, tf, positions) of MANY blocks in one vectorized
-    pass — the positional analogue of :func:`decode_doc_tf_batch`: both
-    vbyte streams are concatenated across blocks and decoded once each
-    (vbyte is self-delimiting, and position deltas reset per DOC, so the
-    per-doc segmented cumsum is block-boundary-agnostic)."""
-    arr = np.frombuffer(payload, dtype=np.uint8)
+    """Decode (doc_id, tf, positions) of MANY blocks — the positional
+    analogue of :func:`decode_doc_tf_batch`: the blocks' position streams
+    are concatenated and vbyte-decoded once (vbyte is self-delimiting, and
+    position deltas reset per DOC, so the per-doc segmented cumsum is
+    block-boundary-agnostic)."""
     if len(offsets) == 0:
         e = np.empty(0, np.int64)
         return e, e, e
-    a_slices, p_slices = _block_stream_slices(arr, offsets, lengths)
-    flat = vbyte_decode(np.concatenate(a_slices))
-    doc_deltas = flat[0::2].astype(np.int64)
-    tfs = flat[1::2].astype(np.int64)
-    doc_ids = segmented_cumsum(doc_deltas, np.asarray(n_docs, dtype=np.int64))
-    pos_deltas = vbyte_decode(np.concatenate(p_slices)).astype(np.int64)
-    positions = segmented_cumsum(pos_deltas, tfs)
-    return doc_ids, tfs, positions
+    arr = np.frombuffer(payload, dtype=np.uint8)
+    d, tf, ends = _doc_tf(arr, offsets, n_docs, first)
+    pos_deltas = vbyte_decode(np.concatenate([
+        arr[b:off + ln] for b, off, ln in zip(ends, offsets, lengths)]))
+    return d, tf, segmented_cumsum(pos_deltas.astype(np.int64), tf)
 
 
-def cut_blocks(
-    doc_ids: np.ndarray,
-    tfs: np.ndarray,
-    positions: np.ndarray | None,
-    target_bytes: int = TARGET_BLOCK_BYTES,
-) -> list[tuple[int, int, bytes, np.ndarray, np.ndarray]]:
-    """Split one term's full posting run into encoded blocks.
+def decode_block(
+    buf: bytes | memoryview | np.ndarray, first: int, n_docs: int,
+    has_positions: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Decode one block → (doc_ids, tfs, positions|None): the batch
+    decoders over that one block, whose metadata gives ``first`` and
+    ``n_docs``."""
+    if n_docs == 0:
+        return np.empty(0, np.int64), np.empty(0, np.int64), None
+    arr = np.frombuffer(buf, dtype=np.uint8)
+    if has_positions:
+        return decode_full_batch(arr, [0], [len(arr)], [n_docs], [first])
+    d, tf = decode_doc_tf_batch(arr, [0], [n_docs], [first])
+    return d, tf, None
 
-    Returns a list of ``(first_doc, last_doc, payload, block_tfs, block_dls?)``
-    shaped tuples — actually ``(first_doc, last_doc, payload, doc_slice,
-    tf_slice)`` so the caller can compute block-max metadata with doc lengths.
-    Block boundaries fall on document boundaries; target compressed size
-    ~``target_bytes`` (ref 4 KB skip interval, ref:src/IndexWriter.cpp:527).
-    """
-    doc_ids = np.asarray(doc_ids, dtype=np.int64)
-    tfs = np.asarray(tfs, dtype=np.int64)
-    n = len(doc_ids)
-    if n == 0:
-        return []
-    # estimate bytes per doc: ~2-5 for (Δdoc, tf) + ~1.5/position
-    per_doc = 4.0 + (1.5 * float(tfs.mean()) if positions is not None else 0.0)
-    docs_per_block = max(8, int(target_bytes / per_doc))
-    out = []
-    pos_start = 0
-    for start in range(0, n, docs_per_block):
-        end = min(start + docs_per_block, n)
-        block_tfs = tfs[start:end]
-        if positions is not None:
-            pos_end = pos_start + int(block_tfs.sum())
-            block_pos = positions[pos_start:pos_end]
-            pos_start = pos_end
-        else:
-            block_pos = None
-        payload = encode_block(doc_ids[start:end], block_tfs, block_pos)
-        out.append(
-            (int(doc_ids[start]), int(doc_ids[end - 1]), payload, doc_ids[start:end], block_tfs)
-        )
-    return out
+
+def block_layout_error(buf: bytes | np.ndarray, n_docs: int,
+                       has_positions: bool) -> str | None:
+    """Why one block's bytes do not fit the block layout, or None: the
+    width byte must name a width in ``GAP_WIDTHS`` and ``TF_WIDTHS``, and
+    the block must be exactly ``1 + n_docs·(gap width + tf width)`` bytes
+    plus, with positions, a vbyte stream of exactly ``sum(tf)`` values."""
+    arr = np.frombuffer(buf, dtype=np.uint8)
+    if n_docs < 1 or not len(arr):
+        return f"empty block ({n_docs} docs, {len(arr)} bytes)"
+    w = int(arr[0])
+    gw, tw = w & 15, w >> 4
+    if gw not in GAP_WIDTHS or tw not in TF_WIDTHS:
+        return f"bad width byte 0x{w:02x}"
+    body = 1 + n_docs * (gw + tw)
+    if len(arr) < body or (not has_positions and len(arr) != body):
+        return f"block length {len(arr)}, widths give {body}"
+    if has_positions:
+        _, tf, _ = _doc_tf(arr, [0], [n_docs], [0])
+        pos = arr[body:]
+        n_values = int(np.count_nonzero(pos & 0x80))
+        if n_values != int(tf.sum()) or (len(pos) and not pos[-1] & 0x80):
+            return (f"block length {len(arr)}: {len(pos)} position bytes "
+                    f"hold {n_values} values, tfs sum to {int(tf.sum())}")
+    return None

@@ -13,8 +13,9 @@ Phases (SURVEY.md §7.2):
    outputs docs/ + partials/ parquet per chunk + lineage records;
 3. postings merge — map-only reducers over term-hash buckets (the shuffle is
    done by the filesystem: ingest wrote bucket-sorted partials, each reducer
-   reads its bucket by predicate pushdown) → delta+vbyte block-encoded
-   posting lists with block-max metadata + per-bucket dictionary slices
+   reads its bucket by predicate pushdown) → block-encoded posting lists
+   (fixed-width Δdoc/tf arrays, vbyte positions) with block-max metadata +
+   per-bucket dictionary slices
    (the ``IndexWriter`` k-way merge, ref:src/IndexWriter.cpp:810-879);
 4. global statistics from lineage records → manifest.json (completion
    marker; stats are GLOBAL as required for rank-identity,

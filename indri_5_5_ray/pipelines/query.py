@@ -27,8 +27,9 @@ algorithm — its ``PlusNode`` is not SkippingCapable
 (ref:src/PlusNode.cpp:36-42), so the okapi baseline never prunes.
 
 One posting reader.  The posting-row layout — ``first_doc`` plus the
-per-block offset/length/n_docs/last_doc lists, where a block's first doc
-is the previous block's last + 1 — is known here only:
+per-block offset/length/n_docs/last_doc lists, where a block's doc gaps
+count from its ``first``, the previous block's last + 1 — is known here
+only:
 ``posting_blocks`` turns any ``term_rows`` table into flat per-block
 arrays over zero-copy views of the payload buffers, and ``read_postings``
 is the one block walk (select, decode, exact range mask, group by term)
@@ -66,7 +67,8 @@ import pyarrow.parquet as pq
 # decode_block is not called here; it stays importable from this module
 # because the traced benchmark (perfbench/run.py) wraps it by name, as it
 # wraps decode_doc_tf_batch — PostingBlocks.decode calls both batch
-# decoders through this module's globals so the wrap sees every decode
+# decoders through this module's globals, offsets as the second positional
+# argument, so the wrap sees and counts every decode
 from ..codec import decode_block, decode_doc_tf_batch, decode_full_batch  # noqa: F401
 from ..config import IndexConfig
 from ..stages.ingest import TermProcessor
@@ -667,14 +669,16 @@ class PostingBlocks:
         for a, b in zip([0, *cuts], [*cuts, len(sel)]):
             g = sel[a:b]
             r = rows[a]
-            args = (self.views[self.row_chunk[r]],
-                    (self.row_base[r] + self.offset[g]).tolist(),
-                    self.length[g].tolist(), self.n_docs[g])
+            view = self.views[self.row_chunk[r]]
+            offs = (self.row_base[r] + self.offset[g]).tolist()
             if positions:
-                d, tf, pos = decode_full_batch(*args)
+                d, tf, pos = decode_full_batch(
+                    view, offs, self.length[g].tolist(), self.n_docs[g],
+                    self.first[g])
                 poss.append(pos)
             else:
-                d, tf = decode_doc_tf_batch(*args)
+                d, tf = decode_doc_tf_batch(view, offs, self.n_docs[g],
+                                            self.first[g])
             ds.append(d)
             tfs.append(tf)
         return _cat(ds), _cat(tfs), (_cat(poss) if positions else None)
@@ -730,7 +734,8 @@ def read_postings(reader, terms: list[str], *,
 
     ``reader.term_rows(terms, doc_range)`` gives the rows; only blocks that
     overlap ``doc_range`` and, with ``doc_set``, hold a wanted id (blocks
-    decode independently — each starts at an absolute doc id) are decoded;
+    decode independently — each from its payload and its metadata
+    ``first``) are decoded;
     decoded docs are then masked to exactly ``[lo, hi)`` and grouped by term
     in row order (doc-ascending).  ``doc_set`` prunes at block granularity
     only: the result holds whole blocks, so it suits per-doc lookups, not

@@ -4,8 +4,10 @@ The Ray analogue of the reference's k-way heap merge over term-sorted partial
 indexes (``IndexWriter::write``/``_mergeData``, ref:src/IndexWriter.cpp:810-879):
 partial posting runs shuffled by (term, salt), concatenated in doc-id order
 (doc ranges of partials are disjoint — docIDs are partition-ranged by
-construction), delta+vbyte encoded into ~4 KB blocks with block-max metadata
-(the generalization of Indri's topdocs lists, ref:src/IndexWriter.cpp:531-607),
+construction), cut into ~4 KB blocks of fixed-width Δdoc gaps and tfs plus
+the ingest-encoded vbyte positions (``codec.cut_blocks_pre``) with block-max
+metadata (the generalization of Indri's topdocs lists,
+ref:src/IndexWriter.cpp:531-607),
 and per-term cf/df summed exactly like ``termdata_merge``
 (ref:include/indri/TermData.hpp:126-140).
 
@@ -73,7 +75,8 @@ POSTINGS_SCHEMA = pa.schema(
 # ``format_version``; IndexReader refuses an index of any other version.
 # 2: one memory-mapped Arrow IPC postings file per bucket.
 # 3: one memory-mapped Arrow IPC docno map per docs file (``docnos/``).
-INDEX_FORMAT = 3
+# 4: fixed-width Δdoc/tf arrays per block, first gap from the block metadata.
+INDEX_FORMAT = 4
 
 DICTIONARY_SCHEMA = pa.schema(
     [

@@ -246,11 +246,15 @@ def test_positions_roundtrip_against_oracle(built_index, small_corpus_dir,
             continue
         for ri in range(rows.num_rows):
             payload = rows.column("postings")[ri].as_py()
-            for off, ln in zip(
+            first = rows.column("first_doc")[ri].as_py()
+            for off, ln, last, nb in zip(
                 rows.column("block_offset")[ri].as_py(),
                 rows.column("block_length")[ri].as_py(),
+                rows.column("block_last_doc")[ri].as_py(),
+                rows.column("block_n_docs")[ri].as_py(),
             ):
-                d, tf, pos = decode_block(payload[off : off + ln], True)
+                d, tf, pos = decode_block(payload[off : off + ln], first, nb, True)
+                first = last + 1
                 cursor = 0
                 for did, n in zip(d.tolist(), tf.tolist()):
                     want = [i for i, t in enumerate(docs[did]) if t == probe]

@@ -173,6 +173,24 @@ def test_numeric_predicates(field_index):
     assert set(got) == set()
 
 
+def test_field_leaves_ignore_an_enclosing_restriction(field_index):
+    """Pins an unverified choice (docs/SPEC.md §7): under
+    ``#combine[title](…)`` a term counts only inside ``title``, but
+    ``#any:size`` and ``#less(size v)`` count every ``size`` extent of the
+    doc, and so do their statistics (cf); only the scoring context (title
+    length, title total) comes from the restriction.  No ``size`` extent
+    lies inside a title, so a restricting rule would count 0 everywhere."""
+    eng = _engine(field_index)
+    dlf = {0: 2, 1: 2, 2: 0, 3: 2, 4: 0}  # title length per doc
+    for q, cnt, cf in (("#combine[title](#any:size)", dict.fromkeys(range(5), 1), 5.0),
+                       ("#combine[title](#less(size 20))", dict.fromkeys((0, 3, 4), 1), 3.0)):
+        got = _scores(eng, q)
+        want = {d: _dir(c, dlf[d], cf, 6.0) for d, c in cnt.items()}
+        assert set(got) == set(want), q
+        for d in want:
+            assert got[d] == pytest.approx(want[d], rel=0, abs=1e-12), (q, d)
+
+
 def test_filreq_filrej(field_index):
     eng = _engine(field_index)
     # alpha docs = {0,2,3}; size<20 docs = {0,3,4}; the filter only

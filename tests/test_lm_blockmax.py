@@ -100,9 +100,9 @@ def test_blockmax_prunes_blocks(reader, monkeypatch):
     decoded_counter = {"n": 0}
     real = query_mod.decode_doc_tf_batch
 
-    def counting(payload, offs, lns, nds):
+    def counting(payload, offs, nds, first):
         decoded_counter["n"] += len(offs)
-        return real(payload, offs, lns, nds)
+        return real(payload, offs, nds, first)
 
     monkeypatch.setattr(query_mod, "decode_doc_tf_batch", counting)
     sc.score(terms, k=2, prune=True)

@@ -200,8 +200,10 @@ def _block_walk(index_dirs, terms, doc_range=None, doc_set=None,
             if row["term"] not in terms:
                 continue
             first = row["first_doc"]
-            for off, ln, last in zip(row["block_offset"], row["block_length"],
-                                     row["block_last_doc"]):
+            for off, ln, last, nb in zip(row["block_offset"],
+                                         row["block_length"],
+                                         row["block_last_doc"],
+                                         row["block_n_docs"]):
                 b_first, first = first, last + 1
                 if last < lo or b_first >= hi:
                     continue
@@ -209,7 +211,7 @@ def _block_walk(index_dirs, terms, doc_range=None, doc_set=None,
                                                 for x in want):
                     continue
                 d, tf, pos = decode_block(row["postings"][off:off + ln],
-                                          positions)
+                                          b_first, nb, positions)
                 cur = 0
                 for did, n in zip(d.tolist(), tf.tolist()):
                     if lo <= did < hi:
@@ -336,3 +338,40 @@ def test_cli_scans_work_on_a_repository(two_segment_repo, capsys):
     assert vocab["merge"] == [f"cf={cf}", f"df={df}"]
     cli.cmd_stats(r)
     assert json.loads(capsys.readouterr().out)["doc_count"] == r.doc_count
+
+
+def test_validate_reports_a_corrupt_width_byte(built_index, tmp_path, capsys):
+    """validate checks each block's width byte and length against the
+    block layout: a width byte naming no width, and one naming another
+    valid width (so the block's length no longer fits), are each
+    reported as an error."""
+    import shutil
+    from pathlib import Path
+
+    import pyarrow as pa
+
+    from indri_5_5_ray import cli
+    from indri_5_5_ray.pipelines.query import IndexReader
+    from indri_5_5_ray.stages.postings import POSTINGS_SCHEMA
+
+    idx = tmp_path / "idx"
+    shutil.copytree(built_index[0], idx)
+    path = sorted(Path(idx, "postings").glob("*.arrow"))[0]
+    t = pa.ipc.open_file(str(path)).read_all()
+    payloads = t.column("postings").to_pylist()
+    first_blocks = [offs[0] for offs in t.column("block_offset").to_pylist()]
+    terms = t.column("term").to_pylist()
+    for ri, width in ((0, lambda w: 0xFF),
+                      (1, lambda w: (w & 0xF0) | (4 if w & 15 != 4 else 2))):
+        b = bytearray(payloads[ri])
+        b[first_blocks[ri]] = width(b[first_blocks[ri]])
+        payloads[ri] = bytes(b)
+    t = t.set_column(t.column_names.index("postings"), "postings",
+                     pa.array(payloads, pa.large_binary()))
+    with pa.ipc.new_file(str(path), POSTINGS_SCHEMA) as w:
+        w.write_table(t)
+    with pytest.raises(SystemExit):
+        cli.cmd_validate(IndexReader(str(idx)))
+    out = capsys.readouterr().out
+    assert f"ERROR {terms[0]}: bad width byte 0xff" in out
+    assert f"ERROR {terms[1]}: block length" in out
