@@ -69,7 +69,7 @@ def cmd_term(reader: IndexReader, raw: str) -> None:
         return
     cf, df = stats
     rows = reader.term_rows([term])
-    n_blocks = len(posting_blocks(rows).row)
+    n_blocks = len(posting_blocks(rows))
     print(f"{raw} -> {term}: cf={cf} df={df} rows={rows.num_rows} blocks={n_blocks}")
 
 
@@ -147,7 +147,7 @@ def cmd_invlist(reader: IndexReader, raw: str) -> None:
               f"cf={rows.column('cf')[ri].as_py()} df={rows.column('df')[ri].as_py()} "
               f"docs=[{rows.column('first_doc')[ri].as_py()},"
               f"{rows.column('last_doc')[ri].as_py()}]")
-        blocks = np.flatnonzero(pb.row == ri)
+        blocks = np.flatnonzero(pb.term == ri)
         d, tf, _ = pb.decode(blocks)
         cuts = np.cumsum(pb.n_docs[blocks])[:-1]
         for last, bd, btf in zip(pb.last[blocks].tolist(), np.split(d, cuts),

@@ -341,6 +341,10 @@ def merge_partials(out_dir: str, cfg: IndexConfig, plan_fp: str,
         return t.to_pylist()[0]
 
     records = ray.get([_merge_task.remote(b) for b in range(cfg.n_buckets)])
+    # the consolidated copy is merge input only, as large as partials/; a
+    # later merge consolidates again (its lineage check needs the file)
+    if Path(partials_src).name == "partials_c":
+        shutil.rmtree(partials_src, ignore_errors=True)
     timings["merge_s"] = time.perf_counter() - t0
     return sum(r.get("n_terms", 0) for r in records)
 

@@ -25,10 +25,9 @@ inverted file, which block metadata makes cheap).
 from __future__ import annotations
 
 import numpy as np
-import pyarrow as pa
 
 from .lm import LMScorer, process_query_lm
-from .query import IndexReader, _overlaps, posting_blocks
+from .query import IndexReader
 
 
 def _feedback_doc_vectors(reader: IndexReader, doc_ids: list[int]) -> dict[int, dict[str, int]]:
@@ -47,13 +46,11 @@ def _feedback_doc_vectors(reader: IndexReader, doc_ids: list[int]) -> dict[int, 
         pass
     want = np.unique(np.asarray(doc_ids, np.int64))
     lo, hi = int(want[0]), int(want[-1])
-    # prune rows, then blocks, whose doc range cannot intersect the
-    # feedback set; positions are not needed for term vectors
-    pb = posting_blocks(pa.concat_tables(
-        [t.filter(_overlaps(t, (lo, hi + 1))) for t in reader.posting_tables()]))
-    sel = np.flatnonzero((pb.last >= lo) & (pb.first <= hi))
-    d, tf, _ = pb.decode(sel)
-    terms = np.repeat(pb.term[sel], pb.n_docs[sel])
+    # every term's blocks that meet the feedback set's doc range;
+    # positions are not needed for term vectors
+    pb = reader.blocks(None, (lo, hi + 1))
+    d, tf, _ = pb.decode(np.arange(len(pb)))
+    terms = np.repeat(pb.term, pb.n_docs)
     hit = np.isin(d, want)
     vecs: dict[int, dict[str, int]] = {did: {} for did in want.tolist()}
     for did, ti, f in zip(d[hit].tolist(), terms[hit].tolist(), tf[hit].tolist()):

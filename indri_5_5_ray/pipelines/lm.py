@@ -28,7 +28,7 @@ import numpy as np
 from ..config import IndexConfig
 from ..stages.ingest import TermProcessor
 from ..tokenizer import tokenize
-from .query import IndexReader, _topk, posting_blocks, read_postings
+from .query import IndexReader, _topk, read_postings
 
 
 def process_query_lm(text: str, cfg: IndexConfig,
@@ -255,8 +255,8 @@ class LMScorer:
         terms_with_rows = [t for t in uniq_terms if t in stats]
         if not terms_with_rows:
             return np.empty(0, np.int64), np.empty(0, np.float64)
-        pb = posting_blocks(r.term_rows(terms_with_rows))
-        nb = len(pb.row)
+        pb = r.blocks(terms_with_rows)
+        nb = len(pb)
         if nb == 0:
             return np.empty(0, np.int64), np.empty(0, np.float64)
         doc_lens = r.doc_lens() if self._use_dense_dl() else None

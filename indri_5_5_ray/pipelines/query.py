@@ -21,29 +21,33 @@ Score semantics pinned to the reference (rank-identity contract):
 
 One scorer, ``BM25Scorer.score_exhaustive``: it decodes every block of
 every query term (only a shard's blocks under ``doc_range``) in one
-vectorized pass per posting row and accumulates per-doc sums in a dense
-array over the decoded doc-id window.  This is the reference's own
-algorithm — its ``PlusNode`` is not SkippingCapable
+gather, scores each term's postings in query order and sums them per doc
+with one ``np.bincount`` over the decoded doc-id window.  This is the
+reference's own algorithm — its ``PlusNode`` is not SkippingCapable
 (ref:src/PlusNode.cpp:36-42), so the okapi baseline never prunes.
-
-One posting reader.  The posting-row layout — ``first_doc`` plus the
-per-block offset/length/n_docs/last_doc lists, where a block's doc gaps
-count from its ``first``, the previous block's last + 1 — is known here
-only:
-``posting_blocks`` turns any ``term_rows`` table into flat per-block
-arrays over zero-copy views of the payload buffers, and ``read_postings``
-is the one block walk (select, decode, exact range mask, group by term)
-every scorer, the structured engine, RM feedback and dumpindex read
-postings through (the single ``DiskDocListIterator`` of the reference,
-ref:src/DiskDocListIterator.cpp:21-56).
 
 One posting lookup.  Each bucket's rows are one uncompressed Arrow IPC
 file, sorted by term then first_doc and memory-mapped once per reader: a
 term's rows are the contiguous span a binary search on the term column
-finds, sliced without a copy (the ``(startOffset, length)`` read of the
-reference's ``DiskTermData``, ref:include/indri/DiskTermData.hpp:27-38),
-and its (cf, df) is the sum over that span.  The OS page cache holds the
-mapped files, so the reader keeps no per-term cache of its own.
+finds (the ``(startOffset, length)`` read of the reference's
+``DiskTermData``, ref:include/indri/DiskTermData.hpp:27-38), and its
+(cf, df) is the sum over that span.  The OS page cache holds the mapped
+files, so the reader keeps no per-term cache of its own.
+
+One posting reader.  The posting-row layout — ``first_doc`` plus the
+per-block offset/length/n_docs/last_doc lists, where a block's doc gaps
+count from its ``first``, the previous block's last + 1 — is known here
+only: ``posting_blocks`` turns a table of posting rows into flat
+per-block arrays over zero-copy views of the payload buffers.  It runs
+once per mapped bucket file (``_BucketFile.blocks``), so a term's blocks
+are one slice of its file's block arrays, and ``IndexReader.blocks``
+gathers a query's slices without building a row table; the ``term_rows``
+row tables serve dumpindex and the tests.  ``read_postings`` is the one
+block walk (gather, select, decode, exact range mask, cut by term) that
+BM25, exhaustive LM, the structured engine and dumpindex read postings
+through (the single ``DiskDocListIterator`` of the reference,
+ref:src/DiskDocListIterator.cpp:21-56); the LM block-max path and the
+RM feedback scan select and decode ``IndexReader.blocks`` themselves.
 
 One docno lookup.  Each docs file has a docno map, ``docnos/<stem>.arrow``
 (one docno column dense over the file's doc_id range), mapped once per
@@ -535,6 +539,46 @@ class IndexReader:
         intersects [lo, hi) — the doc-partitioned scatter path."""
         return self._read_term_rows(terms, doc_range)
 
+    def blocks(self, terms: list[str] | None,
+               doc_range: tuple[int, int] | None = None) -> "PostingBlocks":
+        """The posting blocks of ``terms``, term-major (terms sorted, a
+        term's blocks doc-ascending): a term's rows ``[a, b)`` in a bucket
+        file are that file's blocks ``[list_off[a], list_off[b])``, so the
+        gather is one slice of the file's block arrays per span — no row
+        table is assembled.  ``doc_range=(lo, hi)`` keeps only the blocks
+        whose ``[first, last]`` meets ``[lo, hi)``.  ``terms=None`` gathers
+        every term's blocks, file by file (the whole-index scan of RM
+        feedback without a direct index)."""
+        parts = []
+        if terms is None:
+            names: dict[str, int] = {}
+            for bf in (self._bucket_file(d, b) for d in self.index_dirs
+                       for b in range(self.cfg.n_buckets)):
+                sel = (np.arange(len(bf.blocks)) if doc_range is None else
+                       np.flatnonzero(_meets(bf.blocks, slice(None), doc_range)))
+                if not len(sel):
+                    continue
+                # a block's row → its term, named only for the rows hit
+                rows, inv = np.unique(bf.blocks.term[sel], return_inverse=True)
+                tids = np.array([names.setdefault(t, len(names)) for t in
+                                 bf.rows.column("term").take(rows).to_pylist()],
+                                np.int64)
+                parts.append((tids[inv], bf, sel))
+            return _gather(list(names), parts)
+        named: list[str] = []
+        for t in sorted(set(terms)):
+            for bf, a, b in self._spans(t):
+                lo, hi = int(bf.list_off[a]), int(bf.list_off[b])
+                sel, n = slice(lo, hi), hi - lo
+                if doc_range is not None:
+                    sel = lo + np.flatnonzero(_meets(bf.blocks, sel, doc_range))
+                    n = len(sel)
+                if n:
+                    if not named or named[-1] != t:
+                        named.append(t)
+                    parts.append((len(named) - 1, bf, sel))
+        return _gather(named, parts)
+
     def term_stats(self, terms: list[str]) -> dict[str, tuple[int, int]]:
         """Global (cf, df) per term: the sum over the term's posting rows in
         every dir (the values its dictionary rows hold; first query pass —
@@ -549,25 +593,35 @@ class IndexReader:
 
 class _BucketFile:
     """One bucket's postings file, memory-mapped: the rows (zero-copy — the
-    OS page cache holds them, not the worker heap) plus numpy views of the
-    term column's offsets and UTF-8 bytes, cf, df and first_doc."""
+    OS page cache holds them, not the worker heap), views of the term
+    column's offsets and UTF-8 bytes, of cf, df and first_doc, and the
+    file's flat block arrays (``blocks``, built once: each block's
+    ``first`` and absolute payload offset are computed, every other field
+    is a view of the mapped columns), where row ``r``'s blocks are
+    ``[list_off[r], list_off[r + 1])``."""
 
     def __init__(self, path: Path):
         self.rows = pa.ipc.open_file(pa.memory_map(str(path))).read_all(
         ).combine_chunks()
         n = self.rows.num_rows
         e = np.empty(0, np.int64)
+        self.blocks = posting_blocks(self.rows)
         if not n:
-            self.offs, self.data = np.zeros(1, np.int32), b""
+            self.offs, self.data = memoryview(b"\0" * 4).cast("i"), b""
             self.cf = self.df = self.first_doc = e
+            self.list_off = np.zeros(1, np.int64)
             return
         term = self.rows.column("term").chunk(0)
         _valid, offs, data = term.buffers()
-        self.offs = np.frombuffer(offs, np.int32)[term.offset:term.offset + n + 1]
+        self.offs = memoryview(offs).cast("i")[term.offset:term.offset + n + 1]
         self.data = memoryview(data)
         self.cf, self.df, self.first_doc = (
             self.rows.column(c).chunk(0).to_numpy()
             for c in ("cf", "df", "first_doc"))
+        lists = self.rows.column("block_offset").chunk(0)
+        self.list_off = lists.offsets.to_numpy()
+        if self.list_off[0]:
+            self.list_off = self.list_off - self.list_off[0]
 
     def span(self, term: str) -> tuple[int, int]:
         """``[a, b)``: the rows of ``term`` (rows are term-sorted; UTF-8
@@ -580,7 +634,11 @@ class _BucketFile:
 
         idx = range(len(offs) - 1)
         a = bisect.bisect_left(idx, key, key=at)
-        return a, bisect.bisect_right(idx, key, lo=a, key=at)
+        if a == len(idx) or at(a) != key:
+            return a, a
+        if a + 1 == len(idx) or at(a + 1) != key:  # most terms have one row
+            return a, a + 1
+        return a, bisect.bisect_right(idx, key, lo=a + 2, key=at)
 
 
 class _DocnoMap:
@@ -631,18 +689,24 @@ def _cat(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+_BLOCK_FIELDS = ("offset", "length", "n_docs", "first", "last", "max_tf",
+                 "min_dl")
+
+
 @dataclass(frozen=True)
 class PostingBlocks:
-    """Flat per-block view of a ``term_rows`` table: block ``i`` belongs
-    to table row ``row[i]`` and term ``terms[term[i]]``, holds ``n_docs[i]``
-    docs in ``[first[i], last[i]]`` and is encoded at ``offset[i]`` (length
-    ``length[i]``) inside that row's payload.  Payloads stay in Arrow: one
-    zero-copy ``uint8`` view per ``postings`` chunk, and a row's payload
-    starts at ``row_base[r]`` in view ``views[row_chunk[r]]``."""
+    """Flat per-block posting arrays: block ``i`` belongs to term
+    ``terms[term[i]]`` (to row ``term[i]`` of the table ``posting_blocks``
+    read, whose ``terms`` is empty), holds ``n_docs[i]`` docs in
+    ``[first[i], last[i]]`` (at most ``max_tf[i]`` occurrences each, doc
+    lengths at least ``min_dl[i]``) and is encoded at ``offset[i]``
+    (length ``length[i]``) in the ``uint8`` payload view
+    ``views[view[i]]`` — a zero-copy view of a ``postings`` buffer, so no
+    payload byte is copied."""
 
     terms: list[str]
-    row: np.ndarray
     term: np.ndarray
+    view: np.ndarray
     offset: np.ndarray
     length: np.ndarray
     n_docs: np.ndarray
@@ -651,33 +715,34 @@ class PostingBlocks:
     max_tf: np.ndarray
     min_dl: np.ndarray
     views: list[np.ndarray]
-    row_chunk: np.ndarray
-    row_base: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.first)
 
     def decode(self, sel, positions: bool = False
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """``(doc_ids, tfs, flat positions | None)`` of blocks ``sel`` (block
-        indices), in ``sel`` order: one batch-decoder call per run of
-        same-row blocks."""
+        indices), in ``sel`` order: one batch-decoder call per run of blocks
+        in the same payload view (per term and bucket file of a gather,
+        not per posting row)."""
         sel = np.asarray(sel, np.int64)
         if not len(sel):
             e = np.empty(0, np.int64)
             return e, e, (e if positions else None)
-        rows = self.row[sel]
-        cuts = (np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist()
+        view = self.view[sel]
+        cuts = (np.flatnonzero(view[1:] != view[:-1]) + 1).tolist()
         ds, tfs, poss = [], [], []
         for a, b in zip([0, *cuts], [*cuts, len(sel)]):
             g = sel[a:b]
-            r = rows[a]
-            view = self.views[self.row_chunk[r]]
-            offs = (self.row_base[r] + self.offset[g]).tolist()
+            buf = self.views[view[a]]
+            offs = self.offset[g].tolist()
             if positions:
                 d, tf, pos = decode_full_batch(
-                    view, offs, self.length[g].tolist(), self.n_docs[g],
+                    buf, offs, self.length[g].tolist(), self.n_docs[g],
                     self.first[g])
                 poss.append(pos)
             else:
-                d, tf = decode_doc_tf_batch(view, offs, self.n_docs[g],
+                d, tf = decode_doc_tf_batch(buf, offs, self.n_docs[g],
                                             self.first[g])
             ds.append(d)
             tfs.append(tf)
@@ -685,24 +750,26 @@ class PostingBlocks:
 
 
 def posting_blocks(rows: pa.Table) -> PostingBlocks:
-    """The posting-row layout, read in one place: flatten a ``term_rows``
-    table's block lists into per-block arrays (a row's head block starts at
-    the row's ``first_doc``, every later block at the previous block's
-    last + 1) and map each row to its payload bytes without copying them."""
+    """The posting-row layout, read in one place: flatten a table of
+    posting rows (a bucket file, or ``term_rows``) into per-block arrays (a
+    row's head block starts at the row's ``first_doc``, every later block
+    at the previous block's last + 1) and point each block at its payload
+    bytes without copying them.  The term column stays in Arrow (a bucket
+    file's blocks are built once per mapped file, and no term is turned
+    into a string): ``term[i]`` is block ``i``'s row and ``terms`` is
+    empty."""
 
     def flat(name: str) -> np.ndarray:
         return pc.list_flatten(rows.column(name)).to_numpy()
 
     row_nb = pc.list_value_length(rows.column("block_offset")).to_numpy()
-    last = flat("block_last_doc").astype(np.int64, copy=False)
+    last = flat("block_last_doc")
     first = np.empty(len(last), np.int64)
     first[1:] = last[:-1] + 1
     nz = row_nb > 0
     first[(np.cumsum(row_nb) - row_nb)[nz]] = \
         rows.column("first_doc").to_numpy()[nz]
-    index: dict[str, int] = {}
-    row_term = [index.setdefault(t, len(index))
-                for t in rows.column("term").to_pylist()]
+    row = np.repeat(np.arange(rows.num_rows, dtype=np.int64), row_nb)
     views, row_base, chunk_rows = [], [], []
     for chunk in rows.column("postings").chunks:
         _valid, offs, data = chunk.buffers()
@@ -712,16 +779,45 @@ def posting_blocks(rows: pa.Table) -> PostingBlocks:
         views.append(np.frombuffer(data, np.uint8) if data is not None
                      else np.empty(0, np.uint8))
         chunk_rows.append(len(chunk))
+    base = _cat(row_base) if row_base else np.empty(0, np.int64)
     return PostingBlocks(
-        terms=list(index),
-        row=np.repeat(np.arange(rows.num_rows, dtype=np.int64), row_nb),
-        term=np.repeat(np.asarray(row_term, np.int64), row_nb),
-        offset=flat("block_offset"), length=flat("block_length"),
+        terms=[], term=row,
+        # one payload view per chunk: a stride-0 view when there is one
+        view=(np.broadcast_to(np.int64(0), row.shape) if len(views) <= 1
+              else np.repeat(np.arange(len(views)), chunk_rows)[row]),
+        offset=base[row] + flat("block_offset"), length=flat("block_length"),
         n_docs=flat("block_n_docs"), first=first, last=last,
         max_tf=flat("block_max_tf"), min_dl=flat("block_min_dl"),
-        views=views,
-        row_chunk=np.repeat(np.arange(len(views)), chunk_rows),
-        row_base=_cat(row_base) if row_base else np.empty(0, np.int64))
+        views=views)
+
+
+def _meets(pb: PostingBlocks, sel, doc_range: tuple[int, int]) -> np.ndarray:
+    """Mask of blocks ``sel`` whose ``[first, last]`` meets ``[lo, hi)``."""
+    return (pb.last[sel] >= doc_range[0]) & (pb.first[sel] < doc_range[1])
+
+
+def _gather(terms: list[str], parts: list[tuple]) -> PostingBlocks:
+    """One ``PostingBlocks`` over ``parts``, in order: ``(tid, file, sel)``
+    puts blocks ``sel`` (a slice or index array) of a bucket file's block
+    arrays under term ``terms[tid]`` (``tid`` one index, or one per
+    block)."""
+    cols: dict[str, list[np.ndarray]] = {f: [] for f in _BLOCK_FIELDS}
+    term, view, views, vid = [], [], [], {}
+    for tid, bf, sel in parts:
+        for f in _BLOCK_FIELDS:
+            cols[f].append(getattr(bf.blocks, f)[sel])
+        n = len(cols["first"][-1])
+        v = vid.setdefault(id(bf), len(views))
+        if v == len(views):
+            views.append(bf.blocks.views[0])
+        term.append(np.full(n, tid, np.int64) if np.ndim(tid) == 0 else tid)
+        view.append(np.full(n, v, np.int64))
+    if not parts:
+        e = np.empty(0, np.int64)
+        return PostingBlocks(terms=[], term=e, view=e, views=[],
+                             **{f: e for f in _BLOCK_FIELDS})
+    return PostingBlocks(terms=terms, term=_cat(term), view=_cat(view),
+                         views=views, **{f: _cat(c) for f, c in cols.items()})
 
 
 def read_postings(reader, terms: list[str], *,
@@ -732,33 +828,34 @@ def read_postings(reader, terms: list[str], *,
     starts | None)}`` for every term with a posting in scope — the one block
     walk behind every posting consumer.
 
-    ``reader.term_rows(terms, doc_range)`` gives the rows; only blocks that
-    overlap ``doc_range`` and, with ``doc_set``, hold a wanted id (blocks
-    decode independently — each from its payload and its metadata
-    ``first``) are decoded;
-    decoded docs are then masked to exactly ``[lo, hi)`` and grouped by term
-    in row order (doc-ascending).  ``doc_set`` prunes at block granularity
-    only: the result holds whole blocks, so it suits per-doc lookups, not
-    collection statistics.  Positions are decoded only when asked for and
-    stored; doc i's run is ``flat[starts[i]:starts[i + 1]]``."""
-    pb = posting_blocks(reader.term_rows(terms, doc_range))
-    keep = np.ones(len(pb.row), bool)
-    if doc_range is not None:
-        lo, hi = doc_range
-        keep &= (pb.last >= lo) & (pb.first < hi)
+    ``reader.blocks(terms, doc_range)`` gives the blocks that overlap
+    ``doc_range``; with ``doc_set`` only those holding a wanted id are kept
+    (blocks decode independently — each from its payload and its metadata
+    ``first``).  Blocks are term-major, so each term's kept blocks are one
+    run, decoded in one call and masked to exactly ``[lo, hi)``; a term's
+    docs ascend.  ``doc_set`` prunes at block granularity only: the result holds whole
+    blocks, so it suits per-doc lookups, not collection statistics.
+    Positions are decoded only when asked for and stored; doc i's run is
+    ``flat[starts[i]:starts[i + 1]]``."""
+    pb = reader.blocks(terms, doc_range)
+    sel = np.arange(len(pb))
     if doc_set is not None:
         ws = np.unique(np.asarray(doc_set, np.int64))
         # the first wanted id at or after each block's first doc (a
         # sentinel past every doc id when there is none)
-        keep &= np.append(ws, 1 << 62)[np.searchsorted(ws, pb.first)] <= pb.last
+        sel = np.flatnonzero(
+            np.append(ws, 1 << 62)[np.searchsorted(ws, pb.first)] <= pb.last)
     positions = positions and reader.cfg.store_positions
-    sel = np.flatnonzero(keep)
+    # blocks are term-major: each term's selected blocks are one run
     sel_term = pb.term[sel]
+    cuts = (np.flatnonzero(sel_term[1:] != sel_term[:-1]) + 1).tolist()
     out: dict[str, tuple] = {}
-    for ti, term in enumerate(pb.terms):
-        d, tf, pos = pb.decode(sel[sel_term == ti], positions)
+    for a, b in zip([0, *cuts], [*cuts, len(sel)]):
+        if a == b:  # nothing selected
+            continue
+        d, tf, pos = pb.decode(sel[a:b], positions)
         if doc_range is not None:
-            m = (d >= lo) & (d < hi)
+            m = (d >= doc_range[0]) & (d < doc_range[1])
             if not m.all():
                 if pos is not None:
                     pos = pos[np.repeat(m, tf)]
@@ -769,7 +866,7 @@ def read_postings(reader, terms: list[str], *,
         if pos is not None:
             starts = np.zeros(len(d) + 1, np.int64)
             np.cumsum(tf, out=starts[1:])
-        out[term] = (d, tf, pos, starts)
+        out[pb.terms[sel_term[a]]] = (d, tf, pos, starts)
     return out
 
 
@@ -857,6 +954,12 @@ class BM25Scorer:
                          ) -> tuple[np.ndarray, np.ndarray]:
         """Top-k over every posting of every query term.
 
+        The terms' postings come from one ``read_postings`` gather; each
+        term's scores are computed in query order, the arrays are
+        concatenated, and one ``np.bincount`` sums them per doc.  bincount
+        adds its weights in array order, so every doc's sum is taken in
+        query-term order, as the reference's ``PlusNode`` takes it.
+
         ``doc_range=(lo, hi)`` restricts to a doc-id shard — the
         doc-partitioned scatter of the reference
         (ref:src/QueryEnvironment.cpp:111-122) with range shards instead of
@@ -876,31 +979,30 @@ class BM25Scorer:
         else:
             # shard-sized dl slice, not the whole index's dense array
             doc_lens, base = self.r.doc_lens_range(*doc_range), doc_range[0]
-        term_doc_arrays: list[np.ndarray] = []
-        term_score_arrays: list[np.ndarray] = []
+        ds, ss = [], []
         for term, numer_const in consts:  # fixed query order = fixed float order
             if term not in postings:
                 continue
             d, tf = postings[term][:2]
-            dl = doc_lens[d - base].astype(np.float64)
-            term_doc_arrays.append(d)
-            term_score_arrays.append(self._score_arrays(
-                tf.astype(np.float64), dl, numer_const, k1_1mb, k1b_avg))
-        if not term_doc_arrays:
+            ds.append(d)
+            ss.append(self._score_arrays(
+                tf.astype(np.float64), doc_lens[d - base].astype(np.float64),
+                numer_const, k1_1mb, k1b_avg))
+        if not ds:
             return empty
-        # dense accumulation over the decoded doc-id window [amin, amax]: one
-        # fancy-index += per term — exact because a term's doc_ids are
-        # unique, and per-doc addition order equals query-term order,
-        # matching PlusNode's summation sequence (ref:src/PlusNode.cpp:75-106).
-        # Memory is O(amax - amin), never O(max_doc_id): a segment built at
-        # a large doc_id base allocates only the span its postings cover.
-        amin = min(int(d.min()) for d in term_doc_arrays)
-        amax = max(int(d.max()) for d in term_doc_arrays)
-        dense = np.zeros(amax - amin + 1, dtype=np.float64)
-        touched = np.zeros(amax - amin + 1, dtype=bool)
-        for d, s in zip(term_doc_arrays, term_score_arrays):
-            dense[d - amin] += s
-            touched[d - amin] = True
+        # one dense accumulation over the decoded doc-id window [amin, amax]:
+        # bincount adds the weights in array order, and the arrays are
+        # concatenated in query-term order, so a doc's sum is taken in
+        # query-term order — PlusNode's summation sequence
+        # (ref:src/PlusNode.cpp:75-106), bit for bit.  Memory is
+        # O(amax - amin), never O(max_doc_id): a segment built at a large
+        # doc_id base allocates only the span its postings cover.
+        d = _cat(ds)
+        amin = int(d.min())
+        slot = d - amin
+        dense = np.bincount(slot, weights=_cat(ss))
+        touched = np.zeros(len(dense), bool)
+        touched[slot] = True
         cand = np.flatnonzero(touched) + amin
         cand = cand[self.r.keep_mask(cand)]
         if doc_set is not None:

@@ -96,7 +96,7 @@ def test_blockmax_prunes_blocks(reader, monkeypatch):
 
     sc = LMScorer(reader)
     terms = process_query_lm("merge buffer", reader.cfg)
-    total_blocks = len(posting_blocks(reader.term_rows(sorted(set(terms)))).row)
+    total_blocks = len(posting_blocks(reader.term_rows(sorted(set(terms)))))
     decoded_counter = {"n": 0}
     real = query_mod.decode_doc_tf_batch
 

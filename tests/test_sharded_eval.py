@@ -301,7 +301,7 @@ def test_partial_stats_sum_equals_warm_stats(built_index):
 
 
 def test_sharded_structured_driver_reads_no_postings(built_index, monkeypatch):
-    """The driver process must never fetch postings rows for a sharded
+    """The driver process must never fetch posting blocks for a sharded
     structured run — both the statistics pass and scoring are scattered;
     only workers (separate processes, unaffected by this patch) read."""
     import numpy as np
@@ -320,7 +320,7 @@ def test_sharded_structured_driver_reads_no_postings(built_index, monkeypatch):
     def _no_driver_reads(self, *a, **kw):
         raise AssertionError("driver-side postings fetch in sharded run")
 
-    monkeypatch.setattr(query_mod.IndexReader, "term_rows", _no_driver_reads)
+    monkeypatch.setattr(query_mod.IndexReader, "blocks", _no_driver_reads)
     sharded = run_queries_sharded(
         out, [("1", "#combine(#od2(merge buffer) token)")], k=20,
         n_shards=3, concurrency=2, kind="structured")
@@ -333,10 +333,10 @@ def test_sharded_structured_driver_reads_no_postings(built_index, monkeypatch):
 
 def test_sharded_bm25_reads_only_its_shard(small_corpus_dir, tmp_path,
                                            monkeypatch):
-    """A doc-range BM25 shard fetches its posting rows range-pruned: on a
-    salted index (several rows per hot term) no row that
-    ``_read_term_rows`` hands a shard lies wholly outside [lo, hi), and
-    the shard's scores equal the unsharded ones for its docs."""
+    """A doc-range BM25 shard fetches its posting blocks range-pruned: on
+    a salted index (several rows per hot term) every block that
+    ``IndexReader.blocks`` hands a shard meets [lo, hi), and the shard's
+    scores equal the unsharded ones for its docs."""
     from indri_5_5_ray.config import IndexConfig
     from indri_5_5_ray.pipelines.build import build_index
     from indri_5_5_ray.pipelines.query import (
@@ -355,29 +355,26 @@ def test_sharded_bm25_reads_only_its_shard(small_corpus_dir, tmp_path,
     full = dict(zip(full_ids.tolist(), full_scores.tolist()))
 
     seen = []
-    real = IndexReader._read_term_rows
+    real = IndexReader.blocks
 
     def spy(self, t, doc_range=None):
-        rows = real(self, t, doc_range)
-        seen.append((doc_range, rows))
-        return rows
+        pb = real(self, t, doc_range)
+        seen.append((doc_range, pb))
+        return pb
 
-    monkeypatch.setattr(IndexReader, "_read_term_rows", spy)
+    monkeypatch.setattr(IndexReader, "blocks", spy)
     outside = 0
     for lo, hi in ((0, 64), (64, 192), (192, 300)):
         seen.clear()
         ids, scores = BM25Scorer(IndexReader(out)).score_exhaustive(
             terms, k=10_000, doc_range=(lo, hi))
         assert seen and all(dr == (lo, hi) for dr, _ in seen)
-        for _, rows in seen:
-            first = rows.column("first_doc").to_numpy()
-            last = rows.column("last_doc").to_numpy()
-            assert ((last >= lo) & (first < hi)).all(), (lo, hi)
+        for _, pb in seen:
+            assert len(pb) and ((pb.last >= lo) & (pb.first < hi)).all(), (lo, hi)
         assert ((ids >= lo) & (ids < hi)).all()
         assert {d: full[d] for d in ids.tolist()} == dict(
             zip(ids.tolist(), scores.tolist()))
         assert sorted(ids.tolist()) == sorted(d for d in full if lo <= d < hi)
         unranged = real(IndexReader(out), [t for t, _ in terms])
-        outside += int(((unranged.column("last_doc").to_numpy() < lo)
-                        | (unranged.column("first_doc").to_numpy() >= hi)).sum())
-    assert outside, "no salt row lies outside any shard — test is vacuous"
+        outside += int(((unranged.last < lo) | (unranged.first >= hi)).sum())
+    assert outside, "no block lies outside any shard — test is vacuous"
