@@ -97,7 +97,7 @@ def cmd_vocabulary(reader: IndexReader, limit: str = "50") -> None:
 
 
 def cmd_documentname(reader: IndexReader, doc_id: str) -> None:
-    print(reader.docnos([int(doc_id)])[0])
+    print(reader.docnos([int(doc_id)])[0].as_py())
 
 
 def cmd_documentid(reader: IndexReader, docno: str) -> None:
@@ -336,7 +336,7 @@ def cmd_query(reader: IndexReader, text: str, k: str = "10") -> None:
     scorer = BM25Scorer(reader)
     terms = process_query(text, reader.cfg)
     ids, scores = scorer.score_exhaustive(terms, k=int(k))
-    for line in format_trec("Q", ids, scores, reader.docnos(ids.tolist())):
+    for line in format_trec("Q", ids, scores, reader.docnos(ids).to_pylist()):
         print(line)
 
 
@@ -437,7 +437,7 @@ def cmd_runquery(reader: IndexReader, queries_path: str, k: str = "10",
     topics = []
     for qid, text in queries:
         ids, bs, es, sc = score_ext(text)
-        docnos = reader.docnos(ids.tolist())
+        docnos = reader.docnos(ids).to_pylist()
         if output == "inex":
             paths = element_paths(reader, ids, bs, es)
             topics.append((qid, list(zip(docnos, paths, sc.tolist()))))

@@ -16,7 +16,8 @@ Phases (SURVEY.md §7.2):
    reads its bucket by predicate pushdown) → block-encoded posting lists
    (fixed-width Δdoc/tf arrays, vbyte positions) with block-max metadata +
    per-bucket dictionary slices
-   (the ``IndexWriter`` k-way merge, ref:src/IndexWriter.cpp:810-879);
+   (the ``IndexWriter`` k-way merge, ref:src/IndexWriter.cpp:810-879), and
+   beside them the dir's docno map from docs/;
 4. global statistics from lineage records → manifest.json (completion
    marker; stats are GLOBAL as required for rank-identity,
    ref:src/QueryEnvironment.cpp:957-970).
@@ -42,7 +43,8 @@ import ray
 
 from ..config import IndexConfig
 from ..sources.corpus import Chunk, plan_chunks, read_chunk
-from ..stages.postings import INDEX_FORMAT, MergeWorker, write_partials
+from ..stages.postings import (INDEX_FORMAT, MergeWorker, write_docno_map,
+                               write_partials)
 
 _DEDUP_BUCKETS = 32
 
@@ -301,7 +303,9 @@ def merge_partials(out_dir: str, cfg: IndexConfig, plan_fp: str,
                    timings: dict[str, float]) -> int:
     """The merge phase of every index writer (build, merge, trim, compact):
     bound the reducers' fan-in (_consolidate_partials), then one MergeWorker
-    task per bucket over ``out_dir``'s partials → postings/ + dictionary/.
+    task per bucket over ``out_dir``'s partials → postings/ + dictionary/,
+    and beside them one task that writes the dir's docno map from its
+    docs/ (``write_docno_map``).
     Adds ``consolidate_s`` and ``merge_s`` to ``timings``; returns the
     unique-term count of the per-bucket merge records."""
     t0 = time.perf_counter()
@@ -340,7 +344,16 @@ def merge_partials(out_dir: str, cfg: IndexConfig, plan_fp: str,
         )
         return t.to_pylist()[0]
 
+    # the dir's docno map, beside the bucket merges and shaped like them
+    # (so a warm merge worker runs it): it reads only docs/ (doc_id,
+    # docno), ~90 B per doc at peak (ids, slots, docno copy)
+    import pyarrow.dataset as pads
+
+    n_docs = pads.dataset(f"{out_dir}/docs", format="parquet").count_rows()
+    docno_ref = ray.remote(num_cpus=0.9, **_mem_opts(
+        min(90 * n_docs + (64 << 20), mcap)))(write_docno_map).remote(out_dir)
     records = ray.get([_merge_task.remote(b) for b in range(cfg.n_buckets)])
+    ray.get(docno_ref)
     # the consolidated copy is merge input only, as large as partials/; a
     # later merge consolidates again (its lineage check needs the file)
     if Path(partials_src).name == "partials_c":

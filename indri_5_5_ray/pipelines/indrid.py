@@ -62,7 +62,7 @@ class _QueryDaemon:
             raise ValueError(f"bm25 takes no method, got {method!r}")
         ids, scores = engine_topk(self._engine(kind, method or "dirichlet"),
                                   kind, text, k)
-        docnos = self.r.docnos([int(d) for d in ids])
+        docnos = self.r.docnos(ids).to_pylist()
         return [
             {"doc_id": int(d), "docno": dn, "score": float(s), "rank": i + 1}
             for i, (d, s, dn) in enumerate(zip(ids, scores, docnos))

@@ -49,10 +49,10 @@ through (the single ``DiskDocListIterator`` of the reference,
 ref:src/DiskDocListIterator.cpp:21-56); the LM block-max path and the
 RM feedback scan select and decode ``IndexReader.blocks`` themselves.
 
-One docno lookup.  Each docs file has a docno map, ``docnos/<stem>.arrow``
-(one docno column dense over the file's doc_id range), mapped once per
-reader: a docno page is a ``searchsorted`` over the maps' first ids and a
-zero-copy read of each id's slot.
+One docno lookup.  Each index dir has one docno map,
+``docnos/docnos.arrow`` (one docno column dense over the dir's doc_id
+range), mapped once per reader: a docno page is a ``searchsorted`` over
+the dirs' first ids and one Arrow ``take`` per dir it hits.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ import pyarrow.parquet as pq
 from ..codec import decode_block, decode_doc_tf_batch, decode_full_batch  # noqa: F401
 from ..config import IndexConfig
 from ..stages.ingest import TermProcessor
-from ..stages.postings import INDEX_FORMAT, POSTINGS_SCHEMA
+from ..stages.postings import DOCNO_MAP, INDEX_FORMAT, POSTINGS_SCHEMA
 from ..tokenizer import tokenize
 
 
@@ -139,7 +139,7 @@ class IndexReader:
     Every read goes through file sets spanning all dirs (``_dset``: the
     row-group index, the docs/fields datasets; ``_spans``: a term's rows
     in each dir's mapped bucket file; ``_docno_maps``: every dir's mapped
-    docno maps), so a segment boundary is one more file boundary.
+    docno map), so a segment boundary is one more file boundary.
     Statistics are the sums over the manifests (global, so scores equal a
     merged single index's), and the deleted set is the union of every
     dir's ``deleted.parquet`` and ``deleted_path`` (a repository's own
@@ -188,7 +188,8 @@ class IndexReader:
         self._range_lens: dict[tuple[int, int], np.ndarray] = {}
         self._range_lens_bytes = 0
         self._maps: dict[tuple[str, int], _BucketFile] = {}
-        self._docno_index: tuple[np.ndarray, list[_DocnoMap]] | None = None
+        self._stats_spans: dict[str, list] = {}  # see term_stats
+        self._docno_index: tuple[np.ndarray, list[pa.Array]] | None = None
         # per-subdir dataset handles: discovery + fragment metadata (file
         # listing, footers) are paid once per reader, not per point lookup
         self._dsets: dict[str, pads.Dataset] = {}
@@ -339,40 +340,59 @@ class IndexReader:
             self._range_lens_bytes += hit.nbytes
         return hit
 
-    def _docno_maps(self) -> tuple[np.ndarray, list["_DocnoMap"]]:
-        """``(firsts, maps)``: every dir's docno maps that hold a row,
-        sorted by their first doc_id; listed once per reader."""
+    def _docno_maps(self) -> tuple[np.ndarray, list[pa.Array]]:
+        """``(firsts, maps)``: the docno column of every dir's docno map
+        (``stages.postings.write_docno_map``) that holds a row, as a
+        zero-copy view of the memory-mapped file, sorted by its first
+        doc_id (one empty map when no dir has a row); opened once per
+        reader."""
         if self._docno_index is None:
-            maps = sorted((m for d in self.index_dirs
-                           for f in sorted(Path(d, "docnos").glob("*.arrow"))
-                           if (m := _DocnoMap(f)).has_rows),
-                          key=lambda m: m.first)
-            self._docno_index = (
-                np.array([m.first for m in maps], np.int64), maps)
+            maps = []
+            for d in self.index_dirs:
+                f = pa.ipc.open_file(pa.memory_map(str(Path(d, DOCNO_MAP))))
+                if f.num_record_batches:
+                    maps.append((int(f.schema.metadata[b"first"]),
+                                 f.get_batch(0).column(0)))
+            maps = sorted(maps, key=lambda m: m[0]) or [
+                (0, pa.array([], pa.large_string()))]
+            self._docno_index = (np.array([m[0] for m in maps], np.int64),
+                                 [m[1] for m in maps])
         return self._docno_index
 
-    def docnos(self, doc_ids: list[int]) -> list[str]:
-        """docID → docno forward lookup (ref:src/LocalQueryServer.cpp:167-206).
+    def docnos(self, doc_ids) -> pa.Array:
+        """docID → docno forward lookup (ref:src/LocalQueryServer.cpp:167-206):
+        an Arrow (large) string array, one docno per id, in ``doc_ids`` order.
 
-        One ``searchsorted`` over the docno maps' first ids, then a
-        zero-copy read of each id's slot in its memory-mapped map (the OS
-        page cache holds the docnos, not the worker heap).  An id no map
-        covers, or a deleted/deduplicated slot, gives ``""``."""
+        One ``take`` from a plain index's memory-mapped map (the OS page
+        cache holds the docnos, not the worker heap); over several dirs, a
+        ``searchsorted`` over their first ids and one ``take`` per dir hit.
+        An id no map covers (negative, past a map's end) or a
+        deleted/deduplicated slot gives ``""``."""
         ids = np.asarray(doc_ids, np.int64).ravel()
         firsts, maps = self._docno_maps()
-        which = np.searchsorted(firsts, ids, "right") - 1
-        return [maps[j].at(d - maps[j].first) if j >= 0 else ""
-                for j, d in zip(which.tolist(), ids.tolist())]
+        if len(maps) == 1:
+            out = _take_slots(maps[0], ids - firsts[0])
+        else:
+            # one take per dir hit, then one take back into doc_ids order;
+            # an id below every first reads a negative slot of the first map
+            which = np.maximum(np.searchsorted(firsts, ids, "right") - 1, 0)
+            order = np.argsort(which, kind="stable")
+            w = which[order]
+            out = pa.concat_arrays([pa.array([], pa.large_string())] + [
+                _take_slots(maps[j], ids[order[w == j]] - firsts[j])
+                for j in np.unique(w).tolist()]).take(np.argsort(order))
+        return out.fill_null("") if out.null_count else out
 
     def doc_ids_of(self, docnos: list[str]) -> np.ndarray:
         """Sorted doc_ids whose docno is in ``docnos``: an equality scan
-        over every mapped docno map (the backward lookup,
+        over every dir's mapped docno map (the backward lookup,
         ref:src/Repository.cpp:367-387)."""
-        want = pa.array(sorted(set(docnos)), pa.string())
-        hits = [np.flatnonzero(pc.is_in(m.docno, value_set=want).fill_null(
-                    False).to_numpy(zero_copy_only=False)) + m.first
-                for m in self._docno_maps()[1]]
-        return np.sort(_cat(hits)) if hits else np.empty(0, np.int64)
+        want = pa.array(sorted(set(docnos)), pa.large_string())
+        firsts, maps = self._docno_maps()
+        hits = [np.flatnonzero(pc.is_in(m, value_set=want).fill_null(
+                    False).to_numpy(zero_copy_only=False)) + first
+                for first, m in zip(firsts.tolist(), maps)]
+        return np.sort(_cat(hits))
 
     def doc_vectors(self, doc_ids: list[int]) -> dict[int, dict[str, int]]:
         """doc_id → {term: tf} from the forward ("direct") index — a
@@ -548,7 +568,8 @@ class IndexReader:
         table is assembled.  ``doc_range=(lo, hi)`` keeps only the blocks
         whose ``[first, last]`` meets ``[lo, hi)``.  ``terms=None`` gathers
         every term's blocks, file by file (the whole-index scan of RM
-        feedback without a direct index)."""
+        feedback without a direct index).  A term the last ``term_stats``
+        call looked up reuses the spans it found."""
         parts = []
         if terms is None:
             names: dict[str, int] = {}
@@ -567,7 +588,8 @@ class IndexReader:
             return _gather(list(names), parts)
         named: list[str] = []
         for t in sorted(set(terms)):
-            for bf, a, b in self._spans(t):
+            spans = self._stats_spans.get(t)
+            for bf, a, b in (self._spans(t) if spans is None else spans):
                 lo, hi = int(bf.list_off[a]), int(bf.list_off[b])
                 sel, n = slice(lo, hi), hi - lo
                 if doc_range is not None:
@@ -582,13 +604,14 @@ class IndexReader:
     def term_stats(self, terms: list[str]) -> dict[str, tuple[int, int]]:
         """Global (cf, df) per term: the sum over the term's posting rows in
         every dir (the values its dictionary rows hold; first query pass —
-        the statistics gather of ref:src/QueryEnvironment.cpp:957-965)."""
-        out = {}
-        for t in terms:
-            if spans := self._spans(t):
-                out[t] = (sum(int(bf.cf[lo:hi].sum()) for bf, lo, hi in spans),
-                          sum(int(bf.df[lo:hi].sum()) for bf, lo, hi in spans))
-        return out
+        the statistics gather of ref:src/QueryEnvironment.cpp:957-965).
+        The terms' row spans are kept until the next call, so the query's
+        ``blocks`` gather searches no term twice (a term's spans never
+        change under a reader, whose bucket files are mapped once)."""
+        self._stats_spans = {t: self._spans(t) for t in terms}
+        return {t: (sum(int(bf.cf[lo:hi].sum()) for bf, lo, hi in sp),
+                    sum(int(bf.df[lo:hi].sum()) for bf, lo, hi in sp))
+                for t, sp in self._stats_spans.items() if sp}
 
 
 class _BucketFile:
@@ -641,45 +664,10 @@ class _BucketFile:
         return a, bisect.bisect_right(idx, key, lo=a + 2, key=at)
 
 
-class _DocnoMap:
-    """One docs file's docno map (``stages.postings.write_docno_map``):
-    its ``first`` doc_id and whether it holds a row are read from the
-    footer; the docno column — and views of its validity bitmap, int32
-    offsets and UTF-8 bytes — are zero-copy views of the memory-mapped
-    file, made the first time a lookup touches it."""
-
-    def __init__(self, path: Path):
-        self._file = pa.ipc.open_file(pa.memory_map(str(path)))
-        self.first = int(self._file.schema.metadata[b"first"])
-        self.has_rows = self._file.num_record_batches > 0
-        self._docno: pa.StringArray | None = None
-
-    @property
-    def docno(self) -> pa.StringArray:
-        if self._docno is None:
-            self._load()
-        return self._docno
-
-    def _load(self) -> None:
-        col = self._docno = self._file.get_batch(0).column(0)
-        valid, offs, data = col.buffers()
-        self._n, self._off = len(col), col.offset
-        self._valid = None if valid is None else memoryview(valid)
-        self._offs = memoryview(offs).cast("i")[
-            col.offset:col.offset + len(col) + 1]
-        self._data = memoryview(data if data is not None else b"")
-
-    def at(self, i: int) -> str:
-        """The docno in slot ``i``; ``""`` past the map's end or at a
-        null slot."""
-        if self._docno is None:
-            self._load()
-        if i >= self._n:
-            return ""
-        b = i + self._off
-        if self._valid is not None and not self._valid[b >> 3] >> (b & 7) & 1:
-            return ""
-        return str(self._data[self._offs[i]:self._offs[i + 1]], "utf-8")
+def _take_slots(m: pa.Array, slots: np.ndarray) -> pa.Array:
+    """``m.take(slots)``; a slot outside ``m`` reads null."""
+    out = slots.view(np.uint64) >= len(m)  # a negative slot wraps past the end
+    return m.take(pa.array(slots, mask=out) if out.any() else slots)
 
 
 # -- the one posting reader -------------------------------------------------

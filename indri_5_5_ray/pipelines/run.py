@@ -166,32 +166,38 @@ class QueryWorker:
                            self.pruned)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        qids = batch.column("qid").to_pylist()
         texts = batch.column("text").to_pylist()
-        if "shard" in batch.column_names:
-            out = {"qid": [], "doc_id": [], "score": []}
-            for qid, text, shard in zip(qids, texts,
-                                        batch.column("shard").to_pylist()):
-                ids, scores = self._score(text, qid, self.ranges[shard])
-                out["qid"].extend([qid] * len(ids))
-                out["doc_id"].extend(ids.tolist())
-                out["score"].extend(scores.tolist())
-            return _table(out)
-        out = {c: [] for c in RESULT_SCHEMA.names}
-        for qid, text in zip(qids, texts):
+        shards = (batch.column("shard").to_pylist()
+                  if "shard" in batch.column_names else None)
+        qids = batch.column("qid").to_pylist() if shards is not None else None
+        ids, scores, ms = [], [], []
+        for i, text in enumerate(texts):
             t0 = time.perf_counter()
-            ids, scores = self._score(text)
-            ms = (time.perf_counter() - t0) * 1000
-            n = len(ids)
-            out["qid"].extend([qid] * n)
-            out["rank"].extend(range(1, n + 1))
-            out["doc_id"].extend(ids.tolist())
-            out["score"].extend(scores.tolist())
-            out["latency_ms"].extend([ms] * n)
-        # one batched docno lookup for the whole query batch (a take from
-        # the memory-mapped docno maps, not a resident corpus dict)
-        out["docno"] = self.reader.docnos(out["doc_id"])
-        return _table(out)
+            if shards is None:
+                d, s = self._score(text)
+            else:
+                d, s = self._score(text, qids[i], self.ranges[shards[i]])
+            ms.append((time.perf_counter() - t0) * 1000)
+            ids.append(d)
+            scores.append(s)
+        # the result columns straight from the per-query arrays (query i's
+        # rows are its top-k in rank order); the empty heads fix the dtypes
+        n = [len(d) for d in ids]
+        qid = batch.column("qid")
+        qid = pa.concat_arrays([pa.array([], pa.string())] + [
+            pa.repeat(qid[i], k) for i, k in enumerate(n) if k])
+        doc_id = np.concatenate([np.empty(0, np.int64), *ids])
+        score = pa.array(np.concatenate([np.empty(0), *scores]))
+        if shards is not None:
+            return pa.Table.from_arrays([qid, pa.array(doc_id), score],
+                                        names=["qid", "doc_id", "score"])
+        rank = np.concatenate([np.empty(0, np.int64)]
+                              + [np.arange(1, k + 1) for k in n])
+        # one docno page for the whole batch: one take from the mapped map
+        docno = self.reader.docnos(doc_id).cast(pa.string())
+        return pa.Table.from_arrays(
+            [qid, pa.array(rank), pa.array(doc_id), docno, score,
+             pa.array(np.repeat(np.array(ms), n))], schema=RESULT_SCHEMA)
 
 
 def _batch(items: list[tuple]) -> pa.Table:

@@ -8,13 +8,11 @@ row-group-aligned chunk of one corpus file).
 
 Each worker process holds the state the reference keeps per process —
 the Krovetz dictionary + cache and a term-processing memo — and for each
-chunk writes three deterministic side outputs before committing a lineage
-record:
+chunk writes two deterministic side outputs before committing a lineage
+record (the merge phase later writes the dir's docno map from ``docs/``,
+``postings.write_docno_map``):
 
 * ``docs/docs-<range>.parquet``  — (doc_id, docno, dl, unique_terms)
-* ``docnos/docs-<range>.arrow``  — the chunk's docno map: the docno column
-  dense over its doc_id range, memory-mapped by the query side's docno
-  lookup (``postings.write_docno_map``)
 * ``partials/partials-<range>.parquet`` — per (term) partial posting run:
   ascending doc_ids, tfs, dls, flattened positions + partial cf/df stats
   (the role of ``MemoryIndex``'s in-memory postings,

@@ -28,7 +28,6 @@ and very long posting lists are naturally split across rows.
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
@@ -76,7 +75,9 @@ POSTINGS_SCHEMA = pa.schema(
 # 2: one memory-mapped Arrow IPC postings file per bucket.
 # 3: one memory-mapped Arrow IPC docno map per docs file (``docnos/``).
 # 4: fixed-width Δdoc/tf arrays per block, first gap from the block metadata.
-INDEX_FORMAT = 4
+# 5: one docno map per index dir (``docnos/docnos.arrow``), written by the
+#    merge phase.
+INDEX_FORMAT = 5
 
 DICTIONARY_SCHEMA = pa.schema(
     [
@@ -231,8 +232,8 @@ def write_docs(tbl: pa.Table, path: str) -> None:
     docstores get 256-row groups: snippet/doctext point reads
     (IndexReader._point_read) decompress only the groups whose doc_id range
     holds a requested doc; tables without content stay one group (doc_lens
-    reads them in full anyway).  A docs table (one with a ``docno``
-    column) also gets its docno map, ``docnos/<stem>.arrow`` beside
+    reads them in full anyway).  The query-side docno map is not written
+    here: the merge phase writes one per index dir from the whole
     ``docs/`` (``write_docno_map``)."""
     import pyarrow.parquet as pq
 
@@ -240,34 +241,41 @@ def write_docs(tbl: pa.Table, path: str) -> None:
         pq.write_table(tbl, path, row_group_size=256)
     else:
         pq.write_table(tbl, path)
-    if "docno" in tbl.column_names:
-        p = Path(path)
-        write_docno_map(tbl, str(p.parent.parent / "docnos" / f"{p.stem}.arrow"))
 
 
-DOCNO_MAP_SCHEMA = pa.schema([("docno", pa.string())])
+DOCNO_MAP_SCHEMA = pa.schema([("docno", pa.large_string())])
+DOCNO_MAP = "docnos/docnos.arrow"
 
 
-def write_docno_map(docs: pa.Table, path: str) -> None:
-    """A docs table's query-side docno map: one uncompressed Arrow IPC
-    ``docno`` column dense over the table's doc_id range ``[first,
-    last]`` (slot ``d - first`` holds doc ``d``'s docno; ids the table
-    lacks — dedup losers, dropped docs — are null), with ``first`` in the
-    schema metadata.  The reader memory-maps it and answers a docno page
-    with one ``take`` (the forward lookup of the reference's collection,
-    ref:src/Repository.cpp:367-387).  An empty table gives a file with no
-    record batch.  Written aside, then renamed, like the postings files."""
+def write_docno_map(index_dir: str) -> int:
+    """An index dir's query-side docno map, ``docnos/docnos.arrow``: one
+    uncompressed Arrow IPC ``large_string`` column dense over the doc_id
+    range ``[first, last]`` of the dir's ``docs/`` (slot ``d - first``
+    holds doc ``d``'s docno; ids no docs row holds — dedup losers,
+    dropped docs — are null), with ``first`` in the schema metadata.  The
+    reader memory-maps it and answers a docno page with one ``take`` (the
+    forward lookup of the reference's collection,
+    ref:src/Repository.cpp:367-387).  A ``docs/`` with no rows gives a map
+    with no record batch.  Reads only ``doc_id, docno``, so the same docs
+    give the same bytes; written aside, then renamed, so a mapped file is
+    never truncated.  Returns the number of docs mapped."""
+    import pyarrow.parquet as pq
+
+    docs = pq.read_table(f"{index_dir}/docs", columns=["doc_id", "docno"])
     ids = docs.column("doc_id").to_numpy()
     first = int(ids.min()) if len(ids) else 0
     slot = np.full(int(ids.max()) - first + 1 if len(ids) else 0, -1, np.int64)
     slot[ids - first] = np.arange(len(ids))
-    docno = combine_column(docs, "docno").cast(pa.string()).take(
+    docno = combine_column(docs, "docno").cast(pa.large_string()).take(
         pa.array(slot, mask=slot < 0))
     schema = DOCNO_MAP_SCHEMA.with_metadata({"first": str(first)})
+    path = f"{index_dir}/{DOCNO_MAP}"
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with pa.ipc.new_file(path + ".tmp", schema) as w:
-        w.write_table(pa.table([docno], schema=schema))
+        if len(docno):
+            w.write_batch(pa.record_batch([docno], schema=schema))
     os.replace(path + ".tmp", path)
+    return len(ids)
 
 
 def combine_column(tbl: pa.Table, name: str) -> pa.Array:

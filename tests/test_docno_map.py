@@ -1,9 +1,9 @@
-"""Docno maps: ``docnos/<docs file stem>.arrow``, one memory-mapped docno
-column per docs file, dense over its doc_id range.  ``IndexReader.docnos``
-must equal a brute-force doc_id → docno dict of ``docs/`` on every index
-writer's output (build, merge, compact, repository segments), the maps
-must be byte-identical after a crash-and-resume and after a rebuild, and
-the CLI's docno commands read them over every segment."""
+"""Docno maps: ``docnos/docnos.arrow``, one memory-mapped docno column per
+index dir, dense over its doc_id range.  ``IndexReader.docnos`` must equal
+a brute-force doc_id → docno dict of ``docs/`` on every index writer's
+output (build, merge, compact, repository segments), the map must be
+byte-identical after a crash-and-resume and after a rebuild, and the
+CLI's docno commands read it over every segment."""
 
 from __future__ import annotations
 
@@ -77,8 +77,8 @@ def test_docnos_equal_docs_table_property(readers, data):
         st.integers(-3, top + 40),
         st.sampled_from(holes or [top + 1]),
         st.sampled_from(sorted(truth))), max_size=40))
-    assert reader.docnos(ids) == [truth.get(i, "") for i in ids]
-    assert reader.docnos(np.asarray(ids, np.int64)) == reader.docnos(ids)
+    assert reader.docnos(ids).to_pylist() == [truth.get(i, "") for i in ids]
+    assert reader.docnos(np.asarray(ids, np.int64)).equals(reader.docnos(ids))
 
 
 def test_doc_ids_of_scans_every_segment(readers):
@@ -97,9 +97,9 @@ def _tree_bytes(d: Path) -> dict[str, bytes]:
 
 
 def test_docno_maps_identical_after_resume_and_rebuild(small_corpus_dir, tmp_path):
-    """A crash between a chunk's maps and its lineage record (the chunk's
-    record lost, its map half-written) resumes to the same bytes; so does
-    a rebuild over the old dir and a build into a fresh one."""
+    """A crash in the merge phase (no manifest, the merge outputs lost, the
+    docno map left as a torn ``.tmp``) resumes to the same bytes; so does a
+    rebuild over the old dir and a build into a fresh one."""
     from indri_5_5_ray.config import IndexConfig
     from indri_5_5_ray.pipelines.build import build_index
 
@@ -107,16 +107,14 @@ def test_docno_maps_identical_after_resume_and_rebuild(small_corpus_dir, tmp_pat
     a = tmp_path / "a"
     build_index(small_corpus_dir, str(a), cfg, resume=False)
     want = _tree_bytes(a / "docnos")
-    assert len(want) == len(list((a / "docs").glob("*.parquet")))
+    assert list(want) == ["docnos.arrow"]
 
     (a / "manifest.json").unlink()
     for sub in ("postings", "dictionary"):
         shutil.rmtree(a / sub)
-    victim = sorted((a / "docnos").glob("*.arrow"))[1]
-    cid = victim.stem.removeprefix("docs-")
-    (a / "lineage" / f"ingest-{cid}.json").unlink()
-    victim.rename(str(victim) + ".tmp")
-    Path(str(victim) + ".tmp").write_bytes(b"torn")
+    m = a / "docnos" / "docnos.arrow"
+    m.unlink()
+    Path(f"{m}.tmp").write_bytes(want["docnos.arrow"][:100])
     build_index(small_corpus_dir, str(a), cfg, resume=True)
     assert _tree_bytes(a / "docnos") == want
 
@@ -148,7 +146,7 @@ def test_cli_docno_commands_read_every_segment(two_segments, capsys):
     repo = two_segments
     reader = repo.reader()
     last = reader.manifest["max_doc_id"]
-    docno = reader.docnos([last])[0]
+    docno = reader.docnos([last])[0].as_py()
     assert docno and last >= 50  # a doc of the second segment
     capsys.readouterr()
     cli.main([str(repo.dir), "documentid", docno])
@@ -191,7 +189,7 @@ def test_cli_delete_on_a_repository_uses_its_deleted_list(two_segments, tmp_path
     shutil.copytree(two_segments.dir, repo_dir)
     repo = Repository(str(repo_dir))
     last = repo.reader().manifest["max_doc_id"]
-    cli.main([str(repo_dir), "delete", repo.reader().docnos([last])[0]])
+    cli.main([str(repo_dir), "delete", repo.reader().docnos([last])[0].as_py()])
     assert repo.deleted().tolist() == [last]
     assert repo.reader().keep_mask(np.array([last])).tolist() == [False]
     for cmd in ("compact", "merge"):
@@ -200,17 +198,20 @@ def test_cli_delete_on_a_repository_uses_its_deleted_list(two_segments, tmp_path
         assert not (tmp_path / cmd).exists()
 
 
-def test_null_slot_reads_empty_whatever_its_bytes(tmp_path):
-    """A null slot reads ``""`` even when its offsets span bytes: Arrow
-    leaves a null's segment undefined, so the validity bit decides."""
-    from indri_5_5_ray.pipelines.query import _DocnoMap
+def test_null_slot_reads_empty_whatever_its_bytes(built_index, tmp_path):
+    """A null slot reads ``""`` through ``IndexReader.docnos`` even when its
+    offsets span bytes: Arrow leaves a null's segment undefined, so the
+    validity bit decides."""
+    from indri_5_5_ray.pipelines.query import IndexReader
 
-    col = pa.StringArray.from_buffers(
-        3, pa.py_buffer(np.array([0, 3, 6, 9], np.int32).tobytes()),
+    d = tmp_path / "idx"
+    shutil.copytree(built_index[0], d)
+    col = pa.LargeStringArray.from_buffers(
+        3, pa.py_buffer(np.array([0, 3, 6, 9], np.int64).tobytes()),
         pa.py_buffer(b"aaabbbccc"), pa.py_buffer(bytes([0b101])), null_count=1)
-    schema = pa.schema([("docno", pa.string())], metadata={"first": "10"})
-    with pa.ipc.new_file(str(tmp_path / "m.arrow"), schema) as w:
+    schema = pa.schema([("docno", pa.large_string())], metadata={"first": "10"})
+    with pa.ipc.new_file(str(d / "docnos" / "docnos.arrow"), schema) as w:
         w.write_table(pa.table([col], schema=schema))
-    m = _DocnoMap(tmp_path / "m.arrow")
-    assert m.first == 10
-    assert [m.at(i) for i in range(4)] == ["aaa", "", "ccc", ""]
+    got = IndexReader(str(d)).docnos([9, 10, 11, 12, 13, 12, -1])
+    assert got.null_count == 0
+    assert got.to_pylist() == ["", "aaa", "", "ccc", "", "ccc", ""]

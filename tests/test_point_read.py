@@ -77,7 +77,7 @@ def _check_reader(reader, brute: dict[int, tuple], columns: list[str],
         cols = [t.column(c).to_pylist() for c in columns]
         got = {d: tuple(c[i] for c in cols) for i, d in enumerate(got_ids)}
         assert got == {d: brute[d] for d in want_ids}
-        assert reader.docnos(ids) == [
+        assert reader.docnos(ids).to_pylist() == [
             brute[d][0] if d in brute else "" for d in ids]
 
 

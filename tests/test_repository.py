@@ -106,7 +106,7 @@ def test_delete_and_compact(corpora, tmp_path):
     # deleted docs are physically gone from the postings
     ids2, _ = BM25Scorer(r2).score_exhaustive(q, k=10)
     assert not set(victims) & set(ids2.tolist())
-    vecs = r2.docnos(victims)
+    vecs = r2.docnos(victims).to_pylist()
     assert all(v == "" for v in vecs)
 
 
@@ -129,7 +129,7 @@ def test_cli_delete_compact(tmp_path):
     r2 = IndexReader(out)
     assert r2.deleted is None
     assert r2.doc_count == r.doc_count - 1
-    assert r2.docnos([7]) == [""]
+    assert r2.docnos([7]).to_pylist() == [""]
 
 
 def test_multireader_lm_and_structured(corpora, tmp_path):
@@ -326,7 +326,7 @@ def test_delete_docnos_lookup(corpora, tmp_path):
     cfg = IndexConfig(**CFG_KW)
     repo = Repository.create(str(tmp_path / "repo_dn"), cfg)
     repo.add(a)
-    names = repo.reader().docnos([5, 17])
+    names = repo.reader().docnos([5, 17]).to_pylist()
     assert all(names)
     n = repo.delete_docnos(names + ["no/such@docno"])
     assert n == 2
@@ -391,7 +391,7 @@ def test_repository_reader_equals_single_build(corpora, tmp_path):
     assert np.array_equal(rm.doc_lens(), rs.doc_lens())
 
     ids = [0, 7, 119, 120, 121, 160, 199]
-    assert rm.docnos(ids + [500]) == rs.docnos(ids + [500])
+    assert rm.docnos(ids + [500]).equals(rs.docnos(ids + [500]))
     assert rm.doc_vectors(ids) == rs.doc_vectors(ids)
     for d in ids + [500]:
         assert rm.doc_vector_positional(d) == rs.doc_vector_positional(d), d

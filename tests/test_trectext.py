@@ -58,7 +58,7 @@ def test_trectext_to_index(tmp_path):
     ids, scores = BM25Scorer(r).score_exhaustive(
         process_query("quick fox", r.cfg), k=3)
     assert len(ids) >= 1
-    assert r.docnos(ids.tolist())[0] == "trec/WSJ870324-0001@" + __import__("hashlib").sha1(b"WSJ870324-0001").hexdigest()
+    assert r.docnos(ids).to_pylist()[0] == "trec/WSJ870324-0001@" + __import__("hashlib").sha1(b"WSJ870324-0001").hexdigest()
 
 
 def test_trecweb_and_html_classes(tmp_path):
