@@ -158,7 +158,6 @@ def run_bench() -> dict:
     reader = IndexReader(index_dir)
     lm = LMScorer(reader)
     eng = StructuredQueryEngine(reader)
-    reader.doc_lens()
     sq = queries[0][1].split()[:2]
     sv = queries[1][1].split()[0]
 

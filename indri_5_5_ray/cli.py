@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from .codec import block_layout_error, decode_block
@@ -249,14 +250,45 @@ def cmd_merge(reader: IndexReader, out_dir: str, *others: str) -> None:
     print(f"merged {1 + len(others)} indexes: {m['doc_count']} docs -> {out_dir}")
 
 
+def _doc_map_errors(reader: IndexReader, docs: pa.Table) -> int:
+    """Every slot of every dir's doc-keyed map against ``docs`` (sorted by
+    doc_id): a docs row's slot holds its docno and dl, any other slot (a
+    hole) null and 0, and every docs row has a slot.  Prints one ERROR
+    line per bad slot; returns the error count."""
+    ids = docs.column("doc_id").to_numpy()
+    docno = docs.column("docno").cast(pa.large_string())
+    dl = docs.column("dl").to_numpy()
+    errors = covered = 0
+    for first, m_docno, m_dl in zip(*reader.doc_maps()):
+        slot_ids = first + np.arange(len(m_dl))
+        pos = np.minimum(np.searchsorted(ids, slot_ids), max(len(ids) - 1, 0))
+        has = ids[pos] == slot_ids if len(ids) else np.zeros(len(pos), bool)
+        covered += int(has.sum())
+        # a docs row's slot holds its docno and dl, a hole null and 0
+        want_no = docno.take(pa.array(pos, mask=~has))
+        want_dl = np.where(has, dl[pos], 0)
+        no_ok = pc.equal(m_docno, want_no).fill_null(False).to_numpy(
+            zero_copy_only=False)
+        hole_ok = m_docno.is_null().to_numpy(zero_copy_only=False) & ~has
+        for d in slot_ids[~(no_ok | hole_ok) | (m_dl != want_dl)].tolist():
+            print(f"ERROR doc map: slot {d} disagrees with docs/")
+            errors += 1
+    if covered != len(ids):
+        print(f"ERROR doc map: {len(ids) - covered} docs rows have no slot")
+        errors += 1
+    return errors
+
+
 def cmd_validate(reader: IndexReader, *_args) -> None:
     """Invariant walk (the ``dumpindex validate`` analogue,
-    ref:dumpindex/dumpindex.cpp:593-595): checks every posting block's
-    width byte and length against the block layout, decodes it and
-    cross-checks against the document table and the dictionary."""
-    doc_lens = reader.doc_lens()
-    known = set(reader._dset("docs").to_table(columns=["doc_id"])
-                .column("doc_id").to_pylist())
+    ref:dumpindex/dumpindex.cpp:593-595): checks each slot of the
+    doc-keyed maps (docno and dl) against the document table, and every
+    posting block's width byte and length against the block layout,
+    decodes it and cross-checks against the document table and the
+    dictionary."""
+    docs = reader._dset("docs").to_table(
+        columns=["doc_id", "docno", "dl"]).sort_by("doc_id")
+    known = set(docs.column("doc_id").to_pylist())
     dict_t = _dictionary(reader)
     dict_stats = {
         t: (cf, df)
@@ -266,7 +298,7 @@ def cmd_validate(reader: IndexReader, *_args) -> None:
             dict_t.column("df").to_pylist(),
         )
     }
-    errors = 0
+    errors = _doc_map_errors(reader, docs)
     seen: dict[str, list[int]] = {}
     has_pos = reader.cfg.store_positions
     for row in (r for t in reader.posting_tables() for r in t.to_pylist()):
@@ -301,17 +333,16 @@ def cmd_validate(reader: IndexReader, *_args) -> None:
                 if did not in known:
                     print(f"ERROR {term}: unknown doc {did}")
                     errors += 1
-            if tf.max(initial=0) and len(d):
-                bad = tf > doc_lens[d]
-                if bad.any():
-                    print(f"ERROR {term}: tf exceeds doc length")
-                    errors += 1
+            dl = reader.doc_lens(d)
+            if (tf > dl).any():
+                print(f"ERROR {term}: tf exceeds doc length")
+                errors += 1
             if pos is not None and len(pos):
                 cursor = 0
-                for did, n in zip(d.tolist(), tf.tolist()):
+                for did, n, n_dl in zip(d.tolist(), tf.tolist(), dl.tolist()):
                     ps = pos[cursor : cursor + n]
                     cursor += n
-                    if (np.diff(ps) <= 0).any() or ps[-1] >= doc_lens[did]:
+                    if (np.diff(ps) <= 0).any() or ps[-1] >= n_dl:
                         print(f"ERROR {term}: bad positions doc {did}")
                         errors += 1
             total_cf += int(tf.sum())

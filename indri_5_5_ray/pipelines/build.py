@@ -17,7 +17,7 @@ Phases (SURVEY.md §7.2):
    (fixed-width Δdoc/tf arrays, vbyte positions) with block-max metadata +
    per-bucket dictionary slices
    (the ``IndexWriter`` k-way merge, ref:src/IndexWriter.cpp:810-879), and
-   beside them the dir's docno map from docs/;
+   beside them the dir's doc-keyed map (docno, dl) from docs/;
 4. global statistics from lineage records → manifest.json (completion
    marker; stats are GLOBAL as required for rank-identity,
    ref:src/QueryEnvironment.cpp:957-970).
@@ -304,8 +304,8 @@ def merge_partials(out_dir: str, cfg: IndexConfig, plan_fp: str,
     """The merge phase of every index writer (build, merge, trim, compact):
     bound the reducers' fan-in (_consolidate_partials), then one MergeWorker
     task per bucket over ``out_dir``'s partials → postings/ + dictionary/,
-    and beside them one task that writes the dir's docno map from its
-    docs/ (``write_docno_map``).
+    and beside them one task that writes the dir's doc-keyed map (docno,
+    dl) from its docs/ (``write_docno_map``).
     Adds ``consolidate_s`` and ``merge_s`` to ``timings``; returns the
     unique-term count of the per-bucket merge records."""
     t0 = time.perf_counter()
@@ -344,14 +344,14 @@ def merge_partials(out_dir: str, cfg: IndexConfig, plan_fp: str,
         )
         return t.to_pylist()[0]
 
-    # the dir's docno map, beside the bucket merges and shaped like them
-    # (so a warm merge worker runs it): it reads only docs/ (doc_id,
-    # docno), ~90 B per doc at peak (ids, slots, docno copy)
+    # the dir's doc-keyed map, beside the bucket merges and shaped like
+    # them (so a warm merge worker runs it): it reads only docs/ (doc_id,
+    # docno, dl), ~100 B per doc at peak (ids, slots, docno copy, dl)
     import pyarrow.dataset as pads
 
     n_docs = pads.dataset(f"{out_dir}/docs", format="parquet").count_rows()
     docno_ref = ray.remote(num_cpus=0.9, **_mem_opts(
-        min(90 * n_docs + (64 << 20), mcap)))(write_docno_map).remote(out_dir)
+        min(100 * n_docs + (64 << 20), mcap)))(write_docno_map).remote(out_dir)
     records = ray.get([_merge_task.remote(b) for b in range(cfg.n_buckets)])
     ray.get(docno_ref)
     # the consolidated copy is merge input only, as large as partials/; a

@@ -146,7 +146,7 @@ def _run_extent_root(eng: StructuredQueryEngine, field: str | None,
         return _empties()
     if field is None:
         ev = _ExtentEval.documents(
-            eng, cand, eng._doc_lens(cand, doc_range)).passages(node)
+            eng, cand, eng.r.doc_lens(cand)).passages(node)
     else:
         ev = _element_eval(eng, cand, field)
     return _score_extents(ev, inner, k)

@@ -99,10 +99,9 @@ def rm1_model(
     p_d = np.exp(s)
     p_d /= p_d.sum()
     vecs = _feedback_doc_vectors(reader, ids.tolist())
-    doc_lens = reader.doc_lens()
+    doc_lens = reader.doc_lens(ids).tolist()
     p_w: dict[str, float] = {}
-    for did, w in zip(ids.tolist(), p_d.tolist()):
-        dl = float(doc_lens[did])
+    for did, w, dl in zip(ids.tolist(), p_d.tolist(), doc_lens):
         for term, tf in vecs[did].items():
             p_w[term] = p_w.get(term, 0.0) + w * (tf / dl)
     # cutoff key rounded to 12 decimals: p_w is a small float sum whose

@@ -143,8 +143,7 @@ class _QueryDaemon:
         return list(self.r.cfg.fields)
 
     def document_length(self, doc_id: int) -> int:
-        arr = self.r.doc_lens_range(doc_id, doc_id + 1)
-        return int(arr[0]) if len(arr) else 0
+        return int(self.r.doc_lens([doc_id])[0])
 
     def document_count(self) -> int:
         return int(self.r.doc_count)

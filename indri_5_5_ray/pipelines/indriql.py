@@ -1064,20 +1064,11 @@ class StructuredQueryEngine:
         self._strict_stats = pruned
         try:
             beliefs = _ExtentEval.documents(
-                self, cand, self._doc_lens(cand, doc_range)).belief(root)
+                self, cand, self.r.doc_lens(cand)).belief(root)
         finally:
             self._strict_stats = False
         keep = beliefs > -np.inf  # filreq/filrej exclusions
         return _topk(cand[keep], beliefs[keep], k)
-
-    def _doc_lens(self, cand: np.ndarray,
-                  doc_range: tuple[int, int] | None = None) -> np.ndarray:
-        """Doc lengths of the candidates (a ranged run reads only its
-        slice: shard workers hold O(span) lengths)."""
-        if doc_range is None:
-            return self.r.doc_lens()[cand]
-        return self.r.doc_lens_range(doc_range[0], doc_range[1])[
-            cand - doc_range[0]]
 
 
 def _gather_candidates(eng: StructuredQueryEngine, nodes,

@@ -91,43 +91,29 @@ class LMScorer:
                                    mean_of=len(terms), doc_range=doc_range,
                                    prune=prune)
 
-    def _use_dense_dl(self) -> bool:
-        """Dense doc-length array only while it is small (or already
-        resident); past the gate the pruned path fetches per-cell slices —
-        a query actor then holds O(processed cells), never O(max_doc_id)
-        (4 GB × actors at 10⁹ docs)."""
-        import os
-
-        gate = int(os.environ.get("INDRI55_DENSE_DL_DOCS", str(4 << 20)))
-        return (self.r._doc_lens is not None
-                or self.r.manifest["max_doc_id"] + 1 <= gate)
-
     def _cell_min_dl(self, span: int) -> np.ndarray:
         """Per-cell min dl over REAL docs (dl > 0); +inf for cells with
-        none.  Gaps in the dense dl array (dedup losers, empty docs) can
-        never be candidates — they have no postings — so excluding them
-        keeps the bound tight without affecting safety.  Past the dense
-        gate the mins are folded SLAB by SLAB (cell-aligned range reads),
-        so the whole dl array is never resident; the result is only
-        O(n_cells) either way."""
+        none.  Holes in the doc-keyed maps (dedup losers, dropped ids) and
+        empty docs can never be candidates — they have no postings — so
+        excluding them keeps the bound tight without affecting safety.
+        The mins are folded slab by slab (cell-aligned) over each mapped
+        ``dl`` view (``IndexReader.doc_maps``), so the heap holds one slab
+        and the O(n_cells) result, never O(max_doc_id)."""
         hit = self._cell_min_dl_cache.get(span)
         if hit is None:
             n = self.r.manifest["max_doc_id"] + 1
-            n_cells = (n + span - 1) // span
-            if self._use_dense_dl():
-                dl = self.r.doc_lens()
-                pad = np.full(n_cells * span, np.inf)
-                pad[:n] = np.where(dl > 0, dl, np.inf)
-                hit = pad.reshape(n_cells, span).min(axis=1)
-            else:
-                hit = np.full(n_cells, np.inf)
-                slab = span * max(1, (4 << 20) // span)  # cell-aligned
-                for lo in range(0, n, slab):
-                    arr = self.r.doc_lens_range(lo, min(lo + slab, n))
+            hit = np.full((n + span - 1) // span, np.inf)
+            slab = span * max(1, (4 << 20) // span)
+            firsts, _, dls = self.r.doc_maps()
+            for first, dl in zip(firsts.tolist(), dls):
+                end = first + len(dl)
+                for lo in range(first - first % span, end, slab):
+                    a, b = max(lo, first), min(lo + slab, end)
                     c0 = lo // span
-                    k = (len(arr) + span - 1) // span
+                    k = (b - lo + span - 1) // span
                     pad = np.full(k * span, np.inf)
-                    pad[:len(arr)] = np.where(arr > 0, arr, np.inf)
+                    arr = dl[a - first:b - first]
+                    pad[a - lo:b - lo] = np.where(arr > 0, arr, np.inf)
                     hit[c0:c0 + k] = np.minimum(
                         hit[c0:c0 + k], pad.reshape(k, span).min(axis=1))
             if len(self._cell_min_dl_cache) > 4:
@@ -164,8 +150,7 @@ class LMScorer:
         ``doc_range=(lo, hi)`` scores only that docID slice — the
         doc-partitioned scatter: statistics stay COLLECTION-global (so
         shard scores are identical to a global run), but postings reads
-        (``query.read_postings``) are range-pruned and doc lengths load
-        only the shard's slice.
+        (``query.read_postings``) are range-pruned.
 
         ``prune`` (default: auto) switches on rank-safe block-max cell
         skipping; it requires strictly positive weights (an upper bound
@@ -195,11 +180,7 @@ class LMScorer:
         cand = cand[r.keep_mask(cand)]
         if not len(cand):
             return np.empty(0, np.int64), np.empty(0, np.float64)
-        if doc_range is None:
-            dl = r.doc_lens()[cand].astype(np.float64)
-        else:
-            dl = r.doc_lens_range(doc_range[0], doc_range[1])[
-                cand - doc_range[0]].astype(np.float64)
+        dl = r.doc_lens(cand).astype(np.float64)
         acc = np.zeros(len(cand), dtype=np.float64)
         for term, w in term_weights:  # children in query order, dups included
             tf = np.zeros(len(cand), dtype=np.float64)
@@ -259,7 +240,6 @@ class LMScorer:
         nb = len(pb)
         if nb == 0:
             return np.empty(0, np.int64), np.empty(0, np.float64)
-        doc_lens = r.doc_lens() if self._use_dense_dl() else None
         tindex = {t: i for i, t in enumerate(uniq_terms)}
         ti_f = np.array([tindex[t] for t in pb.terms], np.int64)[pb.term]
         max_doc = int(pb.last.max())
@@ -366,8 +346,7 @@ class LMScorer:
             cand = cand[r.keep_mask(cand)]
             if not len(cand):
                 continue
-            dl = (doc_lens[cand] if doc_lens is not None
-                  else r.doc_lens_range(lo, hi)[cand - lo]).astype(np.float64)
+            dl = r.doc_lens(cand).astype(np.float64)
             # EXACT exhaustive arithmetic: children in query order, same
             # searchsorted gather, same child formula, same accumulation
             kids: list[np.ndarray] = []

@@ -49,10 +49,13 @@ through (the single ``DiskDocListIterator`` of the reference,
 ref:src/DiskDocListIterator.cpp:21-56); the LM block-max path and the
 RM feedback scan select and decode ``IndexReader.blocks`` themselves.
 
-One docno lookup.  Each index dir has one docno map,
-``docnos/docnos.arrow`` (one docno column dense over the dir's doc_id
-range), mapped once per reader: a docno page is a ``searchsorted`` over
-the dirs' first ids and one Arrow ``take`` per dir it hits.
+One doc-keyed map.  Each index dir has one map, ``docnos/docnos.arrow``
+(a docno and a dl column dense over the dir's doc_id range), mapped once
+per reader: a docno page is a ``searchsorted`` over the dirs' first ids
+and one Arrow ``take`` per dir it hits, and a doc-length read is the same
+dispatch and one numpy gather from the mapped ``dl`` view (the
+reference's cached ``documentLengths``, ref:src/DiskIndex.cpp:103-104),
+so no reader copies the lengths onto its heap.
 """
 
 from __future__ import annotations
@@ -138,8 +141,8 @@ class IndexReader:
 
     Every read goes through file sets spanning all dirs (``_dset``: the
     row-group index, the docs/fields datasets; ``_spans``: a term's rows
-    in each dir's mapped bucket file; ``_docno_maps``: every dir's mapped
-    docno map), so a segment boundary is one more file boundary.
+    in each dir's mapped bucket file; ``doc_maps``: every dir's mapped
+    doc-keyed map), so a segment boundary is one more file boundary.
     Statistics are the sums over the manifests (global, so scores equal a
     merged single index's), and the deleted set is the union of every
     dir's ``deleted.parquet`` and ``deleted_path`` (a repository's own
@@ -184,12 +187,10 @@ class IndexReader:
         lists = [a for p in paths if (a := load_deleted(p)) is not None]
         self.deleted: np.ndarray | None = (
             np.unique(np.concatenate(lists)) if lists else None)
-        self._doc_lens: np.ndarray | None = None
-        self._range_lens: dict[tuple[int, int], np.ndarray] = {}
-        self._range_lens_bytes = 0
         self._maps: dict[tuple[str, int], _BucketFile] = {}
         self._stats_spans: dict[str, list] = {}  # see term_stats
-        self._docno_index: tuple[np.ndarray, list[pa.Array]] | None = None
+        self._doc_maps: tuple[np.ndarray, list[pa.Array],
+                              list[np.ndarray]] | None = None
         # per-subdir dataset handles: discovery + fragment metadata (file
         # listing, footers) are paid once per reader, not per point lookup
         self._dsets: dict[str, pads.Dataset] = {}
@@ -299,65 +300,28 @@ class IndexReader:
 
     # -- doc metadata -------------------------------------------------------
 
-    def doc_lens(self) -> np.ndarray:
-        """Dense doc_id → dl array (per-shard at scale; whole index here)."""
-        if self._doc_lens is None:
-            t = self._dset("docs").to_table(columns=["doc_id", "dl"])
-            arr = np.zeros(self.manifest["max_doc_id"] + 1, dtype=np.int32)
-            arr[t.column("doc_id").to_numpy()] = t.column("dl").to_numpy()
-            self._doc_lens = arr
-        return self._doc_lens
-
-    def doc_lens_range(self, lo: int, hi: int) -> np.ndarray:
-        """Dense dl slice for doc_ids in [lo, hi) — index with ``d - lo``.
-
-        Docs files are doc-range partitioned, so the filtered read prunes row
-        groups; a sharded query actor holds O(shard span) memory instead of
-        the whole index's dl array (at 10⁹ docs the dense array is GBs ×
-        actors).  Slices are cached with a BYTE bound (not an entry count):
-        block-max cells recur across queries, and the bound keeps a
-        long-lived query actor's dl footprint at ~64 MB regardless of how
-        many distinct cells its query mix touches."""
-        hi = min(hi, self.manifest["max_doc_id"] + 1)
-        if hi <= lo:
-            return np.empty(0, np.int32)
-        if self._doc_lens is not None:  # full array already resident
-            return self._doc_lens[lo:hi]
-        key = (lo, hi)
-        hit = self._range_lens.get(key)
-        if hit is None:
-            dset = self._dset("docs")
-            t = dset.to_table(
-                filter=(pads.field("doc_id") >= lo) & (pads.field("doc_id") < hi),
-                columns=["doc_id", "dl"],
-            )
-            hit = np.zeros(hi - lo, dtype=np.int32)
-            hit[t.column("doc_id").to_numpy() - lo] = t.column("dl").to_numpy()
-            if self._range_lens_bytes + hit.nbytes > (64 << 20):
-                self._range_lens.clear()
-                self._range_lens_bytes = 0
-            self._range_lens[key] = hit
-            self._range_lens_bytes += hit.nbytes
-        return hit
-
-    def _docno_maps(self) -> tuple[np.ndarray, list[pa.Array]]:
-        """``(firsts, maps)``: the docno column of every dir's docno map
-        (``stages.postings.write_docno_map``) that holds a row, as a
-        zero-copy view of the memory-mapped file, sorted by its first
-        doc_id (one empty map when no dir has a row); opened once per
-        reader."""
-        if self._docno_index is None:
+    def doc_maps(self) -> tuple[np.ndarray, list[pa.Array], list[np.ndarray]]:
+        """``(firsts, docnos, dls)``: every dir's doc-keyed map
+        (``stages.postings.write_docno_map``) that holds a row, sorted by
+        its first doc_id — the ``docno`` column as an Arrow array and the
+        ``dl`` column as a read-only int32 numpy view, both zero-copy over
+        the memory-mapped file (one empty map when no dir has a row);
+        opened once per reader."""
+        if self._doc_maps is None:
             maps = []
             for d in self.index_dirs:
                 f = pa.ipc.open_file(pa.memory_map(str(Path(d, DOCNO_MAP))))
                 if f.num_record_batches:
+                    b = f.get_batch(0)
                     maps.append((int(f.schema.metadata[b"first"]),
-                                 f.get_batch(0).column(0)))
+                                 b.column("docno"),
+                                 b.column("dl").to_numpy(zero_copy_only=True)))
             maps = sorted(maps, key=lambda m: m[0]) or [
-                (0, pa.array([], pa.large_string()))]
-            self._docno_index = (np.array([m[0] for m in maps], np.int64),
-                                 [m[1] for m in maps])
-        return self._docno_index
+                (0, pa.array([], pa.large_string()), np.empty(0, np.int32))]
+            firsts, docnos, dls = zip(*maps)
+            self._doc_maps = (np.array(firsts, np.int64), list(docnos),
+                              list(dls))
+        return self._doc_maps
 
     def docnos(self, doc_ids) -> pa.Array:
         """docID → docno forward lookup (ref:src/LocalQueryServer.cpp:167-206):
@@ -369,7 +333,7 @@ class IndexReader:
         An id no map covers (negative, past a map's end) or a
         deleted/deduplicated slot gives ``""``."""
         ids = np.asarray(doc_ids, np.int64).ravel()
-        firsts, maps = self._docno_maps()
+        firsts, maps, _ = self.doc_maps()
         if len(maps) == 1:
             out = _take_slots(maps[0], ids - firsts[0])
         else:
@@ -383,12 +347,29 @@ class IndexReader:
                 for j in np.unique(w).tolist()]).take(np.argsort(order))
         return out.fill_null("") if out.null_count else out
 
+    def doc_lens(self, doc_ids) -> np.ndarray:
+        """docID → document length (stopped slots counted): an int32 array,
+        one length per id, in ``doc_ids`` order — one gather from the
+        memory-mapped ``dl`` view of the map holding each id, with the
+        dispatch of :meth:`docnos`.  An id no map covers or a
+        deduplicated slot gives 0."""
+        ids = np.asarray(doc_ids, np.int64).ravel()
+        firsts, _, dls = self.doc_maps()
+        if len(dls) == 1:
+            return _gather_slots(dls[0], ids - firsts[0])
+        which = np.maximum(np.searchsorted(firsts, ids, "right") - 1, 0)
+        out = np.empty(len(ids), np.int32)
+        for j in np.unique(which).tolist():
+            m = which == j
+            out[m] = _gather_slots(dls[j], ids[m] - firsts[j])
+        return out
+
     def doc_ids_of(self, docnos: list[str]) -> np.ndarray:
         """Sorted doc_ids whose docno is in ``docnos``: an equality scan
         over every dir's mapped docno map (the backward lookup,
         ref:src/Repository.cpp:367-387)."""
         want = pa.array(sorted(set(docnos)), pa.large_string())
-        firsts, maps = self._docno_maps()
+        firsts, maps, _ = self.doc_maps()
         hits = [np.flatnonzero(pc.is_in(m, value_set=want).fill_null(
                     False).to_numpy(zero_copy_only=False)) + first
                 for first, m in zip(firsts.tolist(), maps)]
@@ -412,7 +393,7 @@ class IndexReader:
         t = self._point_read("direct", [doc_id], ["terms", "tfs", "positions"])
         if t.num_rows == 0:
             return []
-        dl = int(self.doc_lens_range(doc_id, doc_id + 1)[0])
+        dl = int(self.doc_lens([doc_id])[0])
         vec: list[str | None] = [None] * dl
         row = t.to_pylist()[0]
         cur = 0
@@ -668,6 +649,16 @@ def _take_slots(m: pa.Array, slots: np.ndarray) -> pa.Array:
     """``m.take(slots)``; a slot outside ``m`` reads null."""
     out = slots.view(np.uint64) >= len(m)  # a negative slot wraps past the end
     return m.take(pa.array(slots, mask=out) if out.any() else slots)
+
+
+def _gather_slots(dl: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """``dl[slots]``; a slot outside ``dl`` reads 0."""
+    u = slots.view(np.uint64)  # a negative slot wraps past the end
+    if not len(u) or int(u.max()) < len(dl):  # one reduction, no mask
+        return dl[slots]
+    got = np.zeros(len(slots), np.int32)
+    got[u < len(dl)] = dl[slots[u < len(dl)]]
+    return got
 
 
 # -- the one posting reader -------------------------------------------------
@@ -942,11 +933,12 @@ class BM25Scorer:
                          ) -> tuple[np.ndarray, np.ndarray]:
         """Top-k over every posting of every query term.
 
-        The terms' postings come from one ``read_postings`` gather; each
-        term's scores are computed in query order, the arrays are
-        concatenated, and one ``np.bincount`` sums them per doc.  bincount
-        adds its weights in array order, so every doc's sum is taken in
-        query-term order, as the reference's ``PlusNode`` takes it.
+        The terms' postings come from one ``read_postings`` gather and are
+        concatenated in query order; their doc lengths are one
+        ``IndexReader.doc_lens`` gather, one elementwise pass scores them,
+        and one ``np.bincount`` sums the scores per doc.  bincount adds its
+        weights in array order, so every doc's sum is taken in query-term
+        order, as the reference's ``PlusNode`` takes it.
 
         ``doc_range=(lo, hi)`` restricts to a doc-id shard — the
         doc-partitioned scatter of the reference
@@ -962,33 +954,34 @@ class BM25Scorer:
             return empty
         postings = read_postings(self.r, [t for t, _ in consts],
                                  doc_range=doc_range, doc_set=doc_set)
-        if doc_range is None:
-            doc_lens, base = self.r.doc_lens(), 0
-        else:
-            # shard-sized dl slice, not the whole index's dense array
-            doc_lens, base = self.r.doc_lens_range(*doc_range), doc_range[0]
-        ds, ss = [], []
+        # the terms' postings in query order, each with its numerator
+        # constant; the score arithmetic is elementwise, so one pass over
+        # the concatenation gives every posting the per-term float result
+        ds, tfs, ncs = [], [], []
         for term, numer_const in consts:  # fixed query order = fixed float order
             if term not in postings:
                 continue
             d, tf = postings[term][:2]
             ds.append(d)
-            ss.append(self._score_arrays(
-                tf.astype(np.float64), doc_lens[d - base].astype(np.float64),
-                numer_const, k1_1mb, k1b_avg))
+            tfs.append(tf)
+            ncs.append(numer_const)
         if not ds:
             return empty
+        d = _cat(ds)
+        scores = self._score_arrays(
+            _cat(tfs).astype(np.float64),
+            self.r.doc_lens(d).astype(np.float64),
+            np.repeat(ncs, [len(x) for x in ds]), k1_1mb, k1b_avg)
         # one dense accumulation over the decoded doc-id window [amin, amax]:
-        # bincount adds the weights in array order, and the arrays are
+        # bincount adds the weights in array order, and the postings are
         # concatenated in query-term order, so a doc's sum is taken in
         # query-term order — PlusNode's summation sequence
         # (ref:src/PlusNode.cpp:75-106), bit for bit.  Memory is
         # O(amax - amin), never O(max_doc_id): a segment built at a large
         # doc_id base allocates only the span its postings cover.
-        d = _cat(ds)
         amin = int(d.min())
         slot = d - amin
-        dense = np.bincount(slot, weights=_cat(ss))
+        dense = np.bincount(slot, weights=scores)
         touched = np.zeros(len(dense), bool)
         touched[slot] = True
         cand = np.flatnonzero(touched) + amin

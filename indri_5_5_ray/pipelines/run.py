@@ -24,7 +24,7 @@ import ray
 from .query import BM25Scorer, IndexReader, process_query
 
 _TYPES = {"qid": pa.string(), "rank": pa.int64(), "doc_id": pa.int64(),
-          "begin": pa.int64(), "end": pa.int64(), "docno": pa.string(),
+          "begin": pa.int64(), "end": pa.int64(), "docno": pa.large_string(),
           "score": pa.float64(), "latency_ms": pa.float64()}
 # run_queries' output, one row per (query, rank)
 RESULT_SCHEMA = pa.schema([(c, _TYPES[c]) for c in (
@@ -43,7 +43,7 @@ def _reg_snapshot() -> dict:
 
 # Process-global worker reuse for the plain-task query scatter: Ray reuses
 # warm worker processes across tasks, so the per-worker state (open index,
-# mapped postings files, doc-length caches, statistics memos) persists as it
+# mapped postings and doc-keyed map files, statistics memos) persists as it
 # would in an actor — without actor-pool spawn/ramp-up/dispatch overhead.
 # Same state model as stages.ingest.get_process_worker; measured 3-7×
 # faster than the autoscaling actor-pool map_batches on 100-query sets.
@@ -107,13 +107,12 @@ class QueryWorker:
     :data:`RESULT_SCHEMA` rows: ranks, one batched docno lookup and the
     per-query latency.  A batch with a ``shard`` column scores (query ×
     doc-range shard) items for a driver-side merge and returns (qid,
-    doc_id, score); it needs ``n_shards`` (equal doc-id ranges) and loads
-    only the scored shards' document lengths.  The reference's distributed
-    QueryEnvironment scatters every query type this way, because all
-    scorers use collection-global statistics and doc-local evidence
-    (ref:src/QueryEnvironment.cpp:111-122).  ``kind`` and ``method`` pick
-    the engine (see :func:`make_engine`); "rm3" scores the driver-expanded
-    models installed by :meth:`apply_stats`."""
+    doc_id, score); it needs ``n_shards`` (equal doc-id ranges).  The
+    reference's distributed QueryEnvironment scatters every query type
+    this way, because all scorers use collection-global statistics and
+    doc-local evidence (ref:src/QueryEnvironment.cpp:111-122).  ``kind``
+    and ``method`` pick the engine (see :func:`make_engine`); "rm3" scores
+    the driver-expanded models installed by :meth:`apply_stats`."""
 
     def __init__(self, index_dir: str, k: int = 1000, method: str = "dirichlet",
                  registry_snapshot: dict | None = None, kind: str = "bm25",
@@ -134,12 +133,7 @@ class QueryWorker:
         self.expansions: dict = {}
         if stats_memo:
             self.apply_stats(stats_memo)
-        if n_shards is None:
-            self.reader.doc_lens()  # warm once per worker
-        else:
-            # NO full doc_lens warm-up: each scored shard loads only its own
-            # doc-range dl slice (reader.doc_lens_range), so worker memory is
-            # O(span), not O(index)
+        if n_shards is not None:
             span = (self.reader.manifest["max_doc_id"] + n_shards) // n_shards
             self.ranges = [(s * span, (s + 1) * span) for s in range(n_shards)]
 
@@ -194,7 +188,7 @@ class QueryWorker:
         rank = np.concatenate([np.empty(0, np.int64)]
                               + [np.arange(1, k + 1) for k in n])
         # one docno page for the whole batch: one take from the mapped map
-        docno = self.reader.docnos(doc_id).cast(pa.string())
+        docno = self.reader.docnos(doc_id)
         return pa.Table.from_arrays(
             [qid, pa.array(rank), pa.array(doc_id), docno, score,
              pa.array(np.repeat(np.array(ms), n))], schema=RESULT_SCHEMA)

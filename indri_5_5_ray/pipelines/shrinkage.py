@@ -335,8 +335,7 @@ class ShrinkageScorer:
         if not len(cand):
             return np.empty(0, np.int64), np.empty(0, np.float64)
         structs = self._structures_for(cand)
-        lo, hi = int(cand[0]), int(cand[-1]) + 1
-        dl_range = self.r.doc_lens_range(lo, hi)
+        dl_cand = self.r.doc_lens(cand).tolist()
         qn = float(sum(q for _, q in terms_qtf))
         scores = np.zeros(len(cand), np.float64)
         for term, qtf in terms_qtf:
@@ -354,7 +353,7 @@ class ShrinkageScorer:
             splits = np.searchsorted(doc_idx, np.arange(len(cand) + 1))
             for ci, d in enumerate(cand):
                 pos = flat[splits[ci]:splits[ci + 1]]
-                dl = int(dl_range[d - lo])
+                dl = dl_cand[ci]
                 sc = self._doc_term_score(structs.get(int(d)), pos, dl, p_c)
                 scores[ci] += qtf * sc
         scores /= qn
@@ -411,8 +410,7 @@ class ShrinkageScorer:
         eb, ee, eo = fb[idx][nz], fe[idx][nz], fo[idx][nz]
         edoc = np.repeat(cand, n_per)
         structs = self._structures_for(cand)
-        lo, hi = int(cand[0]), int(cand[-1]) + 1
-        dl_range = self.r.doc_lens_range(lo, hi)
+        dl_cand = self.r.doc_lens(cand).tolist()
         qn = float(sum(q for _, q in terms_qtf))
         scores = np.zeros(len(eb), np.float64)
         matched_any = np.zeros(len(eb), dtype=bool)
@@ -431,7 +429,7 @@ class ShrinkageScorer:
                 if sl.start == sl.stop:
                     continue
                 pos = flat[splits[ci]:splits[ci + 1]]
-                dl = int(dl_range[d - lo])
+                dl = dl_cand[ci]
                 down, default, n = self._doc_term_down(
                     structs.get(d), pos, dl, p_c)
                 for j in range(sl.start, sl.stop):

@@ -9,8 +9,8 @@ row-group-aligned chunk of one corpus file).
 Each worker process holds the state the reference keeps per process —
 the Krovetz dictionary + cache and a term-processing memo — and for each
 chunk writes two deterministic side outputs before committing a lineage
-record (the merge phase later writes the dir's docno map from ``docs/``,
-``postings.write_docno_map``):
+record (the merge phase later writes the dir's doc-keyed map — docno and
+dl — from ``docs/``, ``postings.write_docno_map``):
 
 * ``docs/docs-<range>.parquet``  — (doc_id, docno, dl, unique_terms)
 * ``partials/partials-<range>.parquet`` — per (term) partial posting run:

@@ -77,7 +77,8 @@ POSTINGS_SCHEMA = pa.schema(
 # 4: fixed-width Δdoc/tf arrays per block, first gap from the block metadata.
 # 5: one docno map per index dir (``docnos/docnos.arrow``), written by the
 #    merge phase.
-INDEX_FORMAT = 5
+# 6: the map is doc-keyed: a ``dl`` column beside ``docno``.
+INDEX_FORMAT = 6
 
 DICTIONARY_SCHEMA = pa.schema(
     [
@@ -231,10 +232,10 @@ def write_docs(tbl: pa.Table, path: str) -> None:
     """The one doc_id-keyed table layout (docs, direct, fields).  Content
     docstores get 256-row groups: snippet/doctext point reads
     (IndexReader._point_read) decompress only the groups whose doc_id range
-    holds a requested doc; tables without content stay one group (doc_lens
-    reads them in full anyway).  The query-side docno map is not written
-    here: the merge phase writes one per index dir from the whole
-    ``docs/`` (``write_docno_map``)."""
+    holds a requested doc; tables without content stay one group.  The
+    query-side doc-keyed map (docnos and doc lengths) is not written here:
+    the merge phase writes one per index dir from the whole ``docs/``
+    (``write_docno_map``)."""
     import pyarrow.parquet as pq
 
     if "content" in tbl.column_names:
@@ -243,37 +244,46 @@ def write_docs(tbl: pa.Table, path: str) -> None:
         pq.write_table(tbl, path)
 
 
-DOCNO_MAP_SCHEMA = pa.schema([("docno", pa.large_string())])
+DOCNO_MAP_SCHEMA = pa.schema([("docno", pa.large_string()),
+                              ("dl", pa.int32(), False)])
 DOCNO_MAP = "docnos/docnos.arrow"
 
 
 def write_docno_map(index_dir: str) -> int:
-    """An index dir's query-side docno map, ``docnos/docnos.arrow``: one
-    uncompressed Arrow IPC ``large_string`` column dense over the doc_id
-    range ``[first, last]`` of the dir's ``docs/`` (slot ``d - first``
-    holds doc ``d``'s docno; ids no docs row holds — dedup losers,
-    dropped docs — are null), with ``first`` in the schema metadata.  The
-    reader memory-maps it and answers a docno page with one ``take`` (the
-    forward lookup of the reference's collection,
+    """An index dir's doc-keyed map, ``docnos/docnos.arrow``: one
+    uncompressed Arrow IPC batch dense over the doc_id range
+    ``[first, last]`` of the dir's ``docs/`` (slot ``d - first`` holds doc
+    ``d``), with ``first`` in the schema metadata.  ``docno`` is a
+    ``large_string`` column, null at ids no docs row holds (dedup losers,
+    dropped docs); ``dl`` is an int32 column without a validity bitmap,
+    0 at those ids, so a reader maps it as a zero-copy numpy view (the
+    reference's ``documentLengths`` file,
+    ref:src/IndexWriter.cpp:1090-1093).  The reader memory-maps the file
+    and answers a docno page with one ``take`` and a doc-length read with
+    one gather (the forward lookup of the reference's collection,
     ref:src/Repository.cpp:367-387).  A ``docs/`` with no rows gives a map
-    with no record batch.  Reads only ``doc_id, docno``, so the same docs
-    give the same bytes; written aside, then renamed, so a mapped file is
-    never truncated.  Returns the number of docs mapped."""
+    with no record batch.  Reads only ``doc_id, docno, dl``, so the same
+    docs give the same bytes; written aside, then renamed, so a mapped
+    file is never truncated.  Returns the number of docs mapped."""
     import pyarrow.parquet as pq
 
-    docs = pq.read_table(f"{index_dir}/docs", columns=["doc_id", "docno"])
+    docs = pq.read_table(f"{index_dir}/docs",
+                         columns=["doc_id", "docno", "dl"])
     ids = docs.column("doc_id").to_numpy()
     first = int(ids.min()) if len(ids) else 0
     slot = np.full(int(ids.max()) - first + 1 if len(ids) else 0, -1, np.int64)
     slot[ids - first] = np.arange(len(ids))
     docno = combine_column(docs, "docno").cast(pa.large_string()).take(
         pa.array(slot, mask=slot < 0))
+    dl = np.zeros(len(slot), np.int32)
+    dl[ids - first] = docs.column("dl").to_numpy()
     schema = DOCNO_MAP_SCHEMA.with_metadata({"first": str(first)})
     path = f"{index_dir}/{DOCNO_MAP}"
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with pa.ipc.new_file(path + ".tmp", schema) as w:
         if len(docno):
-            w.write_batch(pa.record_batch([docno], schema=schema))
+            w.write_batch(pa.record_batch([docno, pa.array(dl)],
+                                          schema=schema))
     os.replace(path + ".tmp", path)
     return len(ids)
 

@@ -62,7 +62,7 @@ def test_documentvector_positional(direct_index):
     want = [proc.process(tok) for tok in tokenize(content)]
     got = reader.doc_vector_positional(3)
     assert got == want
-    assert len(got) == int(reader.doc_lens_range(3, 4)[0])
+    assert len(got) == int(reader.doc_lens([3])[0])
 
 
 def test_rm3_direct_equals_fallback(direct_index, monkeypatch):
@@ -104,10 +104,9 @@ def test_documentvector_positional_equals_bruteforce(direct_index):
 
     _corpus, out = direct_index
     reader = IndexReader(out)
-    dl = reader.doc_lens()
     want = {}
     for row in pq.read_table(f"{out}/direct").to_pylist():
-        vec = [None] * int(dl[row["doc_id"]])
+        vec = [None] * int(reader.doc_lens([row["doc_id"]])[0])
         cur = 0
         for term, tf in zip(row["terms"], row["tfs"]):
             for p in row["positions"][cur : cur + tf]:

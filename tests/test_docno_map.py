@@ -1,9 +1,11 @@
-"""Docno maps: ``docnos/docnos.arrow``, one memory-mapped docno column per
-index dir, dense over its doc_id range.  ``IndexReader.docnos`` must equal
-a brute-force doc_id → docno dict of ``docs/`` on every index writer's
-output (build, merge, compact, repository segments), the map must be
-byte-identical after a crash-and-resume and after a rebuild, and the
-CLI's docno commands read it over every segment."""
+"""Doc-keyed maps: ``docnos/docnos.arrow``, one memory-mapped ``docno``
+and ``dl`` column pair per index dir, dense over its doc_id range.
+``IndexReader.docnos`` and ``IndexReader.doc_lens`` must equal a
+brute-force doc_id → (docno, dl) dict of ``docs/`` on every index
+writer's output (build, merge, compact, repository segments), the map
+must be byte-identical after a crash-and-resume and after a rebuild,
+``dumpindex validate`` must catch a slot that disagrees with ``docs/``,
+and the CLI's docno commands read it over every segment."""
 
 from __future__ import annotations
 
@@ -18,16 +20,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 
-def _truth(reader) -> dict[int, str]:
-    """doc_id → docno of every dir's ``docs/`` table."""
-    t = pa.concat_tables([pq.read_table(f"{d}/docs", columns=["doc_id", "docno"])
-                          for d in reader.index_dirs])
-    return dict(zip(t.column("doc_id").to_pylist(), t.column("docno").to_pylist()))
+def _truth(reader) -> dict[int, tuple[str, int]]:
+    """doc_id → (docno, dl) of every dir's ``docs/`` table."""
+    t = pa.concat_tables([
+        pq.read_table(f"{d}/docs", columns=["doc_id", "docno", "dl"])
+        for d in reader.index_dirs])
+    return dict(zip(t.column("doc_id").to_pylist(),
+                    zip(t.column("docno").to_pylist(),
+                        t.column("dl").to_pylist())))
 
 
 @pytest.fixture(scope="module")
 def readers(small_corpus_dir, tmp_path_factory):
-    """name → (reader, brute-force docno dict, ids without a docs row)."""
+    """name → (reader, brute-force (docno, dl) dict, ids without a docs
+    row)."""
     from indri_5_5_ray.config import IndexConfig
     from indri_5_5_ray.pipelines.build import build_index
     from indri_5_5_ray.pipelines.merge import merge_indexes
@@ -77,18 +83,36 @@ def test_docnos_equal_docs_table_property(readers, data):
         st.integers(-3, top + 40),
         st.sampled_from(holes or [top + 1]),
         st.sampled_from(sorted(truth))), max_size=40))
-    assert reader.docnos(ids).to_pylist() == [truth.get(i, "") for i in ids]
+    assert reader.docnos(ids).to_pylist() == [truth.get(i, ("", 0))[0]
+                                              for i in ids]
     assert reader.docnos(np.asarray(ids, np.int64)).equals(reader.docnos(ids))
+    dl = reader.doc_lens(ids)
+    assert dl.dtype == np.int32
+    assert dl.tolist() == [truth.get(i, ("", 0))[1] for i in ids]
+    assert np.array_equal(reader.doc_lens(np.asarray(ids, np.int64)), dl)
+
+
+def test_doc_lens_are_zero_copy_views_of_the_maps(readers):
+    """Each dir's ``dl`` column maps as a read-only numpy view (no null
+    bitmap, so no copy); a gather from it is a fresh writable array."""
+    for reader, truth, _ in readers.values():
+        firsts, _, dls = reader.doc_maps()
+        assert len(dls) == len(reader.index_dirs)
+        for dl in dls:
+            assert dl.dtype == np.int32 and not dl.flags.writeable
+        got = reader.doc_lens(firsts)
+        assert got.flags.writeable
+        assert got.tolist() == [truth[f][1] for f in firsts.tolist()]
 
 
 def test_doc_ids_of_scans_every_segment(readers):
     reader, truth, _ = readers["repository"]
     by_docno: dict[str, list[int]] = {}
-    for i, dn in truth.items():
+    for i, (dn, _dl) in truth.items():
         by_docno.setdefault(dn, []).append(i)
-    last = max(truth)
-    want = sorted(by_docno[truth[last]] + by_docno[truth[0]])
-    assert reader.doc_ids_of([truth[last], truth[0], "no/such@doc"]).tolist() == want
+    last, first = truth[max(truth)][0], truth[0][0]
+    want = sorted(by_docno[last] + by_docno[first])
+    assert reader.doc_ids_of([last, first, "no/such@doc"]).tolist() == want
     assert reader.doc_ids_of([]).tolist() == []
 
 
@@ -209,9 +233,66 @@ def test_null_slot_reads_empty_whatever_its_bytes(built_index, tmp_path):
     col = pa.LargeStringArray.from_buffers(
         3, pa.py_buffer(np.array([0, 3, 6, 9], np.int64).tobytes()),
         pa.py_buffer(b"aaabbbccc"), pa.py_buffer(bytes([0b101])), null_count=1)
-    schema = pa.schema([("docno", pa.large_string())], metadata={"first": "10"})
+    dl = pa.array([5, 0, 7], pa.int32())
+    schema = pa.schema([("docno", pa.large_string()),
+                        ("dl", pa.int32(), False)], metadata={"first": "10"})
     with pa.ipc.new_file(str(d / "docnos" / "docnos.arrow"), schema) as w:
-        w.write_table(pa.table([col], schema=schema))
-    got = IndexReader(str(d)).docnos([9, 10, 11, 12, 13, 12, -1])
+        w.write_table(pa.table([col, dl], schema=schema))
+    r = IndexReader(str(d))
+    got = r.docnos([9, 10, 11, 12, 13, 12, -1])
     assert got.null_count == 0
     assert got.to_pylist() == ["", "aaa", "", "ccc", "", "ccc", ""]
+    assert r.doc_lens([9, 10, 11, 12, 13, 12, -1]).tolist() == [0, 5, 0, 7,
+                                                                0, 7, 0]
+
+
+def _rewrite_map(path: Path, edit) -> None:
+    """Rewrite a doc-keyed map file with ``edit(docno, dl) -> (docno,
+    dl)`` applied to its columns, keeping its schema and metadata."""
+    f = pa.ipc.open_file(str(path))
+    t = f.read_all()
+    docno, dl = edit(t.column("docno").combine_chunks(),
+                     t.column("dl").to_numpy().copy())
+    with pa.ipc.new_file(str(path), f.schema) as w:
+        w.write_table(pa.table([docno, pa.array(dl, pa.int32())],
+                               schema=f.schema))
+
+
+def test_validate_reports_a_doc_map_that_disagrees_with_docs(
+        built_index, tmp_path, capsys):
+    """validate compares every slot of the doc-keyed map with ``docs/``:
+    a rewritten ``dl``, a hole given a length and a map cut short (docs
+    rows past its end) are each reported as an error."""
+    from indri_5_5_ray import cli
+    from indri_5_5_ray.pipelines.query import IndexReader
+
+    d = tmp_path / "idx"
+    shutil.copytree(built_index[0], d)
+    path = d / "docnos" / "docnos.arrow"
+    want = path.read_bytes()
+    cli.cmd_validate(IndexReader(str(d)))
+    assert capsys.readouterr().out.strip().endswith(" 0 errors")
+
+    first = int(pa.ipc.open_file(str(path)).schema.metadata[b"first"])
+    t = pa.ipc.open_file(str(path)).read_all()
+    null = t.column("docno").is_null().to_numpy()
+    real, hole = int(np.flatnonzero(~null)[3]), int(np.flatnonzero(null)[0])
+
+    def _bump(i):
+        def edit(docno, lens):
+            lens[i] += 1
+            return docno, lens
+        return edit
+
+    for edit, bad in ((_bump(real), [first + real]),
+                      (_bump(hole), [first + hole]),
+                      (lambda docno, lens: (docno[:-1], lens[:-1]), [])):
+        path.write_bytes(want)
+        _rewrite_map(path, edit)
+        with pytest.raises(SystemExit):
+            cli.cmd_validate(IndexReader(str(d)))
+        out = capsys.readouterr().out
+        for doc in bad:
+            assert f"ERROR doc map: slot {doc} disagrees with docs/" in out
+        if not bad:
+            assert "ERROR doc map: 1 docs rows have no slot" in out

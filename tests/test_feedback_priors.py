@@ -98,10 +98,9 @@ def test_length_prior(reader):
     build_length_prior(reader.index_dir, "length")
     ids, lps = load_prior(reader.index_dir, "length")
     assert len(ids) == reader.doc_count
-    dl = reader.doc_lens()
+    dl = reader.doc_lens(ids)
     # prior ordering follows document length
-    i_long = ids[np.argmax(lps)]
-    assert dl[i_long] == dl[ids].max()
+    assert dl[np.argmax(lps)] == dl.max()
 
     eng = StructuredQueryEngine(reader)
     ids_p, s_p = eng.run("#combine(merge #prior(length))", k=10)

@@ -538,7 +538,7 @@ def test_count_shapes_match_brute_force(fielded, query, rf, passage):
     eng._leaf_terms(node, terms)
     eng._postings = eng._fetch_postings(sorted(terms))
     cand = np.arange(len(toks), dtype=np.int64)
-    ev = _ExtentEval.documents(eng, cand, eng.r.doc_lens()[cand])
+    ev = _ExtentEval.documents(eng, cand, eng.r.doc_lens(cand))
     if passage is not None:
         ev = ev.passages(Node(op="passage", n=passage[0],
                               weights=[float(passage[1])]))

@@ -47,20 +47,36 @@ def test_blockmax_bit_identical(reader, method, query):
 
 
 @pytest.mark.parametrize("query", ["merge buffer token", "the a of and data"])
-def test_blockmax_cell_local_dl_bit_identical(built_index, query, monkeypatch):
-    """With the dense doc-length gate forced to 0, the pruned path fetches
-    per-cell dl slices (the 10⁹-doc query-actor shape) and must still be
-    bit-identical to exhaustive; the dense array must never be loaded."""
-    monkeypatch.setenv("INDRI55_DENSE_DL_DOCS", "0")
-    index_dir, _ = built_index
-    fresh = IndexReader(index_dir)
+def test_blockmax_cell_local_dl_bit_identical(small_corpus_dir, tmp_path,
+                                              query):
+    """On a fresh reader of an index built at doc_id base 50M, the pruned
+    path (cell dl floors folded over the mapped ``dl`` views, candidate
+    lengths gathered from them) is bit-identical to exhaustive, and its
+    peak allocation stays far below one O(max_doc_id) int32 copy
+    (200 MB here)."""
+    import tracemalloc
+
+    from indri_5_5_ray.config import IndexConfig
+    from indri_5_5_ray.pipelines.build import build_index
+
+    out = str(tmp_path / "sparse")
+    build_index(small_corpus_dir, out, IndexConfig(
+        max_chunk_docs=64, n_buckets=4, dedup_key="sha256"),
+        resume=False, doc_id_base=50_000_000)
+    fresh = IndexReader(out)
     sc = LMScorer(fresh, method="dirichlet")
     terms = process_query_lm(query, fresh.cfg)
-    ids_p, s_p = sc.score(terms, k=25, prune=True)
-    assert fresh._doc_lens is None  # dense array never materialized
-    dense = IndexReader(index_dir)
-    ids_e, s_e = LMScorer(dense, method="dirichlet").score(
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        ids_p, s_p = sc.score(terms, k=25, prune=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, f"pruned peak {peak / 2**20:.1f} MB"
+    ids_e, s_e = LMScorer(IndexReader(out), method="dirichlet").score(
         terms, k=25, prune=False)
+    assert len(ids_p) and ids_p.min() >= 50_000_000
     assert np.array_equal(ids_p, ids_e)
     assert np.array_equal(s_p, s_e)
 

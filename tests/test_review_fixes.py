@@ -144,7 +144,6 @@ def test_sparse_docid_base_scores_equal_and_accumulator_bounded(
     r0, r1 = IndexReader(out0), IndexReader(out1)
     terms = process_query("merge buffer token", r0.cfg)
     ids0, s0 = BM25Scorer(r0).score_exhaustive(terms, k=10)
-    r1.doc_lens()  # warmed once per worker, as QueryWorker does
     sc = BM25Scorer(r1)
     tracemalloc.start()
     try:

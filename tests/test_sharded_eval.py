@@ -67,24 +67,6 @@ def test_trec_eval():
     assert m["topics"] == 2
 
 
-def test_doc_lens_range_slices(built_index):
-    """Ranged dl reads equal slices of the dense array and never load the
-    full array into the reader."""
-    import numpy as np
-
-    from indri_5_5_ray.pipelines.query import IndexReader
-
-    index_dir, manifest = built_index
-    full = IndexReader(index_dir).doc_lens()
-    r = IndexReader(index_dir)
-    n = manifest["max_doc_id"] + 1
-    for lo, hi in [(0, n), (0, n // 2), (n // 2, n), (n // 3, 2 * n // 3), (n, n + 10)]:
-        sl = r.doc_lens_range(lo, hi)
-        assert len(sl) == max(0, min(hi, n) - lo)
-        assert np.array_equal(sl, full[lo:min(hi, n)])
-    assert r._doc_lens is None  # ranged reads never materialized the full array
-
-
 def test_sharded_lm_and_structured(built_index):
     """Doc-partitioned scatter for the LM and structured engines: the
     reference's QueryEnvironment scatters every query type (statistics
@@ -263,7 +245,7 @@ def test_run_queries_empty_result_opens_no_index_on_driver(built_index,
 
     monkeypatch.setattr(query_mod.IndexReader, "doc_lens", _no_driver_reads)
     want = pa.schema([("qid", pa.string()), ("rank", pa.int64()),
-                      ("doc_id", pa.int64()), ("docno", pa.string()),
+                      ("doc_id", pa.int64()), ("docno", pa.large_string()),
                       ("score", pa.float64()), ("latency_ms", pa.float64())])
     for queries in ([], [("1", "zzqqxxv")]):
         t = run_queries(out, queries, k=10, concurrency=2)

@@ -31,41 +31,11 @@ import json
 import os
 import shutil
 import sys
-import threading
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-
-def rss_mb() -> float:
-    with open("/proc/self/status") as f:
-        for line in f:
-            if line.startswith("VmRSS:"):
-                return int(line.split()[1]) / 1024.0
-    return 0.0
-
-
-class RssSampler:
-    def __init__(self, interval: float = 0.2):
-        self.samples: list[float] = []
-        self._stop = threading.Event()
-        self._t = threading.Thread(target=self._run, args=(interval,),
-                                   daemon=True)
-
-    def _run(self, interval: float) -> None:
-        while not self._stop.is_set():
-            self.samples.append(rss_mb())
-            self._stop.wait(interval)
-
-    def __enter__(self):
-        self.samples.append(rss_mb())
-        self._t.start()
-        return self
-
-    def __exit__(self, *exc):
-        self._stop.set()
-        self._t.join()
-        self.samples.append(rss_mb())
+from tools.soak_components import RssSampler  # noqa: E402
 
 
 def make_corpus(out_dir: str, n_docs: int, dup_frac: float,

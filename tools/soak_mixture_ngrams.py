@@ -35,7 +35,7 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-from tools.soak_highdup import RssSampler  # noqa: E402
+from tools.soak_components import RssSampler  # noqa: E402
 from tools.soak_spans_lm import BOILER  # noqa: E402
 
 LANGS = ("en", "zh", "fr", "de", "es")

@@ -29,7 +29,7 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-from tools.soak_highdup import RssSampler  # noqa: E402
+from tools.soak_components import RssSampler  # noqa: E402
 
 
 def make_documents(out_dir: str, n_docs: int,
