@@ -130,18 +130,27 @@ def unfold_negatives(values: np.ndarray) -> np.ndarray:
 
 def segmented_cumsum(deltas: np.ndarray, seg_lengths: np.ndarray,
                      bases: np.ndarray | None = None) -> np.ndarray:
-    """Cumulative sum restarting at each segment start (vectorized); with
-    ``bases``, segment i's sums start from ``bases[i]`` instead of 0."""
+    """Cumulative sum restarting at each segment start; with ``bases``,
+    segment i's sums start from ``bases[i]`` instead of 0.
+
+    One ``np.add.reduceat`` gives every segment's last value; taking the
+    previous segment's last value out of each segment's first delta makes
+    one in-place running ``cumsum`` restart at every segment, so a
+    segment's sums depend only on its own deltas and base."""
+    out = np.array(deltas, dtype=np.int64)
+    if not len(out):
+        return out
     lens = np.asarray(seg_lengths, dtype=np.int64)
-    if len(deltas) == 0:
-        return np.asarray(deltas, dtype=np.int64)
-    cum = np.cumsum(deltas, dtype=np.int64)
-    starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
-    corr = np.zeros(len(lens), dtype=np.int64)
-    corr[1:] = cum[starts[1:] - 1]
-    if bases is not None:
-        corr -= np.asarray(bases, dtype=np.int64)
-    return cum - np.repeat(corr, lens)
+    base = (np.zeros(len(lens), np.int64) if bases is None
+            else np.array(bases, dtype=np.int64))
+    if not lens.all():  # reduceat reads a zero-length segment as one value
+        base, lens = base[lens > 0], lens[lens > 0]
+    starts = np.cumsum(lens) - lens
+    last = np.add.reduceat(out, starts)
+    last += base
+    base[1:] -= last[:-1]
+    out[starts] += base
+    return np.cumsum(out, out=out)
 
 
 def segmented_delta(values: np.ndarray, seg_lengths: np.ndarray) -> np.ndarray:
@@ -231,60 +240,74 @@ def cut_blocks_pre(
     return out
 
 
-def _doc_tf(arr: np.ndarray, offsets, n_docs, first):
+def _blocks_in(payload, n: int) -> list:
+    """``n`` per-block byte buffers: ``payload`` is one buffer holding
+    every block, or already a list with block i's buffer at i (indexing
+    one gives an int: a ``bytes`` or a ``uint8`` memoryview)."""
+    if isinstance(payload, list):
+        return payload
+    return [memoryview(np.frombuffer(payload, dtype=np.uint8))] * n
+
+
+def _doc_tf(bufs: list, offsets, n_docs, first):
     """(doc_ids, tfs, per-block end of the gap/tf arrays) of the blocks at
-    ``offsets`` in ``arr``: one typed view per array, then one segmented
-    cumsum from each block's ``first``."""
+    ``offsets``, block i at ``offsets[i]`` of ``bufs[i]``: one typed view
+    per array, then one segmented cumsum from each block's ``first``."""
     n = np.asarray(n_docs, dtype=np.int64)
     gaps, tf1, ends = [], [], []
-    for off, nb, w in zip(offsets, n.tolist(), arr[offsets].tolist()):
+    for buf, off, nb in zip(bufs, offsets, n.tolist()):
+        w = buf[off]
         gw, tw = w & 15, w >> 4
         a = off + 1 + nb * gw
-        gaps.append(arr[off + 1:a].view(_UINT[gw]))
-        tf1.append(arr[a:a + nb * tw].view(_UINT[tw]) if tw
+        gaps.append(np.frombuffer(buf, _UINT[gw], nb, off + 1))
+        tf1.append(np.frombuffer(buf, _UINT[tw], nb, a) if tw
                    else np.zeros(nb, np.uint8))
         ends.append(a + nb * tw)
-    tfs = np.concatenate(tf1).astype(np.int64)
+    tfs = np.concatenate(tf1, dtype=np.int64)
     tfs += 1
     return segmented_cumsum(np.concatenate(gaps), n, first), tfs, ends
 
 
 def decode_doc_tf_batch(
-    payload: bytes | np.ndarray,
+    payload: bytes | np.ndarray | list,
     offsets: list[int] | np.ndarray,
     n_docs: list[int] | np.ndarray,
     first: list[int] | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decode the (doc_id, tf) pairs of MANY blocks (positions skipped) —
-    the hot path of exhaustive/LM scoring.  ``n_docs`` and ``first`` per
-    block come from the block metadata."""
+    the hot path of exhaustive/LM scoring.  Block i starts at
+    ``offsets[i]`` of ``payload`` (one buffer, or a list of one buffer
+    per block, so blocks of several files decode in one call);
+    ``n_docs`` and ``first`` per block come from the block metadata."""
     if len(offsets) == 0:
         return np.empty(0, np.int64), np.empty(0, np.int64)
-    d, tf, _ = _doc_tf(np.frombuffer(payload, dtype=np.uint8), offsets,
-                       n_docs, first)
+    d, tf, _ = _doc_tf(_blocks_in(payload, len(offsets)), offsets, n_docs,
+                       first)
     return d, tf
 
 
 def decode_full_batch(
-    payload: bytes | np.ndarray,
+    payload: bytes | np.ndarray | list,
     offsets: list[int] | np.ndarray,
     lengths: list[int] | np.ndarray,
     n_docs: list[int] | np.ndarray,
     first: list[int] | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode (doc_id, tf, positions) of MANY blocks — the positional
-    analogue of :func:`decode_doc_tf_batch`: the blocks' position streams
-    are concatenated and vbyte-decoded once (vbyte is self-delimiting, and
+    analogue of :func:`decode_doc_tf_batch` (``payload`` likewise one
+    buffer or one per block): the blocks' position streams are
+    concatenated and vbyte-decoded once (vbyte is self-delimiting, and
     position deltas reset per DOC, so the per-doc segmented cumsum is
     block-boundary-agnostic)."""
     if len(offsets) == 0:
         e = np.empty(0, np.int64)
         return e, e, e
-    arr = np.frombuffer(payload, dtype=np.uint8)
-    d, tf, ends = _doc_tf(arr, offsets, n_docs, first)
-    pos_deltas = vbyte_decode(np.concatenate([
-        arr[b:off + ln] for b, off, ln in zip(ends, offsets, lengths)]))
-    return d, tf, segmented_cumsum(pos_deltas.astype(np.int64), tf)
+    bufs = _blocks_in(payload, len(offsets))
+    d, tf, ends = _doc_tf(bufs, offsets, n_docs, first)
+    pos_deltas = vbyte_decode(np.frombuffer(b"".join([
+        buf[b:off + ln] for buf, b, off, ln in zip(bufs, ends, offsets, lengths)]),
+        dtype=np.uint8))
+    return d, tf, segmented_cumsum(pos_deltas, tf)
 
 
 def decode_block(
@@ -296,10 +319,10 @@ def decode_block(
     ``n_docs``."""
     if n_docs == 0:
         return np.empty(0, np.int64), np.empty(0, np.int64), None
-    arr = np.frombuffer(buf, dtype=np.uint8)
     if has_positions:
+        arr = np.frombuffer(buf, dtype=np.uint8)
         return decode_full_batch(arr, [0], [len(arr)], [n_docs], [first])
-    d, tf = decode_doc_tf_batch(arr, [0], [n_docs], [first])
+    d, tf = decode_doc_tf_batch(buf, [0], [n_docs], [first])
     return d, tf, None
 
 
@@ -320,7 +343,7 @@ def block_layout_error(buf: bytes | np.ndarray, n_docs: int,
     if len(arr) < body or (not has_positions and len(arr) != body):
         return f"block length {len(arr)}, widths give {body}"
     if has_positions:
-        _, tf, _ = _doc_tf(arr, [0], [n_docs], [0])
+        _, tf, _ = _doc_tf(_blocks_in(arr, 1), [0], [n_docs], [0])
         pos = arr[body:]
         n_values = int(np.count_nonzero(pos & 0x80))
         if n_values != int(tf.sum()) or (len(pos) and not pos[-1] & 0x80):

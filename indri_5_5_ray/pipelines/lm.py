@@ -76,6 +76,7 @@ class LMScorer:
         self.method = method
         self.mu = mu
         self.lam = lam
+        self.proc = TermProcessor(reader.cfg)  # query terms' stem memo
         # per-cell min document length (real docs only), keyed by cell span
         self._cell_min_dl_cache: dict[int, np.ndarray] = {}
 

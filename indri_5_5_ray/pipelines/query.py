@@ -19,10 +19,12 @@ Score semantics pinned to the reference (rank-identity contract):
   ref:include/indri/ScoredExtentResult.hpp:32-47), stable sort + truncate
   (ref:src/QueryEnvironment.cpp:985-988).
 
-One scorer, ``BM25Scorer.score_exhaustive``: it decodes every block of
-every query term (only a shard's blocks under ``doc_range``) in one
-gather, scores each term's postings in query order and sums them per doc
-with one ``np.bincount`` over the decoded doc-id window.  This is the
+One scorer, ``BM25Scorer.score_exhaustive``: it gathers every block of
+every query term (only a shard's blocks under ``doc_range``), decodes
+them in one call laid out in query-term order, scores that flat batch in
+one pass and sums it per doc with one ``np.bincount`` over the decoded
+doc-id window, so a call costs the same numpy calls whatever its number
+of terms (only the per-block decode loop grows).  This is the
 reference's own algorithm — its ``PlusNode`` is not SkippingCapable
 (ref:src/PlusNode.cpp:36-42), so the okapi baseline never prunes.
 
@@ -43,11 +45,13 @@ once per mapped bucket file (``_BucketFile.blocks``), so a term's blocks
 are one slice of its file's block arrays, and ``IndexReader.blocks``
 gathers a query's slices without building a row table; the ``term_rows``
 row tables serve dumpindex and the tests.  ``read_postings`` is the one
-block walk (gather, select, decode, exact range mask, cut by term) that
-BM25, exhaustive LM, the structured engine and dumpindex read postings
+block walk (gather, select, one decode, exact range mask, cut by term)
+that exhaustive LM, the structured engine and dumpindex read postings
 through (the single ``DiskDocListIterator`` of the reference,
-ref:src/DiskDocListIterator.cpp:21-56); the LM block-max path and the
-RM feedback scan select and decode ``IndexReader.blocks`` themselves.
+ref:src/DiskDocListIterator.cpp:21-56); BM25 takes the same walk
+(``_select``, ``_walk``) and scores the flat batch uncut; the LM
+block-max path and the RM feedback scan select and decode
+``IndexReader.blocks`` themselves.
 
 One doc-keyed map.  Each index dir has one map, ``docnos/docnos.arrow``
 (a docno and a dl column dense over the dir's doc_id range), mapped once
@@ -63,6 +67,7 @@ from __future__ import annotations
 import bisect
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -679,9 +684,9 @@ class PostingBlocks:
     read, whose ``terms`` is empty), holds ``n_docs[i]`` docs in
     ``[first[i], last[i]]`` (at most ``max_tf[i]`` occurrences each, doc
     lengths at least ``min_dl[i]``) and is encoded at ``offset[i]``
-    (length ``length[i]``) in the ``uint8`` payload view
-    ``views[view[i]]`` — a zero-copy view of a ``postings`` buffer, so no
-    payload byte is copied."""
+    (length ``length[i]``) in the ``uint8`` memoryview ``views[view[i]]``
+    — a zero-copy view of a ``postings`` buffer, so no payload byte is
+    copied."""
 
     terms: list[str]
     term: np.ndarray
@@ -693,7 +698,7 @@ class PostingBlocks:
     last: np.ndarray
     max_tf: np.ndarray
     min_dl: np.ndarray
-    views: list[np.ndarray]
+    views: list[memoryview]
 
     def __len__(self) -> int:
         return len(self.first)
@@ -701,31 +706,23 @@ class PostingBlocks:
     def decode(self, sel, positions: bool = False
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """``(doc_ids, tfs, flat positions | None)`` of blocks ``sel`` (block
-        indices), in ``sel`` order: one batch-decoder call per run of blocks
-        in the same payload view (per term and bucket file of a gather,
-        not per posting row)."""
+        indices, any order, repeats allowed), in ``sel`` order: one
+        batch-decoder call, each block handed its own payload view, so a
+        selection spanning terms, bucket files and segments decodes at
+        once.  Every block decodes from its own bytes and its ``first``."""
         sel = np.asarray(sel, np.int64)
         if not len(sel):
             e = np.empty(0, np.int64)
             return e, e, (e if positions else None)
-        view = self.view[sel]
-        cuts = (np.flatnonzero(view[1:] != view[:-1]) + 1).tolist()
-        ds, tfs, poss = [], [], []
-        for a, b in zip([0, *cuts], [*cuts, len(sel)]):
-            g = sel[a:b]
-            buf = self.views[view[a]]
-            offs = self.offset[g].tolist()
-            if positions:
-                d, tf, pos = decode_full_batch(
-                    buf, offs, self.length[g].tolist(), self.n_docs[g],
-                    self.first[g])
-                poss.append(pos)
-            else:
-                d, tf = decode_doc_tf_batch(buf, offs, self.n_docs[g],
-                                            self.first[g])
-            ds.append(d)
-            tfs.append(tf)
-        return _cat(ds), _cat(tfs), (_cat(poss) if positions else None)
+        views = self.views
+        bufs = [views[v] for v in self.view[sel].tolist()]
+        offs = self.offset[sel].tolist()
+        if positions:
+            return decode_full_batch(bufs, offs, self.length[sel].tolist(),
+                                     self.n_docs[sel], self.first[sel])
+        d, tf = decode_doc_tf_batch(bufs, offs, self.n_docs[sel],
+                                    self.first[sel])
+        return d, tf, None
 
 
 def posting_blocks(rows: pa.Table) -> PostingBlocks:
@@ -755,8 +752,8 @@ def posting_blocks(rows: pa.Table) -> PostingBlocks:
         otype = np.int64 if pa.types.is_large_binary(chunk.type) else np.int32
         row_base.append(np.frombuffer(offs, otype)[
             chunk.offset:chunk.offset + len(chunk)].astype(np.int64))
-        views.append(np.frombuffer(data, np.uint8) if data is not None
-                     else np.empty(0, np.uint8))
+        views.append(memoryview(np.frombuffer(data, np.uint8)) if data
+                     is not None else memoryview(b""))
         chunk_rows.append(len(chunk))
     base = _cat(row_base) if row_base else np.empty(0, np.int64)
     return PostingBlocks(
@@ -780,23 +777,56 @@ def _gather(terms: list[str], parts: list[tuple]) -> PostingBlocks:
     puts blocks ``sel`` (a slice or index array) of a bucket file's block
     arrays under term ``terms[tid]`` (``tid`` one index, or one per
     block)."""
-    cols: dict[str, list[np.ndarray]] = {f: [] for f in _BLOCK_FIELDS}
-    term, view, views, vid = [], [], [], {}
-    for tid, bf, sel in parts:
-        for f in _BLOCK_FIELDS:
-            cols[f].append(getattr(bf.blocks, f)[sel])
-        n = len(cols["first"][-1])
-        v = vid.setdefault(id(bf), len(views))
-        if v == len(views):
-            views.append(bf.blocks.views[0])
-        term.append(np.full(n, tid, np.int64) if np.ndim(tid) == 0 else tid)
-        view.append(np.full(n, v, np.int64))
     if not parts:
         e = np.empty(0, np.int64)
         return PostingBlocks(terms=[], term=e, view=e, views=[],
                              **{f: e for f in _BLOCK_FIELDS})
-    return PostingBlocks(terms=terms, term=_cat(term), view=_cat(view),
+    cols: dict[str, list[np.ndarray]] = {f: [] for f in _BLOCK_FIELDS}
+    tids, vids, lens, views, vid = [], [], [], [], {}
+    for tid, bf, sel in parts:
+        for f in _BLOCK_FIELDS:
+            cols[f].append(getattr(bf.blocks, f)[sel])
+        lens.append(len(cols["first"][-1]))
+        v = vid.setdefault(id(bf), len(views))
+        if v == len(views):
+            views.append(bf.blocks.views[0])
+        tids.append(tid)
+        vids.append(v)
+    # a part's term and view ids, one repeat each over the parts
+    term = np.repeat(tids, lens) if np.ndim(tids[0]) == 0 else _cat(tids)
+    return PostingBlocks(terms=terms, term=term, view=np.repeat(vids, lens),
                          views=views, **{f: _cat(c) for f, c in cols.items()})
+
+
+def _select(pb: PostingBlocks, doc_set) -> np.ndarray:
+    """Indices of the blocks of ``pb`` to decode: every block, or with
+    ``doc_set`` only those holding a wanted id (blocks decode
+    independently — each from its payload and its metadata ``first``)."""
+    if doc_set is None:
+        return np.arange(len(pb))
+    ws = np.unique(np.asarray(doc_set, np.int64))
+    # the first wanted id at or after each block's first doc (a sentinel
+    # past every doc id when there is none)
+    return np.flatnonzero(
+        np.append(ws, 1 << 62)[np.searchsorted(ws, pb.first)] <= pb.last)
+
+
+def _walk(pb: PostingBlocks, sel: np.ndarray,
+          doc_range: tuple[int, int] | None, positions: bool):
+    """Blocks ``sel`` of ``pb`` decoded in one call and masked to exactly
+    ``[lo, hi)`` → ``(doc_ids, tfs, flat positions | None, postings kept
+    per block)``, in ``sel`` order."""
+    d, tf, pos = pb.decode(sel, positions)
+    n = pb.n_docs[sel]
+    if doc_range is not None:
+        m = (d >= doc_range[0]) & (d < doc_range[1])
+        if not m.all():
+            if pos is not None:
+                pos = pos[np.repeat(m, tf)]
+            kept = np.concatenate(([0], np.cumsum(m)))
+            n = np.diff(kept[np.concatenate(([0], np.cumsum(n)))])
+            d, tf = d[m], tf[m]
+    return d, tf, pos, n
 
 
 def read_postings(reader, terms: list[str], *,
@@ -809,55 +839,71 @@ def read_postings(reader, terms: list[str], *,
 
     ``reader.blocks(terms, doc_range)`` gives the blocks that overlap
     ``doc_range``; with ``doc_set`` only those holding a wanted id are kept
-    (blocks decode independently — each from its payload and its metadata
-    ``first``).  Blocks are term-major, so each term's kept blocks are one
-    run, decoded in one call and masked to exactly ``[lo, hi)``; a term's
-    docs ascend.  ``doc_set`` prunes at block granularity only: the result holds whole
-    blocks, so it suits per-doc lookups, not collection statistics.
-    Positions are decoded only when asked for and stored; doc i's run is
-    ``flat[starts[i]:starts[i + 1]]``."""
+    (``_select``).  Every kept block of every term is decoded in one call
+    and masked to exactly ``[lo, hi)`` (``_walk``); blocks are term-major,
+    so each term's postings are one slice of that flat batch, and a term's
+    docs ascend.  ``doc_set`` prunes at block granularity only: the result
+    holds whole blocks, so it suits per-doc lookups, not collection
+    statistics.  Positions are decoded only when asked for and stored; doc
+    i's run is ``flat[starts[i]:starts[i + 1]]``."""
     pb = reader.blocks(terms, doc_range)
-    sel = np.arange(len(pb))
-    if doc_set is not None:
-        ws = np.unique(np.asarray(doc_set, np.int64))
-        # the first wanted id at or after each block's first doc (a
-        # sentinel past every doc id when there is none)
-        sel = np.flatnonzero(
-            np.append(ws, 1 << 62)[np.searchsorted(ws, pb.first)] <= pb.last)
+    sel = _select(pb, doc_set)
+    if not len(sel):
+        return {}
     positions = positions and reader.cfg.store_positions
-    # blocks are term-major: each term's selected blocks are one run
+    d, tf, pos, n = _walk(pb, sel, doc_range, positions)
+    # each term's selected blocks are one run; cut the postings there
     sel_term = pb.term[sel]
-    cuts = (np.flatnonzero(sel_term[1:] != sel_term[:-1]) + 1).tolist()
+    runs = np.flatnonzero(sel_term[1:] != sel_term[:-1]) + 1
+    at = np.concatenate(([0], np.cumsum(n)))
+    cuts = at[np.concatenate(([0], runs, [len(sel)]))].tolist()
+    pat = None
+    if pos is not None:
+        pat = np.zeros(len(d) + 1, np.int64)
+        np.cumsum(tf, out=pat[1:])
     out: dict[str, tuple] = {}
-    for a, b in zip([0, *cuts], [*cuts, len(sel)]):
-        if a == b:  # nothing selected
+    for t, a, b in zip(sel_term[np.concatenate(([0], runs))].tolist(),
+                       cuts[:-1], cuts[1:]):
+        if a == b:  # every posting outside the range
             continue
-        d, tf, pos = pb.decode(sel[a:b], positions)
-        if doc_range is not None:
-            m = (d >= doc_range[0]) & (d < doc_range[1])
-            if not m.all():
-                if pos is not None:
-                    pos = pos[np.repeat(m, tf)]
-                d, tf = d[m], tf[m]
-        if not len(d):
-            continue
-        starts = None
-        if pos is not None:
-            starts = np.zeros(len(d) + 1, np.int64)
-            np.cumsum(tf, out=starts[1:])
-        out[pb.terms[sel_term[a]]] = (d, tf, pos, starts)
+        if pat is None:
+            out[pb.terms[t]] = (d[a:b], tf[a:b], None, None)
+        else:
+            out[pb.terms[t]] = (d[a:b], tf[a:b], pos[pat[a]:pat[b]],
+                                pat[a:b + 1] - pat[a])
     return out
+
+
+# _topk's chunk-max bound pays off above this many rows per kept row: one
+# maximum.reduceat and one compare over n rows then cost less than an
+# argpartition of all n (measured crossover)
+TOPK_BOUND_ROWS = 64
 
 
 def _topk(doc_ids: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Rank by score desc, doc_id desc; truncate to k
     (ref:include/indri/ScoredExtentResult.hpp:32-47).
 
-    O(n) argpartition prunes to the k-th score boundary before the full-rank
-    lexsort: every row tied AT the boundary score is kept, so the final
-    ordering (score desc, doc_id desc) is bit-identical to sorting the whole
-    candidate array — common-term queries rank ~k rows, not ~N."""
+    Above ``TOPK_BOUND_ROWS`` rows per kept row, every row scoring below
+    the least of the maxima of k disjoint chunks is dropped first: each
+    chunk holds a row at its maximum, so at least k rows score at or above
+    that bound, and so does every row of the top k (the threshold step of
+    *Cache-Efficient Top-k Aggregation*, VLDB 2023).  A NaN in any chunk
+    makes the bound NaN, and then nothing is dropped.  An O(n)
+    argpartition then prunes to the k-th score boundary before the
+    full-rank lexsort: every row tied AT the boundary score is kept, so
+    the final ordering (score desc, doc_id desc) is bit-identical to
+    sorting the whole candidate array — common-term queries rank ~k rows,
+    not ~N."""
     n = len(scores)
+    if k > 0 and n > TOPK_BOUND_ROWS * k:
+        # exactly k chunks (ceil-sized chunks could give fewer, and then
+        # fewer than k rows need reach the bound)
+        bound = np.maximum.reduceat(scores, np.arange(k) * n // k).min()
+        if not np.isnan(bound):
+            cand = np.flatnonzero(scores >= bound)
+            doc_ids, scores = doc_ids[cand], scores[cand]
+            n = len(scores)
     if k > 0 and n > 4 * k:
         part = np.argpartition(scores, n - k)[n - k:]
         s_k = scores[part].min()
@@ -893,6 +939,7 @@ class BM25Scorer:
         if variant not in ("okapi", "tfidf"):
             raise ValueError(f"unknown scorer variant {variant!r}")
         self.variant = variant
+        self.proc = TermProcessor(cfg)  # query terms' stem memo
 
     # -- shared machinery ---------------------------------------------------
 
@@ -933,12 +980,18 @@ class BM25Scorer:
                          ) -> tuple[np.ndarray, np.ndarray]:
         """Top-k over every posting of every query term.
 
-        The terms' postings come from one ``read_postings`` gather and are
-        concatenated in query order; their doc lengths are one
-        ``IndexReader.doc_lens`` gather, one elementwise pass scores them,
-        and one ``np.bincount`` sums the scores per doc.  bincount adds its
-        weights in array order, so every doc's sum is taken in query-term
-        order, as the reference's ``PlusNode`` takes it.
+        The terms' blocks come from one ``IndexReader.blocks`` gather
+        (term-sorted), selected and masked by the walk ``read_postings``
+        takes (``_select``, ``_walk``), and are decoded in one call laid
+        out in query-term order: each entry of ``terms_qtf`` gets its
+        term's run of blocks, so a repeated entry is scored once per
+        entry.  Their doc lengths are one ``IndexReader.doc_lens`` gather,
+        one elementwise pass scores them (each posting's numerator is its
+        entry's constant, repeated over the entry's blocks and then over
+        each block's postings), and one ``np.bincount`` sums the scores
+        per doc.  bincount adds its weights in array order, so every
+        doc's sum is taken in query-term order, as the reference's
+        ``PlusNode`` takes it.
 
         ``doc_range=(lo, hi)`` restricts to a doc-id shard — the
         doc-partitioned scatter of the reference
@@ -952,29 +1005,30 @@ class BM25Scorer:
         consts, k1_1mb, k1b_avg = self._term_constants(terms_qtf)
         if not consts:
             return empty
-        postings = read_postings(self.r, [t for t, _ in consts],
-                                 doc_range=doc_range, doc_set=doc_set)
-        # the terms' postings in query order, each with its numerator
-        # constant; the score arithmetic is elementwise, so one pass over
-        # the concatenation gives every posting the per-term float result
-        ds, tfs, ncs = [], [], []
-        for term, numer_const in consts:  # fixed query order = fixed float order
-            if term not in postings:
-                continue
-            d, tf = postings[term][:2]
-            ds.append(d)
-            tfs.append(tf)
-            ncs.append(numer_const)
-        if not ds:
+        pb = self.r.blocks([t for t, _ in consts], doc_range)
+        sel = _select(pb, doc_set)
+        # blocks are term-sorted, so each term's selected blocks are one run
+        # of sel: lay the runs out once per entry of consts, in query order
+        # (fixed query order = fixed float order)
+        runs = np.bincount(pb.term[sel], minlength=len(pb.terms)).tolist()
+        run = dict(zip(pb.terms, zip(accumulate(runs, initial=0), runs)))
+        lay = [(*run[t], c) for t, c in consts if run.get(t, (0, 0))[1]]
+        if not lay:
             return empty
-        d = _cat(ds)
+        starts, lens, ncs = zip(*lay)
+        shift = [a - b for a, b in zip(starts, accumulate(lens, initial=0))]
+        if any(shift):  # not already in query order
+            sel = sel[np.repeat(shift, lens) + np.arange(sum(lens))]
+        d, tf, _, n = _walk(pb, sel, doc_range, False)
+        if not len(d):
+            return empty
         scores = self._score_arrays(
-            _cat(tfs).astype(np.float64),
-            self.r.doc_lens(d).astype(np.float64),
-            np.repeat(ncs, [len(x) for x in ds]), k1_1mb, k1b_avg)
+            tf.astype(np.float64), self.r.doc_lens(d).astype(np.float64),
+            np.repeat(np.repeat(ncs, lens), n),
+            k1_1mb, k1b_avg)
         # one dense accumulation over the decoded doc-id window [amin, amax]:
         # bincount adds the weights in array order, and the postings are
-        # concatenated in query-term order, so a doc's sum is taken in
+        # laid out in query-term order, so a doc's sum is taken in
         # query-term order — PlusNode's summation sequence
         # (ref:src/PlusNode.cpp:75-106), bit for bit.  Memory is
         # O(amax - amin), never O(max_doc_id): a segment built at a large

@@ -2,9 +2,9 @@
 
 The Ray analogue of IndriRunQuery's thread-per-query pool
 (ref:runquery/IndriRunQuery.cpp:692-792): round-robin query slices run as
-plain warm Ray tasks whose worker state (open index, mapped postings
-files, doc-length caches, statistics memos) lives in a process global, so Ray's worker
-reuse keeps it warm without actor-pool spawn/ramp/dispatch overhead (the
+plain warm Ray tasks whose worker state (open index, mapped postings and
+doc-keyed map files, statistics memos) lives in a process global, so Ray's
+worker reuse keeps it warm without actor-pool spawn/ramp/dispatch overhead (the
 fixed work list makes the Dataset streaming executor pure overhead here;
 same pattern as the ingest tasks).  At multi-node scale the same workers
 score (query × doc-range shard) items and the driver merges with the
@@ -86,15 +86,17 @@ def engine_topk(engine, kind: str, text: str, k: int,
                 doc_range: tuple[int, int] | None = None,
                 pruned: bool = False):
     """Top-k ``(doc_ids, scores)`` of query ``text`` on a
-    :func:`make_engine` engine, optionally restricted to a doc range."""
+    :func:`make_engine` engine, optionally restricted to a doc range; the
+    query terms go through the engine's own ``TermProcessor`` (its stem
+    memo lives as long as the engine)."""
     if kind == "bm25":
-        terms = process_query(text, engine.r.cfg)
+        terms = process_query(text, engine.r.cfg, engine.proc)
         return engine.score_exhaustive(terms, k=k, doc_range=doc_range)
     if kind == "lm":
         from .lm import process_query_lm
 
-        return engine.score(process_query_lm(text, engine.r.cfg), k=k,
-                            doc_range=doc_range)
+        return engine.score(process_query_lm(text, engine.r.cfg, engine.proc),
+                            k=k, doc_range=doc_range)
     if kind == "structured":
         return engine.run(text, k=k, doc_range=doc_range, pruned=pruned)
     raise ValueError(f"query kind {kind!r} does not score query text")
@@ -163,7 +165,7 @@ class QueryWorker:
         texts = batch.column("text").to_pylist()
         shards = (batch.column("shard").to_pylist()
                   if "shard" in batch.column_names else None)
-        qids = batch.column("qid").to_pylist() if shards is not None else None
+        qids = batch.column("qid").to_pylist()
         ids, scores, ms = [], [], []
         for i, text in enumerate(texts):
             t0 = time.perf_counter()
@@ -175,23 +177,22 @@ class QueryWorker:
             ids.append(d)
             scores.append(s)
         # the result columns straight from the per-query arrays (query i's
-        # rows are its top-k in rank order); the empty heads fix the dtypes
-        n = [len(d) for d in ids]
-        qid = batch.column("qid")
-        qid = pa.concat_arrays([pa.array([], pa.string())] + [
-            pa.repeat(qid[i], k) for i, k in enumerate(n) if k])
+        # rows are its top-k in rank order): row → query is one repeat,
+        # qid one gather and rank arithmetic over it
+        n = np.array([len(d) for d in ids], np.int64)
+        q = np.repeat(np.arange(len(n)), n)
+        qid = pa.array(np.array(qids, object)[q], pa.string())
         doc_id = np.concatenate([np.empty(0, np.int64), *ids])
         score = pa.array(np.concatenate([np.empty(0), *scores]))
         if shards is not None:
             return pa.Table.from_arrays([qid, pa.array(doc_id), score],
                                         names=["qid", "doc_id", "score"])
-        rank = np.concatenate([np.empty(0, np.int64)]
-                              + [np.arange(1, k + 1) for k in n])
+        rank = np.arange(1, len(q) + 1) - (np.cumsum(n) - n)[q]
         # one docno page for the whole batch: one take from the mapped map
         docno = self.reader.docnos(doc_id)
         return pa.Table.from_arrays(
             [qid, pa.array(rank), pa.array(doc_id), docno, score,
-             pa.array(np.repeat(np.array(ms), n))], schema=RESULT_SCHEMA)
+             pa.array(np.array(ms)[q])], schema=RESULT_SCHEMA)
 
 
 def _batch(items: list[tuple]) -> pa.Table:

@@ -87,9 +87,12 @@ def _by_term(pb, names: list[str], lo: int, hi: int) -> dict:
 def test_blocks_decode_like_the_row_table(salted_index, two_segments):
     """``reader.blocks(terms, doc_range)`` holds exactly the blocks of the
     row table ``term_rows(terms, doc_range)`` that meet the range, term by
-    term, and decodes to the same (doc, tf, positions)."""
+    term, and decodes to the same (doc, tf, positions); and one
+    ``PostingBlocks.decode`` of a selection in any order, repeats
+    included, equals the blocks' own ``decode_block`` calls."""
     from indri_5_5_ray.pipelines.query import posting_blocks
 
+    rng = np.random.default_rng(7)
     salted = None
     for reader in _readers(salted_index, two_segments):
         hi_doc = reader.manifest["max_doc_id"] + 1
@@ -108,7 +111,40 @@ def test_blocks_decode_like_the_row_table(salted_index, two_segments):
         if salted is None:
             rows = reader.term_rows(TERMS)
             salted = max(rows.column("term").value_counts().field(1).to_pylist())
+        # one decode of any selection — shuffled, or laid out in query-term
+        # order (a term's run once per query entry) — equals the per-block
+        # decodes, across bucket files and, on the repository, both segments
+        pb = reader.blocks(TERMS)
+        assert len(np.unique(pb.view)) > 1
+        if len(reader.index_dirs) > 1:
+            second = reader.doc_maps()[0][1]
+            assert (pb.last < second).any() and (pb.first >= second).any()
+        rank = {t: i for i, t in enumerate(reversed(TERMS))}
+        by_query = np.argsort([rank[pb.terms[i]] for i in pb.term.tolist()],
+                              kind="stable")
+        twice = np.flatnonzero(pb.term == pb.term[-1])
+        for sel in (rng.permutation(len(pb)), by_query,
+                    np.concatenate([by_query, twice])):
+            want = _per_block(pb, sel)
+            d, tf, pos = pb.decode(sel, positions=True)
+            assert np.array_equal(d, want[0]) and np.array_equal(tf, want[1])
+            assert np.array_equal(pos, want[2])
+            d, tf, pos = pb.decode(sel)
+            assert pos is None
+            assert np.array_equal(d, want[0]) and np.array_equal(tf, want[1])
     assert salted > 1, "no term has several rows — the test is vacuous"
+
+
+def _per_block(pb, sel: np.ndarray) -> list[np.ndarray]:
+    """(docs, tfs, positions) of blocks ``sel``, one ``decode_block``
+    each, from the block's own bytes and metadata."""
+    from indri_5_5_ray.codec import decode_block
+
+    parts = [decode_block(pb.views[pb.view[i]][pb.offset[i]:
+                                               pb.offset[i] + pb.length[i]],
+                          int(pb.first[i]), int(pb.n_docs[i]), True)
+             for i in sel.tolist()]
+    return [np.concatenate([p[j] for p in parts]) for j in range(3)]
 
 
 def test_blocks_of_every_term(salted_index, two_segments):
@@ -200,9 +236,10 @@ def test_bm25_bitwise_equals_the_reference(salted_index, two_segments,
                                            references, tmp_path_factory,
                                            data):
     """score_exhaustive == the pure-Python reference, compared with
-    ``np.array_equal`` (no tolerance), over random queries, deleted sets,
-    ``doc_set`` working sets and ``doc_range`` shards, on a salted index
-    and on a two-segment reader."""
+    ``np.array_equal`` (no tolerance), over random queries (some with a
+    repeated entry, which the reference scores once per entry), deleted
+    sets, ``doc_set`` working sets and ``doc_range`` shards, on a salted
+    index and on a two-segment reader."""
     from indri_5_5_ray.pipelines.query import BM25Scorer, IndexReader
 
     dirs = data.draw(st.sampled_from([[salted_index], two_segments]))
@@ -219,6 +256,9 @@ def test_bm25_bitwise_equals_the_reference(salted_index, two_segments,
     qtfs = data.draw(st.lists(st.integers(1, 3), min_size=len(terms),
                               max_size=len(terms)))
     terms_qtf = list(zip(terms, qtfs))
+    if data.draw(st.booleans()):  # a repeated entry is scored per entry
+        terms_qtf.insert(data.draw(st.integers(0, len(terms_qtf))),
+                         data.draw(st.sampled_from(terms_qtf)))
     deleted = data.draw(st.sets(st.integers(0, n_docs - 1), max_size=40))
     deleted_path = None
     if deleted:

@@ -57,6 +57,34 @@ def test_segmented_cumsum_delta_roundtrip():
     lens = np.array([3, 2, 3])
     d = segmented_delta(vals, lens)
     assert segmented_cumsum(d, lens).tolist() == vals.tolist()
+    # with bases, segment i's sums start from bases[i]
+    bases = np.array([100, -7, 2**40])
+    assert segmented_cumsum(d, lens, bases).tolist() == (
+        vals + np.repeat(bases, lens)).tolist()
+    # zero-length segments (np.add.reduceat reads one as a one-value
+    # segment) hold nothing and shift nothing, at the ends and inside
+    lens0 = np.array([0, 3, 0, 0, 2, 3, 0])
+    bases0 = np.array([5, 100, 6, 7, -7, 2**40, 8])
+    assert segmented_cumsum(d, lens0).tolist() == vals.tolist()
+    assert segmented_cumsum(d, lens0, bases0).tolist() == (
+        vals + np.repeat(bases0, lens0)).tolist()
+    assert segmented_cumsum(np.empty(0, np.int64), [0, 0], [1, 2]).tolist() == []
+    # random layouts against a per-segment cumsum; the input is not written
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        lens = rng.integers(0, 5, rng.integers(1, 8))
+        deltas = rng.integers(0, 2**16, int(lens.sum())).astype(np.uint16)
+        bases = rng.integers(-2**40, 2**40, len(lens))
+        before = deltas.copy()
+        cuts = np.cumsum(lens)[:-1]
+        want = [np.cumsum(seg.astype(np.int64)) + b
+                for seg, b in zip(np.split(deltas, cuts), bases)]
+        got = segmented_cumsum(deltas, lens, bases)
+        assert got.dtype == np.int64
+        assert got.tolist() == np.concatenate(want).tolist()
+        assert segmented_cumsum(deltas, lens).tolist() == np.concatenate(
+            [w - b for w, b in zip(want, bases)]).tolist()
+        assert np.array_equal(deltas, before)
 
 
 def _pos_stream(positions, tfs):

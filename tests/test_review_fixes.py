@@ -121,6 +121,41 @@ def test_topk_prune_matches_full_sort_with_ties():
         order = np.lexsort((-ids, -scores))[:k]
         assert np.array_equal(got_i, ids[order])
         assert np.array_equal(got_s, scores[order])
+    # just above TOPK_BOUND_ROWS·k rows the chunk-max bound drops rows
+    # first; k=100 at n=6,401 is where ceil-sized chunks (65 rows) would
+    # give only 99 chunks, too few to bound the 100th score
+    from indri_5_5_ray.pipelines.query import TOPK_BOUND_ROWS
+
+    for k, n in ((1, 65), (7, 449), (100, 6_401), (1000, 64_001),
+                 (100, 6_499), (7, 1_000)):
+        assert n > TOPK_BOUND_ROWS * k
+        for kind in ("ties", "negative", "inf", "nan"):
+            ids = rng.permutation(n).astype(np.int64)
+            if kind == "ties":
+                scores = rng.integers(0, 7, n).astype(np.float64)
+            else:  # negative BM25 scores (common terms) and a few ties
+                scores = np.round(rng.normal(-1.0, 2.0, n), 1)
+            if kind == "inf":
+                scores[rng.choice(n, 3, replace=False)] = np.inf
+                scores[rng.choice(n, n // 3, replace=False)] = -np.inf
+            if kind == "nan":  # a few NaNs, all inside one chunk
+                at = int(rng.integers(0, n - 5))
+                scores[at:at + 3] = np.nan
+            got_i, got_s = _topk(ids, scores, k)
+            order = np.lexsort((-ids, -scores))[:k]
+            assert np.array_equal(got_i, ids[order]), (k, n, kind)
+            assert np.array_equal(got_s, scores[order], equal_nan=True)
+        # one high row at the head of every 65-row chunk and a lower one
+        # inside the first: the least of those fewer-than-k chunk maxima
+        # would drop a row of the top k
+        scores = np.zeros(n)
+        heads = np.arange(0, n, 65)
+        scores[heads] = 10.0 + np.arange(len(heads))
+        scores[1] = 5.0
+        ids = np.arange(n, dtype=np.int64)
+        got_i, got_s = _topk(ids, scores, k)
+        order = np.lexsort((-ids, -scores))[:k]
+        assert np.array_equal(got_i, ids[order]), (k, n, "chunk heads")
 
 
 def test_sparse_docid_base_scores_equal_and_accumulator_bounded(
