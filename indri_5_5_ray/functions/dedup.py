@@ -439,8 +439,8 @@ def _dup_occ_spill(sf_dir: str, n: int) -> str:
       part file with gb-aligned row groups.  All occurrences of a gram
       land in one bucket (polars hash, deterministic within a cluster's
       polars version), so the dup filter below is exact;
-    * reduce (one Ray task per gb bucket): predicate-pushdown read of
-      the bucket slice, vectorized ≥2-distinct-docs semi-join, sort by
+    * reduce (one Ray task per gb bucket): ``read_bucket`` of the
+      bucket's row groups, vectorized ≥2-distinct-docs semi-join, sort by
       (doc_id, pos), write ``occ/occ-gbXXXX.parquet``.  Per-task memory
       is one bucket (bytes-scaled bucket count via
       :func:`.exchange.bucket_count`), never the corpus.

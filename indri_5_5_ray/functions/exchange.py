@@ -10,9 +10,10 @@ per group.  Here the exchange is durable files:
 
 * map (one task per corpus batch): the caller's kernel emits key rows with
   an int32 bucket column (key-hash % n_buckets); the wrapper sorts by
-  bucket and writes ONE part file per batch with bucket-aligned row
-  groups, so a reducer's predicate-pushdown read prunes to its slice (the
-  input needs no id column and its batches may share any values).  Parts
+  bucket and writes ONE part file per batch whose row groups end on bucket
+  boundaries (``stages.postings.write_bucketed``), so a reducer's
+  ``read_bucket`` decodes only its slice (the input needs no id column
+  and its batches may share any values).  Parts
   are named by (map task id, batch ordinal): a retried map task
   overwrites its first attempt's parts instead of adding to them;
 * reduce (one Ray task per bucket, ``num_cpus=0.9``): read the bucket's
@@ -46,6 +47,7 @@ import ray
 import ray.data
 
 from ..cachedir import ensure_cached_dir, source_key
+from ..stages.postings import read_bucket, write_bucketed
 
 
 def bucket_count(path: str) -> int:
@@ -131,15 +133,13 @@ def bucket_exchange(
 
         def part(batch: pa.Table) -> pa.Table:
             import polars as pl
-            import pyarrow.parquet as pq
 
             if batch.num_rows == 0:
                 return pa.table({"rows": pa.array([], pa.int64())})
             out = map_kernel(pl.from_arrow(batch.select(map_columns)))
             t = out.sort(bucket_col).to_arrow()
-            pq.write_table(t, f"{keys_dir}/{_part_name()}.parquet",
-                           row_group_size=max(256,
-                                              t.num_rows // n_buckets))
+            write_bucketed(t, f"{keys_dir}/{_part_name()}.parquet",
+                           bucket_col, n_buckets)
             return pa.table({"rows": pa.array([t.num_rows], pa.int64())})
 
         src = docs(f"{tmp}/in") if callable(docs) else docs
@@ -152,14 +152,10 @@ def bucket_exchange(
         @ray.remote(num_cpus=0.9)
         def reduce_bucket(bucket: int) -> int:
             import polars as pl
-            import pyarrow.dataset as pads
             import pyarrow.parquet as pq
 
-            from ..stages.postings import cached_dataset
-
-            t = cached_dataset(keys_dir, salt=tmp).to_table(
-                filter=pads.field(bucket_col) == bucket,
-                columns=reduce_columns, use_threads=False)
+            t = read_bucket(keys_dir, bucket_col, bucket,
+                            columns=reduce_columns, salt=tmp)
             if t.num_rows == 0:
                 return 0
             out, metric = reduce_kernel(pl.from_arrow(t))

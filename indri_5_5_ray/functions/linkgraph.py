@@ -16,7 +16,8 @@ re-expression:
   score shard with its edge shard and writes dst-bucketed partial
   contributions; one task per DST bucket sums them and writes the next
   score shard.  Driver state is file paths and counts — never the score
-  vector — and every exchange is a predicate-pushdown parquet read, so
+  vector — and every exchange is a ``read_bucket`` of bucket-aligned row
+  groups (``write_bucketed``), so
   the iteration scales to graphs whose score vector exceeds driver (or
   any single worker's) memory.  No Ray all-to-all: a Dataset shuffle per
   iteration would pay the driver O(mappers × reducers) lineage metadata
@@ -46,6 +47,8 @@ import polars as pl
 import pyarrow as pa
 import ray
 import ray.data
+
+from ..stages.postings import read_bucket, write_bucketed
 
 N_BUCKETS = 16
 DAMPING = 0.85
@@ -156,15 +159,12 @@ def _contrib_task(edges_dir: str, scores_file: str, bucket: int,
     """One SRC bucket's contribution pass: join its score shard with its
     edge shard, partial-aggregate by dst, write dst-bucketed rows.
     Returns the bucket's DANGLING mass (score with no out-edges)."""
-    import pyarrow.dataset as pads
     import pyarrow.parquet as pq
 
     sc = pl.from_arrow(pq.read_table(scores_file,
                                      columns=["doc_id", "score"]))
-    ed = pads.dataset(edges_dir, format="parquet").to_table(
-        filter=pads.field("sbucket") == bucket,
-        columns=["src", "dst", "w"], use_threads=False)
-    edf = pl.from_arrow(ed)
+    edf = pl.from_arrow(read_bucket(edges_dir, "sbucket", bucket,
+                                    columns=["src", "dst", "w"]))
     joined = edf.join(sc.rename({"doc_id": "src"}), on="src", how="inner")
     contrib = (
         joined.with_columns((pl.col("w") * pl.col("score")).alias("c"))
@@ -174,10 +174,9 @@ def _contrib_task(edges_dir: str, scores_file: str, bucket: int,
         .sort("dbucket")
     )
     if contrib.height:
-        pq.write_table(
-            contrib.select("dbucket", "dst", "c").to_arrow(),
-            f"{out_dir}/c-{t}-b{bucket:02d}.parquet",
-            row_group_size=max(256, contrib.height // N_BUCKETS))
+        write_bucketed(contrib.select("dbucket", "dst", "c").to_arrow(),
+                       f"{out_dir}/c-{t}-b{bucket:02d}.parquet",
+                       "dbucket", N_BUCKETS)
     # dangling mass: scores whose doc has no out-edges in this bucket
     dangling = sc.join(edf.select(pl.col("src").unique().alias("doc_id")),
                        on="doc_id", how="anti")
@@ -190,21 +189,14 @@ def _apply_task(doclist_file: str, contrib_dir: str, bucket: int, t: int,
     """One DST bucket's apply pass: sum its partial contributions, apply
     damping + uniform dangling redistribution, pin to 12 decimals, write
     the next score shard."""
-    import pyarrow.dataset as pads
     import pyarrow.parquet as pq
 
     docs = pl.from_arrow(pq.read_table(doclist_file, columns=["doc_id"]))
-    # a fully-dangling iteration writes NO contribution files: the dataset
-    # over an empty dir has an empty schema and the filter would raise
-    # (ArrowInvalid, not FileNotFoundError) — check for files explicitly
-    if any(f.endswith(".parquet") for f in os.listdir(contrib_dir)):
-        ct = pads.dataset(contrib_dir, format="parquet").to_table(
-            filter=pads.field("dbucket") == bucket,
-            columns=["dst", "c"], use_threads=False)
-    else:
-        ct = None
+    # a fully-dangling iteration writes NO contribution files: read_bucket
+    # then gives a table without rows
+    ct = read_bucket(contrib_dir, "dbucket", bucket, columns=["dst", "c"])
     base = (1.0 - damping) / n_docs + damping * dangling_mass / n_docs
-    if ct is not None and ct.num_rows:
+    if ct.num_rows:
         sums = (pl.from_arrow(ct).group_by("dst").agg(pl.col("c").sum())
                 .rename({"dst": "doc_id"}))
         out = docs.join(sums, on="doc_id", how="left").with_columns(
@@ -332,17 +324,15 @@ def pagerank_scores(sf_dir: str, iters: int = ITERS,
         os.makedirs(doclist_dir)
 
         def emit(batch: pa.Table) -> pa.Table:
-            import pyarrow.parquet as pq
-
             if batch.num_rows == 0:
                 return pa.table({"rows": pa.array([], pa.int64())})
             e = _synth_edges_batch(batch, n).with_columns(
                 (pl.col("src") % N_BUCKETS).cast(pl.Int32).alias("sbucket")
             ).sort("sbucket").select("sbucket", "src", "dst", "w")
             mn = int(batch.column("doc_id")[0].as_py())
-            pq.write_table(e.to_arrow().cast(_EDGE_SCHEMA),
+            write_bucketed(e.to_arrow().cast(_EDGE_SCHEMA),
                            f"{edges_dir}/e-{mn:012d}.parquet",
-                           row_group_size=max(256, e.height // N_BUCKETS))
+                           "sbucket", N_BUCKETS)
             return pa.table({"rows": pa.array([e.height], pa.int64())})
 
         (read_spread(f"{sf_dir}/documents.parquet", columns=["doc_id"])

@@ -12,8 +12,9 @@ Phases (SURVEY.md §7.2):
    state (stemmer dictionary + caches persist via Ray worker reuse), side
    outputs docs/ + partials/ parquet per chunk + lineage records;
 3. postings merge — map-only reducers over term-hash buckets (the shuffle is
-   done by the filesystem: ingest wrote bucket-sorted partials, each reducer
-   reads its bucket by predicate pushdown) → block-encoded posting lists
+   done by the filesystem: ingest wrote bucket-sorted partials whose row
+   groups end on bucket boundaries, each reducer reads the row groups of its
+   bucket through ``read_bucket``) → block-encoded posting lists
    (fixed-width Δdoc/tf arrays, vbyte positions) with block-max metadata +
    per-bucket dictionary slices
    (the ``IndexWriter`` k-way merge, ref:src/IndexWriter.cpp:810-879), and
@@ -43,8 +44,8 @@ import ray
 
 from ..config import IndexConfig
 from ..sources.corpus import Chunk, plan_chunks, read_chunk
-from ..stages.postings import (INDEX_FORMAT, MergeWorker, write_docno_map,
-                               write_partials)
+from ..stages.postings import (INDEX_FORMAT, MergeWorker, read_bucket,
+                               write_bucketed, write_docno_map, write_partials)
 
 _DEDUP_BUCKETS = 32
 
@@ -81,15 +82,14 @@ def _dedup_losers(chunk_dicts: list[dict], cfg: IndexConfig, out_dir: str,
     doc_id, mirroring the reference's keep-first ingest dedup).
 
     Same filesystem-shuffle shape as the postings merge — scan tasks write
-    (key, doc_id) pairs sorted by key-hash bucket, reduce tasks read one
-    bucket each by predicate pushdown — so there is no object-store
-    all-to-all and both phases are plain task pools on warm workers."""
+    (key, doc_id) pairs sorted by key-hash bucket (``write_bucketed``),
+    reduce tasks read one bucket each (``read_bucket``) — so there is no
+    object-store all-to-all and both phases are plain task pools on warm
+    workers."""
     key = cfg.dedup_key
 
     def scan(batch: pa.Table) -> pa.Table:
         import hashlib
-
-        import pyarrow.parquet as pq
 
         out_rows = []
         for item in batch.to_pylist():
@@ -116,13 +116,10 @@ def _dedup_losers(chunk_dicts: list[dict], cfg: IndexConfig, out_dir: str,
                     ),
                 }
             ).sort_by([("kbucket", "ascending")])
-            import os
-
             os.makedirs(f"{out_dir}/dedup_keys", exist_ok=True)
-            pq.write_table(
+            write_bucketed(
                 tbl, f"{out_dir}/dedup_keys/keys-{chunk.chunk_id}.parquet",
-                row_group_size=max(256, tbl.num_rows // _DEDUP_BUCKETS),
-            )
+                "kbucket", _DEDUP_BUCKETS)
             out_rows.append({"chunk_id": chunk.chunk_id, "rows": tbl.num_rows})
         return pa.Table.from_pylist(out_rows)
 
@@ -131,20 +128,16 @@ def _dedup_losers(chunk_dicts: list[dict], cfg: IndexConfig, out_dir: str,
         doc_id-sorted parquet shard (never returned to the driver: at
         web-scale duplication rates — 30-50% of a crawl — #losers is
         O(corpus), so the driver must only ever see per-task counts).
-        Small row groups keep ingest's doc-range predicate pushdown
-        effective across the per-bucket shards."""
+        8192-row groups keep ingest's doc-range row-group pruning
+        (``_losers_in_range``) effective across the per-bucket shards."""
         import polars as pl
-        import pyarrow.dataset as pads
         import pyarrow.parquet as pq
 
-        from ..stages.postings import cached_dataset
-
         out = []
-        dset = cached_dataset(f"{out_dir}/dedup_keys", salt=fingerprint)
         buckets = batch.column("kbucket").to_pylist()
         for b in buckets:
-            t = dset.to_table(filter=pads.field("kbucket") == b, columns=["key", "doc_id"],
-                              use_threads=False)
+            t = read_bucket(f"{out_dir}/dedup_keys", "kbucket", b,
+                            columns=["key", "doc_id"], salt=fingerprint)
             if t.num_rows == 0:
                 continue
             df = pl.from_arrow(t)
@@ -212,10 +205,10 @@ def _dedup_losers(chunk_dicts: list[dict], cfg: IndexConfig, out_dir: str,
 def _consolidate_partials(out_dir: str, cfg: IndexConfig) -> str:
     """Bound the merge reducers' fan-in: when ingest produced more partials
     files than ``INDRI55_MAX_REDUCER_FILES`` (default 256), concatenate them
-    into ~``target_group_bytes`` consolidated files (bucket-sorted, bucket-
-    aligned row groups, same schema).  Every merge reducer then opens
-    O(consolidated files), not O(chunks) — at 10⁵+ chunks the per-reducer
-    dataset discovery + footer reads would otherwise dominate merge time.
+    into ~``target_group_bytes`` consolidated files (``write_partials``:
+    bucket-sorted, bucket-aligned row groups, same schema).  Every merge
+    reducer then indexes O(consolidated files), not O(chunks) — at 10⁵+
+    chunks the per-reducer footer reads would otherwise dominate merge time.
     One extra streaming pass over the partials, fully parallel and
     lineage-resumable; returns the directory the merge should read."""
     import hashlib as _hl
@@ -332,13 +325,13 @@ def merge_partials(out_dir: str, cfg: IndexConfig, plan_fp: str,
     @ray.remote(num_cpus=0.9, **_mem_opts(merge_mem if mcap else 0))
     def _merge_task(bucket: int) -> dict:
         # plain task: the work list is fixed and all IO goes through the
-        # filesystem (bucket-pruned parquet reads), so raw tasks avoid the
+        # filesystem (read_bucket's row-group reads), so raw tasks avoid the
         # Dataset executor's per-phase overhead.  ONE bucket per task:
         # bucket sizes are skewed (hot-term buckets run ~2× the median), so
         # static bucket groups quantize the phase to the worst group — with
         # single-bucket tasks Ray packs them dynamically and the makespan
         # tracks sum/P + one bucket.  Worker-process spawn and parquet
-        # footer reads are amortized by warm workers + cached_dataset.
+        # footer reads are amortized by warm workers + read_bucket's index.
         t = MergeWorker(out_dir, cfg_dict, plan_fp, partials_dir=partials_src)(
             pa.table({"bucket": pa.array([bucket], pa.int32())})
         )

@@ -84,7 +84,8 @@ import pyarrow.parquet as pq
 from ..codec import decode_block, decode_doc_tf_batch, decode_full_batch  # noqa: F401
 from ..config import IndexConfig
 from ..stages.ingest import TermProcessor
-from ..stages.postings import DOCNO_MAP, INDEX_FORMAT, POSTINGS_SCHEMA
+from ..stages.postings import (DOCNO_MAP, INDEX_FORMAT, POSTINGS_SCHEMA,
+                               term_bucket)
 from ..tokenizer import tokenize
 
 
@@ -482,10 +483,7 @@ class IndexReader:
     # -- postings access ----------------------------------------------------
 
     def _bucket_of(self, term: str) -> int:
-        import hashlib
-
-        h = int.from_bytes(hashlib.md5(term.encode()).digest()[:4], "little")
-        return h % self.cfg.n_buckets
+        return term_bucket(term, self.cfg.n_buckets)
 
     def _bucket_file(self, d: str, bucket: int) -> "_BucketFile":
         """Bucket ``bucket``'s postings file of dir ``d``, mapped once per
@@ -889,12 +887,15 @@ def _topk(doc_ids: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, 
     chunk holds a row at its maximum, so at least k rows score at or above
     that bound, and so does every row of the top k (the threshold step of
     *Cache-Efficient Top-k Aggregation*, VLDB 2023).  A NaN in any chunk
-    makes the bound NaN, and then nothing is dropped.  An O(n)
-    argpartition then prunes to the k-th score boundary before the
-    full-rank lexsort: every row tied AT the boundary score is kept, so
-    the final ordering (score desc, doc_id desc) is bit-identical to
-    sorting the whole candidate array — common-term queries rank ~k rows,
-    not ~N."""
+    makes the bound NaN, and then nothing is dropped.  Above k rows, an
+    O(n) partition then finds the k-th largest non-NaN score and every
+    row below it is dropped before the full-rank lexsort: every row tied
+    AT that score is kept, so the final ordering (score desc, doc_id
+    desc) is bit-identical to sorting the whole candidate array — a query
+    ranks ~k rows, not ~N.  The partition runs on the negated scores,
+    which sorts NaN rows last: the k-th score is NaN only when fewer than
+    k rows are non-NaN, and then the full sort (NaN rows ranked last)
+    runs on every row."""
     n = len(scores)
     if k > 0 and n > TOPK_BOUND_ROWS * k:
         # exactly k chunks (ceil-sized chunks could give fewer, and then
@@ -904,12 +905,8 @@ def _topk(doc_ids: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, 
             cand = np.flatnonzero(scores >= bound)
             doc_ids, scores = doc_ids[cand], scores[cand]
             n = len(scores)
-    if k > 0 and n > 4 * k:
-        part = np.argpartition(scores, n - k)[n - k:]
-        s_k = scores[part].min()
-        # NaN scores (possible in belief-network callers) land at the top of
-        # an argpartition and poison min() — fall back to the full sort,
-        # which ranks NaN rows last like the pre-prune behavior
+    if k > 0 and n > k:
+        s_k = -np.partition(-scores, k - 1)[k - 1]
         if not np.isnan(s_k):
             cand = np.flatnonzero(scores >= s_k)
             doc_ids, scores = doc_ids[cand], scores[cand]

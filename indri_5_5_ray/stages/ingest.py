@@ -39,7 +39,7 @@ from ..kstem import KrovetzStemmer
 from ..sources.corpus import Chunk, read_chunk
 from ..state import lineage
 from ..tokenizer import expand_raw, normalize_token, scan_raw, tokenize_bytes
-from .postings import PARTIALS_SCHEMA, write_docs, write_partials
+from .postings import PARTIALS_SCHEMA, term_bucket, write_docs, write_partials
 
 DOCS_SCHEMA = pa.schema(
     [
@@ -591,8 +591,7 @@ class IngestWorker:
         for i, t in enumerate(terms):
             b = bucket_memo.get(t)
             if b is None:
-                h = int.from_bytes(hashlib.md5(t.encode()).digest()[:4], "little")
-                b = h % n_buckets
+                b = term_bucket(t, n_buckets)
                 if len(bucket_memo) > TermProcessor._MEMO_CAP:
                     bucket_memo.clear()
                 bucket_memo[t] = b

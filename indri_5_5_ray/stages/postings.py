@@ -27,6 +27,7 @@ and very long posting lists are naturally split across rows.
 
 from __future__ import annotations
 
+import hashlib
 import os
 
 import numpy as np
@@ -89,42 +90,148 @@ DICTIONARY_SCHEMA = pa.schema(
 )
 
 
+def term_bucket(term: str, n_buckets: int) -> int:
+    """The bucket of ``term``: the first four bytes of its UTF-8 md5,
+    little-endian, modulo ``n_buckets``.  Ingest routes a term's partial
+    rows by it and the reader finds the term's postings file by it."""
+    return int.from_bytes(hashlib.md5(term.encode()).digest()[:4],
+                          "little") % n_buckets
+
+
+def _listing(path: str) -> tuple:
+    """(name, size, mtime) of every parquet file of ``path``, sorted: the
+    fingerprint the per-process caches below are keyed by, so a rewritten
+    directory misses them."""
+    with os.scandir(path) as it:
+        return tuple(sorted(
+            (e.name, e.stat().st_size, e.stat().st_mtime_ns)
+            for e in it if e.name.endswith(".parquet")
+            and not e.name.startswith(("_", "."))))
+
+
+def _bounded_put(cache: dict, key, value):
+    if len(cache) > 4:
+        cache.clear()
+    cache[key] = value
+    return value
+
+
 _DATASET_CACHE: dict = {}
 
 
 def cached_dataset(path: str, salt: str = ""):
     """Process-global pyarrow dataset handle keyed by the directory's file
-    listing (name, size, mtime).  Warm Ray workers run many one-bucket merge
-    tasks back to back; reusing the dataset object lets pyarrow's per-fragment
-    metadata (parquet footers already read for row-group pruning) be loaded
-    once per worker instead of once per task.  The listing fingerprint makes
-    a rebuild in the same session (files rewritten) miss the cache; callers
-    pass their build/plan fingerprint as ``salt`` to close the residual
-    window of a same-size rewrite inside one mtime tick (coarse-granularity
-    filesystems)."""
+    listing (name, size, mtime), for doc-range reads of doc_id-sorted
+    spills: warm Ray workers reuse it, so the parquet footers behind its
+    row-group pruning load once per worker, not once per task.  Callers
+    pass their build fingerprint as ``salt`` to close the residual window
+    of a same-size rewrite inside one mtime tick (coarse-granularity
+    filesystems).  Bucket reads go through :func:`read_bucket`."""
     import pyarrow.dataset as pads
 
-    with os.scandir(path) as it:
-        sig = tuple(sorted(
-            (e.name, e.stat().st_size, e.stat().st_mtime_ns)
-            for e in it if e.name.endswith(".parquet")
-        ))
-    key = (path, salt, sig)
+    key = (path, salt, _listing(path))
     hit = _DATASET_CACHE.get(key)
     if hit is None:
-        if len(_DATASET_CACHE) > 4:
-            _DATASET_CACHE.clear()
-        hit = pads.dataset(path, format="parquet")
-        _DATASET_CACHE[key] = hit
+        hit = _bounded_put(_DATASET_CACHE, key,
+                           pads.dataset(path, format="parquet"))
     return hit
+
+
+def write_bucketed(tbl: pa.Table, path: str, bucket_col: str,
+                   n_buckets: int, **parquet_opts) -> None:
+    """Write a ``bucket_col``-sorted table as one parquet file whose row
+    groups end on bucket boundaries: each group but the last holds at
+    least ``max(256, rows // n_buckets)`` rows and then runs to the end of
+    the bucket it reached, so no bucket spans two groups and a reducer's
+    :func:`read_bucket` decodes only the groups of its own bucket.
+    ``parquet_opts`` go to ``pq.ParquetWriter``."""
+    import pyarrow.parquet as pq
+
+    n = tbl.num_rows
+    min_rows = max(256, n // max(1, n_buckets))
+    keys = combine_column(tbl, bucket_col).to_numpy(zero_copy_only=False)
+    ends = np.flatnonzero(keys[1:] != keys[:-1]) + 1  # bucket starts
+    with pq.ParquetWriter(path, tbl.schema, **parquet_opts) as w:
+        lo = 0
+        while lo < n:
+            i = np.searchsorted(ends, lo + min_rows)
+            hi = int(ends[i]) if i < len(ends) else n
+            w.write_table(tbl.slice(lo, hi - lo), row_group_size=hi - lo)
+            lo = hi
+
+
+_BUCKET_INDEX: dict = {}
+
+
+def _bucket_index(path: str, bucket_col: str, salt: str) -> list:
+    """Per parquet file of ``path``: (file, footer, per-row-group bucket
+    min and max), built once per process and directory listing.  A group
+    without statistics gets the whole int range, so it is always read."""
+    import pyarrow.parquet as pq
+
+    key = (path, bucket_col, salt, _listing(path))
+    hit = _BUCKET_INDEX.get(key)
+    if hit is None:
+        hit = []
+        for name, _size, _mtime in key[3]:
+            f = f"{path}/{name}"
+            md = pq.read_metadata(f)
+            # the parquet leaf column, not the arrow field: a nested
+            # column before it has more than one leaf
+            ci = [md.schema.column(i).path
+                  for i in range(md.num_columns)].index(bucket_col)
+            lo = np.full(md.num_row_groups, np.iinfo(np.int64).min)
+            hi = np.full(md.num_row_groups, np.iinfo(np.int64).max)
+            for g in range(md.num_row_groups):
+                st = md.row_group(g).column(ci).statistics
+                if st is not None and st.has_min_max:
+                    lo[g], hi[g] = st.min, st.max
+            hit.append((f, md, lo, hi))
+        _bounded_put(_BUCKET_INDEX, key, hit)
+    return hit
+
+
+def read_bucket(path: str, bucket_col: str, b: int,
+                columns: list[str] | None = None, salt: str = "") -> pa.Table:
+    """Every row of bucket ``b`` from the ``bucket_col``-sorted parquet
+    files of ``path``, in file-name then row order (the rows and order of
+    ``pads.dataset(path).to_table(filter=field(bucket_col) == b)``).
+    Reads only the row groups whose bucket range holds ``b`` and slices
+    each to ``b``'s rows with ``searchsorted``, so a group that straddles
+    buckets (the layout before :func:`write_bucketed`) still reads right.
+    Footers come from a per-process index (:func:`_bucket_index`; ``salt``
+    as for :func:`cached_dataset`); no file stays open between reads.  A
+    directory without parquet files gives a table without columns."""
+    import pyarrow.parquet as pq
+
+    index = _bucket_index(path, bucket_col, salt)
+    if not index:
+        return pa.table({})
+    schema = index[0][1].schema.to_arrow_schema()
+    if columns is not None:
+        schema = pa.schema([schema.field(c) for c in columns])
+    read = None if columns is None else list(dict.fromkeys([*columns, bucket_col]))
+    parts = []
+    for f, md, lo, hi in index:
+        groups = np.flatnonzero((lo <= b) & (hi >= b)).tolist()
+        if not groups:
+            continue
+        with pq.ParquetFile(f, metadata=md) as pf:
+            t = pf.read_row_groups(groups, columns=read, use_threads=False)
+        keys = combine_column(t, bucket_col).to_numpy(zero_copy_only=False)
+        i, j = np.searchsorted(keys, [b, b + 1])
+        t = t.slice(i, j - i).select(schema.names)
+        parts.append(t if t.schema == schema else t.cast(schema))
+    return pa.concat_tables(parts) if parts else schema.empty_table()
 
 
 class MergeWorker:
     """Map-only merge reducer: one work item = one bucket.
 
     The shuffle is done by the FILESYSTEM, not the object store: ingest wrote
-    partials bucket-sorted with bucket-aligned row groups, so each reducer's
-    read is a predicate-pushdown scan of its bucket only.  Each bucket's
+    partials bucket-sorted with row groups that end on bucket boundaries
+    (``write_partials``), so each reducer's ``read_bucket`` decodes only
+    the row groups of its own bucket.  Each bucket's
     output is one Arrow IPC postings file (rows sorted by term, then
     first_doc — the reader binary-searches a term's rows in the mapped
     file) plus its dictionary slice — a term hashes to exactly one bucket,
@@ -148,13 +255,11 @@ class MergeWorker:
     def __call__(self, batch: pa.Table) -> pa.Table:
         import time
 
-        import pyarrow.dataset as pads
         import pyarrow.parquet as pq
 
         from ..state import lineage
 
         out_rows = []
-        dset = cached_dataset(self.partials_dir, salt=self.plan_fingerprint)
         for bucket in batch.column("bucket").to_pylist():
             t0 = time.perf_counter()
             pid = f"{bucket:05d}"
@@ -170,7 +275,8 @@ class MergeWorker:
                 rec["skipped"] = True
                 out_rows.append(rec)
                 continue
-            group = dset.to_table(filter=pads.field("bucket") == bucket, use_threads=False)
+            group = read_bucket(self.partials_dir, "bucket", bucket,
+                                salt=self.plan_fingerprint)
             merged = merge_bucket(group, self.cfg.store_positions, self.cfg.target_block_bytes)
             os.makedirs(f"{self.out_dir}/postings", exist_ok=True)
             os.makedirs(f"{self.out_dir}/dictionary", exist_ok=True)
@@ -213,19 +319,17 @@ class MergeWorker:
 
 def write_partials(tbl: pa.Table, path: str, n_buckets: int) -> None:
     """The one partials layout: sorted by bucket (stable, so rows stay
-    term-sorted within a bucket) with row groups of about one bucket, so
-    each MergeWorker's bucket read prunes row groups instead of shuffling
-    through the object store.  Partials are build scratch, read whole or
-    by bucket, so they are written with zstd, without dictionary pages
-    and with min/max statistics on ``bucket`` only (the merge's pushdown
-    key): about 27% fewer bytes than snappy with dictionaries and
-    statistics, at about the same write CPU."""
-    import pyarrow.parquet as pq
-
-    tbl = tbl.sort_by([("bucket", "ascending")])
-    pq.write_table(tbl, path, compression="zstd", use_dictionary=False,
-                   write_statistics=["bucket"],
-                   row_group_size=max(256, tbl.num_rows // max(1, n_buckets)))
+    term-sorted within a bucket) and written by ``write_bucketed``, so each
+    MergeWorker's ``read_bucket`` decodes only its bucket's row groups
+    instead of shuffling through the object store.  Partials are build
+    scratch, read whole or by bucket, so they are written with zstd,
+    without dictionary pages and with min/max statistics on ``bucket``
+    only (the key of the reducers' row-group index): about 27% fewer
+    bytes than snappy with dictionaries and statistics, at about the same
+    write CPU."""
+    write_bucketed(tbl.sort_by([("bucket", "ascending")]), path, "bucket",
+                   n_buckets, compression="zstd", use_dictionary=False,
+                   write_statistics=["bucket"])
 
 
 def write_docs(tbl: pa.Table, path: str) -> None:

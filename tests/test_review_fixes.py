@@ -108,7 +108,9 @@ def test_topk_nan_scores_fall_back_to_full_sort():
 
 def test_topk_prune_matches_full_sort_with_ties():
     """Pruned top-k == full lexsort top-k, including boundary ties broken
-    by doc_id desc (fuzz over random tie-heavy inputs)."""
+    by doc_id desc (fuzz over random tie-heavy inputs), from just above k
+    rows up, and with NaN scores: a few, or about n - k of them, so that
+    slightly more, exactly, or slightly fewer than k rows are non-NaN."""
     from indri_5_5_ray.pipelines.query import _topk
 
     rng = np.random.default_rng(11)
@@ -121,6 +123,19 @@ def test_topk_prune_matches_full_sort_with_ties():
         order = np.lexsort((-ids, -scores))[:k]
         assert np.array_equal(got_i, ids[order])
         assert np.array_equal(got_s, scores[order])
+    # n in (k, 4k]: the partition prunes right above k rows
+    for k in (1, 2, 5, 10, 37, 1000):
+        for n in sorted({k + 1, k + 2, 2 * k, 3 * k + 1, 4 * k}):
+            ties = rng.integers(0, 4, n).astype(np.float64)
+            for m in sorted({0, 1, min(3, n), max(0, n - k - 1), n - k,
+                             min(n, n - k + 1), n}):
+                ids = rng.permutation(n).astype(np.int64)
+                scores = ties.copy()
+                scores[rng.choice(n, m, replace=False)] = np.nan
+                got_i, got_s = _topk(ids, scores, k)
+                order = np.lexsort((-ids, -scores))[:k]
+                assert np.array_equal(got_i, ids[order]), (k, n, m)
+                assert np.array_equal(got_s, scores[order], equal_nan=True)
     # just above TOPK_BOUND_ROWS·k rows the chunk-max bound drops rows
     # first; k=100 at n=6,401 is where ceil-sized chunks (65 rows) would
     # give only 99 chunks, too few to bound the 100th score
