@@ -10,8 +10,8 @@ dir is complete by construction, so the loser simply reuses it).
 
 Keys embed the source's identity (realpath + st_mtime_ns + size + a
 version tag), so a changed input or a changed layout never reuses stale
-bytes — the same discipline as ``stages.postings.cached_dataset`` and
-the build's corpus_sig.
+bytes — the same discipline as ``stages.postings.dir_index`` (keyed by
+the directory listing) and the build's corpus_sig.
 """
 
 from __future__ import annotations

@@ -36,9 +36,10 @@ import pyarrow as pa
 import ray.data
 
 from .exchange import bucket_count, bucket_exchange
-from .textstats import _DOC_PARTIAL_SCHEMA, _doc_sums, read_spread, tokens_expr
+from .textstats import (_DOC_PARTIAL_SCHEMA, _doc_partials, _doc_sums,
+                        read_spread, tokens_expr)
 
-_NB_VERSION = "v1"
+_NB_VERSION = "v2"
 
 
 def _labeled_terms(df: pl.DataFrame, keys: list[str], pos_col: str,
@@ -163,17 +164,12 @@ def nb_classifier_scores(sf_dir: str, pos_col: str = "lang",
 
     def doc_partials(df: pl.DataFrame):
         cls, totals = _term_class_counts(df)
-        out = (df.join(cls, on="term")
-               .with_columns(
-                   ((pl.col("tf_pos") + pl.col("tf_neg")).cast(pl.Float64)
-                    * ((pl.col("cf_pos") + 1).cast(pl.Float64).log()
-                       - (pl.col("cf_neg") + 1).cast(pl.Float64).log()))
-                   .alias("s"))
-               .group_by("doc_id")
-               .agg((pl.col("tf_pos") + pl.col("tf_neg")).sum()
-                    .alias("n_p"),
-                    pl.col("s").sum().alias("s_p"))
-               .sort("doc_id"))
+        tf = pl.col("tf_pos") + pl.col("tf_neg")
+        out = _doc_partials(
+            df.join(cls, on="term"), tf,
+            tf.cast(pl.Float64)
+            * ((pl.col("cf_pos") + 1).cast(pl.Float64).log()
+               - (pl.col("cf_neg") + 1).cast(pl.Float64).log()))
         return out, totals
 
     spill = bucket_exchange(

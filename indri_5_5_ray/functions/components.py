@@ -58,6 +58,8 @@ import polars as pl
 import pyarrow as pa
 import ray
 
+from ..stages.postings import read_bucket, read_range, write_bucketed
+
 logger = logging.getLogger(__name__)
 
 # Fibonacci-hash bucket mix: doc/vec ids are usually dense, but label
@@ -75,27 +77,31 @@ _EDGE_SCHEMA = pa.schema([("src", pa.int64()), ("dst", pa.int64())])
 _LABEL_SCHEMA = pa.schema([("node", pa.int64()), ("lbl", pa.int64())])
 
 
-def _write_partitioned(tbl: pl.DataFrame, bucket_col: str, dir_: str,
-                       stem: str) -> None:
-    """Write one parquet file per non-empty bucket value (partition column
-    dropped), named ``{stem}-b{bucket:03d}.parquet``."""
+def _spill(df: pl.DataFrame, bucket_col: str, n_buckets: int,
+                    path: str) -> None:
+    """One task's rows as one ``bucket_col``-sorted parquet file with
+    bucket-aligned row groups (``stages.postings.write_bucketed``): a
+    reducer reads its bucket out of every task's file with
+    :func:`_bucket_rows`."""
+    write_bucketed(df.sort(bucket_col).to_arrow(), path, bucket_col,
+                   n_buckets)
+
+
+def _bucket_rows(dir_: str, bucket_col: str, bucket: int,
+                 schema: pa.Schema) -> pl.DataFrame:
+    """Bucket ``bucket``'s ``schema`` columns out of every file of
+    ``dir_`` (``stages.postings.read_bucket``)."""
+    t = read_bucket(dir_, bucket_col, bucket, columns=schema.names)
+    return pl.from_arrow(t if t.num_columns else schema.empty_table())
+
+
+def _owned_rows(path: str, schema: pa.Schema) -> pl.DataFrame:
+    """A bucket's own slice file (labels, static edges); empty when the
+    bucket wrote none."""
     import pyarrow.parquet as pq
 
-    for (b,), part in tbl.partition_by(bucket_col, as_dict=True).items():
-        pq.write_table(part.drop(bucket_col).to_arrow(),
-                       f"{dir_}/{stem}-b{int(b):03d}.parquet")
-
-
-def _read_bucket(dir_: str, bucket: int, schema: pa.Schema) -> pl.DataFrame:
-    """Concat every ``*-b{bucket:03d}.parquet`` file in ``dir_``."""
-    import pyarrow.parquet as pq
-
-    suffix = f"-b{bucket:03d}.parquet"
-    tables = [pq.read_table(f"{dir_}/{name}")
-              for name in sorted(os.listdir(dir_)) if name.endswith(suffix)]
-    if not tables:
-        return pl.from_arrow(schema.empty_table())
-    return pl.from_arrow(pa.concat_tables(tables))
+    return pl.from_arrow(pq.read_table(path) if os.path.exists(path)
+                         else schema.empty_table())
 
 
 @ray.remote(num_cpus=0.9)
@@ -114,7 +120,8 @@ def _init_scatter(ref: pa.Table, a_col: str, b_col: str, work: str,
     dst = np.concatenate([b, a])
     df = pl.DataFrame({"src": src, "dst": dst,
                        "sb": _bucket_of(src, n_buckets)})
-    _write_partitioned(df, "sb", f"{work}/edges_in", f"part-{part:05d}")
+    _spill(df, "sb", n_buckets,
+                    f"{work}/edges_in/part-{part:05d}.parquet")
     return len(a)
 
 
@@ -125,7 +132,7 @@ def _init_bucket(work: str, bucket: int) -> tuple[int, int]:
     (n_nodes, max_node) for the bucket."""
     import pyarrow.parquet as pq
 
-    df = _read_bucket(f"{work}/edges_in", bucket, _EDGE_SCHEMA)
+    df = _bucket_rows(f"{work}/edges_in", "sb", bucket, _EDGE_SCHEMA)
     if df.height == 0:
         return 0, -1
     df = df.unique(["src", "dst"]).sort("src")
@@ -142,28 +149,24 @@ def _init_bucket(work: str, bucket: int) -> tuple[int, int]:
 def _message_wave(work: str, bucket: int, rnd: int, n_buckets: int) -> int:
     """Join labels onto the bucket's outgoing edges (static + pointer) and
     emit per-dst min-candidate rows partitioned by hash(dst)."""
-    import pyarrow.parquet as pq
-
-    edge_path = f"{work}/edges/b{bucket:03d}.parquet"
-    parts = []
-    if os.path.exists(edge_path):
-        parts.append(pl.from_arrow(pq.read_table(edge_path)))
+    parts = [_owned_rows(f"{work}/edges/b{bucket:03d}.parquet",
+                         _EDGE_SCHEMA)]
     ptr_dir = f"{work}/ptr{rnd}"
     if os.path.isdir(ptr_dir):
-        parts.append(_read_bucket(ptr_dir, bucket, _EDGE_SCHEMA))
-    if not parts:
-        return 0
+        parts.append(_bucket_rows(ptr_dir, "sb", bucket, _EDGE_SCHEMA))
     edges = pl.concat(parts)
     if edges.height == 0:
         return 0
-    labels = _read_bucket(f"{work}/labels{rnd}", bucket, _LABEL_SCHEMA)
+    labels = _owned_rows(f"{work}/labels{rnd}/own-b{bucket:03d}.parquet",
+                         _LABEL_SCHEMA)
     msgs = (edges.join(labels, left_on="src", right_on="node", how="inner")
             .group_by("dst").agg(pl.col("lbl").min().alias("cand")))
     if msgs.height == 0:
         return 0
     msgs = msgs.with_columns(
         pl.Series("db", _bucket_of(msgs["dst"].to_numpy(), n_buckets)))
-    _write_partitioned(msgs, "db", f"{work}/msg{rnd}", f"from-b{bucket:03d}")
+    _spill(msgs, "db", n_buckets,
+                    f"{work}/msg{rnd}/from-b{bucket:03d}.parquet")
     return msgs.height
 
 
@@ -174,11 +177,12 @@ def _update_wave(work: str, bucket: int, rnd: int, n_buckets: int) -> int:
     of labels that changed."""
     import pyarrow.parquet as pq
 
-    labels = _read_bucket(f"{work}/labels{rnd}", bucket, _LABEL_SCHEMA)
+    labels = _owned_rows(f"{work}/labels{rnd}/own-b{bucket:03d}.parquet",
+                         _LABEL_SCHEMA)
     if labels.height == 0:
         return 0
     msg_schema = pa.schema([("dst", pa.int64()), ("cand", pa.int64())])
-    msgs = _read_bucket(f"{work}/msg{rnd}", bucket, msg_schema)
+    msgs = _bucket_rows(f"{work}/msg{rnd}", "db", bucket, msg_schema)
     if msgs.height:
         best = msgs.group_by("dst").agg(pl.col("cand").min())
         labels = (labels.join(best, left_on="node", right_on="dst", how="left")
@@ -197,23 +201,25 @@ def _update_wave(work: str, bucket: int, rnd: int, n_buckets: int) -> int:
         both = pl.concat([fwd, rev])
         both = both.with_columns(
             pl.Series("sb", _bucket_of(both["src"].to_numpy(), n_buckets)))
-        _write_partitioned(both, "sb", f"{work}/ptr{rnd + 1}",
-                           f"from-b{bucket:03d}")
+        _spill(both, "sb", n_buckets,
+                        f"{work}/ptr{rnd + 1}/from-b{bucket:03d}.parquet")
     return changed
 
 
 @ray.remote(num_cpus=0.9)
 def _range_scatter(work: str, bucket: int, range_width: int,
                    n_ranges: int) -> int:
-    """Final labels bucket → node-RANGE-partitioned shards (the assignment
-    join reads only the shards overlapping a corpus batch's id range)."""
-    labels = _read_bucket(f"{work}/labels_final", bucket, _LABEL_SCHEMA)
+    """Final labels bucket → one node-sorted shard whose row groups end on
+    node-RANGE boundaries (the assignment join's range read decodes only
+    the groups overlapping a corpus batch's id range)."""
+    labels = _owned_rows(f"{work}/labels_final/own-b{bucket:03d}.parquet",
+                         _LABEL_SCHEMA)
     if labels.height == 0:
         return 0
     rb = np.minimum(labels["node"].to_numpy() // range_width,
                     n_ranges - 1).astype(np.int32)
-    df = labels.with_columns(pl.Series("rb", rb)).sort("node")
-    _write_partitioned(df, "rb", f"{work}/final", f"from-b{bucket:03d}")
+    _spill(labels.with_columns(pl.Series("rb", rb)).sort("node"),
+                    "rb", n_ranges, f"{work}/final/from-b{bucket:03d}.parquet")
     return labels.height
 
 
@@ -317,58 +323,22 @@ def _cc_dist_run(work: str, edge_refs: list["ray.ObjectRef"], a_col: str,
     return f"{work}/final", meta
 
 
-# per-WORKER memo of final-shard footer ranges: dir → sorted list of
-# (min_node, max_node, path).  Shard dirs are tempdir-unique, so no
-# invalidation; bounded like dedup._DUP_SPILL_MEMO.
-_SHARD_INDEX_MEMO: dict[str, list[tuple[int, int, str]]] = {}
-
-
-def _shard_index(final_dir: str) -> list[tuple[int, int, str]]:
-    hit = _SHARD_INDEX_MEMO.get(final_dir)
-    if hit is not None:
-        return hit
-    import pyarrow.parquet as pq
-
-    idx = []
-    for name in sorted(os.listdir(final_dir)):
-        if not name.endswith(".parquet"):
-            continue
-        path = f"{final_dir}/{name}"
-        md = pq.read_metadata(path)
-        los, his = [], []
-        for g in range(md.num_row_groups):
-            st = md.row_group(g).column(0).statistics
-            los.append(st.min)
-            his.append(st.max)
-        if los:
-            idx.append((min(los), max(his), path))
-    idx.sort()
-    if len(_SHARD_INDEX_MEMO) > 4:
-        _SHARD_INDEX_MEMO.clear()
-    _SHARD_INDEX_MEMO[final_dir] = idx
-    return idx
-
-
 def assign_from_labels_dir(final_dir: str, ids_ds: "ray.data.Dataset",
                            id_col: str) -> "ray.data.Dataset":
     """``(id_col, cluster_rep)`` for every row of ``ids_ds``: rep from the
     range-sharded label dir when present, else self (singleton).  Each
-    batch reads ONLY the shards overlapping its id range (batches arrive
-    as contiguous doc-id runs from the parquet read order), so per-task
-    memory is O(batch ∩ labels), never O(labels)."""
+    batch range-reads ONLY the label rows of its id range
+    (``stages.postings.read_range``; batches arrive as contiguous doc-id
+    runs from the parquet read order), so per-task memory is
+    O(batch ∩ labels), never O(labels)."""
 
     def assign(batch: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
-
         ids = batch.column(id_col).to_numpy().astype(np.int64)
         reps = ids.copy()
         if len(ids):
-            lo, hi = int(ids.min()), int(ids.max())
-            tables = [pq.read_table(path)
-                      for (mn, mx, path) in _shard_index(final_dir)
-                      if mn <= hi and mx >= lo]
-            if tables:
-                lab = pa.concat_tables(tables)
+            lab = read_range(final_dir, "node", int(ids.min()),
+                             int(ids.max()), columns=["node", "lbl"])
+            if lab.num_rows:
                 keys = lab.column("node").to_numpy()
                 vals = lab.column("lbl").to_numpy()
                 order = np.argsort(keys, kind="stable")

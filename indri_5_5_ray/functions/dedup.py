@@ -507,19 +507,14 @@ def _dup_occ_spill(sf_dir: str, n: int) -> str:
 
 
 def _occ_slice(occ_dir: str, lo: int, hi: int) -> pl.DataFrame:
-    """Doc-range-pruned read of the occurrence spill: all (doc_id, pos)
-    rows with ``lo ≤ doc_id ≤ hi``.  Row groups outside the range are
-    pruned by parquet min/max stats (the shards are doc_id-sorted); the
-    per-worker dataset handle is memoized, so warm tasks skip the footer
-    scan."""
-    import pyarrow.dataset as pads
+    """Doc-range read of the occurrence spill: all (doc_id, pos) rows
+    with ``lo ≤ doc_id ≤ hi`` (``stages.postings.read_range``: the shards
+    are doc_id-sorted, so row groups outside the range are never decoded,
+    and the per-worker footer index lets warm tasks skip the footer
+    scan)."""
+    from ..stages.postings import read_range
 
-    from ..stages.postings import cached_dataset
-
-    return pl.from_arrow(
-        cached_dataset(occ_dir, salt=occ_dir).to_table(
-            filter=(pads.field("doc_id") >= lo)
-            & (pads.field("doc_id") <= hi)))
+    return pl.from_arrow(read_range(occ_dir, "doc_id", lo, hi))
 
 
 def dup_span_stats(sf_dir: str, n: int = NGRAM_N) -> ray.data.Dataset:

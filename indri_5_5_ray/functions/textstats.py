@@ -508,7 +508,7 @@ def doc_fingerprints(sf_dir: str) -> ray.data.Dataset:
 # CCNet-style unigram LM scoring
 # ---------------------------------------------------------------------------
 
-_UNIGRAM_LM_VERSION = "v2"
+_UNIGRAM_LM_VERSION = "v3"
 
 # per-doc partials of a term-bucketed exchange: Σ tf and Σ tf·weight(term)
 _DOC_PARTIAL_SCHEMA = pa.schema([("doc_id", pa.int64()),
@@ -516,27 +516,53 @@ _DOC_PARTIAL_SCHEMA = pa.schema([("doc_id", pa.int64()),
                                  ("s_p", pa.float64())])
 
 
+def _sum_per_doc(doc_id: np.ndarray, n: np.ndarray,
+                 s: np.ndarray) -> pl.DataFrame:
+    """(doc_id, n_p, s_p): per distinct ``doc_id``, ascending, the sum of
+    its rows' ``n`` and the sum of their ``s`` taken left to right in row
+    order, starting from 0.0 (``np.bincount`` adds its weights in index
+    order).  A doc's float sum so has one fixed order, whatever the
+    thread count; a threaded ``group_by(...).agg(sum)`` splits a group's
+    rows in run-dependent ways and differs in the last bit."""
+    ids, inv = np.unique(doc_id, return_inverse=True)
+    n_p = np.bincount(inv, weights=n, minlength=len(ids))
+    return pl.DataFrame({"doc_id": ids.astype(np.int64),
+                         "n_p": n_p.astype(np.int64),
+                         "s_p": np.bincount(inv, weights=s,
+                                            minlength=len(ids))})
+
+
+def _doc_partials(df: pl.DataFrame, n: pl.Expr, s: pl.Expr) -> pl.DataFrame:
+    """The per-doc partials of one term bucket's (doc_id, term, ...) rows:
+    ``n`` and ``s`` per row, summed per doc (:func:`_sum_per_doc`) in
+    ascending term order.  Rows are sorted by (doc_id, term) first — a
+    doc's terms are unique within a bucket — so the order does not depend
+    on the order the exchange delivered them in."""
+    rows = df.sort("doc_id", "term").select(
+        "doc_id", n.alias("n"), s.alias("s"))
+    return _sum_per_doc(rows["doc_id"].to_numpy(), rows["n"].to_numpy(),
+                        rows["s"].to_numpy())
+
+
 def _doc_sums(batch: pa.Table, parts_dir: str) -> pl.DataFrame:
     """(doc_id, n_tokens, s) for every doc of ``batch``: the doc-sorted
-    partial shards range-pruned to the batch's [min, max] doc ids and
-    summed per doc; a doc with no partial rows (zero tokens) gets (0, 0.0).
-    A doc's partial rows (≤ one per bucket) all land in the one batch
-    holding the doc, so no cross-batch merge exists."""
-    import pyarrow.dataset as pads
-
-    from ..stages.postings import cached_dataset
+    partial shards range-read to the batch's [min, max] doc ids
+    (``stages.postings.read_range``) and summed per doc in file order —
+    term-bucket order, the shards' names — by :func:`_sum_per_doc`; a doc
+    with no partial rows (zero tokens) gets (0, 0.0).  A doc's partial
+    rows (≤ one per bucket) all land in the one batch holding the doc, so
+    no cross-batch merge exists."""
+    from ..stages.postings import read_range
 
     if batch.num_rows == 0:
         return pl.DataFrame(schema={"doc_id": pl.Int64, "n_tokens": pl.Int64,
                                     "s": pl.Float64})
     ids = batch.column("doc_id").to_numpy()
-    part = pl.from_arrow(
-        cached_dataset(parts_dir, salt=parts_dir).to_table(
-            filter=(pads.field("doc_id") >= int(ids.min()))
-            & (pads.field("doc_id") <= int(ids.max()))))
-    per = (part.group_by("doc_id")
-           .agg(pl.col("n_p").sum().alias("n_tokens"),
-                pl.col("s_p").sum().alias("s")))
+    part = read_range(parts_dir, "doc_id", int(ids.min()), int(ids.max()))
+    per = _sum_per_doc(part.column("doc_id").to_numpy(),
+                       part.column("n_p").to_numpy(),
+                       part.column("s_p").to_numpy()).rename(
+        {"n_p": "n_tokens", "s_p": "s"})
     return (pl.from_arrow(batch.select(["doc_id"]))
             .join(per, on="doc_id", how="left")
             .with_columns(pl.col("n_tokens").fill_null(0),
@@ -577,7 +603,10 @@ def unigram_logprob(sf_dir: str) -> ray.data.Dataset:
     Per-task memory is one bucket (bytes-scaled bucket count), never the
     vocab.  Per-doc sums run per term (tf·ln cf) where the SQL oracle
     sums per token, so the two agree to ~1e-12 relative, not
-    bit-exactly."""
+    bit-exactly.  Each doc's float sum has one fixed order — its terms
+    ascending within a bucket (:func:`_doc_partials`), then the buckets
+    ascending (:func:`_doc_sums`) — so runs with the same bucket count
+    (``bucket_count``: input size and cluster CPUs) give the same bits."""
     import json
 
     from .exchange import bucket_count, bucket_exchange
@@ -596,14 +625,9 @@ def unigram_logprob(sf_dir: str) -> ray.data.Dataset:
 
     def doc_partials(df: pl.DataFrame):
         cf = df.group_by("term").agg(pl.col("tf").sum().alias("cf"))
-        out = (df.join(cf, on="term")
-               .with_columns((pl.col("tf").cast(pl.Float64)
-                              * pl.col("cf").cast(pl.Float64).log())
-                             .alias("s"))
-               .group_by("doc_id")
-               .agg(pl.col("tf").sum().alias("n_p"),
-                    pl.col("s").sum().alias("s_p"))
-               .sort("doc_id"))
+        out = _doc_partials(df.join(cf, on="term"), pl.col("tf"),
+                            pl.col("tf").cast(pl.Float64)
+                            * pl.col("cf").cast(pl.Float64).log())
         return out, int(out["n_p"].sum())
 
     spill = bucket_exchange(

@@ -128,8 +128,8 @@ def _dedup_losers(chunk_dicts: list[dict], cfg: IndexConfig, out_dir: str,
         doc_id-sorted parquet shard (never returned to the driver: at
         web-scale duplication rates — 30-50% of a crawl — #losers is
         O(corpus), so the driver must only ever see per-task counts).
-        8192-row groups keep ingest's doc-range row-group pruning
-        (``_losers_in_range``) effective across the per-bucket shards."""
+        8192-row groups keep ingest's doc-range read of its chunk's losers
+        (``read_range``) to a few row groups per shard."""
         import polars as pl
         import pyarrow.parquet as pq
 

@@ -83,16 +83,13 @@ class _QueryDaemon:
         d = self.r._dset("docs")
         if "content" not in d.schema.names:
             raise RuntimeError("index built without store_content=True")
-        t = d.to_table(filter=pads.field("doc_id").isin(list(doc_ids)),
-                       columns=["doc_id", "content"])
+        t = self.r._point_read("docs", doc_ids, ["doc_id", "content"])
         return dict(zip(t.column("doc_id").to_pylist(),
                         t.column("content").to_pylist()))
 
     def document_metadata(self, doc_ids: list[int],
                           attribute: str = "docno") -> dict[int, object]:
-        t = self.r._dset("docs").to_table(
-            filter=pads.field("doc_id").isin(list(doc_ids)),
-            columns=["doc_id", attribute])
+        t = self.r._point_read("docs", doc_ids, ["doc_id", attribute])
         return dict(zip(t.column("doc_id").to_pylist(),
                         t.column(attribute).to_pylist()))
 

@@ -48,6 +48,7 @@ import ray
 
 from ..config import IndexConfig
 from ..stages.ingest import fields_rows_to_table
+from ..stages.postings import write_docs
 from .build import check_disjoint, sum_field_stats, write_manifest
 from .query import read_manifest
 
@@ -147,7 +148,7 @@ def _remove_task(src: str, dst: str, keep: tuple[str, ...]) -> dict:
                          [r[4] for r in fr]))
     # written even when empty: every chunk keeps a fields shard, like
     # ingest, so dataset opens on the directory never see zero files
-    pq.write_table(fields_rows_to_table(rows), dst)
+    write_docs(fields_rows_to_table(rows), dst)
     return _stats_of(rows)
 
 
@@ -190,7 +191,7 @@ def _derive_task(src: str, dst: str,
                          [num for _b, _e, num, *_ in exts],
                          [o for *_, o, _p in exts],
                          [p for *_, p in exts]))
-    pq.write_table(fields_rows_to_table(rows), dst)
+    write_docs(fields_rows_to_table(rows), dst)
     return _stats_of(rows)
 
 

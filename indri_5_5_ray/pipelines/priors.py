@@ -72,23 +72,19 @@ def load_prior(index_dir: str, name: str,
                ) -> tuple[np.ndarray, np.ndarray]:
     """Load a prior as sorted (doc_ids, log_priors).  Accepts both layouts
     (single ``<name>.parquet`` file or a ``<name>/`` directory of parts);
-    ``lo``/``hi`` bound the doc_id range read (row-group pruned), so a
-    sharded query only pays for its shard's slice."""
-    import pyarrow.dataset as pads
+    ``lo``/``hi`` bound the doc_id range read (``stages.postings.read_range``,
+    row-group pruned), so a sharded query only pays for its shard's
+    slice."""
     from pathlib import Path
+
+    from ..stages.postings import read_range
 
     p = Path(index_dir) / "priors" / f"{name}.parquet"
     if not p.exists():
         p = Path(index_dir) / "priors" / name
         if not p.exists():
             raise FileNotFoundError(f"no prior named {name!r} in {index_dir}")
-    flt = None
-    if lo is not None:
-        flt = pads.field("doc_id") >= lo
-    if hi is not None:
-        bound = pads.field("doc_id") <= hi
-        flt = bound if flt is None else flt & bound
-    t = pads.dataset(str(p)).to_table(filter=flt)
+    t = read_range(str(p), "doc_id", lo, hi, columns=["doc_id", "log_prior"])
     ids = t.column("doc_id").to_numpy()
     lps = t.column("log_prior").to_numpy()
     order = np.argsort(ids, kind="stable")

@@ -85,6 +85,7 @@ from ..codec import decode_block, decode_doc_tf_batch, decode_full_batch  # noqa
 from ..config import IndexConfig
 from ..stages.ingest import TermProcessor
 from ..stages.postings import (DOCNO_MAP, INDEX_FORMAT, POSTINGS_SCHEMA,
+                               footer_index, parquet_listing, read_keyed,
                                term_bucket)
 from ..tokenizer import tokenize
 
@@ -197,12 +198,11 @@ class IndexReader:
         self._stats_spans: dict[str, list] = {}  # see term_stats
         self._doc_maps: tuple[np.ndarray, list[pa.Array],
                               list[np.ndarray]] | None = None
-        # per-subdir dataset handles: discovery + fragment metadata (file
-        # listing, footers) are paid once per reader, not per point lookup
+        # per-subdir dataset handles and doc_id footer indexes: the dirs
+        # do not change while the reader is open, so the file listing and
+        # footers are paid once per reader, not per point lookup
         self._dsets: dict[str, pads.Dataset] = {}
-        self._frag_bounds: dict[str, list] = {}
-        self._rg_idx: dict[str, tuple] = {}
-        self._pqfiles: dict[str, pq.ParquetFile] = {}
+        self._doc_index: dict[str, list] = {}
 
     def _dset(self, sub: str) -> pads.Dataset:
         """One dataset over ``sub`` of every dir; FileNotFoundError when a
@@ -217,83 +217,30 @@ class IndexReader:
             self._dsets[sub] = ds
         return ds
 
-    def _doc_bounds(self, sub: str) -> list:
-        """Per-fragment (min, max, frag, row-group bounds) doc_id footer
-        stats of a doc-range-sharded dataset dir, cached per reader; a
-        group without stats gets (-1, huge) bounds, so it is always read."""
-        bounds = self._frag_bounds.get(sub)
-        if bounds is None:
-            bounds = []
-            for frag in self._dset(sub).get_fragments():
-                md = pq.read_metadata(frag.path)
-                try:
-                    ci = md.schema.to_arrow_schema().names.index("doc_id")
-                    rgs = []
-                    for i in range(md.num_row_groups):
-                        s = md.row_group(i).column(ci).statistics
-                        rgs.append((int(s.min), int(s.max), i))
-                    mn = min(r[0] for r in rgs)
-                    mx = max(r[1] for r in rgs)
-                except (ValueError, AttributeError, TypeError):
-                    mn, mx = -1, 1 << 62
-                    rgs = [(mn, mx, i) for i in range(md.num_row_groups)]
-                bounds.append((mn, mx, frag, rgs))
-            self._frag_bounds[sub] = bounds
-        return bounds
-
-    def _rg_index(self, sub: str) -> tuple:
-        """``(mins, reach, maxs, paths, groups)`` of every row group of
-        ``sub`` sorted by doc_id min; ``reach`` is the running max of
-        ``maxs``, so each group before ``searchsorted(reach, x)`` ends
-        below doc x."""
-        idx = self._rg_idx.get(sub)
+    def _footers(self, sub: str) -> list:
+        """The doc_id footer index (``stages.postings.footer_index``) of
+        ``sub`` over every dir, dir by dir, built once per reader;
+        FileNotFoundError when a dir lacks ``sub``."""
+        idx = self._doc_index.get(sub)
         if idx is None:
-            rows = sorted((mn, mx, frag.path, g)
-                          for _mn, _mx, frag, rgs in self._doc_bounds(sub)
-                          for mn, mx, g in rgs)
-            mins, maxs, paths, groups = zip(*rows) if rows else ((),) * 4
-            maxs = np.asarray(maxs, np.int64)
-            idx = (np.asarray(mins, np.int64), np.maximum.accumulate(maxs),
-                   maxs, paths, groups)
-            self._rg_idx[sub] = idx
+            idx = self._doc_index[sub] = footer_index(
+                [f for d in self.index_dirs
+                 for f, _, _ in parquet_listing(f"{d}/{sub}")], "doc_id")
         return idx
 
     def _point_read(self, sub: str, doc_ids: list[int],
                     columns: list[str]) -> pa.Table:
-        """doc_id point read over a doc-range-sharded dataset dir: decodes
-        only the row groups whose doc_id footer [min, max] holds a requested
-        id (``searchsorted`` on ``_rg_index``), one cached-handle read per
-        file, rows masked by the sorted ids; content docstores use 256-row
-        groups, so a k=10 snippet page decodes ~10×256 rows."""
-        ids = np.unique(np.asarray(doc_ids, np.int64))
-        mins, reach, maxs, paths, groups = self._rg_index(sub)
-        # per id: groups [lo, hi) start at or before it, not all end below it
-        lo = np.searchsorted(reach, ids, "left")
-        n = np.maximum(np.searchsorted(mins, ids, "right") - lo, 0)
-        cand = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
-        by_file: dict[str, list[int]] = {}
-        for j in np.unique(cand[maxs[cand] >= np.repeat(ids, n)]).tolist():
-            by_file.setdefault(paths[j], []).append(groups[j])
-        if not by_file:
-            return self._dset(sub).schema.empty_table().select(columns)
-        need = columns if "doc_id" in columns else ["doc_id", *columns]
-        t = pa.concat_tables([
-            self._pqfile(p).read_row_groups(g, columns=need, use_threads=False)
-            for p, g in by_file.items()])
+        """doc_id point read over the doc_id-sorted dir ``sub`` of every
+        dir: the rows of the requested ids (``read_keyed`` over the held
+        footer index, so only the row groups whose doc_id range holds a
+        requested id are decoded), in doc_id order; content docstores use
+        256-row groups, so a k=10 snippet page decodes ~10×256 rows."""
+        t = read_keyed(self._footers(sub), "doc_id", ids=doc_ids,
+                       columns=list(dict.fromkeys(["doc_id", *columns])))
         d = t.column("doc_id").to_numpy()
-        hit = ids[np.minimum(np.searchsorted(ids, d), len(ids) - 1)] == d
-        return t.filter(hit).select(columns)
-
-    def _pqfile(self, path: str):
-        """LRU cache of at most 128 open ParquetFile handles for row-group
-        point reads (footer parse is paid once per file, not per query)."""
-        pf = self._pqfiles.pop(path, None)
-        if pf is None:
-            if len(self._pqfiles) >= 128:
-                self._pqfiles.pop(next(iter(self._pqfiles)))
-            pf = pq.ParquetFile(path)
-        self._pqfiles[path] = pf
-        return pf
+        if not (d[1:] >= d[:-1]).all():
+            t = t.take(np.argsort(d, kind="stable"))
+        return t.select(columns)
 
     def keep_mask(self, doc_ids: np.ndarray) -> np.ndarray:
         """Boolean mask of NOT-deleted docs (True = keep; DeletedDocumentList
@@ -386,7 +333,7 @@ class IndexReader:
         doc-range-pruned point read (the TermList role,
         ref:include/indri/TermList.hpp:105-131).  Raises FileNotFoundError
         when the index was built without ``store_direct``."""
-        self._dset("direct")  # raises when built without store_direct
+        self._footers("direct")  # raises when built without store_direct
         if not doc_ids:
             return {}
         t = self._point_read("direct", doc_ids, ["doc_id", "terms", "tfs"])
@@ -453,32 +400,21 @@ class IndexReader:
     def field_extents(self, field: str, doc_ids: list[int] | None = None,
                       doc_range: tuple[int, int] | None = None) -> pa.Table:
         """(doc_id, begins, ends, numbers, ordinals, parent_ordinals)
-        extent rows of one field — pruned by field value (row-group stats)
-        and, when given, by doc set (doc-range partitioned files).  Raises
-        FileNotFoundError when the index was built without field specs."""
-        dset = self._dset("fields")
-        expr = pads.field("field") == field
-        if doc_ids is not None:
-            expr = expr & pads.field("doc_id").isin(list(set(doc_ids)))
-        if doc_range is not None:
-            expr = expr & (pads.field("doc_id") >= doc_range[0]) \
-                        & (pads.field("doc_id") < doc_range[1])
+        extent rows of one field — a scan pruned by field value (row-group
+        stats), or, when a doc set or a ``[lo, hi)`` doc range is given, a
+        ``read_keyed`` of those docs over the held doc_id footer index.
+        Raises FileNotFoundError when the index was built without field
+        specs."""
         cols = ["doc_id", "begins", "ends", "numbers", "ordinals",
                 "parent_ordinals"]
-        if doc_range is not None and doc_ids is None:
-            # sharded-extents scatter: read only the doc-range fragments
-            # this shard owns (the fields dir is doc-range sharded; a
-            # dataset-level scan evaluates every fragment), footer bounds
-            # cached per reader exactly like _point_read
-            lo, hi = doc_range
-            hits = [frag for mn, mx, frag, _rgs in self._doc_bounds("fields")
-                    if mx >= lo and mn < hi]
-            if not hits:
-                return pa.table({c: pa.array([], dset.schema.field(c).type)
-                                 for c in cols})
-            return pa.concat_tables(
-                [frag.to_table(filter=expr, columns=cols) for frag in hits])
-        return dset.to_table(filter=expr, columns=cols)
+        if doc_ids is None and doc_range is None:
+            return self._dset("fields").to_table(
+                filter=pads.field("field") == field, columns=cols)
+        lo, hi = doc_range or (None, None)
+        t = read_keyed(self._footers("fields"), "doc_id", lo,
+                       None if hi is None else hi - 1, ids=doc_ids,
+                       columns=["field", *cols])
+        return t.filter(pc.equal(t.column("field"), field)).select(cols)
 
     # -- postings access ----------------------------------------------------
 

@@ -31,7 +31,6 @@ import time
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 from ..codec import segmented_delta, vbyte_encode, vbyte_sizes
 from ..config import IndexConfig
@@ -39,7 +38,8 @@ from ..kstem import KrovetzStemmer
 from ..sources.corpus import Chunk, read_chunk
 from ..state import lineage
 from ..tokenizer import expand_raw, normalize_token, scan_raw, tokenize_bytes
-from .postings import PARTIALS_SCHEMA, term_bucket, write_docs, write_partials
+from .postings import (PARTIALS_SCHEMA, read_range, term_bucket, write_docs,
+                       write_partials)
 
 DOCS_SCHEMA = pa.schema(
     [
@@ -387,17 +387,6 @@ class IngestWorker:
             self._annotations = load_annotation_table(
                 self.cfg.offset_annotations)
 
-    def _losers_in_range(self, lo: int, hi: int) -> np.ndarray:
-        """Dedup losers (doc_ids to drop) intersecting [lo, hi) — row-group
-        pruned read of the doc_id-sorted losers parquet."""
-        if not self.losers_path:
-            return np.empty(0, dtype=np.int64)
-        import pyarrow.dataset as pads
-
-        dset = pads.dataset(self.losers_path, format="parquet")
-        t = dset.to_table(filter=(pads.field("doc_id") >= lo) & (pads.field("doc_id") < hi))
-        return t.column("doc_id").to_numpy()
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         out_records = []
         for item in batch.to_pylist():
@@ -443,7 +432,13 @@ class IngestWorker:
         contents = tbl.column("content").cast(pa.large_binary()).to_pylist()
         n = len(contents)
         doc_ids = np.arange(chunk.doc_id_base, chunk.doc_id_base + n, dtype=np.int64)
-        drop = self._losers_in_range(int(doc_ids[0]), int(doc_ids[-1]) + 1)
+        # dedup losers of this chunk: a range read of the doc_id-sorted
+        # losers shards through the worker's footer index
+        drop = np.empty(0, np.int64)
+        if self.losers_path:
+            drop = read_range(self.losers_path, "doc_id", int(doc_ids[0]),
+                              int(doc_ids[-1]), columns=["doc_id"]
+                              ).column("doc_id").to_numpy()
         drop_set = set(drop.tolist())
 
         store_direct = self.cfg.store_direct
@@ -700,12 +695,12 @@ class IngestWorker:
                 schema=DIRECT_SCHEMA,
             ).filter(pa.array(kept))
             os.makedirs(f"{self.out_dir}/direct", exist_ok=True)
-            pq.write_table(direct_tbl, f"{self.out_dir}/direct/direct-{cid}.parquet")
+            write_docs(direct_tbl, f"{self.out_dir}/direct/direct-{cid}.parquet")
             nbytes += direct_tbl.nbytes
         if field_spec:
             fields_tbl = fields_rows_to_table(f_rows)
             os.makedirs(f"{self.out_dir}/fields", exist_ok=True)
-            pq.write_table(fields_tbl, f"{self.out_dir}/fields/fields-{cid}.parquet")
+            write_docs(fields_tbl, f"{self.out_dir}/fields/fields-{cid}.parquet")
             nbytes += fields_tbl.nbytes
         wall = (time.perf_counter() - t0) * 1000
         rec = lineage.write_record(

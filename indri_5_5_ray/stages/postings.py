@@ -98,43 +98,18 @@ def term_bucket(term: str, n_buckets: int) -> int:
                           "little") % n_buckets
 
 
-def _listing(path: str) -> tuple:
-    """(name, size, mtime) of every parquet file of ``path``, sorted: the
-    fingerprint the per-process caches below are keyed by, so a rewritten
-    directory misses them."""
+def parquet_listing(path: str) -> tuple:
+    """(file, size, mtime) of every parquet file of the directory ``path``
+    (or of ``path`` itself when it is a file), sorted: the fingerprint
+    :func:`dir_index` is keyed by, so a rewritten directory misses it."""
+    if not os.path.isdir(path):
+        st = os.stat(path)
+        return ((path, st.st_size, st.st_mtime_ns),)
     with os.scandir(path) as it:
         return tuple(sorted(
-            (e.name, e.stat().st_size, e.stat().st_mtime_ns)
+            (f"{path}/{e.name}", e.stat().st_size, e.stat().st_mtime_ns)
             for e in it if e.name.endswith(".parquet")
             and not e.name.startswith(("_", "."))))
-
-
-def _bounded_put(cache: dict, key, value):
-    if len(cache) > 4:
-        cache.clear()
-    cache[key] = value
-    return value
-
-
-_DATASET_CACHE: dict = {}
-
-
-def cached_dataset(path: str, salt: str = ""):
-    """Process-global pyarrow dataset handle keyed by the directory's file
-    listing (name, size, mtime), for doc-range reads of doc_id-sorted
-    spills: warm Ray workers reuse it, so the parquet footers behind its
-    row-group pruning load once per worker, not once per task.  Callers
-    pass their build fingerprint as ``salt`` to close the residual window
-    of a same-size rewrite inside one mtime tick (coarse-granularity
-    filesystems).  Bucket reads go through :func:`read_bucket`."""
-    import pyarrow.dataset as pads
-
-    key = (path, salt, _listing(path))
-    hit = _DATASET_CACHE.get(key)
-    if hit is None:
-        hit = _bounded_put(_DATASET_CACHE, key,
-                           pads.dataset(path, format="parquet"))
-    return hit
 
 
 def write_bucketed(tbl: pa.Table, path: str, bucket_col: str,
@@ -160,69 +135,123 @@ def write_bucketed(tbl: pa.Table, path: str, bucket_col: str,
             lo = hi
 
 
-_BUCKET_INDEX: dict = {}
-
-
-def _bucket_index(path: str, bucket_col: str, salt: str) -> list:
-    """Per parquet file of ``path``: (file, footer, per-row-group bucket
-    min and max), built once per process and directory listing.  A group
-    without statistics gets the whole int range, so it is always read."""
+def footer_index(files: list[str], key: str) -> list:
+    """The footer index of parquet ``files`` keyed by the integer column
+    ``key``: per file, (file, footer, per-row-group key min and max).  A
+    group without statistics gets the whole int range, so every read
+    decodes it."""
     import pyarrow.parquet as pq
 
-    key = (path, bucket_col, salt, _listing(path))
-    hit = _BUCKET_INDEX.get(key)
+    index = []
+    for f in files:
+        md = pq.read_metadata(f)
+        # the parquet leaf column, not the arrow field: a nested column
+        # before it has more than one leaf
+        ci = [md.schema.column(i).path
+              for i in range(md.num_columns)].index(key)
+        lo = np.full(md.num_row_groups, np.iinfo(np.int64).min)
+        hi = np.full(md.num_row_groups, np.iinfo(np.int64).max)
+        for g in range(md.num_row_groups):
+            st = md.row_group(g).column(ci).statistics
+            if st is not None and st.has_min_max:
+                lo[g], hi[g] = st.min, st.max
+        index.append((f, md, lo, hi))
+    return index
+
+
+_DIR_INDEX: dict = {}
+
+
+def dir_index(path: str, key: str, salt: str = "") -> list:
+    """:func:`footer_index` of the parquet files of ``path`` (a directory
+    or one file), built once per process and listing: warm Ray workers
+    reuse it, so the footers load once per worker, not once per task.
+    Callers pass their build fingerprint as ``salt`` to close the residual
+    window of a same-size rewrite inside one mtime tick (coarse-granularity
+    filesystems).  At most 5 indexes are kept."""
+    k = (path, key, salt, parquet_listing(path))
+    hit = _DIR_INDEX.get(k)
     if hit is None:
-        hit = []
-        for name, _size, _mtime in key[3]:
-            f = f"{path}/{name}"
-            md = pq.read_metadata(f)
-            # the parquet leaf column, not the arrow field: a nested
-            # column before it has more than one leaf
-            ci = [md.schema.column(i).path
-                  for i in range(md.num_columns)].index(bucket_col)
-            lo = np.full(md.num_row_groups, np.iinfo(np.int64).min)
-            hi = np.full(md.num_row_groups, np.iinfo(np.int64).max)
-            for g in range(md.num_row_groups):
-                st = md.row_group(g).column(ci).statistics
-                if st is not None and st.has_min_max:
-                    lo[g], hi[g] = st.min, st.max
-            hit.append((f, md, lo, hi))
-        _bounded_put(_BUCKET_INDEX, key, hit)
+        if len(_DIR_INDEX) > 4:
+            _DIR_INDEX.clear()
+        hit = _DIR_INDEX[k] = footer_index([f for f, _, _ in k[3]], key)
     return hit
+
+
+def read_keyed(index: list, key: str, lo: int | None = None,
+               hi: int | None = None, ids: list[int] | None = None,
+               columns: list[str] | None = None) -> pa.Table:
+    """The one keyed read of key-sorted parquet files: every row of the
+    files of ``index`` (:func:`footer_index`) whose ``key`` lies in
+    ``[lo, hi]`` (a bound left None is open) and, when ``ids`` is given,
+    in that id set — in file order, then row order (the rows and order of
+    the ``pads`` filter scan).  Decodes only the row groups whose key
+    range can hold a wanted key.  A file whose read keys ascend is cut to
+    the range with a zero-copy ``searchsorted`` slice; an id set, or a
+    file whose keys do not ascend, is masked.  No file stays open between
+    reads.  An empty index gives a table without columns."""
+    import pyarrow.parquet as pq
+
+    if not index:
+        return pa.table({})
+    lo = np.iinfo(np.int64).min if lo is None else lo
+    hi = np.iinfo(np.int64).max if hi is None else hi
+    schema = index[0][1].schema.to_arrow_schema()
+    if columns is not None:
+        schema = pa.schema([schema.field(c) for c in columns])
+    read = None if columns is None else list(dict.fromkeys([*columns, key]))
+    if ids is not None:
+        ids = np.unique(np.asarray(ids, np.int64))
+        ids = ids[(ids >= lo) & (ids <= hi)]
+        if not len(ids):
+            return schema.empty_table()
+        lo, hi = int(ids[0]), int(ids[-1])
+    parts = []
+    for f, md, glo, ghi in index:
+        hit = (glo <= hi) & (ghi >= lo)
+        if ids is not None:
+            hit &= (np.searchsorted(ids, glo, "left")
+                    < np.searchsorted(ids, ghi, "right"))
+        groups = np.flatnonzero(hit).tolist()
+        if not groups:
+            continue
+        with pq.ParquetFile(f, metadata=md) as pf:
+            t = pf.read_row_groups(groups, columns=read, use_threads=False)
+        k = combine_column(t, key).to_numpy(zero_copy_only=False)
+        if (k[1:] >= k[:-1]).all():
+            i = np.searchsorted(k, lo, "left")
+            j = np.searchsorted(k, hi, "right")
+            t, k = t.slice(i, j - i), k[i:j]
+        else:
+            keep = (k >= lo) & (k <= hi)
+            t, k = t.filter(keep), k[keep]
+        if ids is not None and len(k):
+            t = t.filter(ids[np.minimum(np.searchsorted(ids, k),
+                                        len(ids) - 1)] == k)
+        t = t.select(schema.names)
+        parts.append(t if t.schema == schema else t.cast(schema))
+    return pa.concat_tables(parts) if parts else schema.empty_table()
+
+
+def read_range(path: str, key: str, lo: int | None = None,
+               hi: int | None = None, columns: list[str] | None = None,
+               salt: str = "") -> pa.Table:
+    """Every row of the ``key``-sorted parquet files of ``path`` (a
+    directory or one file) whose key lies in ``[lo, hi]``: a
+    :func:`read_keyed` over the per-process :func:`dir_index`."""
+    return read_keyed(dir_index(path, key, salt), key, lo, hi,
+                      columns=columns)
 
 
 def read_bucket(path: str, bucket_col: str, b: int,
                 columns: list[str] | None = None, salt: str = "") -> pa.Table:
     """Every row of bucket ``b`` from the ``bucket_col``-sorted parquet
     files of ``path``, in file-name then row order (the rows and order of
-    ``pads.dataset(path).to_table(filter=field(bucket_col) == b)``).
-    Reads only the row groups whose bucket range holds ``b`` and slices
-    each to ``b``'s rows with ``searchsorted``, so a group that straddles
-    buckets (the layout before :func:`write_bucketed`) still reads right.
-    Footers come from a per-process index (:func:`_bucket_index`; ``salt``
-    as for :func:`cached_dataset`); no file stays open between reads.  A
-    directory without parquet files gives a table without columns."""
-    import pyarrow.parquet as pq
-
-    index = _bucket_index(path, bucket_col, salt)
-    if not index:
-        return pa.table({})
-    schema = index[0][1].schema.to_arrow_schema()
-    if columns is not None:
-        schema = pa.schema([schema.field(c) for c in columns])
-    read = None if columns is None else list(dict.fromkeys([*columns, bucket_col]))
-    parts = []
-    for f, md, lo, hi in index:
-        groups = np.flatnonzero((lo <= b) & (hi >= b)).tolist()
-        if not groups:
-            continue
-        with pq.ParquetFile(f, metadata=md) as pf:
-            t = pf.read_row_groups(groups, columns=read, use_threads=False)
-        keys = combine_column(t, bucket_col).to_numpy(zero_copy_only=False)
-        i, j = np.searchsorted(keys, [b, b + 1])
-        t = t.slice(i, j - i).select(schema.names)
-        parts.append(t if t.schema == schema else t.cast(schema))
-    return pa.concat_tables(parts) if parts else schema.empty_table()
+    ``pads.dataset(path).to_table(filter=field(bucket_col) == b)``): the
+    range read ``[b, b]``, so a row group that straddles buckets (the
+    layout before :func:`write_bucketed`) still reads right.  A directory
+    without parquet files gives a table without columns."""
+    return read_range(path, bucket_col, b, b, columns, salt)
 
 
 class MergeWorker:

@@ -20,8 +20,9 @@ import pyarrow.parquet as pq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indri_5_5_ray.stages.postings import (read_bucket, term_bucket,
-                                           write_bucketed)
+from indri_5_5_ray.stages.postings import (dir_index, read_bucket,
+                                           read_keyed, read_range,
+                                           term_bucket, write_bucketed)
 
 # nested columns before the bucket column: a struct has a parquet leaf per
 # field, so the bucket column's leaf index is not its arrow field index
@@ -61,14 +62,20 @@ def _row_group_buckets(path: str) -> list[tuple[int, int, int]]:
        n_buckets=st.integers(1, 12),
        sizes=st.lists(st.sampled_from([0, 1, 7, 90, 300, 700, 2500]),
                       min_size=1, max_size=5),
-       aligned=st.lists(st.booleans(), min_size=5, max_size=5),
+       layouts=st.lists(st.sampled_from(["aligned", "fixed", "shuffled",
+                                         "statless"]),
+                        min_size=5, max_size=5),
        old_group=st.sampled_from([3, 64, None]))
-def test_read_bucket_equals_the_filter_scan(seed, n_buckets, sizes, aligned,
+def test_read_bucket_equals_the_filter_scan(seed, n_buckets, sizes, layouts,
                                             old_group):
     """``read_bucket`` == ``pads.dataset(d).to_table(filter=bk == b)`` row
-    for row, over files in either layout (the earlier one: fixed-size row
-    groups, ``max(256, rows // n)`` when ``old_group`` is None), empty
-    files, buckets no file holds and ``columns`` subsets; no bucket of a
+    for row, and so do the range read (``read_range``, ``lo ≤ bk ≤ hi``,
+    open bounds too) and the id-set read (``read_keyed(..., ids=)``,
+    ``bk.isin(ids)``), over files in any layout: bucket-aligned, the
+    earlier fixed-size row groups (``max(256, rows // n)`` when
+    ``old_group`` is None), rows shuffled (keys that do not ascend) and
+    fixed-size groups without statistics; also empty files, buckets no
+    file holds and ``columns`` subsets.  No bucket of a
     ``write_bucketed`` file spans two row groups, and every group but the
     last holds at least ``max(256, rows // n)`` rows."""
     rng = np.random.default_rng(seed)
@@ -79,24 +86,46 @@ def test_read_bucket_equals_the_filter_scan(seed, n_buckets, sizes, aligned,
         for i, n in enumerate(sizes):
             t = _table(rng, n, present)
             f = f"{d}/part-{i:03d}.parquet"
-            if aligned[i]:
+            group = old_group or max(256, n // n_buckets)
+            if layouts[i] == "aligned":
                 write_bucketed(t, f, "bk", n_buckets)
                 groups = _row_group_buckets(f)
                 floor = max(256, n // n_buckets)
                 assert sum(r for r, _, _ in groups) == n
                 assert all(r >= floor for r, _, _ in groups[:-1])
                 assert all(a[2] < b[1] for a, b in zip(groups, groups[1:]))
+            elif layouts[i] == "shuffled":
+                pq.write_table(t.take(rng.permutation(n)), f,
+                               row_group_size=group)
             else:
-                pq.write_table(t, f, row_group_size=old_group
-                               or max(256, n // n_buckets))
+                pq.write_table(t, f, row_group_size=group,
+                               write_statistics=layouts[i] == "fixed")
         dset = pads.dataset(d, format="parquet")
+        bk = pads.field("bk")
+        index = dir_index(d, "bk")
         for columns in (None, ["v", "key"], ["payload", "pair"], ["bk", "v"]):
             for b in range(-1, n_buckets + 1):
-                want = dset.to_table(filter=pads.field("bk") == b,
-                                     columns=columns)
+                want = dset.to_table(filter=bk == b, columns=columns)
                 got = read_bucket(d, "bk", b, columns=columns)
                 assert got.schema == want.schema, (columns, b)
                 assert got.equals(want), (columns, b)
+        half = n_buckets // 2
+        for columns in (None, ["payload", "pair"]):
+            for lo, hi in ((None, None), (-1, 0), (0, half), (half, None)):
+                flt = pads.scalar(True)
+                if lo is not None:
+                    flt = flt & (bk >= lo)
+                if hi is not None:
+                    flt = flt & (bk <= hi)
+                want = dset.to_table(filter=flt, columns=columns)
+                got = read_range(d, "bk", lo, hi, columns=columns)
+                assert got.equals(want), (columns, lo, hi)
+            for ids in ([], present[::-1] * 2,
+                        rng.integers(-1, n_buckets + 1, 6).tolist()):
+                want = dset.to_table(filter=bk.isin(ids), columns=columns)
+                got = read_keyed(index, "bk", ids=ids, columns=columns)
+                assert got.schema == want.schema, (columns, ids)
+                assert got.equals(want), (columns, ids)
     finally:
         shutil.rmtree(d)
 

@@ -958,6 +958,58 @@ def test_unigram_logprob_oracle_and_zero_token(mini_sf, tmp_path,
     assert abs(z.cross_entropy[1] - want1) < 1e-12
 
 
+def test_unigram_logprob_sums_in_one_fixed_order(tmp_path):
+    """``cross_entropy`` is bitwise a plain left-to-right float sum in the
+    documented order — per doc, each term bucket's terms ascending, then
+    the buckets ascending — and a second run on a fresh copy of the
+    corpus (a fresh exchange spill) gives the same bits."""
+    import math
+    from collections import Counter
+
+    import polars as pl
+
+    from indri_5_5_ray.functions.exchange import bucket_count
+    from indri_5_5_ray.functions.textstats import tokens_expr, unigram_logprob
+
+    rng = np.random.default_rng(11)
+    vocab = [f"w{i}" for i in range(500)]
+    p = 1.0 / np.arange(1, len(vocab) + 1)
+    texts = [" ".join(rng.choice(vocab, int(rng.integers(0, 400)),
+                                 p=p / p.sum())) for _ in range(400)]
+    docs = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
+                     "text": pa.array(texts)})
+    runs = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        pq.write_table(docs, tmp_path / name / "documents.parquet")
+        runs.append(unigram_logprob(str(tmp_path / name))
+                    .to_pandas().sort_values("doc_id"))
+    assert runs[0].cross_entropy.values.tobytes() \
+        == runs[1].cross_entropy.values.tobytes()
+
+    toks = pl.DataFrame({"text": texts}).select(
+        tokens_expr().alias("t"))["t"].to_list()
+    cf = Counter(t for ts in toks for t in ts)
+    vocab_seen = sorted(cf)
+    n_tb = bucket_count(str(tmp_path / "a" / "documents.parquet"))
+    tb = dict(zip(vocab_seen, (pl.Series(vocab_seen).hash(seed=0)
+                               % n_tb).to_list()))
+    ln_total = float(np.log(sum(cf.values())))
+    want = []
+    for ts in toks:
+        tf = Counter(ts)
+        s = 0.0
+        for b in sorted({tb[t] for t in tf}):
+            s_b = 0.0
+            for t in sorted(t for t in tf if tb[t] == b):
+                s_b += float(tf[t]) * math.log(cf[t])
+            s += s_b
+        want.append(ln_total - s / len(ts) if ts else 0.0)
+    got = runs[0].cross_entropy.values
+    assert np.array(want).tobytes() == got.tobytes(), \
+        int((np.array(want) != got).sum())
+
+
 def test_ccnet_buckets(mini_sf, ray_entry_mod):
     """Exact ntile semantics vs DuckDB on the mini corpus (n=5, k=3 →
     sizes 2/2/1) and identical-text docs ranked adjacently by doc_id."""

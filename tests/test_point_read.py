@@ -156,7 +156,7 @@ def test_point_read_overlapping_and_statless_row_groups(tmp_path, names):
         brute.update({i: f"d{i}" for i in ids})
     r = IndexReader.__new__(IndexReader)
     r.index_dirs = [str(tmp_path)]
-    r._dsets, r._frag_bounds, r._rg_idx, r._pqfiles = {}, {}, {}, {}
+    r._dsets, r._doc_index = {}, {}
     for ids in ([3], [40], [2, 9, 40], [11, 4, 33, 20], list(range(45)),
                 [100]):
         t = r._point_read("docs", ids, ["doc_id", "docno"])
@@ -164,3 +164,42 @@ def test_point_read_overlapping_and_statless_row_groups(tmp_path, names):
                        t.column("docno").to_pylist()))
         assert got == {d: brute[d] for d in ids if d in brute}
         assert t.num_rows == len(got)
+
+
+def test_repository_reader_reads_each_footer_once(tmp_path, monkeypatch):
+    """A reader over 3 segments builds its doc_id footer index once:
+    repeated ``_point_read`` calls read each ``docs/`` footer exactly
+    once."""
+    from indri_5_5_ray.config import IndexConfig
+    from indri_5_5_ray.pipelines.repository import Repository
+    from indri_5_5_ray.sources.corpus import write_synthetic_corpus
+
+    repo = Repository.create(
+        str(tmp_path / "repo"),
+        IndexConfig(max_chunk_docs=16, n_buckets=4, dedup_key="sha256"))
+    for i, n in enumerate((40, 30, 35)):
+        write_synthetic_corpus(str(tmp_path / f"c{i}"), n, seed=20 + i,
+                               rows_per_file=n)
+        repo.add(str(tmp_path / f"c{i}"))
+    segs = repo.segment_dirs()
+    assert len(segs) == 3
+    files = sorted(str(f) for s in segs for f in (tmp_path / s / "docs")
+                   .glob("*.parquet"))
+    assert len(files) >= 3
+    brute: dict[int, tuple] = {}
+    for s in segs:
+        brute.update(_brute(s, ["docno"]))
+    reader = repo.reader()
+    reads: list[str] = []
+    real = pq.read_metadata
+    monkeypatch.setattr(pq, "read_metadata",
+                        lambda f, *a, **k: reads.append(str(f)) or real(
+                            f, *a, **k))
+    rng = random.Random(1)
+    for _ in range(6):
+        ids = rng.sample(sorted(brute), 7)
+        t = reader._point_read("docs", ids, ["doc_id", "docno"])
+        assert dict(zip(t.column("doc_id").to_pylist(),
+                        t.column("docno").to_pylist())) == {
+            d: brute[d][0] for d in ids}
+    assert sorted(reads) == files
