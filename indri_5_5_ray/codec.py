@@ -20,14 +20,19 @@ doc-range-sliced scoring and rank-safe block-max skipping.  Positions are
 RVL vbyte, Δ-coded per document, as in the reference.  Deviation for
 vectorized decode: a block stores its Δdoc gaps and its ``tf - 1`` values
 as two fixed-width little-endian arrays, each sized for the block's
-largest value by one width byte (``cut_blocks_pre``), ahead of the
-positions stream instead of interleaved with it.  A block's first gap is
+largest value by one width byte, ahead of the positions stream instead of
+interleaved with it.  One encoder, ``cut_blocks_pre``, cuts and encodes
+the blocks of many posting rows at once (the merge passes a slice of a
+bucket's rows per call; one row is a one-group call), as the batch
+decoders decode many blocks at once.  A block's first gap is
 taken from the block's first doc id in the metadata, so no payload holds
 an absolute doc id.  Decoded values and their order equal the
 reference's; only the byte layout differs.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -184,21 +189,48 @@ def _narrowest(maxima: np.ndarray, widths: tuple[int, ...]) -> np.ndarray:
     return np.asarray(widths)[np.searchsorted(limits, maxima, "right")]
 
 
+class BlockCut(NamedTuple):
+    """The blocks of a run of posting groups (``cut_blocks_pre``)."""
+
+    payload: np.ndarray   # uint8: every block's bytes, block after block
+    starts: np.ndarray    # int64, blocks + 1: each block's first doc index, then n
+    offsets: np.ndarray   # int64, blocks + 1: each block's byte offset, then the end
+    n_blocks: np.ndarray  # int64, per group: its number of blocks
+
+
+def _scatter(out: np.ndarray, at: np.ndarray, width: np.ndarray,
+             values: np.ndarray, widths: tuple[int, ...]) -> None:
+    """Write ``values[i]`` little-endian at ``out[at[i]:at[i] + width[i]]``,
+    one width class of ``widths`` at a time."""
+    for w in widths:
+        sel = np.flatnonzero(width == w)
+        if len(sel):
+            dst = at[sel]
+            if w > 1:
+                dst = (dst[:, None] + np.arange(w)).ravel()
+            out[dst] = values[sel].astype(_UINT[w]).view(np.uint8)
+
+
 def cut_blocks_pre(
     doc_ids: np.ndarray,
     tfs: np.ndarray,
-    pos_payload: bytes | None,
+    pos_payload: bytes | np.ndarray | None,
     pos_byte_lens: np.ndarray | None,
+    group_lens: np.ndarray,
     target_bytes: int = TARGET_BLOCK_BYTES,
-) -> list[tuple[int, int, bytes, np.ndarray, np.ndarray]]:
-    """Split one posting row's run into encoded blocks of about
-    ``target_bytes`` at document boundaries (ref 4 KB skip interval,
-    ref:src/IndexWriter.cpp:527) → ``(first_doc, last_doc, payload,
-    doc_slice, tf_slice)`` per block.
+) -> BlockCut:
+    """The one block encoder: cut a run of posting groups (one group per
+    output row, ``group_lens[g]`` docs each, laid end to end in
+    ``doc_ids``/``tfs``) into encoded blocks of about ``target_bytes`` at
+    document boundaries (ref 4 KB skip interval, ref:src/IndexWriter.cpp:527),
+    all groups at once with a fixed number of numpy calls.
 
     Positions come pre-encoded: ``pos_payload`` is the concatenation of
     per-doc delta-vbyte streams and ``pos_byte_lens[i]`` the byte length of
-    doc i's stream; blocks slice it, never decode or re-encode it.
+    doc i's stream; blocks copy it, never decode or re-encode it.  A group
+    of ``n`` docs and ``p`` position bytes gets blocks of
+    ``max(8, int(target_bytes / (4.0 + p / n)))`` docs (``4.0`` without
+    positions), its last block the rest.
 
     A block's payload is one width byte (low nibble: the Δdoc gap width
     in ``GAP_WIDTHS``; high nibble: the ``tf - 1`` width in
@@ -208,36 +240,61 @@ def cut_blocks_pre(
     ``first_doc`` for the head block, the previous block's last + 1
     otherwise — so no payload holds an absolute doc id."""
     doc_ids = np.asarray(doc_ids, dtype=np.int64)
-    tfs = np.asarray(tfs, dtype=np.int64)
+    tf1 = np.asarray(tfs, dtype=np.int64) - 1  # int32 tfs: 4 bytes hold any
+    lens = np.asarray(group_lens, dtype=np.int64)
     n = len(doc_ids)
     if n == 0:
-        return []
+        e = np.zeros(1, np.int64)
+        return BlockCut(np.empty(0, np.uint8), e, e, np.zeros(len(lens), np.int64))
+    heads = np.cumsum(lens) - lens
     has_pos = pos_payload is not None
+    per_doc = np.full(len(lens), 4.0)
     if has_pos:
-        byte_starts = np.concatenate(([0], np.cumsum(pos_byte_lens)))
-        per_doc = 4.0 + float(byte_starts[-1]) / n
-    else:
-        per_doc = 4.0
-    docs_per_block = max(8, int(target_bytes / per_doc))
-    starts = np.arange(0, n, docs_per_block, dtype=np.int64)
-    ends = np.minimum(starts + docs_per_block, n)
+        byte_starts = np.zeros(n + 1, np.int64)
+        np.cumsum(pos_byte_lens, out=byte_starts[1:])
+        per_doc += (byte_starts[heads + lens] - byte_starts[heads]) / lens
+    docs_per_block = np.maximum(8, (target_bytes / per_doc).astype(np.int64))
+    n_blocks = -(-lens // docs_per_block)
+    # the k-th block of group g starts k * docs_per_block[g] docs into g
+    block_group = np.repeat(np.arange(len(lens)), n_blocks)
+    k = np.arange(len(block_group)) - np.repeat(np.cumsum(n_blocks) - n_blocks,
+                                                 n_blocks)
+    starts = np.empty(len(block_group) + 1, np.int64)
+    np.multiply(k, docs_per_block[block_group], out=starts[:-1])
+    starts[:-1] += heads[block_group]
+    starts[-1] = n
+    first, n_docs = starts[:-1], np.diff(starts)
+
     gaps = np.empty(n, dtype=np.int64)
-    gaps[0] = 0  # the head block's first is doc_ids[0] itself
+    gaps[0] = 0
     np.subtract(doc_ids[1:], doc_ids[:-1], out=gaps[1:])
-    gaps[starts[1:]] -= 1  # later blocks start at the previous last + 1
-    tf1 = tfs - 1  # tfs are int32 (PARTIALS_SCHEMA), so 4 bytes hold any
-    gws = _narrowest(np.maximum.reduceat(gaps, starts), GAP_WIDTHS).tolist()
-    tws = _narrowest(np.maximum.reduceat(tf1, starts), TF_WIDTHS).tolist()
-    out = []
-    for s, e, gw, tw in zip(starts.tolist(), ends.tolist(), gws, tws):
-        payload = bytes((gw | tw << 4,)) + gaps[s:e].astype(_UINT[gw]).tobytes()
-        if tw:
-            payload += tf1[s:e].astype(_UINT[tw]).tobytes()
-        if has_pos:
-            payload += pos_payload[byte_starts[s]:byte_starts[e]]
-        out.append((int(doc_ids[s]), int(doc_ids[e - 1]), payload,
-                    doc_ids[s:e], tfs[s:e]))
-    return out
+    gaps[first] -= 1  # later blocks start at the previous last + 1
+    gaps[heads] = 0   # a head block's first is the row's first_doc itself
+    gw = _narrowest(np.maximum.reduceat(gaps, first), GAP_WIDTHS)
+    tw = _narrowest(np.maximum.reduceat(tf1, first), TF_WIDTHS)
+    head_len = 1 + n_docs * (gw + tw)
+    pos_len = (byte_starts[starts[1:]] - byte_starts[first] if has_pos
+               else np.zeros_like(head_len))
+    offsets = np.zeros(len(starts), np.int64)
+    np.cumsum(head_len + pos_len, out=offsets[1:])
+    out = np.empty(int(offsets[-1]), np.uint8)
+    out[offsets[:-1]] = gw | tw << 4
+
+    # doc i is the rank-th doc of block doc_block[i]
+    doc_block = np.repeat(np.arange(len(first)), n_docs)
+    rank = np.arange(n) - first[doc_block]
+    at = offsets[:-1] + 1
+    w = gw[doc_block]
+    _scatter(out, at[doc_block] + rank * w, w, gaps, GAP_WIDTHS)
+    at += n_docs * gw
+    w = tw[doc_block]
+    _scatter(out, at[doc_block] + rank * w, w, tf1, TF_WIDTHS[1:])
+    if has_pos:
+        # the position bytes keep their source order: one masked copy
+        in_pos = np.repeat(np.tile((False, True), len(first)),
+                           np.column_stack((head_len, pos_len)).ravel())
+        out[in_pos] = np.frombuffer(pos_payload, dtype=np.uint8)
+    return BlockCut(out, starts, offsets, n_blocks)
 
 
 def _blocks_in(payload, n: int) -> list:

@@ -165,8 +165,9 @@ def _filter_partials(t: pa.Table, deleted: np.ndarray) -> pa.Table:
     """Drop deleted docs from a partials table, vectorized.
 
     Detection is ONE flattened isin over every row's doc_ids; rows losing
-    no docs pass through as a filter (the merge reducer re-sorts its
-    bucket, so row order is free, ref:stages/postings.py merge_bucket);
+    no docs pass through as a filter (``stages.postings.merge_bucket``
+    sorts its bucket by (term, salt, first_doc) before it encodes it, so
+    row order is free);
     only rows that actually lose docs are rebuilt (list slices + pos_bytes
     byte-range slices via pos_byte_lens)."""
     if t.num_rows == 0:

@@ -5,11 +5,13 @@ indexes (``IndexWriter::write``/``_mergeData``, ref:src/IndexWriter.cpp:810-879)
 partial posting runs shuffled by (term, salt), concatenated in doc-id order
 (doc ranges of partials are disjoint — docIDs are partition-ranged by
 construction), cut into ~4 KB blocks of fixed-width Δdoc gaps and tfs plus
-the ingest-encoded vbyte positions (``codec.cut_blocks_pre``) with block-max
-metadata (the generalization of Indri's topdocs lists,
-ref:src/IndexWriter.cpp:531-607),
+the ingest-encoded vbyte positions with block-max metadata (the
+generalization of Indri's topdocs lists, ref:src/IndexWriter.cpp:531-607),
 and per-term cf/df summed exactly like ``termdata_merge``
-(ref:include/indri/TermData.hpp:126-140).
+(ref:include/indri/TermData.hpp:126-140).  Where the reference loops per
+term, ``merge_bucket`` encodes every (term, salt) run of a bucket slice in
+one ``codec.cut_blocks_pre`` call and builds the metadata and statistics
+with ``reduceat`` and gathers over the flat arrays.
 
 Each bucket's rows go to one uncompressed Arrow IPC file,
 ``postings/postings-{bucket:05d}.arrow``, sorted by term then first_doc.
@@ -34,6 +36,11 @@ import numpy as np
 import pyarrow as pa
 
 from ..codec import cut_blocks_pre
+
+# Postings per ``cut_blocks_pre`` call: ``merge_bucket`` encodes a bucket
+# in slices of whole (term, salt) groups of at most this many postings (a
+# larger group is a slice of its own), so its temporaries stay O(slice).
+MERGE_SLICE_POSTINGS = 1 << 15
 
 PARTIALS_SCHEMA = pa.schema(
     [
@@ -316,26 +323,11 @@ class MergeWorker:
             with pa.ipc.new_file(postings_path + ".tmp", POSTINGS_SCHEMA) as w:
                 w.write_table(merged)
             os.replace(postings_path + ".tmp", postings_path)
-            # per-bucket dictionary: sum stats across a term's salt rows
-            import polars as pl
-
-            if merged.num_rows:
-                d = (
-                    pl.from_arrow(merged.select(["term", "cf", "df"]))
-                    .group_by("term")
-                    .agg(pl.col("cf").sum(), pl.col("df").sum())
-                    .sort("term")
-                    .to_arrow()
-                )
-            else:
-                d = merged.select(["term", "cf", "df"])
             # term-sorted (cf, df) rows for the vocabulary readers
             # (dumpindex, wildcard expansion) — queries take their
-            # statistics from the postings file; schema pinned because the
-            # polars salt-merge branch yields large_string terms while the
-            # single-salt branch yields string, and a dataset over every
-            # bucket file needs them identical
-            pq.write_table(d.cast(DICTIONARY_SCHEMA), dict_path)
+            # statistics from the postings file
+            d = dictionary_rows(merged)
+            pq.write_table(d, dict_path)
             rec = lineage.write_record(
                 self.out_dir, "merge", pid, fingerprint,
                 rows=merged.num_rows, bytes_written=int(merged.nbytes),
@@ -344,6 +336,22 @@ class MergeWorker:
             )
             out_rows.append(rec)
         return pa.Table.from_pylist(out_rows)
+
+
+def dictionary_rows(merged: pa.Table) -> pa.Table:
+    """A bucket's dictionary rows from its ``merge_bucket`` rows, which
+    are sorted by term: one row per term, its (cf, df) summed over the
+    term's salt rows."""
+    if not merged.num_rows:
+        return merged.select(["term", "cf", "df"]).cast(DICTIONARY_SCHEMA)
+    import pyarrow.compute as pc
+
+    terms = combine_column(merged, "term")
+    runs = np.flatnonzero(np.concatenate(([True], pc.not_equal(
+        terms[1:], terms[:-1]).to_numpy(zero_copy_only=False))))
+    return pa.table([terms.take(pa.array(runs))] + [
+        pa.array(np.add.reduceat(merged.column(c).to_numpy(), runs))
+        for c in ("cf", "df")], schema=DICTIONARY_SCHEMA)
 
 
 def write_partials(tbl: pa.Table, path: str, n_buckets: int) -> None:
@@ -446,27 +454,26 @@ def merge_bucket(
     """Merge ALL partial runs of one bucket → one merged output row per
     (term, salt).
 
-    Operating at bucket granularity (not per term) amortizes per-group Python
-    overhead across a whole reducer: a single sort + arrow flatten gives
-    contiguous numpy runs per (term, salt), already concatenated in doc-id
-    order. Reducer memory ≈ index_bytes / n_buckets — size ``n_buckets`` so a
-    bucket fits a worker's heap (the scale knob; the reference's analogue is
-    its merge-memory halving heuristic ref:src/Repository.cpp:824-872).
+    One sort + arrow flatten gives contiguous numpy runs per (term, salt),
+    already concatenated in doc-id order; ``cut_blocks_pre`` encodes the
+    runs of up to ``MERGE_SLICE_POSTINGS`` postings at a time (whole
+    groups), and the block metadata, per-row statistics and output columns
+    come from ``reduceat``/gathers over the flat arrays — no Python loop
+    over terms or blocks.  Reducer memory ≈ index_bytes / n_buckets — size
+    ``n_buckets`` so a bucket fits a worker's heap (the scale knob; the
+    reference's analogue is its merge-memory halving heuristic
+    ref:src/Repository.cpp:824-872).
     """
     if group.num_rows == 0:
         return POSTINGS_SCHEMA.empty_table()
     group = group.sort_by(
         [("term", "ascending"), ("salt", "ascending"), ("first_doc", "ascending")]
     )
-    terms = group.column("term").to_pylist()
+    n_rows = group.num_rows
     salts = group.column("salt").to_numpy()
-    n_rows = len(terms)
     doc_flat, doc_lens_per_row = _flatten_list_column(group, "doc_ids")
-    tf_flat, _ = _flatten_list_column(group, "tfs")
-    dl_flat, _ = _flatten_list_column(group, "dls")
-    if store_positions:
-        pos_rows: list[bytes] = group.column("pos_bytes").to_pylist()
-        blen_flat, _ = _flatten_list_column(group, "pos_byte_lens")
+    tf_flat, _ = _flatten_list_column(group, "tfs", np.int32)
+    dl_flat, _ = _flatten_list_column(group, "dls", np.int32)
     row_starts = np.concatenate(([0], np.cumsum(doc_lens_per_row)))
 
     # group boundaries: rows where (term, salt) changes — dictionary-encoded
@@ -477,6 +484,7 @@ def merge_bucket(
     change = np.flatnonzero(
         (tcodes[1:] != tcodes[:-1]) | (salts[1:] != salts[:-1])) + 1
     bounds = np.concatenate(([0], change, [n_rows]))
+    heads = row_starts[bounds]  # each group's first doc index, then the end
 
     # ascending-docID invariant (the reference asserts this at write:
     # ref:src/IndexWriter.cpp:618) — checked in ONE pass over the flat doc
@@ -484,58 +492,62 @@ def merge_bucket(
     # legitimately descend
     d_ok = np.diff(doc_flat) > 0
     if len(d_ok):
-        gb_val = row_starts[bounds[1:-1]]
-        d_ok[gb_val[gb_val > 0] - 1] = True
+        d_ok[heads[1:-1] - 1] = True
         assert d_ok.all(), "posting doc_ids not strictly ascending in a group"
 
-    cols: dict[str, list] = {f.name: [] for f in POSTINGS_SCHEMA}
-    bucket_val = int(group.column("bucket")[0].as_py()) if n_rows else 0
+    if store_positions:
+        blen_flat, _ = _flatten_list_column(group, "pos_byte_lens", np.int32)
+        pos = combine_column(group, "pos_bytes")
+        _, pos_offsets, pos_data = pos.buffers()
+        pos_offsets = np.frombuffer(pos_offsets, np.int64)[
+            pos.offset:pos.offset + n_rows + 1][bounds]
+        pos_data = np.frombuffer(pos_data or b"", np.uint8)
+    payloads, n_blocks = [], []
+    starts, offsets = [np.zeros(1, np.int64)], [np.zeros(1, np.int64)]
+    g0 = 0
+    while g0 < len(bounds) - 1:
+        g1 = max(g0 + 1, int(np.searchsorted(
+            heads, heads[g0] + MERGE_SLICE_POSTINGS, "right")) - 1)
+        v0, v1 = heads[g0], heads[g1]
+        cut = cut_blocks_pre(
+            doc_flat[v0:v1], tf_flat[v0:v1],
+            pos_data[pos_offsets[g0]:pos_offsets[g1]] if store_positions else None,
+            blen_flat[v0:v1] if store_positions else None,
+            np.diff(heads[g0:g1 + 1]), target_bytes=target_block_bytes)
+        starts.append(cut.starts[1:] + v0)
+        offsets.append(cut.offsets[1:] + offsets[-1][-1])
+        payloads.append(cut.payload)
+        n_blocks.append(cut.n_blocks)
+        g0 = g1
+    # every block of the bucket: its first doc index and its byte offset,
+    # each with the end appended; a row's blocks are one run of them
+    starts, offsets = np.concatenate(starts), np.concatenate(offsets)
+    lists = np.zeros(len(bounds), np.int32)
+    np.cumsum(np.concatenate(n_blocks), out=lists[1:])
+    row_offsets = offsets[lists]
+    first = starts[:-1]
 
-    for gi in range(len(bounds) - 1):
-        r0, r1 = bounds[gi], bounds[gi + 1]
-        v0, v1 = row_starts[r0], row_starts[r1]
-        doc_ids = doc_flat[v0:v1]
-        tfs = tf_flat[v0:v1]
-        dls = dl_flat[v0:v1]
+    def blocks(values):
+        return pa.ListArray.from_arrays(pa.array(lists), pa.array(values))
 
-        if store_positions:
-            pos_payload = b"".join(pos_rows[r0:r1])
-            pos_byte_lens = blen_flat[v0:v1]
-        else:
-            pos_payload, pos_byte_lens = None, None
-        blocks = cut_blocks_pre(
-            doc_ids, tfs, pos_payload, pos_byte_lens, target_bytes=target_block_bytes
-        )
-        payload = bytearray()
-        b_last, b_n, b_maxtf, b_mindl, b_off, b_len = [], [], [], [], [], []
-        cursor = 0
-        dls_cursor = 0
-        for _first_doc, last_doc, block_bytes, block_docs, block_tfs in blocks:
-            nb = len(block_docs)
-            block_dls = dls[dls_cursor : dls_cursor + nb]
-            dls_cursor += nb
-            b_last.append(int(last_doc))
-            b_n.append(nb)
-            b_maxtf.append(int(block_tfs.max()))
-            b_mindl.append(int(block_dls.min()))
-            b_off.append(cursor)
-            b_len.append(len(block_bytes))
-            payload.extend(block_bytes)
-            cursor += len(block_bytes)
-
-        cols["term"].append(terms[r0])
-        cols["bucket"].append(bucket_val)
-        cols["salt"].append(int(salts[r0]))
-        cols["cf"].append(int(tfs.sum()))
-        cols["df"].append(int(len(doc_ids)))
-        cols["first_doc"].append(int(doc_ids[0]))
-        cols["last_doc"].append(int(doc_ids[-1]))
-        cols["postings"].append(bytes(payload))
-        cols["block_last_doc"].append(b_last)
-        cols["block_n_docs"].append(b_n)
-        cols["block_max_tf"].append(b_maxtf)
-        cols["block_min_dl"].append(b_mindl)
-        cols["block_offset"].append(b_off)
-        cols["block_length"].append(b_len)
-
-    return pa.Table.from_pydict(cols, schema=POSTINGS_SCHEMA)
+    return pa.table({
+        "term": combine_column(group, "term").take(pa.array(bounds[:-1])),
+        "bucket": np.full(len(bounds) - 1, group.column("bucket")[0].as_py(),
+                          np.int32),
+        "salt": salts[bounds[:-1]],
+        "cf": np.add.reduceat(tf_flat, heads[:-1], dtype=np.int64),
+        "df": np.diff(heads),
+        "first_doc": doc_flat[heads[:-1]],
+        "last_doc": doc_flat[heads[1:] - 1],
+        "postings": pa.LargeBinaryArray.from_buffers(
+            pa.large_binary(), len(bounds) - 1,
+            [None, pa.py_buffer(row_offsets), pa.py_buffer(
+                payloads[0] if len(payloads) == 1 else np.concatenate(payloads))]),
+        "block_last_doc": blocks(doc_flat[starts[1:] - 1]),
+        "block_n_docs": blocks(np.diff(starts).astype(np.int32)),
+        "block_max_tf": blocks(np.maximum.reduceat(tf_flat, first)),
+        "block_min_dl": blocks(np.minimum.reduceat(dl_flat, first)),
+        "block_offset": blocks(offsets[:-1] - np.repeat(row_offsets[:-1],
+                                                        np.diff(lists))),
+        "block_length": blocks(np.diff(offsets).astype(np.int32)),
+    }, schema=POSTINGS_SCHEMA)

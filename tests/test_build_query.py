@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pyarrow.parquet as pq
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from indri_5_5_ray.config import IndexConfig
@@ -480,3 +480,282 @@ def test_other_index_format_asks_for_a_rebuild(built_index, tmp_path):
         path.write_text(json.dumps(m))
         with pytest.raises(ValueError, match="rebuild"):
             IndexReader(str(tmp_path / "idx"))
+
+
+# -- property: the batch merge == the per-row merge it replaced -------------
+# The per-row encoder and merge loop below are the reference: the code the
+# one-pass merge (codec.cut_blocks_pre over slices of groups) replaced,
+# kept verbatim but for their names.
+
+import pyarrow as pa  # noqa: E402
+
+from indri_5_5_ray.codec import (  # noqa: E402
+    _UINT,
+    GAP_WIDTHS,
+    TARGET_BLOCK_BYTES,
+    TF_WIDTHS,
+    _narrowest,
+)
+from indri_5_5_ray.stages.postings import (  # noqa: E402
+    POSTINGS_SCHEMA,
+    _flatten_list_column,
+    combine_column,
+)
+
+
+def _ref_cut_blocks_pre(
+    doc_ids: np.ndarray,
+    tfs: np.ndarray,
+    pos_payload: bytes | None,
+    pos_byte_lens: np.ndarray | None,
+    target_bytes: int = TARGET_BLOCK_BYTES,
+) -> list[tuple[int, int, bytes, np.ndarray, np.ndarray]]:
+    """Split one posting row's run into encoded blocks of about
+    ``target_bytes`` at document boundaries (ref 4 KB skip interval,
+    ref:src/IndexWriter.cpp:527) → ``(first_doc, last_doc, payload,
+    doc_slice, tf_slice)`` per block.
+
+    Positions come pre-encoded: ``pos_payload`` is the concatenation of
+    per-doc delta-vbyte streams and ``pos_byte_lens[i]`` the byte length of
+    doc i's stream; blocks slice it, never decode or re-encode it.
+
+    A block's payload is one width byte (low nibble: the Δdoc gap width
+    in ``GAP_WIDTHS``; high nibble: the ``tf - 1`` width in
+    ``TF_WIDTHS``), then ``n`` little-endian gaps, then ``n`` values of
+    ``tf - 1`` (none at width 0), then the positions stream.  A block's
+    first gap is taken from its ``first`` in the row metadata — the row's
+    ``first_doc`` for the head block, the previous block's last + 1
+    otherwise — so no payload holds an absolute doc id."""
+    doc_ids = np.asarray(doc_ids, dtype=np.int64)
+    tfs = np.asarray(tfs, dtype=np.int64)
+    n = len(doc_ids)
+    if n == 0:
+        return []
+    has_pos = pos_payload is not None
+    if has_pos:
+        byte_starts = np.concatenate(([0], np.cumsum(pos_byte_lens)))
+        per_doc = 4.0 + float(byte_starts[-1]) / n
+    else:
+        per_doc = 4.0
+    docs_per_block = max(8, int(target_bytes / per_doc))
+    starts = np.arange(0, n, docs_per_block, dtype=np.int64)
+    ends = np.minimum(starts + docs_per_block, n)
+    gaps = np.empty(n, dtype=np.int64)
+    gaps[0] = 0  # the head block's first is doc_ids[0] itself
+    np.subtract(doc_ids[1:], doc_ids[:-1], out=gaps[1:])
+    gaps[starts[1:]] -= 1  # later blocks start at the previous last + 1
+    tf1 = tfs - 1  # tfs are int32 (PARTIALS_SCHEMA), so 4 bytes hold any
+    gws = _narrowest(np.maximum.reduceat(gaps, starts), GAP_WIDTHS).tolist()
+    tws = _narrowest(np.maximum.reduceat(tf1, starts), TF_WIDTHS).tolist()
+    out = []
+    for s, e, gw, tw in zip(starts.tolist(), ends.tolist(), gws, tws):
+        payload = bytes((gw | tw << 4,)) + gaps[s:e].astype(_UINT[gw]).tobytes()
+        if tw:
+            payload += tf1[s:e].astype(_UINT[tw]).tobytes()
+        if has_pos:
+            payload += pos_payload[byte_starts[s]:byte_starts[e]]
+        out.append((int(doc_ids[s]), int(doc_ids[e - 1]), payload,
+                    doc_ids[s:e], tfs[s:e]))
+    return out
+
+
+def _ref_merge_bucket(
+    group: pa.Table, store_positions: bool, target_block_bytes: int
+) -> pa.Table:
+    """Merge ALL partial runs of one bucket → one merged output row per
+    (term, salt).
+
+    Operating at bucket granularity (not per term) amortizes per-group Python
+    overhead across a whole reducer: a single sort + arrow flatten gives
+    contiguous numpy runs per (term, salt), already concatenated in doc-id
+    order. Reducer memory ≈ index_bytes / n_buckets — size ``n_buckets`` so a
+    bucket fits a worker's heap (the scale knob; the reference's analogue is
+    its merge-memory halving heuristic ref:src/Repository.cpp:824-872).
+    """
+    if group.num_rows == 0:
+        return POSTINGS_SCHEMA.empty_table()
+    group = group.sort_by(
+        [("term", "ascending"), ("salt", "ascending"), ("first_doc", "ascending")]
+    )
+    terms = group.column("term").to_pylist()
+    salts = group.column("salt").to_numpy()
+    n_rows = len(terms)
+    doc_flat, doc_lens_per_row = _flatten_list_column(group, "doc_ids")
+    tf_flat, _ = _flatten_list_column(group, "tfs")
+    dl_flat, _ = _flatten_list_column(group, "dls")
+    if store_positions:
+        pos_rows: list[bytes] = group.column("pos_bytes").to_pylist()
+        blen_flat, _ = _flatten_list_column(group, "pos_byte_lens")
+    row_starts = np.concatenate(([0], np.cumsum(doc_lens_per_row)))
+
+    # group boundaries: rows where (term, salt) changes — dictionary-encoded
+    # term codes make the scan one vectorized int comparison, not a Python
+    # string loop over every partial row
+    tcodes = combine_column(group, "term").dictionary_encode().indices.to_numpy(
+        zero_copy_only=False)
+    change = np.flatnonzero(
+        (tcodes[1:] != tcodes[:-1]) | (salts[1:] != salts[:-1])) + 1
+    bounds = np.concatenate(([0], change, [n_rows]))
+
+    # ascending-docID invariant (the reference asserts this at write:
+    # ref:src/IndexWriter.cpp:618) — checked in ONE pass over the flat doc
+    # stream; only pairs straddling a (term, salt) group boundary may
+    # legitimately descend
+    d_ok = np.diff(doc_flat) > 0
+    if len(d_ok):
+        gb_val = row_starts[bounds[1:-1]]
+        d_ok[gb_val[gb_val > 0] - 1] = True
+        assert d_ok.all(), "posting doc_ids not strictly ascending in a group"
+
+    cols: dict[str, list] = {f.name: [] for f in POSTINGS_SCHEMA}
+    bucket_val = int(group.column("bucket")[0].as_py()) if n_rows else 0
+
+    for gi in range(len(bounds) - 1):
+        r0, r1 = bounds[gi], bounds[gi + 1]
+        v0, v1 = row_starts[r0], row_starts[r1]
+        doc_ids = doc_flat[v0:v1]
+        tfs = tf_flat[v0:v1]
+        dls = dl_flat[v0:v1]
+
+        if store_positions:
+            pos_payload = b"".join(pos_rows[r0:r1])
+            pos_byte_lens = blen_flat[v0:v1]
+        else:
+            pos_payload, pos_byte_lens = None, None
+        blocks = _ref_cut_blocks_pre(
+            doc_ids, tfs, pos_payload, pos_byte_lens, target_bytes=target_block_bytes
+        )
+        payload = bytearray()
+        b_last, b_n, b_maxtf, b_mindl, b_off, b_len = [], [], [], [], [], []
+        cursor = 0
+        dls_cursor = 0
+        for _first_doc, last_doc, block_bytes, block_docs, block_tfs in blocks:
+            nb = len(block_docs)
+            block_dls = dls[dls_cursor : dls_cursor + nb]
+            dls_cursor += nb
+            b_last.append(int(last_doc))
+            b_n.append(nb)
+            b_maxtf.append(int(block_tfs.max()))
+            b_mindl.append(int(block_dls.min()))
+            b_off.append(cursor)
+            b_len.append(len(block_bytes))
+            payload.extend(block_bytes)
+            cursor += len(block_bytes)
+
+        cols["term"].append(terms[r0])
+        cols["bucket"].append(bucket_val)
+        cols["salt"].append(int(salts[r0]))
+        cols["cf"].append(int(tfs.sum()))
+        cols["df"].append(int(len(doc_ids)))
+        cols["first_doc"].append(int(doc_ids[0]))
+        cols["last_doc"].append(int(doc_ids[-1]))
+        cols["postings"].append(bytes(payload))
+        cols["block_last_doc"].append(b_last)
+        cols["block_n_docs"].append(b_n)
+        cols["block_max_tf"].append(b_maxtf)
+        cols["block_min_dl"].append(b_mindl)
+        cols["block_offset"].append(b_off)
+        cols["block_length"].append(b_len)
+
+    return pa.Table.from_pydict(cols, schema=POSTINGS_SCHEMA)
+
+
+_GAP_RANGES = ((1, 1 << 8), (1 << 8, 1 << 16), (1 << 16, 1 << 32),
+               (1 << 32, 1 << 40))  # a gap class per Δdoc width 1/2/4/8
+_TF_RANGES = ((1, 2), (1, 1 << 8), (1, 1 << 16), (1, 1 << 20))  # tf − 1 0/1/2/4
+
+
+def _random_bucket(groups, store_positions, seed):
+    """A shuffled partials table of one bucket: per drawn group ``(n_docs,
+    term, gap class, tf class, n_rows)`` one (term, salt) run of ``n_docs``
+    ascending doc ids split into up to ``n_rows`` partial rows.  A term
+    drawn again gets the next salt and a later doc range; most gaps and
+    tfs come from the group's class, the rest are small; position streams
+    are random bytes, some docs with none."""
+    from indri_5_5_ray.stages.postings import PARTIALS_SCHEMA
+
+    rng = np.random.default_rng(seed)
+    rows, next_doc, next_salt = [], {}, {}
+    for n, term, gc, tc, n_rows in groups:
+        small = rng.random(n) < 0.3
+        gaps = np.where(small, rng.integers(1, 4, n),
+                        rng.integers(*_GAP_RANGES[gc], n))
+        start = next_doc.get(term, int(rng.integers(0, 1000)))
+        doc_ids = start + np.cumsum(gaps)
+        next_doc[term] = int(doc_ids[-1]) + 1
+        salt = next_salt.get(term, 0)
+        next_salt[term] = salt + 1
+        tfs = np.where(small, 1, rng.integers(*_TF_RANGES[tc], n))
+        dls = rng.integers(1, 5000, n)
+        blens = (rng.integers(0, 5, n) if store_positions
+                 else np.zeros(n, np.int64))
+        cuts = np.unique(np.concatenate(
+            ([0, n], rng.integers(1, max(n, 2), n_rows - 1) % n)))
+        for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            rows.append({
+                "term": term, "bucket": 3, "salt": salt,
+                "first_doc": int(doc_ids[a]), "last_doc": int(doc_ids[b - 1]),
+                "doc_ids": doc_ids[a:b].tolist(), "tfs": tfs[a:b].tolist(),
+                "dls": dls[a:b].tolist(),
+                "pos_bytes": rng.integers(0, 256, int(blens[a:b].sum()),
+                                          dtype=np.uint8).tobytes(),
+                "pos_byte_lens": (blens[a:b].tolist() if store_positions
+                                  else [])})
+    order = rng.permutation(len(rows))
+    return pa.Table.from_pylist([rows[i] for i in order],
+                                schema=PARTIALS_SCHEMA)
+
+
+def _ipc_bytes(t):
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_file(sink, POSTINGS_SCHEMA) as w:
+        w.write_table(t)
+    return sink.getvalue().to_pybytes()
+
+
+_GROUP = st.tuples(
+    st.one_of(st.integers(1, 7), st.sampled_from([8, 16, 24, 64, 128]),
+              st.integers(9, 300)),
+    st.sampled_from(["a", "b", "é", "ab", "zz"]),
+    st.integers(0, 3), st.integers(0, 3), st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(groups=st.lists(_GROUP, min_size=1, max_size=10),
+       store_positions=st.booleans(),
+       target=st.sampled_from([16, 32, 64, 512, 4096]),
+       seed=st.integers(0, 2**16))
+@example(groups=[(16, "a", 3, 3, 3), (7, "a", 0, 0, 1), (24, "b", 2, 1, 2),
+                 (8, "é", 1, 2, 1), (1, "zz", 0, 0, 1)],
+         store_positions=True, target=16, seed=1)
+@example(groups=[(16, "a", 3, 3, 3), (7, "a", 0, 0, 1), (24, "b", 2, 1, 2),
+                 (8, "é", 1, 2, 1), (1, "zz", 0, 0, 1)],
+         store_positions=False, target=16, seed=2)
+def test_merge_bucket_equals_the_per_row_merge_property(
+        groups, store_positions, target, seed):
+    """merge_bucket (one cut_blocks_pre call per slice of groups) gives the
+    table, and the Arrow IPC bytes, of the per-row reference merge over
+    random buckets: multi-salt terms, groups shorter than 8 docs and exact
+    multiples of the block size, gaps of every width class, every
+    ``tf − 1`` width, docs without position bytes, with positions stored
+    or not — also when the groups are cut into many slices.  Its
+    dictionary rows are the per-term sums of its rows."""
+    from unittest import mock
+
+    from indri_5_5_ray.stages import postings
+    from indri_5_5_ray.stages.postings import dictionary_rows, merge_bucket
+
+    part = _random_bucket(groups, store_positions, seed)
+    want = _ref_merge_bucket(part, store_positions, target)
+    got = merge_bucket(part, store_positions, target)
+    assert got.equals(want)
+    assert _ipc_bytes(got) == _ipc_bytes(want)
+    with mock.patch.object(postings, "MERGE_SLICE_POSTINGS", 20):
+        assert _ipc_bytes(merge_bucket(part, store_positions, target)) == \
+            _ipc_bytes(want)
+    sums: dict = {}
+    for t, cf, df in zip(*(want.column(c).to_pylist()
+                           for c in ("term", "cf", "df"))):
+        sums[t] = (sums.get(t, (0, 0))[0] + cf, sums.get(t, (0, 0))[1] + df)
+    assert dictionary_rows(got).to_pylist() == [
+        {"term": t, "cf": cf, "df": df} for t, (cf, df) in sorted(sums.items())]

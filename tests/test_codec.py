@@ -96,12 +96,25 @@ def _pos_stream(positions, tfs):
     return vbyte_encode(deltas), np.add.reduceat(vbyte_sizes(deltas), starts)
 
 
+def _row_blocks(doc_ids, tfs, pos_payload, pos_byte_lens, target_bytes):
+    """cut_blocks_pre over one posting row → ``(first_doc, last_doc,
+    payload, doc_slice, tf_slice)`` per block."""
+    c = cut_blocks_pre(doc_ids, tfs, pos_payload, pos_byte_lens, [len(doc_ids)],
+                       target_bytes=target_bytes)
+    assert c.n_blocks.tolist() == [len(c.starts) - 1]
+    return [(int(doc_ids[s]), int(doc_ids[e - 1]), c.payload[a:b].tobytes(),
+             doc_ids[s:e], tfs[s:e])
+            for s, e, a, b in zip(c.starts[:-1], c.starts[1:], c.offsets[:-1],
+                                  c.offsets[1:])]
+
+
 def _cut(doc_ids, tfs, positions=None, target_bytes=4096):
     """cut_blocks_pre over one posting row → (blocks, payload, offsets,
     lengths, n_docs, first): the row's concatenated payload and its block
     metadata, each block's ``first`` as ``posting_blocks`` derives it."""
     pos = (None, None) if positions is None else _pos_stream(positions, tfs)
-    blocks = cut_blocks_pre(doc_ids, tfs, *pos, target_bytes=target_bytes)
+    blocks = _row_blocks(np.asarray(doc_ids), np.asarray(tfs), *pos,
+                         target_bytes)
     lengths = [len(b[2]) for b in blocks]
     offsets = np.concatenate(([0], np.cumsum(lengths)[:-1])).astype(int).tolist()
     n_docs = [len(b[3]) for b in blocks]
@@ -183,7 +196,7 @@ def test_cut_blocks_pre_roundtrip():
         bs = np.concatenate(([0], np.cumsum(blens)))
         for pos in ((payload, blens), (None, None)):
             cursor, first = 0, int(doc_ids[0])
-            for b_first, last, pl, bd, bt in cut_blocks_pre(
+            for b_first, last, pl, bd, bt in _row_blocks(
                     doc_ids, tfs, *pos, target_bytes=tb):
                 end = cursor + len(bd)
                 assert b_first == doc_ids[cursor] and last == doc_ids[end - 1]
