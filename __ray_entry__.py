@@ -1318,10 +1318,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "bm25_topk": lambda sf: _bm25_topk(sf, stem=False),
         "bm25_topk_kstem": lambda sf: _bm25_topk(sf, stem=True),
         "lm_topk_dirichlet": lambda sf: _lm_topk(sf, stem=False, method="dirichlet"),
-        # the LM entries stay IN-window this round: round 4 switched their
-        # execution onto the new block-max pruned path, so "green for 2+
-        # rounds" no longer describes the code that runs — rotation must
-        # consider path changes, not just past results
+        # the LM entries stay IN-window: their execution path changed when
+        # the LM cell skip was deleted (one exhaustive scorer since), so
+        # "green for 2+ rounds" no longer describes the code that runs —
+        # rotation must consider path changes, not just past results
         "lm_topk_jm": lambda sf: _lm_topk(sf, stem=False, method="jm"),
         "lm_topk_two": lambda sf: _lm_topk(sf, stem=False, method="two"),
         "lm_topk_kstem": lambda sf: _lm_topk(sf, stem=True, method="dirichlet"),

@@ -16,7 +16,7 @@ Posting-list layout (one term), derived from the in-memory builder
 Δ positions…)``, cut into blocks at document boundaries (the reference
 cuts per 4 KB skip batch, ref:src/IndexWriter.cpp:527), each decodable
 from its own bytes plus its block metadata — the property that enables
-doc-range-sliced scoring and rank-safe block-max skipping.  Positions are
+doc-range-sliced scoring and block-granular doc-set reads.  Positions are
 RVL vbyte, Δ-coded per document, as in the reference.  Deviation for
 vectorized decode: a block stores its Δdoc gaps and its ``tf - 1`` values
 as two fixed-width little-endian arrays, each sized for the block's

@@ -15,8 +15,9 @@ Phases (SURVEY.md §7.2):
    done by the filesystem: ingest wrote bucket-sorted partials whose row
    groups end on bucket boundaries, each reducer reads the row groups of its
    bucket through ``read_bucket``) → block-encoded posting lists
-   (fixed-width Δdoc/tf arrays, vbyte positions) with block-max metadata +
-   per-bucket dictionary slices
+   (fixed-width Δdoc/tf arrays, vbyte positions) with per-block metadata
+   (last doc, doc count, byte offset and length) + per-bucket dictionary
+   slices
    (the ``IndexWriter`` k-way merge, ref:src/IndexWriter.cpp:810-879), and
    beside them the dir's doc-keyed map (docno, dl) from docs/;
 4. global statistics from lineage records → manifest.json (completion

@@ -193,8 +193,8 @@ _COUNT_OPS = frozenset({"term", "wildcard", "band", "syn", "wsyn", "od", "uw",
 
 def combine(op: str, weights, kids: list[np.ndarray]) -> np.ndarray:
     """Combine child log-beliefs under a belief operator — the one copy of
-    the combiner arithmetic (the recursion, the support-path mean and the
-    LM block-max delegation all call it, so they stay bit-identical)."""
+    the combination arithmetic (the recursion and the support-path mean both
+    call it, so they stay bit-identical)."""
     if op == "combine":
         return np.mean(kids, axis=0)
     if op in ("weight", "wsum"):
@@ -607,11 +607,6 @@ class StructuredQueryEngine:
         self._partial_memo: dict[tuple, float] | None = None
         self._partial_const: dict[tuple, float] | None = None
         self._field_range: tuple[int, int] | None = None  # pruned run only
-        # block-max delegation for plain-term #combine/#weight roots (the
-        # WeightedAndNode skip); lazily built LMScorer sharing this reader,
-        # disable-able for exhaustive-vs-pruned identity tests
-        self._bm_lm = None
-        self._disable_blockmax = False
 
     # -- leaf data ----------------------------------------------------------
 
@@ -1009,48 +1004,8 @@ class StructuredQueryEngine:
         finally:
             self._field_range = None
 
-    def _blockmax_term_root(self, root: Node, k: int):
-        """Delegate a plain-term #combine/#weight root to the LM block-max
-        cell skip (the WeightedAndNode quorum skip,
-        ref:src/WeightedAndNode.cpp:119-186): postings decode only for cells
-        whose upper bound can still reach the top-k.  The combiner callback
-        is :func:`combine`, and the child formula is the same smoothing
-        expression, so results are identical to the generic evaluation
-        path (asserted in tests)."""
-        from .lm import LMScorer
-
-        if self._bm_lm is None:
-            method = "dirichlet" if self.method == "dirichlet" else "jm"
-            self._bm_lm = LMScorer(self.r, method=method, mu=self.mu,
-                                   lam=self.lam)
-        children = [self._node_term(c) or "" for c in root.children]
-        if root.op == "combine":
-            tw = [(t, 1.0) for t in children]
-            mean_of: int | None = len(children)
-        else:  # weight
-            w = np.asarray(root.weights, dtype=np.float64)
-            tw = list(zip(children, (w / w.sum()).tolist()))
-            mean_of = None
-        return self._bm_lm._score_weighted_blockmax(
-            tw, k, mean_of,
-            combiner=lambda kids: combine(root.op, root.weights, kids))
-
     def _run_inner(self, query, k, doc_set, doc_range, pruned, _warm):
         root = parse_query(query)
-        # fast path: an unrestricted bag-of-words / weighted-terms root needs
-        # no positions, no fields, no node-statistics pass — skip the full
-        # postings decode and use the rank-safe block-max scan.  ≤ 8 children
-        # keeps np.mean's per-column reduction sequential (pairwise summation
-        # starts above 8 lanes), preserving bit-identity with _ExtentEval.
-        if (not _warm and not self._disable_blockmax
-                and doc_set is None and doc_range is None and not pruned
-                and root.op in ("combine", "weight")
-                and root.children and len(root.children) <= 8
-                and all(c.op == "term" for c in root.children)
-                and (root.op == "combine"
-                     or (len(root.weights) == len(root.children)
-                         and all(wt > 0 for wt in root.weights)))):
-            return self._blockmax_term_root(root, k)
         cand = _gather_candidates(self, (root,), doc_range, doc_set,
                                   fetch_range=doc_range if pruned else None,
                                   positions=_needs_positions(root))
@@ -1606,7 +1561,7 @@ class _ExtentEval:
         if node.op in ("combine", "weight") and any(
                 self._is_max_path(c) for c in node.children):
             # a support-path child yields NO result for extents with no
-            # surviving anchored path — the reference combiner then
+            # surviving anchored path — the reference's WeightedAndNode then
             # normalizes over the children that DID score (sumWeight sums
             # |w|·childResults.size(), ref:src/WeightedAndNode.cpp:
             # 248-278); extents where no child scored yield nothing

@@ -186,11 +186,10 @@ def _filter_partials(t: pa.Table, deleted: np.ndarray) -> pa.Table:
     if not len(rows):
         return untouched
     tf_flat = _flatten_list_column(t, "tfs")[0]
-    dl_flat = _flatten_list_column(t, "dls")[0]
     blens_flat, blens_lengths = _flatten_list_column(t, "pos_byte_lens")
     boffs = np.concatenate(([0], np.cumsum(blens_lengths)))
     sub = t.take(pa.array(rows, pa.int64()))
-    new_ids, new_tfs, new_dls = [], [], []
+    new_ids, new_tfs = [], []
     new_first, new_last = [], []
     new_payloads, new_blens = [], []
     for ri, i in enumerate(rows.tolist()):
@@ -199,7 +198,6 @@ def _filter_partials(t: pa.Table, deleted: np.ndarray) -> pa.Table:
         kept_ids = flat[a:b][keep]
         new_ids.append(kept_ids.tolist())
         new_tfs.append(tf_flat[a:b][keep].tolist())
-        new_dls.append(dl_flat[a:b][keep].tolist())
         new_first.append(int(kept_ids[0]))
         new_last.append(int(kept_ids[-1]))
         blens = blens_flat[boffs[i]:boffs[i + 1]]
@@ -215,7 +213,6 @@ def _filter_partials(t: pa.Table, deleted: np.ndarray) -> pa.Table:
 
     sub = _set_column(sub, "doc_ids", pa.array(new_ids, pa.list_(pa.int64())))
     sub = _set_column(sub, "tfs", pa.array(new_tfs, PARTIALS_SCHEMA.field("tfs").type))
-    sub = _set_column(sub, "dls", pa.array(new_dls, PARTIALS_SCHEMA.field("dls").type))
     sub = _set_column(sub, "first_doc", pa.array(new_first, pa.int64()))
     sub = _set_column(sub, "last_doc", pa.array(new_last, pa.int64()))
     sub = _set_column(sub, "pos_bytes", pa.array(

@@ -46,12 +46,11 @@ are one slice of its file's block arrays, and ``IndexReader.blocks``
 gathers a query's slices without building a row table; the ``term_rows``
 row tables serve dumpindex and the tests.  ``read_postings`` is the one
 block walk (gather, select, one decode, exact range mask, cut by term)
-that exhaustive LM, the structured engine and dumpindex read postings
+that LM, the structured engine and dumpindex read postings
 through (the single ``DiskDocListIterator`` of the reference,
 ref:src/DiskDocListIterator.cpp:21-56); BM25 takes the same walk
-(``_select``, ``_walk``) and scores the flat batch uncut; the LM
-block-max path and the RM feedback scan select and decode
-``IndexReader.blocks`` themselves.
+(``_select``, ``_walk``) and scores the flat batch uncut; the RM feedback
+scan selects and decodes ``IndexReader.blocks`` itself.
 
 One doc-keyed map.  Each index dir has one map, ``docnos/docnos.arrow``
 (a docno and a dl column dense over the dir's doc_id range), mapped once
@@ -607,8 +606,7 @@ def _cat(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-_BLOCK_FIELDS = ("offset", "length", "n_docs", "first", "last", "max_tf",
-                 "min_dl")
+_BLOCK_FIELDS = ("offset", "length", "n_docs", "first", "last")
 
 
 @dataclass(frozen=True)
@@ -616,9 +614,8 @@ class PostingBlocks:
     """Flat per-block posting arrays: block ``i`` belongs to term
     ``terms[term[i]]`` (to row ``term[i]`` of the table ``posting_blocks``
     read, whose ``terms`` is empty), holds ``n_docs[i]`` docs in
-    ``[first[i], last[i]]`` (at most ``max_tf[i]`` occurrences each, doc
-    lengths at least ``min_dl[i]``) and is encoded at ``offset[i]``
-    (length ``length[i]``) in the ``uint8`` memoryview ``views[view[i]]``
+    ``[first[i], last[i]]`` and is encoded at ``offset[i]`` (length
+    ``length[i]``) in the ``uint8`` memoryview ``views[view[i]]``
     — a zero-copy view of a ``postings`` buffer, so no payload byte is
     copied."""
 
@@ -630,8 +627,6 @@ class PostingBlocks:
     n_docs: np.ndarray
     first: np.ndarray
     last: np.ndarray
-    max_tf: np.ndarray
-    min_dl: np.ndarray
     views: list[memoryview]
 
     def __len__(self) -> int:
@@ -696,9 +691,7 @@ def posting_blocks(rows: pa.Table) -> PostingBlocks:
         view=(np.broadcast_to(np.int64(0), row.shape) if len(views) <= 1
               else np.repeat(np.arange(len(views)), chunk_rows)[row]),
         offset=base[row] + flat("block_offset"), length=flat("block_length"),
-        n_docs=flat("block_n_docs"), first=first, last=last,
-        max_tf=flat("block_max_tf"), min_dl=flat("block_min_dl"),
-        views=views)
+        n_docs=flat("block_n_docs"), first=first, last=last, views=views)
 
 
 def _meets(pb: PostingBlocks, sel, doc_range: tuple[int, int]) -> np.ndarray:

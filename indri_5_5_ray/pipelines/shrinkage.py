@@ -372,7 +372,7 @@ class ShrinkageScorer:
         (ref:ShrinkageBeliefNode.cpp:85-141, the ``extent.ordinal != 0``
         branch); an extent is kept when ANY term's ``_down[ordinal]`` is
         nonzero (the node's vector ``hasMatch``, ref :429-461, OR-ed by
-        the restriction's combiner gate); zero-length extents are skipped
+        the restriction's combining gate); zero-length extents are skipped
         (ref:src/ExtentRestrictionNode.cpp:73-74).  Terms combine exactly
         like :meth:`score` (qtf-weighted mean of per-term scores, log
         applied per queryLevelCombine).  Tie order is

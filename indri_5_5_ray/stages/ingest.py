@@ -14,7 +14,7 @@ dl — from ``docs/``, ``postings.write_docno_map``):
 
 * ``docs/docs-<range>.parquet``  — (doc_id, docno, dl, unique_terms)
 * ``partials/partials-<range>.parquet`` — per (term) partial posting run:
-  ascending doc_ids, tfs, dls, flattened positions + partial cf/df stats
+  ascending doc_ids, tfs, flattened positions + partial cf/df stats
   (the role of ``MemoryIndex``'s in-memory postings,
   ref:src/MemoryIndex.cpp:560-651)
 
@@ -217,9 +217,9 @@ def _accumulate_chunk(
     :func:`expand_raw` (1:N for UTF-8 runs, applied per unique).
 
     Returns (dl_arr, uniq_arr, names_sorted, lens, doc_flat_local, tf_flat,
-    dl_flat, p_s, run_starts, term_of_run): per-doc dl/unique counts, the
-    sorted term list with per-term posting counts, the term-major flat
-    (doc, tf, dl) posting arrays, and the sorted position stream with its
+    p_s, run_starts, term_of_run): per-doc dl/unique counts, the sorted
+    term list with per-term posting counts, the term-major flat (doc, tf)
+    posting arrays, and the sorted position stream with its
     per-(term, doc) run starts + term rank per run (the last three feed the
     positions encoder and the direct-index builder).
     """
@@ -228,8 +228,7 @@ def _accumulate_chunk(
     e64 = np.empty(0, np.int64)
     if T == 0:
         return (np.zeros(n, np.int64), np.zeros(n, np.int64), [], e64,
-                e64, e64.astype(np.int32), e64.astype(np.int32), e64, e64,
-                e64)
+                e64, e64.astype(np.int32), e64, e64, e64)
     arr = (all_raw if isinstance(all_raw, pa.Array)
            else pa.array(all_raw, type=pa.large_binary()))
     enc = arr.dictionary_encode()
@@ -330,10 +329,9 @@ def _accumulate_chunk(
         lens = np.diff(np.concatenate(([0], tbrk + 1, [len(term_of_run)])))
     else:
         lens = e64
-    dl_flat = dl_arr[doc_flat_local].astype(np.int32)
     uniq_arr = np.bincount(doc_flat_local, minlength=n).astype(np.int64)
     return (dl_arr, uniq_arr, names_sorted, lens, doc_flat_local, tf_flat,
-            dl_flat, p_s, run_starts, term_of_run)
+            p_s, run_starts, term_of_run)
 
 
 _PROCESS_WORKERS: dict[tuple, "IngestWorker"] = {}
@@ -468,14 +466,14 @@ class IngestWorker:
             scan_inputs = [c if k else b"" for c, k in zip(contents, kept)]
             all_tokens, raw_lens = scan_raw_chunk(scan_inputs)
             t_kern0 = time.perf_counter()
-            (dl_arr, uniq_arr, terms, lens, doc_flat_local, tf_flat, dl_flat,
+            (dl_arr, uniq_arr, terms, lens, doc_flat_local, tf_flat,
              p_s, post_run_starts, term_of_run) = _accumulate_chunk(
                 all_tokens, raw_lens, self.proc, pre_expanded)
             t_kern1 = time.perf_counter()
             return self._finish_chunk(
                 chunk, cid, fingerprint, t0, t_read0, t_scan0, t_kern0,
                 t_kern1, contents, docnos, doc_ids, kept, dl_arr,
-                uniq_arr, terms, lens, doc_flat_local, tf_flat, dl_flat,
+                uniq_arr, terms, lens, doc_flat_local, tf_flat,
                 p_s, post_run_starts, term_of_run, f_rows, f_stats, n)
         for local_i in range(n):
             data = contents[local_i]
@@ -529,20 +527,20 @@ class IngestWorker:
             raw_lens[local_i] = len(raw_tokens)
 
         t_kern0 = time.perf_counter()
-        (dl_arr, uniq_arr, terms, lens, doc_flat_local, tf_flat, dl_flat,
+        (dl_arr, uniq_arr, terms, lens, doc_flat_local, tf_flat,
          p_s, post_run_starts, term_of_run) = _accumulate_chunk(
             all_raw, raw_lens, self.proc, pre_expanded)
         t_kern1 = time.perf_counter()
         return self._finish_chunk(
             chunk, cid, fingerprint, t0, t_read0, t_scan0, t_kern0, t_kern1,
             contents, docnos, doc_ids, kept, dl_arr, uniq_arr, terms,
-            lens, doc_flat_local, tf_flat, dl_flat, p_s, post_run_starts,
+            lens, doc_flat_local, tf_flat, p_s, post_run_starts,
             term_of_run, f_rows, f_stats, n)
 
     def _finish_chunk(self, chunk, cid, fingerprint, t0, t_read0, t_scan0,
                       t_kern0, t_kern1, contents, docnos, doc_ids, kept,
                       dl_arr, uniq_arr, terms, lens, doc_flat_local,
-                      tf_flat, dl_flat, p_s, post_run_starts, term_of_run,
+                      tf_flat, p_s, post_run_starts, term_of_run,
                       f_rows, f_stats, n) -> dict:
         """Encode + write a chunk's outputs (docs/partials/direct/fields)
         and commit its lineage record — shared by the vectorized word-mode
@@ -635,8 +633,6 @@ class IngestWorker:
                     pa.array(offsets, pa.int32()), pa.array(doc_flat, pa.int64())),
                 "tfs": pa.ListArray.from_arrays(
                     pa.array(offsets, pa.int32()), pa.array(tf_flat, pa.int32())),
-                "dls": pa.ListArray.from_arrays(
-                    pa.array(offsets, pa.int32()), pa.array(dl_flat, pa.int32())),
                 "pos_bytes": pa.array(pos_bytes_col, pa.large_binary()),
                 "pos_byte_lens": pa.ListArray.from_arrays(
                     pa.array(blen_offsets, pa.int32()),

@@ -5,8 +5,9 @@ indexes (``IndexWriter::write``/``_mergeData``, ref:src/IndexWriter.cpp:810-879)
 partial posting runs shuffled by (term, salt), concatenated in doc-id order
 (doc ranges of partials are disjoint — docIDs are partition-ranged by
 construction), cut into ~4 KB blocks of fixed-width Δdoc gaps and tfs plus
-the ingest-encoded vbyte positions with block-max metadata (the
-generalization of Indri's topdocs lists, ref:src/IndexWriter.cpp:531-607),
+the ingest-encoded vbyte positions, each with its last doc, doc count and
+byte range as metadata (no per-block score bounds: Indri's topdocs lists,
+ref:src/IndexWriter.cpp:531-607, feed a skip this engine does not take),
 and per-term cf/df summed exactly like ``termdata_merge``
 (ref:include/indri/TermData.hpp:126-140).  Where the reference loops per
 term, ``merge_bucket`` encodes every (term, salt) run of a bucket slice in
@@ -51,7 +52,6 @@ PARTIALS_SCHEMA = pa.schema(
         ("last_doc", pa.int64()),
         ("doc_ids", pa.list_(pa.int64())),
         ("tfs", pa.list_(pa.int32())),
-        ("dls", pa.list_(pa.int32())),
         # positions pre-encoded at ingest: concatenated per-doc delta-vbyte
         # streams + per-doc byte lengths (sliced, never re-encoded, at merge)
         ("pos_bytes", pa.large_binary()),
@@ -71,8 +71,6 @@ POSTINGS_SCHEMA = pa.schema(
         ("postings", pa.large_binary()),
         ("block_last_doc", pa.list_(pa.int64())),
         ("block_n_docs", pa.list_(pa.int32())),
-        ("block_max_tf", pa.list_(pa.int32())),
-        ("block_min_dl", pa.list_(pa.int32())),
         ("block_offset", pa.list_(pa.int64())),
         ("block_length", pa.list_(pa.int32())),
     ]
@@ -86,7 +84,8 @@ POSTINGS_SCHEMA = pa.schema(
 # 5: one docno map per index dir (``docnos/docnos.arrow``), written by the
 #    merge phase.
 # 6: the map is doc-keyed: a ``dl`` column beside ``docno``.
-INDEX_FORMAT = 6
+# 7: no per-block tf and dl bounds, no per-posting doc lengths in partials.
+INDEX_FORMAT = 7
 
 DICTIONARY_SCHEMA = pa.schema(
     [
@@ -473,7 +472,6 @@ def merge_bucket(
     salts = group.column("salt").to_numpy()
     doc_flat, doc_lens_per_row = _flatten_list_column(group, "doc_ids")
     tf_flat, _ = _flatten_list_column(group, "tfs", np.int32)
-    dl_flat, _ = _flatten_list_column(group, "dls", np.int32)
     row_starts = np.concatenate(([0], np.cumsum(doc_lens_per_row)))
 
     # group boundaries: rows where (term, salt) changes — dictionary-encoded
@@ -525,7 +523,6 @@ def merge_bucket(
     lists = np.zeros(len(bounds), np.int32)
     np.cumsum(np.concatenate(n_blocks), out=lists[1:])
     row_offsets = offsets[lists]
-    first = starts[:-1]
 
     def blocks(values):
         return pa.ListArray.from_arrays(pa.array(lists), pa.array(values))
@@ -545,8 +542,6 @@ def merge_bucket(
                 payloads[0] if len(payloads) == 1 else np.concatenate(payloads))]),
         "block_last_doc": blocks(doc_flat[starts[1:] - 1]),
         "block_n_docs": blocks(np.diff(starts).astype(np.int32)),
-        "block_max_tf": blocks(np.maximum.reduceat(tf_flat, first)),
-        "block_min_dl": blocks(np.minimum.reduceat(dl_flat, first)),
         "block_offset": blocks(offsets[:-1] - np.repeat(row_offsets[:-1],
                                                         np.diff(lists))),
         "block_length": blocks(np.diff(offsets).astype(np.int32)),

@@ -77,7 +77,7 @@ def _by_term(pb, names: list[str], lo: int, hi: int) -> dict:
         d, tf, pos = pb.decode(sel, positions=True)
         keep = (d >= lo) & (d < hi)
         meta = [a[sel].tolist() for a in (pb.first, pb.last, pb.n_docs,
-                                          pb.max_tf, pb.min_dl, pb.length)]
+                                          pb.length)]
         if len(sel):
             out[term] = (meta, d[keep].tolist(), tf[keep].tolist(),
                          pos[np.repeat(keep, tf)].tolist())

@@ -375,7 +375,7 @@ def _random_two_segment_index(tmp_path_factory, data):
         part = pa.Table.from_pylist([
             {"term": w, "bucket": bucket_of(w), "salt": d // 4,
              "first_doc": d, "last_doc": d, "doc_ids": [d],
-             "tfs": [1 + (d + len(w)) % 3], "dls": [10],
+             "tfs": [1 + (d + len(w)) % 3],
              "pos_bytes": b"", "pos_byte_lens": []}
             for w in words for d in docs_of[w] if lo <= d < hi],
             schema=PARTIALS_SCHEMA)
@@ -467,6 +467,7 @@ def test_cold_lookup_maps_one_bucket_file(built_index):
 def test_other_index_format_asks_for_a_rebuild(built_index, tmp_path):
     """An index written with another layout (parquet postings, format 1;
     no docno maps, format 2; a docno map without doc lengths, format 5;
+    per-block score bounds and per-posting partials doc lengths, format 6;
     or no stamp at all) is refused with a rebuild message, not read."""
     import json
     import shutil
@@ -475,7 +476,7 @@ def test_other_index_format_asks_for_a_rebuild(built_index, tmp_path):
     shutil.copytree(out, tmp_path / "idx")
     path = tmp_path / "idx" / "manifest.json"
     m = json.loads(path.read_text())
-    for stamp in (1, 2, 5, None):
+    for stamp in (1, 2, 5, 6, None):
         m["format_version"] = stamp
         path.write_text(json.dumps(m))
         with pytest.raises(ValueError, match="rebuild"):
@@ -582,7 +583,6 @@ def _ref_merge_bucket(
     n_rows = len(terms)
     doc_flat, doc_lens_per_row = _flatten_list_column(group, "doc_ids")
     tf_flat, _ = _flatten_list_column(group, "tfs")
-    dl_flat, _ = _flatten_list_column(group, "dls")
     if store_positions:
         pos_rows: list[bytes] = group.column("pos_bytes").to_pylist()
         blen_flat, _ = _flatten_list_column(group, "pos_byte_lens")
@@ -615,7 +615,6 @@ def _ref_merge_bucket(
         v0, v1 = row_starts[r0], row_starts[r1]
         doc_ids = doc_flat[v0:v1]
         tfs = tf_flat[v0:v1]
-        dls = dl_flat[v0:v1]
 
         if store_positions:
             pos_payload = b"".join(pos_rows[r0:r1])
@@ -626,17 +625,11 @@ def _ref_merge_bucket(
             doc_ids, tfs, pos_payload, pos_byte_lens, target_bytes=target_block_bytes
         )
         payload = bytearray()
-        b_last, b_n, b_maxtf, b_mindl, b_off, b_len = [], [], [], [], [], []
+        b_last, b_n, b_off, b_len = [], [], [], []
         cursor = 0
-        dls_cursor = 0
-        for _first_doc, last_doc, block_bytes, block_docs, block_tfs in blocks:
-            nb = len(block_docs)
-            block_dls = dls[dls_cursor : dls_cursor + nb]
-            dls_cursor += nb
+        for _first_doc, last_doc, block_bytes, block_docs, _block_tfs in blocks:
             b_last.append(int(last_doc))
-            b_n.append(nb)
-            b_maxtf.append(int(block_tfs.max()))
-            b_mindl.append(int(block_dls.min()))
+            b_n.append(len(block_docs))
             b_off.append(cursor)
             b_len.append(len(block_bytes))
             payload.extend(block_bytes)
@@ -652,8 +645,6 @@ def _ref_merge_bucket(
         cols["postings"].append(bytes(payload))
         cols["block_last_doc"].append(b_last)
         cols["block_n_docs"].append(b_n)
-        cols["block_max_tf"].append(b_maxtf)
-        cols["block_min_dl"].append(b_mindl)
         cols["block_offset"].append(b_off)
         cols["block_length"].append(b_len)
 
@@ -686,7 +677,6 @@ def _random_bucket(groups, store_positions, seed):
         salt = next_salt.get(term, 0)
         next_salt[term] = salt + 1
         tfs = np.where(small, 1, rng.integers(*_TF_RANGES[tc], n))
-        dls = rng.integers(1, 5000, n)
         blens = (rng.integers(0, 5, n) if store_positions
                  else np.zeros(n, np.int64))
         cuts = np.unique(np.concatenate(
@@ -696,7 +686,6 @@ def _random_bucket(groups, store_positions, seed):
                 "term": term, "bucket": 3, "salt": salt,
                 "first_doc": int(doc_ids[a]), "last_doc": int(doc_ids[b - 1]),
                 "doc_ids": doc_ids[a:b].tolist(), "tfs": tfs[a:b].tolist(),
-                "dls": dls[a:b].tolist(),
                 "pos_bytes": rng.integers(0, 256, int(blens[a:b].sum()),
                                           dtype=np.uint8).tobytes(),
                 "pos_byte_lens": (blens[a:b].tolist() if store_positions

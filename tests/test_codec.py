@@ -296,8 +296,7 @@ def test_block_layout_property(gaps, start, tf_kind, with_positions, target,
             "term": ["t"], "first_doc": [int(doc_ids[0]) + delta],
             "postings": pa.array([payload], pa.large_binary()),
             "block_last_doc": [[b[1] + delta for b in blocks]],
-            "block_n_docs": [n_docs], "block_max_tf": [[1] * len(blocks)],
-            "block_min_dl": [[1] * len(blocks)], "block_offset": [offsets],
+            "block_n_docs": [n_docs], "block_offset": [offsets],
             "block_length": [lengths]})
 
     pb = posting_blocks(row(0))

@@ -33,7 +33,6 @@ def _write_partials(out_dir) -> None:
                 "last_doc": pa.array([i], pa.int64()),
                 "doc_ids": pa.array([[i]], pa.list_(pa.int64())),
                 "tfs": pa.array([[1 + i % 3]], pa.list_(pa.int32())),
-                "dls": pa.array([[10]], pa.list_(pa.int32())),
                 "pos_bytes": pa.array([b""], pa.large_binary()),
                 "pos_byte_lens": pa.array([[]], pa.list_(pa.int32())),
             },

@@ -24,7 +24,7 @@ from indri_5_5_ray.tokenizer import tokenize_bytes
 
 
 def _reference_accumulate(contents, doc_ids, cfg, drop=frozenset()):
-    """The original per-token loop: term → ([doc], [tf], [dl], [pos...])."""
+    """The original per-token loop: term → ([doc], [tf], [pos...])."""
     proc = TermProcessor(cfg)
     acc: dict[str, list] = {}
     dls, uniqs, direct = [], [], []
@@ -45,11 +45,10 @@ def _reference_accumulate(contents, doc_ids, cfg, drop=frozenset()):
                        [len(v) for v in per_doc.values()],
                        [p for v in per_doc.values() for p in v]))
         for term, positions in per_doc.items():
-            ent = acc.setdefault(term, [[], [], [], []])
+            ent = acc.setdefault(term, [[], [], []])
             ent[0].append(did)
             ent[1].append(len(positions))
-            ent[2].append(dl)
-            ent[3].extend(positions)
+            ent[2].extend(positions)
     return acc, dls, uniqs, direct
 
 
@@ -101,7 +100,6 @@ def test_worker_matches_reference(tmp_path, corpus_file, cfg_kwargs,
     for i, t in enumerate(terms):
         assert part.column("doc_ids")[i].as_py() == acc[t][0], t
         assert part.column("tfs")[i].as_py() == acc[t][1], t
-        assert part.column("dls")[i].as_py() == acc[t][2], t
 
     dtbl = pq.read_table(f"{out}/direct").sort_by("doc_id")
     assert dtbl.column("doc_id").to_pylist() == [d[0] for d in direct]

@@ -447,7 +447,6 @@ def test_filter_partials_vectorized():
         cols["last_doc"].append(ids[-1])
         cols["doc_ids"].append(ids)
         cols["tfs"].append([rng.randrange(1, 9) for _ in range(n)])
-        cols["dls"].append([rng.randrange(1, 99) for _ in range(n)])
         cols["pos_bytes"].append(payload)
         cols["pos_byte_lens"].append(blens)
     t = pa.Table.from_pydict(cols, schema=PARTIALS_SCHEMA)
@@ -468,7 +467,7 @@ def test_filter_partials_vectorized():
                     row["pos_bytes"][starts[j]:starts[j + 1]]
                     for j, k in enumerate(keep) if k)
                 row["pos_byte_lens"] = [L for L, k in zip(row["pos_byte_lens"], keep) if k]
-            for n in ("doc_ids", "tfs", "dls"):
+            for n in ("doc_ids", "tfs"):
                 row[n] = [v for v, k in zip(row[n], keep) if k]
             row["first_doc"] = row["doc_ids"][0]
             row["last_doc"] = row["doc_ids"][-1]
@@ -485,7 +484,6 @@ def test_filter_partials_vectorized():
             tb.column("first_doc").to_pylist(),
             [tuple(x) for x in tb.column("doc_ids").to_pylist()],
             [tuple(x) for x in tb.column("tfs").to_pylist()],
-            [tuple(x) for x in tb.column("dls").to_pylist()],
             tb.column("pos_bytes").to_pylist(),
             [tuple(x) for x in tb.column("pos_byte_lens").to_pylist()])))
         assert key(got) == key(want), f"mismatch for deleted={deleted[:5]}..."
